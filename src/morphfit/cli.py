@@ -22,9 +22,9 @@ from .evaluation import (disentangling_report, evaluate_reconstruction,
                          verification_report)
 from .fitting import multi_image_fit
 from .geometry import CoeffPair, Shape, compose_shape
-from .serialization import (load_checkpoint, load_dataset, save_checkpoint,
-                            save_dataset, write_obj, write_report_csv,
-                            write_table_csv)
+from .serialization import (_atomic_write, load_checkpoint, load_dataset,
+                            save_checkpoint, save_dataset, write_obj,
+                            write_report_csv, write_table_csv)
 from .synthetic import build_dataset, generate_model
 
 
@@ -91,10 +91,8 @@ def _effective_config(args) -> RunConfig:
 
 
 def _echo_config(config: RunConfig) -> None:
-    os.makedirs(config.output_dir, exist_ok=True)
-    path = os.path.join(config.output_dir, "config.txt")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_config(config))
+    _atomic_write(os.path.join(config.output_dir, "config.txt"),
+                  format_config(config).encode("utf-8"))
 
 
 def _cmd_gen_data(args) -> int:
@@ -220,9 +218,7 @@ def _cmd_eval(args) -> int:
     write_report_csv(report, os.path.join(out, "verification.csv"))
 
     def reconstructions(enc, dec):
-        ci, cr = nw.encode_images(enc, images)
-        deltas = (ci @ dec.weight_id.T + dec.bias_id
-                  + cr @ dec.weight_res.T + dec.bias_res)
+        deltas = nw.decode(dec, *nw.encode_images(enc, images))
         return [Shape(model.mean.coords + d) for d in deltas]
 
     truths = [dataset.samples[int(i)].ground_truth_shape for i in rows]

@@ -102,10 +102,10 @@ class RunConfig:
 
     def train_config(self, phase: str) -> TrainConfig:
         lr = self.phase3_learning_rate if phase == "III" else self.learning_rate
-        return TrainConfig(lambda_r=self.lambda_r, learning_rate=lr,
-                           beta1=self.beta1, beta2=self.beta2,
-                           epsilon=self.epsilon, batch_size=self.batch_size,
-                           epochs=self.epochs, seed=self.seed, phase=phase)
+        return TrainConfig(learning_rate=lr, beta1=self.beta1,
+                           beta2=self.beta2, epsilon=self.epsilon,
+                           batch_size=self.batch_size, epochs=self.epochs,
+                           seed=self.seed)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

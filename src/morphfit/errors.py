@@ -9,6 +9,12 @@ class InvalidArgumentError(MorphfitError, ValueError):
     """An argument violates a documented precondition or type invariant."""
 
 
+def require(condition: bool, message: str) -> None:
+    """Raise InvalidArgumentError(message) unless `condition` holds."""
+    if not condition:
+        raise InvalidArgumentError(message)
+
+
 class DegenerateGeometryError(MorphfitError):
     """Geometry too degenerate to solve (coincident or collinear points, rank loss)."""
 

@@ -11,20 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import require
 from .geometry import (MorphableModel, Shape, apply_transform, crop_indices,
                        procrustes_align, rmse, select_landmarks)
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise InvalidArgumentError(message)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -37,7 +26,7 @@ class ScoredPair:
     def __post_init__(self):
         object.__setattr__(self, "score", float(self.score))
         object.__setattr__(self, "is_genuine", bool(self.is_genuine))
-        _require(np.isfinite(self.score), "pair score must be finite")
+        require(np.isfinite(self.score), "pair score must be finite")
 
 
 @dataclass(frozen=True)
@@ -52,20 +41,21 @@ class RocCurve:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _readonly(self.points)
+        pts = np.array(self.points, dtype=np.float64, copy=True)
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        _require(pts.ndim == 2 and pts.shape[1] == 3,
-                 f"curve points must be (n, 3), got {pts.shape}")
-        _require(pts.shape[0] >= 2, "curve needs at least two operating points")
-        _require(bool(np.all(np.isfinite(pts))), "curve entries must be finite")
+        require(pts.ndim == 2 and pts.shape[1] == 3,
+                f"curve points must be (n, 3), got {pts.shape}")
+        require(pts.shape[0] >= 2, "curve needs at least two operating points")
+        require(bool(np.all(np.isfinite(pts))), "curve entries must be finite")
         rates = pts[:, 1:]
-        _require(bool(np.all(rates >= 0.0)) and bool(np.all(rates <= 1.0)),
-                 "TAR and FAR must lie in [0, 1]")
-        _require(bool(np.all(np.diff(pts[:, 0]) > 0)),
-                 "thresholds must be strictly increasing")
-        _require(bool(np.all(np.diff(pts[:, 1]) <= 0)) and
-                 bool(np.all(np.diff(pts[:, 2]) <= 0)),
-                 "TAR and FAR must be non-increasing in the threshold")
+        require(bool(np.all(rates >= 0.0)) and bool(np.all(rates <= 1.0)),
+                "TAR and FAR must lie in [0, 1]")
+        require(bool(np.all(np.diff(pts[:, 0]) > 0)),
+                "thresholds must be strictly increasing")
+        require(bool(np.all(np.diff(pts[:, 1]) <= 0)) and
+                bool(np.all(np.diff(pts[:, 2]) <= 0)),
+                "TAR and FAR must be non-increasing in the threshold")
 
     @property
     def thresholds(self) -> np.ndarray:
@@ -101,11 +91,11 @@ class VerificationReport:
                 continue
             value = float(value)
             object.__setattr__(self, name, value)
-            _require(0.0 <= value <= 1.0, f"{name} must lie in [0, 1]")
+            require(0.0 <= value <= 1.0, f"{name} must lie in [0, 1]")
         std = float(self.accuracy_std)
         object.__setattr__(self, "accuracy_std", std)
-        _require(np.isfinite(std) and std >= 0.0,
-                 "accuracy_std must be finite and non-negative")
+        require(np.isfinite(std) and std >= 0.0,
+                "accuracy_std must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -128,9 +118,9 @@ class ReconstructionReport:
         object.__setattr__(self, "mean_vertex_dist", float(self.mean_vertex_dist))
         object.__setattr__(self, "n_pairs", int(self.n_pairs))
         object.__setattr__(self, "crop_radius", float(self.crop_radius))
-        _require(self.rmse_paper >= 0 and self.mean_vertex_dist >= 0,
-                 "error summaries must be non-negative")
-        _require(self.n_pairs >= 1, "need at least one pair")
+        require(self.rmse_paper >= 0 and self.mean_vertex_dist >= 0,
+                "error summaries must be non-negative")
+        require(self.n_pairs >= 1, "need at least one pair")
 
 
 @dataclass(frozen=True)
@@ -157,28 +147,28 @@ class DisentanglingReport:
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "degenerate", bool(self.degenerate))
         if not self.degenerate:
-            _require(bool(np.isfinite(self.displacement_ratio)),
-                     "displacement_ratio must be finite unless degenerate")
+            require(bool(np.isfinite(self.displacement_ratio)),
+                    "displacement_ratio must be finite unless degenerate")
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """a.b / (|a||b|), guarding both norms."""
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
-    _require(a.size == b.size, f"length mismatch: {a.size} vs {b.size}")
-    _require(bool(np.all(np.isfinite(a))) and bool(np.all(np.isfinite(b))),
-             "inputs must be finite")
+    require(a.size == b.size, f"length mismatch: {a.size} vs {b.size}")
+    require(bool(np.all(np.isfinite(a))) and bool(np.all(np.isfinite(b))),
+            "inputs must be finite")
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    _require(na > 0 and nb > 0, "cosine similarity needs non-zero vectors")
+    require(na > 0 and nb > 0, "cosine similarity needs non-zero vectors")
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 def _split_scores(pairs: list[ScoredPair]) -> tuple[np.ndarray, np.ndarray]:
-    _require(len(pairs) > 0, "need at least one scored pair")
+    require(len(pairs) > 0, "need at least one scored pair")
     scores = np.array([p.score for p in pairs])
     genuine = np.array([p.is_genuine for p in pairs], dtype=bool)
-    _require(bool(genuine.any()) and bool((~genuine).any()),
-             "need at least one genuine and one impostor pair")
+    require(bool(genuine.any()) and bool((~genuine).any()),
+            "need at least one genuine and one impostor pair")
     return scores, genuine
 
 
@@ -229,8 +219,8 @@ def eer(curve: RocCurve) -> float:
 
 def tar_at_far(curve: RocCurve, far_target: float) -> float:
     """TAR linearly interpolated at the requested FAR (upper envelope)."""
-    _require(np.isfinite(far_target) and 0.0 < far_target <= 1.0,
-             f"far_target must lie in (0, 1], got {far_target}")
+    require(np.isfinite(far_target) and 0.0 < far_target <= 1.0,
+            f"far_target must lie in (0, 1], got {far_target}")
     fars, tars = curve.far, curve.tar
     # collapse vertical runs (same FAR, several TARs) to the best TAR
     best: dict[float, float] = {}
@@ -250,11 +240,11 @@ def verification_accuracy_folds(pairs: list[ScoredPair],
     threshold) is applied to the held-out fold. Returns the mean and
     population standard deviation across folds.
     """
-    _require(int(n_folds) >= 2, "need at least two folds")
+    require(int(n_folds) >= 2, "need at least two folds")
     n_folds = int(n_folds)
     scores, genuine = _split_scores(pairs)
-    _require(scores.size % n_folds == 0,
-             f"{scores.size} pairs do not divide into {n_folds} folds")
+    require(scores.size % n_folds == 0,
+            f"{scores.size} pairs do not divide into {n_folds} folds")
     fold_size = scores.size // n_folds
     accuracies = []
     for k in range(n_folds):
@@ -262,8 +252,8 @@ def verification_accuracy_folds(pairs: list[ScoredPair],
         held[k * fold_size:(k + 1) * fold_size] = True
         for part, what in ((held, "held-out"), (~held, "training")):
             flags = genuine[part]
-            _require(bool(flags.any()) and bool((~flags).any()),
-                     f"{what} fold {k} contains a single class")
+            require(bool(flags.any()) and bool((~flags).any()),
+                    f"{what} fold {k} contains a single class")
         s_train, g_train = scores[~held], genuine[~held]
         candidates = np.unique(s_train)
         candidates = np.append(candidates, candidates[-1] + 1.0)
@@ -280,27 +270,6 @@ def verification_accuracy_folds(pairs: list[ScoredPair],
     return float(acc.mean()), float(acc.std())
 
 
-def fuse_scores(score_lists: list[np.ndarray]) -> np.ndarray:
-    """Sum of min-max normalized score lists (score-level fusion).
-
-    Each list is mapped to [0, 1] before summation so no matcher dominates
-    through scale; a constant list normalizes to all zeros (it carries no
-    ranking information) and leaves the fused order unchanged.
-    """
-    _require(len(score_lists) >= 1, "need at least one score list")
-    arrays = [np.asarray(s, dtype=np.float64).ravel() for s in score_lists]
-    length = arrays[0].size
-    _require(length >= 1, "score lists must be non-empty")
-    fused = np.zeros(length)
-    for a in arrays:
-        _require(a.size == length,
-                 f"score list length mismatch: {a.size} vs {length}")
-        _require(bool(np.all(np.isfinite(a))), "scores must be finite")
-        span = float(a.max() - a.min())
-        fused = fused + ((a - a.min()) / span if span > 0 else np.zeros(length))
-    return fused
-
-
 def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
                           probe_codes: np.ndarray, probe_labels: np.ndarray,
                           n: int) -> float:
@@ -312,14 +281,14 @@ def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
     probes = np.asarray(probe_codes, dtype=np.float64)
     g_labels = np.asarray(gallery_labels).ravel()
     p_labels = np.asarray(probe_labels).ravel()
-    _require(gallery.ndim == 2 and gallery.shape[0] >= 1, "gallery is empty")
-    _require(probes.ndim == 2 and probes.shape[0] >= 1, "no probes given")
-    _require(gallery.shape[1] == probes.shape[1], "code widths differ")
-    _require(g_labels.size == gallery.shape[0] and p_labels.size == probes.shape[0],
-             "labels must be row-aligned with codes")
+    require(gallery.ndim == 2 and gallery.shape[0] >= 1, "gallery is empty")
+    require(probes.ndim == 2 and probes.shape[0] >= 1, "no probes given")
+    require(gallery.shape[1] == probes.shape[1], "code widths differ")
+    require(g_labels.size == gallery.shape[0] and p_labels.size == probes.shape[0],
+            "labels must be row-aligned with codes")
     missing = set(p_labels.tolist()) - set(g_labels.tolist())
-    _require(not missing, f"probe subjects missing from gallery: {sorted(missing)}")
-    _require(int(n) >= 1, "n must be at least 1")
+    require(not missing, f"probe subjects missing from gallery: {sorted(missing)}")
+    require(int(n) >= 1, "n must be at least 1")
     n = int(n)
     hits = 0
     for code, label in zip(probes, p_labels):
@@ -339,14 +308,14 @@ def evaluate_reconstruction(predicted: list[Shape], ground_truth: list[Shape],
     ground-truth nose tip (correspondence preserved: the crop set is chosen
     on the ground truth only). Degenerate alignments propagate.
     """
-    _require(len(predicted) == len(ground_truth) and len(predicted) >= 1,
-             "need equal-length non-empty shape lists")
+    require(len(predicted) == len(ground_truth) and len(predicted) >= 1,
+            "need equal-length non-empty shape lists")
     indices = np.asarray(landmark_indices, dtype=np.int64).ravel()
     total_rmse = 0.0
     total_dist = 0.0
     for pred, truth in zip(predicted, ground_truth):
-        _require(pred.n == truth.n,
-                 f"vertex count mismatch: {pred.n} vs {truth.n}")
+        require(pred.n == truth.n,
+                f"vertex count mismatch: {pred.n} vs {truth.n}")
         transform = procrustes_align(select_landmarks(pred, indices),
                                      select_landmarks(truth, indices))
         aligned = apply_transform(pred, transform)
@@ -387,7 +356,7 @@ def disentangling_report(encoder, dataset) -> DisentanglingReport:
         def embed(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return encode_images(encoder, batch)
     else:
-        _require(callable(encoder), "encoder must be an EncoderNet or callable")
+        require(callable(encoder), "encoder must be an EncoderNet or callable")
         embed = encoder
 
     model: MorphableModel = dataset.model
@@ -395,9 +364,9 @@ def disentangling_report(encoder, dataset) -> DisentanglingReport:
             else np.arange(len(dataset.samples)))
     samples = [dataset.samples[int(i)] for i in rows]
     labels = np.array([s.subject_label for s in samples])
-    _require(np.unique(labels).size >= 2, "need at least two subjects")
-    _require(len(samples) >= np.unique(labels).size * 2,
-             "need at least two expressions per subject")
+    require(np.unique(labels).size >= 2, "need at least two subjects")
+    require(len(samples) >= np.unique(labels).size * 2,
+            "need at least two expressions per subject")
 
     images = np.array([s.depth_image.ravel() for s in samples])
     c_id, _ = embed(images)
@@ -454,9 +423,9 @@ def verification_pairs(codes: np.ndarray, labels: np.ndarray) -> list[ScoredPair
     """All unordered code pairs scored by cosine similarity, in index order."""
     codes = np.asarray(codes, dtype=np.float64)
     labels = np.asarray(labels).ravel()
-    _require(codes.ndim == 2 and codes.shape[0] == labels.size,
-             "codes must be (n, q) row-aligned with labels")
-    _require(codes.shape[0] >= 2, "need at least two codes")
+    require(codes.ndim == 2 and codes.shape[0] == labels.size,
+            "codes must be (n, q) row-aligned with labels")
+    require(codes.shape[0] >= 2, "need at least two codes")
     pairs = []
     for i in range(codes.shape[0]):
         for j in range(i + 1, codes.shape[0]):
@@ -473,13 +442,13 @@ def stratified_folds(pairs: list[ScoredPair], n_folds: int) -> list[ScoredPair]:
     the contiguous fold protocol sees the same class balance everywhere.
     Needs at least n_folds pairs of each class.
     """
-    _require(int(n_folds) >= 2, "need at least two folds")
+    require(int(n_folds) >= 2, "need at least two folds")
     n_folds = int(n_folds)
     genuine = [p for p in pairs if p.is_genuine]
     impostor = [p for p in pairs if not p.is_genuine]
-    _require(len(genuine) >= n_folds and len(impostor) >= n_folds,
-             f"need at least {n_folds} pairs of each class, got "
-             f"{len(genuine)} genuine / {len(impostor)} impostor")
+    require(len(genuine) >= n_folds and len(impostor) >= n_folds,
+            f"need at least {n_folds} pairs of each class, got "
+            f"{len(genuine)} genuine / {len(impostor)} impostor")
     g_per, i_per = len(genuine) // n_folds, len(impostor) // n_folds
     folds = []
     for k in range(n_folds):

@@ -22,19 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateGeometryError, InvalidArgumentError,
-                     NumericalFailureError, UnderdeterminedError)
+from .errors import (DegenerateGeometryError, NumericalFailureError,
+                     UnderdeterminedError, require)
 from .geometry import (CoeffPair, LandmarkSet2D, MorphableModel, PoseParams,
                        Shape, compose_shape, coord_rows, project_landmarks,
                        select_landmarks)
 
 # Absolute slack allowed on the objective monotonicity guarantee.
 MONOTONE_SLACK = 1e-9
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise InvalidArgumentError(message)
 
 
 @dataclass(frozen=True)
@@ -48,13 +43,13 @@ class FitConfig:
     reg_exp: float = 0.0
 
     def __post_init__(self):
-        _require(self.max_iterations >= 1, "max_iterations must be >= 1")
-        _require(np.isfinite(self.rel_tol) and self.rel_tol > 0,
-                 "rel_tol must be finite and positive")
-        _require(np.isfinite(self.reg_id) and self.reg_id >= 0,
-                 "reg_id must be finite and non-negative")
-        _require(np.isfinite(self.reg_exp) and self.reg_exp >= 0,
-                 "reg_exp must be finite and non-negative")
+        require(self.max_iterations >= 1, "max_iterations must be >= 1")
+        require(np.isfinite(self.rel_tol) and self.rel_tol > 0,
+                "rel_tol must be finite and positive")
+        require(np.isfinite(self.reg_id) and self.reg_id >= 0,
+                "reg_id must be finite and non-negative")
+        require(np.isfinite(self.reg_exp) and self.reg_exp >= 0,
+                "reg_exp must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -75,12 +70,12 @@ class FitResult:
     def __post_init__(self):
         trace = [float(v) for v in self.objective_trace]
         object.__setattr__(self, "objective_trace", trace)
-        _require(all(np.isfinite(v) for v in trace), "objective trace must be finite")
+        require(all(np.isfinite(v) for v in trace), "objective trace must be finite")
         for earlier, later in zip(trace, trace[1:]):
-            _require(later <= earlier + MONOTONE_SLACK,
-                     "objective trace must be non-increasing")
-        _require(self.iterations_used == len(trace),
-                 "iterations_used must match the trace length")
+            require(later <= earlier + MONOTONE_SLACK,
+                    "objective trace must be non-increasing")
+        require(self.iterations_used == len(trace),
+                "iterations_used must match the trace length")
 
 
 def estimate_pose(points3d: np.ndarray, landmarks2d: LandmarkSet2D) -> PoseParams:
@@ -96,13 +91,13 @@ def estimate_pose(points3d: np.ndarray, landmarks2d: LandmarkSet2D) -> PoseParam
     unobservable under weak perspective.
     """
     pts = np.asarray(points3d, dtype=np.float64)
-    _require(pts.ndim == 2 and pts.shape[1] == 3,
-             f"points3d must be (L, 3), got {pts.shape}")
+    require(pts.ndim == 2 and pts.shape[1] == 3,
+            f"points3d must be (L, 3), got {pts.shape}")
     u = landmarks2d.points
-    _require(pts.shape[0] == u.shape[0],
-             f"{pts.shape[0]} 3D points vs {u.shape[0]} 2D landmarks")
-    _require(pts.shape[0] >= 4, f"need at least 4 correspondences, got {pts.shape[0]}")
-    _require(bool(np.all(np.isfinite(pts))), "3D points must be finite")
+    require(pts.shape[0] == u.shape[0],
+            f"{pts.shape[0]} 3D points vs {u.shape[0]} 2D landmarks")
+    require(pts.shape[0] >= 4, f"need at least 4 correspondences, got {pts.shape[0]}")
+    require(bool(np.all(np.isfinite(pts))), "3D points must be finite")
 
     centered_sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
     if centered_sv[1] <= 1e-9 * max(centered_sv[0], np.finfo(float).tiny):
@@ -136,8 +131,8 @@ def _landmark_components(model: MorphableModel):
 
 
 def _check_landmarks(model: MorphableModel, landmarks: LandmarkSet2D) -> None:
-    _require(landmarks.count == model.n_landmarks,
-             f"{landmarks.count} landmarks given, model has {model.n_landmarks}")
+    require(landmarks.count == model.n_landmarks,
+            f"{landmarks.count} landmarks given, model has {model.n_landmarks}")
 
 
 def solve_expression(model: MorphableModel, alpha_id: np.ndarray, pose: PoseParams,
@@ -149,8 +144,8 @@ def solve_expression(model: MorphableModel, alpha_id: np.ndarray, pose: PosePara
     decomposition (numpy lstsq) rather than normal equations.
     """
     alpha_id = np.ravel(np.asarray(alpha_id, dtype=np.float64))
-    _require(alpha_id.size == model.k_id, "alpha_id length must match the model")
-    _require(np.isfinite(reg_exp) and reg_exp >= 0, "reg_exp must be >= 0")
+    require(alpha_id.size == model.k_id, "alpha_id length must match the model")
+    require(np.isfinite(reg_exp) and reg_exp >= 0, "reg_exp must be >= 0")
     _check_landmarks(model, landmarks)
     if reg_exp == 0.0 and model.k_exp > 2 * model.n_landmarks:
         raise UnderdeterminedError(
@@ -178,8 +173,8 @@ def solve_identity_shared(model: MorphableModel,
     2*L*M x k_id system is solved in one shot, optionally damped by
     reg_id * ||alpha_id / sigma_id||^2.
     """
-    _require(len(per_image) >= 1, "need at least one image")
-    _require(np.isfinite(reg_id) and reg_id >= 0, "reg_id must be >= 0")
+    require(len(per_image) >= 1, "need at least one image")
+    require(np.isfinite(reg_id) and reg_id >= 0, "reg_id must be >= 0")
     if reg_id == 0.0 and 2 * model.n_landmarks * len(per_image) < model.k_id:
         raise UnderdeterminedError(
             f"k_id={model.k_id} exceeds total equations "
@@ -189,7 +184,7 @@ def solve_identity_shared(model: MorphableModel,
     blocks, rhs_parts = [], []
     for alpha_exp, pose, landmarks in per_image:
         alpha_exp = np.ravel(np.asarray(alpha_exp, dtype=np.float64))
-        _require(alpha_exp.size == model.k_exp, "alpha_exp length must match the model")
+        require(alpha_exp.size == model.k_exp, "alpha_exp length must match the model")
         _check_landmarks(model, landmarks)
         proj = pose.scale * pose.rotation[:2]
         base = (mean_u + basis_exp_u @ alpha_exp + pose.translation) @ proj.T
@@ -204,6 +199,13 @@ def solve_identity_shared(model: MorphableModel,
     return solution
 
 
+def _image_data_term(points: np.ndarray, pose: PoseParams,
+                     landmarks: LandmarkSet2D) -> float:
+    predicted = project_landmarks(points, pose)
+    diff = landmarks.coords - predicted.coords
+    return float(diff @ diff)
+
+
 def objective(model: MorphableModel, alpha_id: np.ndarray,
               per_image: list[tuple[np.ndarray, PoseParams, LandmarkSet2D]]) -> float:
     """Pure data term: sum over images of the squared landmark residual norm.
@@ -212,23 +214,14 @@ def objective(model: MorphableModel, alpha_id: np.ndarray,
     damped objective add them separately.
     """
     alpha_id = np.ravel(np.asarray(alpha_id, dtype=np.float64))
-    _require(alpha_id.size == model.k_id, "alpha_id length must match the model")
+    require(alpha_id.size == model.k_id, "alpha_id length must match the model")
     total = 0.0
     for alpha_exp, pose, landmarks in per_image:
         _check_landmarks(model, landmarks)
         shape = compose_shape(model, CoeffPair(alpha_id, alpha_exp))
         pts = select_landmarks(shape, model.landmark_indices)
-        predicted = project_landmarks(pts, pose)
-        diff = landmarks.coords - predicted.coords
-        total += float(diff @ diff)
+        total += _image_data_term(pts, pose, landmarks)
     return total
-
-
-def _image_data_term(points: np.ndarray, pose: PoseParams,
-                     landmarks: LandmarkSet2D) -> float:
-    predicted = project_landmarks(points, pose)
-    diff = landmarks.coords - predicted.coords
-    return float(diff @ diff)
 
 
 def multi_image_fit(model: MorphableModel, landmark_sets: list[LandmarkSet2D],
@@ -248,7 +241,7 @@ def multi_image_fit(model: MorphableModel, landmark_sets: list[LandmarkSet2D],
     epsilon times the total landmark energy so that fits sitting at the
     numerical noise floor terminate.
     """
-    _require(len(landmark_sets) >= 1, "need at least one landmark set")
+    require(len(landmark_sets) >= 1, "need at least one landmark set")
     for lm in landmark_sets:
         _check_landmarks(model, lm)
 

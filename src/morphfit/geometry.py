@@ -17,18 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InvalidArgumentError
+from .errors import DegenerateGeometryError, require
 
 # Tolerance for accepting a matrix as a proper rotation.
 ROTATION_TOL = 1e-10
 
 # Minimum point count for pose estimation and Procrustes alignment.
 MIN_POINTS = 4
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise InvalidArgumentError(message)
 
 
 def _readonly(values, dtype=np.float64) -> np.ndarray:
@@ -38,12 +33,12 @@ def _readonly(values, dtype=np.float64) -> np.ndarray:
 
 
 def _check_rotation(rotation: np.ndarray, what: str) -> None:
-    _require(rotation.shape == (3, 3), f"{what} must be 3x3, got {rotation.shape}")
-    _require(bool(np.all(np.isfinite(rotation))), f"{what} must be finite")
+    require(rotation.shape == (3, 3), f"{what} must be 3x3, got {rotation.shape}")
+    require(bool(np.all(np.isfinite(rotation))), f"{what} must be finite")
     gram_err = np.max(np.abs(rotation.T @ rotation - np.eye(3)))
-    _require(gram_err <= ROTATION_TOL, f"{what} is not orthonormal (max deviation {gram_err:.3e})")
+    require(gram_err <= ROTATION_TOL, f"{what} is not orthonormal (max deviation {gram_err:.3e})")
     det_err = abs(np.linalg.det(rotation) - 1.0)
-    _require(det_err <= ROTATION_TOL, f"{what} is not proper (|det - 1| = {det_err:.3e})")
+    require(det_err <= ROTATION_TOL, f"{what} is not proper (|det - 1| = {det_err:.3e})")
 
 
 @dataclass(frozen=True)
@@ -55,11 +50,11 @@ class Shape:
     def __post_init__(self):
         coords = _readonly(np.ravel(self.coords))
         object.__setattr__(self, "coords", coords)
-        _require(coords.size % 3 == 0,
-                 f"coordinate vector length {coords.size} is not a multiple of 3")
-        _require(coords.size >= 3 * MIN_POINTS,
-                 f"shape needs at least {MIN_POINTS} vertices, got {coords.size // 3}")
-        _require(bool(np.all(np.isfinite(coords))), "shape coordinates must be finite")
+        require(coords.size % 3 == 0,
+                f"coordinate vector length {coords.size} is not a multiple of 3")
+        require(coords.size >= 3 * MIN_POINTS,
+                f"shape needs at least {MIN_POINTS} vertices, got {coords.size // 3}")
+        require(bool(np.all(np.isfinite(coords))), "shape coordinates must be finite")
 
     @property
     def n(self) -> int:
@@ -80,10 +75,10 @@ class LandmarkSet2D:
     def __post_init__(self):
         coords = _readonly(np.ravel(self.coords))
         object.__setattr__(self, "coords", coords)
-        _require(coords.size % 2 == 0,
-                 f"2D coordinate vector length {coords.size} is not a multiple of 2")
-        _require(coords.size > 0, "landmark set must be non-empty")
-        _require(bool(np.all(np.isfinite(coords))), "landmark coordinates must be finite")
+        require(coords.size % 2 == 0,
+                f"2D coordinate vector length {coords.size} is not a multiple of 2")
+        require(coords.size > 0, "landmark set must be non-empty")
+        require(bool(np.all(np.isfinite(coords))), "landmark coordinates must be finite")
 
     @property
     def count(self) -> int:
@@ -107,8 +102,8 @@ class CoeffPair:
         alpha_exp = _readonly(np.ravel(self.alpha_exp))
         object.__setattr__(self, "alpha_id", alpha_id)
         object.__setattr__(self, "alpha_exp", alpha_exp)
-        _require(bool(np.all(np.isfinite(alpha_id))), "alpha_id must be finite")
-        _require(bool(np.all(np.isfinite(alpha_exp))), "alpha_exp must be finite")
+        require(bool(np.all(np.isfinite(alpha_id))), "alpha_id must be finite")
+        require(bool(np.all(np.isfinite(alpha_exp))), "alpha_exp must be finite")
 
 
 @dataclass(frozen=True)
@@ -129,12 +124,12 @@ class PoseParams:
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)
-        _require(np.isfinite(self.scale) and self.scale > 0.0,
-                 f"scale must be finite and positive, got {self.scale}")
+        require(np.isfinite(self.scale) and self.scale > 0.0,
+                f"scale must be finite and positive, got {self.scale}")
         _check_rotation(rotation, "pose rotation")
-        _require(translation.shape == (3,),
-                 f"translation must have 3 components, got {translation.shape}")
-        _require(bool(np.all(np.isfinite(translation))), "translation must be finite")
+        require(translation.shape == (3,),
+                f"translation must have 3 components, got {translation.shape}")
+        require(bool(np.all(np.isfinite(translation))), "translation must be finite")
 
 
 @dataclass(frozen=True)
@@ -151,19 +146,12 @@ class SimilarityTransform:
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)
-        _require(np.isfinite(self.scale) and self.scale > 0.0,
-                 f"scale must be finite and positive, got {self.scale}")
+        require(np.isfinite(self.scale) and self.scale > 0.0,
+                f"scale must be finite and positive, got {self.scale}")
         _check_rotation(rotation, "similarity rotation")
-        _require(translation.shape == (3,),
-                 f"translation must have 3 components, got {translation.shape}")
-        _require(bool(np.all(np.isfinite(translation))), "translation must be finite")
-
-    def inverse(self) -> "SimilarityTransform":
-        """Analytic inverse: scale 1/s, rotation R^T, translation -R^T t / s."""
-        inv_scale = 1.0 / self.scale
-        inv_rot = self.rotation.T
-        inv_t = -inv_scale * (inv_rot @ self.translation)
-        return SimilarityTransform(inv_scale, inv_rot, inv_t)
+        require(translation.shape == (3,),
+                f"translation must have 3 components, got {translation.shape}")
+        require(bool(np.all(np.isfinite(translation))), "translation must be finite")
 
 
 @dataclass(frozen=True)
@@ -198,30 +186,30 @@ class MorphableModel:
         object.__setattr__(self, "nose_tip_index", int(self.nose_tip_index))
 
         dim = self.mean.coords.size
-        _require(basis_id.ndim == 2 and basis_id.shape[0] == dim,
-                 f"basis_id must be ({dim}, k_id), got {basis_id.shape}")
-        _require(basis_exp.ndim == 2 and basis_exp.shape[0] == dim,
-                 f"basis_exp must be ({dim}, k_exp), got {basis_exp.shape}")
-        _require(basis_id.shape[1] >= 1, "basis_id needs at least one column")
-        _require(basis_exp.shape[1] >= 1, "basis_exp needs at least one column")
-        _require(bool(np.all(np.isfinite(basis_id))), "basis_id must be finite")
-        _require(bool(np.all(np.isfinite(basis_exp))), "basis_exp must be finite")
-        _require(sigma_id.shape == (basis_id.shape[1],),
-                 "sigma_id length must match basis_id columns")
-        _require(sigma_exp.shape == (basis_exp.shape[1],),
-                 "sigma_exp length must match basis_exp columns")
-        _require(bool(np.all(np.isfinite(sigma_id))) and bool(np.all(sigma_id > 0)),
-                 "sigma_id entries must be finite and positive")
-        _require(bool(np.all(np.isfinite(sigma_exp))) and bool(np.all(sigma_exp > 0)),
-                 "sigma_exp entries must be finite and positive")
+        require(basis_id.ndim == 2 and basis_id.shape[0] == dim,
+                f"basis_id must be ({dim}, k_id), got {basis_id.shape}")
+        require(basis_exp.ndim == 2 and basis_exp.shape[0] == dim,
+                f"basis_exp must be ({dim}, k_exp), got {basis_exp.shape}")
+        require(basis_id.shape[1] >= 1, "basis_id needs at least one column")
+        require(basis_exp.shape[1] >= 1, "basis_exp needs at least one column")
+        require(bool(np.all(np.isfinite(basis_id))), "basis_id must be finite")
+        require(bool(np.all(np.isfinite(basis_exp))), "basis_exp must be finite")
+        require(sigma_id.shape == (basis_id.shape[1],),
+                "sigma_id length must match basis_id columns")
+        require(sigma_exp.shape == (basis_exp.shape[1],),
+                "sigma_exp length must match basis_exp columns")
+        require(bool(np.all(np.isfinite(sigma_id))) and bool(np.all(sigma_id > 0)),
+                "sigma_id entries must be finite and positive")
+        require(bool(np.all(np.isfinite(sigma_exp))) and bool(np.all(sigma_exp > 0)),
+                "sigma_exp entries must be finite and positive")
         n = self.mean.n
-        _require(landmarks.size >= MIN_POINTS,
-                 f"need at least {MIN_POINTS} landmark indices, got {landmarks.size}")
-        _require(bool(np.all(landmarks >= 0)) and bool(np.all(landmarks < n)),
-                 "landmark indices out of vertex range")
-        _require(np.unique(landmarks).size == landmarks.size,
-                 "landmark indices must be distinct")
-        _require(0 <= self.nose_tip_index < n, "nose_tip_index out of vertex range")
+        require(landmarks.size >= MIN_POINTS,
+                f"need at least {MIN_POINTS} landmark indices, got {landmarks.size}")
+        require(bool(np.all(landmarks >= 0)) and bool(np.all(landmarks < n)),
+                "landmark indices out of vertex range")
+        require(np.unique(landmarks).size == landmarks.size,
+                "landmark indices must be distinct")
+        require(0 <= self.nose_tip_index < n, "nose_tip_index out of vertex range")
 
     @property
     def n(self) -> int:
@@ -248,43 +236,30 @@ def coord_rows(indices: np.ndarray) -> np.ndarray:
 
 def compose_shape(model: MorphableModel, coeffs: CoeffPair) -> Shape:
     """Compose mean + basis_id @ alpha_id + basis_exp @ alpha_exp."""
-    _require(coeffs.alpha_id.size == model.k_id,
-             f"alpha_id has {coeffs.alpha_id.size} entries, model expects {model.k_id}")
-    _require(coeffs.alpha_exp.size == model.k_exp,
-             f"alpha_exp has {coeffs.alpha_exp.size} entries, model expects {model.k_exp}")
+    require(coeffs.alpha_id.size == model.k_id,
+            f"alpha_id has {coeffs.alpha_id.size} entries, model expects {model.k_id}")
+    require(coeffs.alpha_exp.size == model.k_exp,
+            f"alpha_exp has {coeffs.alpha_exp.size} entries, model expects {model.k_exp}")
     return Shape(model.mean.coords
                  + model.basis_id @ coeffs.alpha_id
                  + model.basis_exp @ coeffs.alpha_exp)
 
 
-def compose_from_components(mean: Shape, delta_id: np.ndarray,
-                            delta_res: np.ndarray) -> Shape:
-    """Compose mean + delta_id + delta_res from precomputed shape deltas."""
-    delta_id = np.ravel(np.asarray(delta_id, dtype=np.float64))
-    delta_res = np.ravel(np.asarray(delta_res, dtype=np.float64))
-    _require(delta_id.size == mean.coords.size,
-             f"delta_id length {delta_id.size} != mean length {mean.coords.size}")
-    _require(delta_res.size == mean.coords.size,
-             f"delta_res length {delta_res.size} != mean length {mean.coords.size}")
-    # deltas are summed first so exactly opposite deltas cancel bitwise
-    return Shape(mean.coords + (delta_id + delta_res))
-
-
 def select_landmarks(shape: Shape, indices: np.ndarray) -> np.ndarray:
     """Gather the (L, 3) landmark vertex positions for the given indices."""
     idx = np.asarray(indices)
-    _require(idx.ndim == 1 and idx.size > 0, "indices must be a non-empty 1-D sequence")
-    _require(np.issubdtype(idx.dtype, np.integer), "indices must be integers")
-    _require(bool(np.all(idx >= 0)) and bool(np.all(idx < shape.n)),
-             f"landmark indices must lie in [0, {shape.n})")
+    require(idx.ndim == 1 and idx.size > 0, "indices must be a non-empty 1-D sequence")
+    require(np.issubdtype(idx.dtype, np.integer), "indices must be integers")
+    require(bool(np.all(idx >= 0)) and bool(np.all(idx < shape.n)),
+            f"landmark indices must lie in [0, {shape.n})")
     return np.array(shape.points[idx], dtype=np.float64)
 
 
 def project_landmarks(points3d: np.ndarray, pose: PoseParams) -> LandmarkSet2D:
     """Weak-perspective projection u_i = f * P @ (R @ (p_i + t)) of (L, 3) points."""
     pts = np.asarray(points3d, dtype=np.float64)
-    _require(pts.ndim == 2 and pts.shape[1] == 3,
-             f"points3d must be (L, 3), got {pts.shape}")
+    require(pts.ndim == 2 and pts.shape[1] == 3,
+            f"points3d must be (L, 3), got {pts.shape}")
     rotated = (pts + pose.translation) @ pose.rotation.T
     return LandmarkSet2D((pose.scale * rotated[:, :2]).ravel())
 
@@ -298,13 +273,13 @@ def procrustes_align(source: np.ndarray, target: np.ndarray) -> SimilarityTransf
     """
     src = np.asarray(source, dtype=np.float64)
     tgt = np.asarray(target, dtype=np.float64)
-    _require(src.ndim == 2 and src.shape[1] == 3, f"source must be (L, 3), got {src.shape}")
-    _require(tgt.shape == src.shape,
-             f"source and target shapes differ: {src.shape} vs {tgt.shape}")
-    _require(src.shape[0] >= MIN_POINTS,
-             f"need at least {MIN_POINTS} points, got {src.shape[0]}")
-    _require(bool(np.all(np.isfinite(src))) and bool(np.all(np.isfinite(tgt))),
-             "points must be finite")
+    require(src.ndim == 2 and src.shape[1] == 3, f"source must be (L, 3), got {src.shape}")
+    require(tgt.shape == src.shape,
+            f"source and target shapes differ: {src.shape} vs {tgt.shape}")
+    require(src.shape[0] >= MIN_POINTS,
+            f"need at least {MIN_POINTS} points, got {src.shape[0]}")
+    require(bool(np.all(np.isfinite(src))) and bool(np.all(np.isfinite(tgt))),
+            "points must be finite")
 
     mu_src = src.mean(axis=0)
     mu_tgt = tgt.mean(axis=0)
@@ -342,10 +317,10 @@ def crop_indices(shape: Shape, center_index: int, radius: float) -> np.ndarray:
 
     The boundary is inclusive, so radius 0 yields exactly the center vertex.
     """
-    _require(0 <= center_index < shape.n,
-             f"center_index {center_index} out of range [0, {shape.n})")
-    _require(np.isfinite(radius) and radius >= 0.0,
-             f"radius must be finite and non-negative, got {radius}")
+    require(0 <= center_index < shape.n,
+            f"center_index {center_index} out of range [0, {shape.n})")
+    require(np.isfinite(radius) and radius >= 0.0,
+            f"radius must be finite and non-negative, got {radius}")
     dists = np.linalg.norm(shape.points - shape.points[center_index], axis=1)
     return np.sort(np.flatnonzero(dists <= radius)).astype(np.int64)
 
@@ -360,17 +335,17 @@ def rmse(pairs: list[tuple[Shape, Shape]], indices: np.ndarray) -> float:
     the norm-per-vertex average; the companion per-vertex mean distance is
     reported separately by the evaluation layer.
     """
-    _require(len(pairs) > 0, "need at least one shape pair")
+    require(len(pairs) > 0, "need at least one shape pair")
     idx = np.asarray(indices)
-    _require(idx.ndim == 1 and idx.size > 0, "crop index list must be non-empty")
-    _require(np.issubdtype(idx.dtype, np.integer), "crop indices must be integers")
+    require(idx.ndim == 1 and idx.size > 0, "crop index list must be non-empty")
+    require(np.issubdtype(idx.dtype, np.integer), "crop indices must be integers")
     rows = coord_rows(idx)
     total = 0.0
     for ground_truth, predicted in pairs:
-        _require(ground_truth.n == predicted.n,
-                 f"pair has mismatched vertex counts {ground_truth.n} vs {predicted.n}")
-        _require(bool(np.all(idx >= 0)) and bool(np.all(idx < ground_truth.n)),
-                 "crop indices out of vertex range")
+        require(ground_truth.n == predicted.n,
+                f"pair has mismatched vertex counts {ground_truth.n} vs {predicted.n}")
+        require(bool(np.all(idx >= 0)) and bool(np.all(idx < ground_truth.n)),
+                "crop indices out of vertex range")
         diff = ground_truth.coords[rows] - predicted.coords[rows]
         total += float(np.linalg.norm(diff)) / idx.size
     return total / len(pairs)

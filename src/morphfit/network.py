@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidArgumentError, NumericalFailureError,
-                     UnderdeterminedError)
-from .geometry import MorphableModel, Shape
+from .errors import NumericalFailureError, UnderdeterminedError, require
+from .geometry import MorphableModel
 
 # Latent outputs are clamped strictly inside (-1, 1): tanh rounds to 1.0 in
 # doubles for arguments above ~19, which would break the open-interval
@@ -38,11 +37,6 @@ TARGET_CLIP = 0.99
 PHASE1_WEIGHT_DECAY = 3.0
 
 _ACTIVATIONS = ("tanh", "linear")
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidArgumentError(message)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -66,13 +60,13 @@ class Layer:
     def __post_init__(self):
         weight = _readonly(self.weight)
         bias = _readonly(self.bias)
-        _require(weight.ndim == 2, "layer weight must be a matrix")
-        _require(bias.ndim == 1 and bias.size == weight.shape[0],
-                 "layer bias length must equal the output width")
-        _require(bool(np.all(np.isfinite(weight))) and bool(np.all(np.isfinite(bias))),
-                 "layer parameters must be finite")
-        _require(self.activation in _ACTIVATIONS,
-                 f"unknown activation {self.activation!r}")
+        require(weight.ndim == 2, "layer weight must be a matrix")
+        require(bias.ndim == 1 and bias.size == weight.shape[0],
+                "layer bias length must equal the output width")
+        require(bool(np.all(np.isfinite(weight))) and bool(np.all(np.isfinite(bias))),
+                "layer parameters must be finite")
+        require(self.activation in _ACTIVATIONS,
+                f"unknown activation {self.activation!r}")
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "bias", bias)
 
@@ -101,16 +95,16 @@ class EncoderNet:
 
     def __post_init__(self):
         layers = tuple(self.layers)
-        _require(len(layers) >= 1, "encoder needs at least one layer")
-        _require(all(isinstance(l, Layer) for l in layers),
-                 "encoder layers must be Layer instances")
+        require(len(layers) >= 1, "encoder needs at least one layer")
+        require(all(isinstance(l, Layer) for l in layers),
+                "encoder layers must be Layer instances")
         for first, second in zip(layers, layers[1:]):
-            _require(second.in_dim == first.out_dim,
-                     "encoder layer dimensions must chain")
-        _require(int(self.q_id) >= 1 and int(self.q_res) >= 1,
-                 "head widths must be positive")
-        _require(layers[-1].out_dim == int(self.q_id) + int(self.q_res),
-                 "final layer width must equal q_id + q_res")
+            require(second.in_dim == first.out_dim,
+                    "encoder layer dimensions must chain")
+        require(int(self.q_id) >= 1 and int(self.q_res) >= 1,
+                "head widths must be positive")
+        require(layers[-1].out_dim == int(self.q_id) + int(self.q_res),
+                "final layer width must equal q_id + q_res")
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "q_id", int(self.q_id))
         object.__setattr__(self, "q_res", int(self.q_res))
@@ -134,13 +128,13 @@ class DecoderNet:
         b_id = _readonly(self.bias_id)
         w_res = _readonly(self.weight_res)
         b_res = _readonly(self.bias_res)
-        _require(w_id.ndim == 2 and w_res.ndim == 2, "decoder weights must be matrices")
-        _require(w_id.shape[0] == w_res.shape[0],
-                 "both decoders must produce the same output length")
-        _require(b_id.shape == (w_id.shape[0],) and b_res.shape == (w_res.shape[0],),
-                 "decoder bias lengths must match the output length")
+        require(w_id.ndim == 2 and w_res.ndim == 2, "decoder weights must be matrices")
+        require(w_id.shape[0] == w_res.shape[0],
+                "both decoders must produce the same output length")
+        require(b_id.shape == (w_id.shape[0],) and b_res.shape == (w_res.shape[0],),
+                "decoder bias lengths must match the output length")
         for a in (w_id, b_id, w_res, b_res):
-            _require(bool(np.all(np.isfinite(a))), "decoder parameters must be finite")
+            require(bool(np.all(np.isfinite(a))), "decoder parameters must be finite")
         object.__setattr__(self, "weight_id", w_id)
         object.__setattr__(self, "bias_id", b_id)
         object.__setattr__(self, "weight_res", w_res)
@@ -169,11 +163,11 @@ class ClassifierHead:
     def __post_init__(self):
         weight = _readonly(self.weight)
         bias = _readonly(self.bias)
-        _require(weight.ndim == 2, "head weight must be a matrix")
-        _require(bias.shape == (weight.shape[0],),
-                 "head bias length must equal the class count")
-        _require(bool(np.all(np.isfinite(weight))) and bool(np.all(np.isfinite(bias))),
-                 "head parameters must be finite")
+        require(weight.ndim == 2, "head weight must be a matrix")
+        require(bias.shape == (weight.shape[0],),
+                "head bias length must equal the class count")
+        require(bool(np.all(np.isfinite(weight))) and bool(np.all(np.isfinite(bias))),
+                "head parameters must be finite")
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "bias", bias)
 
@@ -187,22 +181,9 @@ class ClassifierHead:
 
 
 @dataclass(frozen=True)
-class LatentCode:
-    """Identity / residual code pair emitted by the encoder."""
-
-    c_id: np.ndarray
-    c_res: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "c_id", _readonly(np.ravel(self.c_id)))
-        object.__setattr__(self, "c_res", _readonly(np.ravel(self.c_res)))
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """Optimizer constants plus schedule knobs shared by the trainers."""
 
-    lambda_r: float = 0.5
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -210,18 +191,14 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 25
     seed: int = 0
-    phase: str = "I"
 
     def __post_init__(self):
-        _require(np.isfinite(self.lambda_r) and self.lambda_r >= 0,
-                 "lambda_r must be finite and non-negative")
-        _require(self.learning_rate > 0, "learning_rate must be positive")
-        _require(0 <= self.beta1 < 1 and 0 <= self.beta2 < 1,
-                 "beta1 and beta2 must lie in [0, 1)")
-        _require(self.epsilon > 0, "epsilon must be positive")
-        _require(int(self.batch_size) >= 1, "batch_size must be at least 1")
-        _require(int(self.epochs) >= 0, "epochs must be non-negative")
-        _require(self.phase in ("I", "II", "III"), "phase must be I, II or III")
+        require(self.learning_rate > 0, "learning_rate must be positive")
+        require(0 <= self.beta1 < 1 and 0 <= self.beta2 < 1,
+                "beta1 and beta2 must lie in [0, 1)")
+        require(self.epsilon > 0, "epsilon must be positive")
+        require(int(self.batch_size) >= 1, "batch_size must be at least 1")
+        require(int(self.epochs) >= 0, "epochs must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -238,10 +215,10 @@ class LossReport:
         for name in ("total", "recon", "ident", "accuracy", "lambda_r"):
             value = float(getattr(self, name))
             object.__setattr__(self, name, value)
-            _require(np.isfinite(value), f"LossReport.{name} must be finite")
-        _require(abs(self.total - (self.lambda_r * self.recon + self.ident)) <= 1e-10,
-                 "total must equal lambda_r * recon + ident")
-        _require(0.0 <= self.accuracy <= 1.0, "accuracy must lie in [0, 1]")
+            require(np.isfinite(value), f"LossReport.{name} must be finite")
+        require(abs(self.total - (self.lambda_r * self.recon + self.ident)) <= 1e-10,
+                "total must equal lambda_r * recon + ident")
+        require(0.0 <= self.accuracy <= 1.0, "accuracy must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -257,12 +234,12 @@ class TrainingBatch:
         labels = np.array(self.labels, dtype=np.int64, copy=True).ravel()
         labels.setflags(write=False)
         target = _readonly(np.atleast_2d(self.target_delta))
-        _require(images.ndim == 2 and images.shape[0] >= 1, "images must be (B, D)")
-        _require(labels.size == images.shape[0], "one label per image required")
-        _require(target.shape[0] == images.shape[0], "one target row per image")
-        _require(bool(np.all(np.isfinite(images))), "images must be finite")
-        _require(bool(np.all(np.isfinite(target))), "targets must be finite")
-        _require(bool(np.all(labels >= 0)), "labels must be non-negative")
+        require(images.ndim == 2 and images.shape[0] >= 1, "images must be (B, D)")
+        require(labels.size == images.shape[0], "one label per image required")
+        require(target.shape[0] == images.shape[0], "one target row per image")
+        require(bool(np.all(np.isfinite(images))), "images must be finite")
+        require(bool(np.all(np.isfinite(target))), "targets must be finite")
+        require(bool(np.all(labels >= 0)), "labels must be non-negative")
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "target_delta", target)
@@ -283,7 +260,7 @@ class AdamState:
 def init_encoder(input_dim: int, q_id: int, q_res: int,
                  hidden: tuple = (256, 256), seed: int = 0) -> EncoderNet:
     """Glorot-initialized tanh encoder with the given hidden widths."""
-    _require(int(input_dim) >= 1, "input_dim must be positive")
+    require(int(input_dim) >= 1, "input_dim must be positive")
     rng = np.random.default_rng(seed)
     widths = [int(input_dim)] + [int(h) for h in hidden] + [int(q_id) + int(q_res)]
     layers = []
@@ -306,7 +283,7 @@ def init_decoder(out_dim: int, q_id: int, q_res: int, seed: int = 0) -> DecoderN
 
 
 def init_head(n_classes: int, q_id: int, seed: int = 0) -> ClassifierHead:
-    _require(int(n_classes) >= 2, "need at least two classes")
+    require(int(n_classes) >= 2, "need at least two classes")
     rng = np.random.default_rng(seed)
     std = np.sqrt(2.0 / (n_classes + q_id))
     return ClassifierHead(rng.normal(0.0, std, size=(n_classes, q_id)),
@@ -326,14 +303,14 @@ def head_from_class_means(codes: np.ndarray, labels: np.ndarray,
     """
     codes = np.asarray(codes, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).ravel()
-    _require(codes.ndim == 2 and codes.shape[0] == labels.size,
-             "codes must be (n_samples, q_id) row-aligned with labels")
-    _require(int(n_classes) >= 2, "need at least two classes")
-    _require(np.isfinite(scale) and scale > 0, "scale must be positive")
+    require(codes.ndim == 2 and codes.shape[0] == labels.size,
+            "codes must be (n_samples, q_id) row-aligned with labels")
+    require(int(n_classes) >= 2, "need at least two classes")
+    require(np.isfinite(scale) and scale > 0, "scale must be positive")
     means = np.empty((n_classes, codes.shape[1]))
     for k in range(n_classes):
         rows = labels == k
-        _require(bool(rows.any()), f"class {k} has no samples")
+        require(bool(rows.any()), f"class {k} has no samples")
         means[k] = codes[rows].mean(axis=0)
     return ClassifierHead(scale * means,
                           -0.5 * scale * np.sum(means * means, axis=1))
@@ -371,56 +348,17 @@ def _forward_trace(net: EncoderNet, images: np.ndarray) -> tuple:
     return codes, activations
 
 
-def encoder_forward(net: EncoderNet, depth_image: np.ndarray) -> LatentCode:
-    """Run the encoder on one raster (any shape; flattened row-major).
-
-    Input values must lie in [-1, 1]; outputs are strictly inside (-1, 1).
-    """
-    x = np.ravel(np.asarray(depth_image, dtype=np.float64))
-    _require(x.size == net.input_dim,
-             f"input length {x.size} != encoder input_dim {net.input_dim}")
-    _require(bool(np.all(np.isfinite(x))), "input must be finite")
-    _require(bool(np.all(np.abs(x) <= 1.0)), "input values must lie in [-1, 1]")
-    codes, _ = _forward_trace(net, x[None, :])
-    return LatentCode(codes[0, :net.q_id], codes[0, net.q_id:])
-
-
-def decoder_forward(dec: DecoderNet, code: LatentCode) -> tuple:
-    """Linear decode of both components: (delta_id, delta_res)."""
-    _require(code.c_id.size == dec.q_id,
-             f"c_id length {code.c_id.size} != decoder width {dec.q_id}")
-    _require(code.c_res.size == dec.q_res,
-             f"c_res length {code.c_res.size} != decoder width {dec.q_res}")
-    delta_id = dec.weight_id @ code.c_id + dec.bias_id
-    delta_res = dec.weight_res @ code.c_res + dec.bias_res
-    return delta_id, delta_res
-
-
-def reconstruction_loss(predicted: Shape, target: Shape) -> float:
-    """Mean squared error over all coordinates of two same-length shapes."""
-    _require(predicted.coords.size == target.coords.size,
-             "shapes must have the same length")
-    diff = predicted.coords - target.coords
-    return float(diff @ diff) / diff.size
-
-
-def identification_loss(head: ClassifierHead, c_id: np.ndarray, label: int) -> float:
-    """Softmax cross-entropy of the head's logits at the true label."""
-    c_id = np.ravel(np.asarray(c_id, dtype=np.float64))
-    _require(c_id.size == head.q_id, "code width must match the head")
-    label = int(label)
-    _require(0 <= label < head.n_classes,
-             f"label {label} outside [0, {head.n_classes})")
-    logits = head.weight @ c_id + head.bias
-    shifted = logits - logits.max()
-    return float(np.log(np.sum(np.exp(shifted))) - shifted[label])
+def decode(dec: DecoderNet, c_id: np.ndarray, c_res: np.ndarray) -> np.ndarray:
+    """Shape deltas of code rows: both linear decoders, summed left to right."""
+    return (c_id @ dec.weight_id.T + dec.bias_id
+            + c_res @ dec.weight_res.T + dec.bias_res)
 
 
 def joint_loss(recon: float, ident: float, lambda_r: float,
                accuracy: float = 0.0) -> LossReport:
     """Combine the two loss components: total = lambda_r * recon + ident."""
-    _require(np.isfinite(recon) and np.isfinite(ident) and np.isfinite(lambda_r),
-             "loss inputs must be finite")
+    require(np.isfinite(recon) and np.isfinite(ident) and np.isfinite(lambda_r),
+            "loss inputs must be finite")
     return LossReport(lambda_r * recon + ident, recon, ident, accuracy, lambda_r)
 
 
@@ -470,30 +408,49 @@ def assemble_head(params: dict) -> ClassifierHead:
 # ---------------------------------------------------------------------------
 # Batched loss and exact gradients.
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+def _joint_forward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
+                   batch: TrainingBatch, lambda_r: float) -> tuple:
+    """Batch-mean joint loss plus the intermediates backward() consumes.
+
+    Returns (report, activations, c_id, c_res, diff, prob): the encoder
+    activations, both code blocks, the decoded-minus-target residual and the
+    softmax probabilities of the identification head.
+    """
+    require(np.isfinite(lambda_r) and lambda_r >= 0,
+            "lambda_r must be finite and non-negative")
+    require(bool(np.all(batch.labels < head.n_classes)),
+            "labels must be within the head's class count")
+    require(batch.images.shape[1] == net.input_dim,
+            "batch image width must match the encoder")
+    require(batch.target_delta.shape[1] == dec.out_dim,
+            "batch target width must match the decoder")
+    require((dec.q_id, dec.q_res, head.q_id) == (net.q_id, net.q_res, net.q_id),
+            "decoder and head widths must match the encoder heads")
+
+    codes, activations = _forward_trace(net, batch.images)
+    c_id = codes[:, :net.q_id]
+    c_res = codes[:, net.q_id:]
+    diff = decode(dec, c_id, c_res) - batch.target_delta
+    recon = float(np.mean(np.sum(diff * diff, axis=1))) / dec.out_dim
+
+    logits = c_id @ head.weight.T + head.bias
     shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    exp_shifted = np.exp(shifted)
+    z = exp_shifted.sum(axis=1)
+    prob = exp_shifted / z[:, None]
+    rows = np.arange(batch.size)
+    ident = float(np.mean(np.log(z) - shifted[rows, batch.labels]))
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == batch.labels))
+    if not (np.isfinite(recon) and np.isfinite(ident)):
+        raise NumericalFailureError("joint loss became non-finite")
+    report = joint_loss(recon, ident, lambda_r, accuracy)
+    return report, activations, c_id, c_res, diff, prob
 
 
 def batch_loss(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
                batch: TrainingBatch, lambda_r: float) -> LossReport:
     """Batch-mean joint loss; the exact quantity backward() differentiates."""
-    codes, _ = _forward_trace(net, batch.images)
-    c_id = codes[:, :net.q_id]
-    c_res = codes[:, net.q_id:]
-    delta = c_id @ dec.weight_id.T + dec.bias_id \
-        + c_res @ dec.weight_res.T + dec.bias_res
-    diff = delta - batch.target_delta
-    recon = float(np.mean(np.sum(diff * diff, axis=1))) / dec.out_dim
-
-    logits = c_id @ head.weight.T + head.bias
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=1))
-    rows = np.arange(batch.size)
-    ident = float(np.mean(log_z - shifted[rows, batch.labels]))
-    accuracy = float(np.mean(np.argmax(logits, axis=1) == batch.labels))
-    return joint_loss(recon, ident, lambda_r, accuracy)
+    return _joint_forward(net, dec, head, batch, lambda_r)[0]
 
 
 def _encoder_backprop(net: EncoderNet, activations: list,
@@ -518,37 +475,9 @@ def backward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     report for the same batch. Accumulation is batch-vectorized with a fixed
     reduction order, so repeated calls are bit-identical.
     """
-    _require(np.isfinite(lambda_r) and lambda_r >= 0,
-             "lambda_r must be finite and non-negative")
-    _require(bool(np.all(batch.labels < head.n_classes)),
-             "labels must be within the head's class count")
-    _require(batch.images.shape[1] == net.input_dim,
-             "batch image width must match the encoder")
-    _require(batch.target_delta.shape[1] == dec.out_dim,
-             "batch target width must match the decoder")
-
+    report, activations, c_id, c_res, diff, prob = _joint_forward(
+        net, dec, head, batch, lambda_r)
     b = batch.size
-    codes, activations = _forward_trace(net, batch.images)
-    c_id = codes[:, :net.q_id]
-    c_res = codes[:, net.q_id:]
-
-    delta = c_id @ dec.weight_id.T + dec.bias_id \
-        + c_res @ dec.weight_res.T + dec.bias_res
-    diff = delta - batch.target_delta
-    recon = float(np.mean(np.sum(diff * diff, axis=1))) / dec.out_dim
-
-    logits = c_id @ head.weight.T + head.bias
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp_shifted = np.exp(shifted)
-    z = exp_shifted.sum(axis=1)
-    prob = exp_shifted / z[:, None]
-    rows = np.arange(b)
-    ident = float(np.mean(np.log(z) - shifted[rows, batch.labels]))
-    accuracy = float(np.mean(np.argmax(logits, axis=1) == batch.labels))
-    if not (np.isfinite(recon) and np.isfinite(ident)):
-        raise NumericalFailureError("loss became non-finite during backward")
-    report = joint_loss(recon, ident, lambda_r, accuracy)
-
     grads = {}
     # d recon / d delta, already including the batch mean and coordinate mean.
     g_delta = (2.0 / (b * dec.out_dim)) * diff * lambda_r
@@ -557,8 +486,9 @@ def backward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     grads["dec.weight_res"] = g_delta.T @ c_res
     grads["dec.bias_res"] = g_delta.sum(axis=0).copy()
 
-    g_logits = prob.copy()
-    g_logits[rows, batch.labels] -= 1.0
+    # d ident / d logits = softmax - one-hot; prob is ours to overwrite
+    g_logits = prob
+    g_logits[np.arange(b), batch.labels] -= 1.0
     g_logits /= b
     grads["head.weight"] = g_logits.T @ c_id
     grads["head.bias"] = g_logits.sum(axis=0)
@@ -577,7 +507,7 @@ def optimizer_step(params: dict, grads: dict, state: AdamState,
     Returns (new_params, new_state). step_count starts at 1 for the first
     update.
     """
-    _require(int(step_count) >= 1, "step_count starts at 1")
+    require(int(step_count) >= 1, "step_count starts at 1")
     t = int(step_count)
     new_params = {}
     new_state = AdamState(dict(state.m), dict(state.v))
@@ -632,17 +562,10 @@ def training_batch(dataset, indices) -> TrainingBatch:
 def encode_images(net: EncoderNet, images: np.ndarray) -> tuple:
     """Batched encode: returns (codes_id, codes_res) as (B, q) arrays."""
     images = np.atleast_2d(np.asarray(images, dtype=np.float64))
-    _require(images.shape[1] == net.input_dim,
-             "image width must match the encoder input")
+    require(images.shape[1] == net.input_dim,
+            "image width must match the encoder input")
     codes, _ = _forward_trace(net, images)
     return codes[:, :net.q_id], codes[:, net.q_id:]
-
-
-def classification_accuracy(head: ClassifierHead, codes_id: np.ndarray,
-                            labels: np.ndarray) -> float:
-    codes_id = np.atleast_2d(codes_id)
-    logits = codes_id @ head.weight.T + head.bias
-    return float(np.mean(np.argmax(logits, axis=1) == np.ravel(labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -668,11 +591,11 @@ def train_phase1(net: EncoderNet, dataset, config: TrainConfig) -> tuple:
     fixed config seed.
     """
     model = dataset.model
-    _require(net.q_id == model.k_id and net.q_res == model.k_exp,
-             "phase I requires encoder head widths equal to the basis widths")
+    require(net.q_id == model.k_id and net.q_res == model.k_exp,
+            "phase I requires encoder head widths equal to the basis widths")
     train_idx = np.asarray(dataset.train_indices, dtype=np.int64)
     val_idx = np.asarray(dataset.val_indices, dtype=np.int64)
-    _require(train_idx.size >= 1, "phase I needs a non-empty training split")
+    require(train_idx.size >= 1, "phase I needs a non-empty training split")
 
     def arrays(idx):
         samples = [dataset.samples[int(i)] for i in idx]
@@ -728,11 +651,11 @@ def train_phase2(dec: DecoderNet, dataset, n_pairs: int = 96,
     affine map, unless min_norm=True accepts the minimum-norm solution.
     """
     model = dataset.model
-    _require(dec.q_id == model.k_id and dec.q_res == model.k_exp,
-             "phase II requires decoder widths equal to the basis widths")
-    _require(dec.out_dim == model.mean.coords.size,
-             "decoder output length must match the model")
-    _require(int(n_pairs) >= 1, "n_pairs must be positive")
+    require(dec.q_id == model.k_id and dec.q_res == model.k_exp,
+            "phase II requires decoder widths equal to the basis widths")
+    require(dec.out_dim == model.mean.coords.size,
+            "decoder output length must match the model")
+    require(int(n_pairs) >= 1, "n_pairs must be positive")
     rng = np.random.default_rng(seed)
 
     def fit(basis: np.ndarray, sigma: np.ndarray) -> tuple:
@@ -778,10 +701,10 @@ def train_phase3(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     `last_good` attribute.
     """
     train_idx = np.asarray(dataset.train_indices, dtype=np.int64)
-    _require(train_idx.size >= 1, "phase III needs a non-empty training split")
+    require(train_idx.size >= 1, "phase III needs a non-empty training split")
     for lam, n_epochs in stages:
-        _require(np.isfinite(lam) and lam >= 0, "stage weights must be >= 0")
-        _require(int(n_epochs) >= 0, "stage lengths must be >= 0")
+        require(np.isfinite(lam) and lam >= 0, "stage weights must be >= 0")
+        require(int(n_epochs) >= 0, "stage lengths must be >= 0")
     full = training_batch(dataset, train_idx)
 
     rng = np.random.default_rng(config.seed)
@@ -834,8 +757,8 @@ def finite_diff_check(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     gradient scale: near-dead coordinates are then compared absolutely at
     noise level instead of producing spurious relative blowups.
     """
-    _require(step > 0, "step must be positive")
-    _require(int(n_coords) >= 1, "n_coords must be positive")
+    require(step > 0, "step must be positive")
+    require(int(n_coords) >= 1, "n_coords must be positive")
     params = all_params(net, dec, head)
     grads, _ = backward(net, dec, head, batch, lambda_r)
 

@@ -16,30 +16,32 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import (CorruptionError, InvalidArgumentError,
-                     InvariantViolationError, ParseError, VersionMismatchError)
+                     InvariantViolationError, ParseError, VersionMismatchError,
+                     require)
 from .evaluation import (DisentanglingReport, ReconstructionReport,
                          VerificationReport)
 from .geometry import (CoeffPair, LandmarkSet2D, MorphableModel, PoseParams,
                        Shape, compose_shape)
-from .network import ClassifierHead, DecoderNet, EncoderNet, Layer
+from .network import (ClassifierHead, DecoderNet, EncoderNet, Layer,
+                      all_params)
 from .synthetic import Dataset, DatasetSpec, PoseRanges, RenderedSample
 
 MAGIC = b"MORPHFIT"
 FORMAT_VERSION = 1
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise InvalidArgumentError(message)
-
-
 def _atomic_write(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    # mkstemp creates mode 0600 whatever the umask; give the file the mode a
+    # plain open() would
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -131,7 +133,7 @@ def write_table_csv(columns: tuple, rows: list, path: str) -> None:
     """Generic header + rows writer used for loss traces and fit summaries."""
     lines = [",".join(columns)]
     for row in rows:
-        _require(len(row) == len(columns), "row length must match header")
+        require(len(row) == len(columns), "row length must match header")
         lines.append(",".join(_csv_cell(v) for v in row))
     _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
@@ -217,21 +219,11 @@ def _rebuild(builder, what: str):
 
 def save_checkpoint(encoder: EncoderNet, decoder: DecoderNet,
                     head: ClassifierHead, config: RunConfig, path: str) -> None:
-    arrays = {}
-    for i, layer in enumerate(encoder.layers):
-        arrays[f"enc.{i}.weight"] = layer.weight
-        arrays[f"enc.{i}.bias"] = layer.bias
-    arrays["dec.weight_id"] = decoder.weight_id
-    arrays["dec.bias_id"] = decoder.bias_id
-    arrays["dec.weight_res"] = decoder.weight_res
-    arrays["dec.bias_res"] = decoder.bias_res
-    arrays["head.weight"] = head.weight
-    arrays["head.bias"] = head.bias
     meta = {"kind": "checkpoint",
             "activations": [layer.activation for layer in encoder.layers],
             "q_id": encoder.q_id, "q_res": encoder.q_res,
             "config": config.to_dict()}
-    _atomic_write(path, _pack(meta, arrays))
+    _atomic_write(path, _pack(meta, all_params(encoder, decoder, head)))
 
 
 def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, require
 from .geometry import (CoeffPair, LandmarkSet2D, MorphableModel, PoseParams,
                        Shape, compose_shape, coord_rows, project_landmarks,
                        rotation_zyx, select_landmarks)
@@ -27,11 +27,6 @@ _N_FEATURES = 24
 _SIGMA_DECAY = 0.9
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise InvalidArgumentError(message)
-
-
 @dataclass(frozen=True)
 class SyntheticModelSpec:
     """Parameters of the synthetic model generator."""
@@ -43,14 +38,14 @@ class SyntheticModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _require(self.k_id >= 1, "k_id must be >= 1")
-        _require(self.k_exp >= 1, "k_exp must be >= 1")
+        require(self.k_id >= 1, "k_id must be >= 1")
+        require(self.k_exp >= 1, "k_exp must be >= 1")
         minimum = max(self.k_id + self.k_exp + 1, N_LANDMARKS)
-        _require(self.n_vertices >= minimum,
-                 f"n_vertices must be >= {minimum}, got {self.n_vertices}")
-        _require(np.isfinite(self.smoothness) and self.smoothness > 0,
-                 "smoothness must be finite and positive")
-        _require(self.seed >= 0, "seed must be non-negative")
+        require(self.n_vertices >= minimum,
+                f"n_vertices must be >= {minimum}, got {self.n_vertices}")
+        require(np.isfinite(self.smoothness) and self.smoothness > 0,
+                "smoothness must be finite and positive")
+        require(self.seed >= 0, "seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -76,9 +71,9 @@ class PoseRanges:
     def __post_init__(self):
         for name in ("yaw", "pitch", "roll", "scale", "tx", "ty", "tz"):
             lo, hi = getattr(self, name)
-            _require(np.isfinite(lo) and np.isfinite(hi) and lo <= hi,
-                     f"pose range {name} must satisfy lo <= hi, got ({lo}, {hi})")
-        _require(self.scale[0] > 0, "scale range must stay positive")
+            require(np.isfinite(lo) and np.isfinite(hi) and lo <= hi,
+                    f"pose range {name} must satisfy lo <= hi, got ({lo}, {hi})")
+        require(self.scale[0] > 0, "scale range must stay positive")
 
 
 @dataclass(frozen=True)
@@ -93,13 +88,13 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _require(self.n_subjects >= 2, "need at least 2 subjects")
-        _require(self.images_per_subject >= 1, "need at least 1 image per subject")
-        _require(np.isfinite(self.landmark_noise_sigma)
-                 and self.landmark_noise_sigma >= 0,
-                 "landmark_noise_sigma must be finite and non-negative")
-        _require(self.image_resolution >= 8, "image_resolution must be >= 8")
-        _require(self.seed >= 0, "seed must be non-negative")
+        require(self.n_subjects >= 2, "need at least 2 subjects")
+        require(self.images_per_subject >= 1, "need at least 1 image per subject")
+        require(np.isfinite(self.landmark_noise_sigma)
+                and self.landmark_noise_sigma >= 0,
+                "landmark_noise_sigma must be finite and non-negative")
+        require(self.image_resolution >= 8, "image_resolution must be >= 8")
+        require(self.seed >= 0, "seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -118,12 +113,12 @@ class RenderedSample:
         depth.setflags(write=False)
         object.__setattr__(self, "depth_image", depth)
         object.__setattr__(self, "subject_label", int(self.subject_label))
-        _require(self.subject_label >= 0, "subject_label must be non-negative")
-        _require(depth.ndim == 2 and depth.shape[0] == depth.shape[1],
-                 f"depth_image must be square, got {depth.shape}")
-        _require(bool(np.all(np.isfinite(depth))), "depth_image must be finite")
-        _require(bool(np.all(depth >= -1.0)) and bool(np.all(depth <= 1.0)),
-                 "depth_image values must lie in [-1, 1]")
+        require(self.subject_label >= 0, "subject_label must be non-negative")
+        require(depth.ndim == 2 and depth.shape[0] == depth.shape[1],
+                f"depth_image must be square, got {depth.shape}")
+        require(bool(np.all(np.isfinite(depth))), "depth_image must be finite")
+        require(bool(np.all(depth >= -1.0)) and bool(np.all(depth <= 1.0)),
+                "depth_image values must lie in [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -149,9 +144,8 @@ class Dataset:
 
     @property
     def heldout_subjects(self) -> list[int]:
-        k = self.spec.n_subjects
-        n_heldout = min(max(1, round(k / 4)), k - 1)
-        return list(range(k - n_heldout, k))
+        # at one image per subject the test rows are the held-out labels
+        return split_indices(self.spec.n_subjects, 1)[2].tolist()
 
 
 def _mean_face_vertices(n: int) -> np.ndarray:
@@ -303,16 +297,9 @@ def generate_model(spec: SyntheticModelSpec) -> MorphableModel:
                           nose_tip_index=nose_tip)
 
 
-def sample_subject(model: MorphableModel, rng: np.random.Generator,
-                   sigma_override: np.ndarray | None = None) -> np.ndarray:
-    """Draw identity coefficients with independent N(0, sigma_id^2) entries.
-
-    `sigma_override` substitutes the per-dimension stds without touching the
-    model (useful for collapsing the draw to a known value in tests).
-    """
-    sigma = model.sigma_id if sigma_override is None else np.ravel(sigma_override)
-    _require(sigma.size == model.k_id, "sigma override length must match k_id")
-    return rng.normal(0.0, 1.0, size=model.k_id) * sigma
+def sample_subject(model: MorphableModel, rng: np.random.Generator) -> np.ndarray:
+    """Draw identity coefficients with independent N(0, sigma_id^2) entries."""
+    return rng.normal(0.0, 1.0, size=model.k_id) * model.sigma_id
 
 
 def sample_instance(model: MorphableModel, spec: DatasetSpec,
@@ -338,8 +325,8 @@ def render_landmarks(model: MorphableModel, coeffs: CoeffPair, pose: PoseParams,
     The noise draw happens even for sigma 0 (where it adds exact zeros), so
     downstream rng state does not depend on the noise level.
     """
-    _require(np.isfinite(noise_sigma) and noise_sigma >= 0,
-             "noise_sigma must be finite and non-negative")
+    require(np.isfinite(noise_sigma) and noise_sigma >= 0,
+            "noise_sigma must be finite and non-negative")
     shape = compose_shape(model, coeffs)
     pts = select_landmarks(shape, model.landmark_indices)
     clean = project_landmarks(pts, pose)
@@ -359,7 +346,7 @@ def rasterize_depth(model: MorphableModel, coeffs: CoeffPair, pose: PoseParams,
     nearest point always reads +1; empty pixels read -1. A constant-depth
     cloud (including a single vertex) maps to a +1 pixel.
     """
-    _require(resolution >= 1, "resolution must be positive")
+    require(resolution >= 1, "resolution must be positive")
     shape = compose_shape(model, coeffs)
     rotated = (shape.points + pose.translation) @ pose.rotation.T
     u = pose.scale * rotated[:, 0]
@@ -390,7 +377,7 @@ def rasterize_depth(model: MorphableModel, coeffs: CoeffPair, pose: PoseParams,
 
 def dilate_max(image: np.ndarray) -> np.ndarray:
     """Max-dilate a 2D image by one pixel (3x3 neighborhood, edges clamped)."""
-    _require(image.ndim == 2, "image must be 2D")
+    require(image.ndim == 2, "image must be 2D")
     out = np.full_like(image, -np.inf)
     n_rows, n_cols = image.shape
     rows, cols = np.indices(image.shape)
@@ -410,8 +397,8 @@ def split_indices(n_subjects: int, images_per_subject: int
     held out entirely; the last fifth of each remaining subject's images is
     validation. Samples are assumed ordered subject-major.
     """
-    _require(n_subjects >= 2, "need at least 2 subjects")
-    _require(images_per_subject >= 1, "need at least 1 image per subject")
+    require(n_subjects >= 2, "need at least 2 subjects")
+    require(images_per_subject >= 1, "need at least 1 image per subject")
     n_heldout = min(max(1, round(n_subjects / 4)), n_subjects - 1)
     n_val = images_per_subject // 5
     train, val, test = [], [], []

@@ -14,7 +14,6 @@ from morphfit.evaluation import (
     disentangling_report,
     eer,
     evaluate_reconstruction,
-    fuse_scores,
     rank_n_identification,
     roc_curve,
     stratified_folds,
@@ -288,39 +287,7 @@ class TestStratifiedFolds:
 
 
 # ---------------------------------------------------------------------------
-# fusion and identification
-
-
-class TestFuseScores:
-    def test_single_list_min_max_normalized(self):
-        fused = fuse_scores([np.array([2.0, 4.0, 3.0])])
-        assert np.array_equal(fused, [0.0, 1.0, 0.5])
-
-    def test_constant_list_is_neutral(self):
-        a = np.array([0.3, 0.9, 0.1, 0.5])
-        assert np.array_equal(fuse_scores([a, np.full(4, 7.0)]), fuse_scores([a]))
-
-    def test_matches_normalize_add_oracle(self):
-        a = np.array([1.0, 5.0, 3.0])
-        b = np.array([10.0, 0.0, 5.0])
-        expected = (a - 1.0) / 4.0 + b / 10.0
-        assert np.max(np.abs(fuse_scores([a, b]) - expected)) < 1e-15
-
-    def test_preserves_order_of_dominant_ranking(self):
-        rng = np.random.default_rng(9)
-        a = np.sort(rng.normal(size=8))
-        fused = fuse_scores([a, 100.0 * a])
-        assert np.array_equal(np.argsort(fused), np.arange(8))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            fuse_scores([np.ones(3), np.ones(4)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            fuse_scores([])
-        with pytest.raises(InvalidArgumentError):
-            fuse_scores([np.array([])])
+# identification
 
 
 class TestRankNIdentification:

@@ -6,8 +6,7 @@ import pytest
 from morphfit.errors import DegenerateGeometryError, InvalidArgumentError
 from morphfit.geometry import (CoeffPair, PoseParams, Shape,
                                SimilarityTransform, apply_transform,
-                               compose_from_components, compose_shape,
-                               crop_indices, procrustes_align,
+                               compose_shape, crop_indices, procrustes_align,
                                project_landmarks, rmse, rotation_zyx,
                                select_landmarks)
 
@@ -111,35 +110,6 @@ def test_compose_is_affine_in_coefficients(small_model):
 
     combined = delta(a * alpha + b * beta)
     assert np.allclose(combined, a * delta(alpha) + b * delta(beta), atol=1e-12)
-
-
-def test_compose_from_components_zero_deltas(small_model):
-    zero = np.zeros(small_model.mean.coords.size)
-    out = compose_from_components(small_model.mean, zero, zero)
-    assert np.array_equal(out.coords, small_model.mean.coords)
-
-
-def test_compose_from_components_cancellation(small_model):
-    rng = np.random.default_rng(9)
-    delta = rng.normal(size=small_model.mean.coords.size)
-    out = compose_from_components(small_model.mean, delta, -delta)
-    assert np.array_equal(out.coords, small_model.mean.coords)
-
-
-def test_compose_from_components_elementwise_oracle(small_model):
-    rng = np.random.default_rng(10)
-    d_id = rng.normal(size=small_model.mean.coords.size)
-    d_res = rng.normal(size=small_model.mean.coords.size)
-    out = compose_from_components(small_model.mean, d_id, d_res)
-    expected = np.array([small_model.mean.coords[i] + (d_id[i] + d_res[i])
-                         for i in range(d_id.size)])
-    assert np.allclose(out.coords, expected, rtol=0, atol=0)
-
-
-def test_compose_from_components_rejects_length_mismatch(small_model):
-    good = np.zeros(small_model.mean.coords.size)
-    with pytest.raises(InvalidArgumentError):
-        compose_from_components(small_model.mean, good[:-3], good)
 
 
 # ---------------------------------------------------------------- landmarks
@@ -300,7 +270,10 @@ def test_apply_transform_inverse_roundtrip():
     shape = random_shape(rng)
     xf = SimilarityTransform(rng.uniform(0.5, 2.0), random_rotation(rng),
                              rng.normal(size=3))
-    back = apply_transform(apply_transform(shape, xf), xf.inverse())
+    # analytic inverse: scale 1/s, rotation R^T, translation -R^T t / s
+    inverse = SimilarityTransform(1.0 / xf.scale, xf.rotation.T,
+                                  -(xf.rotation.T @ xf.translation) / xf.scale)
+    back = apply_transform(apply_transform(shape, xf), inverse)
     assert np.allclose(back.coords, shape.coords, atol=1e-10)
 
 

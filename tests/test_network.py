@@ -15,33 +15,27 @@ from morphfit.network import (
     DecoderNet,
     EncoderNet,
     Layer,
-    LatentCode,
     LossReport,
     TrainConfig,
     TrainingBatch,
     all_params,
     backward,
     batch_loss,
-    classification_accuracy,
     coefficient_targets,
-    decoder_forward,
+    decode,
     encode_images,
-    encoder_forward,
     finite_diff_check,
     head_from_class_means,
-    identification_loss,
     init_decoder,
     init_encoder,
     init_head,
     joint_loss,
     optimizer_step,
-    reconstruction_loss,
     train_phase1,
     train_phase2,
     train_phase3,
     training_batch,
 )
-from morphfit.geometry import Shape
 from morphfit.synthetic import Dataset, DatasetSpec
 
 
@@ -69,6 +63,34 @@ def small_batch(rng: np.random.Generator, size: int = 4, in_dim: int = 6,
                          rng.normal(0.0, 0.3, size=(size, out_dim)))
 
 
+def encode_one(net: EncoderNet, x: np.ndarray) -> np.ndarray:
+    """Both code blocks of one input row, concatenated."""
+    c_id, c_res = encode_images(net, x[None, :])
+    return np.concatenate([c_id[0], c_res[0]])
+
+
+def argmax_accuracy(head: ClassifierHead, codes_id: np.ndarray,
+                    labels: np.ndarray) -> float:
+    logits = codes_id @ head.weight.T + head.bias
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
+
+
+# Per-sample oracles for the batched joint loss.
+def recon_oracle(predicted: np.ndarray, target: np.ndarray) -> float:
+    diff = predicted - target
+    return float(diff @ diff) / diff.size
+
+
+def ident_oracle(head: ClassifierHead, c_id: np.ndarray, label: int) -> float:
+    logits = head.weight @ c_id + head.bias
+    shifted = logits - logits.max()
+    return float(np.log(np.sum(np.exp(shifted))) - shifted[label])
+
+
+def one_sample_batch(image_dim: int, label: int, target: np.ndarray) -> TrainingBatch:
+    return TrainingBatch(np.zeros((1, image_dim)), np.array([label]), target[None, :])
+
+
 # ---------------------------------------------------------------------------
 # forward passes
 
@@ -77,23 +99,21 @@ class TestEncoderForward:
     def test_zero_network_outputs_zero(self):
         layers = (Layer(np.zeros((5, 6)), np.zeros(5), "tanh"),
                   Layer(np.zeros((4, 5)), np.zeros(4), "tanh"))
-        code = encoder_forward(EncoderNet(layers, 2, 2), np.zeros(6))
-        assert np.array_equal(code.c_id, np.zeros(2))
-        assert np.array_equal(code.c_res, np.zeros(2))
+        c_id, c_res = encode_images(EncoderNet(layers, 2, 2), np.zeros(6))
+        assert np.array_equal(c_id, np.zeros((1, 2)))
+        assert np.array_equal(c_res, np.zeros((1, 2)))
 
     def test_outputs_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(0)
         layers = (Layer(rng.normal(0.0, 50.0, size=(4, 6)), np.zeros(4), "tanh"),)
         net = EncoderNet(layers, 2, 2)
-        code = encoder_forward(net, np.ones(6))
-        merged = np.concatenate([code.c_id, code.c_res])
-        assert np.all(np.abs(merged) < 1.0)
+        assert np.all(np.abs(encode_one(net, np.ones(6))) < 1.0)
 
     def test_matches_layer_loop_oracle(self):
         rng = np.random.default_rng(1)
         net = small_net(rng)
         x = rng.uniform(-1.0, 1.0, size=6)
-        code = encoder_forward(net, x)
+        merged = encode_one(net, x)
 
         current = x.copy()
         for layer in net.layers:
@@ -104,7 +124,6 @@ class TestEncoderForward:
                     z += layer.weight[j, k] * current[k]
                 nxt[j] = np.tanh(z)
             current = nxt
-        merged = np.concatenate([code.c_id, code.c_res])
         assert np.max(np.abs(merged - current)) < 1e-12
 
     def test_linear_activation_is_affine(self):
@@ -113,18 +132,15 @@ class TestEncoderForward:
         bias = rng.normal(0.0, 0.1, size=4)
         net = EncoderNet((Layer(weight, bias, "linear"),), 2, 2)
         x = rng.uniform(-1.0, 1.0, size=6)
-        code = encoder_forward(net, x)
-        merged = np.concatenate([code.c_id, code.c_res])
+        merged = encode_one(net, x)
         assert np.max(np.abs(merged - (weight @ x + bias))) < 1e-15
 
     def test_input_validation(self):
         net = small_net(np.random.default_rng(0))
         with pytest.raises(InvalidArgumentError):
-            encoder_forward(net, np.zeros(5))
+            encode_images(net, np.zeros(5))
         with pytest.raises(InvalidArgumentError):
-            encoder_forward(net, np.full(6, 1.5))
-        with pytest.raises(InvalidArgumentError):
-            encoder_forward(net, np.full(6, np.nan))
+            encode_images(net, np.zeros((3, 7)))
 
     def test_structure_validation(self):
         good = Layer(np.zeros((4, 6)), np.zeros(4), "tanh")
@@ -143,56 +159,54 @@ class TestEncoderForward:
         images = rng.uniform(-1.0, 1.0, size=(3, 6))
         codes_id, codes_res = encode_images(net, images)
         for row in range(3):
-            single = encoder_forward(net, images[row])
+            single = encode_one(net, images[row])
             # batched matmul may round differently from the single-row path
-            assert np.max(np.abs(codes_id[row] - single.c_id)) < 1e-14
-            assert np.max(np.abs(codes_res[row] - single.c_res)) < 1e-14
+            assert np.max(np.abs(codes_id[row] - single[:2])) < 1e-14
+            assert np.max(np.abs(codes_res[row] - single[2:])) < 1e-14
 
 
 class TestDecoderForward:
     def test_zero_code_returns_biases(self):
         rng = np.random.default_rng(4)
         dec = small_decoder(rng)
-        delta_id, delta_res = decoder_forward(dec, LatentCode(np.zeros(2), np.zeros(2)))
-        assert np.array_equal(delta_id, dec.bias_id)
-        assert np.array_equal(delta_res, dec.bias_res)
+        delta = decode(dec, np.zeros(2), np.zeros(2))
+        assert np.array_equal(delta, dec.bias_id + dec.bias_res)
 
     def test_unit_code_reads_column(self):
         rng = np.random.default_rng(5)
         dec = small_decoder(rng)
-        delta_id, _ = decoder_forward(dec, LatentCode(np.array([0.0, 1.0]),
-                                                      np.zeros(2)))
-        assert np.max(np.abs(delta_id - (dec.weight_id[:, 1] + dec.bias_id))) < 1e-15
+        delta = decode(dec, np.array([0.0, 1.0]), np.zeros(2))
+        want = dec.weight_id[:, 1] + dec.bias_id + dec.bias_res
+        assert np.max(np.abs(delta - want)) < 1e-15
 
     def test_matches_matvec_loop(self):
         rng = np.random.default_rng(6)
         dec = small_decoder(rng)
-        code = LatentCode(rng.normal(size=2), rng.normal(size=2))
-        delta_id, delta_res = decoder_forward(dec, code)
-        for row in range(9):
-            want_id = dec.bias_id[row] + sum(dec.weight_id[row, k] * code.c_id[k]
-                                             for k in range(2))
-            want_res = dec.bias_res[row] + sum(dec.weight_res[row, k] * code.c_res[k]
-                                               for k in range(2))
-            assert abs(delta_id[row] - want_id) < 1e-12
-            assert abs(delta_res[row] - want_res) < 1e-12
+        c_id, c_res = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        delta = decode(dec, c_id, c_res)
+        for b in range(3):
+            for row in range(9):
+                want = (dec.bias_id[row]
+                        + sum(dec.weight_id[row, k] * c_id[b, k] for k in range(2))
+                        + dec.bias_res[row]
+                        + sum(dec.weight_res[row, k] * c_res[b, k] for k in range(2)))
+                assert abs(delta[b, row] - want) < 1e-12
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
         dec = small_decoder(rng)
-        a = LatentCode(rng.normal(size=2), rng.normal(size=2))
-        b = LatentCode(rng.normal(size=2), rng.normal(size=2))
-        both = LatentCode(a.c_id + b.c_id, a.c_res + b.c_res)
-        zero = LatentCode(np.zeros(2), np.zeros(2))
-        for part in (0, 1):
-            lhs = decoder_forward(dec, both)[part] + decoder_forward(dec, zero)[part]
-            rhs = decoder_forward(dec, a)[part] + decoder_forward(dec, b)[part]
-            assert np.max(np.abs(lhs - rhs)) < 1e-10
+        a_id, a_res, b_id, b_res = rng.normal(size=(4, 2))
+        zero = np.zeros(2)
+        lhs = decode(dec, a_id + b_id, a_res + b_res) + decode(dec, zero, zero)
+        rhs = decode(dec, a_id, a_res) + decode(dec, b_id, b_res)
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_width_mismatch_rejected(self):
-        dec = small_decoder(np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        net, dec = small_net(rng, q_id=3, q_res=1), small_decoder(rng)
+        head = ClassifierHead(np.zeros((3, 3)), np.zeros(3))
         with pytest.raises(InvalidArgumentError):
-            decoder_forward(dec, LatentCode(np.zeros(3), np.zeros(2)))
+            batch_loss(net, dec, head, small_batch(rng), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -200,50 +214,89 @@ class TestDecoderForward:
 
 
 class TestLosses:
+    # recon and ident through batch_loss: a zero-weight encoder yields zero
+    # codes, so the decoded shape is the decoder bias and the logits the head
+    # bias; a 1-row batch makes the batch means the per-sample losses.
+
     def test_reconstruction_loss_zero_on_identical(self):
-        shape = Shape(np.arange(12, dtype=np.float64))
-        assert reconstruction_loss(shape, shape) == 0.0
+        net = EncoderNet((Layer(np.zeros((4, 6)), np.zeros(4), "tanh"),), 2, 2)
+        dec = DecoderNet(np.zeros((12, 2)), np.arange(12.0), np.zeros((12, 2)),
+                         np.zeros(12))
+        head = ClassifierHead(np.zeros((2, 2)), np.zeros(2))
+        batch = one_sample_batch(6, 0, np.arange(12.0))
+        assert batch_loss(net, dec, head, batch, 1.0).recon == 0.0
 
     def test_reconstruction_loss_unit_offset(self):
-        target = Shape(np.arange(12, dtype=np.float64))
-        predicted = Shape(target.coords + 1.0)
-        assert reconstruction_loss(predicted, target) == 1.0
+        net = EncoderNet((Layer(np.zeros((4, 6)), np.zeros(4), "tanh"),), 2, 2)
+        dec = DecoderNet(np.zeros((12, 2)), np.arange(12.0) + 1.0,
+                         np.zeros((12, 2)), np.zeros(12))
+        head = ClassifierHead(np.zeros((2, 2)), np.zeros(2))
+        batch = one_sample_batch(6, 0, np.arange(12.0))
+        assert batch_loss(net, dec, head, batch, 1.0).recon == 1.0
 
     def test_reconstruction_loss_matches_loop(self):
         rng = np.random.default_rng(9)
-        a, b = Shape(rng.normal(size=12)), Shape(rng.normal(size=12))
-        expected = sum((x - y) ** 2 for x, y in zip(a.coords, b.coords)) / 12
-        assert abs(reconstruction_loss(a, b) - expected) < 1e-12
+        net = EncoderNet((Layer(np.zeros((4, 6)), np.zeros(4), "tanh"),), 2, 2)
+        a, b = rng.normal(size=12), rng.normal(size=12)
+        dec = DecoderNet(np.zeros((12, 2)), a, np.zeros((12, 2)), np.zeros(12))
+        head = ClassifierHead(np.zeros((2, 2)), np.zeros(2))
+        expected = sum((x - y) ** 2 for x, y in zip(a, b)) / 12
+        report = batch_loss(net, dec, head, one_sample_batch(6, 0, b), 1.0)
+        assert abs(report.recon - expected) < 1e-12
 
     def test_reconstruction_loss_length_mismatch(self):
+        rng = np.random.default_rng(9)
+        net, dec = small_net(rng), small_decoder(rng)
+        head = ClassifierHead(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(InvalidArgumentError):
-            reconstruction_loss(Shape(np.zeros(12)), Shape(np.zeros(15)))
+            batch_loss(net, dec, head, small_batch(rng, out_dim=12), 0.5)
 
     def test_identification_loss_uniform_head(self):
-        head = ClassifierHead(np.zeros((7, 3)), np.zeros(7))
-        value = identification_loss(head, np.ones(3), 2)
-        assert abs(value - np.log(7.0)) < 1e-12
+        net = EncoderNet((Layer(np.zeros((4, 6)), np.zeros(4), "tanh"),), 2, 2)
+        dec = DecoderNet(np.zeros((12, 2)), np.zeros(12), np.zeros((12, 2)),
+                         np.zeros(12))
+        head = ClassifierHead(np.zeros((7, 2)), np.zeros(7))
+        report = batch_loss(net, dec, head, one_sample_batch(6, 2, np.zeros(12)),
+                            0.5)
+        assert abs(report.ident - np.log(7.0)) < 1e-12
 
     def test_identification_loss_decreases_with_margin(self):
+        # a linear encoder whose bias is the identity code
+        dec = DecoderNet(np.zeros((12, 3)), np.zeros(12), np.zeros((12, 1)),
+                         np.zeros(12))
         head = ClassifierHead(np.vstack([np.eye(3), -np.eye(3)]), np.zeros(6))
-        losses = [identification_loss(head, t * np.array([1.0, 0.0, 0.0]), 0)
-                  for t in (0.0, 0.5, 1.0, 2.0)]
+        losses = []
+        for t in (0.0, 0.25, 0.5, 0.9):
+            net = EncoderNet((Layer(np.zeros((4, 6)), np.array([t, 0.0, 0.0, 0.0]),
+                                    "linear"),), 3, 1)
+            batch = one_sample_batch(6, 0, np.zeros(12))
+            losses.append(batch_loss(net, dec, head, batch, 0.5).ident)
         assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
 
     def test_identification_loss_matches_softmax_oracle(self):
         rng = np.random.default_rng(10)
+        code = rng.uniform(-0.9, 0.9, size=3)
+        net = EncoderNet((Layer(np.zeros((4, 6)), np.append(code, 0.0),
+                                "linear"),), 3, 1)
+        dec = DecoderNet(np.zeros((12, 3)), np.zeros(12), np.zeros((12, 1)),
+                         np.zeros(12))
         head = ClassifierHead(rng.normal(size=(5, 3)), rng.normal(size=5))
-        code = rng.normal(size=3)
         logits = head.weight @ code + head.bias
         probs = np.exp(logits) / np.exp(logits).sum()
-        assert abs(identification_loss(head, code, 3) + np.log(probs[3])) < 1e-12
+        report = batch_loss(net, dec, head, one_sample_batch(6, 3, np.zeros(12)),
+                            0.5)
+        assert abs(report.ident + np.log(probs[3])) < 1e-12
 
     def test_identification_loss_validation(self):
-        head = ClassifierHead(np.zeros((4, 3)), np.zeros(4))
+        rng = np.random.default_rng(11)
+        net, dec = small_net(rng), small_decoder(rng)
+        head = ClassifierHead(np.zeros((4, 2)), np.zeros(4))
+        batch = TrainingBatch(np.zeros((1, 6)), np.array([4]), np.zeros((1, 9)))
         with pytest.raises(InvalidArgumentError):
-            identification_loss(head, np.zeros(3), 4)
+            batch_loss(net, dec, head, batch, 0.5)
         with pytest.raises(InvalidArgumentError):
-            identification_loss(head, np.zeros(2), 0)
+            batch_loss(net, dec, ClassifierHead(np.zeros((4, 3)), np.zeros(4)),
+                       small_batch(rng), 0.5)
 
     def test_joint_loss_weighting(self):
         report = joint_loss(2.0, 1.0, 0.5)
@@ -269,11 +322,11 @@ class TestLosses:
         batch = small_batch(rng, size=1)
 
         report = batch_loss(net, dec, head, batch, lambda_r=0.7)
-        code = encoder_forward(net, batch.images[0])
-        delta_id, delta_res = decoder_forward(dec, code)
-        diff = (delta_id + delta_res) - batch.target_delta[0]
-        recon = float(diff @ diff) / dec.out_dim
-        ident = identification_loss(head, code.c_id, int(batch.labels[0]))
+        code = encode_one(net, batch.images[0])
+        delta = (dec.weight_id @ code[:2] + dec.bias_id
+                 + dec.weight_res @ code[2:] + dec.bias_res)
+        recon = recon_oracle(delta, batch.target_delta[0])
+        ident = ident_oracle(head, code[:2], int(batch.labels[0]))
         assert abs(report.recon - recon) < 1e-12
         assert abs(report.ident - ident) < 1e-12
         assert abs(report.total - (0.7 * recon + ident)) < 1e-12
@@ -441,7 +494,7 @@ class TestHeadFromClassMeans:
         labels = np.repeat(np.arange(3), 30)
         codes = centers[labels] + rng.normal(0.0, 0.2, size=(90, 2))
         head = head_from_class_means(codes, labels, 3)
-        assert classification_accuracy(head, codes, labels) == 1.0
+        assert argmax_accuracy(head, codes, labels) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +640,11 @@ class TestTrainPhase3:
                            for i in default_dataset.train_indices])
         codes_id, _ = encode_images(encoder, images)
         head = head_from_class_means(codes_id, labels, 15)
-        before = classification_accuracy(head, codes_id, labels)
+        before = argmax_accuracy(head, codes_id, labels)
 
         _, _, head3, trace = train_phase3(
             encoder, dec, head, default_dataset,
-            TrainConfig(learning_rate=2e-4, seed=0, phase="III"),
+            TrainConfig(learning_rate=2e-4, seed=0),
             stages=((0.5, 2), (1.0, 3)))
         assert [report.lambda_r for report in trace] == [0.5, 0.5, 1.0, 1.0, 1.0]
         assert trace[-1].accuracy >= before - 1e-12
@@ -604,7 +657,7 @@ class TestTrainPhase3:
         dec = train_phase2(init_decoder(1800, 20, 8, seed=1), default_dataset,
                            seed=3)
         head = init_head(15, 20, seed=5)
-        config = TrainConfig(learning_rate=2e-4, seed=0, phase="III")
+        config = TrainConfig(learning_rate=2e-4, seed=0)
         run_a = train_phase3(encoder, dec, head, default_dataset, config,
                              stages=((0.5, 2),))
         run_b = train_phase3(encoder, dec, head, default_dataset, config,
@@ -619,7 +672,7 @@ class TestTrainPhase3:
         dec = train_phase2(init_decoder(1800, 20, 8, seed=1), default_dataset,
                            seed=3)
         head = init_head(15, 20, seed=5)
-        config = TrainConfig(learning_rate=1e200, seed=0, phase="III")
+        config = TrainConfig(learning_rate=1e200, seed=0)
         with np.errstate(over="ignore"), pytest.raises(NumericalFailureError) as exc_info:
             train_phase3(encoder, dec, head, default_dataset, config,
                          stages=((0.5, 1),))

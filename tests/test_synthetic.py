@@ -124,15 +124,6 @@ class TestGenerateModel:
 
 
 class TestSampling:
-    def test_zero_sigma_override_collapses_draw(self, small_model):
-        rng = np.random.default_rng(0)
-        alpha = sample_subject(small_model, rng, sigma_override=np.zeros(small_model.k_id))
-        assert np.array_equal(alpha, np.zeros(small_model.k_id))
-
-    def test_override_length_checked(self, small_model):
-        with pytest.raises(InvalidArgumentError):
-            sample_subject(small_model, np.random.default_rng(0), sigma_override=np.zeros(3))
-
     def test_subject_draws_reproducible(self, small_model):
         a = sample_subject(small_model, np.random.default_rng(7))
         b = sample_subject(small_model, np.random.default_rng(7))
