@@ -17,19 +17,6 @@ from .geometry import (MorphableModel, Shape, apply_transform, crop_indices,
 
 
 @dataclass(frozen=True)
-class ScoredPair:
-    """One comparison outcome: a similarity score and the genuine flag."""
-
-    score: float
-    is_genuine: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "score", float(self.score))
-        object.__setattr__(self, "is_genuine", bool(self.is_genuine))
-        require(np.isfinite(self.score), "pair score must be finite")
-
-
-@dataclass(frozen=True)
 class RocCurve:
     """Operating points (threshold, TAR, FAR), thresholds strictly increasing.
 
@@ -151,28 +138,45 @@ class DisentanglingReport:
                     "displacement_ratio must be finite unless degenerate")
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """a.b / (|a||b|), guarding both norms."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    require(a.size == b.size, f"length mismatch: {a.size} vs {b.size}")
+def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine similarity of every row of a with every row of b, guarding norms."""
     require(bool(np.all(np.isfinite(a))) and bool(np.all(np.isfinite(b))),
-            "inputs must be finite")
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    require(na > 0 and nb > 0, "cosine similarity needs non-zero vectors")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+            "codes must be finite")
+    norms_a, norms_b = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    require(bool(np.all(norms_a > 0)) and bool(np.all(norms_b > 0)),
+            "cosine similarity needs non-zero vectors")
+    sims = np.clip(a @ b.T / np.outer(norms_a, norms_b), -1.0, 1.0)
+    require(bool(np.all(np.isfinite(sims))), "pair scores must be finite")
+    return sims
 
 
-def _split_scores(pairs: list[ScoredPair]) -> tuple[np.ndarray, np.ndarray]:
+def _split_scores(pairs: np.recarray) -> tuple[np.ndarray, np.ndarray]:
     require(len(pairs) > 0, "need at least one scored pair")
-    scores = np.array([p.score for p in pairs])
-    genuine = np.array([p.is_genuine for p in pairs], dtype=bool)
+    scores = np.asarray(pairs["score"], dtype=np.float64)
+    genuine = np.asarray(pairs["is_genuine"], dtype=bool)
+    require(bool(np.all(np.isfinite(scores))), "pair scores must be finite")
     require(bool(genuine.any()) and bool((~genuine).any()),
             "need at least one genuine and one impostor pair")
     return scores, genuine
 
 
-def roc_curve(pairs: list[ScoredPair]) -> RocCurve:
+def _thresholds(scores: np.ndarray) -> np.ndarray:
+    """The distinct scores in increasing order plus a sentinel above them all.
+
+    max + 1.0 rounds back to max once |max| >= 2**53, hence nextafter there.
+    """
+    distinct = np.unique(scores)
+    top = distinct[-1]
+    return np.append(distinct, max(top + 1.0, np.nextafter(top, np.inf)))
+
+
+def _accepted(sorted_scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """How many of the sorted scores satisfy score >= t, for each threshold t."""
+    return sorted_scores.size - np.searchsorted(sorted_scores, thresholds,
+                                                side="left")
+
+
+def roc_curve(pairs: np.recarray) -> RocCurve:
     """Sweep accept-iff-score>=threshold over every distinct score.
 
     Thresholds are the distinct scores in increasing order plus one sentinel
@@ -182,12 +186,9 @@ def roc_curve(pairs: list[ScoredPair]) -> RocCurve:
     scores, genuine = _split_scores(pairs)
     g_sorted = np.sort(scores[genuine])
     i_sorted = np.sort(scores[~genuine])
-    thresholds = np.unique(scores)
-    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
-    tar = (g_sorted.size - np.searchsorted(g_sorted, thresholds, side="left")
-           ) / g_sorted.size
-    far = (i_sorted.size - np.searchsorted(i_sorted, thresholds, side="left")
-           ) / i_sorted.size
+    thresholds = _thresholds(scores)
+    tar = _accepted(g_sorted, thresholds) / g_sorted.size
+    far = _accepted(i_sorted, thresholds) / i_sorted.size
     return RocCurve(np.column_stack([thresholds, tar, far]))
 
 
@@ -207,31 +208,28 @@ def eer(curve: RocCurve) -> float:
     # f = FAR - (1 - TAR) runs from +1 at accept-all to -1 at reject-all, so
     # a sign change always exists along decreasing threshold.
     f = curve.far + curve.tar - 1.0
-    for i in range(len(f) - 1):
-        lo, hi = f[i], f[i + 1]
-        if lo == 0.0:
-            return float(curve.far[i])
-        if lo > 0.0 >= hi:
-            u = lo / (lo - hi)
-            return float(curve.far[i] + u * (curve.far[i + 1] - curve.far[i]))
-    return float(curve.far[-1])
+    lo, hi = f[:-1], f[1:]
+    crossings = np.flatnonzero((lo == 0.0) | ((lo > 0.0) & (hi <= 0.0)))
+    if crossings.size == 0:
+        return float(curve.far[-1])
+    i = int(crossings[0])
+    if f[i] == 0.0:
+        return float(curve.far[i])
+    u = f[i] / (f[i] - f[i + 1])
+    return float(curve.far[i] + u * (curve.far[i + 1] - curve.far[i]))
 
 
 def tar_at_far(curve: RocCurve, far_target: float) -> float:
     """TAR linearly interpolated at the requested FAR (upper envelope)."""
     require(np.isfinite(far_target) and 0.0 < far_target <= 1.0,
             f"far_target must lie in (0, 1], got {far_target}")
-    fars, tars = curve.far, curve.tar
-    # collapse vertical runs (same FAR, several TARs) to the best TAR
-    best: dict[float, float] = {}
-    for fa, ta in zip(fars, tars):
-        best[float(fa)] = max(best.get(float(fa), 0.0), float(ta))
-    xs = np.array(sorted(best))
-    ys = np.array([best[x] for x in xs])
-    return float(np.interp(far_target, xs, ys))
+    # collapse vertical runs (same FAR, several TARs) to the best TAR: both
+    # rates are non-increasing in the threshold, so a FAR's first point has it
+    fars, first = np.unique(curve.far, return_index=True)
+    return float(np.interp(far_target, fars, curve.tar[first]))
 
 
-def verification_accuracy_folds(pairs: list[ScoredPair],
+def verification_accuracy_folds(pairs: np.recarray,
                                 n_folds: int = 10) -> tuple[float, float]:
     """Cross-fold accuracy with the threshold tuned on the other folds.
 
@@ -245,29 +243,26 @@ def verification_accuracy_folds(pairs: list[ScoredPair],
     scores, genuine = _split_scores(pairs)
     require(scores.size % n_folds == 0,
             f"{scores.size} pairs do not divide into {n_folds} folds")
-    fold_size = scores.size // n_folds
-    accuracies = []
+    fold_of = np.arange(scores.size) // (scores.size // n_folds)
+    accuracies = np.empty(n_folds)
     for k in range(n_folds):
-        held = np.zeros(scores.size, dtype=bool)
-        held[k * fold_size:(k + 1) * fold_size] = True
+        held = fold_of == k
         for part, what in ((held, "held-out"), (~held, "training")):
             flags = genuine[part]
             require(bool(flags.any()) and bool((~flags).any()),
                     f"{what} fold {k} contains a single class")
         s_train, g_train = scores[~held], genuine[~held]
-        candidates = np.unique(s_train)
-        candidates = np.append(candidates, candidates[-1] + 1.0)
-        # accuracy of accept-iff-score>=t for every candidate at once
-        correct = [(np.count_nonzero(g_train & (s_train >= t))
-                    + np.count_nonzero(~g_train & (s_train < t)))
-                   for t in candidates]
+        candidates = _thresholds(s_train)
+        # accepted genuine plus rejected impostor pairs, per candidate
+        correct = (_accepted(np.sort(s_train[g_train]), candidates)
+                   + np.searchsorted(np.sort(s_train[~g_train]), candidates,
+                                     side="left"))
         threshold = candidates[int(np.argmax(correct))]
         s_held, g_held = scores[held], genuine[held]
         hits = (np.count_nonzero(g_held & (s_held >= threshold))
                 + np.count_nonzero(~g_held & (s_held < threshold)))
-        accuracies.append(hits / s_held.size)
-    acc = np.array(accuracies)
-    return float(acc.mean()), float(acc.std())
+        accuracies[k] = hits / s_held.size
+    return float(accuracies.mean()), float(accuracies.std())
 
 
 def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
@@ -290,11 +285,9 @@ def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
     require(not missing, f"probe subjects missing from gallery: {sorted(missing)}")
     require(int(n) >= 1, "n must be at least 1")
     n = int(n)
-    hits = 0
-    for code, label in zip(probes, p_labels):
-        sims = np.array([cosine_similarity(code, g) for g in gallery])
-        top = np.argsort(-sims, kind="stable")[:n]
-        hits += int(label in g_labels[top])
+    sims = _cosine_matrix(probes, gallery)
+    top = np.argsort(-sims, axis=1, kind="stable")[:, :n]
+    hits = np.count_nonzero(np.any(g_labels[top] == p_labels[:, None], axis=1))
     return hits / probes.shape[0]
 
 
@@ -419,48 +412,48 @@ def disentangling_report(encoder, dataset) -> DisentanglingReport:
                                degenerate=degenerate)
 
 
-def verification_pairs(codes: np.ndarray, labels: np.ndarray) -> list[ScoredPair]:
-    """All unordered code pairs scored by cosine similarity, in index order."""
+def verification_pairs(codes: np.ndarray, labels: np.ndarray) -> np.recarray:
+    """All unordered code pairs scored by cosine similarity, in index order.
+
+    Returns a record array with fields ``score`` (float64) and ``is_genuine``
+    (bool), one row per pair i < j in row-major order.
+    """
     codes = np.asarray(codes, dtype=np.float64)
     labels = np.asarray(labels).ravel()
     require(codes.ndim == 2 and codes.shape[0] == labels.size,
             "codes must be (n, q) row-aligned with labels")
     require(codes.shape[0] >= 2, "need at least two codes")
-    pairs = []
-    for i in range(codes.shape[0]):
-        for j in range(i + 1, codes.shape[0]):
-            pairs.append(ScoredPair(cosine_similarity(codes[i], codes[j]),
-                                    bool(labels[i] == labels[j])))
-    return pairs
+    rows, cols = np.triu_indices(codes.shape[0], k=1)
+    scores = _cosine_matrix(codes, codes)[rows, cols]
+    return np.rec.fromarrays([scores, labels[rows] == labels[cols]],
+                             names="score,is_genuine")
 
 
-def stratified_folds(pairs: list[ScoredPair], n_folds: int) -> list[ScoredPair]:
+def stratified_folds(pairs: np.recarray, n_folds: int) -> np.recarray:
     """Rearrange pairs into equal contiguous folds, each with both classes.
 
-    Genuine and impostor pairs are dealt round-robin into the folds (in
-    their incoming order) and every fold is trimmed to the common size, so
-    the contiguous fold protocol sees the same class balance everywhere.
-    Needs at least n_folds pairs of each class.
+    Genuine and impostor pairs are each cut, in incoming order, into n_folds
+    equal runs (the remainder trimmed); fold k is the k-th genuine run then
+    the k-th impostor run, so the contiguous fold protocol sees the same
+    class balance everywhere. Needs at least n_folds pairs of each class.
     """
     require(int(n_folds) >= 2, "need at least two folds")
     n_folds = int(n_folds)
-    genuine = [p for p in pairs if p.is_genuine]
-    impostor = [p for p in pairs if not p.is_genuine]
-    require(len(genuine) >= n_folds and len(impostor) >= n_folds,
+    flags = np.asarray(pairs["is_genuine"], dtype=bool)
+    genuine, impostor = np.flatnonzero(flags), np.flatnonzero(~flags)
+    require(genuine.size >= n_folds and impostor.size >= n_folds,
             f"need at least {n_folds} pairs of each class, got "
-            f"{len(genuine)} genuine / {len(impostor)} impostor")
-    g_per, i_per = len(genuine) // n_folds, len(impostor) // n_folds
-    folds = []
-    for k in range(n_folds):
-        folds.extend(genuine[k * g_per:(k + 1) * g_per])
-        folds.extend(impostor[k * i_per:(k + 1) * i_per])
-    return folds
+            f"{genuine.size} genuine / {impostor.size} impostor")
+    g_per, i_per = genuine.size // n_folds, impostor.size // n_folds
+    order = np.hstack([genuine[:n_folds * g_per].reshape(n_folds, g_per),
+                       impostor[:n_folds * i_per].reshape(n_folds, i_per)])
+    return pairs[order.ravel()]
 
 
-def verification_report(pairs: list[ScoredPair], n_folds: int = 10,
+def verification_report(pairs: np.recarray, n_folds: int = 10,
                         rank1: float | None = None,
                         rank5: float | None = None) -> VerificationReport:
-    """Assemble the standard report from one scored pair list.
+    """Assemble the standard report from one scored pair array.
 
     The threshold-free metrics use every pair; the fold accuracy runs on the
     stratified rearrangement (a few pairs may be trimmed to equalize folds).

@@ -377,15 +377,13 @@ def rasterize_depth(model: MorphableModel, coeffs: CoeffPair, pose: PoseParams,
 
 def dilate_max(image: np.ndarray) -> np.ndarray:
     """Max-dilate a 2D image by one pixel (3x3 neighborhood, edges clamped)."""
-    require(image.ndim == 2, "image must be 2D")
-    out = np.full_like(image, -np.inf)
+    require(image.ndim == 2 and image.size > 0, "image must be 2D and non-empty")
     n_rows, n_cols = image.shape
-    rows, cols = np.indices(image.shape)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            r = np.clip(rows + dr, 0, n_rows - 1)
-            c = np.clip(cols + dc, 0, n_cols - 1)
-            np.maximum.at(out, (r, c), image)
+    padded = np.pad(image, 1, mode="edge")
+    out = image.copy()
+    for dr in range(3):
+        for dc in range(3):
+            np.maximum(out, padded[dr:dr + n_rows, dc:dc + n_cols], out=out)
     return out
 
 

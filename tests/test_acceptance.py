@@ -18,7 +18,7 @@ import pytest
 
 from morphfit.cli import _train_pipeline, cli
 from morphfit.config import RunConfig
-from morphfit.evaluation import (ScoredPair, auc, disentangling_report,
+from morphfit.evaluation import (auc, disentangling_report,
                                  evaluate_reconstruction,
                                  rank_n_identification, roc_curve,
                                  verification_accuracy_folds,
@@ -55,9 +55,10 @@ def identity_vertex_errors(model, alpha_true, alpha_hat) -> np.ndarray:
     return np.linalg.norm(diff, axis=1)
 
 
-def pairs_from(genuine, impostor) -> list:
-    return ([ScoredPair(float(s), True) for s in genuine]
-            + [ScoredPair(float(s), False) for s in impostor])
+def pairs_from(genuine, impostor) -> np.recarray:
+    scores = np.concatenate([genuine, impostor]).astype(np.float64)
+    return np.rec.fromarrays([scores, np.arange(scores.size) < len(genuine)],
+                             names="score,is_genuine")
 
 
 @pytest.fixture(scope="module")
@@ -327,13 +328,11 @@ def test_criterion_08_metric_oracles():
         assert got == brute
 
     # fold accuracy vs exhaustive threshold search
-    pairs = []
-    for _ in range(4):
-        pairs += pairs_from(rng.integers(0, 6, size=5) / 6.0 + 0.15,
-                            rng.integers(0, 6, size=5) / 6.0)
+    pairs = np.concatenate([
+        pairs_from(rng.integers(0, 6, size=5) / 6.0 + 0.15,
+                   rng.integers(0, 6, size=5) / 6.0) for _ in range(4)])
     mean, std = verification_accuracy_folds(pairs, n_folds=4)
-    scores = np.array([p.score for p in pairs])
-    is_genuine = np.array([p.is_genuine for p in pairs])
+    scores, is_genuine = pairs["score"], pairs["is_genuine"]
     fold_size = len(pairs) // 4
     accuracies = []
     for k in range(4):

@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from morphfit.errors import InvalidArgumentError
+from morphfit.errors import InvalidArgumentError, require
 from morphfit.evaluation import (
     DisentanglingReport,
     RocCurve,
-    ScoredPair,
     VerificationReport,
     auc,
-    cosine_similarity,
     disentangling_report,
     eer,
     evaluate_reconstruction,
@@ -44,13 +44,33 @@ from morphfit.synthetic import (
 )
 
 
-def pairs_from(genuine_scores, impostor_scores) -> list[ScoredPair]:
-    return ([ScoredPair(s, True) for s in genuine_scores]
-            + [ScoredPair(s, False) for s in impostor_scores])
+def scored_pairs(scores, is_genuine) -> np.recarray:
+    """The pair record array that verification_pairs returns."""
+    return np.rec.fromarrays([np.asarray(scores, dtype=np.float64),
+                              np.asarray(is_genuine, dtype=bool)],
+                             names="score,is_genuine")
+
+
+def pairs_from(genuine_scores, impostor_scores) -> np.recarray:
+    return scored_pairs(np.concatenate([genuine_scores, impostor_scores]),
+                        [True] * len(genuine_scores)
+                        + [False] * len(impostor_scores))
 
 
 # ---------------------------------------------------------------------------
-# cosine similarity
+# cosine similarity: the per-pair oracle for the matrix scoring
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """a.b / (|a||b|), guarding both norms."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    require(a.size == b.size, f"length mismatch: {a.size} vs {b.size}")
+    require(bool(np.all(np.isfinite(a))) and bool(np.all(np.isfinite(b))),
+            "inputs must be finite")
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    require(na > 0 and nb > 0, "cosine similarity needs non-zero vectors")
+    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 class TestCosineSimilarity:
@@ -102,11 +122,17 @@ class TestRocCurve:
             assert tar == np.count_nonzero(genuine >= threshold) / 60
             assert far == np.count_nonzero(impostor >= threshold) / 40
 
+    def test_sentinel_above_scores_past_two_to_the_53(self):
+        curve = roc_curve(pairs_from([1e17], [0.0]))  # 1e17 + 1.0 == 1e17
+        assert curve.thresholds[-1] > 1e17
+        assert curve.tar[-1] == 0.0 and curve.far[-1] == 0.0
+        assert auc(curve) == 1.0
+
     def test_single_class_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            roc_curve([ScoredPair(1.0, True), ScoredPair(0.5, True)])
+            roc_curve(pairs_from([1.0, 0.5], []))
         with pytest.raises(InvalidArgumentError):
-            roc_curve([])
+            roc_curve(pairs_from([], []))
 
     def test_curve_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -211,20 +237,18 @@ class TestTarAtFar:
 
 class TestVerificationAccuracyFolds:
     def test_perfect_scores(self):
-        pairs = pairs_from([1.0], [0.0]) * 2  # two folds of [g, i]
+        pairs = np.concatenate([pairs_from([1.0], [0.0])] * 2)  # two folds of [g, i]
         mean, std = verification_accuracy_folds(pairs, n_folds=2)
         assert mean == 1.0 and std == 0.0
 
     def test_matches_threshold_search_oracle(self):
         rng = np.random.default_rng(6)
-        pairs = []
-        for _ in range(4):  # four folds, each mixed
-            pairs += pairs_from(rng.integers(0, 6, size=5) / 6.0 + 0.15,
-                                rng.integers(0, 6, size=5) / 6.0)
+        pairs = np.concatenate([  # four folds, each mixed
+            pairs_from(rng.integers(0, 6, size=5) / 6.0 + 0.15,
+                       rng.integers(0, 6, size=5) / 6.0) for _ in range(4)])
         mean, std = verification_accuracy_folds(pairs, n_folds=4)
 
-        scores = np.array([p.score for p in pairs])
-        genuine = np.array([p.is_genuine for p in pairs])
+        scores, genuine = pairs["score"], pairs["is_genuine"]
         fold_size = len(pairs) // 4
         accuracies = []
         for k in range(4):
@@ -242,7 +266,7 @@ class TestVerificationAccuracyFolds:
         assert abs(std - np.std(accuracies)) < 1e-12
 
     def test_single_class_fold_rejected(self):
-        pairs = pairs_from([1.0, 0.9], []) + pairs_from([], [0.0, 0.1])
+        pairs = pairs_from([1.0, 0.9], [0.0, 0.1])
         with pytest.raises(InvalidArgumentError):
             verification_accuracy_folds(pairs, n_folds=2)
 
@@ -261,25 +285,22 @@ class TestVerificationAccuracyFolds:
 
 class TestStratifiedFolds:
     def test_round_robin_layout(self):
-        genuine = [ScoredPair(float(i), True) for i in range(5)]
-        impostor = [ScoredPair(10.0 + i, False) for i in range(6)]
-        folds = stratified_folds(genuine + impostor, 2)
-        scores = [p.score for p in folds]
-        assert scores == [0.0, 1.0, 10.0, 11.0, 12.0, 2.0, 3.0, 13.0, 14.0, 15.0]
+        folds = stratified_folds(pairs_from(np.arange(5.0),
+                                            10.0 + np.arange(6.0)), 2)
+        assert folds.score.tolist() == [0.0, 1.0, 10.0, 11.0, 12.0,
+                                        2.0, 3.0, 13.0, 14.0, 15.0]
 
     def test_every_fold_mixed(self):
         rng = np.random.default_rng(8)
-        pairs = [ScoredPair(s, bool(g)) for s, g in
-                 zip(rng.normal(size=97), rng.integers(0, 2, size=97))]
-        if not any(p.is_genuine for p in pairs):
-            pairs[0] = ScoredPair(0.0, True)
+        pairs = scored_pairs(rng.normal(size=97), rng.integers(0, 2, size=97))
+        if not pairs.is_genuine.any():
+            pairs[0] = (0.0, True)
         folds = stratified_folds(pairs, 5)
         fold_size = len(folds) // 5
         assert len(folds) % 5 == 0
         for k in range(5):
-            chunk = folds[k * fold_size:(k + 1) * fold_size]
-            flags = [p.is_genuine for p in chunk]
-            assert any(flags) and not all(flags)
+            flags = folds.is_genuine[k * fold_size:(k + 1) * fold_size]
+            assert flags.any() and not flags.all()
 
     def test_too_few_of_one_class_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -312,12 +333,8 @@ class TestRankNIdentification:
         p_labels = rng.integers(0, 3, size=9)
         for n in (1, 2, 4):
             got = rank_n_identification(gallery, g_labels, probes, p_labels, n)
-            hits = 0
-            for code, label in zip(probes, p_labels):
-                sims = [cosine_similarity(code, g) for g in gallery]
-                order = np.argsort(-np.array(sims), kind="stable")[:n]
-                hits += int(label in g_labels[order])
-            assert got == hits / 9
+            assert got == rank_n_loop_oracle(gallery, g_labels, probes,
+                                             p_labels, n)
 
     def test_ties_resolved_by_gallery_order(self):
         same = np.array([[1.0, 0.0]])
@@ -502,11 +519,11 @@ class TestVerificationPairs:
         labels = np.array([0, 1, 0])
         pairs = verification_pairs(codes, labels)
         assert len(pairs) == 3
-        assert [p.is_genuine for p in pairs] == [False, True, False]
+        assert pairs.is_genuine.tolist() == [False, True, False]
         expected = [cosine_similarity(codes[0], codes[1]),
                     cosine_similarity(codes[0], codes[2]),
                     cosine_similarity(codes[1], codes[2])]
-        assert [p.score for p in pairs] == expected
+        assert pairs.score.tolist() == expected
 
     def test_needs_two_codes(self):
         with pytest.raises(InvalidArgumentError):
@@ -538,3 +555,143 @@ class TestVerificationReport:
         with pytest.raises(InvalidArgumentError):
             VerificationReport(accuracy_mean=0.9, accuracy_std=-0.1, eer=0.0,
                                auc=1.0, tar_at_far_10pct=1.0, tar_at_far_1pct=1.0)
+
+
+# ---------------------------------------------------------------------------
+# the array paths against the loops they replaced
+
+
+def counting_folds_oracle(pairs, n_folds):
+    """Fold accuracy by counting matches once per candidate threshold."""
+    scores, genuine = pairs["score"], pairs["is_genuine"]
+    fold_size = scores.size // n_folds
+    accuracies = []
+    for k in range(n_folds):
+        held = np.zeros(scores.size, dtype=bool)
+        held[k * fold_size:(k + 1) * fold_size] = True
+        s_train, g_train = scores[~held], genuine[~held]
+        candidates = np.append(np.unique(s_train), s_train.max() + 1.0)
+        correct = [(np.count_nonzero(g_train & (s_train >= t))
+                    + np.count_nonzero(~g_train & (s_train < t)))
+                   for t in candidates]
+        threshold = candidates[int(np.argmax(correct))]
+        s_held, g_held = scores[held], genuine[held]
+        hits = (np.count_nonzero(g_held & (s_held >= threshold))
+                + np.count_nonzero(~g_held & (s_held < threshold)))
+        accuracies.append(hits / s_held.size)
+    acc = np.array(accuracies)
+    return float(acc.mean()), float(acc.std())
+
+
+def eer_loop_oracle(curve):
+    f = curve.far + curve.tar - 1.0
+    for i in range(len(f) - 1):
+        lo, hi = f[i], f[i + 1]
+        if lo == 0.0:
+            return float(curve.far[i])
+        if lo > 0.0 >= hi:
+            u = lo / (lo - hi)
+            return float(curve.far[i] + u * (curve.far[i + 1] - curve.far[i]))
+    return float(curve.far[-1])
+
+
+def tar_at_far_dict_oracle(curve, far_target):
+    best = {}
+    for fa, ta in zip(curve.far, curve.tar):
+        best[float(fa)] = max(best.get(float(fa), 0.0), float(ta))
+    xs = np.array(sorted(best))
+    ys = np.array([best[x] for x in xs])
+    return float(np.interp(far_target, xs, ys))
+
+
+def rank_n_loop_oracle(gallery, g_labels, probes, p_labels, n):
+    hits = 0
+    for code, label in zip(probes, p_labels):
+        sims = np.array([cosine_similarity(code, g) for g in gallery])
+        top = np.argsort(-sims, kind="stable")[:n]
+        hits += int(label in g_labels[top])
+    return hits / probes.shape[0]
+
+
+# scores on a coarse grid tie often; continuous ones almost never do
+score_lists = st.sampled_from([
+    st.integers(0, 6).map(lambda v: v / 6.0),
+    st.floats(-1.0, 1.0, allow_nan=False),
+]).flatmap(lambda scores: st.lists(scores, min_size=6, max_size=60))
+
+
+@st.composite
+def labelled_scores(draw):
+    """Pairs with at least three of each class, the classes interleaved."""
+    scores = draw(score_lists)
+    flags = draw(st.lists(st.booleans(), min_size=len(scores),
+                          max_size=len(scores)))
+    flags[:6] = [True, False] * 3
+    return scored_pairs(scores, flags)
+
+
+@st.composite
+def code_rows(draw, width, min_rows):
+    """Small non-zero integer codes: repeated rows and exact ties occur."""
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=width,
+                                  max_size=width).filter(any),
+                         min_size=min_rows, max_size=12))
+    scale = draw(st.sampled_from([1.0, 0.1, 7.3]))
+    return scale * np.array(rows, dtype=np.float64)
+
+
+class TestArrayPathsMatchLoopOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_scores(), st.integers(2, 3))
+    def test_sorted_fold_search_matches_counting(self, pairs, n_folds):
+        folds = stratified_folds(pairs, n_folds)
+        assert (verification_accuracy_folds(folds, n_folds)
+                == counting_folds_oracle(folds, n_folds))
+
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_scores(), st.floats(0.001, 1.0))
+    def test_eer_and_tar_match_loops(self, pairs, far_target):
+        curve = roc_curve(pairs)
+        assert eer(curve) == eer_loop_oracle(curve)
+        assert tar_at_far(curve, far_target) == tar_at_far_dict_oracle(
+            curve, far_target)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda q: code_rows(q, 2)))
+    def test_matrix_pair_scores_match_cosine(self, codes):
+        n = len(codes)
+        labels = np.arange(n) % 3
+        pairs = verification_pairs(codes, labels)
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert pairs.is_genuine.tolist() == [bool(labels[i] == labels[j])
+                                             for i, j in upper]
+        expected = np.array([cosine_similarity(codes[i], codes[j])
+                             for i, j in upper])
+        assert np.all(np.abs(pairs.score - expected) <= 4 * np.spacing(1.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda q: st.tuples(code_rows(q, 1), code_rows(q, 1))),
+        st.integers(1, 4), st.data())
+    def test_rank_n_matches_stable_sort(self, codes, n, data):
+        """Equal wherever the ranking does not hang on the last ulp.
+
+        Repeated gallery rows tie exactly in both paths, which tests the
+        gallery-order tie break. Distinct rows whose cosines to a probe
+        agree in exact arithmetic can round apart in either path (a probe
+        (0, 0, .1, .1) against (0, .1, 0, 0) and (0, 0, .1, -.1): the
+        per-pair dot gives 4e-17 and 0, the matrix product 0 and 0), so
+        draws with such a near-tie are left out.
+        """
+        gallery, probes = codes
+        for code in probes:
+            sims = np.array([cosine_similarity(code, g) for g in gallery])
+            close = np.abs(sims[:, None] - sims[None, :]) <= 8 * np.spacing(1.0)
+            same = np.all(gallery[:, None] == gallery[None, :], axis=2)
+            assume(not np.any(close & ~same))
+        g_labels = np.arange(len(gallery)) % 3
+        p_labels = np.array(data.draw(st.lists(
+            st.sampled_from(g_labels.tolist()), min_size=len(probes),
+            max_size=len(probes))))
+        assert (rank_n_identification(gallery, g_labels, probes, p_labels, n)
+                == rank_n_loop_oracle(gallery, g_labels, probes, p_labels, n))

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from morphfit.errors import InvalidArgumentError
 from morphfit.geometry import (
@@ -281,7 +284,36 @@ class TestRasterizeDepth:
             rasterize_depth(small_model, ZERO_COEFFS_FOR(small_model), IDENTITY_POSE, 0)
 
 
+def scatter_dilate_oracle(image: np.ndarray) -> np.ndarray:
+    """Max-dilation by scattering every pixel into its clamped neighbours."""
+    out = np.full_like(image, -np.inf)
+    n_rows, n_cols = image.shape
+    rows, cols = np.indices(image.shape)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            r = np.clip(rows + dr, 0, n_rows - 1)
+            c = np.clip(cols + dc, 0, n_cols - 1)
+            np.maximum.at(out, (r, c), image)
+    return out
+
+
 class TestDilateMax:
+    @settings(max_examples=150, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=st.floats(allow_nan=False)))
+    def test_matches_scatter_oracle(self, image):
+        assert np.array_equal(dilate_max(image), scatter_dilate_oracle(image))
+
+    def test_rendered_images_match_scatter_oracle(self, desk_model):
+        rng = np.random.default_rng(12)
+        spec = DatasetSpec(pose_ranges=WIDE_RANGES)
+        for _ in range(20):
+            alpha_exp, pose = sample_instance(desk_model, spec, rng)
+            coeffs = CoeffPair(sample_subject(desk_model, rng), alpha_exp)
+            depth = rasterize_depth(desk_model, coeffs, pose, 32)
+            assert (dilate_max(depth).tobytes()
+                    == scatter_dilate_oracle(depth).tobytes())
+
     def test_matches_neighborhood_oracle(self):
         rng = np.random.default_rng(3)
         image = rng.normal(size=(9, 7))
@@ -300,6 +332,8 @@ class TestDilateMax:
     def test_requires_2d(self):
         with pytest.raises(InvalidArgumentError):
             dilate_max(np.zeros(5))
+        with pytest.raises(InvalidArgumentError):
+            dilate_max(np.zeros((0, 3)))
 
 
 # ---------------------------------------------------------------------------
