@@ -14,7 +14,7 @@ with a scheduled reconstruction weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _freeze(obj, what: str, *names: str) -> list:
+    """Set the named fields of `obj` to read-only float64 copies, all finite."""
+    arrays = [_readonly(getattr(obj, name)) for name in names]
+    require(all(bool(np.all(np.isfinite(a))) for a in arrays),
+            f"{what} parameters must be finite")
+    for name, array in zip(names, arrays):
+        object.__setattr__(obj, name, array)
+    return arrays
+
+
 @dataclass(frozen=True)
 class Layer:
     """One affine layer: y = act(x @ weight.T + bias).
@@ -58,17 +68,12 @@ class Layer:
     activation: str
 
     def __post_init__(self):
-        weight = _readonly(self.weight)
-        bias = _readonly(self.bias)
+        weight, bias = _freeze(self, "layer", "weight", "bias")
         require(weight.ndim == 2, "layer weight must be a matrix")
         require(bias.ndim == 1 and bias.size == weight.shape[0],
                 "layer bias length must equal the output width")
-        require(bool(np.all(np.isfinite(weight))) and bool(np.all(np.isfinite(bias))),
-                "layer parameters must be finite")
         require(self.activation in _ACTIVATIONS,
                 f"unknown activation {self.activation!r}")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "bias", bias)
 
     @property
     def out_dim(self) -> int:
@@ -124,21 +129,13 @@ class DecoderNet:
     bias_res: np.ndarray
 
     def __post_init__(self):
-        w_id = _readonly(self.weight_id)
-        b_id = _readonly(self.bias_id)
-        w_res = _readonly(self.weight_res)
-        b_res = _readonly(self.bias_res)
+        w_id, b_id, w_res, b_res = _freeze(self, "decoder", "weight_id", "bias_id",
+                                           "weight_res", "bias_res")
         require(w_id.ndim == 2 and w_res.ndim == 2, "decoder weights must be matrices")
         require(w_id.shape[0] == w_res.shape[0],
                 "both decoders must produce the same output length")
         require(b_id.shape == (w_id.shape[0],) and b_res.shape == (w_res.shape[0],),
                 "decoder bias lengths must match the output length")
-        for a in (w_id, b_id, w_res, b_res):
-            require(bool(np.all(np.isfinite(a))), "decoder parameters must be finite")
-        object.__setattr__(self, "weight_id", w_id)
-        object.__setattr__(self, "bias_id", b_id)
-        object.__setattr__(self, "weight_res", w_res)
-        object.__setattr__(self, "bias_res", b_res)
 
     @property
     def out_dim(self) -> int:
@@ -161,15 +158,10 @@ class ClassifierHead:
     bias: np.ndarray
 
     def __post_init__(self):
-        weight = _readonly(self.weight)
-        bias = _readonly(self.bias)
+        weight, bias = _freeze(self, "head", "weight", "bias")
         require(weight.ndim == 2, "head weight must be a matrix")
         require(bias.shape == (weight.shape[0],),
                 "head bias length must equal the class count")
-        require(bool(np.all(np.isfinite(weight))) and bool(np.all(np.isfinite(bias))),
-                "head parameters must be finite")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "bias", bias)
 
     @property
     def n_classes(self) -> int:
@@ -249,26 +241,16 @@ class TrainingBatch:
         return self.images.shape[0]
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators keyed like the parameter dict."""
-
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-
 def init_encoder(input_dim: int, q_id: int, q_res: int,
                  hidden: tuple = (256, 256), seed: int = 0) -> EncoderNet:
     """Glorot-initialized tanh encoder with the given hidden widths."""
     require(int(input_dim) >= 1, "input_dim must be positive")
     rng = np.random.default_rng(seed)
     widths = [int(input_dim)] + [int(h) for h in hidden] + [int(q_id) + int(q_res)]
-    layers = []
-    for fan_in, fan_out in zip(widths, widths[1:]):
-        std = np.sqrt(2.0 / (fan_in + fan_out))
-        weight = rng.normal(0.0, std, size=(fan_out, fan_in))
-        layers.append(Layer(weight, np.zeros(fan_out), "tanh"))
-    return EncoderNet(tuple(layers), int(q_id), int(q_res))
+    layers = tuple(Layer(rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)),
+                                    size=(fan_out, fan_in)), np.zeros(fan_out), "tanh")
+                   for fan_in, fan_out in zip(widths, widths[1:]))
+    return EncoderNet(layers, int(q_id), int(q_res))
 
 
 def init_decoder(out_dim: int, q_id: int, q_res: int, seed: int = 0) -> DecoderNet:
@@ -363,46 +345,112 @@ def joint_loss(recon: float, ident: float, lambda_r: float,
 
 
 # ---------------------------------------------------------------------------
-# Parameter dictionaries (flat, string-keyed) shared by backward/optimizer.
+# Parameter layout and the flat parameter buffer shared by the trainers.
 
-def encoder_params(net: EncoderNet) -> dict:
-    out = {}
-    for i, layer in enumerate(net.layers):
-        out[f"enc.{i}.weight"] = layer.weight
-        out[f"enc.{i}.bias"] = layer.bias
-    return out
-
-
-def decoder_params(dec: DecoderNet) -> dict:
-    return {"dec.weight_id": dec.weight_id, "dec.bias_id": dec.bias_id,
-            "dec.weight_res": dec.weight_res, "dec.bias_res": dec.bias_res}
+# The layout table: the key prefix, class and trainable fields of each part,
+# in flat-buffer and checkpoint order; encoder layer i is the part "enc.{i}".
+_LAYER_FIELDS = ("weight", "bias")
+_PARTS = (("dec", DecoderNet, ("weight_id", "bias_id", "weight_res", "bias_res")),
+          ("head", ClassifierHead, ("weight", "bias")))
 
 
-def head_params(head: ClassifierHead) -> dict:
-    return {"head.weight": head.weight, "head.bias": head.bias}
+def _param_table(net: EncoderNet, *parts) -> list:
+    """(key, array) of every trainable array of `net` and then of [dec, head]."""
+    table = [(f"enc.{i}.{name}", getattr(layer, name))
+             for i, layer in enumerate(net.layers) for name in _LAYER_FIELDS]
+    for part, (prefix, _cls, names) in zip(parts, _PARTS):
+        table += [(f"{prefix}.{name}", getattr(part, name)) for name in names]
+    return table
 
 
 def all_params(net: EncoderNet, dec: DecoderNet, head: ClassifierHead) -> dict:
-    out = encoder_params(net)
-    out.update(decoder_params(dec))
-    out.update(head_params(head))
-    return out
+    return dict(_param_table(net, dec, head))
 
 
-def assemble_encoder(template: EncoderNet, params: dict) -> EncoderNet:
-    layers = tuple(Layer(params[f"enc.{i}.weight"], params[f"enc.{i}.bias"],
-                         layer.activation)
-                   for i, layer in enumerate(template.layers))
-    return EncoderNet(layers, template.q_id, template.q_res)
+def _build(cls, checked: bool, **fields):
+    """cls(**fields); with checked=False, the same without copies or checks."""
+    if checked:
+        return cls(**fields)
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
-def assemble_decoder(params: dict) -> DecoderNet:
-    return DecoderNet(params["dec.weight_id"], params["dec.bias_id"],
-                      params["dec.weight_res"], params["dec.bias_res"])
+def _assemble(template: EncoderNet, params: dict, checked: bool = True) -> tuple:
+    """(encoder[, decoder, head]) like `template` over `params`' arrays."""
+    layers = tuple(
+        _build(Layer, checked, activation=layer.activation,
+               **{name: params[f"enc.{i}.{name}"] for name in _LAYER_FIELDS})
+        for i, layer in enumerate(template.layers))
+    out = [_build(EncoderNet, checked, layers=layers, q_id=template.q_id,
+                  q_res=template.q_res)]
+    for prefix, cls, names in _PARTS:
+        if f"{prefix}.{names[0]}" in params:
+            out.append(_build(cls, checked, **{name: params[f"{prefix}.{name}"]
+                                               for name in names}))
+    return tuple(out)
 
 
-def assemble_head(params: dict) -> ClassifierHead:
-    return ClassifierHead(params["head.weight"], params["head.bias"])
+class _FlatParams:
+    """A phase's trainable arrays in one contiguous float64 vector, with Adam.
+
+    `views` holds read-only, C-ordered views of `data`, keyed like the table;
+    the gradient and both moments share the layout. Only step() writes them.
+    """
+
+    # Adam's block length: the six float64 blocks of one pass (parameter,
+    # gradient, both moments, two scratch blocks; 1.5 MB) fit a 2 MB L2 cache.
+    block = 32768
+
+    def __init__(self, table: list):
+        n = sum(array.size for _, array in table)
+        self.data, self.grad, self.m, self.v = (np.empty(n) for _ in range(4))
+        self._scratch = np.empty((2, min(n, self.block)))
+        readonly = self.data.view()
+        readonly.setflags(write=False)
+        self.views, self._grads, self._weights = {}, {}, []
+        lo = 0
+        for key, array in table:
+            hi = lo + array.size
+            self.data[lo:hi] = array.ravel()
+            self.views[key] = readonly[lo:hi].reshape(array.shape)
+            self._grads[key] = self.grad[lo:hi].reshape(array.shape)
+            if key.endswith(".weight"):
+                self._weights.append(slice(lo, hi))
+            lo = hi
+        self.t = 0
+
+    def step(self, grads: dict, config: TrainConfig, decay: float = 0.0) -> None:
+        """One in-place Adam update with bias correction (arXiv:1412.6980).
+
+        m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g (only the second terms
+        on the first step), p -= lr*(m/c1) / (sqrt(v/c2)+eps); then, if decay,
+        every ".weight" array is scaled by 1 - lr*decay.
+        """
+        for key, view in self._grads.items():
+            view[...] = grads[key]
+        self.t += 1
+        b1, b2, lr = config.beta1, config.beta2, config.learning_rate
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for lo in range(0, self.data.size, self.block):
+            hi = min(lo + self.block, self.data.size)
+            p, g, m, v = (a[lo:hi] for a in (self.data, self.grad, self.m, self.v))
+            s1, s2 = self._scratch[:, :hi - lo]
+            if self.t == 1:
+                np.multiply(g, 1.0 - b1, out=m)
+                np.multiply(np.multiply(g, 1.0 - b2, out=v), g, out=v)
+            else:
+                m *= b1
+                m += np.multiply(g, 1.0 - b1, out=s1)
+                v *= b2
+                v += np.multiply(np.multiply(g, 1.0 - b2, out=s1), g, out=s1)
+            np.multiply(np.divide(m, c1, out=s1), lr, out=s1)
+            np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), config.epsilon, out=s2)
+            p -= np.divide(s1, s2, out=s1)
+        if decay:
+            for span in self._weights:
+                self.data[span] *= 1.0 - lr * decay
 
 
 # ---------------------------------------------------------------------------
@@ -500,33 +548,6 @@ def backward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     return grads, report
 
 
-def optimizer_step(params: dict, grads: dict, state: AdamState,
-                   config: TrainConfig, step_count: int) -> tuple:
-    """One adaptive-moment update with bias correction; purely functional.
-
-    Returns (new_params, new_state). step_count starts at 1 for the first
-    update.
-    """
-    require(int(step_count) >= 1, "step_count starts at 1")
-    t = int(step_count)
-    new_params = {}
-    new_state = AdamState(dict(state.m), dict(state.v))
-    correction1 = 1.0 - config.beta1 ** t
-    correction2 = 1.0 - config.beta2 ** t
-    for key in sorted(params):
-        g = grads[key]
-        m = new_state.m.get(key)
-        v = new_state.v.get(key)
-        m = (1.0 - config.beta1) * g if m is None else config.beta1 * m + (1.0 - config.beta1) * g
-        v = (1.0 - config.beta2) * g * g if v is None else config.beta2 * v + (1.0 - config.beta2) * g * g
-        new_state.m[key] = m
-        new_state.v[key] = v
-        step = config.learning_rate * (m / correction1) / (
-            np.sqrt(v / correction2) + config.epsilon)
-        new_params[key] = params[key] - step
-    return new_params, new_state
-
-
 # ---------------------------------------------------------------------------
 # Dataset plumbing shared by the trainers.
 
@@ -538,15 +559,11 @@ def coefficient_targets(model: MorphableModel, samples: list,
     head can reach them; phase II leaves them unclipped to keep the
     code-to-shape relation exactly linear.
     """
-    rows = []
-    for s in samples:
-        t_id = s.ground_truth_coeffs.alpha_id / (TARGET_SCALE * model.sigma_id)
-        t_res = s.ground_truth_coeffs.alpha_exp / (TARGET_SCALE * model.sigma_exp)
-        rows.append(np.concatenate([t_id, t_res]))
-    out = np.array(rows)
-    if clip:
-        out = np.clip(out, -TARGET_CLIP, TARGET_CLIP)
-    return out
+    out = np.array([np.concatenate([
+        s.ground_truth_coeffs.alpha_id / (TARGET_SCALE * model.sigma_id),
+        s.ground_truth_coeffs.alpha_exp / (TARGET_SCALE * model.sigma_exp)])
+        for s in samples])
+    return np.clip(out, -TARGET_CLIP, TARGET_CLIP) if clip else out
 
 
 def training_batch(dataset, indices) -> TrainingBatch:
@@ -599,41 +616,35 @@ def train_phase1(net: EncoderNet, dataset, config: TrainConfig) -> tuple:
 
     def arrays(idx):
         samples = [dataset.samples[int(i)] for i in idx]
-        images = np.array([s.depth_image.ravel() for s in samples])
-        targets = coefficient_targets(model, samples, clip=True)
-        return images, targets
+        return (np.array([s.depth_image.ravel() for s in samples]),
+                coefficient_targets(model, samples, clip=True))
 
     train_images, train_targets = arrays(train_idx)
     val_images, val_targets = arrays(val_idx) if val_idx.size else (None, None)
 
     rng = np.random.default_rng(config.seed)
-    params = encoder_params(net)
-    state = AdamState()
-    step = 0
-    history = []
+    flat = _FlatParams(_param_table(net))
+    (stepping,) = _assemble(net, flat.views, checked=False)
+    # the first step runs on `net` itself: BLAS sums in memory order, and
+    # the caller's arrays need not be C-ordered like the buffer's views
+    current, trained, history = net, net, []
     q_total = net.q_id + net.q_res
     for _ in range(config.epochs):
         order = rng.permutation(train_idx.size)
         for start in range(0, train_idx.size, config.batch_size):
             rows = order[start:start + config.batch_size]
-            images = train_images[rows]
-            targets = train_targets[rows]
-            current = assemble_encoder(net, params)
-            codes, activations = _forward_trace(current, images)
-            grad_codes = (2.0 / (rows.size * q_total)) * (codes - targets)
+            codes, activations = _forward_trace(current, train_images[rows])
+            grad_codes = (2.0 / (rows.size * q_total)) * (codes - train_targets[rows])
             grads = {}
             _encoder_backprop(current, activations, grad_codes, grads)
-            step += 1
-            params, state = optimizer_step(params, grads, state, config, step)
-            shrink = 1.0 - config.learning_rate * PHASE1_WEIGHT_DECAY
-            params = {key: value * shrink if key.endswith(".weight") else value
-                      for key, value in params.items()}
-        current = assemble_encoder(net, params)
-        train_loss = _regression_loss(current, train_images, train_targets)
-        val_loss = (_regression_loss(current, val_images, val_targets)
+            flat.step(grads, config, decay=PHASE1_WEIGHT_DECAY)
+            current = stepping
+        (trained,) = _assemble(net, flat.views)
+        train_loss = _regression_loss(trained, train_images, train_targets)
+        val_loss = (_regression_loss(trained, val_images, val_targets)
                     if val_images is not None else float("nan"))
         history.append((train_loss, val_loss))
-    return assemble_encoder(net, params), history
+    return trained, history
 
 
 # ---------------------------------------------------------------------------
@@ -708,32 +719,25 @@ def train_phase3(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     full = training_batch(dataset, train_idx)
 
     rng = np.random.default_rng(config.seed)
-    params = all_params(net, dec, head)
-    state = AdamState()
-    step = 0
-    trace = []
-    last_good = (net, dec, head)
+    flat = _FlatParams(_param_table(net, dec, head))
+    stepping = _assemble(net, flat.views, checked=False)
+    # as in phase I, the first step runs on the arrays as passed in
+    current, last_good, trace = (net, dec, head), (net, dec, head), []
     try:
         for lam, n_epochs in stages:
             for _ in range(int(n_epochs)):
                 order = rng.permutation(train_idx.size)
                 for start in range(0, train_idx.size, config.batch_size):
-                    rows = train_idx[order[start:start + config.batch_size]]
-                    batch = training_batch(dataset, rows)
-                    current_net = assemble_encoder(net, params)
-                    current_dec = assemble_decoder(params)
-                    current_head = assemble_head(params)
-                    grads, _ = backward(current_net, current_dec, current_head,
-                                        batch, lam)
-                    step += 1
-                    params, state = optimizer_step(params, grads, state, config,
-                                                   step)
-                current_net = assemble_encoder(net, params)
-                current_dec = assemble_decoder(params)
-                current_head = assemble_head(params)
-                trace.append(batch_loss(current_net, current_dec, current_head,
-                                        full, lam))
-                last_good = (current_net, current_dec, current_head)
+                    rows = order[start:start + config.batch_size]
+                    batch = _build(TrainingBatch, False, images=full.images[rows],
+                                   labels=full.labels[rows],
+                                   target_delta=full.target_delta[rows])
+                    grads, _ = backward(*current, batch, lam)
+                    flat.step(grads, config)
+                    current = stepping
+                epoch_end = _assemble(net, flat.views)
+                trace.append(batch_loss(*epoch_end, full, lam))
+                last_good = epoch_end
     except NumericalFailureError as exc:
         exc.last_good = last_good + (trace,)
         raise
@@ -763,35 +767,28 @@ def finite_diff_check(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     grads, _ = backward(net, dec, head, batch, lambda_r)
 
     keys = sorted(params)
-    sizes = np.array([params[k].size for k in keys])
-    total = int(sizes.sum())
+    offsets = np.cumsum([0] + [params[k].size for k in keys])
+    total = int(offsets[-1])
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(total, size=min(int(n_coords), total), replace=False)
-    chosen.sort()
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
+    chosen = np.sort(rng.choice(total, size=min(int(n_coords), total), replace=False))
     grad_scale = max(float(np.max(np.abs(grads[k]))) if grads[k].size else 0.0
                      for k in keys)
     floor = 1e-4 * (1.0 + grad_scale)
 
     def loss_with(key: str, flat_index: int, value: float) -> float:
-        mutated = dict(params)
         array = params[key].copy()
         array.flat[flat_index] = value
-        mutated[key] = array
-        return batch_loss(assemble_encoder(net, mutated), assemble_decoder(mutated),
-                          assemble_head(mutated), batch, lambda_r).total
+        return batch_loss(*_assemble(net, {**params, key: array}), batch,
+                          lambda_r).total
 
     worst = 0.0
     for global_index in chosen:
         slot = int(np.searchsorted(offsets, global_index, side="right") - 1)
-        key = keys[slot]
-        flat = int(global_index - offsets[slot])
+        key, flat = keys[slot], int(global_index - offsets[slot])
         base = float(params[key].flat[flat])
-        up = loss_with(key, flat, base + step)
-        down = loss_with(key, flat, base - step)
-        numeric = (up - down) / (2.0 * step)
+        numeric = (loss_with(key, flat, base + step)
+                   - loss_with(key, flat, base - step)) / (2.0 * step)
         analytic = float(grads[key].flat[flat])
-        err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), floor)
-        worst = max(worst, err)
+        worst = max(worst, abs(numeric - analytic)
+                    / max(abs(numeric), abs(analytic), floor))
     return worst

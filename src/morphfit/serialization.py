@@ -205,6 +205,16 @@ def _invariant(cond: bool, message: str) -> None:
         raise InvariantViolationError(message)
 
 
+def _field(source: dict, name: str, kind: type = np.ndarray):
+    """`source[name]` checked to be a `kind`, with no coercion (a bool is no
+    int); InvariantViolationError naming the field if missing or ill-typed."""
+    _invariant(name in source, f"{name}: missing")
+    value = source[name]
+    _invariant(isinstance(value, kind) and not isinstance(value, bool),
+               f"{name}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _rebuild(builder, what: str):
     # container fields satisfied the constructors when written; a failure on
     # load means the stored state violates an invariant, not a usage error
@@ -233,28 +243,17 @@ def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
     if header.get("kind") != "checkpoint":
         raise CorruptionError(f"container kind '{header.get('kind')}' "
                               "is not a checkpoint")
-    activations = header.get("activations")
-    q_id, q_res = header.get("q_id"), header.get("q_res")
-    _invariant(isinstance(activations, list) and len(activations) >= 1,
-               "activations: missing layer activation list")
-    _invariant(isinstance(q_id, int) and isinstance(q_res, int),
-               "q_id: missing latent head widths")
-    layers = []
-    for i, tag in enumerate(activations):
-        w, b = f"enc.{i}.weight", f"enc.{i}.bias"
-        _invariant(w in arrays and b in arrays, f"{w}: missing encoder layer")
-        layers.append(_rebuild(lambda: Layer(arrays[w], arrays[b], tag), w))
-    for name in ("dec.weight_id", "dec.bias_id", "dec.weight_res",
-                 "dec.bias_res", "head.weight", "head.bias"):
-        _invariant(name in arrays, f"{name}: missing array")
-    encoder = _rebuild(lambda: EncoderNet(tuple(layers), int(q_id), int(q_res)),
-                       "encoder")
-    decoder = _rebuild(lambda: DecoderNet(arrays["dec.weight_id"],
-                                          arrays["dec.bias_id"],
-                                          arrays["dec.weight_res"],
-                                          arrays["dec.bias_res"]), "decoder")
-    head = _rebuild(lambda: ClassifierHead(arrays["head.weight"],
-                                           arrays["head.bias"]), "head")
+    activations = _field(header, "activations", list)
+    _invariant(len(activations) >= 1, "activations: no encoder layers")
+    q_id, q_res = _field(header, "q_id", int), _field(header, "q_res", int)
+    layers = [_rebuild(lambda: Layer(_field(arrays, f"enc.{i}.weight"),
+                                     _field(arrays, f"enc.{i}.bias"), tag),
+                       f"enc.{i}.weight") for i, tag in enumerate(activations)]
+    encoder = _rebuild(lambda: EncoderNet(tuple(layers), q_id, q_res), "encoder")
+    decoder = _rebuild(lambda: DecoderNet(*(_field(arrays, f"dec.{name}") for name in (
+        "weight_id", "bias_id", "weight_res", "bias_res"))), "decoder")
+    head = _rebuild(lambda: ClassifierHead(_field(arrays, "head.weight"),
+                                           _field(arrays, "head.bias")), "head")
     _invariant(decoder.q_id == encoder.q_id,
                f"dec.weight_id: decoder identity width {decoder.q_id} does "
                f"not match encoder q_id {encoder.q_id}")
@@ -265,8 +264,7 @@ def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
                f"head.weight: classifier width {head.q_id} does not match "
                f"encoder q_id {encoder.q_id}")
     from .config import parse_config  # resolve text fields into a RunConfig
-    stored = header.get("config")
-    _invariant(isinstance(stored, dict), "config: missing run configuration")
+    stored = _field(header, "config", dict)
     config_text = "\n".join(f"{k} = {v}" for k, v in sorted(stored.items()))
     config = parse_config(config_text)
     return encoder, decoder, head, config
@@ -326,26 +324,27 @@ def load_dataset(path: str) -> Dataset:
         stored = header["spec"]
         ranges = PoseRanges(**{k: tuple(v)
                                for k, v in stored["pose_ranges"].items()})
-        spec = DatasetSpec(n_subjects=int(stored["n_subjects"]),
-                           images_per_subject=int(stored["images_per_subject"]),
+        spec = DatasetSpec(n_subjects=_field(stored, "n_subjects", int),
+                           images_per_subject=_field(stored, "images_per_subject",
+                                                     int),
                            landmark_noise_sigma=float(
                                stored["landmark_noise_sigma"]),
                            pose_ranges=ranges,
-                           image_resolution=int(stored["image_resolution"]),
-                           seed=int(stored["seed"]))
+                           image_resolution=_field(stored, "image_resolution", int),
+                           seed=_field(stored, "seed", int))
     except (KeyError, TypeError) as exc:
         raise CorruptionError(f"malformed dataset spec: {exc}") from exc
 
     model = _rebuild(lambda: MorphableModel(
-        mean=Shape(arrays["model.mean"]),
-        basis_id=arrays["model.basis_id"],
-        basis_exp=arrays["model.basis_exp"],
-        sigma_id=arrays["model.sigma_id"],
-        sigma_exp=arrays["model.sigma_exp"],
-        landmark_indices=arrays["model.landmark_indices"],
-        nose_tip_index=int(header.get("nose_tip_index", -1))), "model")
+        mean=Shape(_field(arrays, "model.mean")),
+        basis_id=_field(arrays, "model.basis_id"),
+        basis_exp=_field(arrays, "model.basis_exp"),
+        sigma_id=_field(arrays, "model.sigma_id"),
+        sigma_exp=_field(arrays, "model.sigma_exp"),
+        landmark_indices=_field(arrays, "model.landmark_indices"),
+        nose_tip_index=_field(header, "nose_tip_index", int)), "model")
 
-    n = int(header.get("n_samples", 0))
+    n = _field(header, "n_samples", int)
     for name in ("labels", "alpha_id", "alpha_exp", "pose.scale",
                  "pose.rotation", "pose.translation", "landmarks", "depth"):
         _invariant(name in arrays and arrays[name].shape[0] == n,

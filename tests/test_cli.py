@@ -261,6 +261,22 @@ class TestUsageErrors:
         assert err.startswith("error: CorruptionError:")
         assert err.count("\n") == 1
 
+    def test_ill_typed_dataset_field_is_single_error_line(self, pipeline,
+                                                           tmp_path):
+        from test_io import reencode
+
+        def edit(header):
+            header["nose_tip_index"] = 1.5
+        bad = tmp_path / "typed.mfd"
+        bad.write_bytes(reencode(open(pipeline["dataset"], "rb").read(), edit))
+        code, _, err = run_cli([
+            "eval", "--data", str(bad), "--checkpoint",
+            os.path.join(pipeline["train_dir"], "phase3.ckpt"),
+            *TINY_OVERRIDES, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert err.startswith("error: InvariantViolationError: nose_tip_index:")
+        assert err.count("\n") == 1
+
     def test_help_exits_zero(self):
         code, out, _ = run_cli(["--help"])
         assert code == 0

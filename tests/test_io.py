@@ -54,6 +54,18 @@ def payload_offset(data: bytes, name: str) -> int:
     raise KeyError(name)
 
 
+def drop_array(data: bytes, name: str) -> bytes:
+    """The container without array `name`: header entry and payload bytes."""
+    offset = payload_offset(data, name)
+    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+    start = len(MAGIC) + 8
+    header = json.loads(data[start:start + header_len].decode("utf-8"))
+    entry = next(e for e in header["arrays"] if e["name"] == name)
+    nbytes = 8 * (int(np.prod(entry["shape"])) if entry["shape"] else 1)
+    return reencode(data[:offset] + data[offset + nbytes:],
+                    lambda h: h["arrays"].remove(entry))
+
+
 def craft(header: dict, payload: bytes = b"") -> bytes:
     blob = json.dumps(header, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
@@ -452,6 +464,37 @@ class TestDatasetContainer:
         tampered = tmp_path / "count.mfd"
         tampered.write_bytes(reencode(open(path, "rb").read(), edit))
         with pytest.raises(InvariantViolationError, match="leading dimension"):
+            load_dataset(str(tampered))
+
+    @pytest.mark.parametrize("field, value", [
+        ("nose_tip_index", 1.5),
+        ("nose_tip_index", True),
+        ("n_samples", "6"),
+        ("n_samples", None),
+        ("n_subjects", 2.0),
+    ])
+    def test_ill_typed_meta_field_is_invariant_violation(self, tiny_dataset,
+                                                        tmp_path, field, value):
+        # no silent coercion: 1.5 used to load as 1 and "6" as 6, and None
+        # escaped as a raw TypeError
+        path = str(tmp_path / "data.mfd")
+        save_dataset(tiny_dataset, path)
+
+        def edit(header):
+            (header["spec"] if field == "n_subjects" else header)[field] = value
+        tampered = tmp_path / "typed.mfd"
+        tampered.write_bytes(reencode(open(path, "rb").read(), edit))
+        with pytest.raises(InvariantViolationError, match=field):
+            load_dataset(str(tampered))
+
+    @pytest.mark.parametrize("name", ["model.mean", "model.sigma_id"])
+    def test_missing_model_array_is_invariant_violation(self, tiny_dataset,
+                                                        tmp_path, name):
+        path = str(tmp_path / "data.mfd")
+        save_dataset(tiny_dataset, path)
+        tampered = tmp_path / "dropped.mfd"
+        tampered.write_bytes(drop_array(open(path, "rb").read(), name))
+        with pytest.raises(InvariantViolationError, match=f"{name}: missing"):
             load_dataset(str(tampered))
 
     def test_tampered_pose_scale_names_sample(self, tiny_dataset, tmp_path):

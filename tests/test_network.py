@@ -1,16 +1,23 @@
 """Tests for the encoder/decoder stack, exact gradients, and the trainers."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from morphfit import network
 from morphfit.errors import (
     InvalidArgumentError,
     NumericalFailureError,
     UnderdeterminedError,
+    require,
 )
 from morphfit.network import (
     DEFAULT_PHASE3_STAGES,
-    AdamState,
+    PHASE1_WEIGHT_DECAY,
     ClassifierHead,
     DecoderNet,
     EncoderNet,
@@ -30,7 +37,6 @@ from morphfit.network import (
     init_encoder,
     init_head,
     joint_loss,
-    optimizer_step,
     train_phase1,
     train_phase2,
     train_phase3,
@@ -89,6 +95,138 @@ def ident_oracle(head: ClassifierHead, c_id: np.ndarray, label: int) -> float:
 
 def one_sample_batch(image_dim: int, label: int, target: np.ndarray) -> TrainingBatch:
     return TrainingBatch(np.zeros((1, image_dim)), np.array([label]), target[None, :])
+
+
+# Slow oracles for the flat in-place Adam update and the trainers built on
+# it: the dict-based update and the per-step re-assembled training loops it
+# replaced, kept verbatim.
+@dataclass
+class AdamState:
+    """First/second moment accumulators keyed like the parameter dict."""
+
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def optimizer_step(params: dict, grads: dict, state: AdamState,
+                   config: TrainConfig, step_count: int) -> tuple:
+    """One adaptive-moment update with bias correction; purely functional.
+
+    Returns (new_params, new_state). step_count starts at 1 for the first
+    update.
+    """
+    require(int(step_count) >= 1, "step_count starts at 1")
+    t = int(step_count)
+    new_params = {}
+    new_state = AdamState(dict(state.m), dict(state.v))
+    correction1 = 1.0 - config.beta1 ** t
+    correction2 = 1.0 - config.beta2 ** t
+    for key in sorted(params):
+        g = grads[key]
+        m = new_state.m.get(key)
+        v = new_state.v.get(key)
+        m = (1.0 - config.beta1) * g if m is None else config.beta1 * m + (1.0 - config.beta1) * g
+        v = (1.0 - config.beta2) * g * g if v is None else config.beta2 * v + (1.0 - config.beta2) * g * g
+        new_state.m[key] = m
+        new_state.v[key] = v
+        step = config.learning_rate * (m / correction1) / (
+            np.sqrt(v / correction2) + config.epsilon)
+        new_params[key] = params[key] - step
+    return new_params, new_state
+
+
+def decay_oracle(params: dict, config: TrainConfig) -> dict:
+    shrink = 1.0 - config.learning_rate * PHASE1_WEIGHT_DECAY
+    return {key: value * shrink if key.endswith(".weight") else value
+            for key, value in params.items()}
+
+
+def encoder_params(net: EncoderNet) -> dict:
+    return {f"enc.{i}.{name}": getattr(layer, name)
+            for i, layer in enumerate(net.layers) for name in ("weight", "bias")}
+
+
+def assemble_encoder(template: EncoderNet, params: dict) -> EncoderNet:
+    layers = tuple(Layer(params[f"enc.{i}.weight"], params[f"enc.{i}.bias"],
+                         layer.activation)
+                   for i, layer in enumerate(template.layers))
+    return EncoderNet(layers, template.q_id, template.q_res)
+
+
+def assemble_decoder(params: dict) -> DecoderNet:
+    return DecoderNet(params["dec.weight_id"], params["dec.bias_id"],
+                      params["dec.weight_res"], params["dec.bias_res"])
+
+
+def assemble_head(params: dict) -> ClassifierHead:
+    return ClassifierHead(params["head.weight"], params["head.bias"])
+
+
+def phase1_oracle(net: EncoderNet, dataset, config: TrainConfig) -> tuple:
+    train_idx = np.asarray(dataset.train_indices, dtype=np.int64)
+    val_idx = np.asarray(dataset.val_indices, dtype=np.int64)
+
+    def arrays(idx):
+        samples = [dataset.samples[int(i)] for i in idx]
+        return (np.array([s.depth_image.ravel() for s in samples]),
+                coefficient_targets(dataset.model, samples, clip=True))
+
+    train_images, train_targets = arrays(train_idx)
+    val_images, val_targets = arrays(val_idx)
+    rng = np.random.default_rng(config.seed)
+    params, state, step, history = encoder_params(net), AdamState(), 0, []
+    q_total = net.q_id + net.q_res
+    for _ in range(config.epochs):
+        order = rng.permutation(train_idx.size)
+        for start in range(0, train_idx.size, config.batch_size):
+            rows = order[start:start + config.batch_size]
+            current = assemble_encoder(net, params)
+            codes, activations = network._forward_trace(current, train_images[rows])
+            grad_codes = (2.0 / (rows.size * q_total)) * (codes - train_targets[rows])
+            grads = {}
+            network._encoder_backprop(current, activations, grad_codes, grads)
+            step += 1
+            params, state = optimizer_step(params, grads, state, config, step)
+            params = decay_oracle(params, config)
+        current = assemble_encoder(net, params)
+        history.append((network._regression_loss(current, train_images, train_targets),
+                        network._regression_loss(current, val_images, val_targets)))
+    return assemble_encoder(net, params), history
+
+
+def phase3_oracle(net, dec, head, dataset, config: TrainConfig, stages) -> tuple:
+    train_idx = np.asarray(dataset.train_indices, dtype=np.int64)
+    full = training_batch(dataset, train_idx)
+    rng = np.random.default_rng(config.seed)
+    params, state, step, trace = all_params(net, dec, head), AdamState(), 0, []
+    for lam, n_epochs in stages:
+        for _ in range(n_epochs):
+            order = rng.permutation(train_idx.size)
+            for start in range(0, train_idx.size, config.batch_size):
+                batch = training_batch(
+                    dataset, train_idx[order[start:start + config.batch_size]])
+                grads, _ = backward(assemble_encoder(net, params),
+                                    assemble_decoder(params),
+                                    assemble_head(params), batch, lam)
+                step += 1
+                params, state = optimizer_step(params, grads, state, config, step)
+            trace.append(batch_loss(assemble_encoder(net, params),
+                                    assemble_decoder(params),
+                                    assemble_head(params), full, lam))
+    return (assemble_encoder(net, params), assemble_decoder(params),
+            assemble_head(params), trace)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bit patterns (so -0.0 differs from 0.0)."""
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a, dtype=np.float64).view(np.uint64),
+        np.ascontiguousarray(b, dtype=np.float64).view(np.uint64))
+
+
+def network_arrays(*parts) -> list:
+    """Every parameter array of an (encoder, decoder, head) prefix."""
+    return list(dict(network._param_table(*parts)).values())
 
 
 # ---------------------------------------------------------------------------
@@ -390,35 +528,35 @@ class TestBackward:
 
 
 class TestOptimizerStep:
+    """The flat in-place Adam update (`_FlatParams.step`)."""
+
     def test_zero_gradient_leaves_params(self):
-        params = {"w": np.array([1.0, -2.0, 3.0])}
-        grads = {"w": np.zeros(3)}
-        new_params, _ = optimizer_step(params, grads, AdamState(),
-                                       TrainConfig(), step_count=1)
-        assert np.array_equal(new_params["w"], params["w"])
+        flat = network._FlatParams([("w", np.array([1.0, -2.0, 3.0]))])
+        flat.step({"w": np.zeros(3)}, TrainConfig())
+        assert np.array_equal(flat.views["w"], [1.0, -2.0, 3.0])
 
     def test_first_step_closed_form(self):
         config = TrainConfig(learning_rate=0.01)
         g = np.array([0.3, -0.7, 1e-12])
-        params = {"w": np.array([1.0, 2.0, 3.0])}
-        new_params, state = optimizer_step(params, {"w": g}, AdamState(),
-                                           config, step_count=1)
-        expected = params["w"] - config.learning_rate * g / (np.abs(g) + config.epsilon)
-        assert np.max(np.abs(new_params["w"] - expected)) < 1e-15
-        assert np.array_equal(state.m["w"], (1.0 - config.beta1) * g)
-        assert np.array_equal(state.v["w"], (1.0 - config.beta2) * g * g)
+        w = np.array([1.0, 2.0, 3.0])
+        flat = network._FlatParams([("w", w)])
+        flat.step({"w": g}, config)
+        expected = w - config.learning_rate * g / (np.abs(g) + config.epsilon)
+        assert np.max(np.abs(flat.views["w"] - expected)) < 1e-15
+        assert np.array_equal(flat.m, (1.0 - config.beta1) * g)
+        assert np.array_equal(flat.v, (1.0 - config.beta2) * g * g)
 
     def test_multi_step_matches_reference_loop(self):
         config = TrainConfig(learning_rate=0.005)
         rng = np.random.default_rng(17)
         params = {"a": rng.normal(size=4), "b": rng.normal(size=(2, 3))}
+        flat = network._FlatParams(list(params.items()))
         reference = {k: v.copy() for k, v in params.items()}
         m = {k: np.zeros_like(v) for k, v in params.items()}
         v = {k: np.zeros_like(val) for k, val in params.items()}
-        state = AdamState()
         for t in range(1, 4):
             grads = {k: rng.normal(size=val.shape) for k, val in params.items()}
-            params, state = optimizer_step(params, grads, state, config, t)
+            flat.step(grads, config)
             for k in reference:
                 m[k] = config.beta1 * m[k] + (1 - config.beta1) * grads[k]
                 v[k] = config.beta2 * v[k] + (1 - config.beta2) * grads[k] ** 2
@@ -427,17 +565,79 @@ class TestOptimizerStep:
                 reference[k] -= config.learning_rate * m_hat / (np.sqrt(v_hat)
                                                                 + config.epsilon)
         for k in reference:
-            assert np.max(np.abs(params[k] - reference[k])) < 1e-15
+            assert np.max(np.abs(flat.views[k] - reference[k])) < 1e-15
 
     def test_input_state_not_mutated(self):
-        state = AdamState()
-        optimizer_step({"w": np.ones(2)}, {"w": np.ones(2)}, state,
-                       TrainConfig(), 1)
-        assert state.m == {} and state.v == {}
+        # the buffer copies its inputs, and a step writes neither the
+        # arrays it was built from nor the gradients
+        w, g = np.ones(2), np.ones(2)
+        flat = network._FlatParams([("w", w)])
+        flat.step({"w": g}, TrainConfig())
+        assert np.array_equal(w, np.ones(2)) and np.array_equal(g, np.ones(2))
+        assert not np.shares_memory(flat.data, w)
+        assert not flat.views["w"].flags.writeable
 
     def test_step_count_validated(self):
+        # bias correction counts steps from 1, as the oracle requires
         with pytest.raises(InvalidArgumentError):
             optimizer_step({}, {}, AdamState(), TrainConfig(), 0)
+        flat = network._FlatParams([("w", np.array([0.5, -1.5]))])
+        assert flat.t == 0
+        g = {"w": np.array([0.2, 0.4])}
+        flat.step(g, TrainConfig())
+        assert flat.t == 1
+        want, _ = optimizer_step({"w": np.array([0.5, -1.5])}, g, AdamState(),
+                                 TrainConfig(), 1)
+        assert same_bits(flat.views["w"], want["w"])
+
+    def test_blocks_span_array_boundaries(self):
+        # arrays larger than a block and blocks straddling two arrays
+        rng = np.random.default_rng(23)
+        params = {"enc.0.weight": rng.normal(size=(300, 150)),
+                  "enc.0.bias": rng.normal(size=300),
+                  "head.weight": rng.normal(size=(7, 9))}
+        config = TrainConfig(learning_rate=0.01)
+        flat = network._FlatParams(list(params.items()))
+        assert flat.data.size > 1.3 * flat.block
+        state = AdamState()
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=a.shape) for k, a in params.items()}
+            flat.step(grads, config, decay=PHASE1_WEIGHT_DECAY)
+            params, state = optimizer_step(params, grads, state, config, t)
+            params = decay_oracle(params, config)
+        for key, value in params.items():
+            assert same_bits(flat.views[key], value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_dict_oracle(self, data):
+        elements = st.one_of(st.sampled_from([0.0, -0.0]),
+                             st.floats(-100.0, 100.0))
+        names = data.draw(st.lists(st.sampled_from(
+            ["enc.0.weight", "enc.0.bias", "dec.weight_id", "head.weight"]),
+            min_size=1, max_size=4, unique=True))
+        shapes = {k: data.draw(array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                            max_side=5)) for k in names}
+        params = {k: data.draw(arrays(np.float64, shapes[k], elements=elements))
+                  for k in names}
+        config = TrainConfig(
+            learning_rate=data.draw(st.floats(1e-4, 1.0)),
+            beta1=data.draw(st.floats(0.0, 0.99)),
+            beta2=data.draw(st.floats(0.0, 0.999)),
+            epsilon=data.draw(st.sampled_from([1e-8, 1e-3])))
+        decay = data.draw(st.sampled_from([0.0, PHASE1_WEIGHT_DECAY]))
+        flat = network._FlatParams(list(params.items()))
+        flat.block = data.draw(st.integers(1, 8))
+        state = AdamState()
+        for t in range(1, data.draw(st.integers(1, 6)) + 1):
+            grads = {k: data.draw(arrays(np.float64, shapes[k], elements=elements))
+                     for k in names}
+            flat.step(grads, config, decay=decay)
+            params, state = optimizer_step(params, grads, state, config, t)
+            if decay:
+                params = decay_oracle(params, config)
+        for key in names:
+            assert same_bits(flat.views[key], params[key])
 
 
 class TestFiniteDiffCheck:
@@ -688,3 +888,121 @@ class TestTrainPhase3:
         with pytest.raises(InvalidArgumentError):
             train_phase3(encoder, dec, head, default_dataset, TrainConfig(),
                          stages=((-0.5, 2),))
+
+
+@pytest.fixture(scope="module")
+def phase3_inputs(quick_phase1, default_dataset):
+    """Phase I encoder, phase II decoder (Fortran-ordered weights, as lstsq
+    gives them) and a class-mean head: the joint phase's usual inputs."""
+    _, encoder, _ = quick_phase1
+    dec = train_phase2(init_decoder(1800, 20, 8, seed=1), default_dataset, seed=3)
+    images = np.array([default_dataset.samples[int(i)].depth_image.ravel()
+                       for i in default_dataset.train_indices])
+    labels = np.array([default_dataset.samples[int(i)].subject_label
+                       for i in default_dataset.train_indices])
+    head = head_from_class_means(encode_images(encoder, images)[0], labels, 15)
+    return encoder, dec, head
+
+
+SHORT_STAGES = ((0.5, 1), (1.0, 1))
+
+
+class TestTrainingLoopOracle:
+    """The flat-buffer trainers against the per-step re-assembled dict loops."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_phase1_bitwise_equal(self, default_dataset, order):
+        net = init_encoder(1024, 20, 8, hidden=(32,), seed=4)
+        if order == "F":
+            net = EncoderNet(tuple(Layer(np.asfortranarray(layer.weight),
+                                         layer.bias, layer.activation)
+                                   for layer in net.layers), 20, 8)
+        config = TrainConfig(epochs=2, seed=11)
+        encoder, history = train_phase1(net, default_dataset, config)
+        want_encoder, want_history = phase1_oracle(net, default_dataset, config)
+        assert history == want_history
+        for got, want in zip(network_arrays(encoder), network_arrays(want_encoder)):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("contiguous", [False, True])
+    def test_phase3_bitwise_equal(self, phase3_inputs, default_dataset,
+                                  contiguous):
+        encoder, dec, head = phase3_inputs
+        # phase II's decoder reaches phase III Fortran-ordered, and the first
+        # step's BLAS sums depend on that order
+        assert not dec.weight_id.flags.c_contiguous
+        if contiguous:
+            dec = DecoderNet(np.ascontiguousarray(dec.weight_id), dec.bias_id,
+                             np.ascontiguousarray(dec.weight_res), dec.bias_res)
+        config = TrainConfig(learning_rate=2e-4, seed=0)
+        got = train_phase3(encoder, dec, head, default_dataset, config,
+                           stages=SHORT_STAGES)
+        want = phase3_oracle(encoder, dec, head, default_dataset, config,
+                             SHORT_STAGES)
+        assert got[3] == want[3]
+        for a, b in zip(network_arrays(*got[:3]), network_arrays(*want[:3])):
+            assert same_bits(a, b)
+
+
+class TestTrainedNetworksOwnTheirMemory:
+    def check_owned(self, arrays: list, others: list) -> None:
+        for i, a in enumerate(arrays):
+            assert a.flags.owndata and not a.flags.writeable
+            for b in arrays[i + 1:] + others:
+                assert not np.shares_memory(a, b)
+
+    def test_phase1(self, default_dataset):
+        net = init_encoder(1024, 20, 8, hidden=(16,), seed=2)
+        config = TrainConfig(epochs=1, seed=3)
+        encoder, _ = train_phase1(net, default_dataset, config)
+        first = network_arrays(encoder)
+        saved = [a.copy() for a in first]
+        further, _ = train_phase1(encoder, default_dataset, config)
+        second, _ = train_phase1(net, default_dataset, config)
+        self.check_owned(first, network_arrays(second) + network_arrays(further)
+                         + network_arrays(net))
+        assert all(same_bits(a, b) for a, b in zip(first, saved))
+
+    def test_phase3(self, phase3_inputs, default_dataset):
+        config = TrainConfig(learning_rate=2e-4, seed=0)
+        run = train_phase3(*phase3_inputs, default_dataset, config,
+                           stages=((0.5, 1),))
+        first = network_arrays(*run[:3])
+        saved = [a.copy() for a in first]
+        further = train_phase3(*run[:3], default_dataset, config,
+                               stages=((0.5, 1),))
+        second = train_phase3(*phase3_inputs, default_dataset, config,
+                              stages=((0.5, 1),))
+        self.check_owned(first, network_arrays(*second[:3])
+                         + network_arrays(*further[:3])
+                         + network_arrays(*phase3_inputs))
+        assert all(same_bits(a, b) for a, b in zip(first, saved))
+
+    def test_last_good_after_a_failure(self, phase3_inputs, default_dataset,
+                                       monkeypatch):
+        # fail on the second step of the second epoch: last_good must hold
+        # the first epoch's state, untouched by the steps taken since
+        config = TrainConfig(learning_rate=2e-4, seed=0)
+        one_epoch = train_phase3(*phase3_inputs, default_dataset, config,
+                                 stages=((0.5, 1),))
+        steps_per_epoch = -(-len(default_dataset.train_indices) // config.batch_size)
+        calls = []
+        real_backward = network.backward
+
+        def failing_backward(*args):
+            calls.append(None)
+            if len(calls) == steps_per_epoch + 2:
+                raise NumericalFailureError("injected")
+            return real_backward(*args)
+
+        monkeypatch.setattr(network, "backward", failing_backward)
+        with pytest.raises(NumericalFailureError) as exc_info:
+            train_phase3(*phase3_inputs, default_dataset, config,
+                         stages=((0.5, 3),))
+        last_good = exc_info.value.last_good
+        assert last_good[3] == one_epoch[3]
+        arrays = network_arrays(*last_good[:3])
+        self.check_owned(arrays, network_arrays(*one_epoch[:3])
+                         + network_arrays(*phase3_inputs))
+        for a, b in zip(arrays, network_arrays(*one_epoch[:3])):
+            assert same_bits(a, b)
