@@ -21,7 +21,7 @@ from .evaluation import (disentangling_report, evaluate_reconstruction,
                          rank_n_identification, verification_pairs,
                          verification_report)
 from .fitting import multi_image_fit
-from .geometry import CoeffPair, Shape, compose_shape
+from .geometry import CoeffPair, LandmarkSet2D, Shape, compose_shape
 from .serialization import (_atomic_write, load_checkpoint, load_dataset,
                             save_checkpoint, save_dataset, write_obj,
                             write_report_csv, write_table_csv)
@@ -101,7 +101,7 @@ def _cmd_gen_data(args) -> int:
     model = generate_model(config.model_spec())
     dataset = build_dataset(model, config.dataset_spec())
     save_dataset(dataset, os.path.join(config.output_dir, "dataset.mfd"))
-    print(f"wrote {len(dataset.samples)} samples to "
+    print(f"wrote {dataset.labels.size} samples to "
           f"{os.path.join(config.output_dir, 'dataset.mfd')}")
     return 0
 
@@ -110,11 +110,10 @@ def _cmd_fit(args) -> int:
     config = _effective_config(args)
     _echo_config(config)
     dataset = load_dataset(args.data)
-    rows = [i for i, s in enumerate(dataset.samples)
-            if s.subject_label == args.subject]
-    if not rows:
+    rows = dataset.labels == args.subject
+    if not rows.any():
         raise MorphfitError(f"subject {args.subject} not present in dataset")
-    landmark_sets = [dataset.samples[i].landmarks for i in rows]
+    landmark_sets = list(map(LandmarkSet2D, dataset.landmarks[rows]))
     result = multi_image_fit(dataset.model, landmark_sets, config.fit_config())
 
     out = config.output_dir
@@ -136,27 +135,27 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _init_networks(config: RunConfig, dataset) -> tuple:
+    """Seeded initial encoder, decoder and head sized for the dataset."""
+    model = dataset.model
+    return (nw.init_encoder(dataset.spec.image_resolution ** 2, model.k_id,
+                            model.k_exp, seed=config.seed),
+            nw.init_decoder(model.mean.coords.size, model.k_id, model.k_exp,
+                            seed=config.seed + 1),
+            nw.init_head(dataset.n_train_subjects, model.k_id,
+                         seed=config.seed + 2))
+
+
 def _train_pipeline(config: RunConfig, dataset):
     """Phases I-III with stage seeds derived from the master seed."""
-    model = dataset.model
-    image_dim = dataset.spec.image_resolution ** 2
-    encoder = nw.init_encoder(image_dim, model.k_id, model.k_exp,
-                              seed=config.seed)
-    decoder = nw.init_decoder(model.mean.coords.size, model.k_id, model.k_exp,
-                              seed=config.seed + 1)
-    head = nw.init_head(dataset.n_train_subjects, model.k_id,
-                        seed=config.seed + 2)
-
+    encoder, decoder, head = _init_networks(config, dataset)
     enc1, history = nw.train_phase1(encoder, dataset, config.train_config("I"))
     dec2 = nw.train_phase2(decoder, dataset, n_pairs=config.phase2_pairs,
                            seed=config.seed + 3)
 
-    train_images = np.array([dataset.samples[int(i)].depth_image.ravel()
-                             for i in dataset.train_indices])
-    train_labels = np.array([dataset.samples[int(i)].subject_label
-                             for i in dataset.train_indices])
-    codes, _ = nw.encode_images(enc1, train_images)
-    warm_head = nw.head_from_class_means(codes, train_labels,
+    codes, _ = nw.encode_images(enc1, dataset.images(dataset.train_indices))
+    warm_head = nw.head_from_class_means(codes,
+                                         dataset.labels[dataset.train_indices],
                                          dataset.n_train_subjects,
                                          scale=config.head_scale)
     enc3, dec3, head3, trace = nw.train_phase3(enc1, dec2, warm_head, dataset,
@@ -199,40 +198,35 @@ def _cmd_eval(args) -> int:
     out = config.output_dir
 
     rows = dataset.test_indices
-    images = np.array([dataset.samples[int(i)].depth_image.ravel()
-                       for i in rows])
-    labels = np.array([dataset.samples[int(i)].subject_label for i in rows])
+    images = dataset.images(rows)
+    labels = dataset.labels[rows]
     c_id, c_res = nw.encode_images(encoder, images)
 
     # verification over all held-out pairs; gallery = first image per subject
     pairs = verification_pairs(c_id, labels)
-    gallery_rows = [int(np.flatnonzero(labels == s)[0])
-                    for s in np.unique(labels)]
-    probe_rows = [i for i in range(len(labels)) if i not in gallery_rows]
-    rank1 = rank_n_identification(c_id[gallery_rows], labels[gallery_rows],
-                                  c_id[probe_rows], labels[probe_rows], 1)
-    rank5 = rank_n_identification(c_id[gallery_rows], labels[gallery_rows],
-                                  c_id[probe_rows], labels[probe_rows], 5)
+    _, gallery_rows = np.unique(labels, return_index=True)
+    probe_rows = np.setdiff1d(np.arange(labels.size), gallery_rows)
+    rank1, rank5 = (rank_n_identification(c_id[gallery_rows], labels[gallery_rows],
+                                          c_id[probe_rows], labels[probe_rows], n)
+                    for n in (1, 5))
     report = verification_report(pairs, n_folds=config.n_folds,
                                  rank1=rank1, rank5=rank5)
     write_report_csv(report, os.path.join(out, "verification.csv"))
 
-    def reconstructions(enc, dec):
-        deltas = nw.decode(dec, *nw.encode_images(enc, images))
-        return [Shape(model.mean.coords + d) for d in deltas]
+    truths = list(map(Shape, dataset.ground_truth_shapes(rows)))
 
-    truths = [dataset.samples[int(i)].ground_truth_shape for i in rows]
-    recon = evaluate_reconstruction(reconstructions(encoder, decoder), truths,
-                                    model.landmark_indices,
-                                    model.nose_tip_index, config.crop_radius)
+    def reconstruction(enc, dec):
+        deltas = nw.decode(dec, *nw.encode_images(enc, images))
+        return evaluate_reconstruction([Shape(model.mean.coords + d) for d in deltas],
+                                       truths, model.landmark_indices,
+                                       model.nose_tip_index, config.crop_radius)
+
+    recon = reconstruction(encoder, decoder)
     write_report_csv(recon, os.path.join(out, "reconstruction.csv"))
     if args.baseline:
         enc2, dec2, _h2, _c2 = load_checkpoint(args.baseline)
-        base = evaluate_reconstruction(reconstructions(enc2, dec2), truths,
-                                       model.landmark_indices,
-                                       model.nose_tip_index,
-                                       config.crop_radius)
-        write_report_csv(base, os.path.join(out, "reconstruction_baseline.csv"))
+        write_report_csv(reconstruction(enc2, dec2),
+                         os.path.join(out, "reconstruction_baseline.csv"))
 
     write_report_csv(disentangling_report(encoder, dataset),
                      os.path.join(out, "disentangling.csv"))
@@ -264,12 +258,7 @@ def _cmd_check_grad(args) -> int:
     config = _effective_config(args)
     model = generate_model(config.model_spec())
     dataset = build_dataset(model, config.dataset_spec())
-    encoder = nw.init_encoder(dataset.spec.image_resolution ** 2, model.k_id,
-                              model.k_exp, seed=config.seed)
-    decoder = nw.init_decoder(model.mean.coords.size, model.k_id, model.k_exp,
-                              seed=config.seed + 1)
-    head = nw.init_head(dataset.n_train_subjects, model.k_id,
-                        seed=config.seed + 2)
+    encoder, decoder, head = _init_networks(config, dataset)
     batch = nw.training_batch(dataset,
                               dataset.train_indices[:config.batch_size])
     error = nw.finite_diff_check(encoder, decoder, head, batch,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from .errors import InvalidArgumentError, ParseError
 from .fitting import FitConfig
 from .network import TrainConfig
-from .synthetic import DatasetSpec, PoseRanges, SyntheticModelSpec
+from .synthetic import POSE_PARAMS, DatasetSpec, PoseRanges, SyntheticModelSpec
 
 # Bump when a field is added, removed or reinterpreted.
 CONFIG_VERSION = 1
@@ -82,13 +82,9 @@ class RunConfig:
                                   seed=self.seed)
 
     def dataset_spec(self) -> DatasetSpec:
-        ranges = PoseRanges(yaw=(self.yaw_lo, self.yaw_hi),
-                            pitch=(self.pitch_lo, self.pitch_hi),
-                            roll=(self.roll_lo, self.roll_hi),
-                            scale=(self.scale_lo, self.scale_hi),
-                            tx=(self.tx_lo, self.tx_hi),
-                            ty=(self.ty_lo, self.ty_hi),
-                            tz=(self.tz_lo, self.tz_hi))
+        ranges = PoseRanges(**{name: (getattr(self, f"{name}_lo"),
+                                      getattr(self, f"{name}_hi"))
+                               for name in POSE_PARAMS})
         return DatasetSpec(n_subjects=self.n_subjects,
                            images_per_subject=self.images_per_subject,
                            landmark_noise_sigma=self.landmark_noise_sigma,

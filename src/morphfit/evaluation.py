@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require
-from .geometry import (MorphableModel, Shape, apply_transform, crop_indices,
-                       procrustes_align, rmse, select_landmarks)
+from .geometry import (CoeffPair, MorphableModel, PoseParams, Shape,
+                       apply_transform, crop_indices, procrustes_align, rmse,
+                       select_landmarks)
 
 
 @dataclass(frozen=True)
@@ -331,8 +332,8 @@ def _cosine_distance_matrix(codes: np.ndarray) -> np.ndarray:
 def disentangling_report(encoder, dataset) -> DisentanglingReport:
     """Measure identity/residual code separation on the evaluation split.
 
-    Uses the held-out subjects when the dataset has them, the whole sample
-    list otherwise. Expression-only pairs are built by re-rendering each
+    Uses the held-out subjects when the dataset has them, every row
+    otherwise. Expression-only pairs are built by re-rendering each
     evaluated sample with a freshly drawn residual coefficient vector at the
     identical pose, so the displacement ratio isolates the expression factor;
     the perturbation draws are seeded from the dataset seed.
@@ -343,7 +344,6 @@ def disentangling_report(encoder, dataset) -> DisentanglingReport:
     """
     from .network import EncoderNet, encode_images  # local import, avoids a cycle
     from .synthetic import dilate_max, rasterize_depth
-    from .geometry import CoeffPair
 
     if isinstance(encoder, EncoderNet):
         def embed(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,14 +354,13 @@ def disentangling_report(encoder, dataset) -> DisentanglingReport:
 
     model: MorphableModel = dataset.model
     rows = (dataset.test_indices if len(dataset.test_indices)
-            else np.arange(len(dataset.samples)))
-    samples = [dataset.samples[int(i)] for i in rows]
-    labels = np.array([s.subject_label for s in samples])
+            else np.arange(dataset.labels.size))
+    labels = dataset.labels[rows]
     require(np.unique(labels).size >= 2, "need at least two subjects")
-    require(len(samples) >= np.unique(labels).size * 2,
+    require(len(rows) >= np.unique(labels).size * 2,
             "need at least two expressions per subject")
 
-    images = np.array([s.depth_image.ravel() for s in samples])
+    images = dataset.images(rows)
     c_id, _ = embed(images)
 
     dist = _cosine_distance_matrix(c_id)
@@ -373,12 +372,13 @@ def disentangling_report(encoder, dataset) -> DisentanglingReport:
     rng = np.random.default_rng(np.random.SeedSequence([dataset.spec.seed, 0x1d]))
     num = den = 0.0
     ratios = []
-    for sample, image in zip(samples, images):
+    for i, image in zip(rows, images):
         base = embed(image[None, :])
         perturbation = rng.normal(0.0, 1.0, size=model.k_exp) * model.sigma_exp
-        coeffs = CoeffPair(sample.ground_truth_coeffs.alpha_id,
-                           sample.ground_truth_coeffs.alpha_exp + perturbation)
-        other = dilate_max(rasterize_depth(model, coeffs, sample.ground_truth_pose,
+        coeffs = CoeffPair(dataset.alpha_id[i], dataset.alpha_exp[i] + perturbation)
+        pose = PoseParams(dataset.pose_scale[i], dataset.pose_rotation[i],
+                          dataset.pose_translation[i])
+        other = dilate_max(rasterize_depth(model, coeffs, pose,
                                            dataset.spec.image_resolution))
         moved = embed(other.ravel()[None, :])
         d_res = float(np.linalg.norm(moved[1][0] - base[1][0]))

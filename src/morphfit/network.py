@@ -551,29 +551,24 @@ def backward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
 # ---------------------------------------------------------------------------
 # Dataset plumbing shared by the trainers.
 
-def coefficient_targets(model: MorphableModel, samples: list,
-                        clip: bool = True) -> np.ndarray:
-    """Stack per-sample latent regression targets: alpha / (3 sigma).
+def coefficient_targets(model: MorphableModel, alpha_id: np.ndarray,
+                        alpha_exp: np.ndarray, clip: bool = True) -> np.ndarray:
+    """Latent regression targets alpha / (3 sigma), one row per sample.
 
     With clip=True values are clamped to [-0.99, 0.99] so a bounded output
     head can reach them; phase II leaves them unclipped to keep the
     code-to-shape relation exactly linear.
     """
-    out = np.array([np.concatenate([
-        s.ground_truth_coeffs.alpha_id / (TARGET_SCALE * model.sigma_id),
-        s.ground_truth_coeffs.alpha_exp / (TARGET_SCALE * model.sigma_exp)])
-        for s in samples])
+    out = np.concatenate([alpha_id / (TARGET_SCALE * model.sigma_id),
+                          alpha_exp / (TARGET_SCALE * model.sigma_exp)], axis=1)
     return np.clip(out, -TARGET_CLIP, TARGET_CLIP) if clip else out
 
 
 def training_batch(dataset, indices) -> TrainingBatch:
     """Assemble images/labels/shape-delta targets for the given sample rows."""
-    samples = [dataset.samples[int(i)] for i in indices]
-    images = np.array([s.depth_image.ravel() for s in samples])
-    labels = np.array([s.subject_label for s in samples], dtype=np.int64)
-    mean = dataset.model.mean.coords
-    target = np.array([s.ground_truth_shape.coords - mean for s in samples])
-    return TrainingBatch(images, labels, target)
+    rows = np.asarray(indices, dtype=np.int64)
+    target = dataset.ground_truth_shapes(rows) - dataset.model.mean.coords
+    return TrainingBatch(dataset.images(rows), dataset.labels[rows], target)
 
 
 def encode_images(net: EncoderNet, images: np.ndarray) -> tuple:
@@ -615,9 +610,8 @@ def train_phase1(net: EncoderNet, dataset, config: TrainConfig) -> tuple:
     require(train_idx.size >= 1, "phase I needs a non-empty training split")
 
     def arrays(idx):
-        samples = [dataset.samples[int(i)] for i in idx]
-        return (np.array([s.depth_image.ravel() for s in samples]),
-                coefficient_targets(model, samples, clip=True))
+        return (dataset.images(idx), coefficient_targets(
+            model, dataset.alpha_id[idx], dataset.alpha_exp[idx], clip=True))
 
     train_images, train_targets = arrays(train_idx)
     val_images, val_targets = arrays(val_idx) if val_idx.size else (None, None)

@@ -7,6 +7,7 @@ then rename), so identical pipeline runs produce identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
@@ -20,11 +21,11 @@ from .errors import (CorruptionError, InvalidArgumentError,
                      require)
 from .evaluation import (DisentanglingReport, ReconstructionReport,
                          VerificationReport)
-from .geometry import (CoeffPair, LandmarkSet2D, MorphableModel, PoseParams,
-                       Shape, compose_shape)
+from .geometry import MorphableModel, Shape
 from .network import (ClassifierHead, DecoderNet, EncoderNet, Layer,
                       all_params)
-from .synthetic import Dataset, DatasetSpec, PoseRanges, RenderedSample
+from .synthetic import (COLUMNS, POSE_PARAMS, Dataset, DatasetSpec,
+                        PoseRanges, split_indices)
 
 MAGIC = b"MORPHFIT"
 FORMAT_VERSION = 1
@@ -173,6 +174,8 @@ def _unpack(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(data[start:start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptionError(f"unreadable header: {exc}") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("arrays", []), list):
+        raise CorruptionError("header is not a JSON object with an 'arrays' list")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionMismatchError(
@@ -205,13 +208,15 @@ def _invariant(cond: bool, message: str) -> None:
         raise InvariantViolationError(message)
 
 
-def _field(source: dict, name: str, kind: type = np.ndarray):
+def _field(source: dict, name, kind: type = np.ndarray, label: str | None = None):
     """`source[name]` checked to be a `kind`, with no coercion (a bool is no
-    int); InvariantViolationError naming the field if missing or ill-typed."""
-    _invariant(name in source, f"{name}: missing")
+    int); InvariantViolationError naming the field as `label` (default
+    `name`) if missing or ill-typed."""
+    label = name if label is None else label
+    _invariant(name in source, f"{label}: missing")
     value = source[name]
     _invariant(isinstance(value, kind) and not isinstance(value, bool),
-               f"{name}: expected {kind.__name__}, got {type(value).__name__}")
+               f"{label}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -271,103 +276,75 @@ def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
 
 
 # ---------------------------------------------------------------------------
-# Datasets: model + spec + all rendered samples; splits are re-derived.
+# Datasets: model + spec + the sample columns; splits are re-derived.
+
+# MorphableModel array fields after the mean, stored as "model.<field>"
+_MODEL_ARRAYS = ("basis_id", "basis_exp", "sigma_id", "sigma_exp",
+                 "landmark_indices")
+# column name -> container array name
+_STORED = {column: column.replace("pose_", "pose.") for column in COLUMNS}
+
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     model = dataset.model
-    n = len(dataset.samples)
-    arrays = {
-        "model.mean": model.mean.coords,
-        "model.basis_id": model.basis_id,
-        "model.basis_exp": model.basis_exp,
-        "model.sigma_id": model.sigma_id,
-        "model.sigma_exp": model.sigma_exp,
-        "model.landmark_indices": model.landmark_indices,
-        "labels": np.array([s.subject_label for s in dataset.samples],
-                           dtype=np.int64),
-        "alpha_id": np.array([s.ground_truth_coeffs.alpha_id
-                              for s in dataset.samples]),
-        "alpha_exp": np.array([s.ground_truth_coeffs.alpha_exp
-                               for s in dataset.samples]),
-        "pose.scale": np.array([s.ground_truth_pose.scale
-                                for s in dataset.samples]),
-        "pose.rotation": np.array([s.ground_truth_pose.rotation
-                                   for s in dataset.samples]),
-        "pose.translation": np.array([s.ground_truth_pose.translation
-                                      for s in dataset.samples]),
-        "landmarks": np.array([s.landmarks.coords for s in dataset.samples]),
-        "depth": np.array([s.depth_image for s in dataset.samples]),
-    }
-    spec = dataset.spec
-    ranges = spec.pose_ranges
-    meta = {"kind": "dataset", "n_samples": n,
+    arrays = {"model.mean": model.mean.coords,
+              **{f"model.{name}": getattr(model, name) for name in _MODEL_ARRAYS},
+              **{_STORED[c]: getattr(dataset, c) for c in COLUMNS}}
+    meta = {"kind": "dataset", "n_samples": dataset.labels.size,
             "nose_tip_index": model.nose_tip_index,
-            "spec": {"n_subjects": spec.n_subjects,
-                     "images_per_subject": spec.images_per_subject,
-                     "landmark_noise_sigma": spec.landmark_noise_sigma,
-                     "image_resolution": spec.image_resolution,
-                     "seed": spec.seed,
-                     "pose_ranges": {name: list(getattr(ranges, name))
-                                     for name in ("yaw", "pitch", "roll",
-                                                  "scale", "tx", "ty", "tz")}}}
+            "spec": dataclasses.asdict(dataset.spec)}
     _atomic_write(path, _pack(meta, arrays))
 
 
+def _load_spec(stored: dict) -> DatasetSpec:
+    ranges = _field(stored, "pose_ranges", dict, "spec.pose_ranges")
+
+    def bounds(name: str) -> tuple:
+        label = f"spec.pose_ranges.{name}"
+        pair = _field(ranges, name, list, label)
+        _invariant(len(pair) == 2,
+                   f"{label}: expected [lo, hi], got {len(pair)} values")
+        return tuple(_field(dict(enumerate(pair)), i, float, f"{label}[{i}]")
+                     for i in range(2))
+
+    return _rebuild(lambda: DatasetSpec(
+        n_subjects=_field(stored, "n_subjects", int),
+        images_per_subject=_field(stored, "images_per_subject", int),
+        landmark_noise_sigma=_field(stored, "landmark_noise_sigma", float),
+        pose_ranges=PoseRanges(**{name: bounds(name) for name in POSE_PARAMS}),
+        image_resolution=_field(stored, "image_resolution", int),
+        seed=_field(stored, "seed", int)), "spec")
+
+
 def load_dataset(path: str) -> Dataset:
-    from .synthetic import split_indices
     with open(path, "rb") as handle:
         header, arrays = _unpack(handle.read())
     if header.get("kind") != "dataset":
         raise CorruptionError(f"container kind '{header.get('kind')}' "
                               "is not a dataset")
-    try:
-        stored = header["spec"]
-        ranges = PoseRanges(**{k: tuple(v)
-                               for k, v in stored["pose_ranges"].items()})
-        spec = DatasetSpec(n_subjects=_field(stored, "n_subjects", int),
-                           images_per_subject=_field(stored, "images_per_subject",
-                                                     int),
-                           landmark_noise_sigma=float(
-                               stored["landmark_noise_sigma"]),
-                           pose_ranges=ranges,
-                           image_resolution=_field(stored, "image_resolution", int),
-                           seed=_field(stored, "seed", int))
-    except (KeyError, TypeError) as exc:
-        raise CorruptionError(f"malformed dataset spec: {exc}") from exc
+    spec = _load_spec(_field(header, "spec", dict))
 
     model = _rebuild(lambda: MorphableModel(
         mean=Shape(_field(arrays, "model.mean")),
-        basis_id=_field(arrays, "model.basis_id"),
-        basis_exp=_field(arrays, "model.basis_exp"),
-        sigma_id=_field(arrays, "model.sigma_id"),
-        sigma_exp=_field(arrays, "model.sigma_exp"),
-        landmark_indices=_field(arrays, "model.landmark_indices"),
-        nose_tip_index=_field(header, "nose_tip_index", int)), "model")
+        nose_tip_index=_field(header, "nose_tip_index", int),
+        **{name: _field(arrays, f"model.{name}") for name in _MODEL_ARRAYS}),
+        "model")
 
     n = _field(header, "n_samples", int)
-    for name in ("labels", "alpha_id", "alpha_exp", "pose.scale",
-                 "pose.rotation", "pose.translation", "landmarks", "depth"):
-        _invariant(name in arrays and arrays[name].shape[0] == n,
-                   f"{name}: expected leading dimension {n}")
-    samples = []
-    for i in range(n):
-        coeffs = _rebuild(lambda: CoeffPair(arrays["alpha_id"][i],
-                                            arrays["alpha_exp"][i]),
-                          f"sample {i} coefficients")
-        pose = _rebuild(lambda: PoseParams(float(arrays["pose.scale"][i]),
-                                           arrays["pose.rotation"][i],
-                                           arrays["pose.translation"][i]),
-                        f"sample {i} pose")
-        samples.append(_rebuild(lambda: RenderedSample(
-            subject_label=int(arrays["labels"][i]),
-            ground_truth_coeffs=coeffs,
-            ground_truth_pose=pose,
-            landmarks=LandmarkSet2D(arrays["landmarks"][i]),
-            depth_image=arrays["depth"][i],
-            ground_truth_shape=compose_shape(model, coeffs)),
-            f"sample {i}"))
+    columns = {column: _field(arrays, name) for column, name in _STORED.items()}
+    for column, values in columns.items():
+        _invariant(values.ndim >= 1 and values.shape[0] == n,
+                   f"{_STORED[column]}: expected leading dimension {n}")
     _invariant(n == spec.n_subjects * spec.images_per_subject,
                f"n_samples: {n} does not equal n_subjects * images_per_subject")
     train, val, test = split_indices(spec.n_subjects, spec.images_per_subject)
-    return Dataset(model=model, spec=spec, samples=samples,
-                   train_indices=train, val_indices=val, test_indices=test)
+    dataset = _rebuild(lambda: Dataset(
+        model=model, spec=spec, train_indices=train, val_indices=val,
+        test_indices=test, **columns), "dataset")
+    # the splits above hold only for rows ordered subject-major
+    layout = np.repeat(np.arange(spec.n_subjects), spec.images_per_subject)
+    i = int(np.argmax(dataset.labels != layout))  # first bad row, else 0
+    _invariant(dataset.labels[i] == layout[i],
+               f"labels: sample {i} has label {dataset.labels[i]}, expected "
+               f"{layout[i]} (rows must be ordered subject-major)")
+    return dataset

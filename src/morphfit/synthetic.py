@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, require
-from .geometry import (CoeffPair, LandmarkSet2D, MorphableModel, PoseParams,
-                       Shape, compose_shape, coord_rows, project_landmarks,
-                       rotation_zyx, select_landmarks)
+from .geometry import (ROTATION_TOL, CoeffPair, LandmarkSet2D,
+                       MorphableModel, PoseParams, Shape, compose_shape,
+                       coord_rows, project_landmarks, rotation_zyx,
+                       select_landmarks)
 
 # Landmark subset size, fixed across all synthetic models.
 N_LANDMARKS = 68
@@ -48,6 +49,10 @@ class SyntheticModelSpec:
         require(self.seed >= 0, "seed must be non-negative")
 
 
+# The pose parameters, in sampling order.
+POSE_PARAMS = ("yaw", "pitch", "roll", "scale", "tx", "ty", "tz")
+
+
 @dataclass(frozen=True)
 class PoseRanges:
     """Closed sampling intervals (lo, hi) for each pose parameter.
@@ -69,8 +74,9 @@ class PoseRanges:
     tz: tuple[float, float] = (-0.01, 0.01)
 
     def __post_init__(self):
-        for name in ("yaw", "pitch", "roll", "scale", "tx", "ty", "tz"):
-            lo, hi = getattr(self, name)
+        for name in POSE_PARAMS:
+            lo, hi = map(float, getattr(self, name))
+            object.__setattr__(self, name, (lo, hi))
             require(np.isfinite(lo) and np.isfinite(hi) and lo <= hi,
                     f"pose range {name} must satisfy lo <= hi, got ({lo}, {hi})")
         require(self.scale[0] > 0, "scale range must stay positive")
@@ -88,6 +94,8 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "landmark_noise_sigma",
+                           float(self.landmark_noise_sigma))
         require(self.n_subjects >= 2, "need at least 2 subjects")
         require(self.images_per_subject >= 1, "need at least 1 image per subject")
         require(np.isfinite(self.landmark_noise_sigma)
@@ -97,46 +105,78 @@ class DatasetSpec:
         require(self.seed >= 0, "seed must be non-negative")
 
 
-@dataclass(frozen=True)
-class RenderedSample:
-    """One rendered observation of one subject."""
-
-    subject_label: int
-    ground_truth_coeffs: CoeffPair
-    ground_truth_pose: PoseParams
-    landmarks: LandmarkSet2D
-    depth_image: np.ndarray
-    ground_truth_shape: Shape
-
-    def __post_init__(self):
-        depth = np.array(self.depth_image, dtype=np.float64, copy=True)
-        depth.setflags(write=False)
-        object.__setattr__(self, "depth_image", depth)
-        object.__setattr__(self, "subject_label", int(self.subject_label))
-        require(self.subject_label >= 0, "subject_label must be non-negative")
-        require(depth.ndim == 2 and depth.shape[0] == depth.shape[1],
-                f"depth_image must be square, got {depth.shape}")
-        require(bool(np.all(np.isfinite(depth))), "depth_image must be finite")
-        require(bool(np.all(depth >= -1.0)) and bool(np.all(depth <= 1.0)),
-                "depth_image values must lie in [-1, 1]")
+# Dataset columns, row i of each being sample i; the container stores them
+# under these names, with "pose_" written "pose.".
+COLUMNS = ("labels", "alpha_id", "alpha_exp", "pose_scale", "pose_rotation",
+           "pose_translation", "landmarks", "depth")
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Rendered samples plus the generating model and a deterministic split.
-
-    Subjects are split into an initial block used for training and a final
-    block held out for verification; within each training subject the last
-    fifth of its images forms the validation set. Index lists refer to
-    positions in `samples`.
+    """Rendered samples as one read-only, C-ordered array per field, plus the
+    generating model and the `split_indices` split, whose index arrays refer
+    to rows. Row i of every column is sample i: its subject label,
+    ground-truth coefficients and pose, its projected landmarks
+    (u1, v1, ..., uL, vL) and its depth raster.
     """
 
     model: MorphableModel
     spec: DatasetSpec
-    samples: list[RenderedSample]
+    labels: np.ndarray            # (n,) int64, >= 0
+    alpha_id: np.ndarray          # (n, k_id)
+    alpha_exp: np.ndarray         # (n, k_exp)
+    pose_scale: np.ndarray        # (n,), > 0
+    pose_rotation: np.ndarray     # (n, 3, 3), proper rotations
+    pose_translation: np.ndarray  # (n, 3)
+    landmarks: np.ndarray         # (n, 2 * n_landmarks)
+    depth: np.ndarray             # (n, r, r), values in [-1, 1]
     train_indices: np.ndarray
     val_indices: np.ndarray
     test_indices: np.ndarray
+
+    def __post_init__(self):
+        require(np.issubdtype(np.asarray(self.labels).dtype, np.integer),
+                "labels must be integers")
+        model, n, r = self.model, np.size(self.labels), self.spec.image_resolution
+        for name, tail in zip(COLUMNS, ((), (model.k_id,), (model.k_exp,), (),
+                                        (3, 3), (3,), (2 * model.n_landmarks,),
+                                        (r, r))):
+            column = np.array(getattr(self, name), order="C", copy=True,
+                              dtype=np.int64 if name == "labels" else np.float64)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+            require(column.shape == (n, *tail),
+                    f"{name} must be {(n, *tail)}, got {column.shape}")
+
+        # The invariants of CoeffPair, PoseParams and LandmarkSet2D, plus the
+        # depth range, checked over whole columns; the error names the first
+        # failing row and, within it, the first failing check.
+        def per_row(passed):
+            return passed.all(axis=tuple(range(1, passed.ndim)))
+
+        rotation = np.where(np.isfinite(self.pose_rotation), self.pose_rotation, 0.0)
+        gram_err = np.abs(np.einsum("nki,nkj->nij", rotation, rotation)
+                          - np.eye(3)).max(axis=(1, 2))
+        det_err = np.abs(np.linalg.det(rotation) - 1.0)
+        checks = [(per_row(np.isfinite(getattr(self, name))),
+                   f"{name}: values must be finite") for name in COLUMNS[1:]]
+        checks += [
+            (self.pose_scale > 0.0, "pose_scale: must be positive, got {scale}"),
+            (gram_err <= ROTATION_TOL,
+             "pose_rotation: not orthonormal (max deviation {gram:.3e})"),
+            (det_err <= ROTATION_TOL,
+             "pose_rotation: not proper (|det - 1| = {det:.3e})"),
+            (per_row(np.abs(self.depth) <= 1.0), "depth: values must lie in [-1, 1]"),
+            (self.labels >= 0, "labels: must be non-negative, got {label}"),
+        ]
+        ok = np.column_stack([passed for passed, _ in checks])
+        bad = np.flatnonzero(~ok.all(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            message = checks[int(np.argmin(ok[i]))][1].format(
+                scale=self.pose_scale[i], gram=gram_err[i], det=det_err[i],
+                label=self.labels[i])
+            raise InvalidArgumentError(f"sample {i} {message}")
 
     @property
     def n_train_subjects(self) -> int:
@@ -146,6 +186,22 @@ class Dataset:
     def heldout_subjects(self) -> list[int]:
         # at one image per subject the test rows are the held-out labels
         return split_indices(self.spec.n_subjects, 1)[2].tolist()
+
+    def images(self, rows) -> np.ndarray:
+        """Depth rasters of the given rows, one flattened image per row."""
+        return self.depth[rows].reshape(len(rows), -1)
+
+    def ground_truth_shapes(self, rows) -> np.ndarray:
+        """Flat ground-truth shapes of the given rows, one per row.
+
+        Each row goes through `compose_shape` on its own: one matrix product
+        over all rows sums in another order and changes the last bits.
+        """
+        out = np.empty((len(rows), self.model.mean.coords.size))
+        for shape, i in zip(out, rows):
+            shape[:] = compose_shape(self.model, CoeffPair(
+                self.alpha_id[i], self.alpha_exp[i])).coords
+        return out
 
 
 def _mean_face_vertices(n: int) -> np.ndarray:
@@ -306,14 +362,8 @@ def sample_instance(model: MorphableModel, spec: DatasetSpec,
                     rng: np.random.Generator) -> tuple[np.ndarray, PoseParams]:
     """Draw per-image residual coefficients and a uniform pose within ranges."""
     alpha_exp = rng.normal(0.0, 1.0, size=model.k_exp) * model.sigma_exp
-    ranges = spec.pose_ranges
-    yaw = rng.uniform(*ranges.yaw)
-    pitch = rng.uniform(*ranges.pitch)
-    roll = rng.uniform(*ranges.roll)
-    scale = rng.uniform(*ranges.scale)
-    tx = rng.uniform(*ranges.tx)
-    ty = rng.uniform(*ranges.ty)
-    tz = rng.uniform(*ranges.tz)
+    yaw, pitch, roll, scale, tx, ty, tz = (
+        rng.uniform(*getattr(spec.pose_ranges, name)) for name in POSE_PARAMS)
     pose = PoseParams(scale, rotation_zyx(yaw, pitch, roll), np.array([tx, ty, tz]))
     return alpha_exp, pose
 
@@ -397,19 +447,12 @@ def split_indices(n_subjects: int, images_per_subject: int
     """
     require(n_subjects >= 2, "need at least 2 subjects")
     require(images_per_subject >= 1, "need at least 1 image per subject")
-    n_heldout = min(max(1, round(n_subjects / 4)), n_subjects - 1)
-    n_val = images_per_subject // 5
-    train, val, test = [], [], []
-    for label in range(n_subjects):
-        base = label * images_per_subject
-        if label >= n_subjects - n_heldout:
-            test.extend(range(base, base + images_per_subject))
-        else:
-            train.extend(range(base, base + images_per_subject - n_val))
-            val.extend(range(base + images_per_subject - n_val,
-                             base + images_per_subject))
-    return (np.array(train, dtype=np.int64), np.array(val, dtype=np.int64),
-            np.array(test, dtype=np.int64))
+    n_train = n_subjects - min(max(1, round(n_subjects / 4)), n_subjects - 1)
+    n_fit = images_per_subject - images_per_subject // 5
+    rows = np.arange(n_subjects * images_per_subject,
+                     dtype=np.int64).reshape(n_subjects, images_per_subject)
+    return (rows[:n_train, :n_fit].ravel(), rows[:n_train, n_fit:].ravel(),
+            rows[n_train:].ravel())
 
 
 def build_dataset(model: MorphableModel, spec: DatasetSpec) -> Dataset:
@@ -419,14 +462,12 @@ def build_dataset(model: MorphableModel, spec: DatasetSpec) -> Dataset:
     the same spec always yields bit-identical samples. Stored depth rasters
     are max-dilated by one pixel: a few hundred vertices cover a 32x32 grid
     only sparsely, and the dilation closes the sampling holes so downstream
-    consumers see a surface rather than speckle. Subject labels run 0..K-1;
-    the final ~quarter of subjects (at least one, at most K-1) is held out
-    entirely for verification, and the last fifth of each remaining subject's
-    images goes to validation.
+    consumers see a surface rather than speckle. Subject labels run 0..K-1,
+    subject-major, and the split is `split_indices`.
     """
     root = np.random.SeedSequence(spec.seed)
     subject_seeds = root.spawn(spec.n_subjects)
-    samples: list[RenderedSample] = []
+    samples = []
     for label in range(spec.n_subjects):
         subject_rng = np.random.default_rng(subject_seeds[label])
         alpha_id = sample_subject(model, subject_rng)
@@ -439,14 +480,10 @@ def build_dataset(model: MorphableModel, spec: DatasetSpec) -> Dataset:
                                          spec.landmark_noise_sigma, image_rng)
             depth = dilate_max(
                 rasterize_depth(model, coeffs, pose, spec.image_resolution))
-            samples.append(RenderedSample(
-                subject_label=label,
-                ground_truth_coeffs=coeffs,
-                ground_truth_pose=pose,
-                landmarks=landmarks,
-                depth_image=depth,
-                ground_truth_shape=compose_shape(model, coeffs)))
+            samples.append((label, alpha_id, alpha_exp, pose.scale, pose.rotation,
+                            pose.translation, landmarks.coords, depth))
 
     train, val, test = split_indices(spec.n_subjects, spec.images_per_subject)
-    return Dataset(model=model, spec=spec, samples=samples,
-                   train_indices=train, val_indices=val, test_indices=test)
+    return Dataset(model=model, spec=spec, train_indices=train,
+                   val_indices=val, test_indices=test,
+                   **dict(zip(COLUMNS, zip(*samples))))

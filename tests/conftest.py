@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from morphfit.synthetic import (DatasetSpec, PoseRanges, SyntheticModelSpec,
-                                build_dataset, generate_model)
+from morphfit.geometry import CoeffPair, PoseParams
+from morphfit.synthetic import (COLUMNS, Dataset, DatasetSpec, PoseRanges,
+                                SyntheticModelSpec, build_dataset,
+                                generate_model)
 
 # Pose ranges wide enough to exercise real rotation/scale variation in the
 # fitting tests; the near-frontal defaults are deliberately much tighter.
@@ -29,3 +31,25 @@ def small_model():
 def default_dataset(desk_model):
     """The K=20 x M=10 default dataset at 32x32, seed 0."""
     return build_dataset(desk_model, DatasetSpec())
+
+
+# Per-row views of a columnar dataset, for tests that check one sample at a
+# time against the per-sample constructors.
+
+def row_coeffs(dataset: Dataset, i: int) -> CoeffPair:
+    return CoeffPair(dataset.alpha_id[i], dataset.alpha_exp[i])
+
+
+def row_pose(dataset: Dataset, i: int) -> PoseParams:
+    return PoseParams(dataset.pose_scale[i], dataset.pose_rotation[i],
+                      dataset.pose_translation[i])
+
+
+def take_rows(dataset: Dataset, rows, **splits) -> Dataset:
+    """A hand-assembled Dataset of the given rows; `splits` sets the
+    train/val/test index arrays, each empty unless given."""
+    empty = np.array([], dtype=np.int64)
+    return Dataset(model=dataset.model, spec=dataset.spec,
+                   **{name: getattr(dataset, name)[rows] for name in COLUMNS},
+                   **{f"{name}_indices": splits.get(name, empty)
+                      for name in ("train", "val", "test")})

@@ -33,6 +33,8 @@ from morphfit.network import (encode_images, finite_diff_check, init_decoder,
                               init_encoder, init_head, training_batch)
 from morphfit.synthetic import render_landmarks
 
+from conftest import row_coeffs
+
 
 def wide_pose(rng: np.random.Generator) -> PoseParams:
     rotation = rotation_zyx(rng.uniform(-0.15, 0.15), rng.uniform(-0.25, 0.25),
@@ -245,10 +247,9 @@ def test_criterion_06_joint_training_preserves_recognition_and_recon(
     dataset = default_dataset
     model = dataset.model
     rows = dataset.test_indices
-    images = np.array([dataset.samples[int(i)].depth_image.ravel()
-                       for i in rows])
-    labels = np.array([dataset.samples[int(i)].subject_label for i in rows])
-    truths = [dataset.samples[int(i)].ground_truth_shape for i in rows]
+    images = dataset.images(rows)
+    labels = dataset.labels[rows]
+    truths = [compose_shape(model, row_coeffs(dataset, i)) for i in rows]
 
     enc1, dec2, _warm = trained_stack["after2"]
     enc3, dec3, _head3 = trained_stack["after3"]

@@ -62,7 +62,7 @@ class TestGenData:
 
     def test_writes_loadable_dataset(self, pipeline):
         dataset = load_dataset(pipeline["dataset"])
-        assert len(dataset.samples) == 40
+        assert dataset.labels.size == 40
         assert dataset.spec.n_subjects == 8
         assert dataset.model.k_id == 4
 

@@ -43,6 +43,8 @@ from morphfit.synthetic import (
     rasterize_depth,
 )
 
+from conftest import row_pose, take_rows
+
 
 def scored_pairs(scores, is_genuine) -> np.recarray:
     """The pair record array that verification_pairs returns."""
@@ -435,10 +437,7 @@ def flat_split_dataset(small_model) -> Dataset:
     spec = DatasetSpec(n_subjects=2, images_per_subject=3, image_resolution=16,
                        seed=42)
     full = build_dataset(small_model, spec)
-    return Dataset(model=full.model, spec=spec, samples=full.samples,
-                   train_indices=np.arange(6, dtype=np.int64),
-                   val_indices=np.array([], dtype=np.int64),
-                   test_indices=np.array([], dtype=np.int64))
+    return take_rows(full, np.arange(6), train=np.arange(6, dtype=np.int64))
 
 
 def constant_encoder(input_dim: int) -> EncoderNet:
@@ -463,18 +462,18 @@ class TestDisentanglingReport:
         # the raster bytes: identity code = subject one-hot, residual code
         # distinguishes the original from its perturbed re-render
         lookup = {}
-        for j, sample in enumerate(dataset.samples):
-            c_id = np.eye(3)[sample.subject_label]
-            lookup[sample.depth_image.ravel().tobytes()] = (c_id, np.array([1.0, 0.0]))
+        for i in range(dataset.labels.size):
+            c_id = np.eye(3)[dataset.labels[i]]
+            lookup[dataset.depth[i].ravel().tobytes()] = (c_id, np.array([1.0, 0.0]))
         rng = np.random.default_rng(np.random.SeedSequence([dataset.spec.seed, 0x1d]))
-        for sample in dataset.samples:
+        for i in range(dataset.labels.size):
             perturbation = rng.normal(0.0, 1.0, size=model.k_exp) * model.sigma_exp
-            coeffs = CoeffPair(sample.ground_truth_coeffs.alpha_id,
-                               sample.ground_truth_coeffs.alpha_exp + perturbation)
+            coeffs = CoeffPair(dataset.alpha_id[i],
+                               dataset.alpha_exp[i] + perturbation)
             image = dilate_max(rasterize_depth(model, coeffs,
-                                               sample.ground_truth_pose,
+                                               row_pose(dataset, i),
                                                dataset.spec.image_resolution))
-            c_id = np.eye(3)[sample.subject_label]
+            c_id = np.eye(3)[dataset.labels[i]]
             lookup.setdefault(image.ravel().tobytes(), (c_id, np.array([0.0, 1.0])))
 
         def embed(batch: np.ndarray):
@@ -493,12 +492,8 @@ class TestDisentanglingReport:
             disentangling_report(object(), flat_split_dataset)
 
     def test_needs_two_subjects(self, flat_split_dataset):
-        first_subject = Dataset(model=flat_split_dataset.model,
-                                spec=flat_split_dataset.spec,
-                                samples=flat_split_dataset.samples[:3],
-                                train_indices=np.arange(3, dtype=np.int64),
-                                val_indices=np.array([], dtype=np.int64),
-                                test_indices=np.array([], dtype=np.int64))
+        first_subject = take_rows(flat_split_dataset, np.arange(3),
+                                  train=np.arange(3, dtype=np.int64))
         with pytest.raises(InvalidArgumentError):
             disentangling_report(constant_encoder(256), first_subject)
 

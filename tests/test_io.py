@@ -1,19 +1,24 @@
 """Tests for file formats (OBJ, CSV, binary containers) and run configuration."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from morphfit.cli import _echo_config
+from morphfit.cli import _echo_config, cli
 from morphfit.config import (CONFIG_VERSION, RunConfig, format_config,
                              load_config, parse_config)
 from morphfit.errors import (CorruptionError, InvalidArgumentError,
-                             InvariantViolationError, ParseError,
-                             VersionMismatchError)
+                             InvariantViolationError, MorphfitError,
+                             ParseError, VersionMismatchError)
 from morphfit.evaluation import (DisentanglingReport, ReconstructionReport,
                                  VerificationReport)
 from morphfit.geometry import Shape
@@ -24,7 +29,7 @@ from morphfit.serialization import (DISENTANGLING_COLUMNS, FORMAT_VERSION,
                                     load_dataset, read_obj, save_checkpoint,
                                     save_dataset, write_obj, write_report_csv,
                                     write_table_csv)
-from morphfit.synthetic import DatasetSpec, build_dataset
+from morphfit.synthetic import COLUMNS, DatasetSpec, PoseRanges, build_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -427,22 +432,12 @@ class TestDatasetContainer:
         assert model.nose_tip_index == want.nose_tip_index
 
         assert back.spec == tiny_dataset.spec
-        assert len(back.samples) == len(tiny_dataset.samples)
-        for got, orig in zip(back.samples, tiny_dataset.samples):
-            assert got.subject_label == orig.subject_label
-            assert np.array_equal(got.ground_truth_coeffs.alpha_id,
-                                  orig.ground_truth_coeffs.alpha_id)
-            assert np.array_equal(got.ground_truth_coeffs.alpha_exp,
-                                  orig.ground_truth_coeffs.alpha_exp)
-            assert got.ground_truth_pose.scale == orig.ground_truth_pose.scale
-            assert np.array_equal(got.ground_truth_pose.rotation,
-                                  orig.ground_truth_pose.rotation)
-            assert np.array_equal(got.ground_truth_pose.translation,
-                                  orig.ground_truth_pose.translation)
-            assert np.array_equal(got.landmarks.coords, orig.landmarks.coords)
-            assert np.array_equal(got.depth_image, orig.depth_image)
-            assert np.array_equal(got.ground_truth_shape.coords,
-                                  orig.ground_truth_shape.coords)
+        for name in COLUMNS:
+            assert np.array_equal(getattr(back, name),
+                                  getattr(tiny_dataset, name)), name
+        rows = np.arange(tiny_dataset.labels.size)
+        assert np.array_equal(back.ground_truth_shapes(rows),
+                              tiny_dataset.ground_truth_shapes(rows))
 
         assert np.array_equal(back.train_indices, tiny_dataset.train_indices)
         assert np.array_equal(back.val_indices, tiny_dataset.val_indices)
@@ -518,6 +513,160 @@ class TestDatasetContainer:
                              + data[offset + 8:])
         with pytest.raises(InvariantViolationError, match="sample 0"):
             load_dataset(str(tampered))
+
+    def test_spec_built_from_ints_roundtrips(self, small_model, tmp_path):
+        # the spec types store floats, so the strict loader reads them back
+        spec = DatasetSpec(n_subjects=2, images_per_subject=1,
+                           landmark_noise_sigma=0, image_resolution=8,
+                           pose_ranges=PoseRanges(scale=(1, 1)))
+        path = str(tmp_path / "ints.mfd")
+        save_dataset(build_dataset(small_model, spec), path)
+        assert load_dataset(path).spec == spec
+
+    def test_resave_gives_the_same_bytes(self, tiny_dataset, tmp_path):
+        path, again = str(tmp_path / "a.mfd"), str(tmp_path / "b.mfd")
+        save_dataset(tiny_dataset, path)
+        save_dataset(load_dataset(path), again)
+        assert open(again, "rb").read() == open(path, "rb").read()
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda spec: spec.update(pose_ranges="wide"), "spec.pose_ranges"),
+        (lambda spec: spec["pose_ranges"].update(yaw=[-0.1, 0.0, 0.1]),
+         "spec.pose_ranges.yaw"),
+        (lambda spec: spec["pose_ranges"].pop("tz"), "spec.pose_ranges.tz"),
+        (lambda spec: spec["pose_ranges"].update(scale=["0.9", 1.1]),
+         r"spec.pose_ranges.scale\[0\]"),
+        (lambda spec: spec.update(landmark_noise_sigma="0.01"),
+         "landmark_noise_sigma"),
+        (lambda spec: spec.update(landmark_noise_sigma=True),
+         "landmark_noise_sigma"),
+        (lambda spec: spec["pose_ranges"].update(tz=[0.0, 10 ** 400]),
+         r"spec.pose_ranges.tz\[1\]"),
+    ], ids=["ranges-not-a-dict", "range-of-three", "range-key-deleted",
+            "range-bound-a-string", "noise-a-string", "noise-a-bool",
+            "range-bound-beyond-float"])
+    def test_ill_typed_spec_field_is_invariant_violation(self, tiny_dataset,
+                                                        tmp_path, edit, field):
+        # these escaped as raw AttributeError/ValueError, loaded a deleted
+        # range as its default, or went through float()
+        path = str(tmp_path / "data.mfd")
+        save_dataset(tiny_dataset, path)
+        tampered = tmp_path / "spec.mfd"
+        tampered.write_bytes(reencode(open(path, "rb").read(),
+                                      lambda header: edit(header["spec"])))
+        with pytest.raises(InvariantViolationError, match=field):
+            load_dataset(str(tampered))
+
+    @pytest.mark.parametrize("labels, message", [
+        ([1, 1, 1, 0, 0, 0], "labels: sample 0 has label 1, expected 0"),
+        ([0, 0, 0, 1, 999, 1], "labels: sample 4 has label 999, expected 1"),
+    ], ids=["reversed", "out-of-range"])
+    def test_labels_must_be_subject_major(self, tiny_dataset, tmp_path,
+                                          labels, message):
+        # the re-derived splits assume this layout: reversed labels used to
+        # load with training subjects in the held-out rows
+        path = str(tmp_path / "data.mfd")
+        save_dataset(tiny_dataset, path)
+        data = open(path, "rb").read()
+        offset = payload_offset(data, "labels")
+        packed = np.array(labels, dtype="<i8").tobytes()
+        tampered = tmp_path / "labels.mfd"
+        tampered.write_bytes(data[:offset] + packed
+                             + data[offset + len(packed):])
+        with pytest.raises(InvariantViolationError, match=message):
+            load_dataset(str(tampered))
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed dataset containers: every mutation loads or raises a MorphfitError,
+# and `morphfit fit` on it exits 0, or 1 with exactly one `error:` line.
+
+def header_paths(header: dict) -> list[tuple]:
+    paths = [(key,) for key in header]
+    paths += [("spec", key) for key in header["spec"]]
+    paths += [("spec", "pose_ranges", key)
+              for key in header["spec"]["pose_ranges"]]
+    return paths
+
+
+def mutate_container(data: bytes, draw) -> bytes:
+    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+    header = json.loads(data[len(MAGIC) + 8:len(MAGIC) + 8 + header_len])
+    kind = draw(st.sampled_from(["drop", "retype", "truncate", "nan",
+                                 "reshape", "permute"]))
+    if kind in ("drop", "retype"):
+        *parents, key = draw(st.sampled_from(header_paths(header)))
+        value = draw(st.sampled_from(
+            ["x", "0.5", True, None, 1.5, 7, 64, 10 ** 400, [], {},
+             [1, 2, 3]]))
+
+        def edit(h):
+            for parent in parents:
+                h = h[parent]
+            if kind == "drop":
+                del h[key]
+            else:
+                h[key] = value
+        return reencode(data, edit)
+
+    entries = header["arrays"]
+    entry = draw(st.sampled_from(
+        [e for e in entries if e["name"] == "labels"] if kind == "permute"
+        else entries))
+    offset = payload_offset(data, entry["name"])
+    count = int(np.prod(entry["shape"]))
+    if kind == "truncate":
+        # one leading row fewer, header and payload consistent
+        row = count // entry["shape"][0]
+        cut = data[:offset] + data[offset + 8 * row:]
+
+        def shrink(h):
+            next(e for e in h["arrays"] if e is not None
+                 and e["name"] == entry["name"])["shape"][0] -= 1
+        return reencode(cut, shrink)
+    if kind == "reshape":
+        shape = draw(st.sampled_from([[count], entry["shape"][::-1],
+                                      [1, count]]))
+
+        def reshape(h):
+            next(e for e in h["arrays"]
+                 if e["name"] == entry["name"])["shape"] = shape
+        return reencode(data, reshape)
+    if kind == "nan":
+        payload = np.full(count, np.nan).tobytes()
+    else:
+        labels = np.frombuffer(data, "<i8", count, offset)
+        payload = labels[draw(st.permutations(range(count)))].tobytes()
+    return data[:offset] + payload + data[offset + len(payload):]
+
+
+class TestDatasetFuzz:
+    @pytest.fixture(scope="class")
+    def container(self, tiny_dataset, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("fuzz") / "data.mfd")
+        save_dataset(tiny_dataset, path)
+        return path
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_mutation_loads_or_fails_cleanly(self, container, data):
+        mutated = mutate_container(open(container, "rb").read(), data.draw)
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "data.mfd")
+            with open(path, "wb") as handle:
+                handle.write(mutated)
+            try:
+                load_dataset(path)
+            except MorphfitError:
+                pass
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli(["fit", "--data", path, "--subject", "0",
+                            "--out", os.path.join(root, "fit")])
+        lines = err.getvalue().splitlines()
+        assert (code, lines) == (0, []) or (
+            code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
 
 
 # ---------------------------------------------------------------------------

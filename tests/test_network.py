@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from morphfit import network
+from morphfit.geometry import compose_shape
 from morphfit.errors import (
     InvalidArgumentError,
     NumericalFailureError,
@@ -43,6 +44,8 @@ from morphfit.network import (
     training_batch,
 )
 from morphfit.synthetic import Dataset, DatasetSpec
+
+from conftest import row_coeffs, take_rows
 
 
 def small_net(rng: np.random.Generator, in_dim: int = 6, hidden: int = 5,
@@ -167,9 +170,9 @@ def phase1_oracle(net: EncoderNet, dataset, config: TrainConfig) -> tuple:
     val_idx = np.asarray(dataset.val_indices, dtype=np.int64)
 
     def arrays(idx):
-        samples = [dataset.samples[int(i)] for i in idx]
-        return (np.array([s.depth_image.ravel() for s in samples]),
-                coefficient_targets(dataset.model, samples, clip=True))
+        return (np.array([dataset.depth[int(i)].ravel() for i in idx]),
+                coefficient_targets(dataset.model, dataset.alpha_id[idx],
+                                    dataset.alpha_exp[idx], clip=True))
 
     train_images, train_targets = arrays(train_idx)
     val_images, val_targets = arrays(val_idx)
@@ -703,15 +706,17 @@ class TestHeadFromClassMeans:
 
 class TestDatasetPlumbing:
     def test_coefficient_targets_scale_and_clip(self, default_dataset):
-        samples = default_dataset.samples[:20]
-        model = default_dataset.model
-        raw = coefficient_targets(model, samples, clip=False)
-        clipped = coefficient_targets(model, samples, clip=True)
+        dataset, model = default_dataset, default_dataset.model
+        raw = coefficient_targets(model, dataset.alpha_id[:20],
+                                  dataset.alpha_exp[:20], clip=False)
+        clipped = coefficient_targets(model, dataset.alpha_id[:20],
+                                      dataset.alpha_exp[:20], clip=True)
+        # the per-sample stack it replaced, bit for bit
         want = np.array([np.concatenate([
-            s.ground_truth_coeffs.alpha_id / (3.0 * model.sigma_id),
-            s.ground_truth_coeffs.alpha_exp / (3.0 * model.sigma_exp)])
-            for s in samples])
-        assert np.max(np.abs(raw - want)) < 1e-15
+            row_coeffs(dataset, i).alpha_id / (3.0 * model.sigma_id),
+            row_coeffs(dataset, i).alpha_exp / (3.0 * model.sigma_exp)])
+            for i in range(20)])
+        assert np.array_equal(raw, want)
         assert np.array_equal(clipped, np.clip(raw, -0.99, 0.99))
 
     def test_training_batch_rows(self, default_dataset):
@@ -719,11 +724,13 @@ class TestDatasetPlumbing:
         batch = training_batch(default_dataset, rows)
         mean = default_dataset.model.mean.coords
         for out_row, idx in enumerate(rows):
-            sample = default_dataset.samples[idx]
-            assert np.array_equal(batch.images[out_row], sample.depth_image.ravel())
-            assert batch.labels[out_row] == sample.subject_label
+            shape = compose_shape(default_dataset.model,
+                                  row_coeffs(default_dataset, idx))
+            assert np.array_equal(batch.images[out_row],
+                                  default_dataset.depth[idx].ravel())
+            assert batch.labels[out_row] == default_dataset.labels[idx]
             assert np.array_equal(batch.target_delta[out_row],
-                                  sample.ground_truth_shape.coords - mean)
+                                  shape.coords - mean)
 
 
 # ---------------------------------------------------------------------------
@@ -776,10 +783,7 @@ def tiny_single_subject(small_model) -> Dataset:
     spec = DatasetSpec(n_subjects=2, images_per_subject=3, image_resolution=16,
                        seed=42)
     full = build_dataset(small_model, spec)
-    return Dataset(model=full.model, spec=spec, samples=full.samples[:3],
-                   train_indices=np.arange(3, dtype=np.int64),
-                   val_indices=np.array([], dtype=np.int64),
-                   test_indices=np.array([], dtype=np.int64))
+    return take_rows(full, np.arange(3), train=np.arange(3, dtype=np.int64))
 
 
 class TestTrainPhase2:
@@ -834,10 +838,8 @@ class TestTrainPhase3:
         _, encoder, _ = quick_phase1
         dec = train_phase2(init_decoder(1800, 20, 8, seed=1), default_dataset,
                            seed=3)
-        images = np.array([default_dataset.samples[int(i)].depth_image.ravel()
-                           for i in default_dataset.train_indices])
-        labels = np.array([default_dataset.samples[int(i)].subject_label
-                           for i in default_dataset.train_indices])
+        images = default_dataset.images(default_dataset.train_indices)
+        labels = default_dataset.labels[default_dataset.train_indices]
         codes_id, _ = encode_images(encoder, images)
         head = head_from_class_means(codes_id, labels, 15)
         before = argmax_accuracy(head, codes_id, labels)
@@ -896,10 +898,8 @@ def phase3_inputs(quick_phase1, default_dataset):
     gives them) and a class-mean head: the joint phase's usual inputs."""
     _, encoder, _ = quick_phase1
     dec = train_phase2(init_decoder(1800, 20, 8, seed=1), default_dataset, seed=3)
-    images = np.array([default_dataset.samples[int(i)].depth_image.ravel()
-                       for i in default_dataset.train_indices])
-    labels = np.array([default_dataset.samples[int(i)].subject_label
-                       for i in default_dataset.train_indices])
+    images = default_dataset.images(default_dataset.train_indices)
+    labels = default_dataset.labels[default_dataset.train_indices]
     head = head_from_class_means(encode_images(encoder, images)[0], labels, 15)
     return encoder, dec, head
 

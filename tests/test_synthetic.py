@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from morphfit.errors import InvalidArgumentError
+from morphfit.errors import InvalidArgumentError, require
 from morphfit.geometry import (
     CoeffPair,
+    LandmarkSet2D,
     MorphableModel,
     PoseParams,
     Shape,
@@ -19,6 +20,7 @@ from morphfit.geometry import (
     select_landmarks,
 )
 from morphfit.synthetic import (
+    COLUMNS,
     Dataset,
     DatasetSpec,
     PoseRanges,
@@ -33,7 +35,7 @@ from morphfit.synthetic import (
     split_indices,
 )
 
-from conftest import WIDE_RANGES
+from conftest import WIDE_RANGES, row_coeffs, row_pose
 
 
 def flat_square_model(z: float = 0.0, extra_vertex: tuple | None = None) -> MorphableModel:
@@ -378,43 +380,39 @@ def tiny(small_model) -> Dataset:
 
 class TestBuildDataset:
     def test_labels_subject_major(self, tiny):
-        labels = [s.subject_label for s in tiny.samples]
-        assert labels == [0, 0, 0, 1, 1, 1]
+        assert tiny.labels.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_identity_shared_within_subject(self, tiny):
-        first = tiny.samples[0].ground_truth_coeffs.alpha_id
-        for sample in tiny.samples[1:3]:
-            assert np.array_equal(sample.ground_truth_coeffs.alpha_id, first)
-        assert not np.array_equal(tiny.samples[3].ground_truth_coeffs.alpha_id, first)
+        first = tiny.alpha_id[0]
+        for i in (1, 2):
+            assert np.array_equal(tiny.alpha_id[i], first)
+        assert not np.array_equal(tiny.alpha_id[3], first)
 
     def test_stored_shape_matches_coefficients(self, tiny, small_model):
-        for sample in tiny.samples:
-            expected = compose_shape(small_model, sample.ground_truth_coeffs)
-            assert np.array_equal(sample.ground_truth_shape.coords, expected.coords)
+        shapes = tiny.ground_truth_shapes(np.arange(tiny.labels.size))
+        for i, shape in enumerate(shapes):
+            expected = compose_shape(small_model, row_coeffs(tiny, i))
+            assert np.array_equal(shape, expected.coords)
 
     def test_stored_raster_is_dilated_render(self, tiny, small_model):
-        for sample in tiny.samples:
+        for i in range(tiny.labels.size):
             expected = dilate_max(rasterize_depth(
-                small_model, sample.ground_truth_coeffs,
-                sample.ground_truth_pose, tiny.spec.image_resolution))
-            assert np.array_equal(sample.depth_image, expected)
+                small_model, row_coeffs(tiny, i), row_pose(tiny, i),
+                tiny.spec.image_resolution))
+            assert np.array_equal(tiny.depth[i], expected)
 
     def test_noiseless_landmarks_match_projection(self, tiny, small_model):
-        for sample in tiny.samples:
-            shape = compose_shape(small_model, sample.ground_truth_coeffs)
+        for i in range(tiny.labels.size):
+            shape = compose_shape(small_model, row_coeffs(tiny, i))
             expected = project_landmarks(
                 select_landmarks(shape, small_model.landmark_indices),
-                sample.ground_truth_pose)
-            assert np.array_equal(sample.landmarks.coords, expected.coords)
+                row_pose(tiny, i))
+            assert np.array_equal(tiny.landmarks[i], expected.coords)
 
     def test_rebuild_bit_identical(self, tiny, small_model):
         again = build_dataset(small_model, tiny.spec)
-        for a, b in zip(tiny.samples, again.samples):
-            assert np.array_equal(a.depth_image, b.depth_image)
-            assert np.array_equal(a.landmarks.coords, b.landmarks.coords)
-            assert np.array_equal(a.ground_truth_coeffs.alpha_exp,
-                                  b.ground_truth_coeffs.alpha_exp)
-            assert a.ground_truth_pose.scale == b.ground_truth_pose.scale
+        for name in COLUMNS:
+            assert np.array_equal(getattr(tiny, name), getattr(again, name))
 
     def test_tiny_split(self, tiny):
         assert np.array_equal(tiny.train_indices, np.arange(0, 3))
@@ -422,11 +420,135 @@ class TestBuildDataset:
         assert np.array_equal(tiny.test_indices, np.arange(3, 6))
 
     def test_default_dataset_layout(self, default_dataset):
-        assert len(default_dataset.samples) == 200
+        assert default_dataset.labels.size == 200
         assert default_dataset.n_train_subjects == 15
         assert default_dataset.heldout_subjects == [15, 16, 17, 18, 19]
-        labels = np.array([s.subject_label for s in default_dataset.samples])
-        assert np.array_equal(labels, np.repeat(np.arange(20), 10))
-        image = default_dataset.samples[0].depth_image
+        assert np.array_equal(default_dataset.labels,
+                              np.repeat(np.arange(20), 10))
+        image = default_dataset.depth[0]
         assert image.shape == (32, 32)
         assert image.min() >= -1.0 and image.max() <= 1.0
+
+
+def rebuilt(dataset: Dataset, **columns) -> Dataset:
+    """`dataset` with some columns replaced, splits kept."""
+    return Dataset(model=dataset.model, spec=dataset.spec,
+                   train_indices=dataset.train_indices,
+                   val_indices=dataset.val_indices,
+                   test_indices=dataset.test_indices,
+                   **{name: columns.get(name, getattr(dataset, name))
+                      for name in COLUMNS})
+
+
+def row_rejected(model, spec, columns: dict, i: int) -> bool:
+    """Slow oracle: whether the per-sample constructors reject row i."""
+    try:
+        compose_shape(model, CoeffPair(columns["alpha_id"][i],
+                                       columns["alpha_exp"][i]))
+        PoseParams(columns["pose_scale"][i], columns["pose_rotation"][i],
+                   columns["pose_translation"][i])
+        landmarks = LandmarkSet2D(columns["landmarks"][i])
+        require(landmarks.count == model.n_landmarks, "landmark count")
+        depth = columns["depth"][i]
+        r = spec.image_resolution
+        require(depth.shape == (r, r), "depth shape")
+        require(bool(np.all(np.isfinite(depth))), "depth finite")
+        require(bool(np.all((depth >= -1.0) & (depth <= 1.0))), "depth range")
+        require(columns["labels"][i] >= 0, "label")
+    except InvalidArgumentError:
+        return True
+    return False
+
+
+def poison(columns: dict, row: int, data) -> str | None:
+    """Apply one drawn defect to row `row` (or, for a width defect, to a
+    whole column, whose name is returned)."""
+    kind = data.draw(st.sampled_from(
+        ["nan", "depth", "scale", "rotation", "label", "width"]))
+    if kind == "nan":
+        name = data.draw(st.sampled_from(COLUMNS[1:]))
+        flat = columns[name].reshape(columns[name].shape[0], -1)
+        flat[row, data.draw(st.integers(0, flat.shape[1] - 1))] = np.nan
+    elif kind == "depth":
+        flat = columns["depth"].reshape(columns["depth"].shape[0], -1)
+        flat[row, data.draw(st.integers(0, flat.shape[1] - 1))] = data.draw(
+            st.floats(-3.0, 3.0))
+    elif kind == "scale":
+        columns["pose_scale"][row] = data.draw(st.floats(-2.0, 2.0))
+    elif kind == "label":
+        columns["labels"][row] = data.draw(st.integers(-3, 3))
+    elif kind == "rotation":
+        # every defect moves the Gram matrix or det by >= 1e-6, far beyond
+        # ROTATION_TOL, so rounding cannot decide the outcome
+        how = data.draw(st.sampled_from(["skew", "improper", "proper"]))
+        rotation = columns["pose_rotation"][row]
+        if how == "skew":
+            a, b = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+            rotation[a, b] += data.draw(st.sampled_from([1e-6, -1e-3, 0.5]))
+        elif how == "improper":
+            rotation[:, 2] *= -1.0
+        else:
+            rotation[...] = rotation_zyx(*(data.draw(st.floats(-3.0, 3.0))
+                                           for _ in range(3)))
+    else:
+        name = data.draw(st.sampled_from(
+            ["alpha_id", "alpha_exp", "landmarks", "depth"]))
+        column = columns[name]
+        columns[name] = (column[..., :-1] if data.draw(st.booleans())
+                         else np.concatenate([column, column[..., :1]], axis=-1))
+        return name
+    return None
+
+
+class TestDatasetColumns:
+    def test_columns_are_read_only_c_ordered_copies(self, tiny):
+        depth = np.asfortranarray(tiny.depth)
+        again = rebuilt(tiny, depth=depth)
+        for name in COLUMNS:
+            column = getattr(again, name)
+            assert column.flags.c_contiguous and not column.flags.writeable
+        assert again.labels.dtype == np.int64
+        assert again.depth is not depth and depth.flags.writeable
+
+    def test_labels_must_be_integers(self, tiny):
+        with pytest.raises(InvalidArgumentError, match="labels"):
+            rebuilt(tiny, labels=tiny.labels.astype(np.float64))
+
+    def test_ground_truth_shapes_only_rows_asked(self, tiny, small_model):
+        shapes = tiny.ground_truth_shapes([4, 1])
+        assert shapes.shape == (2, small_model.mean.coords.size)
+        for shape, i in zip(shapes, (4, 1)):
+            assert np.array_equal(
+                shape, compose_shape(small_model, row_coeffs(tiny, i)).coords)
+
+    def test_images_flatten_rows_asked(self, tiny):
+        images = tiny.images(np.array([2, 0]))
+        assert images.shape == (2, 16 * 16)
+        assert np.array_equal(images[0], tiny.depth[2].ravel())
+        assert np.array_equal(images[1], tiny.depth[0].ravel())
+
+    def test_error_names_first_failing_row(self, tiny):
+        scale = np.array(tiny.pose_scale)
+        labels = np.array(tiny.labels)
+        scale[4], labels[2] = -1.0, -1
+        with pytest.raises(InvalidArgumentError, match="^sample 2 label"):
+            rebuilt(tiny, pose_scale=scale, labels=labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_vectorised_check_matches_per_row_constructors(self, tiny, data):
+        columns = {name: np.array(getattr(tiny, name)) for name in COLUMNS}
+        row = data.draw(st.integers(0, tiny.labels.size - 1))
+        widened = poison(columns, row, data)
+        rejected = [i for i in range(tiny.labels.size)
+                    if row_rejected(tiny.model, tiny.spec, columns, i)]
+        if not rejected:
+            rebuilt(tiny, **columns)
+            return
+        with pytest.raises(InvalidArgumentError) as info:
+            rebuilt(tiny, **columns)
+        if widened:
+            assert str(info.value).startswith(f"{widened} must be")
+        else:
+            assert rejected == [row]
+            assert str(info.value).startswith(f"sample {row} ")
