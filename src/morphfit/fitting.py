@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import (DegenerateGeometryError, NumericalFailureError,
                      UnderdeterminedError, require)
-from .geometry import (CoeffPair, LandmarkSet2D, MorphableModel, PoseParams,
-                       Shape, compose_shape, coord_rows, project_landmarks,
-                       select_landmarks)
+from .geometry import (LandmarkSet2D, MorphableModel, PoseParams, coord_rows,
+                       project_landmarks)
 
 # Absolute slack allowed on the objective monotonicity guarantee.
 MONOTONE_SLACK = 1e-9
@@ -98,36 +97,50 @@ def estimate_pose(points3d: np.ndarray, landmarks2d: LandmarkSet2D) -> PoseParam
             f"{pts.shape[0]} 3D points vs {u.shape[0]} 2D landmarks")
     require(pts.shape[0] >= 4, f"need at least 4 correspondences, got {pts.shape[0]}")
     require(bool(np.all(np.isfinite(pts))), "3D points must be finite")
+    return _estimate_poses(pts[None], u[None])[0]
 
-    centered_sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
-    if centered_sv[1] <= 1e-9 * max(centered_sv[0], np.finfo(float).tiny):
+
+def _estimate_poses(points: np.ndarray, targets: np.ndarray) -> list[PoseParams]:
+    """`estimate_pose` for (M, L, 3) points against (M, L, 2) landmarks: one
+    lstsq per image, the rest stacked. LAPACK factors each matrix of a stack
+    on its own, so every pose equals the one-image result bit for bit."""
+    sv = np.linalg.svd(points - points.mean(axis=1, keepdims=True), compute_uv=False)
+    if np.any(sv[:, 1] <= 1e-9 * np.maximum(sv[:, 0], np.finfo(float).tiny)):
         raise DegenerateGeometryError("3D points are collinear or coincident")
 
-    design = np.hstack([pts, np.ones((pts.shape[0], 1))])
-    affine, *_ = np.linalg.lstsq(design, u, rcond=None)
-    rows = affine[:3].T  # (2, 3) linear part
-
-    f = (float(np.linalg.norm(rows[0])) + float(np.linalg.norm(rows[1]))) / 2.0
-    if f <= 1e-12:
+    design = np.concatenate([points, np.ones((*points.shape[:2], 1))], axis=2)
+    linear = np.array([np.linalg.lstsq(a, u, rcond=None)[0][:3].T  # (2, 3) linear parts
+                       for a, u in zip(design, targets)])
+    scale = np.array([(float(np.linalg.norm(rows[0])) + float(np.linalg.norm(rows[1]))) / 2.0
+                      for rows in linear])
+    if np.any(scale <= 1e-12):
         raise DegenerateGeometryError("projected landmarks carry no scale")
-    uu, _, vt = np.linalg.svd(rows, full_matrices=False)
-    ortho = uu @ vt  # nearest pair of orthonormal rows
-    rotation = np.vstack([ortho, np.cross(ortho[0], ortho[1])])
+    uu, _, vt = np.linalg.svd(linear, full_matrices=False)
+    ortho = uu @ vt  # nearest pairs of orthonormal rows
+    rotation = np.concatenate([ortho, np.cross(ortho[:, 0], ortho[:, 1])[:, None]], axis=1)
 
-    proj = f * rotation[:2]
-    residual_mean = (u - pts @ proj.T).mean(axis=0)
-    translation = np.linalg.pinv(proj) @ residual_mean
-    return PoseParams(f, rotation, translation)
+    proj = scale[:, None, None] * rotation[:, :2]
+    residual_mean = (targets - points @ proj.transpose(0, 2, 1)).mean(axis=1)
+    return [PoseParams(f, r, p @ m) for f, r, p, m in
+            zip(scale, rotation, np.linalg.pinv(proj), residual_mean)]
 
 
 def _landmark_components(model: MorphableModel):
-    """Landmark-row slices of the mean and both bases, vertex-major."""
+    """Landmark-row slices of the mean and both bases, flat ((3L,), (3L, k))
+    and as vertex-major ((L, 3), (L, 3, k)) views of the same rows."""
     rows = coord_rows(model.landmark_indices)
-    count = model.n_landmarks
-    mean = model.mean.coords[rows].reshape(count, 3)
-    basis_id = model.basis_id[rows].reshape(count, 3, model.k_id)
-    basis_exp = model.basis_exp[rows].reshape(count, 3, model.k_exp)
-    return mean, basis_id, basis_exp
+    flat = (model.mean.coords[rows], model.basis_id[rows], model.basis_exp[rows])
+    return flat, tuple(c.reshape(-1, 3, *c.shape[1:]) for c in flat)
+
+
+def _landmark_points(flat, alpha_id: np.ndarray, alpha_exp: np.ndarray) -> np.ndarray:
+    """(L, 3) landmark points: `compose_shape` on the landmark rows only, bit
+    for bit wherever the BLAS computes each row of a product alike (OpenBLAS
+    does not for the last rows when their count is not a multiple of 4)."""
+    mean, basis_id, basis_exp = flat
+    points = (mean + basis_id @ alpha_id + basis_exp @ alpha_exp).reshape(-1, 3)
+    require(bool(np.all(np.isfinite(points))), "landmark points must be finite")
+    return points
 
 
 def _check_landmarks(model: MorphableModel, landmarks: LandmarkSet2D) -> None:
@@ -147,20 +160,9 @@ def solve_expression(model: MorphableModel, alpha_id: np.ndarray, pose: PosePara
     require(alpha_id.size == model.k_id, "alpha_id length must match the model")
     require(np.isfinite(reg_exp) and reg_exp >= 0, "reg_exp must be >= 0")
     _check_landmarks(model, landmarks)
-    if reg_exp == 0.0 and model.k_exp > 2 * model.n_landmarks:
-        raise UnderdeterminedError(
-            f"k_exp={model.k_exp} exceeds 2L={2 * model.n_landmarks} with no regularizer")
-
-    mean_u, basis_id_u, basis_exp_u = _landmark_components(model)
-    proj = pose.scale * pose.rotation[:2]
-    base = (mean_u + basis_id_u @ alpha_id + pose.translation) @ proj.T
-    system = np.einsum("rc,lck->lrk", proj, basis_exp_u).reshape(-1, model.k_exp)
-    rhs = (landmarks.points - base).ravel()
-    if reg_exp > 0.0:
-        system = np.vstack([system, np.sqrt(reg_exp) * np.diag(1.0 / model.sigma_exp)])
-        rhs = np.concatenate([rhs, np.zeros(model.k_exp)])
-    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    return solution
+    mean_u, basis_id_u, basis_exp_u = _landmark_components(model)[1]
+    return _solve_block("k_exp", mean_u, basis_id_u, basis_exp_u, model.sigma_exp,
+                        [(alpha_id, pose, landmarks)], reg_exp)
 
 
 def solve_identity_shared(model: MorphableModel,
@@ -175,26 +177,33 @@ def solve_identity_shared(model: MorphableModel,
     """
     require(len(per_image) >= 1, "need at least one image")
     require(np.isfinite(reg_id) and reg_id >= 0, "reg_id must be >= 0")
-    if reg_id == 0.0 and 2 * model.n_landmarks * len(per_image) < model.k_id:
-        raise UnderdeterminedError(
-            f"k_id={model.k_id} exceeds total equations "
-            f"{2 * model.n_landmarks * len(per_image)} with no regularizer")
-
-    mean_u, basis_id_u, basis_exp_u = _landmark_components(model)
-    blocks, rhs_parts = [], []
-    for alpha_exp, pose, landmarks in per_image:
-        alpha_exp = np.ravel(np.asarray(alpha_exp, dtype=np.float64))
-        require(alpha_exp.size == model.k_exp, "alpha_exp length must match the model")
+    for alpha_exp, _pose, landmarks in per_image:
+        require(np.size(alpha_exp) == model.k_exp, "alpha_exp length must match the model")
         _check_landmarks(model, landmarks)
+    mean_u, basis_id_u, basis_exp_u = _landmark_components(model)[1]
+    return _solve_block("k_id", mean_u, basis_exp_u, basis_id_u, model.sigma_id,
+                        per_image, reg_id)
+
+
+def _solve_block(name: str, mean_u, fixed_basis, basis, sigma, per_image, reg):
+    """Least-squares coefficients of the vertex-major `basis` shared by all
+    images, each with its own (coefficients of `fixed_basis`, pose,
+    landmarks) triple in `per_image`, damped by reg * ||x / sigma||^2."""
+    k, equations = basis.shape[2], 2 * mean_u.shape[0] * len(per_image)
+    if reg == 0.0 and k > equations:
+        raise UnderdeterminedError(
+            f"{name}={k} exceeds the {equations} equations with no regularizer")
+    blocks, rhs_parts = [], []
+    for coeffs, pose, landmarks in per_image:
         proj = pose.scale * pose.rotation[:2]
-        base = (mean_u + basis_exp_u @ alpha_exp + pose.translation) @ proj.T
-        blocks.append(np.einsum("rc,lck->lrk", proj, basis_id_u).reshape(-1, model.k_id))
+        base = (mean_u + fixed_basis @ np.ravel(coeffs) + pose.translation) @ proj.T
+        blocks.append(np.einsum("rc,lck->lrk", proj, basis).reshape(-1, k))
         rhs_parts.append((landmarks.points - base).ravel())
     system = np.vstack(blocks)
     rhs = np.concatenate(rhs_parts)
-    if reg_id > 0.0:
-        system = np.vstack([system, np.sqrt(reg_id) * np.diag(1.0 / model.sigma_id)])
-        rhs = np.concatenate([rhs, np.zeros(model.k_id)])
+    if reg > 0.0:
+        system = np.vstack([system, np.sqrt(reg) * np.diag(1.0 / sigma)])
+        rhs = np.concatenate([rhs, np.zeros(k)])
     solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
     return solution
 
@@ -215,12 +224,14 @@ def objective(model: MorphableModel, alpha_id: np.ndarray,
     """
     alpha_id = np.ravel(np.asarray(alpha_id, dtype=np.float64))
     require(alpha_id.size == model.k_id, "alpha_id length must match the model")
+    flat, _ = _landmark_components(model)
     total = 0.0
     for alpha_exp, pose, landmarks in per_image:
         _check_landmarks(model, landmarks)
-        shape = compose_shape(model, CoeffPair(alpha_id, alpha_exp))
-        pts = select_landmarks(shape, model.landmark_indices)
-        total += _image_data_term(pts, pose, landmarks)
+        alpha_exp = np.ravel(np.asarray(alpha_exp, dtype=np.float64))
+        require(alpha_exp.size == model.k_exp, "alpha_exp length must match the model")
+        total += _image_data_term(_landmark_points(flat, alpha_id, alpha_exp),
+                                  pose, landmarks)
     return total
 
 
@@ -235,17 +246,22 @@ def multi_image_fit(model: MorphableModel, landmark_sets: list[LandmarkSet2D],
     solution), so a re-estimated pose is kept only when it does not increase
     that image's data term; otherwise the previous pose stands. The
     objective must still not increase beyond slack at any sub-step: a
-    violation raises NumericalFailureError with diagnostics. Convergence is
-    declared when the change between consecutive passes drops below rel_tol
-    relative to the previous value, with the comparison floored at machine
-    epsilon times the total landmark energy so that fits sitting at the
-    numerical noise floor terminate.
+    violation raises NumericalFailureError naming the image whose data term
+    rose most. Convergence is declared when the change between consecutive
+    passes drops below rel_tol relative to the previous value, with the
+    comparison floored at machine epsilon times the total landmark energy so
+    that fits sitting at the numerical noise floor terminate.
+
+    Every step reads only the model's landmark rows, sliced once per fit,
+    and the pose step runs stacked SVDs over all images at once.
     """
     require(len(landmark_sets) >= 1, "need at least one landmark set")
     for lm in landmark_sets:
         _check_landmarks(model, lm)
 
     n_images = len(landmark_sets)
+    rows, (mean_u, basis_id_u, basis_exp_u) = _landmark_components(model)
+    targets = np.stack([lm.points for lm in landmark_sets])
     alpha_id = np.zeros(model.k_id)
     alpha_exps = [np.zeros(model.k_exp) for _ in range(n_images)]
     poses: list[PoseParams] = [None] * n_images  # type: ignore[list-item]
@@ -253,58 +269,64 @@ def multi_image_fit(model: MorphableModel, landmark_sets: list[LandmarkSet2D],
     energy = sum(float(lm.coords @ lm.coords) for lm in landmark_sets)
     floor = np.finfo(float).eps * max(energy, 1.0)
 
-    def regularized(current_alpha_id, current_exps, current_poses) -> float:
-        states = [(current_exps[j], current_poses[j], landmark_sets[j])
-                  for j in range(n_images)]
-        value = objective(model, current_alpha_id, states)
-        if config.reg_id > 0.0:
-            scaled = current_alpha_id / model.sigma_id
-            value += config.reg_id * float(scaled @ scaled)
-        if config.reg_exp > 0.0:
-            for alpha_exp in current_exps:
-                scaled = alpha_exp / model.sigma_exp
-                value += config.reg_exp * float(scaled @ scaled)
-        return value
+    def data_terms() -> list[float]:
+        return [_image_data_term(_landmark_points(rows, alpha_id, alpha_exp), pose, lm)
+                for alpha_exp, pose, lm in zip(alpha_exps, poses, landmark_sets)]
 
-    def check_step(step_name: str, iteration: int, before: float | None,
-                   after: float) -> float:
+    current: float | None = None
+    terms: list[float] = []
+
+    def check_step(step_name: str, iteration: int, new_terms: list[float]) -> None:
+        # the regularized objective, summed in the order `objective` sums
+        nonlocal current, terms
+        after = 0.0
+        for term in new_terms:
+            after += term
+        if config.reg_id > 0.0:
+            scaled = alpha_id / model.sigma_id
+            after += config.reg_id * float(scaled @ scaled)
+        if config.reg_exp > 0.0:
+            for alpha_exp in alpha_exps:
+                scaled = alpha_exp / model.sigma_exp
+                after += config.reg_exp * float(scaled @ scaled)
         if not np.isfinite(after):
             raise NumericalFailureError(
                 f"objective became non-finite after {step_name} in pass {iteration}")
-        if before is not None and after > before + MONOTONE_SLACK:
+        if current is not None and after > current + MONOTONE_SLACK:
+            j = int(np.argmax(np.subtract(new_terms, terms)))
             raise NumericalFailureError(
                 f"objective increased after {step_name} in pass {iteration}: "
-                f"{before!r} -> {after!r}")
-        return after
+                f"{current!r} -> {after!r}; image {j}'s data term rose most: "
+                f"{terms[j]!r} -> {new_terms[j]!r}")
+        current, terms = after, new_terms
 
-    current: float | None = None
     trace: list[float] = []
     converged = False
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
         iterations = iteration
-        for j in range(n_images):
-            shape = compose_shape(model, CoeffPair(alpha_id, alpha_exps[j]))
-            pts = select_landmarks(shape, model.landmark_indices)
-            candidate = estimate_pose(pts, landmark_sets[j])
-            if poses[j] is None or (_image_data_term(pts, candidate, landmark_sets[j])
-                                    <= _image_data_term(pts, poses[j], landmark_sets[j])):
+        points = np.stack([_landmark_points(rows, alpha_id, alpha_exp)
+                           for alpha_exp in alpha_exps])
+        pose_terms = []
+        for j, candidate in enumerate(_estimate_poses(points, targets)):
+            term = _image_data_term(points[j], candidate, landmark_sets[j])
+            if poses[j] is None or term <= (
+                    kept := _image_data_term(points[j], poses[j], landmark_sets[j])):
                 poses[j] = candidate
-        current = check_step("pose estimation", iteration, current,
-                             regularized(alpha_id, alpha_exps, poses))
+            else:
+                term = kept
+            pose_terms.append(term)
+        check_step("pose estimation", iteration, pose_terms)
 
-        alpha_exps = [solve_expression(model, alpha_id, poses[j], landmark_sets[j],
-                                       config.reg_exp)
+        alpha_exps = [_solve_block("k_exp", mean_u, basis_id_u, basis_exp_u,
+                                   model.sigma_exp, [(alpha_id, poses[j], landmark_sets[j])],
+                                   config.reg_exp)
                       for j in range(n_images)]
-        current = check_step("residual solve", iteration, current,
-                             regularized(alpha_id, alpha_exps, poses))
+        check_step("residual solve", iteration, data_terms())
 
-        alpha_id = solve_identity_shared(
-            model,
-            [(alpha_exps[j], poses[j], landmark_sets[j]) for j in range(n_images)],
-            config.reg_id)
-        current = check_step("identity solve", iteration, current,
-                             regularized(alpha_id, alpha_exps, poses))
+        alpha_id = _solve_block("k_id", mean_u, basis_exp_u, basis_id_u, model.sigma_id,
+                                list(zip(alpha_exps, poses, landmark_sets)), config.reg_id)
+        check_step("identity solve", iteration, data_terms())
 
         trace.append(current)
         if len(trace) >= 2:

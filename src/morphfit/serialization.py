@@ -54,9 +54,10 @@ def _atomic_write(path: str, data: bytes) -> None:
 # OBJ point clouds.
 
 def write_obj(shape: Shape, path: str) -> None:
-    """Write one `v x y z` line per vertex, 9 significant digits, no faces."""
-    lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in shape.points]
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
+    """Write one `v x y z` line per vertex, 9 significant digits, no faces,
+    formatting the whole file in one %-format call."""
+    text = ("v %.9g %.9g %.9g\n" * shape.n) % tuple(shape.coords.tolist())
+    _atomic_write(path, text.encode("ascii"))
 
 
 def read_obj(path: str) -> Shape:
@@ -144,6 +145,7 @@ def write_table_csv(columns: tuple, rows: list, path: str) -> None:
 # raw C-order little-endian array payloads in header order.
 
 _DTYPES = {"f8": "<f8", "i8": "<i8"}
+_INT_ARRAYS = ("labels", "model.landmark_indices")  # every other array is f8
 
 
 def _pack(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
@@ -190,13 +192,17 @@ def _unpack(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
             raise CorruptionError(f"malformed array entry: {entry}") from exc
         if kind not in _DTYPES:
             raise CorruptionError(f"unknown dtype tag '{kind}'")
+        expected = "i8" if name in _INT_ARRAYS else "f8"
+        _invariant(kind == expected,
+                   f"{name}: dtype tag '{kind}', expected '{expected}'")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * 8
         if offset + nbytes > len(data):
             raise CorruptionError(f"truncated payload for array '{name}'")
+        # a read-only view of `data`; every consumer makes its own copy
         arrays[name] = np.frombuffer(
             data, dtype=_DTYPES[kind], count=count, offset=offset,
-        ).reshape(shape).copy()
+        ).reshape(shape)
         offset += nbytes
     if offset != len(data):
         raise CorruptionError(f"{len(data) - offset} trailing bytes")

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 
@@ -25,7 +26,7 @@ from morphfit.geometry import Shape
 from morphfit.network import Layer, EncoderNet, init_decoder, init_head
 from morphfit.serialization import (DISENTANGLING_COLUMNS, FORMAT_VERSION,
                                     MAGIC, RECONSTRUCTION_COLUMNS,
-                                    VERIFICATION_COLUMNS, load_checkpoint,
+                                    VERIFICATION_COLUMNS, _unpack, load_checkpoint,
                                     load_dataset, read_obj, save_checkpoint,
                                     save_dataset, write_obj, write_report_csv,
                                     write_table_csv)
@@ -122,6 +123,28 @@ class TestObjFiles:
                         "v 0.333333333 0 -0\n"
                         "v 10 1e-09 123456789\n"
                         "v 3.5 4.5 5.5\n")
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-2.2250738585072014e-308,
+                  max_value=2.2250738585072014e-308),  # subnormals and zeros
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+                         1.7976931348623157e308, 0.1234567895, 1.0000000005,
+                         999999999.5, -2.5e-10]),
+        # ten significant digits ending in 5: the ninth digit rounds
+        st.builds(lambda digits, exponent: (10 * digits + 5) * 10.0 ** exponent,
+                  st.integers(10 ** 8, 10 ** 9 - 1), st.integers(-30, 20))),
+        min_size=12, max_size=90).filter(lambda values: len(values) % 3 == 0))
+    def test_matches_the_per_line_writer(self, tmp_path, values):
+        # the writer as it was: one f-string per vertex line
+        shape = Shape(np.array(values))
+        lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in shape.points]
+        path = str(tmp_path / "cloud.obj")
+        write_obj(shape, path)
+        with open(path, "rb") as handle:
+            assert handle.read() == ("\n".join(lines) + "\n").encode("ascii")
 
     def test_creates_missing_directories(self, tmp_path):
         shape = Shape(np.arange(12, dtype=np.float64))
@@ -580,6 +603,102 @@ class TestDatasetContainer:
 # ---------------------------------------------------------------------------
 # Fuzzed dataset containers: every mutation loads or raises a MorphfitError,
 # and `morphfit fit` on it exits 0, or 1 with exactly one `error:` line.
+
+def array_entries(data: bytes) -> list[dict]:
+    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+    return json.loads(data[len(MAGIC) + 8:len(MAGIC) + 8 + header_len])["arrays"]
+
+
+def flip_tag(data: bytes, name: str) -> bytes:
+    """The container with array `name` tagged i8 for f8 or f8 for i8, its
+    payload bytes unchanged."""
+    def edit(header):
+        entry = next(e for e in header["arrays"] if e["name"] == name)
+        entry["dtype"] = {"f8": "i8", "i8": "f8"}[entry["dtype"]]
+    return reencode(data, edit)
+
+
+def run_quietly(argv: list[str]) -> tuple[int, list[str]]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli(argv)
+    return code, err.getvalue().splitlines()
+
+
+class TestArrayDtypeTags:
+    """labels and model.landmark_indices are stored as i8 and every other
+    array as f8; a flipped tag would reinterpret the payload bits."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tiny_dataset, stack, tmp_path_factory):
+        root = tmp_path_factory.mktemp("tags")
+        save_dataset(tiny_dataset, str(root / "data.mfd"))
+        save_checkpoint(*stack, str(root / "model.ckpt"))
+        return root
+
+    def test_written_tags(self, files):
+        for name in ("data.mfd", "model.ckpt"):
+            for entry in array_entries((files / name).read_bytes()):
+                assert entry["dtype"] == ("i8" if entry["name"] in (
+                    "labels", "model.landmark_indices") else "f8"), entry
+
+    @pytest.mark.parametrize("name, load", [("data.mfd", load_dataset),
+                                            ("model.ckpt", load_checkpoint)])
+    def test_every_flipped_tag_is_invariant_violation(self, files, tmp_path,
+                                                      name, load):
+        data = (files / name).read_bytes()
+        entries = array_entries(data)
+        assert len(entries) >= 8
+        for entry in entries:
+            path = tmp_path / name
+            path.write_bytes(flip_tag(data, entry["name"]))
+            with pytest.raises(InvariantViolationError,
+                               match=f"^{re.escape(entry['name'])}: dtype tag"):
+                load(str(path))
+
+    def test_cli_prints_one_error_line(self, files, tmp_path):
+        data = tmp_path / "data.mfd"
+        data.write_bytes(flip_tag((files / "data.mfd").read_bytes(), "alpha_id"))
+        code, lines = run_quietly(["fit", "--data", str(data), "--subject", "0",
+                                   "--out", str(tmp_path / "fit")])
+        assert (code, lines) == (1, ["error: InvariantViolationError: alpha_id: "
+                                     "dtype tag 'i8', expected 'f8'"])
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(flip_tag((files / "model.ckpt").read_bytes(), "head.bias"))
+        code, lines = run_quietly(["export-bases", "--data", str(files / "data.mfd"),
+                                   "--checkpoint", str(ckpt),
+                                   "--out", str(tmp_path / "bases")])
+        assert (code, lines) == (1, ["error: InvariantViolationError: head.bias: "
+                                     "dtype tag 'i8', expected 'f8'"])
+
+
+class TestOneCopyPerLoad:
+    def test_unpack_returns_read_only_views(self, tiny_dataset, tmp_path):
+        path = tmp_path / "data.mfd"
+        save_dataset(tiny_dataset, str(path))
+        _, arrays = _unpack(path.read_bytes())
+        for name, array in arrays.items():
+            assert not array.flags.owndata and not array.flags.writeable, name
+
+    def test_loaded_arrays_own_read_only_memory(self, tiny_dataset, stack,
+                                                tmp_path):
+        save_dataset(tiny_dataset, str(tmp_path / "data.mfd"))
+        save_checkpoint(*stack, str(tmp_path / "model.ckpt"))
+        dataset = load_dataset(str(tmp_path / "data.mfd"))
+        encoder, decoder, head, _ = load_checkpoint(str(tmp_path / "model.ckpt"))
+        model = dataset.model
+        arrays = {name: getattr(dataset, name) for name in COLUMNS}
+        arrays.update({f"model.{name}": getattr(model, name) for name in (
+            "basis_id", "basis_exp", "sigma_id", "sigma_exp", "landmark_indices")})
+        arrays["model.mean"] = model.mean.coords
+        for i, layer in enumerate(encoder.layers):
+            arrays.update({f"enc.{i}.weight": layer.weight, f"enc.{i}.bias": layer.bias})
+        arrays.update({f"dec.{name}": getattr(decoder, name) for name in (
+            "weight_id", "bias_id", "weight_res", "bias_res")})
+        arrays.update({"head.weight": head.weight, "head.bias": head.bias})
+        for name, array in arrays.items():
+            assert array.flags.owndata and not array.flags.writeable, name
+
 
 def header_paths(header: dict) -> list[tuple]:
     paths = [(key,) for key in header]
