@@ -213,19 +213,19 @@ def _cmd_eval(args) -> int:
                                  rank1=rank1, rank5=rank5)
     write_report_csv(report, os.path.join(out, "verification.csv"))
 
-    truths = list(map(Shape, dataset.ground_truth_shapes(rows)))
+    truths = dataset.ground_truth_shapes(rows)
 
-    def reconstruction(enc, dec):
-        deltas = nw.decode(dec, *nw.encode_images(enc, images))
-        return evaluate_reconstruction([Shape(model.mean.coords + d) for d in deltas],
-                                       truths, model.landmark_indices,
+    def reconstruction(codes, dec):
+        shapes = nw.decode(dec, *codes)
+        shapes += model.mean.coords
+        return evaluate_reconstruction(shapes, truths, model.landmark_indices,
                                        model.nose_tip_index, config.crop_radius)
 
-    recon = reconstruction(encoder, decoder)
+    recon = reconstruction((c_id, c_res), decoder)
     write_report_csv(recon, os.path.join(out, "reconstruction.csv"))
     if args.baseline:
         enc2, dec2, _h2, _c2 = load_checkpoint(args.baseline)
-        write_report_csv(reconstruction(enc2, dec2),
+        write_report_csv(reconstruction(nw.encode_images(enc2, images), dec2),
                          os.path.join(out, "reconstruction_baseline.csv"))
 
     write_report_csv(disentangling_report(encoder, dataset),

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require
-from .geometry import (CoeffPair, MorphableModel, PoseParams, Shape,
-                       apply_transform, crop_indices, procrustes_align, rmse,
-                       select_landmarks)
+from .geometry import (CoeffPair, MorphableModel, PoseParams, crop_indices,
+                       procrustes_align_stack)
 
 
 @dataclass(frozen=True)
@@ -292,32 +291,45 @@ def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
     return hits / probes.shape[0]
 
 
-def evaluate_reconstruction(predicted: list[Shape], ground_truth: list[Shape],
+def evaluate_reconstruction(predicted: np.ndarray, ground_truth: np.ndarray,
                             landmark_indices: np.ndarray, nose_tip_index: int,
                             crop_radius: float) -> ReconstructionReport:
     """Aligned, cropped shape error between prediction/ground-truth pairs.
 
-    Each prediction is similarity-aligned to its ground truth on the landmark
-    subset, then both are cropped to the vertices within crop_radius of the
-    ground-truth nose tip (correspondence preserved: the crop set is chosen
-    on the ground truth only). Degenerate alignments propagate.
+    Row k of the (N, 3n) `predicted` and `ground_truth` arrays is one flat
+    shape pair. Each prediction is similarity-aligned to its ground truth on
+    the landmark subset, then both are cropped to the vertices within
+    crop_radius of the ground-truth nose tip (correspondence preserved: the
+    crop set is chosen on the ground truth only). Degenerate alignments
+    propagate, naming the pair.
     """
-    require(len(predicted) == len(ground_truth) and len(predicted) >= 1,
-            "need equal-length non-empty shape lists")
+    predicted = np.asarray(predicted, dtype=np.float64)
+    ground_truth = np.asarray(ground_truth, dtype=np.float64)
+    require(predicted.ndim == 2 and predicted.shape == ground_truth.shape
+            and predicted.shape[0] >= 1 and predicted.shape[1] % 3 == 0,
+            f"need equal non-empty (N, 3n) arrays, got {predicted.shape} and "
+            f"{ground_truth.shape}")
+    require(bool(np.all(np.isfinite(ground_truth))), "ground-truth shapes must be finite")
+    n_pairs = predicted.shape[0]
+    pred_pts, truth_pts = (a.reshape(n_pairs, -1, 3) for a in (predicted, ground_truth))
     indices = np.asarray(landmark_indices, dtype=np.int64).ravel()
+    require(bool(np.all((indices >= 0) & (indices < pred_pts.shape[1]))),
+            f"landmark indices must lie in [0, {pred_pts.shape[1]})")
+
+    scale, rotation, translation = procrustes_align_stack(pred_pts[:, indices],
+                                                          truth_pts[:, indices])
+    aligned = pred_pts @ np.swapaxes(scale[:, None, None] * rotation, 1, 2)
+    aligned += translation[:, None]
+    bad = ~np.isfinite(aligned).all(axis=(1, 2))
+    require(not bad.any(), f"aligned shape of pair {int(np.argmax(bad))} is not finite")
+
     total_rmse = 0.0
     total_dist = 0.0
-    for pred, truth in zip(predicted, ground_truth):
-        require(pred.n == truth.n,
-                f"vertex count mismatch: {pred.n} vs {truth.n}")
-        transform = procrustes_align(select_landmarks(pred, indices),
-                                     select_landmarks(truth, indices))
-        aligned = apply_transform(pred, transform)
+    for truth, moved in zip(truth_pts, aligned):
         crop = crop_indices(truth, nose_tip_index, crop_radius)
-        total_rmse += rmse([(truth, aligned)], crop)
-        diff = truth.points[crop] - aligned.points[crop]
+        diff = truth[crop] - moved[crop]
+        total_rmse += float(np.linalg.norm(diff)) / crop.size
         total_dist += float(np.mean(np.linalg.norm(diff, axis=1)))
-    n_pairs = len(predicted)
     return ReconstructionReport(rmse_paper=total_rmse / n_pairs,
                                 mean_vertex_dist=total_dist / n_pairs,
                                 n_pairs=n_pairs, crop_radius=crop_radius)
@@ -361,7 +373,7 @@ def disentangling_report(encoder, dataset) -> DisentanglingReport:
             "need at least two expressions per subject")
 
     images = dataset.images(rows)
-    c_id, _ = embed(images)
+    c_id, c_res = embed(images)
 
     dist = _cosine_distance_matrix(c_id)
     same = labels[:, None] == labels[None, :]
@@ -370,20 +382,20 @@ def disentangling_report(encoder, dataset) -> DisentanglingReport:
     inter = float(dist[~same & upper].mean())
 
     rng = np.random.default_rng(np.random.SeedSequence([dataset.spec.seed, 0x1d]))
-    num = den = 0.0
-    ratios = []
-    for i, image in zip(rows, images):
-        base = embed(image[None, :])
+    moved_images = np.empty_like(images)
+    for i, moved_image in zip(rows, moved_images):
         perturbation = rng.normal(0.0, 1.0, size=model.k_exp) * model.sigma_exp
         coeffs = CoeffPair(dataset.alpha_id[i], dataset.alpha_exp[i] + perturbation)
         pose = PoseParams(dataset.pose_scale[i], dataset.pose_rotation[i],
                           dataset.pose_translation[i])
-        other = dilate_max(rasterize_depth(model, coeffs, pose,
-                                           dataset.spec.image_resolution))
-        moved = embed(other.ravel()[None, :])
-        d_res = float(np.linalg.norm(moved[1][0] - base[1][0]))
-        d_id = float(np.linalg.norm(moved[0][0] - base[0][0]))
-        num, den = num + d_res, den + d_res + d_id
+        moved_image[:] = dilate_max(rasterize_depth(model, coeffs, pose,
+                                                    dataset.spec.image_resolution)).ravel()
+    moved_id, moved_res = embed(moved_images)
+    den, ratios = 0.0, []
+    for k in range(len(rows)):
+        d_res = float(np.linalg.norm(moved_res[k] - c_res[k]))
+        d_id = float(np.linalg.norm(moved_id[k] - c_id[k]))
+        den = den + d_res + d_id
         if d_res + d_id > 0:
             ratios.append(d_res / (d_res + d_id))
 

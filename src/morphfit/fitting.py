@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import (DegenerateGeometryError, NumericalFailureError,
                      UnderdeterminedError, require)
-from .geometry import (LandmarkSet2D, MorphableModel, PoseParams, coord_rows,
-                       project_landmarks)
+from .geometry import LandmarkSet2D, MorphableModel, PoseParams, coord_rows
 
 # Absolute slack allowed on the objective monotonicity guarantee.
 MONOTONE_SLACK = 1e-9
@@ -210,8 +209,9 @@ def _solve_block(name: str, mean_u, fixed_basis, basis, sigma, per_image, reg):
 
 def _image_data_term(points: np.ndarray, pose: PoseParams,
                      landmarks: LandmarkSet2D) -> float:
-    predicted = project_landmarks(points, pose)
-    diff = landmarks.coords - predicted.coords
+    # `project_landmarks`' expression, without its LandmarkSet2D per call
+    rotated = (points + pose.translation) @ pose.rotation.T
+    diff = landmarks.coords - (pose.scale * rotated[:, :2]).ravel()
     return float(diff @ diff)
 
 

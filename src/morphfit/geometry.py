@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, require
+from .errors import DegenerateGeometryError, InvalidArgumentError, require
 
 # Tolerance for accepting a matrix as a proper rotation.
 ROTATION_TOL = 1e-10
@@ -32,12 +32,17 @@ def _readonly(values, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def _rotation_errors(rotation: np.ndarray) -> tuple:
+    """max |R^T R - I| and |det R - 1| of each matrix of a (..., 3, 3) stack."""
+    gram = np.swapaxes(rotation, -1, -2) @ rotation - np.eye(3)
+    return np.max(np.abs(gram), axis=(-2, -1)), np.abs(np.linalg.det(rotation) - 1.0)
+
+
 def _check_rotation(rotation: np.ndarray, what: str) -> None:
     require(rotation.shape == (3, 3), f"{what} must be 3x3, got {rotation.shape}")
     require(bool(np.all(np.isfinite(rotation))), f"{what} must be finite")
-    gram_err = np.max(np.abs(rotation.T @ rotation - np.eye(3)))
+    gram_err, det_err = _rotation_errors(rotation)
     require(gram_err <= ROTATION_TOL, f"{what} is not orthonormal (max deviation {gram_err:.3e})")
-    det_err = abs(np.linalg.det(rotation) - 1.0)
     require(det_err <= ROTATION_TOL, f"{what} is not proper (|det - 1| = {det_err:.3e})")
 
 
@@ -271,39 +276,49 @@ def procrustes_align(source: np.ndarray, target: np.ndarray) -> SimilarityTransf
     rotation R and translation t, via the SVD of the centered cross-covariance
     with determinant sign correction. Both inputs are (L, 3) with L >= 4.
     """
+    src, tgt = np.asarray(source), np.asarray(target)
+    require(src.ndim == 2, f"source must be (L, 3), got {src.shape}")
+    scale, rotation, translation = procrustes_align_stack(src[None], tgt[None])
+    return SimilarityTransform(scale[0], rotation[0], translation[0])
+
+
+def procrustes_align_stack(source: np.ndarray, target: np.ndarray) -> tuple:
+    """`procrustes_align` for each pair of an (N, L, 3) source and target stack.
+
+    Returns (scale (N,), rotation (N, 3, 3), translation (N, 3)), pair k's
+    transform equal bit for bit to aligning that pair alone (Umeyama, TPAMI
+    1991). A degenerate pair raises DegenerateGeometryError naming it.
+    """
     src = np.asarray(source, dtype=np.float64)
     tgt = np.asarray(target, dtype=np.float64)
-    require(src.ndim == 2 and src.shape[1] == 3, f"source must be (L, 3), got {src.shape}")
-    require(tgt.shape == src.shape,
-            f"source and target shapes differ: {src.shape} vs {tgt.shape}")
-    require(src.shape[0] >= MIN_POINTS,
-            f"need at least {MIN_POINTS} points, got {src.shape[0]}")
-    require(bool(np.all(np.isfinite(src))) and bool(np.all(np.isfinite(tgt))),
-            "points must be finite")
+    require(src.ndim == 3 and src.shape[2] == 3 and tgt.shape == src.shape,
+            f"need equal (N, L, 3) source and target, got {src.shape} and {tgt.shape}")
+    require(src.shape[1] >= MIN_POINTS,
+            f"need at least {MIN_POINTS} points, got {src.shape[1]}")
 
-    mu_src = src.mean(axis=0)
-    mu_tgt = tgt.mean(axis=0)
-    x = src - mu_src
-    y = tgt - mu_tgt
-    var_src = float(np.mean(np.sum(x * x, axis=1)))
-    if var_src <= 0.0:
-        raise DegenerateGeometryError("source points are coincident")
+    def fail(bad: np.ndarray, message: str, error=DegenerateGeometryError) -> None:
+        if np.any(bad):
+            raise error(f"pair {int(np.argmax(bad))}: {message}")
 
-    cov = (y.T @ x) / src.shape[0]
-    u, s, vt = np.linalg.svd(cov)
-    if s[0] <= 0.0 or s[1] <= 1e-12 * s[0]:
-        raise DegenerateGeometryError(
-            "cross-covariance is rank deficient; points are collinear or coincident")
+    fail(~(np.isfinite(src).all(axis=(1, 2)) & np.isfinite(tgt).all(axis=(1, 2))),
+         "points must be finite", InvalidArgumentError)
+    mu_src, mu_tgt = src.mean(axis=1), tgt.mean(axis=1)
+    x, y = src - mu_src[:, None], tgt - mu_tgt[:, None]
+    # one mean per row: a mean along axis 1 of the stack sums in another order
+    var_src = np.array([np.mean(row) for row in np.sum(x * x, axis=2)])
+    fail(var_src <= 0.0, "source points are coincident")
+    u, s, vt = np.linalg.svd(np.swapaxes(y, 1, 2) @ x / src.shape[1])
+    fail((s[:, 0] <= 0.0) | (s[:, 1] <= 1e-12 * s[:, 0]),
+         "cross-covariance is rank deficient; points are collinear or coincident")
 
-    d = np.ones(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
-        d[2] = -1.0
-    rotation = u @ np.diag(d) @ vt
-    scale = float(np.sum(s * d)) / var_src
-    if scale <= 0.0:
-        raise DegenerateGeometryError("alignment collapsed to non-positive scale")
-    translation = mu_tgt - scale * (rotation @ mu_src)
-    return SimilarityTransform(scale, rotation, translation)
+    d = np.ones((src.shape[0], 3))
+    d[np.linalg.det(u) * np.linalg.det(vt) < 0.0, 2] = -1.0
+    rotation = (u * d[:, None]) @ vt
+    scale = np.sum(s * d, axis=1) / var_src
+    fail(scale <= 0.0, "alignment collapsed to non-positive scale")
+    fail(~(np.maximum(*_rotation_errors(rotation)) <= ROTATION_TOL),
+         "rotation is not orthonormal and proper", InvalidArgumentError)
+    return scale, rotation, mu_tgt - scale[:, None] * (rotation @ mu_src[:, :, None])[:, :, 0]
 
 
 def apply_transform(shape: Shape, transform: SimilarityTransform) -> Shape:
@@ -312,43 +327,17 @@ def apply_transform(shape: Shape, transform: SimilarityTransform) -> Shape:
     return Shape(pts.ravel())
 
 
-def crop_indices(shape: Shape, center_index: int, radius: float) -> np.ndarray:
-    """Sorted vertex indices within Euclidean `radius` of the center vertex.
-
-    The boundary is inclusive, so radius 0 yields exactly the center vertex.
-    """
-    require(0 <= center_index < shape.n,
-            f"center_index {center_index} out of range [0, {shape.n})")
+def crop_indices(points: np.ndarray, center_index: int, radius: float) -> np.ndarray:
+    """Sorted indices of the (n, 3) points within Euclidean `radius` of the
+    center point. The boundary is inclusive, so radius 0 yields the center."""
+    require(points.ndim == 2 and points.shape[1] == 3,
+            f"points must be (n, 3), got {points.shape}")
+    require(0 <= center_index < points.shape[0],
+            f"center_index {center_index} out of range [0, {points.shape[0]})")
     require(np.isfinite(radius) and radius >= 0.0,
             f"radius must be finite and non-negative, got {radius}")
-    dists = np.linalg.norm(shape.points - shape.points[center_index], axis=1)
-    return np.sort(np.flatnonzero(dists <= radius)).astype(np.int64)
-
-
-def rmse(pairs: list[tuple[Shape, Shape]], indices: np.ndarray) -> float:
-    """Cropped shape error (1/N) * sum_i ||g_i - p_i|| / n_c over shape pairs.
-
-    Each pair is (ground_truth, predicted); both are restricted to the common
-    crop index list of size n_c, the stacked 3*n_c coordinate difference is
-    measured with the Euclidean norm, divided by the vertex count n_c, and the
-    result is averaged over pairs. Note the divisor is the vertex count, not
-    the norm-per-vertex average; the companion per-vertex mean distance is
-    reported separately by the evaluation layer.
-    """
-    require(len(pairs) > 0, "need at least one shape pair")
-    idx = np.asarray(indices)
-    require(idx.ndim == 1 and idx.size > 0, "crop index list must be non-empty")
-    require(np.issubdtype(idx.dtype, np.integer), "crop indices must be integers")
-    rows = coord_rows(idx)
-    total = 0.0
-    for ground_truth, predicted in pairs:
-        require(ground_truth.n == predicted.n,
-                f"pair has mismatched vertex counts {ground_truth.n} vs {predicted.n}")
-        require(bool(np.all(idx >= 0)) and bool(np.all(idx < ground_truth.n)),
-                "crop indices out of vertex range")
-        diff = ground_truth.coords[rows] - predicted.coords[rows]
-        total += float(np.linalg.norm(diff)) / idx.size
-    return total / len(pairs)
+    dists = np.linalg.norm(points - points[center_index], axis=1)
+    return np.flatnonzero(dists <= radius)
 
 
 def rotation_zyx(yaw: float, pitch: float, roll: float) -> np.ndarray:

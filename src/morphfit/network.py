@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError, UnderdeterminedError, require
-from .geometry import MorphableModel
+from .geometry import MorphableModel, _readonly
 
 # Latent outputs are clamped strictly inside (-1, 1): tanh rounds to 1.0 in
 # doubles for arguments above ~19, which would break the open-interval
@@ -37,12 +37,6 @@ TARGET_CLIP = 0.99
 PHASE1_WEIGHT_DECAY = 3.0
 
 _ACTIVATIONS = ("tanh", "linear")
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 def _freeze(obj, what: str, *names: str) -> list:
@@ -619,20 +613,17 @@ def train_phase1(net: EncoderNet, dataset, config: TrainConfig) -> tuple:
     rng = np.random.default_rng(config.seed)
     flat = _FlatParams(_param_table(net))
     (stepping,) = _assemble(net, flat.views, checked=False)
-    # the first step runs on `net` itself: BLAS sums in memory order, and
-    # the caller's arrays need not be C-ordered like the buffer's views
-    current, trained, history = net, net, []
+    trained, history = net, []
     q_total = net.q_id + net.q_res
     for _ in range(config.epochs):
         order = rng.permutation(train_idx.size)
         for start in range(0, train_idx.size, config.batch_size):
             rows = order[start:start + config.batch_size]
-            codes, activations = _forward_trace(current, train_images[rows])
+            codes, activations = _forward_trace(stepping, train_images[rows])
             grad_codes = (2.0 / (rows.size * q_total)) * (codes - train_targets[rows])
             grads = {}
-            _encoder_backprop(current, activations, grad_codes, grads)
+            _encoder_backprop(stepping, activations, grad_codes, grads)
             flat.step(grads, config, decay=PHASE1_WEIGHT_DECAY)
-            current = stepping
         (trained,) = _assemble(net, flat.views)
         train_loss = _regression_loss(trained, train_images, train_targets)
         val_loss = (_regression_loss(trained, val_images, val_targets)
@@ -702,7 +693,9 @@ def train_phase3(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     evaluated on the full training split after that epoch; the report's
     lambda_r field records the stage weight, so the emitted schedule under
     defaults is 0.5 x 10 then 1.0 x 20. A numerical failure mid-run raises
-    NumericalFailureError carrying the last completed epoch's state in its
+    NumericalFailureError that names the stage, its lambda_r, the epoch
+    (counted over all stages, as in the trace) and the step, quotes the last
+    completed epoch's losses, and carries that epoch's state in its
     `last_good` attribute.
     """
     train_idx = np.asarray(dataset.train_indices, dtype=np.int64)
@@ -715,26 +708,32 @@ def train_phase3(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     rng = np.random.default_rng(config.seed)
     flat = _FlatParams(_param_table(net, dec, head))
     stepping = _assemble(net, flat.views, checked=False)
-    # as in phase I, the first step runs on the arrays as passed in
-    current, last_good, trace = (net, dec, head), (net, dec, head), []
+    last_good, trace = (net, dec, head), []
     try:
-        for lam, n_epochs in stages:
+        for stage, (lam, n_epochs) in enumerate(stages):
             for _ in range(int(n_epochs)):
                 order = rng.permutation(train_idx.size)
-                for start in range(0, train_idx.size, config.batch_size):
+                for step, start in enumerate(range(0, train_idx.size, config.batch_size)):
                     rows = order[start:start + config.batch_size]
                     batch = _build(TrainingBatch, False, images=full.images[rows],
                                    labels=full.labels[rows],
                                    target_delta=full.target_delta[rows])
-                    grads, _ = backward(*current, batch, lam)
+                    grads, _ = backward(*stepping, batch, lam)
                     flat.step(grads, config)
-                    current = stepping
+                step = None
+                if not np.all(np.isfinite(flat.data)):
+                    raise NumericalFailureError("parameters became non-finite")
                 epoch_end = _assemble(net, flat.views)
                 trace.append(batch_loss(*epoch_end, full, lam))
                 last_good = epoch_end
     except NumericalFailureError as exc:
-        exc.last_good = last_good + (trace,)
-        raise
+        done = ("no epoch finished" if not trace else "last finished epoch: " + ", ".join(
+            f"{name} {getattr(trace[-1], name)!r}" for name in ("total", "recon", "ident")))
+        error = NumericalFailureError(
+            f"phase III stage {stage} (lambda_r {lam!r}), epoch {len(trace)}, "
+            f"{'end of epoch' if step is None else f'step {step}'}: {exc}; {done}")
+        error.last_good = last_good + (trace,)
+        raise error from exc
     return last_good[0], last_good[1], last_good[2], trace
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from morphfit.geometry import CoeffPair, PoseParams
+from morphfit.errors import require
+from morphfit.geometry import CoeffPair, PoseParams, Shape, coord_rows
 from morphfit.synthetic import (COLUMNS, Dataset, DatasetSpec, PoseRanges,
                                 SyntheticModelSpec, build_dataset,
                                 generate_model)
@@ -53,3 +54,33 @@ def take_rows(dataset: Dataset, rows, **splits) -> Dataset:
                    **{name: getattr(dataset, name)[rows] for name in COLUMNS},
                    **{f"{name}_indices": splits.get(name, empty)
                       for name in ("train", "val", "test")})
+
+
+# The per-pair shape error that evaluate_reconstruction computed through
+# before it took stacked arrays; the per-pair reconstruction oracle in
+# test_evaluation.py still does.
+
+def rmse(pairs: list[tuple[Shape, Shape]], indices: np.ndarray) -> float:
+    """Cropped shape error (1/N) * sum_i ||g_i - p_i|| / n_c over shape pairs.
+
+    Each pair is (ground_truth, predicted); both are restricted to the common
+    crop index list of size n_c, the stacked 3*n_c coordinate difference is
+    measured with the Euclidean norm, divided by the vertex count n_c, and the
+    result is averaged over pairs. Note the divisor is the vertex count, not
+    the norm-per-vertex average; the companion per-vertex mean distance is
+    reported separately by the evaluation layer.
+    """
+    require(len(pairs) > 0, "need at least one shape pair")
+    idx = np.asarray(indices)
+    require(idx.ndim == 1 and idx.size > 0, "crop index list must be non-empty")
+    require(np.issubdtype(idx.dtype, np.integer), "crop indices must be integers")
+    rows = coord_rows(idx)
+    total = 0.0
+    for ground_truth, predicted in pairs:
+        require(ground_truth.n == predicted.n,
+                f"pair has mismatched vertex counts {ground_truth.n} vs {predicted.n}")
+        require(bool(np.all(idx >= 0)) and bool(np.all(idx < ground_truth.n)),
+                "crop indices out of vertex range")
+        diff = ground_truth.coords[rows] - predicted.coords[rows]
+        total += float(np.linalg.norm(diff)) / idx.size
+    return total / len(pairs)

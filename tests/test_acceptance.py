@@ -33,8 +33,6 @@ from morphfit.network import (encode_images, finite_diff_check, init_decoder,
                               init_encoder, init_head, training_batch)
 from morphfit.synthetic import render_landmarks
 
-from conftest import row_coeffs
-
 
 def wide_pose(rng: np.random.Generator) -> PoseParams:
     rotation = rotation_zyx(rng.uniform(-0.15, 0.15), rng.uniform(-0.25, 0.25),
@@ -249,7 +247,7 @@ def test_criterion_06_joint_training_preserves_recognition_and_recon(
     rows = dataset.test_indices
     images = dataset.images(rows)
     labels = dataset.labels[rows]
-    truths = [compose_shape(model, row_coeffs(dataset, i)) for i in rows]
+    truths = dataset.ground_truth_shapes(rows)
 
     enc1, dec2, _warm = trained_stack["after2"]
     enc3, dec3, _head3 = trained_stack["after3"]
@@ -262,8 +260,7 @@ def test_criterion_06_joint_training_preserves_recognition_and_recon(
         c_id, c_res = encode_images(encoder, images)
         deltas = (c_id @ decoder.weight_id.T + decoder.bias_id
                   + c_res @ decoder.weight_res.T + decoder.bias_res)
-        shapes = [Shape(model.mean.coords + d) for d in deltas]
-        return evaluate_reconstruction(shapes, truths, model.landmark_indices,
+        return evaluate_reconstruction(model.mean.coords + deltas, truths, model.landmark_indices,
                                        model.nose_tip_index,
                                        RunConfig().crop_radius).rmse_paper
 
@@ -375,21 +372,21 @@ def test_criterion_09_geometry_oracles(desk_model):
             rng.uniform(0.8, 1.2),
             rotation_zyx(*rng.uniform(-0.4, 0.4, size=3)),
             rng.uniform(-1.0, 1.0, size=3))
-        truths.append(truth)
-        preds.append(apply_transform(truth, transform))
-    rigid = evaluate_reconstruction(preds, truths,
+        truths.append(truth.coords)
+        preds.append(apply_transform(truth, transform).coords)
+    rigid = evaluate_reconstruction(np.array(preds), np.array(truths),
                                     desk_model.landmark_indices,
                                     desk_model.nose_tip_index, 0.95)
     assert rigid.rmse_paper < 1e-9
 
     # a single-vertex (3, 4, 0) perturbation scores exactly 5 / n_c
     truth = compose_shape(desk_model, draw_coeffs(desk_model, rng))
-    crop = crop_indices(truth, desk_model.nose_tip_index, 0.95)
+    crop = crop_indices(truth.points, desk_model.nose_tip_index, 0.95)
     movable = np.setdiff1d(crop, desk_model.landmark_indices)
     vertex = int(movable[0])
     coords = truth.coords.copy()
     coords[3 * vertex:3 * vertex + 3] += (3.0, 4.0, 0.0)
-    report = evaluate_reconstruction([Shape(coords)], [truth],
+    report = evaluate_reconstruction(coords[None], truth.coords[None],
                                      desk_model.landmark_indices,
                                      desk_model.nose_tip_index, 0.95)
     expected = 5.0 / crop.size

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from morphfit import network as nw
 from morphfit.cli import cli
 from morphfit.config import RunConfig, load_config
 from morphfit.serialization import (load_checkpoint, load_dataset, read_obj,
@@ -154,6 +155,25 @@ class TestTrain:
             assert decoder.weight_id.shape == (240, 4)
             assert head.weight.shape == (6, 4)  # 8 subjects, 2 held out
             assert config.epochs == 2
+
+    def test_phase3_from_loaded_phase2_reproduces_phase3(self, tmp_path):
+        # phase II's least-squares weights come out Fortran-ordered and its
+        # checkpoint loads C-ordered; at the default model widths BLAS sums
+        # the two orders differently, and phase III must not see it
+        sets = ["--set", "n_subjects=8", "--set", "images_per_subject=5",
+                "--set", "epochs=2"]
+        data, train = str(tmp_path / "data"), str(tmp_path / "train")
+        assert run_cli(["gen-data", *sets, "--out", data])[0] == 0
+        dataset = os.path.join(data, "dataset.mfd")
+        assert run_cli(["train", "--data", dataset, *sets, "--out", train])[0] == 0
+        encoder, decoder, head, config = load_checkpoint(
+            os.path.join(train, "phase2.ckpt"))
+        got = nw.train_phase3(encoder, decoder, head, load_dataset(dataset),
+                              config.train_config("III"))
+        want = load_checkpoint(os.path.join(train, "phase3.ckpt"))
+        for a, b in zip(nw.all_params(*got[:3]).values(),
+                        nw.all_params(*want[:3]).values()):
+            assert a.tobytes() == b.tobytes()
 
     def test_phase1_trace_has_one_row_per_epoch(self, pipeline):
         header, rows = read_csv(os.path.join(pipeline["train_dir"],

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from morphfit.errors import InvalidArgumentError, require
+from morphfit.errors import DegenerateGeometryError, InvalidArgumentError, require
 from morphfit.evaluation import (
     DisentanglingReport,
+    ReconstructionReport,
     RocCurve,
     VerificationReport,
     auc,
@@ -30,11 +31,11 @@ from morphfit.geometry import (
     apply_transform,
     crop_indices,
     procrustes_align,
-    rmse,
+    procrustes_align_stack,
     rotation_zyx,
     select_landmarks,
 )
-from morphfit.network import EncoderNet, Layer
+from morphfit.network import EncoderNet, Layer, encode_images, init_encoder
 from morphfit.synthetic import (
     Dataset,
     DatasetSpec,
@@ -43,7 +44,7 @@ from morphfit.synthetic import (
     rasterize_depth,
 )
 
-from conftest import row_pose, take_rows
+from conftest import rmse, row_pose, take_rows
 
 
 def scored_pairs(scores, is_genuine) -> np.recarray:
@@ -360,71 +361,152 @@ class TestRankNIdentification:
 # reconstruction scoring
 
 
-def random_cloud_shape(rng: np.random.Generator, n: int = 40) -> Shape:
-    return Shape(rng.normal(size=3 * n))
+def random_clouds(rng: np.random.Generator, pairs: int, n: int = 40) -> np.ndarray:
+    return rng.normal(size=(pairs, 3 * n))
+
+
+def moved_rows(shapes: np.ndarray, transform: SimilarityTransform) -> np.ndarray:
+    return np.array([apply_transform(Shape(row), transform).coords for row in shapes])
+
+
+def procrustes_loop_oracle(source: np.ndarray, target: np.ndarray) -> SimilarityTransform:
+    """One-pair Umeyama alignment as procrustes_align computed it alone."""
+    mu_src, mu_tgt = source.mean(axis=0), target.mean(axis=0)
+    x, y = source - mu_src, target - mu_tgt
+    var_src = float(np.mean(np.sum(x * x, axis=1)))
+    u, s, vt = np.linalg.svd((y.T @ x) / source.shape[0])
+    d = np.ones(3)
+    if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
+        d[2] = -1.0
+    rotation = u @ np.diag(d) @ vt
+    scale = float(np.sum(s * d)) / var_src
+    return SimilarityTransform(scale, rotation, mu_tgt - scale * (rotation @ mu_src))
+
+
+def reconstruction_loop_oracle(predicted, ground_truth, landmark_indices,
+                               nose_tip_index, crop_radius) -> ReconstructionReport:
+    """The per-pair loop that evaluate_reconstruction stacks: one alignment,
+    transform, crop and pair of norms per Shape pair."""
+    indices = np.asarray(landmark_indices, dtype=np.int64)
+    total_rmse = total_dist = 0.0
+    for pred, truth in zip(map(Shape, predicted), map(Shape, ground_truth)):
+        transform = procrustes_loop_oracle(select_landmarks(pred, indices),
+                                           select_landmarks(truth, indices))
+        aligned = apply_transform(pred, transform)
+        crop = crop_indices(truth.points, nose_tip_index, crop_radius)
+        total_rmse += rmse([(truth, aligned)], crop)
+        diff = truth.points[crop] - aligned.points[crop]
+        total_dist += float(np.mean(np.linalg.norm(diff, axis=1)))
+    n_pairs = len(predicted)
+    return ReconstructionReport(rmse_paper=total_rmse / n_pairs,
+                                mean_vertex_dist=total_dist / n_pairs,
+                                n_pairs=n_pairs, crop_radius=crop_radius)
+
+
+@st.composite
+def shape_pairs(draw):
+    """1-6 random cloud pairs, each prediction a similarity motion of its
+    ground truth plus noise, with a landmark subset, nose tip and radius."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pairs, n = draw(st.integers(1, 6)), draw(st.integers(6, 30))
+    truth = rng.normal(size=(pairs, 3 * n))
+    noise = draw(st.sampled_from([0.0, 1e-6, 0.05, 1.0]))
+    predicted = np.array([apply_transform(Shape(row), SimilarityTransform(
+        rng.uniform(0.3, 3.0), rotation_zyx(*rng.uniform(-np.pi, np.pi, size=3)),
+        rng.normal(scale=5.0, size=3))).coords for row in truth])
+    predicted += noise * rng.normal(size=predicted.shape)
+    landmarks = np.sort(rng.choice(n, size=draw(st.integers(4, n)), replace=False))
+    radius = draw(st.sampled_from([0.0, 0.7, 1.5, 100.0]))
+    return predicted, truth, landmarks, int(rng.integers(n)), radius
 
 
 class TestEvaluateReconstruction:
     def test_zero_for_identical(self):
-        rng = np.random.default_rng(12)
-        shapes = [random_cloud_shape(rng) for _ in range(3)]
+        shapes = random_clouds(np.random.default_rng(12), 3)
         report = evaluate_reconstruction(shapes, shapes, np.arange(8), 0, 100.0)
         assert report.rmse_paper < 1e-12
         assert report.mean_vertex_dist < 1e-12
         assert report.n_pairs == 3
 
     def test_rigid_copies_align_to_zero(self):
-        rng = np.random.default_rng(13)
-        truth = [random_cloud_shape(rng) for _ in range(2)]
+        truth = random_clouds(np.random.default_rng(13), 2)
         transform = SimilarityTransform(1.7, rotation_zyx(0.4, -0.3, 0.2),
                                         np.array([1.0, -2.0, 0.5]))
-        predicted = [apply_transform(s, transform) for s in truth]
+        predicted = moved_rows(truth, transform)
         report = evaluate_reconstruction(predicted, truth, np.arange(10), 0, 100.0)
         assert report.rmse_paper < 1e-9
         assert report.mean_vertex_dist < 1e-9
 
     def test_matches_primitive_pipeline(self):
         rng = np.random.default_rng(14)
-        truth = [random_cloud_shape(rng) for _ in range(3)]
-        predicted = [Shape(s.coords + 0.05 * rng.normal(size=s.coords.size))
-                     for s in truth]
+        truth = random_clouds(rng, 3)
+        predicted = truth + 0.05 * rng.normal(size=truth.shape)
         indices = np.arange(12)
-        report = evaluate_reconstruction(predicted, truth, indices, 4, 1.5)
+        assert (evaluate_reconstruction(predicted, truth, indices, 4, 1.5)
+                == reconstruction_loop_oracle(predicted, truth, indices, 4, 1.5))
 
-        total_rmse, total_dist = 0.0, 0.0
-        for pred, want in zip(predicted, truth):
-            transform = procrustes_align(select_landmarks(pred, indices),
-                                         select_landmarks(want, indices))
-            aligned = apply_transform(pred, transform)
-            crop = crop_indices(want, 4, 1.5)
-            total_rmse += rmse([(want, aligned)], crop)
-            diff = want.points[crop] - aligned.points[crop]
-            total_dist += float(np.mean(np.linalg.norm(diff, axis=1)))
-        assert abs(report.rmse_paper - total_rmse / 3) < 1e-12
-        assert abs(report.mean_vertex_dist - total_dist / 3) < 1e-12
+    @settings(max_examples=150, deadline=None)
+    @given(shape_pairs())
+    def test_stacked_pairs_match_per_pair_loop(self, case):
+        assert evaluate_reconstruction(*case) == reconstruction_loop_oracle(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape_pairs())
+    def test_stacked_transforms_match_procrustes_align(self, case):
+        predicted, truth, landmarks = case[:3]
+        source = predicted.reshape(len(predicted), -1, 3)[:, landmarks]
+        target = truth.reshape(len(truth), -1, 3)[:, landmarks]
+        scale, rotation, translation = procrustes_align_stack(source, target)
+        for k in range(len(source)):
+            for want in (procrustes_align(source[k], target[k]),
+                         procrustes_loop_oracle(source[k], target[k])):
+                assert scale[k] == want.scale
+                assert np.array_equal(rotation[k], want.rotation)
+                assert np.array_equal(translation[k], want.translation)
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    @pytest.mark.parametrize("degenerate", ["coincident", "collinear"])
+    def test_degenerate_pair_is_named(self, k, degenerate):
+        rng = np.random.default_rng(17)
+        truth = random_clouds(rng, 5, n=10)
+        predicted = truth + 0.1 * rng.normal(size=truth.shape)
+        points = predicted[k].reshape(-1, 3)
+        if degenerate == "coincident":
+            points[:] = points[0]
+        else:
+            points[:] = np.outer(np.linspace(-1.0, 1.0, 10), [1.0, 2.0, 3.0])
+        with pytest.raises(DegenerateGeometryError, match=f"pair {k}:"):
+            evaluate_reconstruction(predicted, truth, np.arange(6), 0, 1.0)
 
     def test_invariant_to_common_rigid_motion(self):
         rng = np.random.default_rng(15)
-        truth = [random_cloud_shape(rng) for _ in range(2)]
-        predicted = [Shape(s.coords + 0.1 * rng.normal(size=s.coords.size))
-                     for s in truth]
+        truth = random_clouds(rng, 2)
+        predicted = truth + 0.1 * rng.normal(size=truth.shape)
         base = evaluate_reconstruction(predicted, truth, np.arange(10), 0, 2.0)
         motion = SimilarityTransform(1.0, rotation_zyx(-0.2, 0.3, 0.5),
                                      np.array([0.4, 0.1, -0.7]))
-        moved = evaluate_reconstruction([apply_transform(s, motion) for s in predicted],
-                                        [apply_transform(s, motion) for s in truth],
+        moved = evaluate_reconstruction(moved_rows(predicted, motion),
+                                        moved_rows(truth, motion),
                                         np.arange(10), 0, 2.0)
         assert abs(base.rmse_paper - moved.rmse_paper) < 1e-9
         assert abs(base.mean_vertex_dist - moved.mean_vertex_dist) < 1e-9
 
     def test_input_validation(self):
         rng = np.random.default_rng(16)
-        shape = random_cloud_shape(rng)
+        shape = random_clouds(rng, 1)
         with pytest.raises(InvalidArgumentError):
-            evaluate_reconstruction([], [], np.arange(4), 0, 1.0)
-        with pytest.raises(InvalidArgumentError):
-            evaluate_reconstruction([shape], [random_cloud_shape(rng, n=11)],
+            evaluate_reconstruction(np.empty((0, 120)), np.empty((0, 120)),
                                     np.arange(4), 0, 1.0)
+        with pytest.raises(InvalidArgumentError):
+            evaluate_reconstruction(shape, random_clouds(rng, 1, n=11),
+                                    np.arange(4), 0, 1.0)
+        with pytest.raises(InvalidArgumentError):
+            evaluate_reconstruction(shape, shape, np.array([0, 1, 2, 40]), 0, 1.0)
+        bad = shape.copy()
+        bad[0, 5] = np.nan
+        for predicted, truth in ((bad, shape), (shape, bad)):
+            with pytest.raises(InvalidArgumentError):
+                evaluate_reconstruction(predicted, truth, np.arange(4), 0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +527,57 @@ def constant_encoder(input_dim: int) -> EncoderNet:
     return EncoderNet((Layer(np.zeros((5, input_dim)), bias, "tanh"),), 3, 2)
 
 
+def displacement_loop_oracle(embed, dataset) -> tuple[float, float]:
+    """(displacement_ratio, summed displacement) as disentangling_report
+    computed them one image at a time: each evaluated image encoded alone,
+    then its perturbed re-render encoded alone."""
+    model = dataset.model
+    rows = (dataset.test_indices if len(dataset.test_indices)
+            else np.arange(dataset.labels.size))
+    rng = np.random.default_rng(np.random.SeedSequence([dataset.spec.seed, 0x1d]))
+    den, ratios = 0.0, []
+    for i, image in zip(rows, dataset.images(rows)):
+        base = embed(image[None, :])
+        perturbation = rng.normal(0.0, 1.0, size=model.k_exp) * model.sigma_exp
+        coeffs = CoeffPair(dataset.alpha_id[i], dataset.alpha_exp[i] + perturbation)
+        other = dilate_max(rasterize_depth(model, coeffs, row_pose(dataset, i),
+                                           dataset.spec.image_resolution))
+        moved = embed(other.ravel()[None, :])
+        d_res = float(np.linalg.norm(moved[1][0] - base[1][0]))
+        d_id = float(np.linalg.norm(moved[0][0] - base[0][0]))
+        den = den + d_res + d_id
+        if d_res + d_id > 0:
+            ratios.append(d_res / (d_res + d_id))
+    return float(np.mean(ratios)) if ratios else float("nan"), den
+
+
+def rowwise_encoder(input_dim: int):
+    """A callable encoder that codes each row on its own, so its codes do not
+    depend on how the rows are batched."""
+    rng = np.random.default_rng(31)
+    w_id, w_res = rng.normal(size=(3, input_dim)), rng.normal(size=(2, input_dim))
+
+    def embed(batch: np.ndarray):
+        return (np.array([np.tanh(w_id @ row) for row in batch]),
+                np.array([np.tanh(w_res @ row) for row in batch]))
+    return embed
+
+
 class TestDisentanglingReport:
+    def test_batched_codes_match_per_image_loop(self, flat_split_dataset):
+        embed = rowwise_encoder(256)
+        report = disentangling_report(embed, flat_split_dataset)
+        ratio, den = displacement_loop_oracle(embed, flat_split_dataset)
+        assert den > 0.0 and not report.degenerate
+        assert report.displacement_ratio == ratio
+
+    def test_encoder_net_matches_per_image_loop(self, flat_split_dataset):
+        net = init_encoder(256, 3, 2, hidden=(16,), seed=7)
+        report = disentangling_report(net, flat_split_dataset)
+        ratio, _ = displacement_loop_oracle(
+            lambda batch: encode_images(net, batch), flat_split_dataset)
+        assert abs(report.displacement_ratio - ratio) <= 1e-12 * abs(ratio)
+
     def test_constant_encoder_is_degenerate(self, flat_split_dataset):
         report = disentangling_report(constant_encoder(256), flat_split_dataset)
         assert report.degenerate

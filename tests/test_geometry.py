@@ -7,8 +7,10 @@ from morphfit.errors import DegenerateGeometryError, InvalidArgumentError
 from morphfit.geometry import (CoeffPair, PoseParams, Shape,
                                SimilarityTransform, apply_transform,
                                compose_shape, crop_indices, procrustes_align,
-                               project_landmarks, rmse, rotation_zyx,
+                               project_landmarks, rotation_zyx,
                                select_landmarks)
+
+from conftest import rmse
 
 
 def identity_pose(scale=1.0):
@@ -283,20 +285,20 @@ def test_crop_huge_radius_returns_everything():
     rng = np.random.default_rng(22)
     shape = random_shape(rng, n=30)
     diameter = np.linalg.norm(shape.points.max(0) - shape.points.min(0))
-    assert np.array_equal(crop_indices(shape, 3, diameter + 1.0), np.arange(30))
+    assert np.array_equal(crop_indices(shape.points, 3, diameter + 1.0), np.arange(30))
 
 
 def test_crop_radius_zero_keeps_only_center():
     rng = np.random.default_rng(23)
     shape = random_shape(rng, n=20)
-    assert np.array_equal(crop_indices(shape, 11, 0.0), [11])
+    assert np.array_equal(crop_indices(shape.points, 11, 0.0), [11])
 
 
 def test_crop_membership_matches_distance_scan():
     rng = np.random.default_rng(24)
     shape = random_shape(rng, n=40)
     center, radius = 7, 1.2
-    got = crop_indices(shape, center, radius)
+    got = crop_indices(shape.points, center, radius)
     expected = [i for i in range(shape.n)
                 if np.linalg.norm(shape.points[i] - shape.points[center]) <= radius]
     assert np.array_equal(got, expected)
@@ -307,7 +309,7 @@ def test_crop_rejects_bad_center():
     rng = np.random.default_rng(25)
     shape = random_shape(rng)
     with pytest.raises(InvalidArgumentError):
-        crop_indices(shape, shape.n, 1.0)
+        crop_indices(shape.points, shape.n, 1.0)
 
 
 def test_crop_invariant_under_rigid_motion():
@@ -315,7 +317,8 @@ def test_crop_invariant_under_rigid_motion():
     shape = random_shape(rng, n=35)
     moved = apply_transform(shape, SimilarityTransform(1.0, random_rotation(rng),
                                                        rng.normal(size=3)))
-    assert np.array_equal(crop_indices(shape, 5, 1.5), crop_indices(moved, 5, 1.5))
+    assert np.array_equal(crop_indices(shape.points, 5, 1.5),
+                          crop_indices(moved.points, 5, 1.5))
 
 
 # ---------------------------------------------------------------- rmse

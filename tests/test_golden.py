@@ -1,14 +1,17 @@
-"""Golden sha256 manifest of `morphfit fit --subject 0` at the default config.
+"""Golden sha256 manifests of the pipeline at the default config.
 
 `golden/fit.sha256` holds the sha256 of `fit.csv`, of every OBJ and of the
-stdout of `gen-data` then `fit --subject 0` at seeds 0 and 1, together with
-the numpy version, the OpenBLAS build and core, the machine and the thread
-environment they were made under. The test reruns both commands in a fresh
-process under that thread environment and compares. Bytes depend on the
-BLAS kernels, so on a machine whose numpy, OpenBLAS or architecture differs
-the test skips and names the difference.
+stdout of `fit --subject 0`; `golden/pipeline.sha256` holds the sha256 of
+every file and the stdout of `gen-data`, `train`, `eval --baseline` and
+`export-bases`. Both cover seeds 0 and 1, and each records the numpy
+version, the OpenBLAS build and core, the machine and the thread environment
+its hashes were made under. A test reruns the commands in a fresh process
+under that thread environment, with paths relative to a temporary directory
+so that the echoed `config.txt` does not name it, and compares. Bytes depend
+on the BLAS kernels, so on a machine whose numpy, OpenBLAS or architecture
+differs the test skips and names the difference.
 
-After a deliberate re-baseline, rewrite the manifest and review its diff:
+After a deliberate re-baseline, rewrite the manifests and review their diff:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -27,8 +30,7 @@ import tempfile
 import numpy as np
 import pytest
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
-                      "fit.sha256")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 SEEDS = (0, 1)
@@ -60,9 +62,24 @@ def env_line() -> str:
     return "# env " + " ".join(f"{k}={v}" for k, v in sorted(THREAD_ENV.items()))
 
 
-def emit(root: str) -> list[str]:
-    """The manifest lines; run in the child process."""
+def manifest_path(name: str) -> str:
+    return os.path.join(GOLDEN, f"{name}.sha256")
+
+
+DESCRIPTIONS = {
+    "fit": ["# sha256 of fit.csv, every OBJ and stdout of `morphfit fit --subject 0`",
+            "# at the default config, seeds 0 and 1 (see tests/test_golden.py)"],
+    "pipeline": ["# sha256 of every file and stdout of `morphfit gen-data`, `train`,",
+                 "# `eval --baseline` and `export-bases` at the default config,",
+                 "# seeds 0 and 1 (see tests/test_golden.py)"],
+}
+
+
+def emit(name: str, root: str) -> list[str]:
+    """The lines of manifest `name`; run in the child process."""
     from morphfit.cli import cli
+
+    os.chdir(root)
 
     def run(argv):
         out = io.StringIO()
@@ -72,36 +89,54 @@ def emit(root: str) -> list[str]:
             raise SystemExit(f"{argv} exited {code}")
         return out.getvalue().encode("utf-8")
 
-    def sha(data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()
+    def files_in(directory: str, prefix: str = "", keep=lambda name: True) -> dict:
+        files = {}
+        for entry in sorted(os.listdir(directory)):
+            if keep(entry):
+                with open(os.path.join(directory, entry), "rb") as handle:
+                    files[prefix + entry] = handle.read()
+        return files
 
     lines = []
     for seed in SEEDS:
-        data, out = os.path.join(root, f"data{seed}"), os.path.join(root, f"fit{seed}")
-        run(["gen-data", "--seed", str(seed), "--out", data])
-        stdout = run(["fit", "--data", os.path.join(data, "dataset.mfd"),
-                      "--subject", "0", "--seed", str(seed), "--out", out])
-        files = {"stdout": stdout}
-        for name in sorted(os.listdir(out)):
-            if name == "fit.csv" or name.endswith(".obj"):
-                with open(os.path.join(out, name), "rb") as handle:
-                    files[name] = handle.read()
-        lines += [f"{sha(files[name])}  seed{seed}/{name}" for name in sorted(files)]
+        tag = ["--seed", str(seed)]
+        data, train = f"gen-data{seed}", f"train{seed}"
+        gen_stdout = run(["gen-data", *tag, "--out", data])
+        dataset = f"{data}/dataset.mfd"
+        if name == "fit":
+            files = {"stdout": run(["fit", "--data", dataset, "--subject", "0", *tag,
+                                    "--out", f"fit{seed}"])}
+            files.update(files_in(f"fit{seed}", keep=lambda entry: entry == "fit.csv"
+                                  or entry.endswith(".obj")))
+        else:
+            files = {"gen-data/stdout": gen_stdout, **files_in(data, "gen-data/")}
+            for command, args in (
+                    ("train", ["--data", dataset]),
+                    ("eval", ["--data", dataset, "--checkpoint", f"{train}/phase3.ckpt",
+                              "--baseline", f"{train}/phase2.ckpt"]),
+                    ("export-bases", ["--data", dataset,
+                                      "--checkpoint", f"{train}/phase3.ckpt"])):
+                out = f"{command}{seed}"
+                files[f"{command}/stdout"] = run([command, *args, *tag, "--out", out])
+                files.update(files_in(out, f"{command}/"))
+        lines += [f"{hashlib.sha256(files[key]).hexdigest()}  seed{seed}/{key}"
+                  for key in sorted(files)]
     return lines
 
 
-def run_fits() -> list[str]:
+def run_emit(name: str) -> list[str]:
     env = {**os.environ, **THREAD_ENV,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     with tempfile.TemporaryDirectory() as root:
-        proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--emit", root],
+        proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--emit",
+                               name, root],
                               env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
 
-def test_fit_matches_golden_manifest():
-    with open(GOLDEN, encoding="ascii") as handle:
+def check_manifest(name: str) -> None:
+    with open(manifest_path(name), encoding="ascii") as handle:
         lines = handle.read().splitlines()
     recorded = [line for line in lines if line.startswith("# ")
                 and line.split()[1] in ("numpy", "blas", "machine")]
@@ -110,19 +145,26 @@ def test_fit_matches_golden_manifest():
         pytest.skip(f"golden hashes were made under {recorded}; this machine "
                     f"has {here}")
     assert env_line() in lines
-    assert run_fits() == [line for line in lines if not line.startswith("#")]
+    assert run_emit(name) == [line for line in lines if not line.startswith("#")]
+
+
+def test_fit_matches_golden_manifest():
+    check_manifest("fit")
+
+
+def test_pipeline_matches_golden_manifest():
+    check_manifest("pipeline")
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--emit"]:
-        print("\n".join(emit(sys.argv[2])))
+        print("\n".join(emit(sys.argv[2], sys.argv[3])))
     elif sys.argv[1:] == ["--write"]:
-        text = "\n".join([
-            "# sha256 of fit.csv, every OBJ and stdout of `morphfit fit --subject 0`",
-            "# at the default config, seeds 0 and 1 (see tests/test_golden.py)",
-            *machine_lines(), env_line(), *run_fits()]) + "\n"
-        os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-        with open(GOLDEN, "w", encoding="ascii") as handle:
-            handle.write(text)
+        os.makedirs(GOLDEN, exist_ok=True)
+        for name, description in DESCRIPTIONS.items():
+            text = "\n".join([*description, *machine_lines(), env_line(),
+                              *run_emit(name)]) + "\n"
+            with open(manifest_path(name), "w", encoding="ascii") as handle:
+                handle.write(text)
     else:
         raise SystemExit(__doc__)

@@ -894,8 +894,8 @@ class TestTrainPhase3:
 
 @pytest.fixture(scope="module")
 def phase3_inputs(quick_phase1, default_dataset):
-    """Phase I encoder, phase II decoder (Fortran-ordered weights, as lstsq
-    gives them) and a class-mean head: the joint phase's usual inputs."""
+    """Phase I encoder, phase II decoder and a class-mean head: the joint
+    phase's usual inputs."""
     _, encoder, _ = quick_phase1
     dec = train_phase2(init_decoder(1800, 20, 8, seed=1), default_dataset, seed=3)
     images = default_dataset.images(default_dataset.train_indices)
@@ -908,17 +908,25 @@ SHORT_STAGES = ((0.5, 1), (1.0, 1))
 
 
 class TestTrainingLoopOracle:
-    """The flat-buffer trainers against the per-step re-assembled dict loops."""
+    """The flat-buffer trainers against the per-step re-assembled dict loops.
+
+    Each trainer copies its inputs into a C-ordered buffer before the first
+    step, so Fortran-ordered arrays handed in unchecked (past the C-order
+    copies of the constructors) must give the bits of the C-ordered run.
+    """
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_phase1_bitwise_equal(self, default_dataset, order):
         net = init_encoder(1024, 20, 8, hidden=(32,), seed=4)
+        given = net
         if order == "F":
-            net = EncoderNet(tuple(Layer(np.asfortranarray(layer.weight),
-                                         layer.bias, layer.activation)
-                                   for layer in net.layers), 20, 8)
+            given = network._build(EncoderNet, False, q_id=20, q_res=8, layers=tuple(
+                network._build(Layer, False, weight=np.asfortranarray(layer.weight),
+                               bias=layer.bias, activation=layer.activation)
+                for layer in net.layers))
+            assert not given.layers[0].weight.flags.c_contiguous
         config = TrainConfig(epochs=2, seed=11)
-        encoder, history = train_phase1(net, default_dataset, config)
+        encoder, history = train_phase1(given, default_dataset, config)
         want_encoder, want_history = phase1_oracle(net, default_dataset, config)
         assert history == want_history
         for got, want in zip(network_arrays(encoder), network_arrays(want_encoder)):
@@ -928,14 +936,18 @@ class TestTrainingLoopOracle:
     def test_phase3_bitwise_equal(self, phase3_inputs, default_dataset,
                                   contiguous):
         encoder, dec, head = phase3_inputs
-        # phase II's decoder reaches phase III Fortran-ordered, and the first
-        # step's BLAS sums depend on that order
-        assert not dec.weight_id.flags.c_contiguous
-        if contiguous:
-            dec = DecoderNet(np.ascontiguousarray(dec.weight_id), dec.bias_id,
-                             np.ascontiguousarray(dec.weight_res), dec.bias_res)
+        # lstsq gives phase II's weights Fortran-ordered; DecoderNet copies
+        # them to C order
+        assert dec.weight_id.flags.c_contiguous
+        given = dec
+        if not contiguous:
+            given = network._build(DecoderNet, False,
+                                   weight_id=np.asfortranarray(dec.weight_id),
+                                   bias_id=dec.bias_id,
+                                   weight_res=np.asfortranarray(dec.weight_res),
+                                   bias_res=dec.bias_res)
         config = TrainConfig(learning_rate=2e-4, seed=0)
-        got = train_phase3(encoder, dec, head, default_dataset, config,
+        got = train_phase3(encoder, given, head, default_dataset, config,
                            stages=SHORT_STAGES)
         want = phase3_oracle(encoder, dec, head, default_dataset, config,
                              SHORT_STAGES)
@@ -1006,3 +1018,55 @@ class TestTrainedNetworksOwnTheirMemory:
                          + network_arrays(*phase3_inputs))
         for a, b in zip(arrays, network_arrays(*one_epoch[:3])):
             assert same_bits(a, b)
+
+
+class TestPhase3FailureContext:
+    """A non-finite parameter forced in after a chosen step must fail the
+    next step with the stage, lambda_r, epoch, step and last losses named."""
+
+    @pytest.mark.parametrize("stages, poisoned_step, where, error", [
+        (((0.5, 2),), 0, "stage 0 (lambda_r 0.5), epoch 0, step 1",
+         "encoder activations became non-finite"),
+        (((0.5, 2),), 1, "stage 0 (lambda_r 0.5), epoch 0, end of epoch",
+         "parameters became non-finite"),
+        (((0.5, 1), (1.0, 2)), 3, "stage 1 (lambda_r 1.0), epoch 1, end of epoch",
+         "parameters became non-finite"),
+        (((0.5, 1), (1.0, 2)), 4, "stage 1 (lambda_r 1.0), epoch 2, step 1",
+         "encoder activations became non-finite"),
+    ])
+    def test_error_names_where_and_last_losses(self, phase3_inputs, default_dataset,
+                                               monkeypatch, stages, poisoned_step,
+                                               where, error):
+        config = TrainConfig(learning_rate=2e-4, batch_size=64, seed=0)
+        steps_per_epoch = -(-len(default_dataset.train_indices) // config.batch_size)
+        assert steps_per_epoch == 2  # the cases above count on it
+        done = [lam for lam, n in stages for _ in range(n)][
+            :poisoned_step // steps_per_epoch]
+        finished = train_phase3(*phase3_inputs, default_dataset, config,
+                                stages=tuple((lam, 1) for lam in done)) if done else None
+        real_step = network._FlatParams.step
+        taken = []
+
+        def poisoning_step(self, *args, **kwargs):
+            real_step(self, *args, **kwargs)
+            taken.append(None)
+            if len(taken) == poisoned_step + 1:
+                self.data[0] = np.nan
+
+        monkeypatch.setattr(network._FlatParams, "step", poisoning_step)
+        with pytest.raises(NumericalFailureError) as exc_info:
+            train_phase3(*phase3_inputs, default_dataset, config, stages=stages)
+        message = str(exc_info.value)
+        assert message.startswith(f"phase III {where}: {error}; ")
+        last_good = exc_info.value.last_good
+        if finished is None:
+            assert message.endswith("; no epoch finished")
+            assert last_good[0] is phase3_inputs[0] and last_good[3] == []
+        else:
+            last = finished[3][-1]
+            assert message.endswith(f"; last finished epoch: total {last.total!r}, "
+                                    f"recon {last.recon!r}, ident {last.ident!r}")
+            assert last_good[3] == finished[3]
+            for a, b in zip(network_arrays(*last_good[:3]),
+                            network_arrays(*finished[:3])):
+                assert same_bits(a, b)
