@@ -389,8 +389,9 @@ def _assemble(template: EncoderNet, params: dict, checked: bool = True) -> tuple
 class _FlatParams:
     """A phase's trainable arrays in one contiguous float64 vector, with Adam.
 
-    `views` holds read-only, C-ordered views of `data`, keyed like the table;
-    the gradient and both moments share the layout. Only step() writes them.
+    `views` holds read-only and `grads` writable C-ordered views of `data`
+    and `grad`, keyed like the table; both moments share the layout. A
+    step reads `grad`, and only step() writes `data` and the moments.
     """
 
     # Adam's block length: the six float64 blocks of one pass (parameter,
@@ -403,27 +404,25 @@ class _FlatParams:
         self._scratch = np.empty((2, min(n, self.block)))
         readonly = self.data.view()
         readonly.setflags(write=False)
-        self.views, self._grads, self._weights = {}, {}, []
+        self.views, self.grads, self._weights = {}, {}, []
         lo = 0
         for key, array in table:
             hi = lo + array.size
             self.data[lo:hi] = array.ravel()
             self.views[key] = readonly[lo:hi].reshape(array.shape)
-            self._grads[key] = self.grad[lo:hi].reshape(array.shape)
+            self.grads[key] = self.grad[lo:hi].reshape(array.shape)
             if key.endswith(".weight"):
                 self._weights.append(slice(lo, hi))
             lo = hi
         self.t = 0
 
-    def step(self, grads: dict, config: TrainConfig, decay: float = 0.0) -> None:
-        """One in-place Adam update with bias correction (arXiv:1412.6980).
+    def step(self, config: TrainConfig, decay: float = 0.0) -> None:
+        """One in-place Adam update from `grad`, bias-corrected (arXiv:1412.6980).
 
         m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g (only the second terms
         on the first step), p -= lr*(m/c1) / (sqrt(v/c2)+eps); then, if decay,
         every ".weight" array is scaled by 1 - lr*decay.
         """
-        for key, view in self._grads.items():
-            view[...] = grads[key]
         self.t += 1
         b1, b2, lr = config.beta1, config.beta2, config.learning_rate
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
@@ -497,43 +496,54 @@ def batch_loss(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
 
 def _encoder_backprop(net: EncoderNet, activations: list,
                       grad_codes: np.ndarray, grads: dict) -> None:
-    """Push a gradient on the (pre-clip) final output back through all layers."""
+    """Push a gradient on the (pre-clip) final output back through all layers.
+
+    Each layer's gradients are written into the arrays `grads` holds under
+    their keys, or stored there as new arrays where it holds none.
+    """
     upstream = grad_codes
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         post = activations[i + 1]
         g_z = upstream * _activation_grad(post, layer.activation)
-        grads[f"enc.{i}.weight"] = g_z.T @ activations[i]
-        grads[f"enc.{i}.bias"] = g_z.sum(axis=0)
+        w, b = f"enc.{i}.weight", f"enc.{i}.bias"
+        grads[w] = np.matmul(g_z.T, activations[i], out=grads.get(w))
+        grads[b] = np.sum(g_z, axis=0, out=grads.get(b))
         if i > 0:
             upstream = g_z @ layer.weight
 
 
 def backward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
-             batch: TrainingBatch, lambda_r: float) -> tuple:
+             batch: TrainingBatch, lambda_r: float, out: dict | None = None) -> tuple:
     """Exact gradients of the batch-mean joint loss for every parameter.
 
     Returns (grads, report): a dict keyed like all_params() plus the loss
-    report for the same batch. Accumulation is batch-vectorized with a fixed
-    reduction order, so repeated calls are bit-identical.
+    report for the same batch. Given `out`, a dict of C-ordered arrays keyed
+    and shaped like all_params(), the gradients are written into its arrays
+    and `out` is returned as grads. Accumulation is batch-vectorized with a
+    fixed reduction order, so repeated calls are bit-identical.
     """
     report, activations, c_id, c_res, diff, prob = _joint_forward(
         net, dec, head, batch, lambda_r)
     b = batch.size
-    grads = {}
+    grads = {} if out is None else out
+
+    def into(key: str, op, *args, **kwargs) -> None:
+        grads[key] = op(*args, **kwargs, out=grads.get(key))
+
     # d recon / d delta, already including the batch mean and coordinate mean.
     g_delta = (2.0 / (b * dec.out_dim)) * diff * lambda_r
-    grads["dec.weight_id"] = g_delta.T @ c_id
-    grads["dec.bias_id"] = g_delta.sum(axis=0)
-    grads["dec.weight_res"] = g_delta.T @ c_res
-    grads["dec.bias_res"] = g_delta.sum(axis=0).copy()
+    into("dec.weight_id", np.matmul, g_delta.T, c_id)
+    into("dec.bias_id", np.sum, g_delta, axis=0)
+    into("dec.weight_res", np.matmul, g_delta.T, c_res)
+    into("dec.bias_res", np.sum, g_delta, axis=0)
 
     # d ident / d logits = softmax - one-hot; prob is ours to overwrite
     g_logits = prob
     g_logits[np.arange(b), batch.labels] -= 1.0
     g_logits /= b
-    grads["head.weight"] = g_logits.T @ c_id
-    grads["head.bias"] = g_logits.sum(axis=0)
+    into("head.weight", np.matmul, g_logits.T, c_id)
+    into("head.bias", np.sum, g_logits, axis=0)
 
     g_c_id = g_delta @ dec.weight_id + g_logits @ head.weight
     g_c_res = g_delta @ dec.weight_res
@@ -621,9 +631,8 @@ def train_phase1(net: EncoderNet, dataset, config: TrainConfig) -> tuple:
             rows = order[start:start + config.batch_size]
             codes, activations = _forward_trace(stepping, train_images[rows])
             grad_codes = (2.0 / (rows.size * q_total)) * (codes - train_targets[rows])
-            grads = {}
-            _encoder_backprop(stepping, activations, grad_codes, grads)
-            flat.step(grads, config, decay=PHASE1_WEIGHT_DECAY)
+            _encoder_backprop(stepping, activations, grad_codes, flat.grads)
+            flat.step(config, decay=PHASE1_WEIGHT_DECAY)
         (trained,) = _assemble(net, flat.views)
         train_loss = _regression_loss(trained, train_images, train_targets)
         val_loss = (_regression_loss(trained, val_images, val_targets)
@@ -718,8 +727,8 @@ def train_phase3(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
                     batch = _build(TrainingBatch, False, images=full.images[rows],
                                    labels=full.labels[rows],
                                    target_delta=full.target_delta[rows])
-                    grads, _ = backward(*stepping, batch, lam)
-                    flat.step(grads, config)
+                    backward(*stepping, batch, lam, flat.grads)
+                    flat.step(config)
                 step = None
                 if not np.all(np.isfinite(flat.data)):
                     raise NumericalFailureError("parameters became non-finite")

@@ -138,6 +138,13 @@ def optimizer_step(params: dict, grads: dict, state: AdamState,
     return new_params, new_state
 
 
+def flat_step(flat, grads: dict, config: TrainConfig, decay: float = 0.0) -> None:
+    """Write `grads` into the buffer's gradient views, then take one step."""
+    for key, value in grads.items():
+        flat.grads[key][...] = value
+    flat.step(config, decay=decay)
+
+
 def decay_oracle(params: dict, config: TrainConfig) -> dict:
     shrink = 1.0 - config.learning_rate * PHASE1_WEIGHT_DECAY
     return {key: value * shrink if key.endswith(".weight") else value
@@ -225,6 +232,22 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(
         np.ascontiguousarray(a, dtype=np.float64).view(np.uint64),
         np.ascontiguousarray(b, dtype=np.float64).view(np.uint64))
+
+
+def fortran_ordered(net: EncoderNet, dec: DecoderNet, head: ClassifierHead) -> tuple:
+    """The same networks with every matrix Fortran-ordered, built past the
+    C-order copies of the constructors."""
+    layers = tuple(network._build(Layer, False, weight=np.asfortranarray(layer.weight),
+                                  bias=layer.bias, activation=layer.activation)
+                   for layer in net.layers)
+    return (network._build(EncoderNet, False, layers=layers, q_id=net.q_id,
+                           q_res=net.q_res),
+            network._build(DecoderNet, False, weight_id=np.asfortranarray(dec.weight_id),
+                           bias_id=dec.bias_id,
+                           weight_res=np.asfortranarray(dec.weight_res),
+                           bias_res=dec.bias_res),
+            network._build(ClassifierHead, False, weight=np.asfortranarray(head.weight),
+                           bias=head.bias))
 
 
 def network_arrays(*parts) -> list:
@@ -529,13 +552,44 @@ class TestBackward:
         with pytest.raises(InvalidArgumentError):
             backward(net, dec, head, batch, 0.5)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_out_views_filled_like_the_dict(self, order):
+        # the views sit in one buffer with a NaN guard cell before, between
+        # and after them; backward must fill every view, bit for bit as its
+        # dict, and write nothing else
+        rng = np.random.default_rng(24)
+        net, dec = small_net(rng), small_decoder(rng)
+        head = ClassifierHead(rng.normal(size=(3, 2)), rng.normal(size=3))
+        batch = small_batch(rng)
+        parts = (net, dec, head)
+        if order == "F":
+            parts = fortran_ordered(*parts)
+            assert not parts[1].weight_id.flags.c_contiguous
+        want, want_report = backward(*parts, batch, 0.5)
+        table = network._param_table(*parts)
+        buffer = np.full(sum(a.size + 1 for _, a in table) + 1, np.nan)
+        out, guards = {}, [0]
+        for key, array in table:
+            lo = guards[-1] + 1
+            out[key] = buffer[lo:lo + array.size].reshape(array.shape)
+            guards.append(lo + array.size)
+        views = dict(out)
+        inputs = [a.copy() for a in network_arrays(*parts)]
+        got, report = backward(*parts, batch, 0.5, out)
+        assert got is out and all(got[key] is views[key] for key in views)
+        assert report == want_report and set(got) == set(want)
+        for key, value in want.items():
+            assert same_bits(got[key], value), key
+        assert np.all(np.isnan(buffer[guards]))
+        assert all(same_bits(a, b) for a, b in zip(network_arrays(*parts), inputs))
+
 
 class TestOptimizerStep:
     """The flat in-place Adam update (`_FlatParams.step`)."""
 
     def test_zero_gradient_leaves_params(self):
         flat = network._FlatParams([("w", np.array([1.0, -2.0, 3.0]))])
-        flat.step({"w": np.zeros(3)}, TrainConfig())
+        flat_step(flat, {"w": np.zeros(3)}, TrainConfig())
         assert np.array_equal(flat.views["w"], [1.0, -2.0, 3.0])
 
     def test_first_step_closed_form(self):
@@ -543,7 +597,7 @@ class TestOptimizerStep:
         g = np.array([0.3, -0.7, 1e-12])
         w = np.array([1.0, 2.0, 3.0])
         flat = network._FlatParams([("w", w)])
-        flat.step({"w": g}, config)
+        flat_step(flat, {"w": g}, config)
         expected = w - config.learning_rate * g / (np.abs(g) + config.epsilon)
         assert np.max(np.abs(flat.views["w"] - expected)) < 1e-15
         assert np.array_equal(flat.m, (1.0 - config.beta1) * g)
@@ -559,7 +613,7 @@ class TestOptimizerStep:
         v = {k: np.zeros_like(val) for k, val in params.items()}
         for t in range(1, 4):
             grads = {k: rng.normal(size=val.shape) for k, val in params.items()}
-            flat.step(grads, config)
+            flat_step(flat, grads, config)
             for k in reference:
                 m[k] = config.beta1 * m[k] + (1 - config.beta1) * grads[k]
                 v[k] = config.beta2 * v[k] + (1 - config.beta2) * grads[k] ** 2
@@ -575,8 +629,9 @@ class TestOptimizerStep:
         # arrays it was built from nor the gradients
         w, g = np.ones(2), np.ones(2)
         flat = network._FlatParams([("w", w)])
-        flat.step({"w": g}, TrainConfig())
+        flat_step(flat, {"w": g}, TrainConfig())
         assert np.array_equal(w, np.ones(2)) and np.array_equal(g, np.ones(2))
+        assert np.array_equal(flat.grads["w"], g)
         assert not np.shares_memory(flat.data, w)
         assert not flat.views["w"].flags.writeable
 
@@ -587,7 +642,7 @@ class TestOptimizerStep:
         flat = network._FlatParams([("w", np.array([0.5, -1.5]))])
         assert flat.t == 0
         g = {"w": np.array([0.2, 0.4])}
-        flat.step(g, TrainConfig())
+        flat_step(flat, g, TrainConfig())
         assert flat.t == 1
         want, _ = optimizer_step({"w": np.array([0.5, -1.5])}, g, AdamState(),
                                  TrainConfig(), 1)
@@ -605,7 +660,7 @@ class TestOptimizerStep:
         state = AdamState()
         for t in range(1, 4):
             grads = {k: rng.normal(size=a.shape) for k, a in params.items()}
-            flat.step(grads, config, decay=PHASE1_WEIGHT_DECAY)
+            flat_step(flat, grads, config, decay=PHASE1_WEIGHT_DECAY)
             params, state = optimizer_step(params, grads, state, config, t)
             params = decay_oracle(params, config)
         for key, value in params.items():
@@ -635,7 +690,7 @@ class TestOptimizerStep:
         for t in range(1, data.draw(st.integers(1, 6)) + 1):
             grads = {k: data.draw(arrays(np.float64, shapes[k], elements=elements))
                      for k in names}
-            flat.step(grads, config, decay=decay)
+            flat_step(flat, grads, config, decay=decay)
             params, state = optimizer_step(params, grads, state, config, t)
             if decay:
                 params = decay_oracle(params, config)
