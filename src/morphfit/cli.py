@@ -170,12 +170,8 @@ def _cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     init, after2, after3, history, trace = _train_pipeline(config, dataset)
     out = config.output_dir
-    save_checkpoint(after2[0], init[1], init[2], config,
-                    os.path.join(out, "phase1.ckpt"))
-    save_checkpoint(after2[0], after2[1], after2[2], config,
-                    os.path.join(out, "phase2.ckpt"))
-    save_checkpoint(after3[0], after3[1], after3[2], config,
-                    os.path.join(out, "phase3.ckpt"))
+    for phase, nets in enumerate(((after2[0], *init[1:]), after2, after3), start=1):
+        save_checkpoint(*nets, config, os.path.join(out, f"phase{phase}.ckpt"))
     write_table_csv(("epoch", "train_loss", "val_loss"),
                     [(i, tr, va) for i, (tr, va) in enumerate(history)],
                     os.path.join(out, "phase1_trace.csv"))
@@ -244,12 +240,10 @@ def _cmd_export_bases(args) -> int:
     out = config.output_dir
     # a unit code step per column, added to the mean, mirrors how the
     # decoder is read as a shape basis
-    for k in range(decoder.q_id):
-        write_obj(Shape(mean + decoder.weight_id[:, k]),
-                  os.path.join(out, f"basis_id_{k:02d}.obj"))
-    for k in range(decoder.q_res):
-        write_obj(Shape(mean + decoder.weight_res[:, k]),
-                  os.path.join(out, f"basis_res_{k:02d}.obj"))
+    for name, weight in (("id", decoder.weight_id), ("res", decoder.weight_res)):
+        for k in range(weight.shape[1]):
+            write_obj(Shape(mean + weight[:, k]),
+                      os.path.join(out, f"basis_{name}_{k:02d}.obj"))
     print(f"wrote {decoder.q_id + decoder.q_res} basis meshes to {out}")
     return 0
 

@@ -389,9 +389,8 @@ def _assemble(template: EncoderNet, params: dict, checked: bool = True) -> tuple
 class _FlatParams:
     """A phase's trainable arrays in one contiguous float64 vector, with Adam.
 
-    `views` holds read-only and `grads` writable C-ordered views of `data`
-    and `grad`, keyed like the table; both moments share the layout. A
-    step reads `grad`, and only step() writes `data` and the moments.
+    `views` and `grads` hold C-ordered views of `data` (read-only) and of
+    `grad` (writable), keyed like the table; both moments share the layout.
     """
 
     # Adam's block length: the six float64 blocks of one pass (parameter,
@@ -420,12 +419,14 @@ class _FlatParams:
         """One in-place Adam update from `grad`, bias-corrected (arXiv:1412.6980).
 
         m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g (only the second terms
-        on the first step), p -= lr*(m/c1) / (sqrt(v/c2)+eps); then, if decay,
-        every ".weight" array is scaled by 1 - lr*decay.
+        on the first step), then p -= (m / (sqrt(v)+eps*sqrt(c2))) * (lr*sqrt(c2)/c1),
+        the efficient form of p -= lr*(m/c1) / (sqrt(v/c2)+eps) (the paper's
+        section 2); then, if decay, every ".weight" array is scaled by 1 - lr*decay.
         """
         self.t += 1
         b1, b2, lr = config.beta1, config.beta2, config.learning_rate
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        step_size, eps_hat = lr * np.sqrt(c2) / c1, config.epsilon * np.sqrt(c2)
         for lo in range(0, self.data.size, self.block):
             hi = min(lo + self.block, self.data.size)
             p, g, m, v = (a[lo:hi] for a in (self.data, self.grad, self.m, self.v))
@@ -438,9 +439,8 @@ class _FlatParams:
                 m += np.multiply(g, 1.0 - b1, out=s1)
                 v *= b2
                 v += np.multiply(np.multiply(g, 1.0 - b2, out=s1), g, out=s1)
-            np.multiply(np.divide(m, c1, out=s1), lr, out=s1)
-            np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), config.epsilon, out=s2)
-            p -= np.divide(s1, s2, out=s1)
+            np.add(np.sqrt(v, out=s2), eps_hat, out=s2)
+            p -= np.multiply(np.divide(m, s2, out=s1), step_size, out=s1)
         if decay:
             for span in self._weights:
                 self.data[span] *= 1.0 - lr * decay
@@ -494,21 +494,22 @@ def batch_loss(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     return _joint_forward(net, dec, head, batch, lambda_r)[0]
 
 
+def _affine_grads(grads: dict, weight: str, bias: str, g_out: np.ndarray,
+                  inputs: np.ndarray) -> None:
+    """dL/dW, dL/db of rows y = inputs @ W.T + b, into the arrays in `grads`."""
+    grads[weight] = np.matmul(g_out.T, inputs, out=grads.get(weight))
+    grads[bias] = np.sum(g_out, axis=0, out=grads.get(bias))
+
+
 def _encoder_backprop(net: EncoderNet, activations: list,
                       grad_codes: np.ndarray, grads: dict) -> None:
-    """Push a gradient on the (pre-clip) final output back through all layers.
-
-    Each layer's gradients are written into the arrays `grads` holds under
-    their keys, or stored there as new arrays where it holds none.
-    """
+    """Push a gradient on the (pre-clip) final output back through all layers."""
     upstream = grad_codes
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         post = activations[i + 1]
         g_z = upstream * _activation_grad(post, layer.activation)
-        w, b = f"enc.{i}.weight", f"enc.{i}.bias"
-        grads[w] = np.matmul(g_z.T, activations[i], out=grads.get(w))
-        grads[b] = np.sum(g_z, axis=0, out=grads.get(b))
+        _affine_grads(grads, f"enc.{i}.weight", f"enc.{i}.bias", g_z, activations[i])
         if i > 0:
             upstream = g_z @ layer.weight
 
@@ -517,33 +518,25 @@ def backward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
              batch: TrainingBatch, lambda_r: float, out: dict | None = None) -> tuple:
     """Exact gradients of the batch-mean joint loss for every parameter.
 
-    Returns (grads, report): a dict keyed like all_params() plus the loss
-    report for the same batch. Given `out`, a dict of C-ordered arrays keyed
-    and shaped like all_params(), the gradients are written into its arrays
-    and `out` is returned as grads. Accumulation is batch-vectorized with a
-    fixed reduction order, so repeated calls are bit-identical.
+    Returns (grads, report): a dict keyed like all_params() (`out`, its
+    C-ordered arrays overwritten, if given) plus the loss report for the same
+    batch. Accumulation is batch-vectorized with a fixed reduction order, so
+    repeated calls are bit-identical.
     """
     report, activations, c_id, c_res, diff, prob = _joint_forward(
         net, dec, head, batch, lambda_r)
     b = batch.size
     grads = {} if out is None else out
-
-    def into(key: str, op, *args, **kwargs) -> None:
-        grads[key] = op(*args, **kwargs, out=grads.get(key))
-
     # d recon / d delta, already including the batch mean and coordinate mean.
     g_delta = (2.0 / (b * dec.out_dim)) * diff * lambda_r
-    into("dec.weight_id", np.matmul, g_delta.T, c_id)
-    into("dec.bias_id", np.sum, g_delta, axis=0)
-    into("dec.weight_res", np.matmul, g_delta.T, c_res)
-    into("dec.bias_res", np.sum, g_delta, axis=0)
+    _affine_grads(grads, "dec.weight_id", "dec.bias_id", g_delta, c_id)
+    _affine_grads(grads, "dec.weight_res", "dec.bias_res", g_delta, c_res)
 
     # d ident / d logits = softmax - one-hot; prob is ours to overwrite
     g_logits = prob
     g_logits[np.arange(b), batch.labels] -= 1.0
     g_logits /= b
-    into("head.weight", np.matmul, g_logits.T, c_id)
-    into("head.bias", np.sum, g_logits, axis=0)
+    _affine_grads(grads, "head.weight", "head.bias", g_logits, c_id)
 
     g_c_id = g_delta @ dec.weight_id + g_logits @ head.weight
     g_c_res = g_delta @ dec.weight_res

@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .config import RunConfig
+from .config import CONFIG_VERSION, RunConfig, parse_config
 from .errors import (CorruptionError, InvalidArgumentError,
                      InvariantViolationError, ParseError, VersionMismatchError,
                      require)
@@ -243,7 +243,7 @@ def save_checkpoint(encoder: EncoderNet, decoder: DecoderNet,
     meta = {"kind": "checkpoint",
             "activations": [layer.activation for layer in encoder.layers],
             "q_id": encoder.q_id, "q_res": encoder.q_res,
-            "config": config.to_dict()}
+            "config": config.to_dict(), "config_version": CONFIG_VERSION}
     _atomic_write(path, _pack(meta, all_params(encoder, decoder, head)))
 
 
@@ -254,6 +254,11 @@ def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
     if header.get("kind") != "checkpoint":
         raise CorruptionError(f"container kind '{header.get('kind')}' "
                               "is not a checkpoint")
+    version = (_field(header, "config_version", int)
+               if "config_version" in header else "missing")
+    if version != CONFIG_VERSION:
+        raise VersionMismatchError(
+            f"checkpoint config_version {version}, expected {CONFIG_VERSION}")
     activations = _field(header, "activations", list)
     _invariant(len(activations) >= 1, "activations: no encoder layers")
     q_id, q_res = _field(header, "q_id", int), _field(header, "q_res", int)
@@ -274,11 +279,9 @@ def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
     _invariant(head.q_id == encoder.q_id,
                f"head.weight: classifier width {head.q_id} does not match "
                f"encoder q_id {encoder.q_id}")
-    from .config import parse_config  # resolve text fields into a RunConfig
-    stored = _field(header, "config", dict)
-    config_text = "\n".join(f"{k} = {v}" for k, v in sorted(stored.items()))
-    config = parse_config(config_text)
-    return encoder, decoder, head, config
+    stored = _field(header, "config", dict)  # text fields, resolved by parse_config
+    return encoder, decoder, head, parse_config(
+        "\n".join(f"{k} = {v}" for k, v in sorted(stored.items())))
 
 
 # ---------------------------------------------------------------------------

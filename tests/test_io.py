@@ -23,7 +23,7 @@ from morphfit.errors import (CorruptionError, InvalidArgumentError,
 from morphfit.evaluation import (DisentanglingReport, ReconstructionReport,
                                  VerificationReport)
 from morphfit.geometry import Shape
-from morphfit.network import Layer, EncoderNet, init_decoder, init_head
+from morphfit.network import Layer, EncoderNet, init_decoder, init_encoder, init_head
 from morphfit.serialization import (DISENTANGLING_COLUMNS, FORMAT_VERSION,
                                     MAGIC, RECONSTRUCTION_COLUMNS,
                                     VERIFICATION_COLUMNS, _unpack, load_checkpoint,
@@ -432,6 +432,55 @@ class TestCheckpoint:
         with pytest.raises(InvariantViolationError, match="enc.0.weight"):
             load_checkpoint(str(tampered))
 
+    def test_config_version_written(self, stack, tmp_path):
+        path = tmp_path / "model.mfc"
+        save_checkpoint(*stack, str(path))
+        (header_len,) = struct.unpack_from("<Q", path.read_bytes(), len(MAGIC))
+        header = json.loads(path.read_bytes()[len(MAGIC) + 8:len(MAGIC) + 8 + header_len])
+        assert header["config_version"] == CONFIG_VERSION
+        assert type(header["config_version"]) is int
+
+    @pytest.mark.parametrize("version, error, message", [
+        ("drop", VersionMismatchError,
+         f"checkpoint config_version missing, expected {CONFIG_VERSION}"),
+        (CONFIG_VERSION + 1, VersionMismatchError,
+         f"checkpoint config_version {CONFIG_VERSION + 1}, expected {CONFIG_VERSION}"),
+        (0, VersionMismatchError,
+         f"checkpoint config_version 0, expected {CONFIG_VERSION}"),
+        (True, InvariantViolationError, "config_version: expected int, got bool"),
+        (float(CONFIG_VERSION), InvariantViolationError,
+         "config_version: expected int, got float"),
+        (str(CONFIG_VERSION), InvariantViolationError,
+         "config_version: expected int, got str"),
+        (None, InvariantViolationError, "config_version: expected int, got NoneType"),
+    ])
+    def test_config_version_checked(self, stack, tmp_path, version, error, message):
+        path = str(tmp_path / "model.mfc")
+        save_checkpoint(*stack, path)
+
+        def edit(header):
+            if version == "drop":
+                del header["config_version"]
+            else:
+                header["config_version"] = version
+        tampered = tmp_path / "version.mfc"
+        tampered.write_bytes(reencode(open(path, "rb").read(), edit))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load_checkpoint(str(tampered))
+
+    def test_cli_eval_names_the_version(self, stack, tiny_dataset, tmp_path):
+        save_dataset(tiny_dataset, str(tmp_path / "data.mfd"))
+        save_checkpoint(*stack, str(tmp_path / "model.ckpt"))
+        ckpt = tmp_path / "old.ckpt"
+        ckpt.write_bytes(reencode((tmp_path / "model.ckpt").read_bytes(),
+                                  lambda header: header.pop("config_version")))
+        code, lines = run_quietly(["eval", "--data", str(tmp_path / "data.mfd"),
+                                   "--checkpoint", str(ckpt),
+                                   "--out", str(tmp_path / "eval")])
+        assert (code, lines) == (1, [
+            "error: VersionMismatchError: checkpoint config_version missing, "
+            f"expected {CONFIG_VERSION}"])
+
     def test_dataset_file_is_not_a_checkpoint(self, tiny_dataset, tmp_path):
         path = str(tmp_path / "data.mfd")
         save_dataset(tiny_dataset, path)
@@ -701,18 +750,22 @@ class TestOneCopyPerLoad:
 
 
 def header_paths(header: dict) -> list[tuple]:
-    paths = [(key,) for key in header]
-    paths += [("spec", key) for key in header["spec"]]
-    paths += [("spec", "pose_ranges", key)
-              for key in header["spec"]["pose_ranges"]]
+    """The key path of every entry of the header's nested dicts, outer
+    levels first."""
+    paths, level = [], [((), header)]
+    while level:
+        paths += [prefix + (key,) for prefix, node in level for key in node]
+        level = [(prefix + (key,), value) for prefix, node in level
+                 for key, value in node.items() if isinstance(value, dict)]
     return paths
 
 
-def mutate_container(data: bytes, draw) -> bytes:
+def mutate_container(data: bytes, draw,
+                     kinds=("drop", "retype", "truncate", "nan", "reshape",
+                            "permute")) -> bytes:
     (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
     header = json.loads(data[len(MAGIC) + 8:len(MAGIC) + 8 + header_len])
-    kind = draw(st.sampled_from(["drop", "retype", "truncate", "nan",
-                                 "reshape", "permute"]))
+    kind = draw(st.sampled_from(kinds))
     if kind in ("drop", "retype"):
         *parents, key = draw(st.sampled_from(header_paths(header)))
         value = draw(st.sampled_from(
@@ -732,6 +785,8 @@ def mutate_container(data: bytes, draw) -> bytes:
     entry = draw(st.sampled_from(
         [e for e in entries if e["name"] == "labels"] if kind == "permute"
         else entries))
+    if kind == "retag":
+        return flip_tag(data, entry["name"])
     offset = payload_offset(data, entry["name"])
     count = int(np.prod(entry["shape"]))
     if kind == "truncate":
@@ -784,6 +839,48 @@ class TestDatasetFuzz:
                 code = cli(["fit", "--data", path, "--subject", "0",
                             "--out", os.path.join(root, "fit")])
         lines = err.getvalue().splitlines()
+        assert (code, lines) == (0, []) or (
+            code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
+
+
+class TestCheckpointFuzz:
+    @pytest.fixture(scope="class")
+    def files(self, small_model, tmp_path_factory):
+        # eight subjects give eval two held-out ones, enough for two folds
+        root = tmp_path_factory.mktemp("ckpt-fuzz")
+        spec = DatasetSpec(n_subjects=8, images_per_subject=3,
+                           image_resolution=16, seed=42)
+        save_dataset(build_dataset(small_model, spec), str(root / "data.mfd"))
+        save_checkpoint(init_encoder(256, 6, 4, hidden=(4,), seed=1),
+                        init_decoder(450, 6, 4, seed=2), init_head(8, 6, seed=3),
+                        RunConfig(), str(root / "model.ckpt"))
+        return root
+
+    def run_eval(self, files, root: str) -> tuple[int, list[str]]:
+        return run_quietly(["eval", "--data", str(files / "data.mfd"),
+                            "--checkpoint", os.path.join(root, "model.ckpt"),
+                            "--set", "n_folds=2", "--out", os.path.join(root, "eval")])
+
+    def test_valid_checkpoint_evaluates(self, files, tmp_path):
+        (tmp_path / "model.ckpt").write_bytes((files / "model.ckpt").read_bytes())
+        assert self.run_eval(files, str(tmp_path)) == (0, [])
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_mutation_loads_or_fails_cleanly(self, files, data):
+        mutated = mutate_container((files / "model.ckpt").read_bytes(), data.draw,
+                                   ("drop", "retype", "truncate", "nan", "reshape",
+                                    "retag"))
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "model.ckpt")
+            with open(path, "wb") as handle:
+                handle.write(mutated)
+            try:
+                load_checkpoint(path)
+            except MorphfitError:
+                pass
+            code, lines = self.run_eval(files, root)
         assert (code, lines) == (0, []) or (
             code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
 
