@@ -496,7 +496,7 @@ def batch_loss(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
 
 def _affine_grads(grads: dict, weight: str, bias: str, g_out: np.ndarray,
                   inputs: np.ndarray) -> None:
-    """dL/dW, dL/db of rows y = inputs @ W.T + b, into the arrays in `grads`."""
+    """dL/dW, dL/db of rows y = inputs @ W.T + b, overwriting arrays `grads` holds."""
     grads[weight] = np.matmul(g_out.T, inputs, out=grads.get(weight))
     grads[bias] = np.sum(g_out, axis=0, out=grads.get(bias))
 

@@ -179,7 +179,7 @@ def _unpack(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     if not isinstance(header, dict) or not isinstance(header.get("arrays", []), list):
         raise CorruptionError("header is not a JSON object with an 'arrays' list")
     version = header.get("format_version")
-    if version != FORMAT_VERSION:
+    if version != FORMAT_VERSION or isinstance(version, bool):  # True == 1
         raise VersionMismatchError(
             f"container format version {version}, expected {FORMAT_VERSION}")
     arrays = {}

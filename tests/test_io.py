@@ -334,6 +334,15 @@ class TestContainerFormat:
         with pytest.raises(VersionMismatchError, match="version"):
             load_checkpoint(str(path))
 
+    def test_bool_format_version_is_no_version(self, checkpoint_bytes, tmp_path):
+        # JSON true equals 1 in Python, but is no format version
+        path = tmp_path / "bool.mfc"
+        path.write_bytes(reencode(checkpoint_bytes,
+                                  lambda header: header.update(format_version=True)))
+        message = f"container format version True, expected {FORMAT_VERSION}"
+        with pytest.raises(VersionMismatchError, match=f"^{message}$"):
+            load_checkpoint(str(path))
+
     def test_truncated_payload_names_array(self, checkpoint_bytes, tmp_path):
         path = tmp_path / "short.mfc"
         path.write_bytes(checkpoint_bytes[:-16])
