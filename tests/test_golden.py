@@ -3,7 +3,10 @@
 `golden/fit.sha256` holds the sha256 of `fit.csv`, of every OBJ and of the
 stdout of `fit --subject 0`; `golden/pipeline.sha256` holds the sha256 of
 every file and the stdout of `gen-data`, `train`, `eval --baseline` and
-`export-bases`. Both cover seeds 0 and 1, and each records the numpy
+`export-bases`, and of the benchmark's datasets: `gen-data` at the
+`gen_fit_noisy40` inputs, `gen-data` at 80 subjects and `eval --baseline` of
+the trained checkpoints on that 80-subject set, the `eval_heldout200` shape.
+Both cover seeds 0 and 1, and each records the numpy
 version, the OpenBLAS build and core, the machine and the thread environment
 its hashes were made under. A test reruns the commands in a fresh process
 under that thread environment, with paths relative to a temporary directory
@@ -71,8 +74,16 @@ DESCRIPTIONS = {
             "# at the default config, seeds 0 and 1 (see tests/test_golden.py)"],
     "pipeline": ["# sha256 of every file and stdout of `morphfit gen-data`, `train`,",
                  "# `eval --baseline` and `export-bases` at the default config,",
-                 "# seeds 0 and 1 (see tests/test_golden.py)"],
+                 "# seeds 0 and 1 (see tests/test_golden.py)",
+                 "# plus, at the benchmark's inputs, `gen-data` with n_subjects=40",
+                 "# and landmark_noise_sigma=0.01, `gen-data` with n_subjects=80 and",
+                 "# `eval --baseline` of the seed's checkpoints on the latter"],
 }
+
+# The benchmark-scale datasets of the pipeline manifest: gen_fit_noisy40's
+# and eval_heldout200's held-out set (bench/workloads.py).
+BENCH_DATASETS = {"gen-data-fit40": ["n_subjects=40", "landmark_noise_sigma=0.01"],
+                  "gen-data-heldout80": ["n_subjects=80"]}
 
 
 def emit(name: str, root: str) -> list[str]:
@@ -119,6 +130,16 @@ def emit(name: str, root: str) -> list[str]:
                 out = f"{command}{seed}"
                 files[f"{command}/stdout"] = run([command, *args, *tag, "--out", out])
                 files.update(files_in(out, f"{command}/"))
+            for key, sets in BENCH_DATASETS.items():
+                overrides = [arg for item in sets for arg in ("--set", item)]
+                files[f"{key}/stdout"] = run(["gen-data", *overrides, *tag,
+                                              "--out", f"{key}{seed}"])
+                files.update(files_in(f"{key}{seed}", f"{key}/"))
+            files["eval-heldout80/stdout"] = run([
+                "eval", "--data", f"gen-data-heldout80{seed}/dataset.mfd",
+                "--checkpoint", f"{train}/phase3.ckpt",
+                "--baseline", f"{train}/phase2.ckpt", *tag, "--out", f"eval-heldout80{seed}"])
+            files.update(files_in(f"eval-heldout80{seed}", "eval-heldout80/"))
         lines += [f"{hashlib.sha256(files[key]).hexdigest()}  seed{seed}/{key}"
                   for key in sorted(files)]
     return lines
