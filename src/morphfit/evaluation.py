@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require
-from .geometry import (CoeffPair, MorphableModel, PoseParams, crop_indices,
-                       procrustes_align_stack)
+from .geometry import MorphableModel, crop_indices, procrustes_align_stack
+from .synthetic import render_depths
 
 
 @dataclass(frozen=True)
@@ -355,7 +355,6 @@ def disentangling_report(encoder, dataset) -> DisentanglingReport:
     form lets reference embeddings stand in for a trained network.
     """
     from .network import EncoderNet, encode_images  # local import, avoids a cycle
-    from .synthetic import dilate_max, rasterize_depth
 
     if isinstance(encoder, EncoderNet):
         def embed(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -382,14 +381,13 @@ def disentangling_report(encoder, dataset) -> DisentanglingReport:
     inter = float(dist[~same & upper].mean())
 
     rng = np.random.default_rng(np.random.SeedSequence([dataset.spec.seed, 0x1d]))
-    moved_images = np.empty_like(images)
-    for i, moved_image in zip(rows, moved_images):
-        perturbation = rng.normal(0.0, 1.0, size=model.k_exp) * model.sigma_exp
-        coeffs = CoeffPair(dataset.alpha_id[i], dataset.alpha_exp[i] + perturbation)
-        pose = PoseParams(dataset.pose_scale[i], dataset.pose_rotation[i],
-                          dataset.pose_translation[i])
-        moved_image[:] = dilate_max(rasterize_depth(model, coeffs, pose,
-                                                    dataset.spec.image_resolution)).ravel()
+    perturbation = np.array([rng.normal(0.0, 1.0, size=model.k_exp) * model.sigma_exp
+                             for _ in rows])
+    moved_images = render_depths(model, dataset.alpha_id[rows],
+                                 dataset.alpha_exp[rows] + perturbation,
+                                 dataset.pose_scale[rows], dataset.pose_rotation[rows],
+                                 dataset.pose_translation[rows],
+                                 dataset.spec.image_resolution)
     moved_id, moved_res = embed(moved_images)
     den, ratios = 0.0, []
     for k in range(len(rows)):

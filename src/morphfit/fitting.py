@@ -147,43 +147,6 @@ def _check_landmarks(model: MorphableModel, landmarks: LandmarkSet2D) -> None:
             f"{landmarks.count} landmarks given, model has {model.n_landmarks}")
 
 
-def solve_expression(model: MorphableModel, alpha_id: np.ndarray, pose: PoseParams,
-                     landmarks: LandmarkSet2D, reg_exp: float = 0.0) -> np.ndarray:
-    """Exact least-squares residual coefficients for one image at fixed pose.
-
-    Solves the stacked 2L x k_exp system for alpha_exp, optionally damped by
-    reg_exp * ||alpha_exp / sigma_exp||^2, through an orthogonal
-    decomposition (numpy lstsq) rather than normal equations.
-    """
-    alpha_id = np.ravel(np.asarray(alpha_id, dtype=np.float64))
-    require(alpha_id.size == model.k_id, "alpha_id length must match the model")
-    require(np.isfinite(reg_exp) and reg_exp >= 0, "reg_exp must be >= 0")
-    _check_landmarks(model, landmarks)
-    mean_u, basis_id_u, basis_exp_u = _landmark_components(model)[1]
-    return _solve_block("k_exp", mean_u, basis_id_u, basis_exp_u, model.sigma_exp,
-                        [(alpha_id, pose, landmarks)], reg_exp)
-
-
-def solve_identity_shared(model: MorphableModel,
-                          per_image: list[tuple[np.ndarray, PoseParams, LandmarkSet2D]],
-                          reg_id: float = 0.0) -> np.ndarray:
-    """Exact least-squares identity coefficients shared across all images.
-
-    per_image lists (alpha_exp, pose, landmarks) triples; their residual
-    contributions are folded into the right-hand side and the stacked
-    2*L*M x k_id system is solved in one shot, optionally damped by
-    reg_id * ||alpha_id / sigma_id||^2.
-    """
-    require(len(per_image) >= 1, "need at least one image")
-    require(np.isfinite(reg_id) and reg_id >= 0, "reg_id must be >= 0")
-    for alpha_exp, _pose, landmarks in per_image:
-        require(np.size(alpha_exp) == model.k_exp, "alpha_exp length must match the model")
-        _check_landmarks(model, landmarks)
-    mean_u, basis_id_u, basis_exp_u = _landmark_components(model)[1]
-    return _solve_block("k_id", mean_u, basis_exp_u, basis_id_u, model.sigma_id,
-                        per_image, reg_id)
-
-
 def _solve_block(name: str, mean_u, fixed_basis, basis, sigma, per_image, reg):
     """Least-squares coefficients of the vertex-major `basis` shared by all
     images, each with its own (coefficients of `fixed_basis`, pose,
@@ -209,7 +172,8 @@ def _solve_block(name: str, mean_u, fixed_basis, basis, sigma, per_image, reg):
 
 def _image_data_term(points: np.ndarray, pose: PoseParams,
                      landmarks: LandmarkSet2D) -> float:
-    # `project_landmarks`' expression, without its LandmarkSet2D per call
+    # the weak-perspective projection f * P @ (R @ (p + t)), without a
+    # LandmarkSet2D per call
     rotated = (points + pose.translation) @ pose.rotation.T
     diff = landmarks.coords - (pose.scale * rotated[:, :2]).ravel()
     return float(diff @ diff)

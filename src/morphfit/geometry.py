@@ -7,8 +7,7 @@ the same flat layout in the plane. All rotation matrices are proper rotations
 
 The camera model is weak perspective: a point p maps to the image as
 u = f * P @ (R @ (p + t)), where P is the orthographic projector that drops
-the third row. The projector is internal to `project_landmarks`; it is never
-exposed as data.
+the third row. The projector is never exposed as data.
 """
 
 from __future__ import annotations
@@ -138,28 +137,6 @@ class PoseParams:
 
 
 @dataclass(frozen=True)
-class SimilarityTransform:
-    """Similarity map q = scale * R @ p + t with a proper rotation R."""
-
-    scale: float
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        rotation = _readonly(self.rotation)
-        translation = _readonly(np.ravel(self.translation))
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "translation", translation)
-        require(np.isfinite(self.scale) and self.scale > 0.0,
-                f"scale must be finite and positive, got {self.scale}")
-        _check_rotation(rotation, "similarity rotation")
-        require(translation.shape == (3,),
-                f"translation must have 3 components, got {translation.shape}")
-        require(bool(np.all(np.isfinite(translation))), "translation must be finite")
-
-
-@dataclass(frozen=True)
 class MorphableModel:
     """Linear shape model: mean plus identity and residual basis matrices.
 
@@ -250,40 +227,8 @@ def compose_shape(model: MorphableModel, coeffs: CoeffPair) -> Shape:
                  + model.basis_exp @ coeffs.alpha_exp)
 
 
-def select_landmarks(shape: Shape, indices: np.ndarray) -> np.ndarray:
-    """Gather the (L, 3) landmark vertex positions for the given indices."""
-    idx = np.asarray(indices)
-    require(idx.ndim == 1 and idx.size > 0, "indices must be a non-empty 1-D sequence")
-    require(np.issubdtype(idx.dtype, np.integer), "indices must be integers")
-    require(bool(np.all(idx >= 0)) and bool(np.all(idx < shape.n)),
-            f"landmark indices must lie in [0, {shape.n})")
-    return np.array(shape.points[idx], dtype=np.float64)
-
-
-def project_landmarks(points3d: np.ndarray, pose: PoseParams) -> LandmarkSet2D:
-    """Weak-perspective projection u_i = f * P @ (R @ (p_i + t)) of (L, 3) points."""
-    pts = np.asarray(points3d, dtype=np.float64)
-    require(pts.ndim == 2 and pts.shape[1] == 3,
-            f"points3d must be (L, 3), got {pts.shape}")
-    rotated = (pts + pose.translation) @ pose.rotation.T
-    return LandmarkSet2D((pose.scale * rotated[:, :2]).ravel())
-
-
-def procrustes_align(source: np.ndarray, target: np.ndarray) -> SimilarityTransform:
-    """Closed-form similarity alignment of source onto target point lists.
-
-    Minimizes sum_i || s * R @ p_i + t - q_i ||^2 over scale s > 0, proper
-    rotation R and translation t, via the SVD of the centered cross-covariance
-    with determinant sign correction. Both inputs are (L, 3) with L >= 4.
-    """
-    src, tgt = np.asarray(source), np.asarray(target)
-    require(src.ndim == 2, f"source must be (L, 3), got {src.shape}")
-    scale, rotation, translation = procrustes_align_stack(src[None], tgt[None])
-    return SimilarityTransform(scale[0], rotation[0], translation[0])
-
-
 def procrustes_align_stack(source: np.ndarray, target: np.ndarray) -> tuple:
-    """`procrustes_align` for each pair of an (N, L, 3) source and target stack.
+    """Similarity alignment of each pair of an (N, L, 3) source and target stack.
 
     Returns (scale (N,), rotation (N, 3, 3), translation (N, 3)), pair k's
     transform equal bit for bit to aligning that pair alone (Umeyama, TPAMI
@@ -319,12 +264,6 @@ def procrustes_align_stack(source: np.ndarray, target: np.ndarray) -> tuple:
     fail(~(np.maximum(*_rotation_errors(rotation)) <= ROTATION_TOL),
          "rotation is not orthonormal and proper", InvalidArgumentError)
     return scale, rotation, mu_tgt - scale[:, None] * (rotation @ mu_src[:, :, None])[:, :, 0]
-
-
-def apply_transform(shape: Shape, transform: SimilarityTransform) -> Shape:
-    """Apply q_i = s * R @ p_i + t to every vertex."""
-    pts = shape.points @ (transform.scale * transform.rotation).T + transform.translation
-    return Shape(pts.ravel())
 
 
 def crop_indices(points: np.ndarray, center_index: int, radius: float) -> np.ndarray:

@@ -60,32 +60,6 @@ def write_obj(shape: Shape, path: str) -> None:
     _atomic_write(path, text.encode("ascii"))
 
 
-def read_obj(path: str) -> Shape:
-    """Parse `v` lines in order; comments and blanks skipped, anything else fails.
-
-    Unsupported directives (faces, normals, ...) raise ParseError naming the
-    directive and its line; too few vertices surfaces as the Shape invariant.
-    """
-    coords: list[float] = []
-    with open(path, "r", encoding="ascii") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] != "v":
-                raise ParseError(f"unsupported directive '{parts[0]}'", line_no)
-            if len(parts) != 4:
-                raise ParseError(f"vertex line needs 3 coordinates, got "
-                                 f"{len(parts) - 1}", line_no)
-            try:
-                coords.extend(float(p) for p in parts[1:])
-            except ValueError:
-                raise ParseError(f"malformed coordinate in '{line}'",
-                                 line_no) from None
-    return Shape(np.array(coords))
-
-
 # ---------------------------------------------------------------------------
 # CSV reports. One header row, one data row, repr floats (exact roundtrip).
 
@@ -280,6 +254,8 @@ def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
                f"head.weight: classifier width {head.q_id} does not match "
                f"encoder q_id {encoder.q_id}")
     stored = _field(header, "config", dict)  # text fields, resolved by parse_config
+    for field in dataclasses.fields(RunConfig):
+        _invariant(field.name in stored, f"config.{field.name}: missing")
     return encoder, decoder, head, parse_config(
         "\n".join(f"{k} = {v}" for k, v in sorted(stored.items())))
 

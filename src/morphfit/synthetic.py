@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, require
-from .geometry import (ROTATION_TOL, CoeffPair, LandmarkSet2D,
-                       MorphableModel, PoseParams, Shape, compose_shape,
-                       coord_rows, project_landmarks, rotation_zyx,
-                       select_landmarks)
+from .geometry import (ROTATION_TOL, MorphableModel, Shape, coord_rows,
+                       rotation_zyx)
 
 # Landmark subset size, fixed across all synthetic models.
 N_LANDMARKS = 68
@@ -192,16 +190,8 @@ class Dataset:
         return self.depth[rows].reshape(len(rows), -1)
 
     def ground_truth_shapes(self, rows) -> np.ndarray:
-        """Flat ground-truth shapes of the given rows, one per row.
-
-        Each row goes through `compose_shape` on its own: one matrix product
-        over all rows sums in another order and changes the last bits.
-        """
-        out = np.empty((len(rows), self.model.mean.coords.size))
-        for shape, i in zip(out, rows):
-            shape[:] = compose_shape(self.model, CoeffPair(
-                self.alpha_id[i], self.alpha_exp[i])).coords
-        return out
+        """Flat ground-truth shapes of the given rows, one per row."""
+        return _compose_rows(self.model, self.alpha_id[rows], self.alpha_exp[rows])
 
 
 def _mean_face_vertices(n: int) -> np.ndarray:
@@ -359,81 +349,131 @@ def sample_subject(model: MorphableModel, rng: np.random.Generator) -> np.ndarra
 
 
 def sample_instance(model: MorphableModel, spec: DatasetSpec,
-                    rng: np.random.Generator) -> tuple[np.ndarray, PoseParams]:
-    """Draw per-image residual coefficients and a uniform pose within ranges."""
+                    rng: np.random.Generator) -> tuple:
+    """Draw per-image residual coefficients and a uniform pose within ranges:
+    (alpha_exp, scale, rotation, translation), the pose as `PoseParams`
+    takes it."""
     alpha_exp = rng.normal(0.0, 1.0, size=model.k_exp) * model.sigma_exp
     yaw, pitch, roll, scale, tx, ty, tz = (
         rng.uniform(*getattr(spec.pose_ranges, name)) for name in POSE_PARAMS)
-    pose = PoseParams(scale, rotation_zyx(yaw, pitch, roll), np.array([tx, ty, tz]))
-    return alpha_exp, pose
+    return alpha_exp, scale, rotation_zyx(yaw, pitch, roll), np.array([tx, ty, tz])
 
 
-def render_landmarks(model: MorphableModel, coeffs: CoeffPair, pose: PoseParams,
-                     noise_sigma: float, rng: np.random.Generator) -> LandmarkSet2D:
-    """Project the model landmarks and add i.i.d. Gaussian coordinate noise.
+# Rows per chunk of the stacked renderer; bounds its (rows, n, 3)
+# temporaries to a few hundred kilobytes at the default model size.
+_RENDER_CHUNK = 32
 
-    The noise draw happens even for sigma 0 (where it adds exact zeros), so
-    downstream rng state does not depend on the noise level.
+
+def _compose_rows(model: MorphableModel, alpha_id: np.ndarray,
+                  alpha_exp: np.ndarray) -> np.ndarray:
+    """Flat shapes mean + basis_id @ a + basis_exp @ e, one per coefficient row.
+
+    Each row is its own pair of GEMVs, written as `compose_shape` writes it:
+    one matrix product over all rows sums in another order and changes the
+    last bits.
     """
-    require(np.isfinite(noise_sigma) and noise_sigma >= 0,
-            "noise_sigma must be finite and non-negative")
-    shape = compose_shape(model, coeffs)
-    pts = select_landmarks(shape, model.landmark_indices)
-    clean = project_landmarks(pts, pose)
-    noise = rng.normal(0.0, 1.0, size=clean.coords.size) * noise_sigma
-    return LandmarkSet2D(clean.coords + noise)
+    alpha_id = np.ascontiguousarray(alpha_id, dtype=np.float64)
+    alpha_exp = np.ascontiguousarray(alpha_exp, dtype=np.float64)
+    out = np.empty((len(alpha_id), model.mean.coords.size))
+    for shape, a, e in zip(out, alpha_id, alpha_exp):
+        shape[:] = model.mean.coords + model.basis_id @ a + model.basis_exp @ e
+    return out
 
 
-def rasterize_depth(model: MorphableModel, coeffs: CoeffPair, pose: PoseParams,
+def _pose_rows(points: np.ndarray, rotation: np.ndarray,
+               translation: np.ndarray) -> np.ndarray:
+    """(p + t) @ R^T for each row's (n, 3) points of an (m, n, 3) stack.
+
+    numpy's matmul runs each slice of a stack as its own product, so row k
+    is what posing that row alone gives.
+    """
+    return (points + translation[:, None]) @ np.swapaxes(rotation, 1, 2)
+
+
+def _rasterize_rows(rotated: np.ndarray, scale: np.ndarray,
                     resolution: int) -> np.ndarray:
-    """Render a (resolution, resolution) depth image in [-1, 1].
+    """Undilated (m, r, r) depth rasters of (m, n, 3) posed point rows."""
+    m = len(rotated)
+    u = scale[:, None] * rotated[:, :, 0]
+    v = scale[:, None] * rotated[:, :, 1]
+    depth = rotated[:, :, 2]
 
-    All vertices are posed and projected; the bounding square of the projected
-    points (centered, side = larger bbox extent) maps onto the pixel grid with
-    row 0 at the smallest v. Each point lands in one pixel and each pixel
-    keeps the maximum rotated z over the points in it (nearest to the viewer).
-    The depth range of the projected cloud maps linearly onto [-1, 1], so the
-    nearest point always reads +1; empty pixels read -1. A constant-depth
-    cloud (including a single vertex) maps to a +1 pixel.
+    u_min, u_max, v_min, v_max = u.min(1), u.max(1), v.min(1), v.max(1)
+    side = np.maximum(u_max - u_min, v_max - v_min)
+    ox = ((u_max + u_min) / 2.0 - side / 2.0)[:, None]
+    oy = ((v_max + v_min) / 2.0 - side / 2.0)[:, None]
+    # coincident points sit at u - ox = v - oy = 0, so any divisor puts
+    # them in pixel (0, 0)
+    safe_side = np.where(side > 0.0, side, 1.0)[:, None]
+    cols = np.clip((u - ox) / safe_side * resolution, 0, resolution - 1).astype(np.int64)
+    rows = np.clip((v - oy) / safe_side * resolution, 0, resolution - 1).astype(np.int64)
+
+    # Map each point's depth onto [-1, 1] before the scatter: the map is
+    # monotone under rounding, so a pixel's maximum of mapped depths is the
+    # mapped maximum depth, and the farthest point reads -1 like an empty
+    # pixel does.
+    z_min, z_max = depth.min(1)[:, None], depth.max(1)[:, None]
+    z_span = z_max - z_min
+    varied = z_span > 0.0
+    mapped = np.where(varied, 2.0 * (depth - z_min) / np.where(varied, z_span, 1.0)
+                      - 1.0, 1.0)
+    image = np.full(m * resolution * resolution, -1.0)
+    pixel = (np.arange(m)[:, None] * resolution + rows) * resolution + cols
+    np.maximum.at(image, pixel.ravel(), mapped.ravel())
+    return image.reshape(m, resolution, resolution)
+
+
+def _dilate_rows(images: np.ndarray) -> np.ndarray:
+    """Max-dilate each image of an (m, r, r) stack by one pixel (3x3
+    neighbourhood, edges clamped), over the two image axes only."""
+    padded = np.pad(images, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    across = np.maximum(np.maximum(padded[:, :-2], padded[:, 1:-1]), padded[:, 2:])
+    return np.maximum(np.maximum(across[:, :, :-2], across[:, :, 1:-1]),
+                      across[:, :, 2:])
+
+
+def _render_chunks(model: MorphableModel, alpha_id, alpha_exp, scale, rotation,
+                   translation, resolution: int):
+    """Yield (rows, points, rasters) for chunks of at most `_RENDER_CHUNK`
+    rows: the slice, the composed (m, n, 3) points and the (m, r * r)
+    dilated rasters of `render_depths`."""
+    for start in range(0, len(scale), _RENDER_CHUNK):
+        rows = slice(start, start + _RENDER_CHUNK)
+        points = _compose_rows(model, alpha_id[rows], alpha_exp[rows])
+        points = points.reshape(len(points), model.n, 3)
+        rotated = _pose_rows(points, rotation[rows], translation[rows])
+        rasters = _dilate_rows(_rasterize_rows(rotated, scale[rows], resolution))
+        yield rows, points, rasters.reshape(len(points), -1)
+
+
+def render_depths(model: MorphableModel, alpha_id: np.ndarray, alpha_exp: np.ndarray,
+                  scale: np.ndarray, rotation: np.ndarray, translation: np.ndarray,
+                  resolution: int) -> np.ndarray:
+    """Dilated depth rasters of N posed model instances, an (N, r * r) array.
+
+    Row k renders mean + basis_id @ alpha_id[k] + basis_exp @ alpha_exp[k]
+    under the weak-perspective pose (scale[k], rotation[k], translation[k]).
+    All vertices are posed and projected; the bounding square of the
+    projected points (centered, side = larger bbox extent) maps onto the
+    r x r pixel grid with row 0 at the smallest v. Each point lands in one
+    pixel and each pixel keeps the maximum rotated z over the points in it
+    (nearest to the viewer). The depth range of the projected cloud maps
+    linearly onto [-1, 1], so the nearest point always reads +1; empty pixels
+    read -1. A constant-depth cloud (including coincident points) maps to +1
+    pixels. The raster is then max-dilated by one pixel (3x3 neighbourhood,
+    edges clamped).
+
+    The rows are taken as checked (finite coefficients of the model's widths,
+    positive scales, proper rotations), as a `Dataset`'s columns are. They
+    are rendered a chunk of at most 32 at a time, so temporaries stay small
+    whatever N is; each row's raster is bit for bit the one rendering it
+    alone gives.
     """
     require(resolution >= 1, "resolution must be positive")
-    shape = compose_shape(model, coeffs)
-    rotated = (shape.points + pose.translation) @ pose.rotation.T
-    u = pose.scale * rotated[:, 0]
-    v = pose.scale * rotated[:, 1]
-    depth = rotated[:, 2]
-
-    side = max(float(u.max() - u.min()), float(v.max() - v.min()))
-    if side > 0.0:
-        ox = (u.max() + u.min()) / 2.0 - side / 2.0
-        oy = (v.max() + v.min()) / 2.0 - side / 2.0
-        cols = np.clip((u - ox) / side * resolution, 0, resolution - 1).astype(np.int64)
-        rows = np.clip((v - oy) / side * resolution, 0, resolution - 1).astype(np.int64)
-    else:
-        cols = np.zeros(u.size, dtype=np.int64)
-        rows = np.zeros(v.size, dtype=np.int64)
-
-    image = np.full((resolution, resolution), -np.inf)
-    np.maximum.at(image, (rows, cols), depth)
-    occupied = image > -np.inf
-    z_min, z_max = float(depth.min()), float(depth.max())
-    if z_max - z_min > 0.0:
-        image[occupied] = 2.0 * (image[occupied] - z_min) / (z_max - z_min) - 1.0
-    else:
-        image[occupied] = 1.0
-    image[~occupied] = -1.0
-    return image
-
-
-def dilate_max(image: np.ndarray) -> np.ndarray:
-    """Max-dilate a 2D image by one pixel (3x3 neighborhood, edges clamped)."""
-    require(image.ndim == 2 and image.size > 0, "image must be 2D and non-empty")
-    n_rows, n_cols = image.shape
-    padded = np.pad(image, 1, mode="edge")
-    out = image.copy()
-    for dr in range(3):
-        for dc in range(3):
-            np.maximum(out, padded[dr:dr + n_rows, dc:dc + n_cols], out=out)
+    out = np.empty((len(scale), resolution * resolution))
+    for rows, _, rasters in _render_chunks(model, alpha_id, alpha_exp, scale,
+                                           rotation, translation, resolution):
+        out[rows] = rasters
     return out
 
 
@@ -466,24 +506,36 @@ def build_dataset(model: MorphableModel, spec: DatasetSpec) -> Dataset:
     subject-major, and the split is `split_indices`.
     """
     root = np.random.SeedSequence(spec.seed)
-    subject_seeds = root.spawn(spec.n_subjects)
-    samples = []
-    for label in range(spec.n_subjects):
-        subject_rng = np.random.default_rng(subject_seeds[label])
-        alpha_id = sample_subject(model, subject_rng)
-        image_seeds = subject_seeds[label].spawn(spec.images_per_subject)
-        for j in range(spec.images_per_subject):
-            image_rng = np.random.default_rng(image_seeds[j])
-            alpha_exp, pose = sample_instance(model, spec, image_rng)
-            coeffs = CoeffPair(alpha_id, alpha_exp)
-            landmarks = render_landmarks(model, coeffs, pose,
-                                         spec.landmark_noise_sigma, image_rng)
-            depth = dilate_max(
-                rasterize_depth(model, coeffs, pose, spec.image_resolution))
-            samples.append((label, alpha_id, alpha_exp, pose.scale, pose.rotation,
-                            pose.translation, landmarks.coords, depth))
+    draws = []
+    for label, subject_seed in enumerate(root.spawn(spec.n_subjects)):
+        alpha_id = sample_subject(model, np.random.default_rng(subject_seed))
+        for image_seed in subject_seed.spawn(spec.images_per_subject):
+            image_rng = np.random.default_rng(image_seed)
+            alpha_exp, scale, rotation, translation = sample_instance(
+                model, spec, image_rng)
+            # drawn even at sigma 0 (adding exact zeros), so the draws after
+            # it do not depend on the noise level
+            noise = (image_rng.normal(0.0, 1.0, size=2 * model.n_landmarks)
+                     * spec.landmark_noise_sigma)
+            draws.append((label, alpha_id, alpha_exp, scale, rotation,
+                          translation, noise))
+    labels, alpha_id, alpha_exp, scale, rotation, translation, noise = map(
+        np.array, zip(*draws))
+
+    landmarks = np.empty_like(noise)
+    depth = np.empty((len(labels), spec.image_resolution ** 2))
+    for rows, points, rasters in _render_chunks(model, alpha_id, alpha_exp, scale,
+                                                rotation, translation,
+                                                spec.image_resolution):
+        posed = _pose_rows(points[:, model.landmark_indices], rotation[rows],
+                           translation[rows])
+        clean = scale[rows, None, None] * posed[:, :, :2]
+        landmarks[rows] = clean.reshape(len(posed), -1) + noise[rows]
+        depth[rows] = rasters
 
     train, val, test = split_indices(spec.n_subjects, spec.images_per_subject)
-    return Dataset(model=model, spec=spec, train_indices=train,
-                   val_indices=val, test_indices=test,
-                   **dict(zip(COLUMNS, zip(*samples))))
+    return Dataset(model=model, spec=spec, labels=labels, alpha_id=alpha_id,
+                   alpha_exp=alpha_exp, pose_scale=scale, pose_rotation=rotation,
+                   pose_translation=translation, landmarks=landmarks,
+                   depth=depth.reshape(-1, spec.image_resolution, spec.image_resolution),
+                   train_indices=train, val_indices=val, test_indices=test)

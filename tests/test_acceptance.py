@@ -23,15 +23,15 @@ from morphfit.evaluation import (auc, disentangling_report,
                                  rank_n_identification, roc_curve,
                                  verification_accuracy_folds,
                                  verification_pairs)
-from morphfit.fitting import (FitConfig, multi_image_fit, solve_expression,
-                              solve_identity_shared)
+from morphfit.fitting import FitConfig, multi_image_fit
 from morphfit.geometry import (CoeffPair, LandmarkSet2D, MorphableModel,
-                               PoseParams, Shape, SimilarityTransform,
-                               apply_transform, compose_shape, crop_indices,
-                               procrustes_align, rotation_zyx)
+                               PoseParams, Shape, compose_shape, crop_indices,
+                               rotation_zyx)
 from morphfit.network import (encode_images, finite_diff_check, init_decoder,
                               init_encoder, init_head, training_batch)
-from morphfit.synthetic import render_landmarks
+
+from oracles import (SimilarityTransform, apply_transform, procrustes_align,
+                     render_landmarks, solve_expression, solve_identity_shared)
 
 
 def wide_pose(rng: np.random.Generator) -> PoseParams:

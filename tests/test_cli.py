@@ -11,8 +11,10 @@ import pytest
 from morphfit import network as nw
 from morphfit.cli import cli
 from morphfit.config import RunConfig, load_config
-from morphfit.serialization import (load_checkpoint, load_dataset, read_obj,
+from morphfit.serialization import (load_checkpoint, load_dataset,
                                     VERIFICATION_COLUMNS)
+
+from oracles import read_obj
 
 # Small enough to run the whole pipeline in seconds; n_vertices must still
 # cover the landmark set, and two held-out subjects keep eval non-degenerate.

@@ -27,23 +27,19 @@ from morphfit.geometry import (
     CoeffPair,
     PoseParams,
     Shape,
-    SimilarityTransform,
-    apply_transform,
     crop_indices,
-    procrustes_align,
     procrustes_align_stack,
     rotation_zyx,
-    select_landmarks,
 )
 from morphfit.network import EncoderNet, Layer, encode_images, init_encoder
 from morphfit.synthetic import (
     Dataset,
     DatasetSpec,
     build_dataset,
-    dilate_max,
-    rasterize_depth,
 )
 
+from oracles import (SimilarityTransform, apply_transform, dilate_max,
+                     procrustes_align, rasterize_depth, select_landmarks)
 from conftest import rmse, row_pose, take_rows
 
 

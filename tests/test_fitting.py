@@ -22,8 +22,6 @@ from morphfit.fitting import (
     estimate_pose,
     multi_image_fit,
     objective,
-    solve_expression,
-    solve_identity_shared,
 )
 from morphfit.geometry import (
     CoeffPair,
@@ -33,11 +31,11 @@ from morphfit.geometry import (
     Shape,
     compose_shape,
     coord_rows,
-    project_landmarks,
     rotation_zyx,
-    select_landmarks,
 )
-from morphfit.synthetic import render_landmarks
+
+from oracles import (project_landmarks, render_landmarks, select_landmarks,
+                     solve_expression, solve_identity_shared)
 
 
 def wide_pose(rng: np.random.Generator) -> PoseParams:

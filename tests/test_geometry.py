@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from morphfit.errors import DegenerateGeometryError, InvalidArgumentError
-from morphfit.geometry import (CoeffPair, PoseParams, Shape,
-                               SimilarityTransform, apply_transform,
-                               compose_shape, crop_indices, procrustes_align,
-                               project_landmarks, rotation_zyx,
-                               select_landmarks)
+from morphfit.geometry import (CoeffPair, PoseParams, Shape, compose_shape,
+                               crop_indices, rotation_zyx)
 
+from oracles import (SimilarityTransform, apply_transform, procrustes_align,
+                     project_landmarks, select_landmarks)
 from conftest import rmse
 
 

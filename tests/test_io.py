@@ -26,11 +26,13 @@ from morphfit.geometry import Shape
 from morphfit.network import Layer, EncoderNet, init_decoder, init_encoder, init_head
 from morphfit.serialization import (DISENTANGLING_COLUMNS, FORMAT_VERSION,
                                     MAGIC, RECONSTRUCTION_COLUMNS,
-                                    VERIFICATION_COLUMNS, _unpack, load_checkpoint,
-                                    load_dataset, read_obj, save_checkpoint,
-                                    save_dataset, write_obj, write_report_csv,
-                                    write_table_csv)
+                                    VERIFICATION_COLUMNS, _unpack,
+                                    load_checkpoint, load_dataset,
+                                    save_checkpoint, save_dataset, write_obj,
+                                    write_report_csv, write_table_csv)
 from morphfit.synthetic import COLUMNS, DatasetSpec, PoseRanges, build_dataset
+
+from oracles import read_obj
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +492,31 @@ class TestCheckpoint:
             "error: VersionMismatchError: checkpoint config_version missing, "
             f"expected {CONFIG_VERSION}"])
 
+    @pytest.mark.parametrize("key", ["epochs", "seed", "lambda_r", "output_dir"])
+    def test_missing_config_key_raises(self, stack, tmp_path, key):
+        # a key filled in from the RunConfig default would load a config the
+        # checkpoint was never trained with (epochs=7 would read 25)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(*stack, str(path))
+        path.write_bytes(reencode(path.read_bytes(),
+                                  lambda header: header["config"].pop(key)))
+        with pytest.raises(InvariantViolationError,
+                           match=f"^config\\.{key}: missing$"):
+            load_checkpoint(str(path))
+
+    def test_cli_eval_names_the_missing_config_key(self, stack, tiny_dataset,
+                                                   tmp_path):
+        save_dataset(tiny_dataset, str(tmp_path / "data.mfd"))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(*stack, str(ckpt))
+        ckpt.write_bytes(reencode(ckpt.read_bytes(),
+                                  lambda header: header["config"].pop("epochs")))
+        code, lines = run_quietly(["eval", "--data", str(tmp_path / "data.mfd"),
+                                   "--checkpoint", str(ckpt),
+                                   "--out", str(tmp_path / "eval")])
+        assert (code, lines) == (
+            1, ["error: InvariantViolationError: config.epochs: missing"])
+
     def test_dataset_file_is_not_a_checkpoint(self, tiny_dataset, tmp_path):
         path = str(tmp_path / "data.mfd")
         save_dataset(tiny_dataset, path)
@@ -852,6 +879,17 @@ class TestDatasetFuzz:
             code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
 
 
+def missing_config_keys(data: bytes) -> list[str]:
+    """The RunConfig keys absent from a checkpoint's stored config, when
+    that config is a dict and every other part of the header is intact."""
+    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+    header = json.loads(data[len(MAGIC) + 8:len(MAGIC) + 8 + header_len])
+    stored = header.get("config")
+    if not isinstance(stored, dict):
+        return []
+    return [key for key in RunConfig().to_dict() if key not in stored]
+
+
 class TestCheckpointFuzz:
     @pytest.fixture(scope="class")
     def files(self, small_model, tmp_path_factory):
@@ -885,10 +923,17 @@ class TestCheckpointFuzz:
             path = os.path.join(root, "model.ckpt")
             with open(path, "wb") as handle:
                 handle.write(mutated)
-            try:
-                load_checkpoint(path)
-            except MorphfitError:
-                pass
+            missing = missing_config_keys(mutated)
+            if missing:
+                # a dropped config key is corruption, never a default
+                with pytest.raises(InvariantViolationError,
+                                   match=f"^config\\.{missing[0]}: missing$"):
+                    load_checkpoint(path)
+            else:
+                try:
+                    load_checkpoint(path)
+                except MorphfitError:
+                    pass
             code, lines = self.run_eval(files, root)
         assert (code, lines) == (0, []) or (
             code == 1 and len(lines) == 1 and lines[0].startswith("error: "))

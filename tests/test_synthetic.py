@@ -15,9 +15,7 @@ from morphfit.geometry import (
     Shape,
     compose_shape,
     coord_rows,
-    project_landmarks,
     rotation_zyx,
-    select_landmarks,
 )
 from morphfit.synthetic import (
     COLUMNS,
@@ -25,16 +23,17 @@ from morphfit.synthetic import (
     DatasetSpec,
     PoseRanges,
     SyntheticModelSpec,
+    _dilate_rows,
     build_dataset,
-    dilate_max,
     generate_model,
-    rasterize_depth,
-    render_landmarks,
+    render_depths,
     sample_instance,
     sample_subject,
     split_indices,
 )
 
+from oracles import (build_dataset_columns, dilate_max, project_landmarks,
+                     rasterize_depth, render_landmarks, select_landmarks)
 from conftest import WIDE_RANGES, row_coeffs, row_pose
 
 
@@ -145,20 +144,21 @@ class TestSampling:
                             scale=(1.7, 1.7), tx=(0.2, 0.2), ty=(-0.3, -0.3),
                             tz=(0.1, 0.1))
         spec = DatasetSpec(pose_ranges=ranges)
-        _, pose = sample_instance(small_model, spec, np.random.default_rng(0))
-        assert pose.scale == 1.7
-        assert np.array_equal(pose.rotation, rotation_zyx(0.3, -0.1, 0.05))
-        assert np.array_equal(pose.translation, np.array([0.2, -0.3, 0.1]))
+        _, scale, rotation, translation = sample_instance(
+            small_model, spec, np.random.default_rng(0))
+        assert scale == 1.7
+        assert np.array_equal(rotation, rotation_zyx(0.3, -0.1, 0.05))
+        assert np.array_equal(translation, np.array([0.2, -0.3, 0.1]))
 
     def test_instance_draws_stay_in_ranges(self, small_model):
         spec = DatasetSpec(pose_ranges=WIDE_RANGES)
         rng = np.random.default_rng(11)
         scales, translations = [], []
         for _ in range(2000):
-            alpha_exp, pose = sample_instance(small_model, spec, rng)
+            alpha_exp, scale, _, translation = sample_instance(small_model, spec, rng)
             assert alpha_exp.shape == (small_model.k_exp,)
-            scales.append(pose.scale)
-            translations.append(pose.translation)
+            scales.append(scale)
+            translations.append(translation)
         scales = np.array(scales)
         translations = np.array(translations)
         assert scales.min() >= 0.9 and scales.max() <= 1.1
@@ -258,7 +258,8 @@ class TestRasterizeDepth:
         rng = np.random.default_rng(21)
         spec = DatasetSpec(pose_ranges=WIDE_RANGES)
         for _ in range(5):
-            alpha_exp, pose = sample_instance(small_model, spec, rng)
+            alpha_exp, *pose = sample_instance(small_model, spec, rng)
+            pose = PoseParams(*pose)
             coeffs = CoeffPair(sample_subject(small_model, rng), alpha_exp)
             resolution = 8
             got = rasterize_depth(small_model, coeffs, pose, resolution)
@@ -310,7 +311,8 @@ class TestDilateMax:
         rng = np.random.default_rng(12)
         spec = DatasetSpec(pose_ranges=WIDE_RANGES)
         for _ in range(20):
-            alpha_exp, pose = sample_instance(desk_model, spec, rng)
+            alpha_exp, *pose = sample_instance(desk_model, spec, rng)
+            pose = PoseParams(*pose)
             coeffs = CoeffPair(sample_subject(desk_model, rng), alpha_exp)
             depth = rasterize_depth(desk_model, coeffs, pose, 32)
             assert (dilate_max(depth).tobytes()
@@ -336,6 +338,149 @@ class TestDilateMax:
             dilate_max(np.zeros(5))
         with pytest.raises(InvalidArgumentError):
             dilate_max(np.zeros((0, 3)))
+
+
+# ---------------------------------------------------------------------------
+# render_depths: the stacked renderer against the per-image oracle
+
+
+def render_one(model: MorphableModel, coeffs: CoeffPair, pose: PoseParams,
+               resolution: int) -> np.ndarray:
+    """`render_depths` on one row, as an (r, r) image."""
+    return render_depths(model, coeffs.alpha_id[None], coeffs.alpha_exp[None],
+                         np.array([pose.scale]), pose.rotation[None],
+                         pose.translation[None], resolution
+                         ).reshape(resolution, resolution)
+
+
+def per_image_oracle(model, alpha_id, alpha_exp, scale, rotation, translation,
+                     resolution: int) -> np.ndarray:
+    return np.array([dilate_max(rasterize_depth(
+        model, CoeffPair(a, e), PoseParams(f, r, t), resolution)).ravel()
+        for a, e, f, r, t in zip(alpha_id, alpha_exp, scale, rotation, translation)])
+
+
+def random_rows(draw, kind: str):
+    """A random small model and N pose/coefficient rows for it.
+
+    "coincident" models put every mean vertex on one point, so rows with zero
+    coefficients are clouds of coincident points (side 0); "flat" models have
+    a constant-depth mean and no depth in their bases, so rows rotated about
+    the view axis alone are constant-depth clouds. Such rows are mixed with
+    ordinary ones within a chunk.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(4, 45))
+    k_id, k_exp = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = draw(st.sampled_from([1, 31, 32, 33, 70]))
+    mean = rng.normal(size=(n, 3))
+    basis_id, basis_exp = rng.normal(size=(3 * n, k_id)), rng.normal(size=(3 * n, k_exp))
+    if kind == "coincident":
+        mean[:] = mean[0]
+    if kind == "flat":
+        mean[:, 2] = mean[0, 2]
+        basis_id[2::3], basis_exp[2::3] = 0.0, 0.0
+    model = MorphableModel(mean=Shape(mean.ravel()), basis_id=basis_id,
+                           basis_exp=basis_exp, sigma_id=np.ones(k_id),
+                           sigma_exp=np.ones(k_exp), landmark_indices=np.arange(4),
+                           nose_tip_index=0)
+    special = rng.random(rows) < 0.5
+    alpha_id = rng.normal(size=(rows, k_id))
+    alpha_exp = rng.normal(size=(rows, k_exp))
+    angles = rng.uniform(-np.pi, np.pi, size=(rows, 3))
+    if kind == "coincident":
+        alpha_id[special], alpha_exp[special] = 0.0, 0.0
+    if kind == "flat":
+        angles[special, 1:] = 0.0
+    rotation = np.array([rotation_zyx(*a) for a in angles])
+    scale = rng.uniform(0.2, 3.0, size=rows)
+    translation = rng.normal(size=(rows, 3))
+    return model, (alpha_id, alpha_exp, scale, rotation, translation)
+
+
+class TestRenderDepths:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_image_oracle_bit_for_bit(self, data):
+        kind = data.draw(st.sampled_from(["random", "coincident", "flat"]))
+        model, columns = random_rows(data.draw, kind)
+        resolution = data.draw(st.integers(1, 40))
+        got = render_depths(model, *columns, resolution)
+        expected = per_image_oracle(model, *columns, resolution)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_default_model_rows_match_oracle(self, default_dataset):
+        rows = np.arange(0, 200, 3)  # 67 rows: two full chunks and a partial one
+        columns = [getattr(default_dataset, name)[rows] for name in COLUMNS[1:6]]
+        model = default_dataset.model
+        got = render_depths(model, *columns, 32)
+        assert got.tobytes() == per_image_oracle(model, *columns, 32).tobytes()
+        assert got.tobytes() == default_dataset.images(rows).tobytes()
+
+    def test_no_rows(self, small_model):
+        out = render_depths(small_model, np.zeros((0, small_model.k_id)),
+                            np.zeros((0, small_model.k_exp)), np.zeros(0),
+                            np.zeros((0, 3, 3)), np.zeros((0, 3)), 8)
+        assert out.shape == (0, 64)
+
+    def test_constant_depth_reads_plus_one(self):
+        model = flat_square_model(z=0.37)
+        image = render_one(model, ZERO_COEFFS, IDENTITY_POSE, 2)
+        assert np.array_equal(image, np.ones((2, 2)))
+
+    def test_all_points_in_one_pixel(self):
+        model = flat_square_model(z=-1.3)
+        image = render_one(model, ZERO_COEFFS, IDENTITY_POSE, 1)
+        assert np.array_equal(image, np.ones((1, 1)))
+
+    def test_nearest_point_wins_pixel(self):
+        # fifth vertex shares the (0, 0) pixel with a farther square corner;
+        # dilation spreads its +1 over the 2x2 corner block only
+        model = flat_square_model(z=0.0, extra_vertex=(0.01, 0.01, 0.9))
+        image = render_one(model, ZERO_COEFFS, IDENTITY_POSE, 4)
+        expected = np.full((4, 4), -1.0)
+        expected[:2, :2] = 1.0
+        assert np.array_equal(image, expected)
+
+    def test_range_and_extremes(self, desk_model):
+        coeffs = CoeffPair(np.zeros(desk_model.k_id), np.zeros(desk_model.k_exp))
+        image = render_one(desk_model, coeffs, IDENTITY_POSE, 32)
+        assert image.shape == (32, 32)
+        assert image.min() >= -1.0 and image.max() <= 1.0
+        assert np.any(image == 1.0)   # nearest point always lands at +1
+        assert np.any(image == -1.0)  # the square's corners stay empty
+
+    def test_deterministic(self, small_model):
+        coeffs = ZERO_COEFFS_FOR(small_model)
+        a = render_one(small_model, coeffs, IDENTITY_POSE, 16)
+        b = render_one(small_model, coeffs, IDENTITY_POSE, 16)
+        assert np.array_equal(a, b)
+
+    def test_dilates_the_pixel_oracle(self, small_model):
+        rng = np.random.default_rng(21)
+        spec = DatasetSpec(pose_ranges=WIDE_RANGES)
+        for _ in range(5):
+            alpha_exp, *pose = sample_instance(small_model, spec, rng)
+            pose = PoseParams(*pose)
+            coeffs = CoeffPair(sample_subject(small_model, rng), alpha_exp)
+            undilated = rasterize_depth(small_model, coeffs, pose, 8)
+            assert np.array_equal(render_one(small_model, coeffs, pose, 8),
+                                  scatter_dilate_oracle(undilated))
+
+    def test_bad_resolution_rejected(self, small_model):
+        with pytest.raises(InvalidArgumentError):
+            render_one(small_model, ZERO_COEFFS_FOR(small_model), IDENTITY_POSE, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 9)).map(
+        lambda shape: (shape[0], shape[1], shape[1])), elements=st.floats(-1.0, 1.0)))
+    def test_stacked_dilation_keeps_images_apart(self, images):
+        # a raster never holds -0.0 (every value is -1, +1 or x - 1.0 with
+        # x >= 0), and max of -0.0 and +0.0 may return either
+        images = images + 0.0
+        expected = np.array([scatter_dilate_oracle(image) for image in images])
+        assert _dilate_rows(images).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +563,21 @@ class TestBuildDataset:
         assert np.array_equal(tiny.train_indices, np.arange(0, 3))
         assert len(tiny.val_indices) == 0
         assert np.array_equal(tiny.test_indices, np.arange(3, 6))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    @pytest.mark.parametrize("resolution", [8, 16, 32])
+    def test_matches_per_sample_loop(self, desk_model, sigma, resolution):
+        # 45 rows: one full chunk of the renderer and a partial one
+        spec = DatasetSpec(n_subjects=5, images_per_subject=9,
+                           landmark_noise_sigma=sigma, pose_ranges=WIDE_RANGES,
+                           image_resolution=resolution, seed=3)
+        dataset = build_dataset(desk_model, spec)
+        expected = build_dataset_columns(desk_model, spec)
+        for name in COLUMNS:
+            column = getattr(dataset, name)
+            assert column.dtype == expected[name].dtype, name
+            assert column.shape == expected[name].shape, name
+            assert column.tobytes() == expected[name].tobytes(), name
 
     def test_default_dataset_layout(self, default_dataset):
         assert default_dataset.labels.size == 200
