@@ -31,7 +31,8 @@ MAGIC = b"MORPHFIT"
 FORMAT_VERSION = 1
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, *chunks) -> None:
+    """Write the bytes-like `chunks` in order to `path` via a renamed temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
@@ -41,7 +42,7 @@ def _atomic_write(path: str, data: bytes) -> None:
     os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
             os.fchmod(handle.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
@@ -122,21 +123,23 @@ _DTYPES = {"f8": "<f8", "i8": "<i8"}
 _INT_ARRAYS = ("labels", "model.landmark_indices")  # every other array is f8
 
 
-def _pack(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
-    entries = []
-    payload = bytearray()
+def _pack(meta: dict, arrays: dict[str, np.ndarray]) -> list:
+    """The container as a list of chunks to write in order: magic, header
+    length, header, then each array's C-ordered buffer itself, so writing
+    it copies no array."""
+    entries, payload = [], []
     for name, array in arrays.items():
         kind = "i8" if np.issubdtype(array.dtype, np.integer) else "f8"
         data = np.ascontiguousarray(array, dtype=_DTYPES[kind])
         entries.append({"name": name, "dtype": kind,
                         "shape": list(data.shape)})
-        payload.extend(data.tobytes())
+        payload.append(data)
     header = dict(meta)
     header["format_version"] = FORMAT_VERSION
     header["arrays"] = entries
     blob = json.dumps(header, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
-    return MAGIC + struct.pack("<Q", len(blob)) + blob + bytes(payload)
+    return [MAGIC, struct.pack("<Q", len(blob)), blob, *payload]
 
 
 def _unpack(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
@@ -218,7 +221,7 @@ def save_checkpoint(encoder: EncoderNet, decoder: DecoderNet,
             "activations": [layer.activation for layer in encoder.layers],
             "q_id": encoder.q_id, "q_res": encoder.q_res,
             "config": config.to_dict(), "config_version": CONFIG_VERSION}
-    _atomic_write(path, _pack(meta, all_params(encoder, decoder, head)))
+    _atomic_write(path, *_pack(meta, all_params(encoder, decoder, head)))
 
 
 def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
@@ -278,7 +281,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     meta = {"kind": "dataset", "n_samples": dataset.labels.size,
             "nose_tip_index": model.nose_tip_index,
             "spec": dataclasses.asdict(dataset.spec)}
-    _atomic_write(path, _pack(meta, arrays))
+    _atomic_write(path, *_pack(meta, arrays))
 
 
 def _load_spec(stored: dict) -> DatasetSpec:

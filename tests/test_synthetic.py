@@ -23,6 +23,7 @@ from morphfit.synthetic import (
     DatasetSpec,
     PoseRanges,
     SyntheticModelSpec,
+    _RENDER_CHUNK,
     _dilate_rows,
     build_dataset,
     generate_model,
@@ -372,7 +373,8 @@ def random_rows(draw, kind: str):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(4, 45))
     k_id, k_exp = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    rows = draw(st.sampled_from([1, 31, 32, 33, 70]))
+    chunk = _RENDER_CHUNK
+    rows = draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 70]))
     mean = rng.normal(size=(n, 3))
     basis_id, basis_exp = rng.normal(size=(3 * n, k_id)), rng.normal(size=(3 * n, k_exp))
     if kind == "coincident":
@@ -411,7 +413,7 @@ class TestRenderDepths:
         assert got.tobytes() == expected.tobytes()
 
     def test_default_model_rows_match_oracle(self, default_dataset):
-        rows = np.arange(0, 200, 3)  # 67 rows: two full chunks and a partial one
+        rows = np.arange(0, 200, 3)  # 67 rows: full chunks and a partial one
         columns = [getattr(default_dataset, name)[rows] for name in COLUMNS[1:6]]
         model = default_dataset.model
         got = render_depths(model, *columns, 32)
@@ -567,7 +569,7 @@ class TestBuildDataset:
     @pytest.mark.parametrize("sigma", [0.0, 0.01])
     @pytest.mark.parametrize("resolution", [8, 16, 32])
     def test_matches_per_sample_loop(self, desk_model, sigma, resolution):
-        # 45 rows: one full chunk of the renderer and a partial one
+        # 45 rows: full chunks of the renderer and a partial one
         spec = DatasetSpec(n_subjects=5, images_per_subject=9,
                            landmark_noise_sigma=sigma, pose_ranges=WIDE_RANGES,
                            image_resolution=resolution, seed=3)
