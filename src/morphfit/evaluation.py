@@ -381,8 +381,7 @@ def disentangling_report(encoder, dataset) -> DisentanglingReport:
     inter = float(dist[~same & upper].mean())
 
     rng = np.random.default_rng(np.random.SeedSequence([dataset.spec.seed, 0x1d]))
-    perturbation = np.array([rng.normal(0.0, 1.0, size=model.k_exp) * model.sigma_exp
-                             for _ in rows])
+    perturbation = rng.normal(0.0, 1.0, size=(len(rows), model.k_exp)) * model.sigma_exp
     moved_images = render_depths(model, dataset.alpha_id[rows],
                                  dataset.alpha_exp[rows] + perturbation,
                                  dataset.pose_scale[rows], dataset.pose_rotation[rows],

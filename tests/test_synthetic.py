@@ -412,14 +412,6 @@ class TestRenderDepths:
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
-    def test_default_model_rows_match_oracle(self, default_dataset):
-        rows = np.arange(0, 200, 3)  # 67 rows: full chunks and a partial one
-        columns = [getattr(default_dataset, name)[rows] for name in COLUMNS[1:6]]
-        model = default_dataset.model
-        got = render_depths(model, *columns, 32)
-        assert got.tobytes() == per_image_oracle(model, *columns, 32).tobytes()
-        assert got.tobytes() == default_dataset.images(rows).tobytes()
-
     def test_no_rows(self, small_model):
         out = render_depths(small_model, np.zeros((0, small_model.k_id)),
                             np.zeros((0, small_model.k_exp)), np.zeros(0),
