@@ -1,11 +1,12 @@
-"""Per-item reference implementations the program no longer calls.
+"""Reference implementations the program no longer calls, kept for the tests.
 
 The program works on stacks: `render_depths` renders a chunk of rows at a
 time, `build_dataset` projects a chunk's landmarks in one product, the fit
 solves its blocks through `fitting._solve_block` and the evaluation aligns
-every pair with `procrustes_align_stack`. The tests keep the one-item
-functions those replaced, bodies unchanged, as oracles: the stacked code must
-match them bit for bit.
+every pair with `procrustes_align_stack`. The one-item functions those
+replaced, and the OBJ reader only tests use, keep their bodies here
+unchanged; the tests check the stacked code against them, bit for bit where
+the arithmetic is the same.
 """
 
 from dataclasses import dataclass
