@@ -1,7 +1,9 @@
 """Golden sha256 manifests of the pipeline at the default config.
 
 `golden/fit.sha256` holds the sha256 of `fit.csv`, of every OBJ and of the
-stdout of `fit --subject 0`; `golden/pipeline.sha256` holds the sha256 of
+stdout of `fit --subject 0`, and of `fit` of every subject of the
+`gen_fit_noisy40` dataset (40 subjects, landmark noise 0.01);
+`golden/pipeline.sha256` holds the sha256 of
 every file and the stdout of `gen-data`, `train`, `eval --baseline` and
 `export-bases`, and of the benchmark's datasets: `gen-data` at the
 `gen_fit_noisy40` inputs, `gen-data` at 80 subjects and `eval --baseline` of
@@ -71,7 +73,9 @@ def manifest_path(name: str) -> str:
 
 DESCRIPTIONS = {
     "fit": ["# sha256 of fit.csv, every OBJ and stdout of `morphfit fit --subject 0`",
-            "# at the default config, seeds 0 and 1 (see tests/test_golden.py)"],
+            "# at the default config, seeds 0 and 1 (see tests/test_golden.py)",
+            "# plus the same of `fit` of every subject of `gen-data` with",
+            "# n_subjects=40 and landmark_noise_sigma=0.01"],
     "pipeline": ["# sha256 of every file and stdout of `morphfit gen-data`, `train`,",
                  "# `eval --baseline` and `export-bases` at the default config,",
                  "# seeds 0 and 1 (see tests/test_golden.py)",
@@ -108,6 +112,13 @@ def emit(name: str, root: str) -> list[str]:
                     files[prefix + entry] = handle.read()
         return files
 
+    def fit_output(entry: str) -> bool:
+        return entry == "fit.csv" or entry.endswith(".obj")
+
+    def gen_bench_data(key: str, tag: list) -> bytes:
+        overrides = [arg for item in BENCH_DATASETS[key] for arg in ("--set", item)]
+        return run(["gen-data", *overrides, *tag, "--out", f"{key}{tag[-1]}"])
+
     lines = []
     for seed in SEEDS:
         tag = ["--seed", str(seed)]
@@ -117,8 +128,14 @@ def emit(name: str, root: str) -> list[str]:
         if name == "fit":
             files = {"stdout": run(["fit", "--data", dataset, "--subject", "0", *tag,
                                     "--out", f"fit{seed}"])}
-            files.update(files_in(f"fit{seed}", keep=lambda entry: entry == "fit.csv"
-                                  or entry.endswith(".obj")))
+            files.update(files_in(f"fit{seed}", keep=fit_output))
+            gen_bench_data("gen-data-fit40", tag)
+            for subject in range(40):
+                key, out = f"fit40/s{subject:02d}/", f"fit40-{seed}/s{subject:02d}"
+                files[key + "stdout"] = run(["fit", "--data",
+                                             f"gen-data-fit40{seed}/dataset.mfd",
+                                             "--subject", str(subject), *tag, "--out", out])
+                files.update(files_in(out, key, keep=fit_output))
         else:
             files = {"gen-data/stdout": gen_stdout, **files_in(data, "gen-data/")}
             for command, args in (
@@ -130,10 +147,8 @@ def emit(name: str, root: str) -> list[str]:
                 out = f"{command}{seed}"
                 files[f"{command}/stdout"] = run([command, *args, *tag, "--out", out])
                 files.update(files_in(out, f"{command}/"))
-            for key, sets in BENCH_DATASETS.items():
-                overrides = [arg for item in sets for arg in ("--set", item)]
-                files[f"{key}/stdout"] = run(["gen-data", *overrides, *tag,
-                                              "--out", f"{key}{seed}"])
+            for key in BENCH_DATASETS:
+                files[f"{key}/stdout"] = gen_bench_data(key, tag)
                 files.update(files_in(f"{key}{seed}", f"{key}/"))
             files["eval-heldout80/stdout"] = run([
                 "eval", "--data", f"gen-data-heldout80{seed}/dataset.mfd",
