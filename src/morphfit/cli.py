@@ -16,16 +16,15 @@ import numpy as np
 
 from . import network as nw
 from .config import RunConfig, format_config, load_config, parse_config
-from .errors import MorphfitError
+from .errors import MorphfitError, require
 from .evaluation import (disentangling_report, evaluate_reconstruction,
                          rank_n_identification, verification_pairs,
                          verification_report)
 from .fitting import multi_image_fit
-from .geometry import CoeffPair, LandmarkSet2D, Shape, compose_shape
 from .serialization import (_atomic_write, load_checkpoint, load_dataset,
                             save_checkpoint, save_dataset, write_obj,
                             write_report_csv, write_table_csv)
-from .synthetic import build_dataset, generate_model
+from .synthetic import _compose_rows, build_dataset, generate_model
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,23 +112,21 @@ def _cmd_fit(args) -> int:
     rows = dataset.labels == args.subject
     if not rows.any():
         raise MorphfitError(f"subject {args.subject} not present in dataset")
-    landmark_sets = list(map(LandmarkSet2D, dataset.landmarks[rows]))
-    result = multi_image_fit(dataset.model, landmark_sets, config.fit_config())
+    result = multi_image_fit(dataset.model, dataset.landmarks[rows],
+                             config.fit_config())
 
-    out = config.output_dir
-    identity = compose_shape(dataset.model,
-                             CoeffPair(result.alpha_id,
-                                       np.zeros(dataset.model.k_exp)))
-    write_obj(identity, os.path.join(out, "identity.obj"))
-    for j, (alpha_exp, _pose) in enumerate(result.per_image):
-        full = compose_shape(dataset.model,
-                             CoeffPair(result.alpha_id, alpha_exp))
-        write_obj(full, os.path.join(out, f"full_{j:02d}.obj"))
+    # the identity shape (zero residual) first, then one shape per image
+    alpha_exp = np.vstack([np.zeros(dataset.model.k_exp), result.alpha_exp])
+    shapes = _compose_rows(dataset.model,
+                           np.tile(result.alpha_id, (len(alpha_exp), 1)), alpha_exp)
+    names = ["identity.obj", *(f"full_{j:02d}.obj" for j in range(len(shapes) - 1))]
+    for name, coords in zip(names, shapes):
+        write_obj(coords, os.path.join(config.output_dir, name))
     write_table_csv(("subject", "converged", "iterations_used",
                      "final_objective"),
                     [(args.subject, result.converged, result.iterations_used,
                       result.objective_trace[-1])],
-                    os.path.join(out, "fit.csv"))
+                    os.path.join(config.output_dir, "fit.csv"))
     print(f"subject {args.subject}: converged={result.converged} "
           f"iterations={result.iterations_used}")
     return 0
@@ -140,7 +137,7 @@ def _init_networks(config: RunConfig, dataset) -> tuple:
     model = dataset.model
     return (nw.init_encoder(dataset.spec.image_resolution ** 2, model.k_id,
                             model.k_exp, seed=config.seed),
-            nw.init_decoder(model.mean.coords.size, model.k_id, model.k_exp,
+            nw.init_decoder(model.mean.size, model.k_id, model.k_exp,
                             seed=config.seed + 1),
             nw.init_head(dataset.n_train_subjects, model.k_id,
                          seed=config.seed + 2))
@@ -185,11 +182,27 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_checkpoint_fits(dataset, encoder, decoder) -> None:
+    """InvalidArgumentError naming both values unless the checkpoint's
+    networks have the widths that the dataset's model and images call for."""
+    model, side = dataset.model, dataset.spec.image_resolution
+    for what, got, want, why in (
+            ("decoder output length", decoder.out_dim, model.mean.size,
+             f"3 * {model.n} vertices"),
+            ("identity code width", decoder.q_id, model.k_id, "k_id"),
+            ("residual code width", decoder.q_res, model.k_exp, "k_exp"),
+            ("encoder input length", encoder.input_dim, side ** 2,
+             f"{side}x{side} images")):
+        require(got == want,
+                f"checkpoint {what} is {got}, but the dataset needs {want} ({why})")
+
+
 def _cmd_eval(args) -> int:
     config = _effective_config(args)
     _echo_config(config)
     dataset = load_dataset(args.data)
     encoder, decoder, _head, _cfg = load_checkpoint(args.checkpoint)
+    _check_checkpoint_fits(dataset, encoder, decoder)
     model = dataset.model
     out = config.output_dir
 
@@ -213,7 +226,7 @@ def _cmd_eval(args) -> int:
 
     def reconstruction(codes, dec):
         shapes = nw.decode(dec, *codes)
-        shapes += model.mean.coords
+        shapes += model.mean
         return evaluate_reconstruction(shapes, truths, model.landmark_indices,
                                        model.nose_tip_index, config.crop_radius)
 
@@ -235,14 +248,15 @@ def _cmd_export_bases(args) -> int:
     config = _effective_config(args)
     _echo_config(config)
     dataset = load_dataset(args.data)
-    _enc, decoder, _head, _cfg = load_checkpoint(args.checkpoint)
-    mean = dataset.model.mean.coords
+    encoder, decoder, _head, _cfg = load_checkpoint(args.checkpoint)
+    _check_checkpoint_fits(dataset, encoder, decoder)
+    mean = dataset.model.mean
     out = config.output_dir
     # a unit code step per column, added to the mean, mirrors how the
     # decoder is read as a shape basis
     for name, weight in (("id", decoder.weight_id), ("res", decoder.weight_res)):
         for k in range(weight.shape[1]):
-            write_obj(Shape(mean + weight[:, k]),
+            write_obj(mean + weight[:, k],
                       os.path.join(out, f"basis_{name}_{k:02d}.obj"))
     print(f"wrote {decoder.q_id + decoder.q_res} basis meshes to {out}")
     return 0

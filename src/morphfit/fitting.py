@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateGeometryError, NumericalFailureError,
-                     UnderdeterminedError, require)
-from .geometry import LandmarkSet2D, MorphableModel, PoseParams, coord_rows
+from .errors import (DegenerateGeometryError, InvalidArgumentError,
+                     NumericalFailureError, UnderdeterminedError, require)
+from .geometry import ROTATION_TOL, MorphableModel, _rotation_errors, coord_rows
 
 # Absolute slack allowed on the objective monotonicity guarantee.
 MONOTONE_SLACK = 1e-9
@@ -52,15 +52,18 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Shared identity coefficients plus per-image (alpha_exp, pose) states.
-
-    objective_trace holds the regularized objective after each full pass (it
-    equals the pure data term when both reg weights are 0) and is
+    """Shared identity coefficients, per-image residual coefficients (m, k_exp)
+    and per-image weak-perspective poses: scale (m,), rotation (m, 3, 3) and
+    translation (m, 3). objective_trace holds the regularized objective after
+    each full pass (the pure data term when both reg weights are 0) and is
     non-increasing within slack by construction.
     """
 
     alpha_id: np.ndarray
-    per_image: list[tuple[np.ndarray, PoseParams]]
+    alpha_exp: np.ndarray
+    scale: np.ndarray
+    rotation: np.ndarray
+    translation: np.ndarray
     objective_trace: list[float]
     iterations_used: int
     converged: bool
@@ -76,33 +79,23 @@ class FitResult:
                 "iterations_used must match the trace length")
 
 
-def estimate_pose(points3d: np.ndarray, landmarks2d: LandmarkSet2D) -> PoseParams:
-    """Closed-form scaled-orthographic pose from 3D-2D correspondences.
+def _estimate_poses(points: np.ndarray, targets: np.ndarray) -> tuple:
+    """Closed-form scaled-orthographic poses from (M, L, 3) points and their
+    (M, L, 2) landmarks: (scale (M,), rotation (M, 3, 3), translation (M, 3)).
 
-    Fits the least-squares 2x4 affine map from homogeneous 3D points to the
-    2D landmarks, projects its two 3-vector rows onto the nearest scaled pair
-    of orthonormal rows via the SVD, takes f as the mean of the two affine row
-    norms, completes the rotation with the cross product of the orthonormal
-    rows (det +1 by construction), and re-solves the translation so that
-    u ~ f * P @ (R @ (p + t)) holds in the least-squares sense. The recovered
-    t is the minimum-norm solution; its component along the viewing axis is
-    unobservable under weak perspective.
+    Per image, fits the least-squares 2x4 affine map from homogeneous 3D
+    points to the 2D landmarks, projects its two 3-vector rows onto the
+    nearest scaled pair of orthonormal rows via the SVD, takes f as the mean
+    of the two affine row norms, completes the rotation with the cross
+    product of the orthonormal rows (det +1 by construction), and re-solves
+    the translation so that u ~ f * P @ (R @ (p + t)) holds in the
+    least-squares sense. The recovered t is the minimum-norm solution; its
+    component along the viewing axis is unobservable under weak perspective.
+
+    The affine solve and the translation run per image, the rest stacked;
+    LAPACK factors each matrix of a stack on its own, so every pose equals
+    the one-image result bit for bit.
     """
-    pts = np.asarray(points3d, dtype=np.float64)
-    require(pts.ndim == 2 and pts.shape[1] == 3,
-            f"points3d must be (L, 3), got {pts.shape}")
-    u = landmarks2d.points
-    require(pts.shape[0] == u.shape[0],
-            f"{pts.shape[0]} 3D points vs {u.shape[0]} 2D landmarks")
-    require(pts.shape[0] >= 4, f"need at least 4 correspondences, got {pts.shape[0]}")
-    require(bool(np.all(np.isfinite(pts))), "3D points must be finite")
-    return _estimate_poses(pts[None], u[None])[0]
-
-
-def _estimate_poses(points: np.ndarray, targets: np.ndarray) -> list[PoseParams]:
-    """`estimate_pose` for (M, L, 3) points against (M, L, 2) landmarks: one
-    lstsq per image, the rest stacked. LAPACK factors each matrix of a stack
-    on its own, so every pose equals the one-image result bit for bit."""
     sv = np.linalg.svd(points - points.mean(axis=1, keepdims=True), compute_uv=False)
     if np.any(sv[:, 1] <= 1e-9 * np.maximum(sv[:, 0], np.finfo(float).tiny)):
         raise DegenerateGeometryError("3D points are collinear or coincident")
@@ -120,47 +113,59 @@ def _estimate_poses(points: np.ndarray, targets: np.ndarray) -> list[PoseParams]
 
     proj = scale[:, None, None] * rotation[:, :2]
     residual_mean = (targets - points @ proj.transpose(0, 2, 1)).mean(axis=1)
-    return [PoseParams(f, r, p @ m) for f, r, p, m in
-            zip(scale, rotation, np.linalg.pinv(proj), residual_mean)]
+    translation = np.array([p @ m for p, m in zip(np.linalg.pinv(proj), residual_mean)])
+    return scale, rotation, translation
+
+
+def _check_poses(scale: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> None:
+    """InvalidArgumentError naming the first image whose pose is not a
+    finite positive scale, a proper rotation and a finite translation."""
+    gram_err, det_err = _rotation_errors(rotation)
+    good = (np.isfinite(scale) & (scale > 0.0) & (gram_err <= ROTATION_TOL)
+            & (det_err <= ROTATION_TOL) & np.isfinite(translation).all(axis=1))
+    if not good.all():
+        j = int(np.argmin(good))
+        raise InvalidArgumentError(
+            f"image {j}: pose is not a finite positive scale, a proper rotation and "
+            f"a finite translation: scale {float(scale[j])!r}, max |R^T R - I| "
+            f"{gram_err[j]:.3e}, |det R - 1| {det_err[j]:.3e}, translation "
+            f"{translation[j].tolist()}")
 
 
 def _landmark_components(model: MorphableModel):
     """Landmark-row slices of the mean and both bases, flat ((3L,), (3L, k))
     and as vertex-major ((L, 3), (L, 3, k)) views of the same rows."""
     rows = coord_rows(model.landmark_indices)
-    flat = (model.mean.coords[rows], model.basis_id[rows], model.basis_exp[rows])
+    flat = (model.mean[rows], model.basis_id[rows], model.basis_exp[rows])
     return flat, tuple(c.reshape(-1, 3, *c.shape[1:]) for c in flat)
 
 
 def _landmark_points(flat, alpha_id: np.ndarray, alpha_exp: np.ndarray) -> np.ndarray:
-    """(L, 3) landmark points: `compose_shape` on the landmark rows only, bit
-    for bit wherever the BLAS computes each row of a product alike (OpenBLAS
-    does not for the last rows when their count is not a multiple of 4)."""
+    """(L, 3) landmark points: the composed shape on the landmark rows only,
+    bit for bit wherever the BLAS computes each row of a product alike
+    (OpenBLAS does not for the last rows when their count is not a multiple
+    of 4)."""
     mean, basis_id, basis_exp = flat
     points = (mean + basis_id @ alpha_id + basis_exp @ alpha_exp).reshape(-1, 3)
     require(bool(np.all(np.isfinite(points))), "landmark points must be finite")
     return points
 
 
-def _check_landmarks(model: MorphableModel, landmarks: LandmarkSet2D) -> None:
-    require(landmarks.count == model.n_landmarks,
-            f"{landmarks.count} landmarks given, model has {model.n_landmarks}")
-
-
 def _solve_block(name: str, mean_u, fixed_basis, basis, sigma, per_image, reg):
     """Least-squares coefficients of the vertex-major `basis` shared by all
-    images, each with its own (coefficients of `fixed_basis`, pose,
-    landmarks) triple in `per_image`, damped by reg * ||x / sigma||^2."""
+    images, each with its own (coefficients of `fixed_basis`, scale,
+    rotation, translation, (L, 2) landmarks) in the list `per_image`, damped
+    by reg * ||x / sigma||^2."""
     k, equations = basis.shape[2], 2 * mean_u.shape[0] * len(per_image)
     if reg == 0.0 and k > equations:
         raise UnderdeterminedError(
             f"{name}={k} exceeds the {equations} equations with no regularizer")
     blocks, rhs_parts = [], []
-    for coeffs, pose, landmarks in per_image:
-        proj = pose.scale * pose.rotation[:2]
-        base = (mean_u + fixed_basis @ np.ravel(coeffs) + pose.translation) @ proj.T
+    for coeffs, scale, rotation, translation, target in per_image:
+        proj = scale * rotation[:2]
+        base = (mean_u + fixed_basis @ np.ravel(coeffs) + translation) @ proj.T
         blocks.append(np.einsum("rc,lck->lrk", proj, basis).reshape(-1, k))
-        rhs_parts.append((landmarks.points - base).ravel())
+        rhs_parts.append((target - base).ravel())
     system = np.vstack(blocks)
     rhs = np.concatenate(rhs_parts)
     if reg > 0.0:
@@ -170,38 +175,19 @@ def _solve_block(name: str, mean_u, fixed_basis, basis, sigma, per_image, reg):
     return solution
 
 
-def _image_data_term(points: np.ndarray, pose: PoseParams,
-                     landmarks: LandmarkSet2D) -> float:
-    # the weak-perspective projection f * P @ (R @ (p + t)), without a
-    # LandmarkSet2D per call
-    rotated = (points + pose.translation) @ pose.rotation.T
-    diff = landmarks.coords - (pose.scale * rotated[:, :2]).ravel()
+def _image_data_term(points: np.ndarray, scale, rotation: np.ndarray,
+                     translation: np.ndarray, target: np.ndarray) -> float:
+    """Squared norm of the flat (2L,) `target` minus the weak-perspective
+    projection f * P @ (R @ (p + t)) of the (L, 3) points."""
+    rotated = (points + translation) @ rotation.T
+    diff = target - (scale * rotated[:, :2]).ravel()
     return float(diff @ diff)
 
 
-def objective(model: MorphableModel, alpha_id: np.ndarray,
-              per_image: list[tuple[np.ndarray, PoseParams, LandmarkSet2D]]) -> float:
-    """Pure data term: sum over images of the squared landmark residual norm.
-
-    Regularizer contributions are never included here; callers that need the
-    damped objective add them separately.
-    """
-    alpha_id = np.ravel(np.asarray(alpha_id, dtype=np.float64))
-    require(alpha_id.size == model.k_id, "alpha_id length must match the model")
-    flat, _ = _landmark_components(model)
-    total = 0.0
-    for alpha_exp, pose, landmarks in per_image:
-        _check_landmarks(model, landmarks)
-        alpha_exp = np.ravel(np.asarray(alpha_exp, dtype=np.float64))
-        require(alpha_exp.size == model.k_exp, "alpha_exp length must match the model")
-        total += _image_data_term(_landmark_points(flat, alpha_id, alpha_exp),
-                                  pose, landmarks)
-    return total
-
-
-def multi_image_fit(model: MorphableModel, landmark_sets: list[LandmarkSet2D],
+def multi_image_fit(model: MorphableModel, landmarks: np.ndarray,
                     config: FitConfig = FitConfig()) -> FitResult:
-    """Alternating fit of shared identity, per-image residuals and poses.
+    """Alternating fit of shared identity, per-image residuals and poses to
+    an (m, 2L) array of landmark rows (u1, v1, ..., uL, vL), one per image.
 
     Starts from zero coefficients. Each pass runs pose re-estimation, then
     the per-image residual solves, then the shared identity solve, and
@@ -219,29 +205,38 @@ def multi_image_fit(model: MorphableModel, landmark_sets: list[LandmarkSet2D],
     Every step reads only the model's landmark rows, sliced once per fit,
     and the pose step runs stacked SVDs over all images at once.
     """
-    require(len(landmark_sets) >= 1, "need at least one landmark set")
-    for lm in landmark_sets:
-        _check_landmarks(model, lm)
+    landmarks = np.asarray(landmarks, dtype=np.float64)
+    require(landmarks.ndim == 2,
+            f"landmarks must be an (m, 2L) array, got shape {landmarks.shape}")
+    n_images, width = landmarks.shape
+    require(n_images >= 1, "need at least one landmark set")
+    require(width == 2 * model.n_landmarks,
+            f"{width} landmark coordinates per image given, model has "
+            f"{model.n_landmarks} landmarks")
+    finite = np.isfinite(landmarks).all(axis=1)
+    require(finite.all(),
+            f"image {int(np.argmin(finite))}: landmark coordinates must be finite")
 
-    n_images = len(landmark_sets)
     rows, (mean_u, basis_id_u, basis_exp_u) = _landmark_components(model)
-    targets = np.stack([lm.points for lm in landmark_sets])
+    targets = landmarks.reshape(n_images, -1, 2)
     alpha_id = np.zeros(model.k_id)
     alpha_exps = [np.zeros(model.k_exp) for _ in range(n_images)]
-    poses: list[PoseParams] = [None] * n_images  # type: ignore[list-item]
 
-    energy = sum(float(lm.coords @ lm.coords) for lm in landmark_sets)
+    energy = sum(float(row @ row) for row in landmarks)
     floor = np.finfo(float).eps * max(energy, 1.0)
 
-    def data_terms() -> list[float]:
-        return [_image_data_term(_landmark_points(rows, alpha_id, alpha_exp), pose, lm)
-                for alpha_exp, pose, lm in zip(alpha_exps, poses, landmark_sets)]
+    def landmark_points() -> np.ndarray:
+        return np.stack([_landmark_points(rows, alpha_id, e) for e in alpha_exps])
+
+    def data_terms(points: np.ndarray, poses: tuple) -> list[float]:
+        return [_image_data_term(p, *pose, target)
+                for p, *pose, target in zip(points, *poses, landmarks)]
 
     current: float | None = None
     terms: list[float] = []
 
     def check_step(step_name: str, iteration: int, new_terms: list[float]) -> None:
-        # the regularized objective, summed in the order `objective` sums
+        # the regularized objective, the data terms summed in image order
         nonlocal current, terms
         after = 0.0
         for term in new_terms:
@@ -267,30 +262,30 @@ def multi_image_fit(model: MorphableModel, landmark_sets: list[LandmarkSet2D],
     trace: list[float] = []
     converged = False
     iterations = 0
+    points = landmark_points()
     for iteration in range(1, config.max_iterations + 1):
         iterations = iteration
-        points = np.stack([_landmark_points(rows, alpha_id, alpha_exp)
-                           for alpha_exp in alpha_exps])
-        pose_terms = []
-        for j, candidate in enumerate(_estimate_poses(points, targets)):
-            term = _image_data_term(points[j], candidate, landmark_sets[j])
-            if poses[j] is None or term <= (
-                    kept := _image_data_term(points[j], poses[j], landmark_sets[j])):
-                poses[j] = candidate
-            else:
-                term = kept
-            pose_terms.append(term)
-        check_step("pose estimation", iteration, pose_terms)
+        candidates = _estimate_poses(points, targets)
+        _check_poses(*candidates)
+        new = data_terms(points, candidates)
+        if iteration == 1:
+            poses, kept = candidates, new
+        else:  # an image keeps its previous pose where the new one fits it worse
+            kept = data_terms(points, poses)
+        take = np.less_equal(new, kept)
+        for part, candidate in zip(poses, candidates):
+            part[take] = candidate[take]
+        check_step("pose estimation", iteration, np.where(take, new, kept).tolist())
 
         alpha_exps = [_solve_block("k_exp", mean_u, basis_id_u, basis_exp_u,
-                                   model.sigma_exp, [(alpha_id, poses[j], landmark_sets[j])],
-                                   config.reg_exp)
-                      for j in range(n_images)]
-        check_step("residual solve", iteration, data_terms())
+                                   model.sigma_exp, [(alpha_id, *image)], config.reg_exp)
+                      for image in zip(*poses, targets)]
+        check_step("residual solve", iteration, data_terms(landmark_points(), poses))
 
         alpha_id = _solve_block("k_id", mean_u, basis_exp_u, basis_id_u, model.sigma_id,
-                                list(zip(alpha_exps, poses, landmark_sets)), config.reg_id)
-        check_step("identity solve", iteration, data_terms())
+                                list(zip(alpha_exps, *poses, targets)), config.reg_id)
+        points = landmark_points()  # also the next pass's pose input
+        check_step("identity solve", iteration, data_terms(points, poses))
 
         trace.append(current)
         if len(trace) >= 2:
@@ -299,8 +294,4 @@ def multi_image_fit(model: MorphableModel, landmark_sets: list[LandmarkSet2D],
                 converged = True
                 break
 
-    return FitResult(alpha_id=alpha_id,
-                     per_image=[(alpha_exps[j], poses[j]) for j in range(n_images)],
-                     objective_trace=trace,
-                     iterations_used=iterations,
-                     converged=converged)
+    return FitResult(alpha_id, np.array(alpha_exps), *poses, trace, iterations, converged)

@@ -1,4 +1,4 @@
-"""Shape types and core geometric operations.
+"""The morphable model and core geometric operations.
 
 Shapes are dense 3D point clouds stored as flat float64 vectors with
 interleaved coordinates (x1, y1, z1, ..., xn, yn, zn). 2D landmark sets use
@@ -37,105 +37,6 @@ def _rotation_errors(rotation: np.ndarray) -> tuple:
     return np.max(np.abs(gram), axis=(-2, -1)), np.abs(np.linalg.det(rotation) - 1.0)
 
 
-def _check_rotation(rotation: np.ndarray, what: str) -> None:
-    require(rotation.shape == (3, 3), f"{what} must be 3x3, got {rotation.shape}")
-    require(bool(np.all(np.isfinite(rotation))), f"{what} must be finite")
-    gram_err, det_err = _rotation_errors(rotation)
-    require(gram_err <= ROTATION_TOL, f"{what} is not orthonormal (max deviation {gram_err:.3e})")
-    require(det_err <= ROTATION_TOL, f"{what} is not proper (|det - 1| = {det_err:.3e})")
-
-
-@dataclass(frozen=True)
-class Shape:
-    """Dense 3D point cloud as a flat coordinate vector of length 3n, n >= 4."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = _readonly(np.ravel(self.coords))
-        object.__setattr__(self, "coords", coords)
-        require(coords.size % 3 == 0,
-                f"coordinate vector length {coords.size} is not a multiple of 3")
-        require(coords.size >= 3 * MIN_POINTS,
-                f"shape needs at least {MIN_POINTS} vertices, got {coords.size // 3}")
-        require(bool(np.all(np.isfinite(coords))), "shape coordinates must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.coords.size // 3
-
-    @property
-    def points(self) -> np.ndarray:
-        """Vertices as a read-only (n, 3) view."""
-        return self.coords.reshape(self.n, 3)
-
-
-@dataclass(frozen=True)
-class LandmarkSet2D:
-    """Flat 2D landmark vector (u1, v1, ..., uL, vL)."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = _readonly(np.ravel(self.coords))
-        object.__setattr__(self, "coords", coords)
-        require(coords.size % 2 == 0,
-                f"2D coordinate vector length {coords.size} is not a multiple of 2")
-        require(coords.size > 0, "landmark set must be non-empty")
-        require(bool(np.all(np.isfinite(coords))), "landmark coordinates must be finite")
-
-    @property
-    def count(self) -> int:
-        return self.coords.size // 2
-
-    @property
-    def points(self) -> np.ndarray:
-        """Landmarks as a read-only (L, 2) view."""
-        return self.coords.reshape(self.count, 2)
-
-
-@dataclass(frozen=True)
-class CoeffPair:
-    """Identity and per-instance residual (expression) coefficient vectors."""
-
-    alpha_id: np.ndarray
-    alpha_exp: np.ndarray
-
-    def __post_init__(self):
-        alpha_id = _readonly(np.ravel(self.alpha_id))
-        alpha_exp = _readonly(np.ravel(self.alpha_exp))
-        object.__setattr__(self, "alpha_id", alpha_id)
-        object.__setattr__(self, "alpha_exp", alpha_exp)
-        require(bool(np.all(np.isfinite(alpha_id))), "alpha_id must be finite")
-        require(bool(np.all(np.isfinite(alpha_exp))), "alpha_exp must be finite")
-
-
-@dataclass(frozen=True)
-class PoseParams:
-    """Weak-perspective camera: scale f > 0, proper rotation R, translation t.
-
-    A point p projects to f * P @ (R @ (p + t)), with t expressed in the model
-    frame (applied before rotation).
-    """
-
-    scale: float
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        rotation = _readonly(self.rotation)
-        translation = _readonly(np.ravel(self.translation))
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "translation", translation)
-        require(np.isfinite(self.scale) and self.scale > 0.0,
-                f"scale must be finite and positive, got {self.scale}")
-        _check_rotation(rotation, "pose rotation")
-        require(translation.shape == (3,),
-                f"translation must have 3 components, got {translation.shape}")
-        require(bool(np.all(np.isfinite(translation))), "translation must be finite")
-
-
 @dataclass(frozen=True)
 class MorphableModel:
     """Linear shape model: mean plus identity and residual basis matrices.
@@ -146,7 +47,7 @@ class MorphableModel:
     loaded models only need consistent dimensions and positive sigmas.
     """
 
-    mean: Shape
+    mean: np.ndarray            # (3n,), n >= 4
     basis_id: np.ndarray        # (3n, k_id)
     basis_exp: np.ndarray       # (3n, k_exp)
     sigma_id: np.ndarray        # (k_id,), per-dimension sampling std, > 0
@@ -155,11 +56,13 @@ class MorphableModel:
     nose_tip_index: int
 
     def __post_init__(self):
+        mean = _readonly(np.ravel(self.mean))
         basis_id = _readonly(self.basis_id)
         basis_exp = _readonly(self.basis_exp)
         sigma_id = _readonly(np.ravel(self.sigma_id))
         sigma_exp = _readonly(np.ravel(self.sigma_exp))
         landmarks = _readonly(np.ravel(self.landmark_indices), dtype=np.int64)
+        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "basis_id", basis_id)
         object.__setattr__(self, "basis_exp", basis_exp)
         object.__setattr__(self, "sigma_id", sigma_id)
@@ -167,7 +70,11 @@ class MorphableModel:
         object.__setattr__(self, "landmark_indices", landmarks)
         object.__setattr__(self, "nose_tip_index", int(self.nose_tip_index))
 
-        dim = self.mean.coords.size
+        dim = mean.size
+        require(dim % 3 == 0, f"mean length {dim} is not a multiple of 3")
+        require(dim >= 3 * MIN_POINTS,
+                f"mean needs at least {MIN_POINTS} vertices, got {dim // 3}")
+        require(bool(np.all(np.isfinite(mean))), "mean must be finite")
         require(basis_id.ndim == 2 and basis_id.shape[0] == dim,
                 f"basis_id must be ({dim}, k_id), got {basis_id.shape}")
         require(basis_exp.ndim == 2 and basis_exp.shape[0] == dim,
@@ -184,7 +91,7 @@ class MorphableModel:
                 "sigma_id entries must be finite and positive")
         require(bool(np.all(np.isfinite(sigma_exp))) and bool(np.all(sigma_exp > 0)),
                 "sigma_exp entries must be finite and positive")
-        n = self.mean.n
+        n = self.n
         require(landmarks.size >= MIN_POINTS,
                 f"need at least {MIN_POINTS} landmark indices, got {landmarks.size}")
         require(bool(np.all(landmarks >= 0)) and bool(np.all(landmarks < n)),
@@ -195,7 +102,7 @@ class MorphableModel:
 
     @property
     def n(self) -> int:
-        return self.mean.n
+        return self.mean.size // 3
 
     @property
     def k_id(self) -> int:
@@ -214,17 +121,6 @@ def coord_rows(indices: np.ndarray) -> np.ndarray:
     """Flat coordinate-row indices (3i, 3i+1, 3i+2) for the given vertex indices."""
     idx = np.asarray(indices, dtype=np.int64)
     return (3 * idx[:, None] + np.arange(3)).ravel()
-
-
-def compose_shape(model: MorphableModel, coeffs: CoeffPair) -> Shape:
-    """Compose mean + basis_id @ alpha_id + basis_exp @ alpha_exp."""
-    require(coeffs.alpha_id.size == model.k_id,
-            f"alpha_id has {coeffs.alpha_id.size} entries, model expects {model.k_id}")
-    require(coeffs.alpha_exp.size == model.k_exp,
-            f"alpha_exp has {coeffs.alpha_exp.size} entries, model expects {model.k_exp}")
-    return Shape(model.mean.coords
-                 + model.basis_id @ coeffs.alpha_id
-                 + model.basis_exp @ coeffs.alpha_exp)
 
 
 def procrustes_align_stack(source: np.ndarray, target: np.ndarray) -> tuple:

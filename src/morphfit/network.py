@@ -184,7 +184,7 @@ class TrainConfig:
                 "beta1 and beta2 must lie in [0, 1)")
         require(self.epsilon > 0, "epsilon must be positive")
         require(int(self.batch_size) >= 1, "batch_size must be at least 1")
-        require(int(self.epochs) >= 0, "epochs must be non-negative")
+        require(int(self.epochs) >= 1, "epochs must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -564,7 +564,7 @@ def coefficient_targets(model: MorphableModel, alpha_id: np.ndarray,
 def training_batch(dataset, indices) -> TrainingBatch:
     """Assemble images/labels/shape-delta targets for the given sample rows."""
     rows = np.asarray(indices, dtype=np.int64)
-    target = dataset.ground_truth_shapes(rows) - dataset.model.mean.coords
+    target = dataset.ground_truth_shapes(rows) - dataset.model.mean
     return TrainingBatch(dataset.images(rows), dataset.labels[rows], target)
 
 
@@ -651,7 +651,7 @@ def train_phase2(dec: DecoderNet, dataset, n_pairs: int = 96,
     model = dataset.model
     require(dec.q_id == model.k_id and dec.q_res == model.k_exp,
             "phase II requires decoder widths equal to the basis widths")
-    require(dec.out_dim == model.mean.coords.size,
+    require(dec.out_dim == model.mean.size,
             "decoder output length must match the model")
     require(int(n_pairs) >= 1, "n_pairs must be positive")
     rng = np.random.default_rng(seed)

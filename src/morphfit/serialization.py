@@ -21,7 +21,7 @@ from .errors import (CorruptionError, InvalidArgumentError,
                      require)
 from .evaluation import (DisentanglingReport, ReconstructionReport,
                          VerificationReport)
-from .geometry import MorphableModel, Shape
+from .geometry import MorphableModel
 from .network import (ClassifierHead, DecoderNet, EncoderNet, Layer,
                       all_params)
 from .synthetic import (COLUMNS, POSE_PARAMS, Dataset, DatasetSpec,
@@ -54,10 +54,14 @@ def _atomic_write(path: str, *chunks) -> None:
 # ---------------------------------------------------------------------------
 # OBJ point clouds.
 
-def write_obj(shape: Shape, path: str) -> None:
-    """Write one `v x y z` line per vertex, 9 significant digits, no faces,
-    formatting the whole file in one %-format call."""
-    text = ("v %.9g %.9g %.9g\n" * shape.n) % tuple(shape.coords.tolist())
+def write_obj(coords: np.ndarray, path: str) -> None:
+    """Write flat (3n,) coordinates as one `v x y z` line per vertex, 9
+    significant digits, no faces, the whole file in one %-format call."""
+    coords = np.asarray(coords, dtype=np.float64)
+    require(coords.ndim == 1 and coords.size % 3 == 0,
+            f"coordinates must be a flat (3n,) array, got shape {coords.shape}")
+    require(bool(np.all(np.isfinite(coords))), "shape coordinates must be finite")
+    text = ("v %.9g %.9g %.9g\n" * (coords.size // 3)) % tuple(coords.tolist())
     _atomic_write(path, text.encode("ascii"))
 
 
@@ -266,8 +270,8 @@ def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
 # ---------------------------------------------------------------------------
 # Datasets: model + spec + the sample columns; splits are re-derived.
 
-# MorphableModel array fields after the mean, stored as "model.<field>"
-_MODEL_ARRAYS = ("basis_id", "basis_exp", "sigma_id", "sigma_exp",
+# MorphableModel array fields, stored as "model.<field>"
+_MODEL_ARRAYS = ("mean", "basis_id", "basis_exp", "sigma_id", "sigma_exp",
                  "landmark_indices")
 # column name -> container array name
 _STORED = {column: column.replace("pose_", "pose.") for column in COLUMNS}
@@ -275,8 +279,7 @@ _STORED = {column: column.replace("pose_", "pose.") for column in COLUMNS}
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     model = dataset.model
-    arrays = {"model.mean": model.mean.coords,
-              **{f"model.{name}": getattr(model, name) for name in _MODEL_ARRAYS},
+    arrays = {**{f"model.{name}": getattr(model, name) for name in _MODEL_ARRAYS},
               **{_STORED[c]: getattr(dataset, c) for c in COLUMNS}}
     meta = {"kind": "dataset", "n_samples": dataset.labels.size,
             "nose_tip_index": model.nose_tip_index,
@@ -313,7 +316,6 @@ def load_dataset(path: str) -> Dataset:
     spec = _load_spec(_field(header, "spec", dict))
 
     model = _rebuild(lambda: MorphableModel(
-        mean=Shape(_field(arrays, "model.mean")),
         nose_tip_index=_field(header, "nose_tip_index", int),
         **{name: _field(arrays, f"model.{name}") for name in _MODEL_ARRAYS}),
         "model")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, require
-from .geometry import (ROTATION_TOL, MorphableModel, Shape, coord_rows,
+from .geometry import (ROTATION_TOL, MorphableModel, _rotation_errors, coord_rows,
                        rotation_zyx)
 
 # Landmark subset size, fixed across all synthetic models.
@@ -146,16 +146,14 @@ class Dataset:
             require(column.shape == (n, *tail),
                     f"{name} must be {(n, *tail)}, got {column.shape}")
 
-        # The invariants of CoeffPair, PoseParams and LandmarkSet2D, plus the
-        # depth range, checked over whole columns; the error names the first
-        # failing row and, within it, the first failing check.
+        # Finite values, positive scales, proper rotations, the depth range
+        # and non-negative labels, checked over whole columns; the error names
+        # the first failing row and, within it, the first failing check.
         def per_row(passed):
             return passed.all(axis=tuple(range(1, passed.ndim)))
 
-        rotation = np.where(np.isfinite(self.pose_rotation), self.pose_rotation, 0.0)
-        gram_err = np.abs(np.einsum("nki,nkj->nij", rotation, rotation)
-                          - np.eye(3)).max(axis=(1, 2))
-        det_err = np.abs(np.linalg.det(rotation) - 1.0)
+        gram_err, det_err = _rotation_errors(
+            np.where(np.isfinite(self.pose_rotation), self.pose_rotation, 0.0))
         checks = [(per_row(np.isfinite(getattr(self, name))),
                    f"{name}: values must be finite") for name in COLUMNS[1:]]
         checks += [
@@ -298,7 +296,6 @@ def generate_model(spec: SyntheticModelSpec) -> MorphableModel:
     """
     rng = np.random.default_rng(spec.seed)
     vertices = _mean_face_vertices(spec.n_vertices)
-    mean = Shape(vertices.ravel())
     nose_tip = int(np.argmax(vertices[:, 2]))
     landmark_indices = _farthest_point_indices(vertices, nose_tip, N_LANDMARKS)
     rows = coord_rows(landmark_indices)
@@ -337,8 +334,8 @@ def generate_model(spec: SyntheticModelSpec) -> MorphableModel:
 
     sigma_id = _SIGMA_DECAY ** np.arange(spec.k_id)
     sigma_exp = _SIGMA_DECAY ** np.arange(spec.k_exp)
-    return MorphableModel(mean=mean, basis_id=basis_id, basis_exp=basis_exp,
-                          sigma_id=sigma_id, sigma_exp=sigma_exp,
+    return MorphableModel(mean=vertices.ravel(), basis_id=basis_id,
+                          basis_exp=basis_exp, sigma_id=sigma_id, sigma_exp=sigma_exp,
                           landmark_indices=landmark_indices,
                           nose_tip_index=nose_tip)
 
@@ -351,8 +348,7 @@ def sample_subject(model: MorphableModel, rng: np.random.Generator) -> np.ndarra
 def sample_instance(model: MorphableModel, spec: DatasetSpec,
                     rng: np.random.Generator) -> tuple:
     """Draw per-image residual coefficients and a uniform pose within ranges:
-    (alpha_exp, scale, rotation, translation), the pose as `PoseParams`
-    takes it."""
+    (alpha_exp, scale, rotation, translation)."""
     alpha_exp = rng.normal(0.0, 1.0, size=model.k_exp) * model.sigma_exp
     yaw, pitch, roll, scale, tx, ty, tz = (
         rng.uniform(*getattr(spec.pose_ranges, name)) for name in POSE_PARAMS)
@@ -370,15 +366,15 @@ def _compose_rows(model: MorphableModel, alpha_id: np.ndarray,
                   alpha_exp: np.ndarray) -> np.ndarray:
     """Flat shapes mean + basis_id @ a + basis_exp @ e, one per coefficient row.
 
-    Each row is its own pair of GEMVs, written as `compose_shape` writes it:
-    one matrix product over all rows sums in another order and changes the
-    last bits.
+    Each row is its own pair of GEMVs, so it has the bits of composing that
+    row alone: one matrix product over all rows sums in another order and
+    changes the last bits.
     """
     alpha_id = np.ascontiguousarray(alpha_id, dtype=np.float64)
     alpha_exp = np.ascontiguousarray(alpha_exp, dtype=np.float64)
-    out = np.empty((len(alpha_id), model.mean.coords.size))
+    out = np.empty((len(alpha_id), model.mean.size))
     for shape, a, e in zip(out, alpha_id, alpha_exp):
-        shape[:] = model.mean.coords + model.basis_id @ a + model.basis_exp @ e
+        shape[:] = model.mean + model.basis_id @ a + model.basis_exp @ e
     return out
 
 

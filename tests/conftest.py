@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from morphfit.errors import require
-from morphfit.geometry import CoeffPair, PoseParams, Shape, coord_rows
+from morphfit.geometry import coord_rows
 from morphfit.synthetic import (COLUMNS, Dataset, DatasetSpec, PoseRanges,
                                 SyntheticModelSpec, build_dataset,
                                 generate_model)
+
+from oracles import CoeffPair, PoseParams, Shape
 
 # Pose ranges wide enough to exercise real rotation/scale variation in the
 # fitting tests; the near-frontal defaults are deliberately much tighter.

@@ -1,12 +1,15 @@
 """Reference implementations the program no longer calls, kept for the tests.
 
-The program works on stacks: `render_depths` renders a chunk of rows at a
-time, `build_dataset` projects a chunk's landmarks in one product, the fit
-solves its blocks through `fitting._solve_block` and the evaluation aligns
-every pair with `procrustes_align_stack`. The one-item functions those
-replaced, and the OBJ reader only tests use, keep their bodies here
-unchanged; the tests check the stacked code against them, bit for bit where
-the arithmetic is the same.
+The program works on stacks and plain arrays: `render_depths` renders a
+chunk of rows at a time, `build_dataset` projects a chunk's landmarks in one
+product, the fit takes an (m, 2L) landmark array and keeps its poses in
+three arrays, `_compose_rows` composes shapes row by row, and the evaluation
+aligns every pair with `procrustes_align_stack`. The per-item value classes
+(`Shape`, `LandmarkSet2D`, `CoeffPair`, `PoseParams`), the one-item
+functions the stacks replaced, and the OBJ reader only tests use keep their
+bodies here, changed only where they call the program's current signatures;
+the tests check the program against them, bit for bit where the arithmetic
+is the same.
 """
 
 from dataclasses import dataclass
@@ -14,11 +17,121 @@ from dataclasses import dataclass
 import numpy as np
 
 from morphfit.errors import ParseError, require
-from morphfit.fitting import _check_landmarks, _landmark_components, _solve_block
-from morphfit.geometry import (CoeffPair, LandmarkSet2D, MorphableModel,
-                               PoseParams, Shape, _check_rotation, _readonly,
-                               compose_shape, procrustes_align_stack)
+from morphfit.fitting import (_estimate_poses, _image_data_term, _landmark_components,
+                              _landmark_points, _solve_block)
+from morphfit.geometry import (MIN_POINTS, ROTATION_TOL, MorphableModel, _readonly,
+                               _rotation_errors, procrustes_align_stack)
 from morphfit.synthetic import COLUMNS, sample_instance, sample_subject
+
+
+def _check_rotation(rotation: np.ndarray, what: str) -> None:
+    require(rotation.shape == (3, 3), f"{what} must be 3x3, got {rotation.shape}")
+    require(bool(np.all(np.isfinite(rotation))), f"{what} must be finite")
+    gram_err, det_err = _rotation_errors(rotation)
+    require(gram_err <= ROTATION_TOL, f"{what} is not orthonormal (max deviation {gram_err:.3e})")
+    require(det_err <= ROTATION_TOL, f"{what} is not proper (|det - 1| = {det_err:.3e})")
+
+
+@dataclass(frozen=True)
+class Shape:
+    """Dense 3D point cloud as a flat coordinate vector of length 3n, n >= 4."""
+
+    coords: np.ndarray
+
+    def __post_init__(self):
+        coords = _readonly(np.ravel(self.coords))
+        object.__setattr__(self, "coords", coords)
+        require(coords.size % 3 == 0,
+                f"coordinate vector length {coords.size} is not a multiple of 3")
+        require(coords.size >= 3 * MIN_POINTS,
+                f"shape needs at least {MIN_POINTS} vertices, got {coords.size // 3}")
+        require(bool(np.all(np.isfinite(coords))), "shape coordinates must be finite")
+
+    @property
+    def n(self) -> int:
+        return self.coords.size // 3
+
+    @property
+    def points(self) -> np.ndarray:
+        """Vertices as a read-only (n, 3) view."""
+        return self.coords.reshape(self.n, 3)
+
+
+@dataclass(frozen=True)
+class LandmarkSet2D:
+    """Flat 2D landmark vector (u1, v1, ..., uL, vL)."""
+
+    coords: np.ndarray
+
+    def __post_init__(self):
+        coords = _readonly(np.ravel(self.coords))
+        object.__setattr__(self, "coords", coords)
+        require(coords.size % 2 == 0,
+                f"2D coordinate vector length {coords.size} is not a multiple of 2")
+        require(coords.size > 0, "landmark set must be non-empty")
+        require(bool(np.all(np.isfinite(coords))), "landmark coordinates must be finite")
+
+    @property
+    def count(self) -> int:
+        return self.coords.size // 2
+
+    @property
+    def points(self) -> np.ndarray:
+        """Landmarks as a read-only (L, 2) view."""
+        return self.coords.reshape(self.count, 2)
+
+
+@dataclass(frozen=True)
+class CoeffPair:
+    """Identity and per-instance residual (expression) coefficient vectors."""
+
+    alpha_id: np.ndarray
+    alpha_exp: np.ndarray
+
+    def __post_init__(self):
+        alpha_id = _readonly(np.ravel(self.alpha_id))
+        alpha_exp = _readonly(np.ravel(self.alpha_exp))
+        object.__setattr__(self, "alpha_id", alpha_id)
+        object.__setattr__(self, "alpha_exp", alpha_exp)
+        require(bool(np.all(np.isfinite(alpha_id))), "alpha_id must be finite")
+        require(bool(np.all(np.isfinite(alpha_exp))), "alpha_exp must be finite")
+
+
+@dataclass(frozen=True)
+class PoseParams:
+    """Weak-perspective camera: scale f > 0, proper rotation R, translation t.
+
+    A point p projects to f * P @ (R @ (p + t)), with t expressed in the model
+    frame (applied before rotation).
+    """
+
+    scale: float
+    rotation: np.ndarray
+    translation: np.ndarray
+
+    def __post_init__(self):
+        rotation = _readonly(self.rotation)
+        translation = _readonly(np.ravel(self.translation))
+        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "translation", translation)
+        require(np.isfinite(self.scale) and self.scale > 0.0,
+                f"scale must be finite and positive, got {self.scale}")
+        _check_rotation(rotation, "pose rotation")
+        require(translation.shape == (3,),
+                f"translation must have 3 components, got {translation.shape}")
+        require(bool(np.all(np.isfinite(translation))), "translation must be finite")
+
+
+def compose_shape(model: MorphableModel, coeffs: CoeffPair) -> Shape:
+    """Compose mean + basis_id @ alpha_id + basis_exp @ alpha_exp."""
+    require(coeffs.alpha_id.size == model.k_id,
+            f"alpha_id has {coeffs.alpha_id.size} entries, model expects {model.k_id}")
+    require(coeffs.alpha_exp.size == model.k_exp,
+            f"alpha_exp has {coeffs.alpha_exp.size} entries, model expects {model.k_exp}")
+    return Shape(model.mean
+                 + model.basis_id @ coeffs.alpha_id
+                 + model.basis_exp @ coeffs.alpha_exp)
 
 
 @dataclass(frozen=True)
@@ -81,6 +194,55 @@ def apply_transform(shape: Shape, transform: SimilarityTransform) -> Shape:
     return Shape(pts.ravel())
 
 
+def estimate_pose(points3d: np.ndarray, landmarks2d: LandmarkSet2D) -> PoseParams:
+    """Closed-form scaled-orthographic pose from 3D-2D correspondences.
+
+    Fits the least-squares 2x4 affine map from homogeneous 3D points to the
+    2D landmarks, projects its two 3-vector rows onto the nearest scaled pair
+    of orthonormal rows via the SVD, takes f as the mean of the two affine row
+    norms, completes the rotation with the cross product of the orthonormal
+    rows (det +1 by construction), and re-solves the translation so that
+    u ~ f * P @ (R @ (p + t)) holds in the least-squares sense. The recovered
+    t is the minimum-norm solution; its component along the viewing axis is
+    unobservable under weak perspective.
+    """
+    pts = np.asarray(points3d, dtype=np.float64)
+    require(pts.ndim == 2 and pts.shape[1] == 3,
+            f"points3d must be (L, 3), got {pts.shape}")
+    u = landmarks2d.points
+    require(pts.shape[0] == u.shape[0],
+            f"{pts.shape[0]} 3D points vs {u.shape[0]} 2D landmarks")
+    require(pts.shape[0] >= 4, f"need at least 4 correspondences, got {pts.shape[0]}")
+    require(bool(np.all(np.isfinite(pts))), "3D points must be finite")
+    return PoseParams(*(part[0] for part in _estimate_poses(pts[None], u[None])))
+
+
+def _check_landmarks(model: MorphableModel, landmarks: LandmarkSet2D) -> None:
+    require(landmarks.count == model.n_landmarks,
+            f"{landmarks.count} landmarks given, model has {model.n_landmarks}")
+
+
+def objective(model: MorphableModel, alpha_id: np.ndarray,
+              per_image: list[tuple[np.ndarray, PoseParams, LandmarkSet2D]]) -> float:
+    """Pure data term: sum over images of the squared landmark residual norm.
+
+    Regularizer contributions are never included here; callers that need the
+    damped objective add them separately.
+    """
+    alpha_id = np.ravel(np.asarray(alpha_id, dtype=np.float64))
+    require(alpha_id.size == model.k_id, "alpha_id length must match the model")
+    flat, _ = _landmark_components(model)
+    total = 0.0
+    for alpha_exp, pose, landmarks in per_image:
+        _check_landmarks(model, landmarks)
+        alpha_exp = np.ravel(np.asarray(alpha_exp, dtype=np.float64))
+        require(alpha_exp.size == model.k_exp, "alpha_exp length must match the model")
+        total += _image_data_term(_landmark_points(flat, alpha_id, alpha_exp),
+                                  pose.scale, pose.rotation, pose.translation,
+                                  landmarks.coords)
+    return total
+
+
 def solve_expression(model: MorphableModel, alpha_id: np.ndarray, pose: PoseParams,
                      landmarks: LandmarkSet2D, reg_exp: float = 0.0) -> np.ndarray:
     """Exact least-squares residual coefficients for one image at fixed pose.
@@ -95,7 +257,8 @@ def solve_expression(model: MorphableModel, alpha_id: np.ndarray, pose: PosePara
     _check_landmarks(model, landmarks)
     mean_u, basis_id_u, basis_exp_u = _landmark_components(model)[1]
     return _solve_block("k_exp", mean_u, basis_id_u, basis_exp_u, model.sigma_exp,
-                        [(alpha_id, pose, landmarks)], reg_exp)
+                        [(alpha_id, pose.scale, pose.rotation, pose.translation,
+                          landmarks.points)], reg_exp)
 
 
 def solve_identity_shared(model: MorphableModel,
@@ -115,7 +278,9 @@ def solve_identity_shared(model: MorphableModel,
         _check_landmarks(model, landmarks)
     mean_u, basis_id_u, basis_exp_u = _landmark_components(model)[1]
     return _solve_block("k_id", mean_u, basis_exp_u, basis_id_u, model.sigma_id,
-                        per_image, reg_id)
+                        [(alpha_exp, pose.scale, pose.rotation, pose.translation,
+                          landmarks.points) for alpha_exp, pose, landmarks in per_image],
+                        reg_id)
 
 
 def read_obj(path: str) -> Shape:

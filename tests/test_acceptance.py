@@ -24,14 +24,14 @@ from morphfit.evaluation import (auc, disentangling_report,
                                  verification_accuracy_folds,
                                  verification_pairs)
 from morphfit.fitting import FitConfig, multi_image_fit
-from morphfit.geometry import (CoeffPair, LandmarkSet2D, MorphableModel,
-                               PoseParams, Shape, compose_shape, crop_indices,
-                               rotation_zyx)
+from morphfit.geometry import MorphableModel, crop_indices, rotation_zyx
 from morphfit.network import (encode_images, finite_diff_check, init_decoder,
                               init_encoder, init_head, training_batch)
 
-from oracles import (SimilarityTransform, apply_transform, procrustes_align,
-                     render_landmarks, solve_expression, solve_identity_shared)
+from oracles import (CoeffPair, LandmarkSet2D, PoseParams, Shape,
+                     SimilarityTransform, apply_transform, compose_shape,
+                     procrustes_align, render_landmarks, solve_expression,
+                     solve_identity_shared)
 
 
 def wide_pose(rng: np.random.Generator) -> PoseParams:
@@ -78,8 +78,8 @@ def test_criterion_01_exact_multi_image_recovery(desk_model):
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         coeffs = draw_coeffs(desk_model, rng)
-        sets = [exact_landmarks(desk_model, coeffs, wide_pose(rng))
-                for _ in range(5)]
+        sets = np.array([exact_landmarks(desk_model, coeffs, wide_pose(rng)).coords
+                         for _ in range(5)])
         result = multi_image_fit(desk_model, sets, FitConfig())
 
         dist = float(np.max(identity_vertex_errors(
@@ -111,8 +111,8 @@ def test_criterion_02_multi_image_beats_single_image(desk_model):
         extent = float(max(np.ptp(clean.reshape(-1, 2)[:, 0]),
                            np.ptp(clean.reshape(-1, 2)[:, 1])))
         sigma = 0.01 * extent
-        noisy = [render_landmarks(desk_model, coeffs, pose, sigma, rng)
-                 for pose in poses]
+        noisy = np.array([render_landmarks(desk_model, coeffs, pose, sigma, rng).coords
+                          for pose in poses])
 
         def mean_error(result):
             return float(np.mean(identity_vertex_errors(
@@ -138,7 +138,7 @@ def test_criterion_03_solvers_match_normal_equations():
         m_images = int(rng.integers(1, 4))
         k_id = int(rng.integers(1, min(16, 20 * m_images - 1) + 1))
         model = MorphableModel(
-            mean=Shape(rng.normal(size=3 * n)),
+            mean=rng.normal(size=3 * n),
             basis_id=rng.normal(size=(3 * n, k_id)) * 0.1,
             basis_exp=rng.normal(size=(3 * n, k_exp)) * 0.1,
             sigma_id=rng.uniform(0.5, 2.0, size=k_id),
@@ -202,7 +202,7 @@ def test_criterion_04_gradient_exactness(default_dataset, trained_stack):
     model = dataset.model
     encoder = init_encoder(dataset.spec.image_resolution ** 2, model.k_id,
                            model.k_exp, seed=0)
-    decoder = init_decoder(model.mean.coords.size, model.k_id, model.k_exp,
+    decoder = init_decoder(model.mean.size, model.k_id, model.k_exp,
                            seed=1)
     head = init_head(dataset.n_train_subjects, model.k_id, seed=2)
     batch = training_batch(dataset, dataset.train_indices[:16])
@@ -260,7 +260,7 @@ def test_criterion_06_joint_training_preserves_recognition_and_recon(
         c_id, c_res = encode_images(encoder, images)
         deltas = (c_id @ decoder.weight_id.T + decoder.bias_id
                   + c_res @ decoder.weight_res.T + decoder.bias_res)
-        return evaluate_reconstruction(model.mean.coords + deltas, truths, model.landmark_indices,
+        return evaluate_reconstruction(model.mean + deltas, truths, model.landmark_indices,
                                        model.nose_tip_index,
                                        RunConfig().crop_radius).rmse_paper
 

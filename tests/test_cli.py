@@ -24,6 +24,12 @@ TINY_OVERRIDES = ["--set", "n_vertices=80", "--set", "k_id=4",
                   "--set", "image_resolution=12", "--set", "epochs=2"]
 
 
+def tiny_with(setting: str) -> list[str]:
+    """TINY_OVERRIDES with one `key=value` replaced."""
+    key = setting.split("=")[0] + "="
+    return [setting if item.startswith(key) else item for item in TINY_OVERRIDES]
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -191,6 +197,56 @@ class TestTrain:
                           "accuracy"]
         lambdas = [float(row[1]) for row in rows]
         assert lambdas == [0.5] * 10 + [1.0] * 20
+
+
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_fewer_than_one_epoch_is_a_single_error_line(self, pipeline, tmp_path,
+                                                         epochs):
+        code, out, err = run_cli(["train", "--data", pipeline["dataset"],
+                                  *tiny_with(f"epochs={epochs}"),
+                                  "--out", str(tmp_path / "train")])
+        assert (code, out) == (1, "")
+        assert err == "error: InvalidArgumentError: epochs must be at least 1\n"
+        assert not any(name.endswith(".ckpt") for name in os.listdir(tmp_path / "train"))
+
+
+# A dataset generated under another config than the checkpoint's, and the
+# error `eval` and `export-bases` give for it: the pipeline fixture's
+# checkpoint has 80 vertices, k_id=4, k_exp=3 and 12x12 images.
+MISMATCHES = {
+    "n_vertices=72": "checkpoint decoder output length is 240, but the dataset "
+                     "needs 216 (3 * 72 vertices)",
+    "k_id=5": "checkpoint identity code width is 4, but the dataset needs 5 (k_id)",
+    "k_exp=2": "checkpoint residual code width is 3, but the dataset needs 2 (k_exp)",
+    "image_resolution=16": "checkpoint encoder input length is 144, but the "
+                           "dataset needs 256 (16x16 images)",
+}
+
+
+@pytest.fixture(scope="module")
+def foreign_datasets(tmp_path_factory):
+    root = tmp_path_factory.mktemp("foreign")
+    paths = {}
+    for setting in MISMATCHES:
+        out = str(root / setting.split("=")[0])
+        code, _, err = run_cli(["gen-data", *tiny_with(setting), "--out", out])
+        assert code == 0, err
+        paths[setting] = os.path.join(out, "dataset.mfd")
+    return paths
+
+
+class TestCheckpointDatasetMismatch:
+    @pytest.mark.parametrize("setting", MISMATCHES)
+    @pytest.mark.parametrize("command", ["eval", "export-bases"])
+    def test_is_a_single_error_line_naming_both_values(
+            self, pipeline, foreign_datasets, tmp_path, command, setting):
+        code, out, err = run_cli([
+            command, "--data", foreign_datasets[setting], "--checkpoint",
+            os.path.join(pipeline["train_dir"], "phase3.ckpt"),
+            "--out", str(tmp_path / "out")])
+        assert (code, out) == (1, "")
+        assert err == f"error: InvalidArgumentError: {MISMATCHES[setting]}\n"
+        assert os.listdir(tmp_path / "out") == ["config.txt"]
 
 
 class TestEval:

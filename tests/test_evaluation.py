@@ -24,9 +24,6 @@ from morphfit.evaluation import (
     verification_report,
 )
 from morphfit.geometry import (
-    CoeffPair,
-    PoseParams,
-    Shape,
     crop_indices,
     procrustes_align_stack,
     rotation_zyx,
@@ -38,8 +35,9 @@ from morphfit.synthetic import (
     build_dataset,
 )
 
-from oracles import (SimilarityTransform, apply_transform, dilate_max,
-                     procrustes_align, rasterize_depth, select_landmarks)
+from oracles import (CoeffPair, PoseParams, Shape, SimilarityTransform,
+                     apply_transform, dilate_max, procrustes_align,
+                     rasterize_depth, select_landmarks)
 from conftest import rmse, row_pose, take_rows
 
 

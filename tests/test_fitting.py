@@ -15,27 +15,13 @@ from morphfit.errors import (
     NumericalFailureError,
     UnderdeterminedError,
 )
-from morphfit.fitting import (
-    MONOTONE_SLACK,
-    FitConfig,
-    FitResult,
-    estimate_pose,
-    multi_image_fit,
-    objective,
-)
-from morphfit.geometry import (
-    CoeffPair,
-    LandmarkSet2D,
-    MorphableModel,
-    PoseParams,
-    Shape,
-    compose_shape,
-    coord_rows,
-    rotation_zyx,
-)
+from morphfit.fitting import MONOTONE_SLACK, FitConfig, FitResult, multi_image_fit
+from morphfit.geometry import MorphableModel, coord_rows, rotation_zyx
 
-from oracles import (project_landmarks, render_landmarks, select_landmarks,
-                     solve_expression, solve_identity_shared)
+from oracles import (CoeffPair, LandmarkSet2D, PoseParams, compose_shape,
+                     estimate_pose, objective, project_landmarks,
+                     render_landmarks, select_landmarks, solve_expression,
+                     solve_identity_shared)
 
 
 def wide_pose(rng: np.random.Generator) -> PoseParams:
@@ -54,6 +40,11 @@ def exact_landmarks(model: MorphableModel, coeffs: CoeffPair,
     return render_landmarks(model, coeffs, pose, 0.0, np.random.default_rng(0))
 
 
+def stack_sets(landmark_sets: list[LandmarkSet2D]) -> np.ndarray:
+    """The (m, 2L) landmark array that `multi_image_fit` takes."""
+    return np.array([lm.coords for lm in landmark_sets])
+
+
 def predicted_coords(model: MorphableModel, alpha_id: np.ndarray,
                      alpha_exp: np.ndarray, pose: PoseParams) -> np.ndarray:
     shape = compose_shape(model, CoeffPair(alpha_id, alpha_exp))
@@ -64,7 +55,7 @@ def predicted_coords(model: MorphableModel, alpha_id: np.ndarray,
 def tiny_wide_model(k_id: int = 1, k_exp: int = 9) -> MorphableModel:
     """Hand-built 6-vertex model with only 4 landmarks (2L = 8 equations)."""
     rng = np.random.default_rng(99)
-    return MorphableModel(mean=Shape(rng.normal(size=18)),
+    return MorphableModel(mean=rng.normal(size=18),
                           basis_id=rng.normal(size=(18, k_id)) * 0.1,
                           basis_exp=rng.normal(size=(18, k_exp)) * 0.1,
                           sigma_id=np.ones(k_id),
@@ -79,7 +70,7 @@ def tiny_wide_model(k_id: int = 1, k_exp: int = 9) -> MorphableModel:
 
 class TestEstimatePose:
     def test_identity_pose_recovered(self, small_model):
-        points = small_model.mean.points[small_model.landmark_indices]
+        points = small_model.mean.reshape(-1, 3)[small_model.landmark_indices]
         pose = PoseParams(1.0, np.eye(3), np.zeros(3))
         landmarks = project_landmarks(points, pose)
         est = estimate_pose(points, landmarks)
@@ -314,7 +305,7 @@ class TestMultiImageFit:
             landmark_sets.append(exact_landmarks(
                 small_model, CoeffPair(alpha_id, alpha_exp), pose))
 
-        result = multi_image_fit(small_model, landmark_sets)
+        result = multi_image_fit(small_model, stack_sets(landmark_sets))
         assert result.converged
         assert result.iterations_used <= 10
         assert result.iterations_used == len(result.objective_trace)
@@ -323,20 +314,22 @@ class TestMultiImageFit:
             assert later <= earlier + 1e-9
         assert result.objective_trace[-1] < 1e-15
         assert np.max(np.abs(result.alpha_id - alpha_id)) < 1e-6
-        for (exp_got, pose_got), (exp_want, pose_want) in zip(result.per_image, truth):
+        for exp_got, scale_got, rotation_got, (exp_want, pose_want) in zip(
+                result.alpha_exp, result.scale, result.rotation, truth, strict=True):
             assert np.max(np.abs(exp_got - exp_want)) < 1e-6
-            assert abs(pose_got.scale - pose_want.scale) < 1e-6
-            assert np.max(np.abs(pose_got.rotation - pose_want.rotation)) < 1e-6
+            assert abs(scale_got - pose_want.scale) < 1e-6
+            assert np.max(np.abs(rotation_got - pose_want.rotation)) < 1e-6
 
     def test_mean_shape_fixed_point(self, small_model):
         rng = np.random.default_rng(13)
         zero = CoeffPair(np.zeros(small_model.k_id), np.zeros(small_model.k_exp))
         landmark_sets = [exact_landmarks(small_model, zero, wide_pose(rng))
                          for _ in range(2)]
-        result = multi_image_fit(small_model, landmark_sets)
+        result = multi_image_fit(small_model, stack_sets(landmark_sets))
         assert result.converged
         assert np.linalg.norm(result.alpha_id) < 1e-9
-        for alpha_exp, _ in result.per_image:
+        assert result.alpha_exp.shape == (2, small_model.k_exp)
+        for alpha_exp in result.alpha_exp:
             assert np.linalg.norm(alpha_exp) < 1e-9
 
     def test_identity_invariant_to_image_order(self, small_model):
@@ -347,8 +340,8 @@ class TestMultiImageFit:
             alpha_exp = rng.normal(size=small_model.k_exp) * small_model.sigma_exp
             landmark_sets.append(exact_landmarks(
                 small_model, CoeffPair(alpha_id, alpha_exp), wide_pose(rng)))
-        forward = multi_image_fit(small_model, landmark_sets)
-        backward = multi_image_fit(small_model, landmark_sets[::-1])
+        forward = multi_image_fit(small_model, stack_sets(landmark_sets))
+        backward = multi_image_fit(small_model, stack_sets(landmark_sets[::-1]))
         assert np.max(np.abs(forward.alpha_id - backward.alpha_id)) < 1e-8
 
     def test_landmark_scaling_moves_into_focal(self, small_model):
@@ -358,12 +351,10 @@ class TestMultiImageFit:
         landmarks = exact_landmarks(small_model, coeffs, pose)
         doubled = LandmarkSet2D(2.0 * landmarks.coords)
 
-        base = multi_image_fit(small_model, [landmarks])
-        scaled = multi_image_fit(small_model, [doubled])
-        assert abs(scaled.per_image[0][1].scale
-                   - 2.0 * base.per_image[0][1].scale) < 1e-8
-        assert np.max(np.abs(scaled.per_image[0][1].rotation
-                             - base.per_image[0][1].rotation)) < 1e-8
+        base = multi_image_fit(small_model, stack_sets([landmarks]))
+        scaled = multi_image_fit(small_model, stack_sets([doubled]))
+        assert abs(scaled.scale[0] - 2.0 * base.scale[0]) < 1e-8
+        assert np.max(np.abs(scaled.rotation[0] - base.rotation[0])) < 1e-8
         assert np.max(np.abs(scaled.alpha_id - base.alpha_id)) < 1e-7
 
     def test_noisy_fit_stays_monotone(self, small_model):
@@ -378,7 +369,7 @@ class TestMultiImageFit:
             noisy = clean.coords + rng.normal(0.0, 0.01 * extent,
                                               size=clean.coords.size)
             landmark_sets.append(LandmarkSet2D(noisy))
-        result = multi_image_fit(small_model, landmark_sets,
+        result = multi_image_fit(small_model, stack_sets(landmark_sets),
                                  FitConfig(reg_id=1e-3, reg_exp=1e-3))
         assert np.all(np.isfinite(result.alpha_id))
         for earlier, later in zip(result.objective_trace,
@@ -389,7 +380,7 @@ class TestMultiImageFit:
         rng = np.random.default_rng(17)
         coeffs = draw_coeffs(small_model, rng)
         landmarks = exact_landmarks(small_model, coeffs, wide_pose(rng))
-        result = multi_image_fit(small_model, [landmarks],
+        result = multi_image_fit(small_model, stack_sets([landmarks]),
                                  FitConfig(max_iterations=1))
         assert not result.converged
         assert result.iterations_used == 1
@@ -401,7 +392,92 @@ class TestMultiImageFit:
 
     def test_wrong_landmark_count_rejected(self, small_model):
         with pytest.raises(InvalidArgumentError):
-            multi_image_fit(small_model, [LandmarkSet2D(np.zeros(8))])
+            multi_image_fit(small_model, stack_sets([LandmarkSet2D(np.zeros(8))]))
+
+
+class TestFitInputChecks:
+    """The landmark array is outside input: checked once per fit."""
+
+    def test_one_dimensional_input_rejected(self, small_model):
+        with pytest.raises(InvalidArgumentError, match=r"\(m, 2L\) array, got shape"):
+            multi_image_fit(small_model, np.zeros(2 * small_model.n_landmarks))
+
+    def test_zero_rows_rejected(self, small_model):
+        with pytest.raises(InvalidArgumentError, match="at least one landmark set"):
+            multi_image_fit(small_model, np.zeros((0, 2 * small_model.n_landmarks)))
+
+    @pytest.mark.parametrize("delta", [-2, -1, 1, 2])
+    def test_wrong_width_rejected(self, small_model, delta):
+        width = 2 * small_model.n_landmarks + delta
+        with pytest.raises(InvalidArgumentError,
+                           match=f"{width} landmark coordinates per image given, "
+                                 f"model has {small_model.n_landmarks} landmarks"):
+            multi_image_fit(small_model, np.zeros((3, width)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_naming_the_image(self, small_model, bad):
+        rng = np.random.default_rng(18)
+        landmarks = rng.normal(size=(4, 2 * small_model.n_landmarks))
+        landmarks[2, 5] = bad
+        with pytest.raises(InvalidArgumentError,
+                           match="image 2: landmark coordinates must be finite"):
+            multi_image_fit(small_model, landmarks)
+
+    def test_input_not_modified(self, small_model):
+        rng = np.random.default_rng(19)
+        coeffs = draw_coeffs(small_model, rng)
+        landmarks = stack_sets([exact_landmarks(small_model, coeffs, wide_pose(rng))
+                                for _ in range(2)])
+        before = landmarks.copy()
+        multi_image_fit(small_model, landmarks)
+        assert np.array_equal(landmarks, before)
+
+
+class TestPoseChecks:
+    """`multi_image_fit` checks every estimated pose of every pass."""
+
+    def fit_with_bad_pose(self, small_model, monkeypatch, part, value):
+        rng = np.random.default_rng(20)
+        alpha_id = rng.normal(size=small_model.k_id) * small_model.sigma_id
+        landmarks = stack_sets([exact_landmarks(small_model, CoeffPair(
+            alpha_id, rng.normal(size=small_model.k_exp) * small_model.sigma_exp),
+            wide_pose(rng)) for _ in range(3)])
+        estimate = fitting._estimate_poses
+        calls = []
+
+        def bad_in_pass_2(points, targets):
+            poses = estimate(points, targets)
+            calls.append(1)
+            if len(calls) == 2:
+                poses[part][1] = value
+            return poses
+
+        monkeypatch.setattr(fitting, "_estimate_poses", bad_in_pass_2)
+        multi_image_fit(small_model, landmarks, FitConfig(max_iterations=5))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+    @pytest.mark.parametrize("part, value, shown", [
+        (1, np.eye(3) + 1e-6, "max |R^T R - I| 2.000e-06"),
+        (1, np.diag([1.0, 1.0, -1.0]), "|det R - 1| 2.000e+00"),
+        (1, np.full((3, 3), np.nan), "max |R^T R - I| nan"),
+        (0, 0.0, "scale 0.0"),
+        (0, -1.0, "scale -1.0"),
+        (0, np.nan, "scale nan"),
+        (0, np.inf, "scale inf"),
+        (2, [0.0, np.inf, 0.0], "translation [0.0, inf, 0.0]"),
+    ])
+    def test_bad_pose_names_the_image_and_its_values(self, small_model, monkeypatch,
+                                                     part, value, shown):
+        with pytest.raises(InvalidArgumentError) as info:
+            self.fit_with_bad_pose(small_model, monkeypatch, part, value)
+        message = str(info.value)
+        assert message.startswith("image 1: pose is not a finite positive scale, "
+                                  "a proper rotation and a finite translation: ")
+        assert shown in message
+
+    def test_rotation_within_tolerance_accepted(self, small_model, monkeypatch):
+        # 1e-12 off orthonormal is inside ROTATION_TOL; the fit runs on
+        self.fit_with_bad_pose(small_model, monkeypatch, 1, np.eye(3) + 1e-12)
 
 
 class TestFitConfigValidation:
@@ -419,13 +495,17 @@ class TestFitConfigValidation:
 class TestFitResultValidation:
     def test_rejects_increasing_trace(self):
         with pytest.raises(InvalidArgumentError):
-            FitResult(alpha_id=np.zeros(2), per_image=[],
+            FitResult(alpha_id=np.zeros(2), alpha_exp=np.zeros((0, 1)),
+                      scale=np.zeros(0), rotation=np.zeros((0, 3, 3)),
+                      translation=np.zeros((0, 3)),
                       objective_trace=[1.0, 2.0], iterations_used=2,
                       converged=False)
 
     def test_rejects_mismatched_iteration_count(self):
         with pytest.raises(InvalidArgumentError):
-            FitResult(alpha_id=np.zeros(2), per_image=[],
+            FitResult(alpha_id=np.zeros(2), alpha_exp=np.zeros((0, 1)),
+                      scale=np.zeros(0), rotation=np.zeros((0, 3, 3)),
+                      translation=np.zeros((0, 3)),
                       objective_trace=[1.0], iterations_used=3, converged=False)
 
 
@@ -458,7 +538,7 @@ def estimate_pose_oracle(points3d: np.ndarray, landmarks2d: LandmarkSet2D) -> Po
 def vertex_major_landmarks(model: MorphableModel):
     rows = coord_rows(model.landmark_indices)
     count = model.n_landmarks
-    return (model.mean.coords[rows].reshape(count, 3),
+    return (model.mean[rows].reshape(count, 3),
             model.basis_id[rows].reshape(count, 3, model.k_id),
             model.basis_exp[rows].reshape(count, 3, model.k_exp))
 
@@ -560,13 +640,16 @@ def multi_image_fit_oracle(model, landmark_sets, config=FitConfig()) -> FitResul
                 trace[-2], floor):
             converged = True
             break
-    return FitResult(alpha_id, list(zip(alpha_exps, poses)), trace, iterations, converged)
+    return FitResult(alpha_id, np.array(alpha_exps), np.array([p.scale for p in poses]),
+                     np.array([p.rotation for p in poses]),
+                     np.array([p.translation for p in poses]), trace, iterations,
+                     converged)
 
 
 def random_model(rng: np.random.Generator, n: int, n_landmarks: int,
                  k_id: int, k_exp: int) -> MorphableModel:
     return MorphableModel(
-        mean=Shape(rng.normal(size=3 * n)),
+        mean=rng.normal(size=3 * n),
         basis_id=rng.normal(size=(3 * n, k_id)) * 0.1,
         basis_exp=rng.normal(size=(3 * n, k_exp)) * 0.1,
         sigma_id=rng.uniform(0.5, 2.0, size=k_id),
@@ -580,13 +663,9 @@ def same_fit(got: FitResult, want: FitResult) -> None:
     assert got.objective_trace == want.objective_trace
     assert (got.iterations_used, got.converged) == (want.iterations_used,
                                                     want.converged)
-    for (exp_got, pose_got), (exp_want, pose_want) in zip(got.per_image,
-                                                          want.per_image,
-                                                          strict=True):
-        assert np.array_equal(exp_got, exp_want)
-        assert pose_got.scale == pose_want.scale
-        assert np.array_equal(pose_got.rotation, pose_want.rotation)
-        assert np.array_equal(pose_got.translation, pose_want.translation)
+    for name in ("alpha_exp", "scale", "rotation", "translation"):
+        assert getattr(got, name).shape == getattr(want, name).shape, name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestLandmarkRowsMatchComposeThenSelect:
@@ -623,15 +702,16 @@ class TestLandmarkRowsMatchComposeThenSelect:
             want = multi_image_fit_oracle(model, landmark_sets, config)
         except MorphfitError as exc:
             with pytest.raises(type(exc)):
-                multi_image_fit(model, landmark_sets, config)
+                multi_image_fit(model, stack_sets(landmark_sets), config)
             return
-        same_fit(multi_image_fit(model, landmark_sets, config), want)
+        same_fit(multi_image_fit(model, stack_sets(landmark_sets), config), want)
 
     def test_default_desk_fit_is_bitwise_the_oracle(self, default_dataset):
         rows = default_dataset.labels == 3
         landmark_sets = list(map(LandmarkSet2D, default_dataset.landmarks[rows]))
         config = FitConfig(reg_id=1e-3, reg_exp=1e-3)
-        same_fit(multi_image_fit(default_dataset.model, landmark_sets, config),
+        same_fit(multi_image_fit(default_dataset.model, default_dataset.landmarks[rows],
+                                 config),
                  multi_image_fit_oracle(default_dataset.model, landmark_sets, config))
 
     @settings(max_examples=60, deadline=None)
@@ -660,14 +740,14 @@ class TestLandmarkRowsMatchComposeThenSelect:
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(images, points, 3)) * spread
         targets = rng.normal(size=(images, points, 2))
-        stacked = fitting._estimate_poses(pts, targets)
+        scale, rotation, translation = fitting._estimate_poses(pts, targets)
         for j in range(images):
             landmarks = LandmarkSet2D(targets[j])
             for single in (estimate_pose(pts[j], landmarks),
                            estimate_pose_oracle(pts[j], landmarks)):
-                assert stacked[j].scale == single.scale
-                assert np.array_equal(stacked[j].rotation, single.rotation)
-                assert np.array_equal(stacked[j].translation, single.translation)
+                assert scale[j] == single.scale
+                assert np.array_equal(rotation[j], single.rotation)
+                assert np.array_equal(translation[j], single.translation)
 
 
 class TestMonotonicityFailureContext:
@@ -694,7 +774,7 @@ class TestMonotonicityFailureContext:
 
         monkeypatch.setattr(fitting, "_solve_block", worse_for_image_1)
         with pytest.raises(NumericalFailureError) as info:
-            multi_image_fit(small_model, landmark_sets)
+            multi_image_fit(small_model, stack_sets(landmark_sets))
         message = str(info.value)
         match = re.fullmatch(
             r"objective increased after residual solve in pass 1: (\S+) -> (\S+); "

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from morphfit.errors import DegenerateGeometryError, InvalidArgumentError
-from morphfit.geometry import (CoeffPair, PoseParams, Shape, compose_shape,
-                               crop_indices, rotation_zyx)
+from morphfit.geometry import MorphableModel, crop_indices, rotation_zyx
 
-from oracles import (SimilarityTransform, apply_transform, procrustes_align,
+from oracles import (CoeffPair, PoseParams, Shape, SimilarityTransform,
+                     apply_transform, compose_shape, procrustes_align,
                      project_landmarks, select_landmarks)
 from conftest import rmse
 
@@ -53,6 +53,33 @@ def test_pose_rejects_nonpositive_scale():
         PoseParams(scale=0.0, rotation=np.eye(3), translation=np.zeros(3))
 
 
+def model_with_mean(mean) -> MorphableModel:
+    size = np.size(mean)
+    return MorphableModel(mean=mean, basis_id=np.ones((size, 1)),
+                          basis_exp=np.ones((size, 1)), sigma_id=np.ones(1),
+                          sigma_exp=np.ones(1), landmark_indices=np.arange(4),
+                          nose_tip_index=0)
+
+
+def test_model_mean_is_a_read_only_copy():
+    coords = np.arange(15, dtype=np.float64)
+    model = model_with_mean(coords)
+    assert model.mean.shape == (15,) and model.n == 5
+    assert np.array_equal(model.mean, coords)
+    assert not model.mean.flags.writeable and not np.shares_memory(model.mean, coords)
+
+
+@pytest.mark.parametrize("mean, message", [
+    (np.zeros(13), "mean length 13 is not a multiple of 3"),
+    (np.zeros(9), "mean needs at least 4 vertices, got 3"),
+    (np.r_[np.zeros(14), np.nan], "mean must be finite"),
+    (np.r_[np.zeros(14), np.inf], "mean must be finite"),
+])
+def test_model_mean_checked(mean, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        model_with_mean(mean)
+
+
 def test_rotation_zyx_is_proper():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -66,7 +93,7 @@ def test_rotation_zyx_is_proper():
 def test_compose_zero_coeffs_returns_mean_exactly(small_model):
     out = compose_shape(small_model, CoeffPair(np.zeros(small_model.k_id),
                                                np.zeros(small_model.k_exp)))
-    assert np.array_equal(out.coords, small_model.mean.coords)
+    assert np.array_equal(out.coords, small_model.mean)
 
 
 def test_compose_unit_coeff_adds_basis_column(small_model):
@@ -74,7 +101,7 @@ def test_compose_unit_coeff_adds_basis_column(small_model):
     e_k = np.zeros(small_model.k_id)
     e_k[k] = 1.0
     out = compose_shape(small_model, CoeffPair(e_k, np.zeros(small_model.k_exp)))
-    expected = small_model.mean.coords + small_model.basis_id[:, k]
+    expected = small_model.mean + small_model.basis_id[:, k]
     assert np.allclose(out.coords, expected, rtol=0, atol=1e-15)
 
 
@@ -82,7 +109,7 @@ def test_compose_matches_naive_triple_loop(small_model):
     rng = np.random.default_rng(7)
     a_id = rng.normal(size=small_model.k_id)
     a_exp = rng.normal(size=small_model.k_exp)
-    expected = np.array(small_model.mean.coords)
+    expected = np.array(small_model.mean)
     for i in range(expected.size):
         for k in range(a_id.size):
             expected[i] += small_model.basis_id[i, k] * a_id[k]
@@ -104,7 +131,7 @@ def test_compose_is_affine_in_coefficients(small_model):
     beta = rng.normal(size=small_model.k_id)
     a, b = 0.7, -1.3
     zero_exp = np.zeros(small_model.k_exp)
-    mean = small_model.mean.coords
+    mean = small_model.mean
 
     def delta(coeff):
         return compose_shape(small_model, CoeffPair(coeff, zero_exp)).coords - mean
@@ -116,26 +143,26 @@ def test_compose_is_affine_in_coefficients(small_model):
 # ---------------------------------------------------------------- landmarks
 
 def test_select_first_vertex(small_model):
-    out = select_landmarks(small_model.mean, np.array([0]))
-    assert np.array_equal(out[0], small_model.mean.points[0])
+    out = select_landmarks(Shape(small_model.mean), np.array([0]))
+    assert np.array_equal(out[0], small_model.mean.reshape(-1, 3)[0])
 
 
 def test_select_identity_selection(small_model):
-    out = select_landmarks(small_model.mean, np.arange(small_model.n))
-    assert np.array_equal(out, small_model.mean.points)
+    out = select_landmarks(Shape(small_model.mean), np.arange(small_model.n))
+    assert np.array_equal(out, small_model.mean.reshape(-1, 3))
 
 
 def test_select_random_subset_gather_oracle(small_model):
     rng = np.random.default_rng(11)
     idx = rng.choice(small_model.n, size=25, replace=False)
-    out = select_landmarks(small_model.mean, idx)
+    out = select_landmarks(Shape(small_model.mean), idx)
     for row, i in enumerate(idx):
-        assert np.array_equal(out[row], small_model.mean.points[i])
+        assert np.array_equal(out[row], small_model.mean.reshape(-1, 3)[i])
 
 
 def test_select_rejects_out_of_range(small_model):
     with pytest.raises(InvalidArgumentError):
-        select_landmarks(small_model.mean, np.array([small_model.n]))
+        select_landmarks(Shape(small_model.mean), np.array([small_model.n]))
 
 
 def test_project_orthographic_drops_z():

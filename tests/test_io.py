@@ -22,7 +22,6 @@ from morphfit.errors import (CorruptionError, InvalidArgumentError,
                              ParseError, VersionMismatchError)
 from morphfit.evaluation import (DisentanglingReport, ReconstructionReport,
                                  VerificationReport)
-from morphfit.geometry import Shape
 from morphfit.network import Layer, EncoderNet, init_decoder, init_encoder, init_head
 from morphfit.serialization import (DISENTANGLING_COLUMNS, FORMAT_VERSION,
                                     MAGIC, RECONSTRUCTION_COLUMNS,
@@ -106,19 +105,19 @@ def stack():
 class TestObjFiles:
     def test_roundtrip_close_to_nine_digits(self, tmp_path):
         rng = np.random.default_rng(0)
-        shape = Shape(rng.normal(0.0, 2.0, size=75))
+        coords = rng.normal(0.0, 2.0, size=75)
         path = str(tmp_path / "cloud.obj")
-        write_obj(shape, path)
+        write_obj(coords, path)
         back = read_obj(path)
-        assert np.allclose(back.points, shape.points, rtol=1e-8, atol=1e-12)
+        assert np.allclose(back.coords, coords, rtol=1e-8, atol=1e-12)
 
     def test_written_text_is_exact(self, tmp_path):
-        shape = Shape(np.array([0.5, -1.25, 2.0,
-                                1 / 3, 0.0, -0.0,
-                                10.0, 1e-9, 123456789.0,
-                                3.5, 4.5, 5.5]))
+        coords = np.array([0.5, -1.25, 2.0,
+                           1 / 3, 0.0, -0.0,
+                           10.0, 1e-9, 123456789.0,
+                           3.5, 4.5, 5.5])
         path = str(tmp_path / "exact.obj")
-        write_obj(shape, path)
+        write_obj(coords, path)
         with open(path, "r", encoding="ascii") as handle:
             text = handle.read()
         assert text == ("v 0.5 -1.25 2\n"
@@ -141,23 +140,39 @@ class TestObjFiles:
         min_size=12, max_size=90).filter(lambda values: len(values) % 3 == 0))
     def test_matches_the_per_line_writer(self, tmp_path, values):
         # the writer as it was: one f-string per vertex line
-        shape = Shape(np.array(values))
-        lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in shape.points]
+        coords = np.array(values)
+        lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in coords.reshape(-1, 3)]
         path = str(tmp_path / "cloud.obj")
-        write_obj(shape, path)
+        write_obj(coords, path)
         with open(path, "rb") as handle:
             assert handle.read() == ("\n".join(lines) + "\n").encode("ascii")
 
     def test_creates_missing_directories(self, tmp_path):
-        shape = Shape(np.arange(12, dtype=np.float64))
         path = str(tmp_path / "a" / "b" / "cloud.obj")
-        write_obj(shape, path)
+        write_obj(np.arange(12, dtype=np.float64), path)
         assert os.path.exists(path)
 
     def test_no_temp_files_left_behind(self, tmp_path):
-        shape = Shape(np.arange(12, dtype=np.float64))
-        write_obj(shape, str(tmp_path / "cloud.obj"))
+        write_obj(np.arange(12, dtype=np.float64), str(tmp_path / "cloud.obj"))
         assert sorted(os.listdir(tmp_path)) == ["cloud.obj"]
+
+    @pytest.mark.parametrize("size", [11, 13])
+    def test_rejects_a_length_not_a_multiple_of_3(self, tmp_path, size):
+        with pytest.raises(InvalidArgumentError, match="flat"):
+            write_obj(np.zeros(size), str(tmp_path / "cloud.obj"))
+        assert os.listdir(tmp_path) == []
+
+    def test_rejects_a_2d_array(self, tmp_path):
+        with pytest.raises(InvalidArgumentError, match="flat"):
+            write_obj(np.zeros((4, 3)), str(tmp_path / "cloud.obj"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coordinates(self, tmp_path, bad):
+        coords = np.arange(12, dtype=np.float64)
+        coords[7] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            write_obj(coords, str(tmp_path / "cloud.obj"))
+        assert os.listdir(tmp_path) == []
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "commented.obj"
@@ -531,7 +546,7 @@ class TestDatasetContainer:
         back = load_dataset(path)
 
         model, want = back.model, tiny_dataset.model
-        assert np.array_equal(model.mean.coords, want.mean.coords)
+        assert np.array_equal(model.mean, want.mean)
         assert np.array_equal(model.basis_id, want.basis_id)
         assert np.array_equal(model.basis_exp, want.basis_exp)
         assert np.array_equal(model.sigma_id, want.sigma_id)
@@ -775,7 +790,7 @@ class TestOneCopyPerLoad:
         arrays = {name: getattr(dataset, name) for name in COLUMNS}
         arrays.update({f"model.{name}": getattr(model, name) for name in (
             "basis_id", "basis_exp", "sigma_id", "sigma_exp", "landmark_indices")})
-        arrays["model.mean"] = model.mean.coords
+        arrays["model.mean"] = model.mean
         for i, layer in enumerate(encoder.layers):
             arrays.update({f"enc.{i}.weight": layer.weight, f"enc.{i}.bias": layer.bias})
         arrays.update({f"dec.{name}": getattr(decoder, name) for name in (
@@ -947,8 +962,7 @@ class TestFileModes:
         encoder, decoder, head, config = stack
         previous = os.umask(0o022)
         try:
-            write_obj(Shape(np.arange(12, dtype=np.float64)),
-                      str(tmp_path / "cloud.obj"))
+            write_obj(np.arange(12, dtype=np.float64), str(tmp_path / "cloud.obj"))
             save_checkpoint(encoder, decoder, head, config,
                             str(tmp_path / "model.ckpt"))
             _echo_config(RunConfig(output_dir=str(tmp_path)))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from morphfit import network
-from morphfit.geometry import compose_shape
 from morphfit.errors import (
     InvalidArgumentError,
     NumericalFailureError,
@@ -45,6 +44,7 @@ from morphfit.network import (
 )
 from morphfit.synthetic import Dataset, DatasetSpec
 
+from oracles import compose_shape
 from conftest import row_coeffs, take_rows
 
 
@@ -810,7 +810,7 @@ class TestDatasetPlumbing:
     def test_training_batch_rows(self, default_dataset):
         rows = [3, 17, 151]
         batch = training_batch(default_dataset, rows)
-        mean = default_dataset.model.mean.coords
+        mean = default_dataset.model.mean
         for out_row, idx in enumerate(rows):
             shape = compose_shape(default_dataset.model,
                                   row_coeffs(default_dataset, idx))
@@ -877,7 +877,7 @@ def tiny_single_subject(small_model) -> Dataset:
 class TestTrainPhase2:
     def test_recovers_exact_linear_decoder(self, default_dataset):
         model = default_dataset.model
-        dec = train_phase2(init_decoder(model.mean.coords.size, 20, 8, seed=1),
+        dec = train_phase2(init_decoder(model.mean.size, 20, 8, seed=1),
                            default_dataset, seed=3)
         expected_id = model.basis_id @ np.diag(3.0 * model.sigma_id)
         expected_res = model.basis_exp @ np.diag(3.0 * model.sigma_exp)
@@ -888,7 +888,7 @@ class TestTrainPhase2:
 
     def test_heldout_codes_decode_exactly(self, default_dataset):
         model = default_dataset.model
-        dec = train_phase2(init_decoder(model.mean.coords.size, 20, 8, seed=1),
+        dec = train_phase2(init_decoder(model.mean.size, 20, 8, seed=1),
                            default_dataset, seed=3)
         rng = np.random.default_rng(123)
         alphas = rng.normal(size=(10, model.k_id)) * model.sigma_id
@@ -899,7 +899,7 @@ class TestTrainPhase2:
 
     def test_underdetermined_needs_min_norm(self, default_dataset):
         model = default_dataset.model
-        dec = init_decoder(model.mean.coords.size, 20, 8, seed=1)
+        dec = init_decoder(model.mean.size, 20, 8, seed=1)
         with pytest.raises(UnderdeterminedError):
             train_phase2(dec, default_dataset, n_pairs=5)
         fitted = train_phase2(dec, default_dataset, n_pairs=5, min_norm=True)
@@ -907,7 +907,7 @@ class TestTrainPhase2:
 
     def test_deterministic(self, default_dataset):
         model = default_dataset.model
-        dec = init_decoder(model.mean.coords.size, 20, 8, seed=1)
+        dec = init_decoder(model.mean.size, 20, 8, seed=1)
         a = train_phase2(dec, default_dataset, seed=3)
         b = train_phase2(dec, default_dataset, seed=3)
         assert np.array_equal(a.weight_id, b.weight_id)

@@ -7,16 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from morphfit.errors import InvalidArgumentError, require
-from morphfit.geometry import (
-    CoeffPair,
-    LandmarkSet2D,
-    MorphableModel,
-    PoseParams,
-    Shape,
-    compose_shape,
-    coord_rows,
-    rotation_zyx,
-)
+from morphfit.geometry import MorphableModel, coord_rows, rotation_zyx
 from morphfit.synthetic import (
     COLUMNS,
     Dataset,
@@ -33,8 +24,10 @@ from morphfit.synthetic import (
     split_indices,
 )
 
-from oracles import (build_dataset_columns, dilate_max, project_landmarks,
-                     rasterize_depth, render_landmarks, select_landmarks)
+from oracles import (CoeffPair, LandmarkSet2D, PoseParams, Shape,
+                     build_dataset_columns, compose_shape, dilate_max,
+                     project_landmarks, rasterize_depth, render_landmarks,
+                     select_landmarks)
 from conftest import WIDE_RANGES, row_coeffs, row_pose
 
 
@@ -45,7 +38,7 @@ def flat_square_model(z: float = 0.0, extra_vertex: tuple | None = None) -> Morp
         verts.append(extra_vertex)
     coords = np.array(verts, dtype=np.float64).ravel()
     n = len(verts)
-    return MorphableModel(mean=Shape(coords),
+    return MorphableModel(mean=coords,
                           basis_id=np.zeros((3 * n, 1)),
                           basis_exp=np.zeros((3 * n, 1)),
                           sigma_id=np.array([1.0]),
@@ -66,7 +59,7 @@ class TestGenerateModel:
     def test_deterministic_rebuild(self):
         spec = SyntheticModelSpec(n_vertices=150, k_id=6, k_exp=4, seed=5)
         a, b = generate_model(spec), generate_model(spec)
-        assert np.array_equal(a.mean.coords, b.mean.coords)
+        assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.basis_id, b.basis_id)
         assert np.array_equal(a.basis_exp, b.basis_exp)
         assert np.array_equal(a.landmark_indices, b.landmark_indices)
@@ -88,7 +81,7 @@ class TestGenerateModel:
 
     def test_landmark_affine_moments_vanish(self, desk_model):
         rows = coord_rows(desk_model.landmark_indices)
-        positions = desk_model.mean.points[desk_model.landmark_indices]
+        positions = desk_model.mean.reshape(-1, 3)[desk_model.landmark_indices]
         for basis in (desk_model.basis_id, desk_model.basis_exp):
             per_landmark = basis[rows].reshape(-1, 3, basis.shape[1])
             assert np.max(np.abs(per_landmark.sum(axis=0))) < 1e-8
@@ -107,7 +100,7 @@ class TestGenerateModel:
         assert a.nose_tip_index == b.nose_tip_index
 
     def test_nose_tip_is_depth_peak(self, desk_model):
-        z = desk_model.mean.points[:, 2]
+        z = desk_model.mean.reshape(-1, 3)[:, 2]
         assert desk_model.nose_tip_index == int(np.argmax(z))
         assert desk_model.landmark_indices[0] == desk_model.nose_tip_index
 
@@ -382,7 +375,7 @@ def random_rows(draw, kind: str):
     if kind == "flat":
         mean[:, 2] = mean[0, 2]
         basis_id[2::3], basis_exp[2::3] = 0.0, 0.0
-    model = MorphableModel(mean=Shape(mean.ravel()), basis_id=basis_id,
+    model = MorphableModel(mean=mean.ravel(), basis_id=basis_id,
                            basis_exp=basis_exp, sigma_id=np.ones(k_id),
                            sigma_exp=np.ones(k_exp), landmark_indices=np.arange(4),
                            nose_tip_index=0)
@@ -670,7 +663,7 @@ class TestDatasetColumns:
 
     def test_ground_truth_shapes_only_rows_asked(self, tiny, small_model):
         shapes = tiny.ground_truth_shapes([4, 1])
-        assert shapes.shape == (2, small_model.mean.coords.size)
+        assert shapes.shape == (2, small_model.mean.size)
         for shape, i in zip(shapes, (4, 1)):
             assert np.array_equal(
                 shape, compose_shape(small_model, row_coeffs(tiny, i)).coords)
