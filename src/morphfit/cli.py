@@ -237,8 +237,9 @@ def _cmd_eval(args) -> int:
         write_report_csv(reconstruction(nw.encode_images(enc2, images), dec2),
                          os.path.join(out, "reconstruction_baseline.csv"))
 
-    write_report_csv(disentangling_report(encoder, dataset),
-                     os.path.join(out, "disentangling.csv"))
+    disentangling = disentangling_report(
+        lambda images: nw.encode_images(encoder, images), dataset)
+    write_report_csv(disentangling, os.path.join(out, "disentangling.csv"))
     print(f"auc {report.auc:.4f} eer {report.eer:.4f} "
           f"rmse {recon.rmse_paper:.6g}")
     return 0

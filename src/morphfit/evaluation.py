@@ -341,7 +341,7 @@ def _cosine_distance_matrix(codes: np.ndarray) -> np.ndarray:
     return 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
 
 
-def disentangling_report(encoder, dataset) -> DisentanglingReport:
+def disentangling_report(embed, dataset) -> DisentanglingReport:
     """Measure identity/residual code separation on the evaluation split.
 
     Uses the held-out subjects when the dataset has them, every row
@@ -350,18 +350,11 @@ def disentangling_report(encoder, dataset) -> DisentanglingReport:
     identical pose, so the displacement ratio isolates the expression factor;
     the perturbation draws are seeded from the dataset seed.
 
-    ``encoder`` is either an EncoderNet or any callable mapping a (B, pixels)
-    image array to an ``(identity_codes, residual_codes)`` pair; the callable
-    form lets reference embeddings stand in for a trained network.
+    ``embed`` maps a (B, pixels) image array to an ``(identity_codes,
+    residual_codes)`` pair: a trained encoder's ``encode_images``, or a
+    reference embedding.
     """
-    from .network import EncoderNet, encode_images  # local import, avoids a cycle
-
-    if isinstance(encoder, EncoderNet):
-        def embed(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return encode_images(encoder, batch)
-    else:
-        require(callable(encoder), "encoder must be an EncoderNet or callable")
-        embed = encoder
+    require(callable(embed), "embed must be callable")
 
     model: MorphableModel = dataset.model
     rows = (dataset.test_indices if len(dataset.test_indices)

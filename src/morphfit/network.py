@@ -14,6 +14,7 @@ with a scheduled reconstruction weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,131 +40,99 @@ PHASE1_WEIGHT_DECAY = 3.0
 _ACTIVATIONS = ("tanh", "linear")
 
 
-def _freeze(obj, what: str, *names: str) -> list:
-    """Set the named fields of `obj` to read-only float64 copies, all finite."""
-    arrays = [_readonly(getattr(obj, name)) for name in names]
-    require(all(bool(np.all(np.isfinite(a))) for a in arrays),
-            f"{what} parameters must be finite")
-    for name, array in zip(names, arrays):
-        object.__setattr__(obj, name, array)
-    return arrays
+class _Network:
+    """A network: its structure plus one vector holding all of its weights.
 
-
-@dataclass(frozen=True)
-class Layer:
-    """One affine layer: y = act(x @ weight.T + bias).
-
-    The "linear" activation exists for gradient audits (a linear-only network
-    has machine-exact derivatives); real encoders end in "tanh".
+    The structure fixes the layout, the (key, shape) of every weight in
+    vector and checkpoint order. `vector` is read-only, C-ordered, float64
+    and finite, and `params` maps each key to a view of it. A constructor's
+    `params` is either a C-ordered float64 vector, kept without a copy, or a
+    mapping with an array for every key, concatenated into a new vector.
     """
 
-    weight: np.ndarray
-    bias: np.ndarray
-    activation: str
+    def _bind(self, structure: tuple, layout: list, params) -> None:
+        sizes = [math.prod(shape) for _, shape in layout]
+        if isinstance(params, np.ndarray):
+            require(params.shape == (sum(sizes),) and params.dtype == np.float64
+                    and params.flags.c_contiguous,
+                    f"a network vector must be C-ordered float64 of length {sum(sizes)}")
+            vector = params.view()
+        else:
+            arrays = []
+            for key, shape in layout:
+                require(key in params, f"{key}: missing")
+                array = np.asarray(params[key], dtype=np.float64)
+                require(array.shape == shape,
+                        f"{key}: shape {array.shape}, expected {shape}")
+                arrays.append(array.ravel())
+            vector = np.concatenate(arrays)
+        vector.setflags(write=False)
+        require(bool(np.all(np.isfinite(vector))),
+                f"{type(self).__name__} parameters must be finite")
+        self._structure, self.vector, self.params = structure, vector, {}
+        lo = 0
+        for (key, shape), size in zip(layout, sizes):
+            self.params[key] = vector[lo:lo + size].reshape(shape)
+            lo += size
 
-    def __post_init__(self):
-        weight, bias = _freeze(self, "layer", "weight", "bias")
-        require(weight.ndim == 2, "layer weight must be a matrix")
-        require(bias.ndim == 1 and bias.size == weight.shape[0],
-                "layer bias length must equal the output width")
-        require(self.activation in _ACTIVATIONS,
-                f"unknown activation {self.activation!r}")
 
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-
-@dataclass(frozen=True)
-class EncoderNet:
+class EncoderNet(_Network):
     """Feedforward encoder with two bounded output heads.
 
-    The final layer produces q_id + q_res units; the first q_id become the
-    identity code, the rest the residual code. Outputs are clamped strictly
-    inside (-1, 1) regardless of activation so downstream consumers can rely
-    on the open interval.
+    Layer i maps widths[i] inputs to widths[i + 1] outputs, y = act(x @ W.T
+    + b), with W "enc.{i}.weight" and b "enc.{i}.bias"; `layers` holds one
+    (W, b, activation) triple per layer. The "linear" activation exists for
+    gradient audits (a linear-only network has machine-exact derivatives);
+    real encoders end in "tanh". The final layer produces q_id + q_res units;
+    the first q_id become the identity code, the rest the residual code.
+    Outputs are clamped strictly inside (-1, 1) regardless of activation so
+    downstream consumers can rely on the open interval.
     """
 
-    layers: tuple
-    q_id: int
-    q_res: int
-
-    def __post_init__(self):
-        layers = tuple(self.layers)
-        require(len(layers) >= 1, "encoder needs at least one layer")
-        require(all(isinstance(l, Layer) for l in layers),
-                "encoder layers must be Layer instances")
-        for first, second in zip(layers, layers[1:]):
-            require(second.in_dim == first.out_dim,
-                    "encoder layer dimensions must chain")
-        require(int(self.q_id) >= 1 and int(self.q_res) >= 1,
-                "head widths must be positive")
-        require(layers[-1].out_dim == int(self.q_id) + int(self.q_res),
-                "final layer width must equal q_id + q_res")
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "q_id", int(self.q_id))
-        object.__setattr__(self, "q_res", int(self.q_res))
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].in_dim
+    def __init__(self, widths, activations, q_id: int, q_res: int, params):
+        widths, activations = tuple(int(w) for w in widths), tuple(activations)
+        require(len(activations) >= 1 and len(widths) == len(activations) + 1,
+                "an encoder needs at least one layer and one width more than layers")
+        require(min(widths) >= 1, "layer widths must be positive")
+        for i, tag in enumerate(activations):
+            require(tag in _ACTIVATIONS, f"enc.{i}.weight: unknown activation {tag!r}")
+        q_id, q_res = int(q_id), int(q_res)
+        require(q_id >= 1 and q_res >= 1, "head widths must be positive")
+        require(widths[-1] == q_id + q_res, "final layer width must equal q_id + q_res")
+        self.input_dim, self.q_id, self.q_res = widths[0], q_id, q_res
+        self._bind((widths, activations, q_id, q_res), [
+            (f"enc.{i}.{name}", shape)
+            for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]))
+            for name, shape in (("weight", (fan_out, fan_in)), ("bias", (fan_out,)))],
+            params)
+        self.layers = tuple((self.params[f"enc.{i}.weight"], self.params[f"enc.{i}.bias"],
+                             tag) for i, tag in enumerate(activations))
 
 
-@dataclass(frozen=True)
-class DecoderNet:
+class DecoderNet(_Network):
     """Two independent linear decoders from latent codes to shape deltas."""
 
-    weight_id: np.ndarray
-    bias_id: np.ndarray
-    weight_res: np.ndarray
-    bias_res: np.ndarray
-
-    def __post_init__(self):
-        w_id, b_id, w_res, b_res = _freeze(self, "decoder", "weight_id", "bias_id",
-                                           "weight_res", "bias_res")
-        require(w_id.ndim == 2 and w_res.ndim == 2, "decoder weights must be matrices")
-        require(w_id.shape[0] == w_res.shape[0],
-                "both decoders must produce the same output length")
-        require(b_id.shape == (w_id.shape[0],) and b_res.shape == (w_res.shape[0],),
-                "decoder bias lengths must match the output length")
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight_id.shape[0]
-
-    @property
-    def q_id(self) -> int:
-        return self.weight_id.shape[1]
-
-    @property
-    def q_res(self) -> int:
-        return self.weight_res.shape[1]
+    def __init__(self, out_dim: int, q_id: int, q_res: int, params):
+        out_dim, q_id, q_res = int(out_dim), int(q_id), int(q_res)
+        require(min(out_dim, q_id, q_res) >= 1, "decoder widths must be positive")
+        self.out_dim, self.q_id, self.q_res = out_dim, q_id, q_res
+        self._bind((out_dim, q_id, q_res),
+                   [("dec.weight_id", (out_dim, q_id)), ("dec.bias_id", (out_dim,)),
+                    ("dec.weight_res", (out_dim, q_res)), ("dec.bias_res", (out_dim,))],
+                   params)
+        self.weight_id, self.bias_id, self.weight_res, self.bias_res = self.params.values()
 
 
-@dataclass(frozen=True)
-class ClassifierHead:
+class ClassifierHead(_Network):
     """Linear softmax classifier over the identity code (training only)."""
 
-    weight: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        weight, bias = _freeze(self, "head", "weight", "bias")
-        require(weight.ndim == 2, "head weight must be a matrix")
-        require(bias.shape == (weight.shape[0],),
-                "head bias length must equal the class count")
-
-    @property
-    def n_classes(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def q_id(self) -> int:
-        return self.weight.shape[1]
+    def __init__(self, n_classes: int, q_id: int, params):
+        n_classes, q_id = int(n_classes), int(q_id)
+        require(n_classes >= 1 and q_id >= 1, "head widths must be positive")
+        self.n_classes, self.q_id = n_classes, q_id
+        self._bind((n_classes, q_id), [("head.weight", (n_classes, q_id)),
+                                       ("head.bias", (n_classes,))], params)
+        self.weight, self.bias = self.params.values()
 
 
 @dataclass(frozen=True)
@@ -179,10 +148,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require(self.learning_rate > 0, "learning_rate must be positive")
+        for name in ("learning_rate", "epsilon"):
+            value = getattr(self, name)
+            require(np.isfinite(value) and value > 0, f"{name} must be finite and positive")
         require(0 <= self.beta1 < 1 and 0 <= self.beta2 < 1,
                 "beta1 and beta2 must lie in [0, 1)")
-        require(self.epsilon > 0, "epsilon must be positive")
         require(int(self.batch_size) >= 1, "batch_size must be at least 1")
         require(int(self.epochs) >= 1, "epochs must be at least 1")
 
@@ -241,10 +211,12 @@ def init_encoder(input_dim: int, q_id: int, q_res: int,
     require(int(input_dim) >= 1, "input_dim must be positive")
     rng = np.random.default_rng(seed)
     widths = [int(input_dim)] + [int(h) for h in hidden] + [int(q_id) + int(q_res)]
-    layers = tuple(Layer(rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)),
-                                    size=(fan_out, fan_in)), np.zeros(fan_out), "tanh")
-                   for fan_in, fan_out in zip(widths, widths[1:]))
-    return EncoderNet(layers, int(q_id), int(q_res))
+    params = {}
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        params[f"enc.{i}.weight"] = rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)),
+                                               size=(fan_out, fan_in))
+        params[f"enc.{i}.bias"] = np.zeros(fan_out)
+    return EncoderNet(widths, ("tanh",) * (len(widths) - 1), q_id, q_res, params)
 
 
 def init_decoder(out_dim: int, q_id: int, q_res: int, seed: int = 0) -> DecoderNet:
@@ -252,18 +224,20 @@ def init_decoder(out_dim: int, q_id: int, q_res: int, seed: int = 0) -> DecoderN
     rng = np.random.default_rng(seed)
     std_id = np.sqrt(2.0 / (out_dim + q_id))
     std_res = np.sqrt(2.0 / (out_dim + q_res))
-    return DecoderNet(rng.normal(0.0, std_id, size=(out_dim, q_id)),
-                      np.zeros(out_dim),
-                      rng.normal(0.0, std_res, size=(out_dim, q_res)),
-                      np.zeros(out_dim))
+    return DecoderNet(out_dim, q_id, q_res, {
+        "dec.weight_id": rng.normal(0.0, std_id, size=(out_dim, q_id)),
+        "dec.bias_id": np.zeros(out_dim),
+        "dec.weight_res": rng.normal(0.0, std_res, size=(out_dim, q_res)),
+        "dec.bias_res": np.zeros(out_dim)})
 
 
 def init_head(n_classes: int, q_id: int, seed: int = 0) -> ClassifierHead:
     require(int(n_classes) >= 2, "need at least two classes")
     rng = np.random.default_rng(seed)
     std = np.sqrt(2.0 / (n_classes + q_id))
-    return ClassifierHead(rng.normal(0.0, std, size=(n_classes, q_id)),
-                          np.zeros(n_classes))
+    return ClassifierHead(n_classes, q_id, {
+        "head.weight": rng.normal(0.0, std, size=(n_classes, q_id)),
+        "head.bias": np.zeros(n_classes)})
 
 
 def head_from_class_means(codes: np.ndarray, labels: np.ndarray,
@@ -282,28 +256,25 @@ def head_from_class_means(codes: np.ndarray, labels: np.ndarray,
     require(codes.ndim == 2 and codes.shape[0] == labels.size,
             "codes must be (n_samples, q_id) row-aligned with labels")
     require(int(n_classes) >= 2, "need at least two classes")
-    require(np.isfinite(scale) and scale > 0, "scale must be positive")
+    require(np.isfinite(scale) and scale > 0, "scale must be finite and positive")
     means = np.empty((n_classes, codes.shape[1]))
     for k in range(n_classes):
         rows = labels == k
         require(bool(rows.any()), f"class {k} has no samples")
         means[k] = codes[rows].mean(axis=0)
-    return ClassifierHead(scale * means,
-                          -0.5 * scale * np.sum(means * means, axis=1))
+    return ClassifierHead(n_classes, codes.shape[1], {
+        "head.weight": scale * means,
+        "head.bias": -0.5 * scale * np.sum(means * means, axis=1)})
 
 
 def _apply_activation(z: np.ndarray, tag: str) -> np.ndarray:
-    if tag == "tanh":
-        return np.tanh(z)
-    return z
+    return np.tanh(z) if tag == "tanh" else z
 
 
 def _activation_grad(post: np.ndarray, tag: str) -> np.ndarray:
     # Derivative expressed through the post-activation value; exact for both
     # supported activations (clamping only bites where tanh' < 2e-12).
-    if tag == "tanh":
-        return 1.0 - post * post
-    return np.ones_like(post)
+    return 1.0 - post * post if tag == "tanh" else np.ones_like(post)
 
 
 def _forward_trace(net: EncoderNet, images: np.ndarray) -> tuple:
@@ -314,9 +285,8 @@ def _forward_trace(net: EncoderNet, images: np.ndarray) -> tuple:
     """
     activations = [images]
     current = images
-    for layer in net.layers:
-        z = current @ layer.weight.T + layer.bias
-        current = _apply_activation(z, layer.activation)
+    for weight, bias, activation in net.layers:
+        current = _apply_activation(current @ weight.T + bias, activation)
         activations.append(current)
     codes = np.clip(current, -OUTPUT_CLIP, OUTPUT_CLIP)
     if not np.all(np.isfinite(codes)):
@@ -330,67 +300,15 @@ def decode(dec: DecoderNet, c_id: np.ndarray, c_res: np.ndarray) -> np.ndarray:
             + c_res @ dec.weight_res.T + dec.bias_res)
 
 
-def joint_loss(recon: float, ident: float, lambda_r: float,
-               accuracy: float = 0.0) -> LossReport:
-    """Combine the two loss components: total = lambda_r * recon + ident."""
-    require(np.isfinite(recon) and np.isfinite(ident) and np.isfinite(lambda_r),
-            "loss inputs must be finite")
-    return LossReport(lambda_r * recon + ident, recon, ident, accuracy, lambda_r)
-
-
 # ---------------------------------------------------------------------------
-# Parameter layout and the flat parameter buffer shared by the trainers.
-
-# The layout table: the key prefix, class and trainable fields of each part,
-# in flat-buffer and checkpoint order; encoder layer i is the part "enc.{i}".
-_LAYER_FIELDS = ("weight", "bias")
-_PARTS = (("dec", DecoderNet, ("weight_id", "bias_id", "weight_res", "bias_res")),
-          ("head", ClassifierHead, ("weight", "bias")))
-
-
-def _param_table(net: EncoderNet, *parts) -> list:
-    """(key, array) of every trainable array of `net` and then of [dec, head]."""
-    table = [(f"enc.{i}.{name}", getattr(layer, name))
-             for i, layer in enumerate(net.layers) for name in _LAYER_FIELDS]
-    for part, (prefix, _cls, names) in zip(parts, _PARTS):
-        table += [(f"{prefix}.{name}", getattr(part, name)) for name in names]
-    return table
-
-
-def all_params(net: EncoderNet, dec: DecoderNet, head: ClassifierHead) -> dict:
-    return dict(_param_table(net, dec, head))
-
-
-def _build(cls, checked: bool, **fields):
-    """cls(**fields); with checked=False, the same without copies or checks."""
-    if checked:
-        return cls(**fields)
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
-def _assemble(template: EncoderNet, params: dict, checked: bool = True) -> tuple:
-    """(encoder[, decoder, head]) like `template` over `params`' arrays."""
-    layers = tuple(
-        _build(Layer, checked, activation=layer.activation,
-               **{name: params[f"enc.{i}.{name}"] for name in _LAYER_FIELDS})
-        for i, layer in enumerate(template.layers))
-    out = [_build(EncoderNet, checked, layers=layers, q_id=template.q_id,
-                  q_res=template.q_res)]
-    for prefix, cls, names in _PARTS:
-        if f"{prefix}.{names[0]}" in params:
-            out.append(_build(cls, checked, **{name: params[f"{prefix}.{name}"]
-                                               for name in names}))
-    return tuple(out)
-
+# The trainers' parameter vector: Adam state over it, and networks over it.
 
 class _FlatParams:
-    """A phase's trainable arrays in one contiguous float64 vector, with Adam.
+    """The gradient and Adam moments over a trainer's parameter vector.
 
-    `views` and `grads` hold C-ordered views of `data` (read-only) and of
-    `grad` (writable), keyed like the table; both moments share the layout.
+    `data` holds the (key, array) table's arrays concatenated, and `step`
+    updates it in place; `grads` maps each key to a writable C-ordered view
+    of `grad`, and both moments share the layout.
     """
 
     # Adam's block length: the six float64 blocks of one pass (parameter,
@@ -398,17 +316,13 @@ class _FlatParams:
     block = 32768
 
     def __init__(self, table: list):
-        n = sum(array.size for _, array in table)
-        self.data, self.grad, self.m, self.v = (np.empty(n) for _ in range(4))
-        self._scratch = np.empty((2, min(n, self.block)))
-        readonly = self.data.view()
-        readonly.setflags(write=False)
-        self.views, self.grads, self._weights = {}, {}, []
+        self.data = np.concatenate([np.ravel(array) for _, array in table])
+        self.grad, self.m, self.v = (np.empty(self.data.size) for _ in range(3))
+        self._scratch = np.empty((2, min(self.data.size, self.block)))
+        self.grads, self._weights = {}, []
         lo = 0
         for key, array in table:
             hi = lo + array.size
-            self.data[lo:hi] = array.ravel()
-            self.views[key] = readonly[lo:hi].reshape(array.shape)
             self.grads[key] = self.grad[lo:hi].reshape(array.shape)
             if key.endswith(".weight"):
                 self._weights.append(slice(lo, hi))
@@ -446,6 +360,25 @@ class _FlatParams:
                 self.data[span] *= 1.0 - lr * decay
 
 
+def _networks(nets: tuple, vector: np.ndarray) -> tuple:
+    """`nets`' structures over consecutive slices of `vector`."""
+    ends = np.cumsum([net.vector.size for net in nets])
+    return tuple(type(net)(*net._structure, vector[end - net.vector.size:end])
+                 for net, end in zip(nets, ends))
+
+
+def _snapshot(nets: tuple, data: np.ndarray, spares: tuple, epoch: int) -> tuple:
+    """`nets` over a copy of the trainer's vector `data` in spares[epoch % 2],
+    which leaves the epoch before intact; NumericalFailureError unless it is
+    finite. Two reused vectors, not one new one per epoch, spare the trainer
+    faulting in fresh pages at every epoch's end."""
+    vector = spares[epoch % 2]
+    np.copyto(vector, data)
+    if not np.all(np.isfinite(vector)):
+        raise NumericalFailureError("parameters became non-finite")
+    return _networks(nets, vector)
+
+
 # ---------------------------------------------------------------------------
 # Batched loss and exact gradients.
 
@@ -455,7 +388,8 @@ def _joint_forward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
 
     Returns (report, activations, c_id, c_res, diff, prob): the encoder
     activations, both code blocks, the decoded-minus-target residual and the
-    softmax probabilities of the identification head.
+    softmax probabilities of the identification head. The report's total is
+    lambda_r * recon + ident.
     """
     require(np.isfinite(lambda_r) and lambda_r >= 0,
             "lambda_r must be finite and non-negative")
@@ -484,7 +418,7 @@ def _joint_forward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     accuracy = float(np.mean(np.argmax(logits, axis=1) == batch.labels))
     if not (np.isfinite(recon) and np.isfinite(ident)):
         raise NumericalFailureError("joint loss became non-finite")
-    report = joint_loss(recon, ident, lambda_r, accuracy)
+    report = LossReport(lambda_r * recon + ident, recon, ident, accuracy, lambda_r)
     return report, activations, c_id, c_res, diff, prob
 
 
@@ -506,20 +440,19 @@ def _encoder_backprop(net: EncoderNet, activations: list,
     """Push a gradient on the (pre-clip) final output back through all layers."""
     upstream = grad_codes
     for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        post = activations[i + 1]
-        g_z = upstream * _activation_grad(post, layer.activation)
+        weight, _, activation = net.layers[i]
+        g_z = upstream * _activation_grad(activations[i + 1], activation)
         _affine_grads(grads, f"enc.{i}.weight", f"enc.{i}.bias", g_z, activations[i])
         if i > 0:
-            upstream = g_z @ layer.weight
+            upstream = g_z @ weight
 
 
 def backward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
              batch: TrainingBatch, lambda_r: float, out: dict | None = None) -> tuple:
     """Exact gradients of the batch-mean joint loss for every parameter.
 
-    Returns (grads, report): a dict keyed like all_params() (`out`, its
-    C-ordered arrays overwritten, if given) plus the loss report for the same
+    Returns (grads, report): a dict keyed like the networks' params (`out`,
+    its C-ordered arrays overwritten, if given) plus the loss report for the same
     batch. Accumulation is batch-vectorized with a fixed reduction order, so
     repeated calls are bit-identical.
     """
@@ -597,7 +530,8 @@ def train_phase1(net: EncoderNet, dataset, config: TrainConfig) -> tuple:
     still has gradient with which to sharpen the identity codes. Returns
     (trained encoder, history) where history holds one (train_loss, val_loss)
     pair per epoch, evaluated after that epoch's updates. Deterministic for a
-    fixed config seed.
+    fixed config seed. A numerical failure raises NumericalFailureError that
+    names the epoch and the step, or the end of the epoch.
     """
     model = dataset.model
     require(net.q_id == model.k_id and net.q_res == model.k_exp,
@@ -614,23 +548,30 @@ def train_phase1(net: EncoderNet, dataset, config: TrainConfig) -> tuple:
     val_images, val_targets = arrays(val_idx) if val_idx.size else (None, None)
 
     rng = np.random.default_rng(config.seed)
-    flat = _FlatParams(_param_table(net))
-    (stepping,) = _assemble(net, flat.views, checked=False)
-    trained, history = net, []
+    flat = _FlatParams(list(net.params.items()))
+    (stepping,) = _networks((net,), flat.data)
+    spares = (np.empty_like(flat.data), np.empty_like(flat.data))
+    history = []
     q_total = net.q_id + net.q_res
-    for _ in range(config.epochs):
-        order = rng.permutation(train_idx.size)
-        for start in range(0, train_idx.size, config.batch_size):
-            rows = order[start:start + config.batch_size]
-            codes, activations = _forward_trace(stepping, train_images[rows])
-            grad_codes = (2.0 / (rows.size * q_total)) * (codes - train_targets[rows])
-            _encoder_backprop(stepping, activations, grad_codes, flat.grads)
-            flat.step(config, decay=PHASE1_WEIGHT_DECAY)
-        (trained,) = _assemble(net, flat.views)
-        train_loss = _regression_loss(trained, train_images, train_targets)
-        val_loss = (_regression_loss(trained, val_images, val_targets)
-                    if val_images is not None else float("nan"))
-        history.append((train_loss, val_loss))
+    try:
+        for _ in range(config.epochs):
+            order = rng.permutation(train_idx.size)
+            for step, start in enumerate(range(0, train_idx.size, config.batch_size)):
+                rows = order[start:start + config.batch_size]
+                codes, activations = _forward_trace(stepping, train_images[rows])
+                grad_codes = (2.0 / (rows.size * q_total)) * (codes - train_targets[rows])
+                _encoder_backprop(stepping, activations, grad_codes, flat.grads)
+                flat.step(config, decay=PHASE1_WEIGHT_DECAY)
+            step = None
+            (trained,) = _snapshot((stepping,), flat.data, spares, len(history))
+            train_loss = _regression_loss(trained, train_images, train_targets)
+            val_loss = (_regression_loss(trained, val_images, val_targets)
+                        if val_images is not None else float("nan"))
+            history.append((train_loss, val_loss))
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(
+            f"phase I epoch {len(history)}, "
+            f"{'end of epoch' if step is None else f'step {step}'}: {exc}") from exc
     return trained, history
 
 
@@ -677,7 +618,8 @@ def train_phase2(dec: DecoderNet, dataset, n_pairs: int = 96,
 
     weight_id, bias_id = fit(model.basis_id, model.sigma_id)
     weight_res, bias_res = fit(model.basis_exp, model.sigma_exp)
-    return DecoderNet(weight_id, bias_id, weight_res, bias_res)
+    return DecoderNet(dec.out_dim, dec.q_id, dec.q_res,
+                      dict(zip(dec.params, (weight_id, bias_id, weight_res, bias_res))))
 
 
 # ---------------------------------------------------------------------------
@@ -708,8 +650,9 @@ def train_phase3(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     full = training_batch(dataset, train_idx)
 
     rng = np.random.default_rng(config.seed)
-    flat = _FlatParams(_param_table(net, dec, head))
-    stepping = _assemble(net, flat.views, checked=False)
+    flat = _FlatParams([*net.params.items(), *dec.params.items(), *head.params.items()])
+    stepping = _networks((net, dec, head), flat.data)
+    spares = (np.empty_like(flat.data), np.empty_like(flat.data))
     last_good, trace = (net, dec, head), []
     try:
         for stage, (lam, n_epochs) in enumerate(stages):
@@ -717,15 +660,12 @@ def train_phase3(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
                 order = rng.permutation(train_idx.size)
                 for step, start in enumerate(range(0, train_idx.size, config.batch_size)):
                     rows = order[start:start + config.batch_size]
-                    batch = _build(TrainingBatch, False, images=full.images[rows],
-                                   labels=full.labels[rows],
-                                   target_delta=full.target_delta[rows])
+                    batch = TrainingBatch(full.images[rows], full.labels[rows],
+                                          full.target_delta[rows])
                     backward(*stepping, batch, lam, flat.grads)
                     flat.step(config)
                 step = None
-                if not np.all(np.isfinite(flat.data)):
-                    raise NumericalFailureError("parameters became non-finite")
-                epoch_end = _assemble(net, flat.views)
+                epoch_end = _snapshot(stepping, flat.data, spares, len(trace))
                 trace.append(batch_loss(*epoch_end, full, lam))
                 last_good = epoch_end
     except NumericalFailureError as exc:
@@ -758,32 +698,30 @@ def finite_diff_check(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     """
     require(step > 0, "step must be positive")
     require(int(n_coords) >= 1, "n_coords must be positive")
-    params = all_params(net, dec, head)
-    grads, _ = backward(net, dec, head, batch, lambda_r)
-
+    nets = (net, dec, head)
+    grads, _ = backward(*nets, batch, lambda_r)
+    # one probe vector, perturbed in place under networks over it; the
+    # coordinates are drawn from every array, keys in sorted order
+    probe = np.concatenate([part.vector for part in nets])
+    probing = _networks(nets, probe)
+    params = dict(item for part in nets for item in part.params.items())
+    ends = dict(zip(params, np.cumsum([array.size for array in params.values()])))
     keys = sorted(params)
-    offsets = np.cumsum([0] + [params[k].size for k in keys])
-    total = int(offsets[-1])
+    where = np.concatenate([np.arange(ends[k] - params[k].size, ends[k]) for k in keys])
+    analytic = np.concatenate([grads[k].ravel() for k in keys])
     rng = np.random.default_rng(seed)
-    chosen = np.sort(rng.choice(total, size=min(int(n_coords), total), replace=False))
-    grad_scale = max(float(np.max(np.abs(grads[k]))) if grads[k].size else 0.0
-                     for k in keys)
-    floor = 1e-4 * (1.0 + grad_scale)
+    chosen = np.sort(rng.choice(where.size, size=min(int(n_coords), where.size),
+                                replace=False))
+    floor = 1e-4 * (1.0 + float(np.max(np.abs(analytic))))
 
-    def loss_with(key: str, flat_index: int, value: float) -> float:
-        array = params[key].copy()
-        array.flat[flat_index] = value
-        return batch_loss(*_assemble(net, {**params, key: array}), batch,
-                          lambda_r).total
+    def loss_at(index: int, value: float) -> float:
+        probe[index] = value
+        return batch_loss(*probing, batch, lambda_r).total
 
     worst = 0.0
-    for global_index in chosen:
-        slot = int(np.searchsorted(offsets, global_index, side="right") - 1)
-        key, flat = keys[slot], int(global_index - offsets[slot])
-        base = float(params[key].flat[flat])
-        numeric = (loss_with(key, flat, base + step)
-                   - loss_with(key, flat, base - step)) / (2.0 * step)
-        analytic = float(grads[key].flat[flat])
-        worst = max(worst, abs(numeric - analytic)
-                    / max(abs(numeric), abs(analytic), floor))
+    for index, exact in zip(where[chosen].tolist(), analytic[chosen].tolist()):
+        base = float(probe[index])
+        numeric = (loss_at(index, base + step) - loss_at(index, base - step)) / (2.0 * step)
+        probe[index] = base
+        worst = max(worst, abs(numeric - exact) / max(abs(numeric), abs(exact), floor))
     return worst

@@ -22,8 +22,7 @@ from .errors import (CorruptionError, InvalidArgumentError,
 from .evaluation import (DisentanglingReport, ReconstructionReport,
                          VerificationReport)
 from .geometry import MorphableModel
-from .network import (ClassifierHead, DecoderNet, EncoderNet, Layer,
-                      all_params)
+from .network import ClassifierHead, DecoderNet, EncoderNet
 from .synthetic import (COLUMNS, POSE_PARAMS, Dataset, DatasetSpec,
                         PoseRanges, split_indices)
 
@@ -222,10 +221,11 @@ def _rebuild(builder, what: str):
 def save_checkpoint(encoder: EncoderNet, decoder: DecoderNet,
                     head: ClassifierHead, config: RunConfig, path: str) -> None:
     meta = {"kind": "checkpoint",
-            "activations": [layer.activation for layer in encoder.layers],
+            "activations": [tag for _, _, tag in encoder.layers],
             "q_id": encoder.q_id, "q_res": encoder.q_res,
             "config": config.to_dict(), "config_version": CONFIG_VERSION}
-    _atomic_write(path, *_pack(meta, all_params(encoder, decoder, head)))
+    _atomic_write(path, *_pack(meta, {**encoder.params, **decoder.params,
+                                      **head.params}))
 
 
 def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
@@ -243,23 +243,22 @@ def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
     activations = _field(header, "activations", list)
     _invariant(len(activations) >= 1, "activations: no encoder layers")
     q_id, q_res = _field(header, "q_id", int), _field(header, "q_res", int)
-    layers = [_rebuild(lambda: Layer(_field(arrays, f"enc.{i}.weight"),
-                                     _field(arrays, f"enc.{i}.bias"), tag),
-                       f"enc.{i}.weight") for i, tag in enumerate(activations)]
-    encoder = _rebuild(lambda: EncoderNet(tuple(layers), q_id, q_res), "encoder")
-    decoder = _rebuild(lambda: DecoderNet(*(_field(arrays, f"dec.{name}") for name in (
-        "weight_id", "bias_id", "weight_res", "bias_res"))), "decoder")
-    head = _rebuild(lambda: ClassifierHead(_field(arrays, "head.weight"),
-                                           _field(arrays, "head.bias")), "head")
-    _invariant(decoder.q_id == encoder.q_id,
-               f"dec.weight_id: decoder identity width {decoder.q_id} does "
-               f"not match encoder q_id {encoder.q_id}")
-    _invariant(decoder.q_res == encoder.q_res,
-               f"dec.weight_res: decoder residual width {decoder.q_res} does "
-               f"not match encoder q_res {encoder.q_res}")
-    _invariant(head.q_id == encoder.q_id,
-               f"head.weight: classifier width {head.q_id} does not match "
-               f"encoder q_id {encoder.q_id}")
+
+    def shape(name: str) -> tuple:
+        # the stored matrices give the widths; each network's constructor
+        # then checks every stored array against its layout
+        dims = _field(arrays, name).shape
+        _invariant(len(dims) == 2, f"{name}: shape {dims}, expected a matrix")
+        return dims
+
+    shapes = [shape(f"enc.{i}.weight") for i in range(len(activations))]
+    widths = [shapes[0][1], *(rows for rows, _ in shapes)]
+    encoder = _rebuild(lambda: EncoderNet(widths, activations, q_id, q_res, arrays),
+                       "encoder")
+    decoder = _rebuild(lambda: DecoderNet(shape("dec.weight_id")[0], q_id, q_res,
+                                          arrays), "decoder")
+    head = _rebuild(lambda: ClassifierHead(shape("head.weight")[0], q_id, arrays),
+                    "head")
     stored = _field(header, "config", dict)  # text fields, resolved by parse_config
     for field in dataclasses.fields(RunConfig):
         _invariant(field.name in stored, f"config.{field.name}: missing")

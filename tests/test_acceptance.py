@@ -281,7 +281,8 @@ def test_criterion_06_joint_training_preserves_recognition_and_recon(
 def test_criterion_07_disentangling_diagnostics(default_dataset,
                                                 trained_stack):
     enc3, _dec3, _head3 = trained_stack["after3"]
-    report = disentangling_report(enc3, default_dataset)
+    report = disentangling_report(lambda images: encode_images(enc3, images),
+                                  default_dataset)
     print(f"criterion 7: intra {report.intra_distance:.4f} "
           f"< inter {report.inter_distance:.4f}, "
           f"displacement ratio {report.displacement_ratio:.4f}")

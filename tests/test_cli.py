@@ -179,9 +179,9 @@ class TestTrain:
         got = nw.train_phase3(encoder, decoder, head, load_dataset(dataset),
                               config.train_config("III"))
         want = load_checkpoint(os.path.join(train, "phase3.ckpt"))
-        for a, b in zip(nw.all_params(*got[:3]).values(),
-                        nw.all_params(*want[:3]).values()):
-            assert a.tobytes() == b.tobytes()
+        for got_part, want_part in zip(got[:3], want[:3]):
+            for a, b in zip(got_part.params.values(), want_part.params.values()):
+                assert a.tobytes() == b.tobytes()
 
     def test_phase1_trace_has_one_row_per_epoch(self, pipeline):
         header, rows = read_csv(os.path.join(pipeline["train_dir"],
@@ -208,6 +208,40 @@ class TestTrain:
         assert (code, out) == (1, "")
         assert err == "error: InvalidArgumentError: epochs must be at least 1\n"
         assert not any(name.endswith(".ckpt") for name in os.listdir(tmp_path / "train"))
+
+    @pytest.mark.parametrize("setting, message", [
+        ("learning_rate=inf", "learning_rate must be finite and positive"),
+        ("learning_rate=nan", "learning_rate must be finite and positive"),
+        ("phase3_learning_rate=inf", "learning_rate must be finite and positive"),
+        ("epsilon=inf", "epsilon must be finite and positive"),
+        ("head_scale=inf", "scale must be finite and positive"),
+        ("head_scale=nan", "scale must be finite and positive"),
+    ])
+    def test_non_finite_training_constant_is_a_single_error_line(
+            self, pipeline, tmp_path, setting, message):
+        code, out, err = run_cli(["train", "--data", pipeline["dataset"],
+                                  *TINY_OVERRIDES, "--set", setting,
+                                  "--out", str(tmp_path / "train")])
+        assert (code, out) == (1, "")
+        assert err == f"error: InvalidArgumentError: {message}\n"
+        assert not any(name.endswith(".ckpt") for name in os.listdir(tmp_path / "train"))
+
+    @pytest.mark.parametrize("batch_size, where", [
+        # two steps an epoch: the first step's overflow fails the second
+        (16, "step 1: encoder activations became non-finite"),
+        # one step an epoch: the epoch-end snapshot finds the overflow
+        (64, "end of epoch: parameters became non-finite"),
+    ])
+    def test_phase1_divergence_names_its_epoch_and_step(self, pipeline, tmp_path,
+                                                        batch_size, where):
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(["train", "--data", pipeline["dataset"],
+                                      *TINY_OVERRIDES, "--set", "learning_rate=1e300",
+                                      "--set", f"batch_size={batch_size}",
+                                      "--out", str(tmp_path / "train")])
+        assert (code, out) == (1, "")
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: NumericalFailureError: phase I epoch 0, {where}"]
 
 
 # A dataset generated under another config than the checkpoint's, and the

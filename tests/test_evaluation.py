@@ -28,7 +28,7 @@ from morphfit.geometry import (
     procrustes_align_stack,
     rotation_zyx,
 )
-from morphfit.network import EncoderNet, Layer, encode_images, init_encoder
+from morphfit.network import EncoderNet, encode_images, init_encoder
 from morphfit.synthetic import (
     Dataset,
     DatasetSpec,
@@ -518,7 +518,13 @@ def flat_split_dataset(small_model) -> Dataset:
 
 def constant_encoder(input_dim: int) -> EncoderNet:
     bias = np.array([0.5, -0.25, 0.75, 0.1, -0.4])
-    return EncoderNet((Layer(np.zeros((5, input_dim)), bias, "tanh"),), 3, 2)
+    return EncoderNet((input_dim, 5), ("tanh",), 3, 2,
+                      {"enc.0.weight": np.zeros((5, input_dim)), "enc.0.bias": bias})
+
+
+def embedding(net: EncoderNet):
+    """The embedding callable `disentangling_report` takes, for `net`."""
+    return lambda images: encode_images(net, images)
 
 
 def displacement_loop_oracle(embed, dataset) -> tuple[float, float]:
@@ -567,13 +573,14 @@ class TestDisentanglingReport:
 
     def test_encoder_net_matches_per_image_loop(self, flat_split_dataset):
         net = init_encoder(256, 3, 2, hidden=(16,), seed=7)
-        report = disentangling_report(net, flat_split_dataset)
+        report = disentangling_report(embedding(net), flat_split_dataset)
         ratio, _ = displacement_loop_oracle(
             lambda batch: encode_images(net, batch), flat_split_dataset)
         assert abs(report.displacement_ratio - ratio) <= 1e-12 * abs(ratio)
 
     def test_constant_encoder_is_degenerate(self, flat_split_dataset):
-        report = disentangling_report(constant_encoder(256), flat_split_dataset)
+        report = disentangling_report(embedding(constant_encoder(256)),
+                                      flat_split_dataset)
         assert report.degenerate
         assert report.intra_distance < 1e-12
         assert report.inter_distance < 1e-12
@@ -621,7 +628,7 @@ class TestDisentanglingReport:
         first_subject = take_rows(flat_split_dataset, np.arange(3),
                                   train=np.arange(3, dtype=np.int64))
         with pytest.raises(InvalidArgumentError):
-            disentangling_report(constant_encoder(256), first_subject)
+            disentangling_report(embedding(constant_encoder(256)), first_subject)
 
     def test_report_validation(self):
         with pytest.raises(InvalidArgumentError):

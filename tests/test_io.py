@@ -22,7 +22,7 @@ from morphfit.errors import (CorruptionError, InvalidArgumentError,
                              ParseError, VersionMismatchError)
 from morphfit.evaluation import (DisentanglingReport, ReconstructionReport,
                                  VerificationReport)
-from morphfit.network import Layer, EncoderNet, init_decoder, init_encoder, init_head
+from morphfit.network import EncoderNet, init_decoder, init_encoder, init_head
 from morphfit.serialization import (DISENTANGLING_COLUMNS, FORMAT_VERSION,
                                     MAGIC, RECONSTRUCTION_COLUMNS,
                                     VERIFICATION_COLUMNS, _unpack,
@@ -89,9 +89,9 @@ def tiny_dataset(small_model):
 @pytest.fixture(scope="module")
 def stack():
     rng = np.random.default_rng(11)
-    layers = (Layer(rng.normal(0.0, 0.3, size=(8, 16)), np.zeros(8), "tanh"),
-              Layer(rng.normal(0.0, 0.3, size=(5, 8)), np.zeros(5), "linear"))
-    encoder = EncoderNet(layers, q_id=3, q_res=2)
+    encoder = EncoderNet((16, 8, 5), ("tanh", "linear"), q_id=3, q_res=2, params={
+        "enc.0.weight": rng.normal(0.0, 0.3, size=(8, 16)), "enc.0.bias": np.zeros(8),
+        "enc.1.weight": rng.normal(0.0, 0.3, size=(5, 8)), "enc.1.bias": np.zeros(5)})
     decoder = init_decoder(16, q_id=3, q_res=2, seed=8)
     head = init_head(4, q_id=3, seed=9)
     config = RunConfig(epochs=7, learning_rate=1 / 3, seed=5,
@@ -394,10 +394,11 @@ class TestCheckpoint:
         save_checkpoint(encoder, decoder, head, config, path)
         enc2, dec2, head2, config2 = load_checkpoint(path)
         assert len(enc2.layers) == len(encoder.layers)
-        for got, want in zip(enc2.layers, encoder.layers):
-            assert got.activation == want.activation
-            assert np.array_equal(got.weight, want.weight)
-            assert np.array_equal(got.bias, want.bias)
+        for (weight, bias, tag), (want_weight, want_bias, want_tag) in zip(
+                enc2.layers, encoder.layers):
+            assert tag == want_tag
+            assert np.array_equal(weight, want_weight)
+            assert np.array_equal(bias, want_bias)
         assert (enc2.q_id, enc2.q_res) == (encoder.q_id, encoder.q_res)
         assert np.array_equal(dec2.weight_id, decoder.weight_id)
         assert np.array_equal(dec2.bias_id, decoder.bias_id)
@@ -791,13 +792,13 @@ class TestOneCopyPerLoad:
         arrays.update({f"model.{name}": getattr(model, name) for name in (
             "basis_id", "basis_exp", "sigma_id", "sigma_exp", "landmark_indices")})
         arrays["model.mean"] = model.mean
-        for i, layer in enumerate(encoder.layers):
-            arrays.update({f"enc.{i}.weight": layer.weight, f"enc.{i}.bias": layer.bias})
-        arrays.update({f"dec.{name}": getattr(decoder, name) for name in (
-            "weight_id", "bias_id", "weight_res", "bias_res")})
-        arrays.update({"head.weight": head.weight, "head.bias": head.bias})
         for name, array in arrays.items():
             assert array.flags.owndata and not array.flags.writeable, name
+        # each network owns one read-only vector, and its weights view it
+        for net in (encoder, decoder, head):
+            assert net.vector.flags.owndata and not net.vector.flags.writeable
+            for name, array in net.params.items():
+                assert array.base is net.vector and not array.flags.writeable, name
 
 
 def header_paths(header: dict) -> list[tuple]:

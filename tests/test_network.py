@@ -1,5 +1,8 @@
 """Tests for the encoder/decoder stack, exact gradients, and the trainers."""
 
+import os
+import re
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from morphfit import network
+from morphfit.config import RunConfig
 from morphfit.errors import (
     InvalidArgumentError,
     NumericalFailureError,
@@ -21,11 +25,9 @@ from morphfit.network import (
     ClassifierHead,
     DecoderNet,
     EncoderNet,
-    Layer,
     LossReport,
     TrainConfig,
     TrainingBatch,
-    all_params,
     backward,
     batch_loss,
     coefficient_targets,
@@ -36,30 +38,50 @@ from morphfit.network import (
     init_decoder,
     init_encoder,
     init_head,
-    joint_loss,
     train_phase1,
     train_phase2,
     train_phase3,
     training_batch,
 )
+from morphfit.serialization import load_checkpoint, save_checkpoint
 from morphfit.synthetic import Dataset, DatasetSpec
 
 from oracles import compose_shape
 from conftest import row_coeffs, take_rows
 
 
+def encoder_of(layers, q_id: int, q_res: int) -> EncoderNet:
+    """The encoder of (weight, bias, activation) layers, built through its
+    constructor from the arrays given."""
+    widths = [layers[0][0].shape[1]] + [weight.shape[0] for weight, _, _ in layers]
+    params = {}
+    for i, (weight, bias, _) in enumerate(layers):
+        params[f"enc.{i}.weight"], params[f"enc.{i}.bias"] = weight, bias
+    return EncoderNet(widths, [tag for _, _, tag in layers], q_id, q_res, params)
+
+
+def decoder_of(weight_id, bias_id, weight_res, bias_res) -> DecoderNet:
+    return DecoderNet(weight_id.shape[0], weight_id.shape[1], weight_res.shape[1],
+                      {"dec.weight_id": weight_id, "dec.bias_id": bias_id,
+                       "dec.weight_res": weight_res, "dec.bias_res": bias_res})
+
+
+def head_of(weight, bias) -> ClassifierHead:
+    return ClassifierHead(*weight.shape, {"head.weight": weight, "head.bias": bias})
+
+
 def small_net(rng: np.random.Generator, in_dim: int = 6, hidden: int = 5,
               q_id: int = 2, q_res: int = 2, activation: str = "tanh") -> EncoderNet:
-    layers = (Layer(rng.normal(0.0, 0.3, size=(hidden, in_dim)),
-                    rng.normal(0.0, 0.1, size=hidden), activation),
-              Layer(rng.normal(0.0, 0.3, size=(q_id + q_res, hidden)),
-                    rng.normal(0.0, 0.1, size=q_id + q_res), activation))
-    return EncoderNet(layers, q_id, q_res)
+    layers = ((rng.normal(0.0, 0.3, size=(hidden, in_dim)),
+               rng.normal(0.0, 0.1, size=hidden), activation),
+              (rng.normal(0.0, 0.3, size=(q_id + q_res, hidden)),
+               rng.normal(0.0, 0.1, size=q_id + q_res), activation))
+    return encoder_of(layers, q_id, q_res)
 
 
 def small_decoder(rng: np.random.Generator, out_dim: int = 9, q_id: int = 2,
                   q_res: int = 2) -> DecoderNet:
-    return DecoderNet(rng.normal(0.0, 0.3, size=(out_dim, q_id)),
+    return decoder_of(rng.normal(0.0, 0.3, size=(out_dim, q_id)),
                       rng.normal(0.0, 0.1, size=out_dim),
                       rng.normal(0.0, 0.3, size=(out_dim, q_res)),
                       rng.normal(0.0, 0.1, size=out_dim))
@@ -161,24 +183,22 @@ def decay_oracle(params: dict, config: TrainConfig) -> dict:
 
 
 def encoder_params(net: EncoderNet) -> dict:
-    return {f"enc.{i}.{name}": getattr(layer, name)
-            for i, layer in enumerate(net.layers) for name in ("weight", "bias")}
+    return dict(net.params)
 
 
 def assemble_encoder(template: EncoderNet, params: dict) -> EncoderNet:
-    layers = tuple(Layer(params[f"enc.{i}.weight"], params[f"enc.{i}.bias"],
-                         layer.activation)
-                   for i, layer in enumerate(template.layers))
-    return EncoderNet(layers, template.q_id, template.q_res)
+    widths = [template.input_dim] + [weight.shape[0] for weight, _, _ in template.layers]
+    return EncoderNet(widths, [tag for _, _, tag in template.layers], template.q_id,
+                      template.q_res, params)
 
 
 def assemble_decoder(params: dict) -> DecoderNet:
-    return DecoderNet(params["dec.weight_id"], params["dec.bias_id"],
-                      params["dec.weight_res"], params["dec.bias_res"])
+    out_dim, q_id = params["dec.weight_id"].shape
+    return DecoderNet(out_dim, q_id, params["dec.weight_res"].shape[1], params)
 
 
 def assemble_head(params: dict) -> ClassifierHead:
-    return ClassifierHead(params["head.weight"], params["head.bias"])
+    return ClassifierHead(*params["head.weight"].shape, params)
 
 
 def phase1_oracle(net: EncoderNet, dataset, config: TrainConfig) -> tuple:
@@ -217,7 +237,8 @@ def phase3_oracle(net, dec, head, dataset, config: TrainConfig, stages) -> tuple
     train_idx = np.asarray(dataset.train_indices, dtype=np.int64)
     full = training_batch(dataset, train_idx)
     rng = np.random.default_rng(config.seed)
-    params, state, step, trace = all_params(net, dec, head), AdamState(), 0, []
+    params, state, step, trace = ({**net.params, **dec.params, **head.params},
+                                   AdamState(), 0, [])
     for lam, n_epochs in stages:
         for _ in range(n_epochs):
             order = rng.permutation(train_idx.size)
@@ -243,25 +264,118 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
         np.ascontiguousarray(b, dtype=np.float64).view(np.uint64))
 
 
-def fortran_ordered(net: EncoderNet, dec: DecoderNet, head: ClassifierHead) -> tuple:
-    """The same networks with every matrix Fortran-ordered, built past the
-    C-order copies of the constructors."""
-    layers = tuple(network._build(Layer, False, weight=np.asfortranarray(layer.weight),
-                                  bias=layer.bias, activation=layer.activation)
-                   for layer in net.layers)
-    return (network._build(EncoderNet, False, layers=layers, q_id=net.q_id,
-                           q_res=net.q_res),
-            network._build(DecoderNet, False, weight_id=np.asfortranarray(dec.weight_id),
-                           bias_id=dec.bias_id,
-                           weight_res=np.asfortranarray(dec.weight_res),
-                           bias_res=dec.bias_res),
-            network._build(ClassifierHead, False, weight=np.asfortranarray(head.weight),
-                           bias=head.bias))
+def fortran_ordered(*parts) -> tuple:
+    """The same networks built through their constructors from copies of
+    their arrays with every matrix Fortran-ordered."""
+    out = []
+    for part in parts:
+        params = {key: np.asfortranarray(array) for key, array in part.params.items()}
+        assert not any(a.ndim == 2 and a.flags.c_contiguous for a in params.values())
+        out.append(assemble_encoder(part, params) if isinstance(part, EncoderNet)
+                   else assemble_decoder(params) if isinstance(part, DecoderNet)
+                   else assemble_head(params))
+    return tuple(out)
 
 
 def network_arrays(*parts) -> list:
     """Every parameter array of an (encoder, decoder, head) prefix."""
-    return list(dict(network._param_table(*parts)).values())
+    return [array for part in parts for array in part.params.values()]
+
+
+def flat_values(flat) -> dict:
+    """The buffer's current parameters, keyed and shaped like its gradients."""
+    out, lo = {}, 0
+    for key, grad in flat.grads.items():
+        out[key] = flat.data[lo:lo + grad.size].reshape(grad.shape)
+        lo += grad.size
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the one constructor: a structure over one read-only vector
+
+
+@st.composite
+def network_arrays_given(draw):
+    """(encoder, decoder, head) structures and their arrays, each drawn C- or
+    Fortran-ordered."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    q_id, q_res = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    widths.append(q_id + q_res)
+    activations = draw(st.lists(st.sampled_from(["tanh", "linear"]),
+                                min_size=len(widths) - 1, max_size=len(widths) - 1))
+    out_dim, n_classes = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    shapes = {f"enc.{i}.{name}": shape
+              for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]))
+              for name, shape in (("weight", (fan_out, fan_in)), ("bias", (fan_out,)))}
+    shapes.update({"dec.weight_id": (out_dim, q_id), "dec.bias_id": (out_dim,),
+                   "dec.weight_res": (out_dim, q_res), "dec.bias_res": (out_dim,),
+                   "head.weight": (n_classes, q_id), "head.bias": (n_classes,)})
+    given = {}
+    for key, shape in shapes.items():
+        array = draw(arrays(np.float64, shape, elements=st.floats(-2.0, 2.0)))
+        given[key] = np.asfortranarray(array) if draw(st.booleans()) else array
+    return (widths, activations, q_id, q_res, out_dim, n_classes), given
+
+
+class TestOneConstructor:
+    @settings(max_examples=40, deadline=None)
+    @given(network_arrays_given(), st.integers(1, 3))
+    def test_views_of_one_vector(self, drawn, rows):
+        (widths, activations, q_id, q_res, out_dim, n_classes), given = drawn
+        nets = (EncoderNet(widths, activations, q_id, q_res, given),
+                DecoderNet(out_dim, q_id, q_res, given),
+                ClassifierHead(n_classes, q_id, given))
+        for net in nets:
+            vector = net.vector
+            assert vector.flags.c_contiguous and not vector.flags.writeable
+            lo, hi = np.lib.array_utils.byte_bounds(vector)
+            assert sum(view.size for view in net.params.values()) == vector.size
+            for key, view in net.params.items():
+                assert view.flags.c_contiguous and not view.flags.writeable, key
+                start, end = np.lib.array_utils.byte_bounds(view)
+                assert lo <= start and end <= hi, key
+                assert same_bits(view, given[key]), key
+        assert [k for net in nets for k in net.params] == list(given)
+
+        with tempfile.TemporaryDirectory() as root:
+            first, second = os.path.join(root, "a.ckpt"), os.path.join(root, "b.ckpt")
+            save_checkpoint(*nets, RunConfig(), first)
+            save_checkpoint(*load_checkpoint(first)[:3], RunConfig(), second)
+            assert open(first, "rb").read() == open(second, "rb").read()
+
+        # the per-layer loop over standalone C-ordered copies of the arrays
+        images = np.linspace(-1.0, 1.0, rows * widths[0]).reshape(rows, widths[0])
+        current = images
+        for i, tag in enumerate(activations):
+            z = (current @ np.ascontiguousarray(given[f"enc.{i}.weight"]).T
+                 + np.ascontiguousarray(given[f"enc.{i}.bias"]))
+            current = np.tanh(z) if tag == "tanh" else z
+        want = np.clip(current, -network.OUTPUT_CLIP, network.OUTPUT_CLIP)
+        c_id, c_res = encode_images(nets[0], images)
+        assert same_bits(c_id, want[:, :q_id]) and same_bits(c_res, want[:, q_id:])
+
+    def test_vector_is_kept_without_a_copy(self):
+        head = head_of(np.arange(6.0).reshape(3, 2), np.zeros(3))
+        other = ClassifierHead(3, 2, head.vector)
+        assert np.shares_memory(other.vector, head.vector)
+        assert not other.vector.flags.writeable
+        assert same_bits(other.weight, head.weight)
+
+    @pytest.mark.parametrize("params, message", [
+        (np.zeros(8), "of length 9"),
+        (np.zeros(9, dtype=np.float32), "float64"),
+        (np.zeros(18)[::2], "C-ordered"),
+        ({"head.weight": np.zeros((3, 2))}, "head.bias: missing"),
+        ({"head.weight": np.zeros((2, 3)), "head.bias": np.zeros(3)},
+         "head.weight: shape (2, 3), expected (3, 2)"),
+        ({"head.weight": np.full((3, 2), np.inf), "head.bias": np.zeros(3)},
+         "parameters must be finite"),
+        (np.full(9, np.nan), "parameters must be finite"),
+    ])
+    def test_rejected(self, params, message):
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            ClassifierHead(3, 2, params)
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +384,16 @@ def network_arrays(*parts) -> list:
 
 class TestEncoderForward:
     def test_zero_network_outputs_zero(self):
-        layers = (Layer(np.zeros((5, 6)), np.zeros(5), "tanh"),
-                  Layer(np.zeros((4, 5)), np.zeros(4), "tanh"))
-        c_id, c_res = encode_images(EncoderNet(layers, 2, 2), np.zeros(6))
+        layers = ((np.zeros((5, 6)), np.zeros(5), "tanh"),
+                  (np.zeros((4, 5)), np.zeros(4), "tanh"))
+        c_id, c_res = encode_images(encoder_of(layers, 2, 2), np.zeros(6))
         assert np.array_equal(c_id, np.zeros((1, 2)))
         assert np.array_equal(c_res, np.zeros((1, 2)))
 
     def test_outputs_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(0)
-        layers = (Layer(rng.normal(0.0, 50.0, size=(4, 6)), np.zeros(4), "tanh"),)
-        net = EncoderNet(layers, 2, 2)
+        layers = ((rng.normal(0.0, 50.0, size=(4, 6)), np.zeros(4), "tanh"),)
+        net = encoder_of(layers, 2, 2)
         assert np.all(np.abs(encode_one(net, np.ones(6))) < 1.0)
 
     def test_matches_layer_loop_oracle(self):
@@ -289,12 +403,13 @@ class TestEncoderForward:
         merged = encode_one(net, x)
 
         current = x.copy()
-        for layer in net.layers:
-            nxt = np.empty(layer.out_dim)
-            for j in range(layer.out_dim):
-                z = layer.bias[j]
-                for k in range(layer.in_dim):
-                    z += layer.weight[j, k] * current[k]
+        for weight, bias, _ in net.layers:
+            out_dim, in_dim = weight.shape
+            nxt = np.empty(out_dim)
+            for j in range(out_dim):
+                z = bias[j]
+                for k in range(in_dim):
+                    z += weight[j, k] * current[k]
                 nxt[j] = np.tanh(z)
             current = nxt
         assert np.max(np.abs(merged - current)) < 1e-12
@@ -303,7 +418,7 @@ class TestEncoderForward:
         rng = np.random.default_rng(2)
         weight = rng.normal(0.0, 0.1, size=(4, 6))
         bias = rng.normal(0.0, 0.1, size=4)
-        net = EncoderNet((Layer(weight, bias, "linear"),), 2, 2)
+        net = encoder_of(((weight, bias, "linear"),), 2, 2)
         x = rng.uniform(-1.0, 1.0, size=6)
         merged = encode_one(net, x)
         assert np.max(np.abs(merged - (weight @ x + bias))) < 1e-15
@@ -316,15 +431,16 @@ class TestEncoderForward:
             encode_images(net, np.zeros((3, 7)))
 
     def test_structure_validation(self):
-        good = Layer(np.zeros((4, 6)), np.zeros(4), "tanh")
+        good = {"enc.0.weight": np.zeros((4, 6)), "enc.0.bias": np.zeros(4)}
         with pytest.raises(InvalidArgumentError):
-            EncoderNet((), 2, 2)
+            EncoderNet((6,), (), 2, 2, {})
         with pytest.raises(InvalidArgumentError):
-            EncoderNet((good,), 3, 3)  # final width 4 != 6
+            EncoderNet((6, 4), ("tanh",), 3, 3, good)  # final width 4 != 6
         with pytest.raises(InvalidArgumentError):
-            Layer(np.zeros((4, 6)), np.zeros(4), "relu")
+            EncoderNet((6, 4), ("relu",), 2, 2, good)
         with pytest.raises(InvalidArgumentError):
-            EncoderNet((good, Layer(np.zeros((4, 5)), np.zeros(4), "tanh")), 2, 2)
+            EncoderNet((6, 4, 4), ("tanh", "tanh"), 2, 2,
+                       {**good, "enc.1.weight": np.zeros((4, 5)), "enc.1.bias": np.zeros(4)})
 
     def test_batched_encode_matches_single(self):
         rng = np.random.default_rng(3)
@@ -377,7 +493,7 @@ class TestDecoderForward:
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(8)
         net, dec = small_net(rng, q_id=3, q_res=1), small_decoder(rng)
-        head = ClassifierHead(np.zeros((3, 3)), np.zeros(3))
+        head = head_of(np.zeros((3, 3)), np.zeros(3))
         with pytest.raises(InvalidArgumentError):
             batch_loss(net, dec, head, small_batch(rng), 0.5)
 
@@ -392,27 +508,27 @@ class TestLosses:
     # bias; a 1-row batch makes the batch means the per-sample losses.
 
     def test_reconstruction_loss_zero_on_identical(self):
-        net = EncoderNet((Layer(np.zeros((4, 6)), np.zeros(4), "tanh"),), 2, 2)
-        dec = DecoderNet(np.zeros((12, 2)), np.arange(12.0), np.zeros((12, 2)),
+        net = encoder_of(((np.zeros((4, 6)), np.zeros(4), "tanh"),), 2, 2)
+        dec = decoder_of(np.zeros((12, 2)), np.arange(12.0), np.zeros((12, 2)),
                          np.zeros(12))
-        head = ClassifierHead(np.zeros((2, 2)), np.zeros(2))
+        head = head_of(np.zeros((2, 2)), np.zeros(2))
         batch = one_sample_batch(6, 0, np.arange(12.0))
         assert batch_loss(net, dec, head, batch, 1.0).recon == 0.0
 
     def test_reconstruction_loss_unit_offset(self):
-        net = EncoderNet((Layer(np.zeros((4, 6)), np.zeros(4), "tanh"),), 2, 2)
-        dec = DecoderNet(np.zeros((12, 2)), np.arange(12.0) + 1.0,
+        net = encoder_of(((np.zeros((4, 6)), np.zeros(4), "tanh"),), 2, 2)
+        dec = decoder_of(np.zeros((12, 2)), np.arange(12.0) + 1.0,
                          np.zeros((12, 2)), np.zeros(12))
-        head = ClassifierHead(np.zeros((2, 2)), np.zeros(2))
+        head = head_of(np.zeros((2, 2)), np.zeros(2))
         batch = one_sample_batch(6, 0, np.arange(12.0))
         assert batch_loss(net, dec, head, batch, 1.0).recon == 1.0
 
     def test_reconstruction_loss_matches_loop(self):
         rng = np.random.default_rng(9)
-        net = EncoderNet((Layer(np.zeros((4, 6)), np.zeros(4), "tanh"),), 2, 2)
+        net = encoder_of(((np.zeros((4, 6)), np.zeros(4), "tanh"),), 2, 2)
         a, b = rng.normal(size=12), rng.normal(size=12)
-        dec = DecoderNet(np.zeros((12, 2)), a, np.zeros((12, 2)), np.zeros(12))
-        head = ClassifierHead(np.zeros((2, 2)), np.zeros(2))
+        dec = decoder_of(np.zeros((12, 2)), a, np.zeros((12, 2)), np.zeros(12))
+        head = head_of(np.zeros((2, 2)), np.zeros(2))
         expected = sum((x - y) ** 2 for x, y in zip(a, b)) / 12
         report = batch_loss(net, dec, head, one_sample_batch(6, 0, b), 1.0)
         assert abs(report.recon - expected) < 1e-12
@@ -420,27 +536,27 @@ class TestLosses:
     def test_reconstruction_loss_length_mismatch(self):
         rng = np.random.default_rng(9)
         net, dec = small_net(rng), small_decoder(rng)
-        head = ClassifierHead(np.zeros((3, 2)), np.zeros(3))
+        head = head_of(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(InvalidArgumentError):
             batch_loss(net, dec, head, small_batch(rng, out_dim=12), 0.5)
 
     def test_identification_loss_uniform_head(self):
-        net = EncoderNet((Layer(np.zeros((4, 6)), np.zeros(4), "tanh"),), 2, 2)
-        dec = DecoderNet(np.zeros((12, 2)), np.zeros(12), np.zeros((12, 2)),
+        net = encoder_of(((np.zeros((4, 6)), np.zeros(4), "tanh"),), 2, 2)
+        dec = decoder_of(np.zeros((12, 2)), np.zeros(12), np.zeros((12, 2)),
                          np.zeros(12))
-        head = ClassifierHead(np.zeros((7, 2)), np.zeros(7))
+        head = head_of(np.zeros((7, 2)), np.zeros(7))
         report = batch_loss(net, dec, head, one_sample_batch(6, 2, np.zeros(12)),
                             0.5)
         assert abs(report.ident - np.log(7.0)) < 1e-12
 
     def test_identification_loss_decreases_with_margin(self):
         # a linear encoder whose bias is the identity code
-        dec = DecoderNet(np.zeros((12, 3)), np.zeros(12), np.zeros((12, 1)),
+        dec = decoder_of(np.zeros((12, 3)), np.zeros(12), np.zeros((12, 1)),
                          np.zeros(12))
-        head = ClassifierHead(np.vstack([np.eye(3), -np.eye(3)]), np.zeros(6))
+        head = head_of(np.vstack([np.eye(3), -np.eye(3)]), np.zeros(6))
         losses = []
         for t in (0.0, 0.25, 0.5, 0.9):
-            net = EncoderNet((Layer(np.zeros((4, 6)), np.array([t, 0.0, 0.0, 0.0]),
+            net = encoder_of(((np.zeros((4, 6)), np.array([t, 0.0, 0.0, 0.0]),
                                     "linear"),), 3, 1)
             batch = one_sample_batch(6, 0, np.zeros(12))
             losses.append(batch_loss(net, dec, head, batch, 0.5).ident)
@@ -449,11 +565,11 @@ class TestLosses:
     def test_identification_loss_matches_softmax_oracle(self):
         rng = np.random.default_rng(10)
         code = rng.uniform(-0.9, 0.9, size=3)
-        net = EncoderNet((Layer(np.zeros((4, 6)), np.append(code, 0.0),
+        net = encoder_of(((np.zeros((4, 6)), np.append(code, 0.0),
                                 "linear"),), 3, 1)
-        dec = DecoderNet(np.zeros((12, 3)), np.zeros(12), np.zeros((12, 1)),
+        dec = decoder_of(np.zeros((12, 3)), np.zeros(12), np.zeros((12, 1)),
                          np.zeros(12))
-        head = ClassifierHead(rng.normal(size=(5, 3)), rng.normal(size=5))
+        head = head_of(rng.normal(size=(5, 3)), rng.normal(size=5))
         logits = head.weight @ code + head.bias
         probs = np.exp(logits) / np.exp(logits).sum()
         report = batch_loss(net, dec, head, one_sample_batch(6, 3, np.zeros(12)),
@@ -463,20 +579,30 @@ class TestLosses:
     def test_identification_loss_validation(self):
         rng = np.random.default_rng(11)
         net, dec = small_net(rng), small_decoder(rng)
-        head = ClassifierHead(np.zeros((4, 2)), np.zeros(4))
+        head = head_of(np.zeros((4, 2)), np.zeros(4))
         batch = TrainingBatch(np.zeros((1, 6)), np.array([4]), np.zeros((1, 9)))
         with pytest.raises(InvalidArgumentError):
             batch_loss(net, dec, head, batch, 0.5)
         with pytest.raises(InvalidArgumentError):
-            batch_loss(net, dec, ClassifierHead(np.zeros((4, 3)), np.zeros(4)),
+            batch_loss(net, dec, head_of(np.zeros((4, 3)), np.zeros(4)),
                        small_batch(rng), 0.5)
 
     def test_joint_loss_weighting(self):
-        report = joint_loss(2.0, 1.0, 0.5)
+        report = LossReport(2.0, 2.0, 1.0, 0.0, 0.5)
         assert report.total == 2.0
         assert report.recon == 2.0 and report.ident == 1.0
-        assert joint_loss(3.0, 0.25, 0.0).total == 0.25
-        assert joint_loss(3.0, 0.25, 1.0).total == 3.25
+        # a zero encoder and a uniform 4-class head: recon is the squared
+        # decoder bias offset, 3.0, and ident is log 4
+        net = encoder_of(((np.zeros((4, 6)), np.zeros(4), "tanh"),), 2, 2)
+        dec = decoder_of(np.zeros((12, 2)), np.full(12, np.sqrt(3.0)),
+                         np.zeros((12, 2)), np.zeros(12))
+        head = head_of(np.zeros((4, 2)), np.zeros(4))
+        batch = one_sample_batch(6, 0, np.zeros(12))
+        for lambda_r in (0.0, 0.5, 1.0):
+            got = batch_loss(net, dec, head, batch, lambda_r)
+            assert got.lambda_r == lambda_r and got.ident == np.log(4.0)
+            assert abs(got.recon - 3.0) < 1e-15
+            assert got.total == lambda_r * got.recon + got.ident
 
     def test_loss_report_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -491,7 +617,7 @@ class TestLosses:
         rng = np.random.default_rng(11)
         net = small_net(rng)
         dec = small_decoder(rng)
-        head = ClassifierHead(rng.normal(size=(3, 2)), rng.normal(size=3))
+        head = head_of(rng.normal(size=(3, 2)), rng.normal(size=3))
         batch = small_batch(rng, size=1)
 
         report = batch_loss(net, dec, head, batch, lambda_r=0.7)
@@ -513,7 +639,7 @@ class TestBackward:
     def test_zero_lambda_keeps_decoder_still(self):
         rng = np.random.default_rng(12)
         net, dec = small_net(rng), small_decoder(rng)
-        head = ClassifierHead(rng.normal(size=(3, 2)), rng.normal(size=3))
+        head = head_of(rng.normal(size=(3, 2)), rng.normal(size=3))
         batch = small_batch(rng)
         grads, _ = backward(net, dec, head, batch, lambda_r=0.0)
         for key in ("dec.weight_id", "dec.bias_id", "dec.weight_res", "dec.bias_res"):
@@ -522,7 +648,7 @@ class TestBackward:
     def test_duplicated_batch_preserves_gradients(self):
         rng = np.random.default_rng(13)
         net, dec = small_net(rng), small_decoder(rng)
-        head = ClassifierHead(rng.normal(size=(3, 2)), rng.normal(size=3))
+        head = head_of(rng.normal(size=(3, 2)), rng.normal(size=3))
         batch = small_batch(rng)
         doubled = TrainingBatch(np.vstack([batch.images, batch.images]),
                                 np.concatenate([batch.labels, batch.labels]),
@@ -535,7 +661,7 @@ class TestBackward:
     def test_report_matches_batch_loss(self):
         rng = np.random.default_rng(14)
         net, dec = small_net(rng), small_decoder(rng)
-        head = ClassifierHead(rng.normal(size=(3, 2)), rng.normal(size=3))
+        head = head_of(rng.normal(size=(3, 2)), rng.normal(size=3))
         batch = small_batch(rng)
         _, report = backward(net, dec, head, batch, 0.5)
         direct = batch_loss(net, dec, head, batch, 0.5)
@@ -545,7 +671,7 @@ class TestBackward:
     def test_non_finite_loss_raises(self):
         rng = np.random.default_rng(15)
         net, dec = small_net(rng), small_decoder(rng)
-        head = ClassifierHead(rng.normal(size=(3, 2)), rng.normal(size=3))
+        head = head_of(rng.normal(size=(3, 2)), rng.normal(size=3))
         batch = TrainingBatch(rng.uniform(-1, 1, size=(2, 6)),
                               np.array([0, 1]),
                               np.full((2, 9), 1e200))
@@ -555,7 +681,7 @@ class TestBackward:
     def test_label_out_of_range_rejected(self):
         rng = np.random.default_rng(16)
         net, dec = small_net(rng), small_decoder(rng)
-        head = ClassifierHead(rng.normal(size=(3, 2)), rng.normal(size=3))
+        head = head_of(rng.normal(size=(3, 2)), rng.normal(size=3))
         batch = TrainingBatch(rng.uniform(-1, 1, size=(2, 6)),
                               np.array([0, 3]), np.zeros((2, 9)))
         with pytest.raises(InvalidArgumentError):
@@ -568,14 +694,14 @@ class TestBackward:
         # dict, and write nothing else
         rng = np.random.default_rng(24)
         net, dec = small_net(rng), small_decoder(rng)
-        head = ClassifierHead(rng.normal(size=(3, 2)), rng.normal(size=3))
+        head = head_of(rng.normal(size=(3, 2)), rng.normal(size=3))
         batch = small_batch(rng)
         parts = (net, dec, head)
         if order == "F":
             parts = fortran_ordered(*parts)
-            assert not parts[1].weight_id.flags.c_contiguous
+            assert parts[1].weight_id.flags.c_contiguous
         want, want_report = backward(*parts, batch, 0.5)
-        table = network._param_table(*parts)
+        table = [item for part in parts for item in part.params.items()]
         buffer = np.full(sum(a.size + 1 for _, a in table) + 1, np.nan)
         out, guards = {}, [0]
         for key, array in table:
@@ -599,7 +725,7 @@ class TestOptimizerStep:
     def test_zero_gradient_leaves_params(self):
         flat = network._FlatParams([("w", np.array([1.0, -2.0, 3.0]))])
         flat_step(flat, {"w": np.zeros(3)}, TrainConfig())
-        assert np.array_equal(flat.views["w"], [1.0, -2.0, 3.0])
+        assert np.array_equal(flat_values(flat)["w"], [1.0, -2.0, 3.0])
 
     def test_first_step_closed_form(self):
         config = TrainConfig(learning_rate=0.01)
@@ -608,7 +734,7 @@ class TestOptimizerStep:
         flat = network._FlatParams([("w", w)])
         flat_step(flat, {"w": g}, config)
         expected = w - config.learning_rate * g / (np.abs(g) + config.epsilon)
-        assert np.max(np.abs(flat.views["w"] - expected)) < 1e-15
+        assert np.max(np.abs(flat_values(flat)["w"] - expected)) < 1e-15
         assert np.array_equal(flat.m, (1.0 - config.beta1) * g)
         assert np.array_equal(flat.v, (1.0 - config.beta2) * g * g)
 
@@ -631,7 +757,7 @@ class TestOptimizerStep:
                 reference[k] -= config.learning_rate * m_hat / (np.sqrt(v_hat)
                                                                 + config.epsilon)
         for k in reference:
-            assert np.max(np.abs(flat.views[k] - reference[k])) < 1e-15
+            assert np.max(np.abs(flat_values(flat)[k] - reference[k])) < 1e-15
 
     def test_input_state_not_mutated(self):
         # the buffer copies its inputs, and a step writes neither the
@@ -642,7 +768,6 @@ class TestOptimizerStep:
         assert np.array_equal(w, np.ones(2)) and np.array_equal(g, np.ones(2))
         assert np.array_equal(flat.grads["w"], g)
         assert not np.shares_memory(flat.data, w)
-        assert not flat.views["w"].flags.writeable
 
     def test_step_count_validated(self):
         # bias correction counts steps from 1, as the oracle requires
@@ -655,7 +780,7 @@ class TestOptimizerStep:
         assert flat.t == 1
         want, _ = optimizer_step({"w": np.array([0.5, -1.5])}, g, AdamState(),
                                  TrainConfig(), 1)
-        assert same_bits(flat.views["w"], want["w"])
+        assert same_bits(flat_values(flat)["w"], want["w"])
 
     def test_blocks_span_array_boundaries(self):
         # arrays larger than a block and blocks straddling two arrays
@@ -673,7 +798,7 @@ class TestOptimizerStep:
             params, state = optimizer_step(params, grads, state, config, t)
             params = decay_oracle(params, config)
         for key, value in params.items():
-            assert same_bits(flat.views[key], value)
+            assert same_bits(flat_values(flat)[key], value)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -704,7 +829,7 @@ class TestOptimizerStep:
             if decay:
                 params = decay_oracle(params, config)
         for key in names:
-            assert same_bits(flat.views[key], params[key])
+            assert same_bits(flat_values(flat)[key], params[key])
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -738,7 +863,7 @@ class TestFiniteDiffCheck:
         rng = np.random.default_rng(18)
         net = small_net(rng, activation="linear")
         dec = small_decoder(rng)
-        head = ClassifierHead(rng.normal(size=(3, 2)) * 0.3, np.zeros(3))
+        head = head_of(rng.normal(size=(3, 2)) * 0.3, np.zeros(3))
         batch = small_batch(rng)
         assert finite_diff_check(net, dec, head, batch, step=1e-4,
                                  n_coords=120) < 1e-8
@@ -756,7 +881,7 @@ class TestFiniteDiffCheck:
     def test_deterministic(self):
         rng = np.random.default_rng(20)
         net, dec = small_net(rng), small_decoder(rng)
-        head = ClassifierHead(rng.normal(size=(3, 2)), np.zeros(3))
+        head = head_of(rng.normal(size=(3, 2)), np.zeros(3))
         batch = small_batch(rng)
         assert (finite_diff_check(net, dec, head, batch)
                 == finite_diff_check(net, dec, head, batch))
@@ -847,9 +972,10 @@ class TestTrainPhase1:
         enc_a, hist_a = train_phase1(net, default_dataset, config)
         enc_b, hist_b = train_phase1(net, default_dataset, config)
         assert hist_a == hist_b
-        for la, lb in zip(enc_a.layers, enc_b.layers):
-            assert np.array_equal(la.weight, lb.weight)
-            assert np.array_equal(la.bias, lb.bias)
+        for (weight_a, bias_a, _), (weight_b, bias_b, _) in zip(enc_a.layers,
+                                                                enc_b.layers):
+            assert np.array_equal(weight_a, weight_b)
+            assert np.array_equal(bias_a, bias_b)
 
     def test_single_subject_memorization(self, tiny_single_subject):
         net = init_encoder(256, 6, 4, hidden=(32,), seed=0)
@@ -954,7 +1080,7 @@ class TestTrainPhase3:
                              stages=((0.5, 2),))
         assert np.array_equal(run_a[2].weight, run_b[2].weight)
         assert np.array_equal(run_a[1].weight_id, run_b[1].weight_id)
-        assert np.array_equal(run_a[0].layers[0].weight, run_b[0].layers[0].weight)
+        assert np.array_equal(run_a[0].layers[0][0], run_b[0].layers[0][0])
 
     def test_numerical_failure_carries_last_good(self, quick_phase1,
                                                  default_dataset):
@@ -998,9 +1124,8 @@ SHORT_STAGES = ((0.5, 1), (1.0, 1))
 class TestTrainingLoopOracle:
     """The flat-buffer trainers against the per-step re-assembled dict loops.
 
-    Each trainer copies its inputs into a C-ordered buffer before the first
-    step, so Fortran-ordered arrays handed in unchecked (past the C-order
-    copies of the constructors) must give the bits of the C-ordered run.
+    A network built from Fortran-ordered arrays holds them in its C-ordered
+    vector, so training it must give the bits of the C-ordered run.
     """
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -1008,11 +1133,8 @@ class TestTrainingLoopOracle:
         net = init_encoder(1024, 20, 8, hidden=(32,), seed=4)
         given = net
         if order == "F":
-            given = network._build(EncoderNet, False, q_id=20, q_res=8, layers=tuple(
-                network._build(Layer, False, weight=np.asfortranarray(layer.weight),
-                               bias=layer.bias, activation=layer.activation)
-                for layer in net.layers))
-            assert not given.layers[0].weight.flags.c_contiguous
+            (given,) = fortran_ordered(net)
+            assert given.layers[0][0].flags.c_contiguous
         config = TrainConfig(epochs=2, seed=11)
         encoder, history = train_phase1(given, default_dataset, config)
         want_encoder, want_history = phase1_oracle(net, default_dataset, config)
@@ -1029,11 +1151,7 @@ class TestTrainingLoopOracle:
         assert dec.weight_id.flags.c_contiguous
         given = dec
         if not contiguous:
-            given = network._build(DecoderNet, False,
-                                   weight_id=np.asfortranarray(dec.weight_id),
-                                   bias_id=dec.bias_id,
-                                   weight_res=np.asfortranarray(dec.weight_res),
-                                   bias_res=dec.bias_res)
+            (given,) = fortran_ordered(dec)
         config = TrainConfig(learning_rate=2e-4, seed=0)
         got = train_phase3(encoder, given, head, default_dataset, config,
                            stages=SHORT_STAGES)
@@ -1045,41 +1163,57 @@ class TestTrainingLoopOracle:
 
 
 class TestTrainedNetworksOwnTheirMemory:
-    def check_owned(self, arrays: list, others: list) -> None:
-        for i, a in enumerate(arrays):
-            assert a.flags.owndata and not a.flags.writeable
-            for b in arrays[i + 1:] + others:
-                assert not np.shares_memory(a, b)
+    """Each returned network is one read-only vector that no trainer, other
+    run or input shares, and that later training leaves alone."""
 
-    def test_phase1(self, default_dataset):
+    @pytest.fixture
+    def buffers(self, monkeypatch):
+        """The parameter vector of every trainer made while the test runs."""
+        made, real_init = [], network._FlatParams.__init__
+
+        def recording_init(self, table):
+            real_init(self, table)
+            made.append(self.data)
+
+        monkeypatch.setattr(network._FlatParams, "__init__", recording_init)
+        return made
+
+    def check_owned(self, nets: list, others: list, buffers: list) -> None:
+        for i, net in enumerate(nets):
+            assert not net.vector.flags.writeable
+            assert all(np.shares_memory(a, net.vector) and not a.flags.writeable
+                       for a in net.params.values())
+            for other in nets[i + 1:] + others:
+                assert not np.shares_memory(net.vector, other.vector)
+            assert not any(np.shares_memory(net.vector, b) for b in buffers)
+
+    def test_phase1(self, default_dataset, buffers):
         net = init_encoder(1024, 20, 8, hidden=(16,), seed=2)
         config = TrainConfig(epochs=1, seed=3)
         encoder, _ = train_phase1(net, default_dataset, config)
-        first = network_arrays(encoder)
-        saved = [a.copy() for a in first]
+        saved = encoder.vector.copy()
         further, _ = train_phase1(encoder, default_dataset, config)
         second, _ = train_phase1(net, default_dataset, config)
-        self.check_owned(first, network_arrays(second) + network_arrays(further)
-                         + network_arrays(net))
-        assert all(same_bits(a, b) for a, b in zip(first, saved))
+        assert len(buffers) == 3
+        self.check_owned([encoder], [second, further, net], buffers)
+        assert same_bits(encoder.vector, saved)
 
-    def test_phase3(self, phase3_inputs, default_dataset):
+    def test_phase3(self, phase3_inputs, default_dataset, buffers):
         config = TrainConfig(learning_rate=2e-4, seed=0)
         run = train_phase3(*phase3_inputs, default_dataset, config,
                            stages=((0.5, 1),))
-        first = network_arrays(*run[:3])
-        saved = [a.copy() for a in first]
+        saved = [part.vector.copy() for part in run[:3]]
         further = train_phase3(*run[:3], default_dataset, config,
                                stages=((0.5, 1),))
         second = train_phase3(*phase3_inputs, default_dataset, config,
                               stages=((0.5, 1),))
-        self.check_owned(first, network_arrays(*second[:3])
-                         + network_arrays(*further[:3])
-                         + network_arrays(*phase3_inputs))
-        assert all(same_bits(a, b) for a, b in zip(first, saved))
+        assert len(buffers) == 3
+        self.check_owned(list(run[:3]), [*second[:3], *further[:3], *phase3_inputs],
+                         buffers)
+        assert all(same_bits(part.vector, v) for part, v in zip(run[:3], saved))
 
     def test_last_good_after_a_failure(self, phase3_inputs, default_dataset,
-                                       monkeypatch):
+                                       monkeypatch, buffers):
         # fail on the second step of the second epoch: last_good must hold
         # the first epoch's state, untouched by the steps taken since
         config = TrainConfig(learning_rate=2e-4, seed=0)
@@ -1101,10 +1235,9 @@ class TestTrainedNetworksOwnTheirMemory:
                          stages=((0.5, 3),))
         last_good = exc_info.value.last_good
         assert last_good[3] == one_epoch[3]
-        arrays = network_arrays(*last_good[:3])
-        self.check_owned(arrays, network_arrays(*one_epoch[:3])
-                         + network_arrays(*phase3_inputs))
-        for a, b in zip(arrays, network_arrays(*one_epoch[:3])):
+        self.check_owned(list(last_good[:3]), [*one_epoch[:3], *phase3_inputs],
+                         buffers)
+        for a, b in zip(network_arrays(*last_good[:3]), network_arrays(*one_epoch[:3])):
             assert same_bits(a, b)
 
 
@@ -1158,3 +1291,33 @@ class TestPhase3FailureContext:
             for a, b in zip(network_arrays(*last_good[:3]),
                             network_arrays(*finished[:3])):
                 assert same_bits(a, b)
+
+
+class TestPhase1FailureContext:
+    """A non-finite parameter forced in after a chosen step fails the next
+    step or the epoch's end with the epoch and the step named."""
+
+    @pytest.mark.parametrize("batch_size, poisoned_step, where, error", [
+        (64, 0, "epoch 0, step 1", "encoder activations became non-finite"),
+        (64, 1, "epoch 0, end of epoch", "parameters became non-finite"),
+        (64, 3, "epoch 1, end of epoch", "parameters became non-finite"),
+        (256, 0, "epoch 0, end of epoch", "parameters became non-finite"),
+    ])
+    def test_error_names_epoch_and_step(self, default_dataset, monkeypatch,
+                                        batch_size, poisoned_step, where, error):
+        assert -(-len(default_dataset.train_indices) // 64) == 2  # the cases count on it
+        net = init_encoder(1024, 20, 8, hidden=(16,), seed=2)
+        config = TrainConfig(batch_size=batch_size, epochs=2, seed=3)
+        real_step = network._FlatParams.step
+        taken = []
+
+        def poisoning_step(self, *args, **kwargs):
+            real_step(self, *args, **kwargs)
+            taken.append(None)
+            if len(taken) == poisoned_step + 1:
+                self.data[0] = np.nan
+
+        monkeypatch.setattr(network._FlatParams, "step", poisoning_step)
+        with pytest.raises(NumericalFailureError,
+                           match=f"^phase I {where}: {error}$"):
+            train_phase1(net, default_dataset, config)
