@@ -26,6 +26,18 @@ MIN_POINTS = 4
 
 
 def _readonly(values, dtype=np.float64) -> np.ndarray:
+    """`values` as a read-only, C-ordered, aligned `dtype` array. A read-only
+    view whose memory is an immutable `bytes` object, as a loaded
+    container's arrays are, comes back as it is: no alias of it can be
+    written. Anything else is copied."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.flags.c_contiguous and values.flags.aligned
+            and not values.flags.writeable):
+        base = values.base
+        while isinstance(base, np.ndarray):
+            base = base.base
+        if isinstance(base, bytes):
+            return values
     out = np.array(values, dtype=dtype, order="C", copy=True)
     out.setflags(write=False)
     return out

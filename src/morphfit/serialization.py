@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import tempfile
@@ -145,15 +146,22 @@ def _pack(meta: dict, arrays: dict[str, np.ndarray]) -> list:
     return [MAGIC, struct.pack("<Q", len(blob)), blob, *payload]
 
 
-def _unpack(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    if len(data) < len(MAGIC) + 8 or data[:len(MAGIC)] != MAGIC:
-        raise CorruptionError("bad magic; not a container file")
-    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+def _unpack(handle) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and arrays of the container open for binary reading as
+    `handle`. Every declared array size is checked against the file's size
+    before any payload is read, so a corrupt shape allocates nothing; each
+    array is then a read-only view of its own immutable `bytes`, aligned
+    for BLAS and copied by no consumer."""
+    size = os.fstat(handle.fileno()).st_size
     start = len(MAGIC) + 8
-    if len(data) < start + header_len:
+    prefix = handle.read(start)
+    if len(prefix) < start or prefix[:len(MAGIC)] != MAGIC:
+        raise CorruptionError("bad magic; not a container file")
+    (header_len,) = struct.unpack_from("<Q", prefix, len(MAGIC))
+    if size < start + header_len:
         raise CorruptionError("truncated header")
     try:
-        header = json.loads(data[start:start + header_len].decode("utf-8"))
+        header = json.loads(handle.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptionError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict) or not isinstance(header.get("arrays", []), list):
@@ -162,7 +170,7 @@ def _unpack(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     if version != FORMAT_VERSION or isinstance(version, bool):  # True == 1
         raise VersionMismatchError(
             f"container format version {version}, expected {FORMAT_VERSION}")
-    arrays = {}
+    layout = []
     offset = start + header_len
     for entry in header.get("arrays", []):
         try:
@@ -170,23 +178,22 @@ def _unpack(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
             shape = tuple(int(s) for s in entry["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptionError(f"malformed array entry: {entry}") from exc
+        if any(s < 0 for s in shape):
+            raise CorruptionError(f"malformed array entry: {entry}")
         if kind not in _DTYPES:
             raise CorruptionError(f"unknown dtype tag '{kind}'")
         expected = "i8" if name in _INT_ARRAYS else "f8"
         _invariant(kind == expected,
                    f"{name}: dtype tag '{kind}', expected '{expected}'")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(data):
+        nbytes = 8 * math.prod(shape)
+        if offset + nbytes > size:
             raise CorruptionError(f"truncated payload for array '{name}'")
-        # a read-only view of `data`; every consumer makes its own copy
-        arrays[name] = np.frombuffer(
-            data, dtype=_DTYPES[kind], count=count, offset=offset,
-        ).reshape(shape)
+        layout.append((name, _DTYPES[kind], shape, nbytes))
         offset += nbytes
-    if offset != len(data):
-        raise CorruptionError(f"{len(data) - offset} trailing bytes")
-    return header, arrays
+    if offset != size:
+        raise CorruptionError(f"{size - offset} trailing bytes")
+    return header, {name: np.frombuffer(handle.read(nbytes), dtype=dtype).reshape(shape)
+                    for name, dtype, shape, nbytes in layout}
 
 
 def _invariant(cond: bool, message: str) -> None:
@@ -231,7 +238,7 @@ def save_checkpoint(encoder: EncoderNet, decoder: DecoderNet,
 def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
                                         ClassifierHead, RunConfig]:
     with open(path, "rb") as handle:
-        header, arrays = _unpack(handle.read())
+        header, arrays = _unpack(handle)
     if header.get("kind") != "checkpoint":
         raise CorruptionError(f"container kind '{header.get('kind')}' "
                               "is not a checkpoint")
@@ -308,7 +315,7 @@ def _load_spec(stored: dict) -> DatasetSpec:
 
 def load_dataset(path: str) -> Dataset:
     with open(path, "rb") as handle:
-        header, arrays = _unpack(handle.read())
+        header, arrays = _unpack(handle)
     if header.get("kind") != "dataset":
         raise CorruptionError(f"container kind '{header.get('kind')}' "
                               "is not a dataset")

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, require
-from .geometry import (ROTATION_TOL, MorphableModel, _rotation_errors, coord_rows,
-                       rotation_zyx)
+from .geometry import (ROTATION_TOL, MorphableModel, _readonly, _rotation_errors,
+                       coord_rows, rotation_zyx)
 
 # Landmark subset size, fixed across all synthetic models.
 N_LANDMARKS = 68
@@ -139,9 +139,8 @@ class Dataset:
         for name, tail in zip(COLUMNS, ((), (model.k_id,), (model.k_exp,), (),
                                         (3, 3), (3,), (2 * model.n_landmarks,),
                                         (r, r))):
-            column = np.array(getattr(self, name), order="C", copy=True,
-                              dtype=np.int64 if name == "labels" else np.float64)
-            column.setflags(write=False)
+            column = _readonly(getattr(self, name),
+                               np.int64 if name == "labels" else np.float64)
             object.__setattr__(self, name, column)
             require(column.shape == (n, *tail),
                     f"{name} must be {(n, *tail)}, got {column.shape}")

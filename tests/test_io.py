@@ -29,7 +29,9 @@ from morphfit.serialization import (DISENTANGLING_COLUMNS, FORMAT_VERSION,
                                     load_checkpoint, load_dataset,
                                     save_checkpoint, save_dataset, write_obj,
                                     write_report_csv, write_table_csv)
-from morphfit.synthetic import COLUMNS, DatasetSpec, PoseRanges, build_dataset
+from morphfit.geometry import MorphableModel
+from morphfit.synthetic import (COLUMNS, Dataset, DatasetSpec, PoseRanges,
+                               build_dataset)
 
 from oracles import read_obj
 
@@ -773,16 +775,28 @@ class TestArrayDtypeTags:
                                      "dtype tag 'i8', expected 'f8'"])
 
 
+def bytes_backed(array: np.ndarray) -> bool:
+    """Whether the chain of bases under `array` ends in a `bytes` object."""
+    base = array.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, bytes)
+
+
 class TestOneCopyPerLoad:
+    """A load copies each payload once, from the file into its own `bytes`;
+    the loaded dataset and model keep read-only views of those."""
+
     def test_unpack_returns_read_only_views(self, tiny_dataset, tmp_path):
         path = tmp_path / "data.mfd"
         save_dataset(tiny_dataset, str(path))
-        _, arrays = _unpack(path.read_bytes())
+        with open(path, "rb") as handle:
+            _, arrays = _unpack(handle)
         for name, array in arrays.items():
             assert not array.flags.owndata and not array.flags.writeable, name
+            assert type(array.base.base) is bytes, name
 
-    def test_loaded_arrays_own_read_only_memory(self, tiny_dataset, stack,
-                                                tmp_path):
+    def test_loaded_arrays_view_immutable_bytes(self, tiny_dataset, stack, tmp_path):
         save_dataset(tiny_dataset, str(tmp_path / "data.mfd"))
         save_checkpoint(*stack, str(tmp_path / "model.ckpt"))
         dataset = load_dataset(str(tmp_path / "data.mfd"))
@@ -790,15 +804,79 @@ class TestOneCopyPerLoad:
         model = dataset.model
         arrays = {name: getattr(dataset, name) for name in COLUMNS}
         arrays.update({f"model.{name}": getattr(model, name) for name in (
-            "basis_id", "basis_exp", "sigma_id", "sigma_exp", "landmark_indices")})
-        arrays["model.mean"] = model.mean
+            "mean", "basis_id", "basis_exp", "sigma_id", "sigma_exp",
+            "landmark_indices")})
         for name, array in arrays.items():
-            assert array.flags.owndata and not array.flags.writeable, name
+            flags = array.flags
+            assert not flags.writeable and flags.aligned and flags.c_contiguous, name
+            assert bytes_backed(array), name
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
         # each network owns one read-only vector, and its weights view it
         for net in (encoder, decoder, head):
             assert net.vector.flags.owndata and not net.vector.flags.writeable
             for name, array in net.params.items():
                 assert array.base is net.vector and not array.flags.writeable, name
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_arrays_with_a_writable_alias_are_copied(self, tiny_dataset,
+                                                     read_only_view):
+        model = tiny_dataset.model
+        sources = {name: np.array(getattr(tiny_dataset, name)) for name in COLUMNS}
+        model_sources = {name: np.array(getattr(model, name)) for name in (
+            "mean", "basis_id", "basis_exp", "sigma_id", "sigma_exp",
+            "landmark_indices")}
+
+        def given(array):
+            if not read_only_view:
+                return array
+            view = array.view()
+            view.setflags(write=False)
+            return view
+
+        rebuilt_model = MorphableModel(
+            nose_tip_index=model.nose_tip_index,
+            **{name: given(a) for name, a in model_sources.items()})
+        rebuilt = Dataset(model=rebuilt_model, spec=tiny_dataset.spec,
+                          train_indices=tiny_dataset.train_indices,
+                          val_indices=tiny_dataset.val_indices,
+                          test_indices=tiny_dataset.test_indices,
+                          **{name: given(a) for name, a in sources.items()})
+        for name, source in [*sources.items(), *model_sources.items()]:
+            kept = (getattr(rebuilt_model, name) if name in model_sources
+                    else getattr(rebuilt, name))
+            before = kept.copy()
+            source += 1
+            assert np.array_equal(kept, before), name
+            assert not np.shares_memory(kept, source), name
+
+    def test_load_then_save_is_byte_identical(self, tiny_dataset, tmp_path):
+        first, second = tmp_path / "first.mfd", tmp_path / "second.mfd"
+        save_dataset(tiny_dataset, str(first))
+        save_dataset(load_dataset(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("shape, message", [
+        ([2 ** 40, 2 ** 40], "truncated payload for array 'labels'"),
+        ([-1, 6], "malformed array entry"),
+    ])
+    def test_corrupt_shape_fails_before_reading(self, tiny_dataset, tmp_path,
+                                                shape, message):
+        path = tmp_path / "data.mfd"
+        save_dataset(tiny_dataset, str(path))
+
+        def edit(header):
+            next(e for e in header["arrays"] if e["name"] == "labels")["shape"] = shape
+        path.write_bytes(reencode(path.read_bytes(), edit))
+        with pytest.raises(CorruptionError, match=re.escape(message)):
+            load_dataset(str(path))
+
+    def test_trailing_bytes_are_counted(self, tiny_dataset, tmp_path):
+        path = tmp_path / "data.mfd"
+        save_dataset(tiny_dataset, str(path))
+        path.write_bytes(path.read_bytes() + b"\x00" * 24)
+        with pytest.raises(CorruptionError, match="^24 trailing bytes$"):
+            load_dataset(str(path))
 
 
 def header_paths(header: dict) -> list[tuple]:
