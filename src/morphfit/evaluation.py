@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require
-from .geometry import MorphableModel, crop_indices, procrustes_align_stack
+from .geometry import MorphableModel, _readonly, procrustes_align_stack
 from .synthetic import render_depths
 
 
@@ -28,8 +28,7 @@ class RocCurve:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64, copy=True)
-        pts.setflags(write=False)
+        pts = _readonly(self.points)
         object.__setattr__(self, "points", pts)
         require(pts.ndim == 2 and pts.shape[1] == 3,
                 f"curve points must be (n, 3), got {pts.shape}")
@@ -300,8 +299,8 @@ def evaluate_reconstruction(predicted: np.ndarray, ground_truth: np.ndarray,
     shape pair. Each prediction is similarity-aligned to its ground truth on
     the landmark subset, then both are cropped to the vertices within
     crop_radius of the ground-truth nose tip (correspondence preserved: the
-    crop set is chosen on the ground truth only). Degenerate alignments
-    propagate, naming the pair.
+    crop set is chosen on the ground truth only, boundary included).
+    Degenerate alignments propagate, naming the pair.
     """
     predicted = np.asarray(predicted, dtype=np.float64)
     ground_truth = np.asarray(ground_truth, dtype=np.float64)
@@ -312,9 +311,12 @@ def evaluate_reconstruction(predicted: np.ndarray, ground_truth: np.ndarray,
     require(bool(np.all(np.isfinite(ground_truth))), "ground-truth shapes must be finite")
     n_pairs = predicted.shape[0]
     pred_pts, truth_pts = (a.reshape(n_pairs, -1, 3) for a in (predicted, ground_truth))
-    indices = np.asarray(landmark_indices, dtype=np.int64).ravel()
-    require(bool(np.all((indices >= 0) & (indices < pred_pts.shape[1]))),
-            f"landmark indices must lie in [0, {pred_pts.shape[1]})")
+    indices, n = np.asarray(landmark_indices, dtype=np.int64).ravel(), pred_pts.shape[1]
+    require(bool(np.all((indices >= 0) & (indices < n))),
+            f"landmark indices must lie in [0, {n})")
+    require(0 <= nose_tip_index < n, f"nose_tip_index {nose_tip_index} out of range [0, {n})")
+    require(np.isfinite(crop_radius) and crop_radius >= 0.0,
+            f"crop_radius must be finite and non-negative, got {crop_radius}")
 
     scale, rotation, translation = procrustes_align_stack(pred_pts[:, indices],
                                                           truth_pts[:, indices])
@@ -323,16 +325,18 @@ def evaluate_reconstruction(predicted: np.ndarray, ground_truth: np.ndarray,
     bad = ~np.isfinite(aligned).all(axis=(1, 2))
     require(not bad.any(), f"aligned shape of pair {int(np.argmax(bad))} is not finite")
 
-    total_rmse = 0.0
-    total_dist = 0.0
-    for truth, moved in zip(truth_pts, aligned):
-        crop = crop_indices(truth, nose_tip_index, crop_radius)
-        diff = truth[crop] - moved[crop]
-        total_rmse += float(np.linalg.norm(diff)) / crop.size
-        total_dist += float(np.mean(np.linalg.norm(diff, axis=1)))
-    return ReconstructionReport(rmse_paper=total_rmse / n_pairs,
-                                mean_vertex_dist=total_dist / n_pairs,
-                                n_pairs=n_pairs, crop_radius=crop_radius)
+    # one (N, n) crop mask, then the squared residuals in place: no (N, n, 3) temporary
+    nose = truth_pts[:, nose_tip_index]
+    crop = np.sqrt(sum((truth_pts[..., c] - nose[:, c, None]) ** 2
+                       for c in range(3))) <= crop_radius
+    aligned -= truth_pts
+    aligned *= aligned
+    squared = aligned.sum(axis=2, where=crop[..., None])  # 0 outside the crop
+    size = np.count_nonzero(crop, axis=1)
+    return ReconstructionReport(
+        rmse_paper=float(np.sum(np.sqrt(squared.sum(axis=1)) / size)) / n_pairs,
+        mean_vertex_dist=float(np.sum(np.sqrt(squared).sum(axis=1) / size)) / n_pairs,
+        n_pairs=n_pairs, crop_radius=crop_radius)
 
 
 def _cosine_distance_matrix(codes: np.ndarray) -> np.ndarray:

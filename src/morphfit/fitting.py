@@ -79,6 +79,17 @@ class FitResult:
                 "iterations_used must match the trace length")
 
 
+def _lstsq_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions (m, k, c) of an (m, p, k) stack of
+    systems with (m, p, c) right-hand sides, through the SVD with the cutoff
+    of np.linalg.lstsq(rcond=None): singular values at or below eps * max(p, k)
+    times the largest count as zero, so rank-deficient systems agree too."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(a.shape[1:]) * s[:, :1]
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    return np.swapaxes(vt, 1, 2) @ (inverse[..., None] * (np.swapaxes(u, 1, 2) @ b))
+
+
 def _estimate_poses(points: np.ndarray, targets: np.ndarray) -> tuple:
     """Closed-form scaled-orthographic poses from (M, L, 3) points and their
     (M, L, 2) landmarks: (scale (M,), rotation (M, 3, 3), translation (M, 3)).
@@ -91,20 +102,15 @@ def _estimate_poses(points: np.ndarray, targets: np.ndarray) -> tuple:
     the translation so that u ~ f * P @ (R @ (p + t)) holds in the
     least-squares sense. The recovered t is the minimum-norm solution; its
     component along the viewing axis is unobservable under weak perspective.
-
-    The affine solve and the translation run per image, the rest stacked;
-    LAPACK factors each matrix of a stack on its own, so every pose equals
-    the one-image result bit for bit.
+    Every step runs on the whole stack.
     """
     sv = np.linalg.svd(points - points.mean(axis=1, keepdims=True), compute_uv=False)
     if np.any(sv[:, 1] <= 1e-9 * np.maximum(sv[:, 0], np.finfo(float).tiny)):
         raise DegenerateGeometryError("3D points are collinear or coincident")
 
     design = np.concatenate([points, np.ones((*points.shape[:2], 1))], axis=2)
-    linear = np.array([np.linalg.lstsq(a, u, rcond=None)[0][:3].T  # (2, 3) linear parts
-                       for a, u in zip(design, targets)])
-    scale = np.array([(float(np.linalg.norm(rows[0])) + float(np.linalg.norm(rows[1]))) / 2.0
-                      for rows in linear])
+    linear = np.swapaxes(_lstsq_stack(design, targets)[:, :3], 1, 2)  # (M, 2, 3)
+    scale = np.linalg.norm(linear, axis=2).sum(axis=1) / 2.0
     if np.any(scale <= 1e-12):
         raise DegenerateGeometryError("projected landmarks carry no scale")
     uu, _, vt = np.linalg.svd(linear, full_matrices=False)
@@ -113,7 +119,7 @@ def _estimate_poses(points: np.ndarray, targets: np.ndarray) -> tuple:
 
     proj = scale[:, None, None] * rotation[:, :2]
     residual_mean = (targets - points @ proj.transpose(0, 2, 1)).mean(axis=1)
-    translation = np.array([p @ m for p, m in zip(np.linalg.pinv(proj), residual_mean)])
+    translation = (np.linalg.pinv(proj) @ residual_mean[..., None])[..., 0]
     return scale, rotation, translation
 
 
@@ -132,56 +138,56 @@ def _check_poses(scale: np.ndarray, rotation: np.ndarray, translation: np.ndarra
             f"{translation[j].tolist()}")
 
 
-def _landmark_components(model: MorphableModel):
-    """Landmark-row slices of the mean and both bases, flat ((3L,), (3L, k))
-    and as vertex-major ((L, 3), (L, 3, k)) views of the same rows."""
+def _landmark_components(model: MorphableModel) -> tuple:
+    """Landmark rows of the mean (3L,) and bases (3L, k_id) and (3L, k_exp)."""
     rows = coord_rows(model.landmark_indices)
-    flat = (model.mean[rows], model.basis_id[rows], model.basis_exp[rows])
-    return flat, tuple(c.reshape(-1, 3, *c.shape[1:]) for c in flat)
+    return model.mean[rows], model.basis_id[rows], model.basis_exp[rows]
 
 
-def _landmark_points(flat, alpha_id: np.ndarray, alpha_exp: np.ndarray) -> np.ndarray:
-    """(L, 3) landmark points: the composed shape on the landmark rows only,
-    bit for bit wherever the BLAS computes each row of a product alike
-    (OpenBLAS does not for the last rows when their count is not a multiple
-    of 4)."""
+def _landmark_points(flat, alpha_id: np.ndarray, alpha_exps: np.ndarray) -> np.ndarray:
+    """(m, L, 3) landmark points of the shared identity with each of the
+    (m, k_exp) residual rows: the composed shapes on the landmark rows only,
+    from one product."""
     mean, basis_id, basis_exp = flat
-    points = (mean + basis_id @ alpha_id + basis_exp @ alpha_exp).reshape(-1, 3)
+    points = (mean + basis_id @ alpha_id) + alpha_exps @ basis_exp.T
     require(bool(np.all(np.isfinite(points))), "landmark points must be finite")
-    return points
+    return points.reshape(len(alpha_exps), -1, 3)
 
 
-def _solve_block(name: str, mean_u, fixed_basis, basis, sigma, per_image, reg):
-    """Least-squares coefficients of the vertex-major `basis` shared by all
-    images, each with its own (coefficients of `fixed_basis`, scale,
-    rotation, translation, (L, 2) landmarks) in the list `per_image`, damped
-    by reg * ||x / sigma||^2."""
-    k, equations = basis.shape[2], 2 * mean_u.shape[0] * len(per_image)
-    if reg == 0.0 and k > equations:
+def _solve_block(name: str, mean, fixed_basis, basis, sigma, coeffs, poses, targets,
+                 reg: float, shared: bool = False) -> np.ndarray:
+    """Least-squares coefficients of the flat (3L, k) `basis` for m images with
+    (m or 1, k_fixed) coefficients of `fixed_basis`, poses (scale, rotation,
+    translation) and (m, L, 2) landmarks, damped by reg * ||x / sigma||^2: an
+    (m, k) stack of per-image solutions, or if `shared` one (k,) for all."""
+    scale, rotation, translation = poses
+    m, k = len(targets), basis.shape[1]
+    proj = scale[:, None, None] * rotation[:, :2]  # (m, 2, 3)
+    fixed = (mean + coeffs @ fixed_basis.T).reshape(len(coeffs), -1, 3)
+    rhs = (targets - (fixed + translation[:, None]) @ np.swapaxes(proj, 1, 2)).reshape(m, -1)
+    # image j's rows (l, r) are proj_j[r] @ basis[3l:3l+3], from one product
+    system = proj.reshape(-1, 3) @ basis.reshape(-1, 3, k).transpose(1, 0, 2).reshape(3, -1)
+    system = system.reshape(m, 2, -1, k).transpose(0, 2, 1, 3).reshape(m, -1, k)
+    if shared:
+        system, rhs = system.reshape(1, -1, k), rhs.reshape(1, -1)
+    if reg == 0.0 and k > system.shape[1]:
         raise UnderdeterminedError(
-            f"{name}={k} exceeds the {equations} equations with no regularizer")
-    blocks, rhs_parts = [], []
-    for coeffs, scale, rotation, translation, target in per_image:
-        proj = scale * rotation[:2]
-        base = (mean_u + fixed_basis @ np.ravel(coeffs) + translation) @ proj.T
-        blocks.append(np.einsum("rc,lck->lrk", proj, basis).reshape(-1, k))
-        rhs_parts.append((target - base).ravel())
-    system = np.vstack(blocks)
-    rhs = np.concatenate(rhs_parts)
+            f"{name}={k} exceeds the {system.shape[1]} equations with no regularizer")
     if reg > 0.0:
-        system = np.vstack([system, np.sqrt(reg) * np.diag(1.0 / sigma)])
-        rhs = np.concatenate([rhs, np.zeros(k)])
-    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    return solution
+        damping = np.broadcast_to(np.sqrt(reg) * np.diag(1.0 / sigma), (len(system), k, k))
+        system = np.concatenate([system, damping], axis=1)
+        rhs = np.concatenate([rhs, np.zeros((len(rhs), k))], axis=1)
+    solution = _lstsq_stack(system, rhs[..., None])[..., 0]
+    return solution[0] if shared else solution
 
 
-def _image_data_term(points: np.ndarray, scale, rotation: np.ndarray,
-                     translation: np.ndarray, target: np.ndarray) -> float:
-    """Squared norm of the flat (2L,) `target` minus the weak-perspective
-    projection f * P @ (R @ (p + t)) of the (L, 3) points."""
-    rotated = (points + translation) @ rotation.T
-    diff = target - (scale * rotated[:, :2]).ravel()
-    return float(diff @ diff)
+def _data_terms(points: np.ndarray, poses: tuple, targets: np.ndarray) -> np.ndarray:
+    """(m,) squared norms of each image's (L, 2) landmarks minus the
+    weak-perspective projection f * P @ (R @ (p + t)) of its (L, 3) points."""
+    scale, rotation, translation = poses
+    projected = (points + translation[:, None]) @ np.swapaxes(rotation[:, :2], 1, 2)
+    diff = (targets - scale[:, None, None] * projected).reshape(len(points), -1)
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 def multi_image_fit(model: MorphableModel, landmarks: np.ndarray,
@@ -203,7 +209,9 @@ def multi_image_fit(model: MorphableModel, landmarks: np.ndarray,
     that fits sitting at the numerical noise floor terminate.
 
     Every step reads only the model's landmark rows, sliced once per fit,
-    and the pose step runs stacked SVDs over all images at once.
+    and works on all images at once: one product for their landmark points,
+    one stack of SVD least-squares solves for each sub-step, one stack of
+    data terms.
     """
     landmarks = np.asarray(landmarks, dtype=np.float64)
     require(landmarks.ndim == 2,
@@ -217,75 +225,59 @@ def multi_image_fit(model: MorphableModel, landmarks: np.ndarray,
     require(finite.all(),
             f"image {int(np.argmin(finite))}: landmark coordinates must be finite")
 
-    rows, (mean_u, basis_id_u, basis_exp_u) = _landmark_components(model)
+    flat = mean, basis_id, basis_exp = _landmark_components(model)
     targets = landmarks.reshape(n_images, -1, 2)
     alpha_id = np.zeros(model.k_id)
-    alpha_exps = [np.zeros(model.k_exp) for _ in range(n_images)]
+    alpha_exps = np.zeros((n_images, model.k_exp))
 
     energy = sum(float(row @ row) for row in landmarks)
     floor = np.finfo(float).eps * max(energy, 1.0)
 
-    def landmark_points() -> np.ndarray:
-        return np.stack([_landmark_points(rows, alpha_id, e) for e in alpha_exps])
-
-    def data_terms(points: np.ndarray, poses: tuple) -> list[float]:
-        return [_image_data_term(p, *pose, target)
-                for p, *pose, target in zip(points, *poses, landmarks)]
-
     current: float | None = None
-    terms: list[float] = []
 
-    def check_step(step_name: str, iteration: int, new_terms: list[float]) -> None:
-        # the regularized objective, the data terms summed in image order
+    def check_step(step_name: str, iteration: int, new_terms: np.ndarray) -> None:
         nonlocal current, terms
-        after = 0.0
-        for term in new_terms:
-            after += term
-        if config.reg_id > 0.0:
-            scaled = alpha_id / model.sigma_id
-            after += config.reg_id * float(scaled @ scaled)
-        if config.reg_exp > 0.0:
-            for alpha_exp in alpha_exps:
-                scaled = alpha_exp / model.sigma_exp
-                after += config.reg_exp * float(scaled @ scaled)
+        after = float(np.sum(new_terms))  # the regularized objective
+        for reg, alpha, sigma in ((config.reg_id, alpha_id, model.sigma_id),
+                                  (config.reg_exp, alpha_exps, model.sigma_exp)):
+            if reg > 0.0:
+                after += reg * float(np.sum(np.square(alpha / sigma)))
         if not np.isfinite(after):
             raise NumericalFailureError(
                 f"objective became non-finite after {step_name} in pass {iteration}")
         if current is not None and after > current + MONOTONE_SLACK:
-            j = int(np.argmax(np.subtract(new_terms, terms)))
+            j = int(np.argmax(new_terms - terms))
             raise NumericalFailureError(
                 f"objective increased after {step_name} in pass {iteration}: "
                 f"{current!r} -> {after!r}; image {j}'s data term rose most: "
-                f"{terms[j]!r} -> {new_terms[j]!r}")
+                f"{float(terms[j])!r} -> {float(new_terms[j])!r}")
         current, terms = after, new_terms
 
     trace: list[float] = []
     converged = False
-    iterations = 0
-    points = landmark_points()
+    points = _landmark_points(flat, alpha_id, alpha_exps)
     for iteration in range(1, config.max_iterations + 1):
-        iterations = iteration
         candidates = _estimate_poses(points, targets)
         _check_poses(*candidates)
-        new = data_terms(points, candidates)
+        new = _data_terms(points, candidates, targets)
         if iteration == 1:
-            poses, kept = candidates, new
-        else:  # an image keeps its previous pose where the new one fits it worse
-            kept = data_terms(points, poses)
-        take = np.less_equal(new, kept)
+            poses, terms = candidates, new
+        # an image keeps its previous pose where the new one fits it worse; from
+        # pass 2 on, `terms` are the identity step's, at the same points and poses
+        take = new <= terms
         for part, candidate in zip(poses, candidates):
             part[take] = candidate[take]
-        check_step("pose estimation", iteration, np.where(take, new, kept).tolist())
+        check_step("pose estimation", iteration, np.where(take, new, terms))
 
-        alpha_exps = [_solve_block("k_exp", mean_u, basis_id_u, basis_exp_u,
-                                   model.sigma_exp, [(alpha_id, *image)], config.reg_exp)
-                      for image in zip(*poses, targets)]
-        check_step("residual solve", iteration, data_terms(landmark_points(), poses))
+        alpha_exps = _solve_block("k_exp", mean, basis_id, basis_exp, model.sigma_exp,
+                                  alpha_id[None], poses, targets, config.reg_exp)
+        check_step("residual solve", iteration,
+                   _data_terms(_landmark_points(flat, alpha_id, alpha_exps), poses, targets))
 
-        alpha_id = _solve_block("k_id", mean_u, basis_exp_u, basis_id_u, model.sigma_id,
-                                list(zip(alpha_exps, *poses, targets)), config.reg_id)
-        points = landmark_points()  # also the next pass's pose input
-        check_step("identity solve", iteration, data_terms(points, poses))
+        alpha_id = _solve_block("k_id", mean, basis_exp, basis_id, model.sigma_id,
+                                alpha_exps, poses, targets, config.reg_id, shared=True)
+        points = _landmark_points(flat, alpha_id, alpha_exps)  # also the next pose input
+        check_step("identity solve", iteration, _data_terms(points, poses, targets))
 
         trace.append(current)
         if len(trace) >= 2:
@@ -294,4 +286,4 @@ def multi_image_fit(model: MorphableModel, landmarks: np.ndarray,
                 converged = True
                 break
 
-    return FitResult(alpha_id, np.array(alpha_exps), *poses, trace, iterations, converged)
+    return FitResult(alpha_id, alpha_exps, *poses, trace, len(trace), converged)

@@ -26,10 +26,9 @@ MIN_POINTS = 4
 
 
 def _readonly(values, dtype=np.float64) -> np.ndarray:
-    """`values` as a read-only, C-ordered, aligned `dtype` array. A read-only
-    view whose memory is an immutable `bytes` object, as a loaded
-    container's arrays are, comes back as it is: no alias of it can be
-    written. Anything else is copied."""
+    """`values` as a read-only, C-ordered, aligned `dtype` array: a read-only
+    view of an immutable `bytes` (a loaded container's array) as it is, since
+    no alias of it can be written, and a copy of anything else."""
     if (isinstance(values, np.ndarray) and values.dtype == dtype
             and values.flags.c_contiguous and values.flags.aligned
             and not values.flags.writeable):
@@ -172,19 +171,6 @@ def procrustes_align_stack(source: np.ndarray, target: np.ndarray) -> tuple:
     fail(~(np.maximum(*_rotation_errors(rotation)) <= ROTATION_TOL),
          "rotation is not orthonormal and proper", InvalidArgumentError)
     return scale, rotation, mu_tgt - scale[:, None] * (rotation @ mu_src[:, :, None])[:, :, 0]
-
-
-def crop_indices(points: np.ndarray, center_index: int, radius: float) -> np.ndarray:
-    """Sorted indices of the (n, 3) points within Euclidean `radius` of the
-    center point. The boundary is inclusive, so radius 0 yields the center."""
-    require(points.ndim == 2 and points.shape[1] == 3,
-            f"points must be (n, 3), got {points.shape}")
-    require(0 <= center_index < points.shape[0],
-            f"center_index {center_index} out of range [0, {points.shape[0]})")
-    require(np.isfinite(radius) and radius >= 0.0,
-            f"radius must be finite and non-negative, got {radius}")
-    dists = np.linalg.norm(points - points[center_index], axis=1)
-    return np.flatnonzero(dists <= radius)
 
 
 def rotation_zyx(yaw: float, pitch: float, roll: float) -> np.ndarray:

@@ -3,13 +3,15 @@
 The program works on stacks and plain arrays: `render_depths` renders a
 chunk of rows at a time, `build_dataset` projects a chunk's landmarks in one
 product, the fit takes an (m, 2L) landmark array and keeps its poses in
-three arrays, `_compose_rows` composes shapes row by row, and the evaluation
-aligns every pair with `procrustes_align_stack`. The per-item value classes
-(`Shape`, `LandmarkSet2D`, `CoeffPair`, `PoseParams`), the one-item
-functions the stacks replaced, and the OBJ reader only tests use keep their
-bodies here, changed only where they call the program's current signatures;
-the tests check the program against them, bit for bit where the arithmetic
-is the same.
+three arrays and solves each sub-step's systems as one stack,
+`_compose_rows` composes shapes row by row, and the evaluation aligns every
+pair with `procrustes_align_stack` and crops them all with one mask. The
+per-item value classes (`Shape`, `LandmarkSet2D`, `CoeffPair`,
+`PoseParams`), the one-item functions the stacks replaced (`crop_indices`
+among them), and the OBJ reader only tests use keep their bodies here,
+changed only where they call the program's current signatures; the tests
+check the program against them, bit for bit where the arithmetic is the
+same and within a stated tolerance where it is not.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from morphfit.errors import ParseError, require
-from morphfit.fitting import (_estimate_poses, _image_data_term, _landmark_components,
+from morphfit.fitting import (_data_terms, _estimate_poses, _landmark_components,
                               _landmark_points, _solve_block)
 from morphfit.geometry import (MIN_POINTS, ROTATION_TOL, MorphableModel, _readonly,
                                _rotation_errors, procrustes_align_stack)
@@ -217,6 +219,13 @@ def estimate_pose(points3d: np.ndarray, landmarks2d: LandmarkSet2D) -> PoseParam
     return PoseParams(*(part[0] for part in _estimate_poses(pts[None], u[None])))
 
 
+def _stacked(*poses: PoseParams) -> tuple:
+    """The fit's pose arrays (scale (m,), rotation (m, 3, 3), translation
+    (m, 3)) of the given poses."""
+    return (np.array([p.scale for p in poses]), np.array([p.rotation for p in poses]),
+            np.array([p.translation for p in poses]))
+
+
 def _check_landmarks(model: MorphableModel, landmarks: LandmarkSet2D) -> None:
     require(landmarks.count == model.n_landmarks,
             f"{landmarks.count} landmarks given, model has {model.n_landmarks}")
@@ -231,15 +240,14 @@ def objective(model: MorphableModel, alpha_id: np.ndarray,
     """
     alpha_id = np.ravel(np.asarray(alpha_id, dtype=np.float64))
     require(alpha_id.size == model.k_id, "alpha_id length must match the model")
-    flat, _ = _landmark_components(model)
+    flat = _landmark_components(model)
     total = 0.0
     for alpha_exp, pose, landmarks in per_image:
         _check_landmarks(model, landmarks)
         alpha_exp = np.ravel(np.asarray(alpha_exp, dtype=np.float64))
         require(alpha_exp.size == model.k_exp, "alpha_exp length must match the model")
-        total += _image_data_term(_landmark_points(flat, alpha_id, alpha_exp),
-                                  pose.scale, pose.rotation, pose.translation,
-                                  landmarks.coords)
+        total += float(_data_terms(_landmark_points(flat, alpha_id, alpha_exp[None]),
+                                   _stacked(pose), landmarks.points[None])[0])
     return total
 
 
@@ -255,10 +263,10 @@ def solve_expression(model: MorphableModel, alpha_id: np.ndarray, pose: PosePara
     require(alpha_id.size == model.k_id, "alpha_id length must match the model")
     require(np.isfinite(reg_exp) and reg_exp >= 0, "reg_exp must be >= 0")
     _check_landmarks(model, landmarks)
-    mean_u, basis_id_u, basis_exp_u = _landmark_components(model)[1]
-    return _solve_block("k_exp", mean_u, basis_id_u, basis_exp_u, model.sigma_exp,
-                        [(alpha_id, pose.scale, pose.rotation, pose.translation,
-                          landmarks.points)], reg_exp)
+    mean, basis_id, basis_exp = _landmark_components(model)
+    return _solve_block("k_exp", mean, basis_id, basis_exp, model.sigma_exp,
+                        alpha_id[None], _stacked(pose), landmarks.points[None],
+                        reg_exp)[0]
 
 
 def solve_identity_shared(model: MorphableModel,
@@ -276,11 +284,25 @@ def solve_identity_shared(model: MorphableModel,
     for alpha_exp, _pose, landmarks in per_image:
         require(np.size(alpha_exp) == model.k_exp, "alpha_exp length must match the model")
         _check_landmarks(model, landmarks)
-    mean_u, basis_id_u, basis_exp_u = _landmark_components(model)[1]
-    return _solve_block("k_id", mean_u, basis_exp_u, basis_id_u, model.sigma_id,
-                        [(alpha_exp, pose.scale, pose.rotation, pose.translation,
-                          landmarks.points) for alpha_exp, pose, landmarks in per_image],
-                        reg_id)
+    mean, basis_id, basis_exp = _landmark_components(model)
+    alpha_exps, poses, landmark_sets = zip(*per_image)
+    return _solve_block("k_id", mean, basis_exp, basis_id, model.sigma_id,
+                        np.array([np.ravel(a) for a in alpha_exps], dtype=np.float64),
+                        _stacked(*poses), np.array([lm.points for lm in landmark_sets]),
+                        reg_id, shared=True)
+
+
+def crop_indices(points: np.ndarray, center_index: int, radius: float) -> np.ndarray:
+    """Sorted indices of the (n, 3) points within Euclidean `radius` of the
+    center point. The boundary is inclusive, so radius 0 yields the center."""
+    require(points.ndim == 2 and points.shape[1] == 3,
+            f"points must be (n, 3), got {points.shape}")
+    require(0 <= center_index < points.shape[0],
+            f"center_index {center_index} out of range [0, {points.shape[0]})")
+    require(np.isfinite(radius) and radius >= 0.0,
+            f"radius must be finite and non-negative, got {radius}")
+    dists = np.linalg.norm(points - points[center_index], axis=1)
+    return np.flatnonzero(dists <= radius)
 
 
 def read_obj(path: str) -> Shape:

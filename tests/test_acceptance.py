@@ -24,13 +24,13 @@ from morphfit.evaluation import (auc, disentangling_report,
                                  verification_accuracy_folds,
                                  verification_pairs)
 from morphfit.fitting import FitConfig, multi_image_fit
-from morphfit.geometry import MorphableModel, crop_indices, rotation_zyx
+from morphfit.geometry import MorphableModel, rotation_zyx
 from morphfit.network import (encode_images, finite_diff_check, init_decoder,
                               init_encoder, init_head, training_batch)
 
 from oracles import (CoeffPair, LandmarkSet2D, PoseParams, Shape,
                      SimilarityTransform, apply_transform, compose_shape,
-                     procrustes_align, render_landmarks, solve_expression,
+                     crop_indices, procrustes_align, render_landmarks, solve_expression,
                      solve_identity_shared)
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from morphfit.errors import DegenerateGeometryError, InvalidArgumentError
-from morphfit.geometry import MorphableModel, crop_indices, rotation_zyx
+from morphfit.geometry import MorphableModel, rotation_zyx
 
 from oracles import (CoeffPair, PoseParams, Shape, SimilarityTransform,
-                     apply_transform, compose_shape, procrustes_align,
+                     apply_transform, compose_shape, crop_indices, procrustes_align,
                      project_landmarks, select_landmarks)
 from conftest import rmse
 
