@@ -187,8 +187,7 @@ class TrainingBatch:
 
     def __post_init__(self):
         images = _readonly(np.atleast_2d(self.images))
-        labels = np.array(self.labels, dtype=np.int64, copy=True).ravel()
-        labels.setflags(write=False)
+        labels = _readonly(np.ravel(self.labels), np.int64)
         target = _readonly(np.atleast_2d(self.target_delta))
         require(images.ndim == 2 and images.shape[0] >= 1, "images must be (B, D)")
         require(labels.size == images.shape[0], "one label per image required")
@@ -285,9 +284,10 @@ def _forward_trace(net: EncoderNet, images: np.ndarray) -> tuple:
     """
     activations = [images]
     current = images
-    for weight, bias, activation in net.layers:
-        current = _apply_activation(current @ weight.T + bias, activation)
-        activations.append(current)
+    with np.errstate(invalid="ignore"):  # a NaN reaches the check below
+        for weight, bias, activation in net.layers:
+            current = _apply_activation(current @ weight.T + bias, activation)
+            activations.append(current)
     codes = np.clip(current, -OUTPUT_CLIP, OUTPUT_CLIP)
     if not np.all(np.isfinite(codes)):
         raise NumericalFailureError("encoder activations became non-finite")
@@ -356,8 +356,10 @@ class _FlatParams:
             np.add(np.sqrt(v, out=s2), eps_hat, out=s2)
             p -= np.multiply(np.divide(m, s2, out=s1), step_size, out=s1)
         if decay:
-            for span in self._weights:
-                self.data[span] *= 1.0 - lr * decay
+            # on divergence: the next forward or the epoch-end snapshot raises
+            with np.errstate(over="ignore", invalid="ignore"):
+                for span in self._weights:
+                    self.data[span] *= 1.0 - lr * decay
 
 
 def _networks(nets: tuple, vector: np.ndarray) -> tuple:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -234,14 +235,15 @@ class TestTrain:
     ])
     def test_phase1_divergence_names_its_epoch_and_step(self, pipeline, tmp_path,
                                                         batch_size, where):
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, out, err = run_cli(["train", "--data", pipeline["dataset"],
                                       *TINY_OVERRIDES, "--set", "learning_rate=1e300",
                                       "--set", f"batch_size={batch_size}",
                                       "--out", str(tmp_path / "train")])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert (code, out) == (1, "")
-        assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            f"error: NumericalFailureError: phase I epoch 0, {where}"]
+        assert err.splitlines() == [f"error: NumericalFailureError: phase I epoch 0, {where}"]
 
 
 # A dataset generated under another config than the checkpoint's, and the
