@@ -147,11 +147,9 @@ def _pack(meta: dict, arrays: dict[str, np.ndarray]) -> list:
 
 
 def _unpack(handle) -> tuple[dict, dict[str, np.ndarray]]:
-    """Header and arrays of the container open for binary reading as
-    `handle`. Every declared array size is checked against the file's size
-    before any payload is read, so a corrupt shape allocates nothing; each
-    array is then a read-only view of its own immutable `bytes`, aligned
-    for BLAS and copied by no consumer."""
+    """Header and arrays of the container open as `handle`. All declared sizes
+    are checked against the file's before any payload is read; each array is
+    then a read-only, aligned view of its own `bytes`, which no consumer copies."""
     size = os.fstat(handle.fileno()).st_size
     start = len(MAGIC) + 8
     prefix = handle.read(start)
@@ -170,8 +168,7 @@ def _unpack(handle) -> tuple[dict, dict[str, np.ndarray]]:
     if version != FORMAT_VERSION or isinstance(version, bool):  # True == 1
         raise VersionMismatchError(
             f"container format version {version}, expected {FORMAT_VERSION}")
-    layout = []
-    offset = start + header_len
+    layout, offset = [], start + header_len
     for entry in header.get("arrays", []):
         try:
             name, kind = entry["name"], entry["dtype"]
