@@ -325,18 +325,27 @@ def evaluate_reconstruction(predicted: np.ndarray, ground_truth: np.ndarray,
     bad = ~np.isfinite(aligned).all(axis=(1, 2))
     require(not bad.any(), f"aligned shape of pair {int(np.argmax(bad))} is not finite")
 
-    # one (N, n) crop mask, then the squared residuals in place: no (N, n, 3) temporary
-    nose = truth_pts[:, nose_tip_index]
-    crop = np.sqrt(sum((truth_pts[..., c] - nose[:, c, None]) ** 2
-                       for c in range(3))) <= crop_radius
+    # each vertex's squared residual, then its distance to the ground-truth
+    # nose tip, both in `aligned`'s memory: the crop allocates only its mask
     aligned -= truth_pts
     aligned *= aligned
-    squared = aligned.sum(axis=2, where=crop[..., None])  # 0 outside the crop
+    squared, dist, scratch = (aligned[..., c] for c in range(3))
+    squared += dist
+    squared += scratch
+    nose = truth_pts[:, nose_tip_index, None]
+    np.subtract(truth_pts[..., 0], nose[..., 0], out=dist)
+    dist *= dist
+    for c in (1, 2):
+        np.subtract(truth_pts[..., c], nose[..., c], out=scratch)
+        scratch *= scratch
+        dist += scratch
+    crop = np.sqrt(dist, out=dist) <= crop_radius
+    squared *= crop
     size = np.count_nonzero(crop, axis=1)
     return ReconstructionReport(
         rmse_paper=float(np.sum(np.sqrt(squared.sum(axis=1)) / size)) / n_pairs,
-        mean_vertex_dist=float(np.sum(np.sqrt(squared).sum(axis=1) / size)) / n_pairs,
-        n_pairs=n_pairs, crop_radius=crop_radius)
+        mean_vertex_dist=float(np.sum(np.sqrt(squared, out=squared).sum(axis=1) / size))
+        / n_pairs, n_pairs=n_pairs, crop_radius=crop_radius)
 
 
 def _cosine_distance_matrix(codes: np.ndarray) -> np.ndarray:
