@@ -325,20 +325,16 @@ def evaluate_reconstruction(predicted: np.ndarray, ground_truth: np.ndarray,
     bad = ~np.isfinite(aligned).all(axis=(1, 2))
     require(not bad.any(), f"aligned shape of pair {int(np.argmax(bad))} is not finite")
 
-    # each vertex's squared residual, then its distance to the ground-truth
-    # nose tip, both in `aligned`'s memory: the crop allocates only its mask
+    # squared residuals, then nose-tip distances, in `aligned`: no new (N, n) floats
     aligned -= truth_pts
     aligned *= aligned
     squared, dist, scratch = (aligned[..., c] for c in range(3))
     squared += dist
     squared += scratch
-    nose = truth_pts[:, nose_tip_index, None]
-    np.subtract(truth_pts[..., 0], nose[..., 0], out=dist)
-    dist *= dist
-    for c in (1, 2):
-        np.subtract(truth_pts[..., c], nose[..., c], out=scratch)
-        scratch *= scratch
-        dist += scratch
+    dist.fill(0.0)
+    for c in range(3):
+        np.subtract(truth_pts[..., c], truth_pts[:, nose_tip_index, c, None], out=scratch)
+        dist += np.square(scratch, out=scratch)
     crop = np.sqrt(dist, out=dist) <= crop_radius
     squared *= crop
     size = np.count_nonzero(crop, axis=1)

@@ -145,9 +145,8 @@ def _landmark_components(model: MorphableModel) -> tuple:
 
 
 def _landmark_points(flat, alpha_id: np.ndarray, alpha_exps: np.ndarray) -> np.ndarray:
-    """(m, L, 3) landmark points of the shared identity with each of the
-    (m, k_exp) residual rows: the composed shapes on the landmark rows only,
-    from one product."""
+    """(m, L, 3) landmark points of the shared identity with each (m, k_exp)
+    residual row: the composed shapes' landmark rows only, from one product."""
     mean, basis_id, basis_exp = flat
     points = (mean + basis_id @ alpha_id) + alpha_exps @ basis_exp.T
     require(bool(np.all(np.isfinite(points))), "landmark points must be finite")

@@ -26,9 +26,8 @@ MIN_POINTS = 4
 
 
 def _readonly(values, dtype=np.float64) -> np.ndarray:
-    """`values` as a read-only, C-ordered, aligned `dtype` array: a read-only
-    view of an immutable `bytes` (a loaded container's array) as it is, since
-    no alias of it can be written, and a copy of anything else."""
+    """`values` as a read-only, C-ordered, aligned `dtype` array: a view of an
+    immutable `bytes` (no alias of it can be written) as it is, else a copy."""
     if (isinstance(values, np.ndarray) and values.dtype == dtype
             and values.flags.c_contiguous and values.flags.aligned
             and not values.flags.writeable):

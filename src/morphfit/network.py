@@ -355,8 +355,7 @@ class _FlatParams:
                 v += np.multiply(np.multiply(g, 1.0 - b2, out=s1), g, out=s1)
             np.add(np.sqrt(v, out=s2), eps_hat, out=s2)
             p -= np.multiply(np.divide(m, s2, out=s1), step_size, out=s1)
-        if decay:
-            # on divergence: the next forward or the epoch-end snapshot raises
+        if decay:  # diverged weights overflow here; the next forward or snapshot raises
             with np.errstate(over="ignore", invalid="ignore"):
                 for span in self._weights:
                     self.data[span] *= 1.0 - lr * decay

@@ -147,9 +147,8 @@ def _pack(meta: dict, arrays: dict[str, np.ndarray]) -> list:
 
 
 def _unpack(handle) -> tuple[dict, dict[str, np.ndarray]]:
-    """Header and arrays of the container open as `handle`. All declared sizes
-    are checked against the file's before any payload is read; each array is
-    then a read-only, aligned view of its own `bytes`, which no consumer copies."""
+    """Header and arrays of the container open as `handle`, every size checked
+    before any read; each array a read-only, aligned view of its own `bytes`."""
     size = os.fstat(handle.fileno()).st_size
     start = len(MAGIC) + 8
     prefix = handle.read(start)
