@@ -1,14 +1,15 @@
 """Command line pipeline: gen-data, fit, train, eval, export-bases, check-grad.
 
 Each subcommand reads one RunConfig assembled from defaults, then an optional
-config file, then explicit flag overrides, and echoes the effective config
-into the output directory. Outputs are deterministic for a fixed config, so
-rerunning a command reproduces its files byte for byte.
+config file, then explicit flag overrides; after its artifacts, it echoes the
+effective config into the output directory. Outputs are deterministic for a
+fixed config, so rerunning a command reproduces its files byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -27,7 +28,9 @@ from .serialization import (_atomic_write, load_checkpoint, load_dataset,
 from .synthetic import _compose_rows, build_dataset, generate_model
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="morphfit",
         description="synthetic 3D face shape pipeline: generate, fit, "
@@ -96,10 +99,10 @@ def _echo_config(config: RunConfig) -> None:
 
 def _cmd_gen_data(args) -> int:
     config = _effective_config(args)
-    _echo_config(config)
     model = generate_model(config.model_spec())
     dataset = build_dataset(model, config.dataset_spec())
     save_dataset(dataset, os.path.join(config.output_dir, "dataset.mfd"))
+    _echo_config(config)
     print(f"wrote {dataset.labels.size} samples to "
           f"{os.path.join(config.output_dir, 'dataset.mfd')}")
     return 0
@@ -107,7 +110,6 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_fit(args) -> int:
     config = _effective_config(args)
-    _echo_config(config)
     dataset = load_dataset(args.data)
     rows = dataset.labels == args.subject
     if not rows.any():
@@ -127,6 +129,7 @@ def _cmd_fit(args) -> int:
                     [(args.subject, result.converged, result.iterations_used,
                       result.objective_trace[-1])],
                     os.path.join(config.output_dir, "fit.csv"))
+    _echo_config(config)
     print(f"subject {args.subject}: converged={result.converged} "
           f"iterations={result.iterations_used}")
     return 0
@@ -134,6 +137,7 @@ def _cmd_fit(args) -> int:
 
 def _init_networks(config: RunConfig, dataset) -> tuple:
     """Seeded initial encoder, decoder and head sized for the dataset."""
+    require(config.seed >= 0, f"seed must be non-negative, got {config.seed}")
     model = dataset.model
     return (nw.init_encoder(dataset.spec.image_resolution ** 2, model.k_id,
                             model.k_exp, seed=config.seed),
@@ -163,7 +167,6 @@ def _train_pipeline(config: RunConfig, dataset):
 
 def _cmd_train(args) -> int:
     config = _effective_config(args)
-    _echo_config(config)
     dataset = load_dataset(args.data)
     init, after2, after3, history, trace = _train_pipeline(config, dataset)
     out = config.output_dir
@@ -177,6 +180,7 @@ def _cmd_train(args) -> int:
                     [(i, r.lambda_r, r.total, r.recon, r.ident, r.accuracy)
                      for i, r in enumerate(trace)],
                     os.path.join(out, "phase3_trace.csv"))
+    _echo_config(config)
     print(f"phase I final train loss {history[-1][0]:.6g}; "
           f"phase III final total loss {trace[-1].total:.6g}")
     return 0
@@ -199,7 +203,6 @@ def _check_checkpoint_fits(dataset, encoder, decoder) -> None:
 
 def _cmd_eval(args) -> int:
     config = _effective_config(args)
-    _echo_config(config)
     dataset = load_dataset(args.data)
     encoder, decoder, _head, _cfg = load_checkpoint(args.checkpoint)
     _check_checkpoint_fits(dataset, encoder, decoder)
@@ -240,6 +243,7 @@ def _cmd_eval(args) -> int:
     disentangling = disentangling_report(
         lambda images: nw.encode_images(encoder, images), dataset)
     write_report_csv(disentangling, os.path.join(out, "disentangling.csv"))
+    _echo_config(config)
     print(f"auc {report.auc:.4f} eer {report.eer:.4f} "
           f"rmse {recon.rmse_paper:.6g}")
     return 0
@@ -247,7 +251,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_export_bases(args) -> int:
     config = _effective_config(args)
-    _echo_config(config)
     dataset = load_dataset(args.data)
     encoder, decoder, _head, _cfg = load_checkpoint(args.checkpoint)
     _check_checkpoint_fits(dataset, encoder, decoder)
@@ -259,6 +262,7 @@ def _cmd_export_bases(args) -> int:
         for k in range(weight.shape[1]):
             write_obj(mean + weight[:, k],
                       os.path.join(out, f"basis_{name}_{k:02d}.obj"))
+    _echo_config(config)
     print(f"wrote {decoder.q_id + decoder.q_res} basis meshes to {out}")
     return 0
 

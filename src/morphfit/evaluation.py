@@ -159,20 +159,17 @@ def _split_scores(pairs: np.recarray) -> tuple[np.ndarray, np.ndarray]:
     return scores, genuine
 
 
-def _thresholds(scores: np.ndarray) -> np.ndarray:
-    """The distinct scores in increasing order plus a sentinel above them all.
-
-    max + 1.0 rounds back to max once |max| >= 2**53, hence nextafter there.
-    """
-    distinct = np.unique(scores)
-    top = distinct[-1]
-    return np.append(distinct, max(top + 1.0, np.nextafter(top, np.inf)))
-
-
-def _accepted(sorted_scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """How many of the sorted scores satisfy score >= t, for each threshold t."""
-    return sorted_scores.size - np.searchsorted(sorted_scores, thresholds,
-                                                side="left")
+def _sweep(scores: np.ndarray, genuine: np.ndarray) -> tuple:
+    """Over sorted scores, (below, genuine_below, sentinel): below[j] pairs, of
+    them genuine_below[j] genuine, score below threshold j, which is the j-th
+    distinct score, scores[below[j]], or for the last j the sentinel above all
+    (max + 1.0 rounds back to max once |max| >= 2**53, hence nextafter there)."""
+    new = np.empty(scores.size + 1, dtype=bool)
+    new[0] = new[-1] = True
+    np.not_equal(scores[1:], scores[:-1], out=new[1:-1])
+    below, top = np.flatnonzero(new), scores[-1]
+    sentinel = max(top + 1.0, np.nextafter(top, np.inf))
+    return below, np.r_[0, np.cumsum(genuine)][below], sentinel
 
 
 def roc_curve(pairs: np.recarray) -> RocCurve:
@@ -183,11 +180,12 @@ def roc_curve(pairs: np.recarray) -> RocCurve:
     and (0, 0) (reject all). Ties share an operating point by construction.
     """
     scores, genuine = _split_scores(pairs)
-    g_sorted = np.sort(scores[genuine])
-    i_sorted = np.sort(scores[~genuine])
-    thresholds = _thresholds(scores)
-    tar = _accepted(g_sorted, thresholds) / g_sorted.size
-    far = _accepted(i_sorted, thresholds) / i_sorted.size
+    order = np.argsort(scores)
+    below, genuine_below, sentinel = _sweep(scores[order], genuine[order])
+    thresholds = np.append(scores[order[below[:-1]]], sentinel)
+    n_genuine, n_impostor = genuine_below[-1], scores.size - genuine_below[-1]
+    tar = (n_genuine - genuine_below) / n_genuine
+    far = (n_impostor - (below - genuine_below)) / n_impostor
     return RocCurve(np.column_stack([thresholds, tar, far]))
 
 
@@ -242,25 +240,28 @@ def verification_accuracy_folds(pairs: np.recarray,
     scores, genuine = _split_scores(pairs)
     require(scores.size % n_folds == 0,
             f"{scores.size} pairs do not divide into {n_folds} folds")
-    fold_of = np.arange(scores.size) // (scores.size // n_folds)
+    size = scores.size // n_folds
+    held_genuine = np.bincount(np.flatnonzero(genuine) // size, minlength=n_folds)
+    train_genuine = held_genuine.sum() - held_genuine
+    for k in range(n_folds):
+        for count, total, what in ((held_genuine[k], size, "held-out"),
+                                   (train_genuine[k], scores.size - size, "training")):
+            require(0 < count < total, f"{what} fold {k} contains a single class")
+    order = np.argsort(scores)
+    s_sorted, g_sorted, fold_sorted = scores[order], genuine[order], order // size
     accuracies = np.empty(n_folds)
     for k in range(n_folds):
-        held = fold_of == k
-        for part, what in ((held, "held-out"), (~held, "training")):
-            flags = genuine[part]
-            require(bool(flags.any()) and bool((~flags).any()),
-                    f"{what} fold {k} contains a single class")
-        s_train, g_train = scores[~held], genuine[~held]
-        candidates = _thresholds(s_train)
-        # accepted genuine plus rejected impostor pairs, per candidate
-        correct = (_accepted(np.sort(s_train[g_train]), candidates)
-                   + np.searchsorted(np.sort(s_train[~g_train]), candidates,
-                                     side="left"))
-        threshold = candidates[int(np.argmax(correct))]
-        s_held, g_held = scores[held], genuine[held]
+        train = np.flatnonzero(fold_sorted != k)
+        s_train = s_sorted[train]
+        below, genuine_below, sentinel = _sweep(s_train, g_sorted[train])
+        # the first threshold with the most accepted genuine plus rejected
+        # impostor pairs; the sentinel, rejecting all, is the last
+        j = int(np.argmax(train_genuine[k] - 2 * genuine_below + below))
+        threshold = s_train[below[j]] if j + 1 < below.size else sentinel
+        s_held, g_held = scores[k * size:(k + 1) * size], genuine[k * size:(k + 1) * size]
         hits = (np.count_nonzero(g_held & (s_held >= threshold))
                 + np.count_nonzero(~g_held & (s_held < threshold)))
-        accuracies[k] = hits / s_held.size
+        accuracies[k] = hits / size
     return float(accuracies.mean()), float(accuracies.std())
 
 

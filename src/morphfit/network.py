@@ -383,6 +383,7 @@ def _snapshot(nets: tuple, data: np.ndarray, spares: tuple, epoch: int) -> tuple
 # ---------------------------------------------------------------------------
 # Batched loss and exact gradients.
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness check below raises
 def _joint_forward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
                    batch: TrainingBatch, lambda_r: float) -> tuple:
     """Batch-mean joint loss plus the intermediates backward() consumes.

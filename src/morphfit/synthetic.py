@@ -153,15 +153,18 @@ class Dataset:
 
         gram_err, det_err = _rotation_errors(
             np.where(np.isfinite(self.pose_rotation), self.pose_rotation, 0.0))
+        # a row's min and max carry its NaN and its infinities: no depth-sized temporaries
+        lo, hi = self.depth.min(axis=(1, 2)), self.depth.max(axis=(1, 2))
         checks = [(per_row(np.isfinite(getattr(self, name))),
-                   f"{name}: values must be finite") for name in COLUMNS[1:]]
+                   f"{name}: values must be finite") for name in COLUMNS[1:-1]]
         checks += [
+            (np.isfinite(lo) & np.isfinite(hi), "depth: values must be finite"),
             (self.pose_scale > 0.0, "pose_scale: must be positive, got {scale}"),
             (gram_err <= ROTATION_TOL,
              "pose_rotation: not orthonormal (max deviation {gram:.3e})"),
             (det_err <= ROTATION_TOL,
              "pose_rotation: not proper (|det - 1| = {det:.3e})"),
-            (per_row(np.abs(self.depth) <= 1.0), "depth: values must lie in [-1, 1]"),
+            ((lo >= -1.0) & (hi <= 1.0), "depth: values must lie in [-1, 1]"),
             (self.labels >= 0, "labels: must be non-negative, got {label}"),
         ]
         ok = np.column_stack([passed for passed, _ in checks])
@@ -184,7 +187,7 @@ class Dataset:
 
     def images(self, rows) -> np.ndarray:
         """Depth rasters of the given rows, one flattened image per row."""
-        return self.depth[rows].reshape(len(rows), -1)
+        return self.depth[rows].reshape(len(rows), self.spec.image_resolution ** 2)
 
     def ground_truth_shapes(self, rows) -> np.ndarray:
         """Flat ground-truth shapes of the given rows, one per row."""

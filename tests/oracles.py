@@ -8,7 +8,8 @@ three arrays and solves each sub-step's systems as one stack,
 pair with `procrustes_align_stack` and crops them all with one mask. The
 per-item value classes (`Shape`, `LandmarkSet2D`, `CoeffPair`,
 `PoseParams`), the one-item functions the stacks replaced (`crop_indices`
-among them), and the OBJ reader only tests use keep their bodies here,
+among them), the per-fold threshold search that one sweep of sorted
+scores replaced, and the OBJ reader only tests use keep their bodies here,
 changed only where they call the program's current signatures; the tests
 check the program against them, bit for bit where the arithmetic is the
 same and within a stated tolerance where it is not.
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from morphfit.errors import ParseError, require
+from morphfit.evaluation import RocCurve, _split_scores
 from morphfit.fitting import (_data_terms, _estimate_poses, _landmark_components,
                               _landmark_points, _solve_block)
 from morphfit.geometry import (MIN_POINTS, ROTATION_TOL, MorphableModel, _readonly,
@@ -422,3 +424,61 @@ def build_dataset_columns(model: MorphableModel, spec) -> dict:
             samples.append((label, alpha_id, alpha_exp, pose.scale, pose.rotation,
                             pose.translation, landmarks.coords, depth))
     return {name: np.array(column) for name, column in zip(COLUMNS, zip(*samples))}
+
+
+def _thresholds(scores: np.ndarray) -> np.ndarray:
+    """The distinct scores in increasing order plus a sentinel above them all.
+
+    max + 1.0 rounds back to max once |max| >= 2**53, hence nextafter there.
+    """
+    distinct = np.unique(scores)
+    top = distinct[-1]
+    return np.append(distinct, max(top + 1.0, np.nextafter(top, np.inf)))
+
+
+def _accepted(sorted_scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """How many of the sorted scores satisfy score >= t, for each threshold t."""
+    return sorted_scores.size - np.searchsorted(sorted_scores, thresholds,
+                                                side="left")
+
+
+def searched_roc_curve(pairs: np.recarray) -> RocCurve:
+    """`roc_curve` as it sorted each class and binary-searched every threshold."""
+    scores, genuine = _split_scores(pairs)
+    g_sorted = np.sort(scores[genuine])
+    i_sorted = np.sort(scores[~genuine])
+    thresholds = _thresholds(scores)
+    tar = _accepted(g_sorted, thresholds) / g_sorted.size
+    far = _accepted(i_sorted, thresholds) / i_sorted.size
+    return RocCurve(np.column_stack([thresholds, tar, far]))
+
+
+def searched_accuracy_folds(pairs: np.recarray,
+                            n_folds: int = 10) -> tuple[float, float]:
+    """`verification_accuracy_folds` as it re-sorted and searched the
+    training scores of every fold."""
+    require(int(n_folds) >= 2, "need at least two folds")
+    n_folds = int(n_folds)
+    scores, genuine = _split_scores(pairs)
+    require(scores.size % n_folds == 0,
+            f"{scores.size} pairs do not divide into {n_folds} folds")
+    fold_of = np.arange(scores.size) // (scores.size // n_folds)
+    accuracies = np.empty(n_folds)
+    for k in range(n_folds):
+        held = fold_of == k
+        for part, what in ((held, "held-out"), (~held, "training")):
+            flags = genuine[part]
+            require(bool(flags.any()) and bool((~flags).any()),
+                    f"{what} fold {k} contains a single class")
+        s_train, g_train = scores[~held], genuine[~held]
+        candidates = _thresholds(s_train)
+        # accepted genuine plus rejected impostor pairs, per candidate
+        correct = (_accepted(np.sort(s_train[g_train]), candidates)
+                   + np.searchsorted(np.sort(s_train[~g_train]), candidates,
+                                     side="left"))
+        threshold = candidates[int(np.argmax(correct))]
+        s_held, g_held = scores[held], genuine[held]
+        hits = (np.count_nonzero(g_held & (s_held >= threshold))
+                + np.count_nonzero(~g_held & (s_held < threshold)))
+        accuracies[k] = hits / s_held.size
+    return float(accuracies.mean()), float(accuracies.std())

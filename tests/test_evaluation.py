@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from morphfit.errors import DegenerateGeometryError, InvalidArgumentError, require
@@ -36,7 +36,8 @@ from morphfit.synthetic import (
 
 from oracles import (CoeffPair, PoseParams, Shape, SimilarityTransform,
                      apply_transform, crop_indices, dilate_max, procrustes_align,
-                     rasterize_depth, select_landmarks)
+                     rasterize_depth, searched_accuracy_folds, searched_roc_curve,
+                     select_landmarks)
 from conftest import rmse, row_pose, take_rows
 
 
@@ -785,6 +786,76 @@ def code_rows(draw, width, min_rows):
                          min_size=min_rows, max_size=12))
     scale = draw(st.sampled_from([1.0, 0.1, 7.3]))
     return scale * np.array(rows, dtype=np.float64)
+
+
+# scores that tie heavily, are all equal, are signed zeros, are continuous,
+# or sit at and past 2**53, where max + 1.0 rounds back to max
+score_pools = st.sampled_from([
+    st.integers(0, 3).map(lambda v: v / 3.0),
+    st.just(0.25),
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.integers(0, 3).map(lambda v: 2.0 ** 53 + 2.0 * v),
+])
+
+
+@st.composite
+def folded_pairs(draw):
+    """Pairs in 2-4 contiguous folds with free class flags, so single-class
+    folds and single-class inputs occur among the draws."""
+    n_folds, size = draw(st.integers(2, 4)), draw(st.integers(1, 10))
+    n = n_folds * size
+    scores = draw(st.lists(draw(score_pools), min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return scored_pairs(scores, flags), n_folds
+
+
+def outcome(fn, *args):
+    """The call's result, or the type and message of its InvalidArgumentError."""
+    try:
+        return fn(*args)
+    except InvalidArgumentError as exc:
+        return type(exc), str(exc)
+
+
+# the best training threshold of both folds is the sentinel: every impostor
+# scores above every genuine pair, and impostors are the majority
+SENTINEL_FOLDS = (scored_pairs([0.0, 1.0, 2.0, 0.1, 1.1, 2.1],
+                               [True, False, False, True, False, False]), 2)
+
+
+class TestSortedSweepMatchesSearchOracle:
+    """One sort per sweep against the per-fold sort-and-search it replaced:
+    the same integer counts, so the same bits."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(folded_pairs())
+    @example(SENTINEL_FOLDS)
+    @example((scored_pairs([1e17, 0.0, 1e17, 0.0], [True, False] * 2), 2))
+    def test_fold_accuracy(self, case):
+        pairs, n_folds = case
+        got = outcome(verification_accuracy_folds, pairs, n_folds)
+        want = outcome(searched_accuracy_folds, pairs, n_folds)
+        assert type(got) is type(want) and repr(got) == repr(want)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(folded_pairs())
+    @example(SENTINEL_FOLDS)
+    def test_roc_curve(self, case):
+        got, want = outcome(roc_curve, case[0]), outcome(searched_roc_curve, case[0])
+        if not isinstance(want, RocCurve):
+            assert got == want
+            return
+        # a +-0.0 tie may come out of either sort as either zero
+        assert np.array_equal(got.thresholds, want.thresholds)
+        assert got.tar.tobytes() == want.tar.tobytes()
+        assert got.far.tobytes() == want.far.tobytes()
+
+    def test_sentinel_wins_the_inverted_folds(self):
+        pairs, n_folds = SENTINEL_FOLDS
+        # the held-out folds, scored with the threshold above every score:
+        # each rejects its one genuine pair and both impostors
+        assert verification_accuracy_folds(pairs, n_folds) == (2 / 3, 0.0)
 
 
 class TestArrayPathsMatchLoopOracles:

@@ -681,6 +681,28 @@ class TestDatasetColumns:
         with pytest.raises(InvalidArgumentError, match="^sample 2 label"):
             rebuilt(tiny, pose_scale=scale, labels=labels)
 
+    @pytest.mark.parametrize("values, message", [
+        ([np.nan], "values must be finite"),
+        ([np.inf], "values must be finite"),
+        ([-np.inf], "values must be finite"),
+        ([1.5], "values must lie in [-1, 1]"),
+        ([-1.5], "values must lie in [-1, 1]"),
+        # a non-finite value names finiteness, ahead of the range
+        ([1.5, np.nan], "values must be finite"),
+        ([-1.5, np.inf], "values must be finite"),
+    ])
+    def test_depth_row_verdicts(self, tiny, values, message):
+        depth = np.array(tiny.depth)
+        depth[3, 5, 2:2 + len(values)] = values
+        with pytest.raises(InvalidArgumentError) as info:
+            rebuilt(tiny, depth=depth)
+        assert str(info.value) == f"sample 3 depth: {message}"
+
+    def test_depth_at_the_range_ends_loads(self, tiny):
+        depth = np.array(tiny.depth)
+        depth[3, 0, :2] = -1.0, 1.0
+        assert rebuilt(tiny, depth=depth).depth[3, 0, 1] == 1.0
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_vectorised_check_matches_per_row_constructors(self, tiny, data):
