@@ -151,8 +151,8 @@ def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _split_scores(pairs: np.recarray) -> tuple[np.ndarray, np.ndarray]:
     require(len(pairs) > 0, "need at least one scored pair")
-    scores = np.asarray(pairs["score"], dtype=np.float64)
-    genuine = np.asarray(pairs["is_genuine"], dtype=bool)
+    scores = np.ascontiguousarray(pairs["score"], dtype=np.float64)
+    genuine = np.ascontiguousarray(pairs["is_genuine"], dtype=bool)
     require(bool(np.all(np.isfinite(scores))), "pair scores must be finite")
     require(bool(genuine.any()) and bool((~genuine).any()),
             "need at least one genuine and one impostor pair")
