@@ -19,8 +19,8 @@ from . import network as nw
 from .config import RunConfig, format_config, load_config, parse_config
 from .errors import MorphfitError, require
 from .evaluation import (disentangling_report, evaluate_reconstruction,
-                         rank_n_identification, verification_pairs,
-                         verification_report)
+                         rank_n_identification, reconstruction_truth,
+                         verification_pairs, verification_report)
 from .fitting import multi_image_fit
 from .serialization import (_atomic_write, load_checkpoint, load_dataset,
                             save_checkpoint, save_dataset, write_obj,
@@ -151,6 +151,7 @@ def _train_pipeline(config: RunConfig, dataset):
     """Phases I-III with stage seeds derived from the master seed."""
     encoder, decoder, head = _init_networks(config, dataset)
     enc1, history = nw.train_phase1(encoder, dataset, config.train_config("I"))
+    del encoder  # no checkpoint holds the initial encoder
     dec2 = nw.train_phase2(decoder, dataset, n_pairs=config.phase2_pairs,
                            seed=config.seed + 3)
 
@@ -161,8 +162,7 @@ def _train_pipeline(config: RunConfig, dataset):
                                          scale=config.head_scale)
     enc3, dec3, head3, trace = nw.train_phase3(enc1, dec2, warm_head, dataset,
                                                config.train_config("III"))
-    return (encoder, decoder, head), (enc1, dec2, warm_head), \
-        (enc3, dec3, head3), history, trace
+    return (decoder, head), (enc1, dec2, warm_head), (enc3, dec3, head3), history, trace
 
 
 def _cmd_train(args) -> int:
@@ -170,7 +170,7 @@ def _cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     init, after2, after3, history, trace = _train_pipeline(config, dataset)
     out = config.output_dir
-    for phase, nets in enumerate(((after2[0], *init[1:]), after2, after3), start=1):
+    for phase, nets in enumerate(((after2[0], *init), after2, after3), start=1):
         save_checkpoint(*nets, config, os.path.join(out, f"phase{phase}.ckpt"))
     write_table_csv(("epoch", "train_loss", "val_loss"),
                     [(i, tr, va) for i, (tr, va) in enumerate(history)],
@@ -225,13 +225,13 @@ def _cmd_eval(args) -> int:
                                  rank1=rank1, rank5=rank5)
     write_report_csv(report, os.path.join(out, "verification.csv"))
 
-    truths = dataset.ground_truth_shapes(rows)
+    truth = reconstruction_truth(dataset.ground_truth_shapes(rows), model.landmark_indices,
+                                 model.nose_tip_index, config.crop_radius)
 
     def reconstruction(codes, dec):
         shapes = nw.decode(dec, *codes)
         shapes += model.mean
-        return evaluate_reconstruction(shapes, truths, model.landmark_indices,
-                                       model.nose_tip_index, config.crop_radius)
+        return evaluate_reconstruction(shapes, truth)
 
     recon = reconstruction((c_id, c_res), decoder)
     write_report_csv(recon, os.path.join(out, "reconstruction.csv"))
@@ -241,7 +241,7 @@ def _cmd_eval(args) -> int:
                          os.path.join(out, "reconstruction_baseline.csv"))
 
     disentangling = disentangling_report(
-        lambda images: nw.encode_images(encoder, images), dataset)
+        lambda images: nw.encode_images(encoder, images), dataset, (c_id, c_res))
     write_report_csv(disentangling, os.path.join(out, "disentangling.csv"))
     _echo_config(config)
     print(f"auc {report.auc:.4f} eer {report.eer:.4f} "

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require
-from .geometry import MorphableModel, _readonly, procrustes_align_stack
+from .errors import InvalidArgumentError, require
+from .geometry import MIN_POINTS, MorphableModel, _align_centred, _centred, _fail, _readonly
 from .synthetic import render_depths
 
 
@@ -291,54 +291,61 @@ def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
     return hits / probes.shape[0]
 
 
-def evaluate_reconstruction(predicted: np.ndarray, ground_truth: np.ndarray,
-                            landmark_indices: np.ndarray, nose_tip_index: int,
-                            crop_radius: float) -> ReconstructionReport:
-    """Aligned, cropped shape error between prediction/ground-truth pairs.
-
-    Row k of the (N, 3n) `predicted` and `ground_truth` arrays is one flat
-    shape pair. Each prediction is similarity-aligned to its ground truth on
-    the landmark subset, then both are cropped to the vertices within
-    crop_radius of the ground-truth nose tip (correspondence preserved: the
-    crop set is chosen on the ground truth only, boundary included).
-    Degenerate alignments propagate, naming the pair.
-    """
-    predicted = np.asarray(predicted, dtype=np.float64)
+def reconstruction_truth(ground_truth: np.ndarray, landmark_indices: np.ndarray,
+                         nose_tip_index: int, crop_radius: float) -> tuple:
+    """evaluate_reconstruction's checked ground-truth side of (N, 3n) shape rows,
+    once for any number of prediction stacks: the (N, n, 3) points, landmark
+    indices, the landmarks' `_centred` form, the (N, n) mask of the vertices
+    within crop_radius of each nose tip (boundary included), its row counts and crop_radius."""
     ground_truth = np.asarray(ground_truth, dtype=np.float64)
-    require(predicted.ndim == 2 and predicted.shape == ground_truth.shape
-            and predicted.shape[0] >= 1 and predicted.shape[1] % 3 == 0,
-            f"need equal non-empty (N, 3n) arrays, got {predicted.shape} and "
-            f"{ground_truth.shape}")
+    require(ground_truth.ndim == 2 and ground_truth.shape[0] >= 1
+            and ground_truth.shape[1] % 3 == 0,
+            f"need a non-empty (N, 3n) ground-truth array, got {ground_truth.shape}")
     require(bool(np.all(np.isfinite(ground_truth))), "ground-truth shapes must be finite")
-    n_pairs = predicted.shape[0]
-    pred_pts, truth_pts = (a.reshape(n_pairs, -1, 3) for a in (predicted, ground_truth))
-    indices, n = np.asarray(landmark_indices, dtype=np.int64).ravel(), pred_pts.shape[1]
+    points = ground_truth.reshape(ground_truth.shape[0], -1, 3)
+    indices, n = np.asarray(landmark_indices, dtype=np.int64).ravel(), points.shape[1]
     require(bool(np.all((indices >= 0) & (indices < n))),
             f"landmark indices must lie in [0, {n})")
     require(0 <= nose_tip_index < n, f"nose_tip_index {nose_tip_index} out of range [0, {n})")
     require(np.isfinite(crop_radius) and crop_radius >= 0.0,
             f"crop_radius must be finite and non-negative, got {crop_radius}")
+    require(indices.size >= MIN_POINTS,
+            f"need at least {MIN_POINTS} points, got {indices.size}")
+    dist, scratch = np.zeros(points.shape[:2]), np.empty(points.shape[:2])
+    for c in range(3):
+        np.subtract(points[..., c], points[:, nose_tip_index, c, None], out=scratch)
+        dist += np.square(scratch, out=scratch)
+    crop = np.sqrt(dist, out=dist) <= crop_radius
+    return (points, indices, _centred(points[:, indices]), crop,
+            np.count_nonzero(crop, axis=1), crop_radius)
 
-    scale, rotation, translation = procrustes_align_stack(pred_pts[:, indices],
-                                                          truth_pts[:, indices])
+
+def evaluate_reconstruction(predicted: np.ndarray, truth: tuple) -> ReconstructionReport:
+    """Shape error of (N, 3n) `predicted` rows against the ground-truth rows whose
+    `reconstruction_truth` is `truth`: each prediction similarity-aligned to its ground
+    truth on the landmarks, then both cropped by the ground truth's nose-tip mask.
+    Degenerate alignments propagate, naming the pair."""
+    points, indices, landmarks, crop, size, crop_radius = truth
+    predicted = np.asarray(predicted, dtype=np.float64)
+    require(predicted.shape == (len(points), points[0].size),
+            f"need predictions shaped like the ground truth, got {predicted.shape}")
+    pred_pts = predicted.reshape(points.shape)
+    source = pred_pts[:, indices]
+    _fail(~np.isfinite(source).all(axis=(1, 2)), "points must be finite", InvalidArgumentError)
+    scale, rotation, translation = _align_centred(_centred(source), landmarks)
     aligned = pred_pts @ np.swapaxes(scale[:, None, None] * rotation, 1, 2)
     aligned += translation[:, None]
     bad = ~np.isfinite(aligned).all(axis=(1, 2))
     require(not bad.any(), f"aligned shape of pair {int(np.argmax(bad))} is not finite")
 
-    # squared residuals, then nose-tip distances, in `aligned`: no new (N, n) floats
-    aligned -= truth_pts
+    # squared residuals per vertex, summed in `aligned`: no new (N, n) floats
+    aligned -= points
     aligned *= aligned
-    squared, dist, scratch = (aligned[..., c] for c in range(3))
-    squared += dist
-    squared += scratch
-    dist.fill(0.0)
-    for c in range(3):
-        np.subtract(truth_pts[..., c], truth_pts[:, nose_tip_index, c, None], out=scratch)
-        dist += np.square(scratch, out=scratch)
-    crop = np.sqrt(dist, out=dist) <= crop_radius
+    squared = aligned[..., 0]
+    squared += aligned[..., 1]
+    squared += aligned[..., 2]
     squared *= crop
-    size = np.count_nonzero(crop, axis=1)
+    n_pairs = points.shape[0]
     return ReconstructionReport(
         rmse_paper=float(np.sum(np.sqrt(squared.sum(axis=1)) / size)) / n_pairs,
         mean_vertex_dist=float(np.sum(np.sqrt(squared, out=squared).sum(axis=1) / size))
@@ -351,7 +358,7 @@ def _cosine_distance_matrix(codes: np.ndarray) -> np.ndarray:
     return 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
 
 
-def disentangling_report(embed, dataset) -> DisentanglingReport:
+def disentangling_report(embed, dataset, codes: tuple) -> DisentanglingReport:
     """Measure identity/residual code separation on the evaluation split.
 
     Uses the held-out subjects when the dataset has them, every row
@@ -362,7 +369,8 @@ def disentangling_report(embed, dataset) -> DisentanglingReport:
 
     ``embed`` maps a (B, pixels) image array to an ``(identity_codes,
     residual_codes)`` pair: a trained encoder's ``encode_images``, or a
-    reference embedding.
+    reference embedding. ``codes`` is that pair for the evaluated rows'
+    images, in row order; ``embed`` encodes only their re-renders.
     """
     require(callable(embed), "embed must be callable")
 
@@ -373,9 +381,8 @@ def disentangling_report(embed, dataset) -> DisentanglingReport:
     require(np.unique(labels).size >= 2, "need at least two subjects")
     require(len(rows) >= np.unique(labels).size * 2,
             "need at least two expressions per subject")
-
-    images = dataset.images(rows)
-    c_id, c_res = embed(images)
+    c_id, c_res = codes
+    require(len(c_id) == len(c_res) == len(rows), f"need codes of the {len(rows)} rows")
 
     dist = _cosine_distance_matrix(c_id)
     same = labels[:, None] == labels[None, :]

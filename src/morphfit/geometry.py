@@ -133,42 +133,38 @@ def coord_rows(indices: np.ndarray) -> np.ndarray:
     return (3 * idx[:, None] + np.arange(3)).ravel()
 
 
-def procrustes_align_stack(source: np.ndarray, target: np.ndarray) -> tuple:
-    """Similarity alignment of each pair of an (N, L, 3) source and target stack.
+def _fail(bad: np.ndarray, message: str, error=DegenerateGeometryError) -> None:
+    if np.any(bad):
+        raise error(f"pair {int(np.argmax(bad))}: {message}")
 
-    Returns (scale (N,), rotation (N, 3, 3), translation (N, 3)), pair k's
-    transform equal bit for bit to aligning that pair alone (Umeyama, TPAMI
-    1991). A degenerate pair raises DegenerateGeometryError naming it.
-    """
-    src = np.asarray(source, dtype=np.float64)
-    tgt = np.asarray(target, dtype=np.float64)
-    require(src.ndim == 3 and src.shape[2] == 3 and tgt.shape == src.shape,
-            f"need equal (N, L, 3) source and target, got {src.shape} and {tgt.shape}")
-    require(src.shape[1] >= MIN_POINTS,
-            f"need at least {MIN_POINTS} points, got {src.shape[1]}")
 
-    def fail(bad: np.ndarray, message: str, error=DegenerateGeometryError) -> None:
-        if np.any(bad):
-            raise error(f"pair {int(np.argmax(bad))}: {message}")
+def _centred(points: np.ndarray) -> tuple:
+    """(row means, points minus them) of an (N, L, 3) stack."""
+    mu = points.mean(axis=1)
+    return mu, points - mu[:, None]
 
-    fail(~(np.isfinite(src).all(axis=(1, 2)) & np.isfinite(tgt).all(axis=(1, 2))),
-         "points must be finite", InvalidArgumentError)
-    mu_src, mu_tgt = src.mean(axis=1), tgt.mean(axis=1)
-    x, y = src - mu_src[:, None], tgt - mu_tgt[:, None]
-    # one mean per row: a mean along axis 1 of the stack sums in another order
-    var_src = np.array([np.mean(row) for row in np.sum(x * x, axis=2)])
-    fail(var_src <= 0.0, "source points are coincident")
-    u, s, vt = np.linalg.svd(np.swapaxes(y, 1, 2) @ x / src.shape[1])
-    fail((s[:, 0] <= 0.0) | (s[:, 1] <= 1e-12 * s[:, 0]),
-         "cross-covariance is rank deficient; points are collinear or coincident")
 
-    d = np.ones((src.shape[0], 3))
+def _align_centred(source: tuple, target: tuple) -> tuple:
+    """Similarity alignment (Umeyama, TPAMI 1991) of each pair of two finite
+    (N, L, 3) stacks, L >= MIN_POINTS, given as their `_centred` forms: (scale,
+    rotation, translation), pair k's equal bit for bit to aligning it alone.
+    A degenerate pair raises DegenerateGeometryError naming it."""
+    (mu_src, x), (mu_tgt, y) = source, target
+    # a mean along a C-ordered stack's last axis sums each row pairwise, as a
+    # mean of that row alone does
+    var_src = np.ascontiguousarray(np.sum(x * x, axis=2)).mean(axis=1)
+    _fail(var_src <= 0.0, "source points are coincident")
+    u, s, vt = np.linalg.svd(np.swapaxes(y, 1, 2) @ x / x.shape[1])
+    _fail((s[:, 0] <= 0.0) | (s[:, 1] <= 1e-12 * s[:, 0]),
+          "cross-covariance is rank deficient; points are collinear or coincident")
+
+    d = np.ones((x.shape[0], 3))
     d[np.linalg.det(u) * np.linalg.det(vt) < 0.0, 2] = -1.0
     rotation = (u * d[:, None]) @ vt
     scale = np.sum(s * d, axis=1) / var_src
-    fail(scale <= 0.0, "alignment collapsed to non-positive scale")
-    fail(~(np.maximum(*_rotation_errors(rotation)) <= ROTATION_TOL),
-         "rotation is not orthonormal and proper", InvalidArgumentError)
+    _fail(scale <= 0.0, "alignment collapsed to non-positive scale")
+    _fail(~(np.maximum(*_rotation_errors(rotation)) <= ROTATION_TOL),
+          "rotation is not orthonormal and proper", InvalidArgumentError)
     return scale, rotation, mu_tgt - scale[:, None] * (rotation @ mu_src[:, :, None])[:, :, 0]
 
 

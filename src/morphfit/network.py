@@ -43,14 +43,15 @@ _ACTIVATIONS = ("tanh", "linear")
 class _Network:
     """A network: its structure plus one vector holding all of its weights.
 
-    The structure fixes the layout, the (key, shape) of every weight in
-    vector and checkpoint order. `vector` is read-only, C-ordered, float64
-    and finite, and `params` maps each key to a view of it. A constructor's
-    `params` is either a C-ordered float64 vector, kept without a copy, or a
-    mapping with an array for every key, concatenated into a new vector.
+    The structure fixes the layout, `_layout(*structure)`: each weight's (key,
+    shape) in vector and checkpoint order. `vector` is read-only, C-ordered,
+    float64 and finite, and `params` maps each key to a view of it. A
+    constructor's `params` is a C-ordered float64 vector, kept without a copy,
+    or a mapping with an array for every key, concatenated into a new vector.
     """
 
-    def _bind(self, structure: tuple, layout: list, params) -> None:
+    def _bind(self, structure: tuple, params) -> None:
+        layout = self._layout(*structure)
         sizes = [math.prod(shape) for _, shape in layout]
         if isinstance(params, np.ndarray):
             require(params.shape == (sum(sizes),) and params.dtype == np.float64
@@ -100,13 +101,15 @@ class EncoderNet(_Network):
         require(q_id >= 1 and q_res >= 1, "head widths must be positive")
         require(widths[-1] == q_id + q_res, "final layer width must equal q_id + q_res")
         self.input_dim, self.q_id, self.q_res = widths[0], q_id, q_res
-        self._bind((widths, activations, q_id, q_res), [
-            (f"enc.{i}.{name}", shape)
-            for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]))
-            for name, shape in (("weight", (fan_out, fan_in)), ("bias", (fan_out,)))],
-            params)
+        self._bind((widths, activations, q_id, q_res), params)
         self.layers = tuple((self.params[f"enc.{i}.weight"], self.params[f"enc.{i}.bias"],
                              tag) for i, tag in enumerate(activations))
+
+    @staticmethod
+    def _layout(widths, *_) -> list:
+        return [(f"enc.{i}.{name}", shape)
+                for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]))
+                for name, shape in (("weight", (fan_out, fan_in)), ("bias", (fan_out,)))]
 
 
 class DecoderNet(_Network):
@@ -116,11 +119,13 @@ class DecoderNet(_Network):
         out_dim, q_id, q_res = int(out_dim), int(q_id), int(q_res)
         require(min(out_dim, q_id, q_res) >= 1, "decoder widths must be positive")
         self.out_dim, self.q_id, self.q_res = out_dim, q_id, q_res
-        self._bind((out_dim, q_id, q_res),
-                   [("dec.weight_id", (out_dim, q_id)), ("dec.bias_id", (out_dim,)),
-                    ("dec.weight_res", (out_dim, q_res)), ("dec.bias_res", (out_dim,))],
-                   params)
+        self._bind((out_dim, q_id, q_res), params)
         self.weight_id, self.bias_id, self.weight_res, self.bias_res = self.params.values()
+
+    @staticmethod
+    def _layout(out_dim: int, q_id: int, q_res: int) -> list:
+        return [("dec.weight_id", (out_dim, q_id)), ("dec.bias_id", (out_dim,)),
+                ("dec.weight_res", (out_dim, q_res)), ("dec.bias_res", (out_dim,))]
 
 
 class ClassifierHead(_Network):
@@ -130,9 +135,12 @@ class ClassifierHead(_Network):
         n_classes, q_id = int(n_classes), int(q_id)
         require(n_classes >= 1 and q_id >= 1, "head widths must be positive")
         self.n_classes, self.q_id = n_classes, q_id
-        self._bind((n_classes, q_id), [("head.weight", (n_classes, q_id)),
-                                       ("head.bias", (n_classes,))], params)
+        self._bind((n_classes, q_id), params)
         self.weight, self.bias = self.params.values()
+
+    @staticmethod
+    def _layout(n_classes: int, q_id: int) -> list:
+        return [("head.weight", (n_classes, q_id)), ("head.bias", (n_classes,))]
 
 
 @dataclass(frozen=True)
@@ -295,9 +303,11 @@ def _forward_trace(net: EncoderNet, images: np.ndarray) -> tuple:
 
 
 def decode(dec: DecoderNet, c_id: np.ndarray, c_res: np.ndarray) -> np.ndarray:
-    """Shape deltas of code rows: both linear decoders, summed left to right."""
-    return (c_id @ dec.weight_id.T + dec.bias_id
-            + c_res @ dec.weight_res.T + dec.bias_res)
+    """Shape deltas of code rows: both linear decoders, summed left to right in place."""
+    out = c_id @ dec.weight_id.T
+    for term in (dec.bias_id, c_res @ dec.weight_res.T, dec.bias_res):
+        out += term
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +339,7 @@ class _FlatParams:
             lo = hi
         self.t = 0
 
+    @np.errstate(over="ignore", invalid="ignore")  # the epoch's end checks the state
     def step(self, config: TrainConfig, decay: float = 0.0) -> None:
         """One in-place Adam update from `grad`, bias-corrected (arXiv:1412.6980).
 
@@ -355,10 +366,9 @@ class _FlatParams:
                 v += np.multiply(np.multiply(g, 1.0 - b2, out=s1), g, out=s1)
             np.add(np.sqrt(v, out=s2), eps_hat, out=s2)
             p -= np.multiply(np.divide(m, s2, out=s1), step_size, out=s1)
-        if decay:  # diverged weights overflow here; the next forward or snapshot raises
-            with np.errstate(over="ignore", invalid="ignore"):
-                for span in self._weights:
-                    self.data[span] *= 1.0 - lr * decay
+        if decay:
+            for span in self._weights:
+                self.data[span] *= 1.0 - lr * decay
 
 
 def _networks(nets: tuple, vector: np.ndarray) -> tuple:
@@ -368,16 +378,16 @@ def _networks(nets: tuple, vector: np.ndarray) -> tuple:
                  for net, end in zip(nets, ends))
 
 
-def _snapshot(nets: tuple, data: np.ndarray, spares: tuple, epoch: int) -> tuple:
-    """`nets` over a copy of the trainer's vector `data` in spares[epoch % 2],
-    which leaves the epoch before intact; NumericalFailureError unless it is
-    finite. Two reused vectors, not one new one per epoch, spare the trainer
-    faulting in fresh pages at every epoch's end."""
-    vector = spares[epoch % 2]
-    np.copyto(vector, data)
-    if not np.all(np.isfinite(vector)):
-        raise NumericalFailureError("parameters became non-finite")
-    return _networks(nets, vector)
+def _snapshot(stepping: tuple, flat: _FlatParams, vector: np.ndarray, loss) -> tuple:
+    """(`stepping` over a copy of `flat.data` in `vector`, loss(*stepping)) once the
+    parameters and Adam's second moment are finite; the loss comes first, so a failure
+    leaves the epoch before in the reused `vector`."""
+    for what, values in (("parameters", flat.data), ("Adam's second moment", flat.v)):
+        if not np.all(np.isfinite(values)):
+            raise NumericalFailureError(f"{what} became non-finite")
+    result = loss(*stepping)
+    np.copyto(vector, flat.data)
+    return _networks(stepping, vector), result
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +562,7 @@ def train_phase1(net: EncoderNet, dataset, config: TrainConfig) -> tuple:
     rng = np.random.default_rng(config.seed)
     flat = _FlatParams(list(net.params.items()))
     (stepping,) = _networks((net,), flat.data)
-    spares = (np.empty_like(flat.data), np.empty_like(flat.data))
+    snapshot = np.empty_like(flat.data)
     history = []
     q_total = net.q_id + net.q_res
     try:
@@ -565,11 +575,11 @@ def train_phase1(net: EncoderNet, dataset, config: TrainConfig) -> tuple:
                 _encoder_backprop(stepping, activations, grad_codes, flat.grads)
                 flat.step(config, decay=PHASE1_WEIGHT_DECAY)
             step = None
-            (trained,) = _snapshot((stepping,), flat.data, spares, len(history))
-            train_loss = _regression_loss(trained, train_images, train_targets)
-            val_loss = (_regression_loss(trained, val_images, val_targets)
-                        if val_images is not None else float("nan"))
-            history.append((train_loss, val_loss))
+            (trained,), losses = _snapshot((stepping,), flat, snapshot, lambda enc: (
+                _regression_loss(enc, train_images, train_targets),
+                _regression_loss(enc, val_images, val_targets)
+                if val_images is not None else float("nan")))
+            history.append(losses)
     except NumericalFailureError as exc:
         raise NumericalFailureError(
             f"phase I epoch {len(history)}, "
@@ -654,7 +664,7 @@ def train_phase3(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     rng = np.random.default_rng(config.seed)
     flat = _FlatParams([*net.params.items(), *dec.params.items(), *head.params.items()])
     stepping = _networks((net, dec, head), flat.data)
-    spares = (np.empty_like(flat.data), np.empty_like(flat.data))
+    snapshot = np.empty_like(flat.data)
     last_good, trace = (net, dec, head), []
     try:
         for stage, (lam, n_epochs) in enumerate(stages):
@@ -667,9 +677,9 @@ def train_phase3(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
                     backward(*stepping, batch, lam, flat.grads)
                     flat.step(config)
                 step = None
-                epoch_end = _snapshot(stepping, flat.data, spares, len(trace))
-                trace.append(batch_loss(*epoch_end, full, lam))
-                last_good = epoch_end
+                last_good, report = _snapshot(stepping, flat, snapshot,
+                                              lambda *nets: batch_loss(*nets, full, lam))
+                trace.append(report)
     except NumericalFailureError as exc:
         done = ("no epoch finished" if not trace else "last finished epoch: " + ", ".join(
             f"{name} {getattr(trace[-1], name)!r}" for name in ("total", "recon", "ident")))

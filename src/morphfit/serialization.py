@@ -8,6 +8,7 @@ then rename), so identical pipeline runs produce identical files.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -87,25 +88,19 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+# each report's columns name its dataclass fields, in field order
+_REPORT_COLUMNS = {VerificationReport: VERIFICATION_COLUMNS,
+                   ReconstructionReport: RECONSTRUCTION_COLUMNS,
+                   DisentanglingReport: DISENTANGLING_COLUMNS}
+
+
 def write_report_csv(report, path: str) -> None:
     """Serialize a report to its documented fixed-order column schema."""
-    if isinstance(report, VerificationReport):
-        columns = VERIFICATION_COLUMNS
-        values = (report.accuracy_mean, report.accuracy_std, report.eer,
-                  report.auc, report.tar_at_far_10pct, report.tar_at_far_1pct,
-                  report.rank1, report.rank5)
-    elif isinstance(report, ReconstructionReport):
-        columns = RECONSTRUCTION_COLUMNS
-        values = (report.rmse_paper, report.mean_vertex_dist, report.n_pairs,
-                  report.crop_radius)
-    elif isinstance(report, DisentanglingReport):
-        columns = DISENTANGLING_COLUMNS
-        values = (report.intra_distance, report.inter_distance,
-                  report.displacement_ratio, report.variance_explained,
-                  report.degenerate)
-    else:
+    columns = _REPORT_COLUMNS.get(type(report))
+    if columns is None:
         raise InvalidArgumentError(
             f"no CSV schema for report type {type(report).__name__}")
+    values = (getattr(report, field.name) for field in dataclasses.fields(report))
     text = ",".join(columns) + "\n" + ",".join(_csv_cell(v) for v in values) + "\n"
     _atomic_write(path, text.encode("ascii"))
 
@@ -146,9 +141,8 @@ def _pack(meta: dict, arrays: dict[str, np.ndarray]) -> list:
     return [MAGIC, struct.pack("<Q", len(blob)), blob, *payload]
 
 
-def _unpack(handle) -> tuple[dict, dict[str, np.ndarray]]:
-    """Header and arrays of the container open as `handle`, every size checked
-    before any read; each array a read-only, aligned view of its own `bytes`."""
+def _index(handle) -> tuple[dict, list]:
+    """Header and checked (name, dtype, shape, nbytes) list of `handle`'s container."""
     size = os.fstat(handle.fileno()).st_size
     start = len(MAGIC) + 8
     prefix = handle.read(start)
@@ -188,6 +182,12 @@ def _unpack(handle) -> tuple[dict, dict[str, np.ndarray]]:
         offset += nbytes
     if offset != size:
         raise CorruptionError(f"{size - offset} trailing bytes")
+    return header, layout
+
+
+def _unpack(handle) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and arrays of `handle`'s container, each a read-only view of its own `bytes`."""
+    header, layout = _index(handle)
     return header, {name: np.frombuffer(handle.read(nbytes), dtype=dtype).reshape(shape)
                     for name, dtype, shape, nbytes in layout}
 
@@ -234,7 +234,8 @@ def save_checkpoint(encoder: EncoderNet, decoder: DecoderNet,
 def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
                                         ClassifierHead, RunConfig]:
     with open(path, "rb") as handle:
-        header, arrays = _unpack(handle)
+        header, layout = _index(handle)
+        payload = handle.read(sum(nbytes for *_, nbytes in layout))
     if header.get("kind") != "checkpoint":
         raise CorruptionError(f"container kind '{header.get('kind')}' "
                               "is not a checkpoint")
@@ -247,21 +248,27 @@ def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
     _invariant(len(activations) >= 1, "activations: no encoder layers")
     q_id, q_res = _field(header, "q_id", int), _field(header, "q_res", int)
 
+    entries = [(name, shape) for name, _, shape, _ in layout]
+
     def shape(name: str) -> tuple:
-        # the stored matrices give the widths; each network's constructor
-        # then checks every stored array against its layout
-        dims = _field(arrays, name).shape
+        # the stored matrices give the widths, and so the layout that every
+        # stored array is then checked against, in order
+        dims = _field(dict(entries), name, tuple)
         _invariant(len(dims) == 2, f"{name}: shape {dims}, expected a matrix")
         return dims
 
     shapes = [shape(f"enc.{i}.weight") for i in range(len(activations))]
     widths = [shapes[0][1], *(rows for rows, _ in shapes)]
-    encoder = _rebuild(lambda: EncoderNet(widths, activations, q_id, q_res, arrays),
-                       "encoder")
-    decoder = _rebuild(lambda: DecoderNet(shape("dec.weight_id")[0], q_id, q_res,
-                                          arrays), "decoder")
-    head = _rebuild(lambda: ClassifierHead(shape("head.weight")[0], q_id, arrays),
-                    "head")
+    nets = (("encoder", EncoderNet, (widths, activations, q_id, q_res)),
+            ("decoder", DecoderNet, (shape("dec.weight_id")[0], q_id, q_res)),
+            ("head", ClassifierHead, (shape("head.weight")[0], q_id)))
+    layouts = [kind._layout(*structure) for _, kind, structure in nets]
+    for i, (got, want) in enumerate(itertools.zip_longest(entries, sum(layouts, []))):
+        _invariant(got == want, f"array {i}: stored {got}, expected {want}")
+    ends = np.cumsum([sum(math.prod(dims) for _, dims in layout) for layout in layouts])
+    vectors = np.split(np.frombuffer(payload, dtype="<f8"), ends[:-1])
+    encoder, decoder, head = (_rebuild(lambda: kind(*structure, vector), what)
+                              for (what, kind, structure), vector in zip(nets, vectors))
     stored = _field(header, "config", dict)  # text fields, resolved by parse_config
     for field in dataclasses.fields(RunConfig):
         _invariant(field.name in stored, f"config.{field.name}: missing")

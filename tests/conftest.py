@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from morphfit.errors import require
+from morphfit.evaluation import (disentangling_report, evaluate_reconstruction,
+                                 reconstruction_truth)
 from morphfit.geometry import coord_rows
 from morphfit.synthetic import (COLUMNS, Dataset, DatasetSpec, PoseRanges,
                                 SyntheticModelSpec, build_dataset,
@@ -56,6 +58,22 @@ def take_rows(dataset: Dataset, rows, **splits) -> Dataset:
                    **{name: getattr(dataset, name)[rows] for name in COLUMNS},
                    **{f"{name}_indices": splits.get(name, empty)
                       for name in ("train", "val", "test")})
+
+
+def reconstruct(predicted, ground_truth, landmark_indices, nose_tip_index,
+                crop_radius):
+    """`evaluate_reconstruction` of one prediction stack against the
+    `reconstruction_truth` of its ground truth."""
+    return evaluate_reconstruction(predicted, reconstruction_truth(
+        ground_truth, landmark_indices, nose_tip_index, crop_radius))
+
+
+def disentangle(embed, dataset):
+    """`disentangling_report` given the codes `embed` gives the evaluated
+    rows' images: the held-out rows, or every row without them."""
+    rows = (dataset.test_indices if len(dataset.test_indices)
+            else np.arange(dataset.labels.size))
+    return disentangling_report(embed, dataset, embed(dataset.images(rows)))
 
 
 # The per-pair shape error that evaluate_reconstruction computed through

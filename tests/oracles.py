@@ -5,11 +5,14 @@ chunk of rows at a time, `build_dataset` projects a chunk's landmarks in one
 product, the fit takes an (m, 2L) landmark array and keeps its poses in
 three arrays and solves each sub-step's systems as one stack,
 `_compose_rows` composes shapes row by row, and the evaluation aligns every
-pair with `procrustes_align_stack` and crops them all with one mask. The
+pair in one stacked alignment and crops them all with one mask. The
 per-item value classes (`Shape`, `LandmarkSet2D`, `CoeffPair`,
 `PoseParams`), the one-item functions the stacks replaced (`crop_indices`
 among them), the per-fold threshold search that one sweep of sorted
-scores replaced, and the OBJ reader only tests use keep their bodies here,
+scores replaced, the reconstruction error that computed its ground-truth
+side anew for every prediction stack, the decode that summed into fresh
+arrays, the disentangling report that encoded the evaluated images
+itself, and the OBJ reader only tests use keep their bodies here,
 changed only where they call the program's current signatures; the tests
 check the program against them, bit for bit where the arithmetic is the
 same and within a stated tolerance where it is not.
@@ -19,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from morphfit.errors import ParseError, require
-from morphfit.evaluation import RocCurve, _split_scores
+from morphfit.errors import InvalidArgumentError, ParseError, require
+from morphfit.evaluation import (DisentanglingReport, ReconstructionReport, RocCurve,
+                                 _cosine_distance_matrix, _split_scores)
 from morphfit.fitting import (_data_terms, _estimate_poses, _landmark_components,
                               _landmark_points, _solve_block)
-from morphfit.geometry import (MIN_POINTS, ROTATION_TOL, MorphableModel, _readonly,
-                               _rotation_errors, procrustes_align_stack)
-from morphfit.synthetic import COLUMNS, sample_instance, sample_subject
+from morphfit.geometry import (MIN_POINTS, ROTATION_TOL, MorphableModel, _align_centred,
+                               _centred, _fail, _readonly, _rotation_errors)
+from morphfit.synthetic import COLUMNS, render_depths, sample_instance, sample_subject
 
 
 def _check_rotation(rotation: np.ndarray, what: str) -> None:
@@ -177,6 +181,21 @@ def project_landmarks(points3d: np.ndarray, pose: PoseParams) -> LandmarkSet2D:
             f"points3d must be (L, 3), got {pts.shape}")
     rotated = (pts + pose.translation) @ pose.rotation.T
     return LandmarkSet2D((pose.scale * rotated[:, :2]).ravel())
+
+
+def procrustes_align_stack(source: np.ndarray, target: np.ndarray) -> tuple:
+    """The checked stacked alignment of an (N, L, 3) source and target stack,
+    as the evaluation ran it before it kept the ground truth's side: both
+    stacks checked, then centred, then aligned pair by pair."""
+    src = np.asarray(source, dtype=np.float64)
+    tgt = np.asarray(target, dtype=np.float64)
+    require(src.ndim == 3 and src.shape[2] == 3 and tgt.shape == src.shape,
+            f"need equal (N, L, 3) source and target, got {src.shape} and {tgt.shape}")
+    require(src.shape[1] >= MIN_POINTS,
+            f"need at least {MIN_POINTS} points, got {src.shape[1]}")
+    _fail(~(np.isfinite(src).all(axis=(1, 2)) & np.isfinite(tgt).all(axis=(1, 2))),
+          "points must be finite", InvalidArgumentError)
+    return _align_centred(_centred(src), _centred(tgt))
 
 
 def procrustes_align(source: np.ndarray, target: np.ndarray) -> SimilarityTransform:
@@ -482,3 +501,119 @@ def searched_accuracy_folds(pairs: np.recarray,
                 + np.count_nonzero(~g_held & (s_held < threshold)))
         accuracies[k] = hits / s_held.size
     return float(accuracies.mean()), float(accuracies.std())
+
+
+def summed_decode(dec, c_id: np.ndarray, c_res: np.ndarray) -> np.ndarray:
+    """`network.decode` as one expression, each sum into a fresh array."""
+    return (c_id @ dec.weight_id.T + dec.bias_id
+            + c_res @ dec.weight_res.T + dec.bias_res)
+
+
+def unshared_reconstruction(predicted: np.ndarray, ground_truth: np.ndarray,
+                            landmark_indices: np.ndarray, nose_tip_index: int,
+                            crop_radius: float) -> ReconstructionReport:
+    """`evaluate_reconstruction` as it checked, gathered, centred and cropped
+    the ground truth again for every prediction stack."""
+    predicted = np.asarray(predicted, dtype=np.float64)
+    ground_truth = np.asarray(ground_truth, dtype=np.float64)
+    require(predicted.ndim == 2 and predicted.shape == ground_truth.shape
+            and predicted.shape[0] >= 1 and predicted.shape[1] % 3 == 0,
+            f"need equal non-empty (N, 3n) arrays, got {predicted.shape} and "
+            f"{ground_truth.shape}")
+    require(bool(np.all(np.isfinite(ground_truth))), "ground-truth shapes must be finite")
+    n_pairs = predicted.shape[0]
+    pred_pts, truth_pts = (a.reshape(n_pairs, -1, 3) for a in (predicted, ground_truth))
+    indices, n = np.asarray(landmark_indices, dtype=np.int64).ravel(), pred_pts.shape[1]
+    require(bool(np.all((indices >= 0) & (indices < n))),
+            f"landmark indices must lie in [0, {n})")
+    require(0 <= nose_tip_index < n, f"nose_tip_index {nose_tip_index} out of range [0, {n})")
+    require(np.isfinite(crop_radius) and crop_radius >= 0.0,
+            f"crop_radius must be finite and non-negative, got {crop_radius}")
+
+    scale, rotation, translation = procrustes_align_stack(pred_pts[:, indices],
+                                                          truth_pts[:, indices])
+    aligned = pred_pts @ np.swapaxes(scale[:, None, None] * rotation, 1, 2)
+    aligned += translation[:, None]
+    bad = ~np.isfinite(aligned).all(axis=(1, 2))
+    require(not bad.any(), f"aligned shape of pair {int(np.argmax(bad))} is not finite")
+
+    # squared residuals, then nose-tip distances, in `aligned`: no new (N, n) floats
+    aligned -= truth_pts
+    aligned *= aligned
+    squared, dist, scratch = (aligned[..., c] for c in range(3))
+    squared += dist
+    squared += scratch
+    dist.fill(0.0)
+    for c in range(3):
+        np.subtract(truth_pts[..., c], truth_pts[:, nose_tip_index, c, None], out=scratch)
+        dist += np.square(scratch, out=scratch)
+    crop = np.sqrt(dist, out=dist) <= crop_radius
+    squared *= crop
+    size = np.count_nonzero(crop, axis=1)
+    return ReconstructionReport(
+        rmse_paper=float(np.sum(np.sqrt(squared.sum(axis=1)) / size)) / n_pairs,
+        mean_vertex_dist=float(np.sum(np.sqrt(squared, out=squared).sum(axis=1) / size))
+        / n_pairs, n_pairs=n_pairs, crop_radius=crop_radius)
+
+
+def self_encoding_disentangling_report(embed, dataset) -> DisentanglingReport:
+    """`disentangling_report` as it encoded the evaluated rows' images itself,
+    then their re-renders."""
+    require(callable(embed), "embed must be callable")
+
+    model: MorphableModel = dataset.model
+    rows = (dataset.test_indices if len(dataset.test_indices)
+            else np.arange(dataset.labels.size))
+    labels = dataset.labels[rows]
+    require(np.unique(labels).size >= 2, "need at least two subjects")
+    require(len(rows) >= np.unique(labels).size * 2,
+            "need at least two expressions per subject")
+
+    images = dataset.images(rows)
+    c_id, c_res = embed(images)
+
+    dist = _cosine_distance_matrix(c_id)
+    same = labels[:, None] == labels[None, :]
+    upper = np.triu(np.ones_like(same, dtype=bool), k=1)
+    intra = float(dist[same & upper].mean())
+    inter = float(dist[~same & upper].mean())
+
+    rng = np.random.default_rng(np.random.SeedSequence([dataset.spec.seed, 0x1d]))
+    perturbation = rng.normal(0.0, 1.0, size=(len(rows), model.k_exp)) * model.sigma_exp
+    moved_images = render_depths(model, dataset.alpha_id[rows],
+                                 dataset.alpha_exp[rows] + perturbation,
+                                 dataset.pose_scale[rows], dataset.pose_rotation[rows],
+                                 dataset.pose_translation[rows],
+                                 dataset.spec.image_resolution)
+    moved_id, moved_res = embed(moved_images)
+    den, ratios = 0.0, []
+    for k in range(len(rows)):
+        d_res = float(np.linalg.norm(moved_res[k] - c_res[k]))
+        d_id = float(np.linalg.norm(moved_id[k] - c_id[k]))
+        den = den + d_res + d_id
+        if d_res + d_id > 0:
+            ratios.append(d_res / (d_res + d_id))
+
+    # constant encoder: no pair moved, no identity spread to attribute
+    degenerate = den <= 0.0 or not np.any(dist[upper] > 0)
+    ratio = float(np.mean(ratios)) if ratios else float("nan")
+
+    grand = c_id.mean(axis=0)
+    total_var = float(np.sum((c_id - grand) ** 2))
+    between = 0.0
+    for label in np.unique(labels):
+        group = c_id[labels == label]
+        between += group.shape[0] * float(np.sum((group.mean(axis=0) - grand) ** 2))
+    # variance at rounding level relative to the code energy means the codes
+    # are numerically constant; the ratio would be noise over noise
+    energy = float(np.sum(c_id * c_id))
+    explained = (between / total_var if total_var > 1e-12 * max(energy, 1e-300)
+                 else float("nan"))
+    if not np.isfinite(explained):
+        degenerate = True
+        explained = float("nan")
+
+    return DisentanglingReport(intra_distance=intra, inter_distance=inter,
+                               displacement_ratio=ratio,
+                               variance_explained=explained,
+                               degenerate=degenerate)

@@ -18,9 +18,7 @@ import pytest
 
 from morphfit.cli import _train_pipeline, cli
 from morphfit.config import RunConfig
-from morphfit.evaluation import (auc, disentangling_report,
-                                 evaluate_reconstruction,
-                                 rank_n_identification, roc_curve,
+from morphfit.evaluation import (auc, rank_n_identification, roc_curve,
                                  verification_accuracy_folds,
                                  verification_pairs)
 from morphfit.fitting import FitConfig, multi_image_fit
@@ -28,6 +26,7 @@ from morphfit.geometry import MorphableModel, rotation_zyx
 from morphfit.network import (encode_images, finite_diff_check, init_decoder,
                               init_encoder, init_head, training_batch)
 
+from conftest import disentangle, reconstruct
 from oracles import (CoeffPair, LandmarkSet2D, PoseParams, Shape,
                      SimilarityTransform, apply_transform, compose_shape,
                      crop_indices, procrustes_align, render_landmarks, solve_expression,
@@ -260,9 +259,8 @@ def test_criterion_06_joint_training_preserves_recognition_and_recon(
         c_id, c_res = encode_images(encoder, images)
         deltas = (c_id @ decoder.weight_id.T + decoder.bias_id
                   + c_res @ decoder.weight_res.T + decoder.bias_res)
-        return evaluate_reconstruction(model.mean + deltas, truths, model.landmark_indices,
-                                       model.nose_tip_index,
-                                       RunConfig().crop_radius).rmse_paper
+        return reconstruct(model.mean + deltas, truths, model.landmark_indices,
+                           model.nose_tip_index, RunConfig().crop_radius).rmse_paper
 
     auc_phase2 = held_out_auc(enc1)
     auc_phase3 = held_out_auc(enc3)
@@ -281,8 +279,7 @@ def test_criterion_06_joint_training_preserves_recognition_and_recon(
 def test_criterion_07_disentangling_diagnostics(default_dataset,
                                                 trained_stack):
     enc3, _dec3, _head3 = trained_stack["after3"]
-    report = disentangling_report(lambda images: encode_images(enc3, images),
-                                  default_dataset)
+    report = disentangle(lambda images: encode_images(enc3, images), default_dataset)
     print(f"criterion 7: intra {report.intra_distance:.4f} "
           f"< inter {report.inter_distance:.4f}, "
           f"displacement ratio {report.displacement_ratio:.4f}")
@@ -375,9 +372,8 @@ def test_criterion_09_geometry_oracles(desk_model):
             rng.uniform(-1.0, 1.0, size=3))
         truths.append(truth.coords)
         preds.append(apply_transform(truth, transform).coords)
-    rigid = evaluate_reconstruction(np.array(preds), np.array(truths),
-                                    desk_model.landmark_indices,
-                                    desk_model.nose_tip_index, 0.95)
+    rigid = reconstruct(np.array(preds), np.array(truths), desk_model.landmark_indices,
+                        desk_model.nose_tip_index, 0.95)
     assert rigid.rmse_paper < 1e-9
 
     # a single-vertex (3, 4, 0) perturbation scores exactly 5 / n_c
@@ -387,9 +383,8 @@ def test_criterion_09_geometry_oracles(desk_model):
     vertex = int(movable[0])
     coords = truth.coords.copy()
     coords[3 * vertex:3 * vertex + 3] += (3.0, 4.0, 0.0)
-    report = evaluate_reconstruction(coords[None], truth.coords[None],
-                                     desk_model.landmark_indices,
-                                     desk_model.nose_tip_index, 0.95)
+    report = reconstruct(coords[None], truth.coords[None], desk_model.landmark_indices,
+                         desk_model.nose_tip_index, 0.95)
     expected = 5.0 / crop.size
     print(f"criterion 9: transform error {transform_err:.2e}, rigid RMSE "
           f"{rigid.rmse_paper:.2e}, perturbation RMSE {report.rmse_paper:.9g} "

@@ -316,6 +316,38 @@ class TestEval:
         assert values["degenerate"] == "False"
         assert float(values["intra_distance"]) >= 0.0
 
+    def test_each_encoder_codes_the_heldout_batch_once(self, pipeline, tmp_path,
+                                                        monkeypatch):
+        # the phase III codes serve verification, reconstruction and the
+        # disentangling report; only the re-rendered images are coded again
+        calls, encode = [], nw.encode_images
+
+        def recording(net, images):
+            calls.append((net, np.array(images)))
+            return encode(net, images)
+
+        monkeypatch.setattr(nw, "encode_images", recording)
+        train = pipeline["train_dir"]
+        code, _, err = run_cli(["eval", "--data", pipeline["dataset"],
+                                "--checkpoint", os.path.join(train, "phase3.ckpt"),
+                                "--baseline", os.path.join(train, "phase2.ckpt"),
+                                *TINY_OVERRIDES, "--seed", "0",
+                                "--out", str(tmp_path / "eval")])
+        assert code == 0, err
+        dataset = load_dataset(pipeline["dataset"])
+        heldout = dataset.images(dataset.test_indices)
+        phase3, baseline, moved = calls
+        for (net, images), checkpoint in ((phase3, "phase3"), (baseline, "phase2")):
+            assert np.array_equal(images, heldout)
+            want = load_checkpoint(os.path.join(train, f"{checkpoint}.ckpt"))[0]
+            assert np.array_equal(net.vector, want.vector)
+        assert moved[0] is phase3[0]
+        assert moved[1].shape == heldout.shape and not np.array_equal(moved[1], heldout)
+        for name in ("verification.csv", "reconstruction.csv",
+                     "reconstruction_baseline.csv", "disentangling.csv"):
+            assert (open(tmp_path / "eval" / name, "rb").read()
+                    == open(os.path.join(pipeline["eval_dir"], name), "rb").read())
+
 
 class TestExportBases:
     def test_writes_one_obj_per_decoder_column(self, pipeline, tmp_path):
@@ -476,11 +508,13 @@ class TestCliContract:
               suppress_health_check=[HealthCheck.too_slow])
     @given(call=contract_calls())
     # escapes the property found: a numpy ValueError from a negative seed and
-    # from an empty check-grad batch, and an overflow warning ahead of the
-    # error line of a diverging phase III
+    # from an empty check-grad batch, an overflow warning ahead of the error
+    # line of a diverging phase III, and a phase III whose Adam second moment
+    # overflowed, which exited 0 with overflow warnings
     @example(call=("train", {**TINY_SETTINGS, "seed": "-1"}, "own", []))
     @example(call=("check-grad", {**TINY_SETTINGS, "batch_size": "0"}, "own", []))
     @example(call=("train", {**TINY_SETTINGS, "phase3_learning_rate": "1e300"}, "own", []))
+    @example(call=("train", {**TINY_SETTINGS, "head_scale": "1e300"}, "own", []))
     def test_exit_0_or_1_with_one_error_line_or_2(self, pipeline, contract_inputs,
                                                   tmp_path_factory, call):
         stage, settings, data, extra = call
@@ -496,4 +530,5 @@ class TestCliContract:
         assert code in (0, 1, 2), argv
         if code == 1:
             assert re.fullmatch(r"error: \w+: [^\n]*\n", err), (argv, err)
+        if code in (0, 1):
             assert caught == [], (argv, [str(w.message) for w in caught])

@@ -16,6 +16,7 @@ from morphfit.evaluation import (
     eer,
     evaluate_reconstruction,
     rank_n_identification,
+    reconstruction_truth,
     roc_curve,
     stratified_folds,
     tar_at_far,
@@ -23,10 +24,7 @@ from morphfit.evaluation import (
     verification_pairs,
     verification_report,
 )
-from morphfit.geometry import (
-    procrustes_align_stack,
-    rotation_zyx,
-)
+from morphfit.geometry import rotation_zyx
 from morphfit.network import EncoderNet, encode_images, init_encoder
 from morphfit.synthetic import (
     Dataset,
@@ -36,9 +34,11 @@ from morphfit.synthetic import (
 
 from oracles import (CoeffPair, PoseParams, Shape, SimilarityTransform,
                      apply_transform, crop_indices, dilate_max, procrustes_align,
+                     procrustes_align_stack,
                      rasterize_depth, searched_accuracy_folds, searched_roc_curve,
-                     select_landmarks)
-from conftest import rmse, row_pose, take_rows
+                     select_landmarks, self_encoding_disentangling_report,
+                     unshared_reconstruction)
+from conftest import disentangle, reconstruct, rmse, row_pose, take_rows
 
 
 def scored_pairs(scores, is_genuine) -> np.recarray:
@@ -417,7 +417,7 @@ def shape_pairs(draw):
 class TestEvaluateReconstruction:
     def test_zero_for_identical(self):
         shapes = random_clouds(np.random.default_rng(12), 3)
-        report = evaluate_reconstruction(shapes, shapes, np.arange(8), 0, 100.0)
+        report = reconstruct(shapes, shapes, np.arange(8), 0, 100.0)
         assert report.rmse_paper < 1e-12
         assert report.mean_vertex_dist < 1e-12
         assert report.n_pairs == 3
@@ -427,7 +427,7 @@ class TestEvaluateReconstruction:
         transform = SimilarityTransform(1.7, rotation_zyx(0.4, -0.3, 0.2),
                                         np.array([1.0, -2.0, 0.5]))
         predicted = moved_rows(truth, transform)
-        report = evaluate_reconstruction(predicted, truth, np.arange(10), 0, 100.0)
+        report = reconstruct(predicted, truth, np.arange(10), 0, 100.0)
         assert report.rmse_paper < 1e-9
         assert report.mean_vertex_dist < 1e-9
 
@@ -436,7 +436,7 @@ class TestEvaluateReconstruction:
         truth = random_clouds(rng, 3)
         predicted = truth + 0.05 * rng.normal(size=truth.shape)
         indices = np.arange(12)
-        assert (evaluate_reconstruction(predicted, truth, indices, 4, 1.5)
+        assert (reconstruct(predicted, truth, indices, 4, 1.5)
                 == reconstruction_loop_oracle(predicted, truth, indices, 4, 1.5))
 
     @pytest.mark.parametrize("nose_tip_index, crop_radius, message", [
@@ -448,7 +448,7 @@ class TestEvaluateReconstruction:
     def test_crop_arguments_checked(self, nose_tip_index, crop_radius, message):
         shapes = random_clouds(np.random.default_rng(15), 2)
         with pytest.raises(InvalidArgumentError, match=message):
-            evaluate_reconstruction(shapes, shapes, np.arange(8), nose_tip_index,
+            reconstruct(shapes, shapes, np.arange(8), nose_tip_index,
                                     crop_radius)
 
     # The stacked crop sums each pair's squared residuals per vertex, then
@@ -458,11 +458,54 @@ class TestEvaluateReconstruction:
     @settings(max_examples=150, deadline=None)
     @given(shape_pairs())
     def test_stacked_pairs_match_per_pair_loop(self, case):
-        got, want = evaluate_reconstruction(*case), reconstruction_loop_oracle(*case)
+        got, want = reconstruct(*case), reconstruction_loop_oracle(*case)
         assert (got.n_pairs, got.crop_radius) == (want.n_pairs, want.crop_radius)
         assert got.rmse_paper == pytest.approx(want.rmse_paper, rel=1e-12, abs=0.0)
         assert got.mean_vertex_dist == pytest.approx(want.mean_vertex_dist, rel=1e-12,
                                                      abs=0.0)
+
+    # One ground-truth side serves every prediction stack scored against it,
+    # with the bits of computing it afresh for each, and stays unchanged.
+    @settings(max_examples=150, deadline=None)
+    @given(shape_pairs(), st.integers(0, 2 ** 32 - 1))
+    def test_shared_truth_matches_unshared_oracle(self, case, seed):
+        predicted, truth, landmarks, nose_tip_index, radius = case
+        other = predicted + np.random.default_rng(seed).normal(size=predicted.shape)
+        shared = reconstruction_truth(truth, landmarks, nose_tip_index, radius)
+        kept = [np.copy(part) for part in (*shared[:2], *shared[2], *shared[3:5])]
+        for stack in (predicted, other, predicted):
+            got = evaluate_reconstruction(stack, shared)
+            want = unshared_reconstruction(stack, truth, landmarks, nose_tip_index, radius)
+            assert repr(got) == repr(want)
+        now = (*shared[:2], *shared[2], *shared[3:5])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, now))
+
+    @pytest.mark.parametrize("vertex, coord, message", [
+        (2, 0, "pair 1: points must be finite"),
+        (8, 2, "aligned shape of pair 1 is not finite"),
+    ])
+    def test_non_finite_prediction_named_as_unshared(self, vertex, coord, message):
+        rng = np.random.default_rng(18)
+        truth = random_clouds(rng, 3, n=10)
+        predicted = truth + 0.1 * rng.normal(size=truth.shape)
+        predicted[1, 3 * vertex + coord] = np.inf
+        for score in (lambda: reconstruct(predicted, truth, np.arange(6), 0, 1.0),
+                      lambda: unshared_reconstruction(predicted, truth, np.arange(6), 0, 1.0)):
+            with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+                score()
+
+    def test_too_few_landmarks_named_as_unshared(self):
+        shapes = random_clouds(np.random.default_rng(19), 2, n=10)
+        for score in (reconstruct, unshared_reconstruction):
+            with pytest.raises(InvalidArgumentError, match="^need at least 4 points, got 3$"):
+                score(shapes, shapes, np.arange(3), 0, 1.0)
+
+    def test_prediction_must_match_the_truth_shape(self):
+        shapes = random_clouds(np.random.default_rng(20), 2, n=10)
+        shared = reconstruction_truth(shapes, np.arange(6), 0, 1.0)
+        for predicted in (shapes[:1], shapes[:, :27], shapes.ravel()):
+            with pytest.raises(InvalidArgumentError, match="shaped like the ground truth"):
+                evaluate_reconstruction(predicted, shared)
 
     @settings(max_examples=100, deadline=None)
     @given(shape_pairs())
@@ -490,16 +533,16 @@ class TestEvaluateReconstruction:
         else:
             points[:] = np.outer(np.linspace(-1.0, 1.0, 10), [1.0, 2.0, 3.0])
         with pytest.raises(DegenerateGeometryError, match=f"pair {k}:"):
-            evaluate_reconstruction(predicted, truth, np.arange(6), 0, 1.0)
+            reconstruct(predicted, truth, np.arange(6), 0, 1.0)
 
     def test_invariant_to_common_rigid_motion(self):
         rng = np.random.default_rng(15)
         truth = random_clouds(rng, 2)
         predicted = truth + 0.1 * rng.normal(size=truth.shape)
-        base = evaluate_reconstruction(predicted, truth, np.arange(10), 0, 2.0)
+        base = reconstruct(predicted, truth, np.arange(10), 0, 2.0)
         motion = SimilarityTransform(1.0, rotation_zyx(-0.2, 0.3, 0.5),
                                      np.array([0.4, 0.1, -0.7]))
-        moved = evaluate_reconstruction(moved_rows(predicted, motion),
+        moved = reconstruct(moved_rows(predicted, motion),
                                         moved_rows(truth, motion),
                                         np.arange(10), 0, 2.0)
         assert abs(base.rmse_paper - moved.rmse_paper) < 1e-9
@@ -509,18 +552,18 @@ class TestEvaluateReconstruction:
         rng = np.random.default_rng(16)
         shape = random_clouds(rng, 1)
         with pytest.raises(InvalidArgumentError):
-            evaluate_reconstruction(np.empty((0, 120)), np.empty((0, 120)),
+            reconstruct(np.empty((0, 120)), np.empty((0, 120)),
                                     np.arange(4), 0, 1.0)
         with pytest.raises(InvalidArgumentError):
-            evaluate_reconstruction(shape, random_clouds(rng, 1, n=11),
+            reconstruct(shape, random_clouds(rng, 1, n=11),
                                     np.arange(4), 0, 1.0)
         with pytest.raises(InvalidArgumentError):
-            evaluate_reconstruction(shape, shape, np.array([0, 1, 2, 40]), 0, 1.0)
+            reconstruct(shape, shape, np.array([0, 1, 2, 40]), 0, 1.0)
         bad = shape.copy()
         bad[0, 5] = np.nan
         for predicted, truth in ((bad, shape), (shape, bad)):
             with pytest.raises(InvalidArgumentError):
-                evaluate_reconstruction(predicted, truth, np.arange(4), 0, 1.0)
+                reconstruct(predicted, truth, np.arange(4), 0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -586,20 +629,20 @@ def rowwise_encoder(input_dim: int):
 class TestDisentanglingReport:
     def test_batched_codes_match_per_image_loop(self, flat_split_dataset):
         embed = rowwise_encoder(256)
-        report = disentangling_report(embed, flat_split_dataset)
+        report = disentangle(embed, flat_split_dataset)
         ratio, den = displacement_loop_oracle(embed, flat_split_dataset)
         assert den > 0.0 and not report.degenerate
         assert report.displacement_ratio == ratio
 
     def test_encoder_net_matches_per_image_loop(self, flat_split_dataset):
         net = init_encoder(256, 3, 2, hidden=(16,), seed=7)
-        report = disentangling_report(embedding(net), flat_split_dataset)
+        report = disentangle(embedding(net), flat_split_dataset)
         ratio, _ = displacement_loop_oracle(
             lambda batch: encode_images(net, batch), flat_split_dataset)
         assert abs(report.displacement_ratio - ratio) <= 1e-12 * abs(ratio)
 
     def test_constant_encoder_is_degenerate(self, flat_split_dataset):
-        report = disentangling_report(embedding(constant_encoder(256)),
+        report = disentangle(embedding(constant_encoder(256)),
                                       flat_split_dataset)
         assert report.degenerate
         assert report.intra_distance < 1e-12
@@ -633,22 +676,49 @@ class TestDisentanglingReport:
             rows = [lookup[np.ascontiguousarray(row).tobytes()] for row in batch]
             return (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
 
-        report = disentangling_report(embed, flat_split_dataset)
+        report = disentangle(embed, flat_split_dataset)
         assert not report.degenerate
         assert report.intra_distance == 0.0
         assert report.inter_distance == 1.0
         assert report.displacement_ratio == 1.0
         assert abs(report.variance_explained - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("encoder", ["rowwise", "net", "constant"])
+    def test_passed_codes_match_self_encoding_oracle(self, flat_split_dataset, encoder):
+        embed = {"rowwise": rowwise_encoder(256),
+                 "net": embedding(init_encoder(256, 3, 2, hidden=(16,), seed=7)),
+                 "constant": embedding(constant_encoder(256))}[encoder]
+        images = flat_split_dataset.images(np.arange(6))
+        batches = []
+
+        def recording(batch):
+            batches.append(np.array(batch))
+            return embed(batch)
+
+        got = disentangling_report(recording, flat_split_dataset, embed(images))
+        want = self_encoding_disentangling_report(embed, flat_split_dataset)
+        assert repr(got) == repr(want)
+        # only the re-rendered images are encoded
+        assert len(batches) == 1 and batches[0].shape == images.shape
+        assert not np.array_equal(batches[0], images)
+
+    def test_codes_must_cover_the_evaluated_rows(self, flat_split_dataset):
+        embed = rowwise_encoder(256)
+        c_id, c_res = embed(flat_split_dataset.images(np.arange(6)))
+        for codes in ((c_id[:5], c_res[:5]), (c_id, c_res[:5])):
+            with pytest.raises(InvalidArgumentError, match="need codes of the 6 rows"):
+                disentangling_report(embed, flat_split_dataset, codes)
+
     def test_rejects_non_callable(self, flat_split_dataset):
         with pytest.raises(InvalidArgumentError):
-            disentangling_report(object(), flat_split_dataset)
+            disentangling_report(object(), flat_split_dataset,
+                                 (np.zeros((6, 3)), np.zeros((6, 2))))
 
     def test_needs_two_subjects(self, flat_split_dataset):
         first_subject = take_rows(flat_split_dataset, np.arange(3),
                                   train=np.arange(3, dtype=np.int64))
         with pytest.raises(InvalidArgumentError):
-            disentangling_report(embedding(constant_encoder(256)), first_subject)
+            disentangle(embedding(constant_encoder(256)), first_subject)
 
     def test_report_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -75,6 +75,22 @@ def drop_array(data: bytes, name: str) -> bytes:
                     lambda h: h["arrays"].remove(entry))
 
 
+def rearrange(data: bytes, edit) -> bytes:
+    """The container with its (header entry, payload bytes) list edited in
+    place by `edit`, so entries and their payloads move together."""
+    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+    start = len(MAGIC) + 8
+    header = json.loads(data[start:start + header_len].decode("utf-8"))
+    items, offset = [], start + header_len
+    for entry in header["arrays"]:
+        nbytes = 8 * math.prod(entry["shape"])
+        items.append((entry, data[offset:offset + nbytes]))
+        offset += nbytes
+    edit(items)
+    header["arrays"] = [entry for entry, _ in items]
+    return craft(header, b"".join(chunk for _, chunk in items))
+
+
 def craft(header: dict, payload: bytes = b"") -> bytes:
     blob = json.dumps(header, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
@@ -461,6 +477,34 @@ class TestCheckpoint:
         with pytest.raises(InvariantViolationError, match="enc.0.weight"):
             load_checkpoint(str(tampered))
 
+    # each network's vector is its slice of the payload, so every stored
+    # array must sit where the layout puts it, under its name and shape
+    @pytest.mark.parametrize("edit, message", [
+        (lambda items: items.insert(0, items.pop(1)),
+         "array 0: stored ('enc.0.bias', (8,)), expected ('enc.0.weight', (8, 16))"),
+        (lambda items: items.insert(5, items.pop(7)),
+         "array 5: stored ('dec.bias_res', (16,)), expected ('dec.bias_id', (16,))"),
+        (lambda items: items.append(items.pop(4)),
+         "array 4: stored ('dec.bias_id', (16,)), expected ('dec.weight_id', (16, 3))"),
+        (lambda items: items[3][0].update(name="enc.1.b"),
+         "array 3: stored ('enc.1.b', (5,)), expected ('enc.1.bias', (5,))"),
+        (lambda items: items[6][0].update(shape=[2, 16]),
+         "array 6: stored ('dec.weight_res', (2, 16)), expected ('dec.weight_res', (16, 2))"),
+        (lambda items: items[9][0].update(shape=[2, 2]),
+         "array 9: stored ('head.bias', (2, 2)), expected ('head.bias', (4,))"),
+        (lambda items: items.append(({**items[9][0], "name": "head.extra"}, items[9][1])),
+         "array 10: stored ('head.extra', (4,)), expected None"),
+        (lambda items: items.pop(),
+         "array 9: stored None, expected ('head.bias', (4,))"),
+    ], ids=["bias-first", "biases-swapped", "weight-last", "renamed", "matrix-transposed",
+            "vector-reshaped", "extra-array", "missing-array"])
+    def test_array_out_of_layout_is_named(self, stack, tmp_path, edit, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(*stack, str(path))
+        path.write_bytes(rearrange(path.read_bytes(), edit))
+        with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(str(path))
+
     def test_config_version_written(self, stack, tmp_path):
         path = tmp_path / "model.mfc"
         save_checkpoint(*stack, str(path))
@@ -775,12 +819,17 @@ class TestArrayDtypeTags:
                                      "dtype tag 'i8', expected 'f8'"])
 
 
-def bytes_backed(array: np.ndarray) -> bool:
-    """Whether the chain of bases under `array` ends in a `bytes` object."""
+def root_buffer(array: np.ndarray):
+    """The object at the end of the chain of bases under `array`."""
     base = array.base
     while isinstance(base, np.ndarray):
         base = base.base
-    return isinstance(base, bytes)
+    return base
+
+
+def bytes_backed(array: np.ndarray) -> bool:
+    """Whether the chain of bases under `array` ends in a `bytes` object."""
+    return isinstance(root_buffer(array), bytes)
 
 
 class TestOneCopyPerLoad:
@@ -812,11 +861,20 @@ class TestOneCopyPerLoad:
             assert bytes_backed(array), name
             with pytest.raises(ValueError):
                 array.setflags(write=True)
-        # each network owns one read-only vector, and its weights view it
+        # each network's read-only vector is its slice of one `bytes`, the
+        # checkpoint's payload, in encoder, decoder, head order; its weights
+        # view the vector
+        payload = root_buffer(encoder.vector)
+        assert type(payload) is bytes
+        start = 0
         for net in (encoder, decoder, head):
-            assert net.vector.flags.owndata and not net.vector.flags.writeable
+            assert root_buffer(net.vector) is payload and not net.vector.flags.writeable
+            assert np.shares_memory(net.vector, np.frombuffer(payload, "<f8"))
+            assert net.vector.tobytes() == payload[start:start + net.vector.nbytes]
+            start += net.vector.nbytes
             for name, array in net.params.items():
-                assert array.base is net.vector and not array.flags.writeable, name
+                assert np.shares_memory(array, net.vector) and not array.flags.writeable, name
+        assert start == len(payload)
 
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_arrays_with_a_writable_alias_are_copied(self, tiny_dataset,

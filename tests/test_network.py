@@ -3,6 +3,7 @@
 import os
 import re
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,7 @@ from morphfit.network import (
 from morphfit.serialization import load_checkpoint, save_checkpoint
 from morphfit.synthetic import Dataset, DatasetSpec
 
-from oracles import compose_shape
+from oracles import compose_shape, summed_decode
 from conftest import row_coeffs, take_rows
 
 
@@ -489,6 +490,19 @@ class TestDecoderForward:
         lhs = decode(dec, a_id + b_id, a_res + b_res) + decode(dec, zero, zero)
         rhs = decode(dec, a_id, a_res) + decode(dec, b_id, b_res)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 50),
+           st.integers(1, 6), st.integers(1, 6))
+    def test_matches_summed_oracle(self, seed, rows, out_dim, q_id, q_res):
+        # codes as the trainers and eval hand them in: column blocks of one
+        # (rows, q_id + q_res) array
+        rng = np.random.default_rng(seed)
+        dec = small_decoder(rng, out_dim, q_id, q_res)
+        codes = rng.uniform(-1.0, 1.0, size=(rows, q_id + q_res))
+        c_id, c_res = codes[:, :q_id], codes[:, q_id:]
+        got, want = decode(dec, c_id, c_res), summed_decode(dec, c_id, c_res)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(8)
@@ -1291,6 +1305,55 @@ class TestPhase3FailureContext:
             for a, b in zip(network_arrays(*last_good[:3]),
                             network_arrays(*finished[:3])):
                 assert same_bits(a, b)
+
+
+class TestSecondMomentOverflow:
+    """An Adam second moment that overflowed while the parameters stayed
+    finite fails the epoch's end, silently: Adam steps raise no warning."""
+
+    def test_step_overflows_without_a_warning(self):
+        flat = network._FlatParams([("w", np.zeros(3))])
+        flat.grad[:] = (1e200, -1e300, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat.step(TrainConfig())
+            flat.step(TrainConfig())
+        assert np.isinf(flat.v[:2]).all() and np.isfinite(flat.data).all()
+
+    def poison(self, monkeypatch, after_step: int) -> None:
+        real_step, taken = network._FlatParams.step, []
+
+        def poisoning_step(self, *args, **kwargs):
+            real_step(self, *args, **kwargs)
+            taken.append(None)
+            if len(taken) == after_step + 1:
+                self.v[-1] = np.inf
+        monkeypatch.setattr(network._FlatParams, "step", poisoning_step)
+
+    def test_phase3_keeps_the_epoch_before(self, phase3_inputs, default_dataset,
+                                           monkeypatch):
+        config = TrainConfig(learning_rate=2e-4, batch_size=64, seed=0)
+        finished = train_phase3(*phase3_inputs, default_dataset, config,
+                                stages=((0.5, 1),))
+        self.poison(monkeypatch, 2)
+        with pytest.raises(NumericalFailureError) as exc_info:
+            train_phase3(*phase3_inputs, default_dataset, config, stages=((0.5, 3),))
+        last = finished[3][-1]
+        assert str(exc_info.value) == (
+            "phase III stage 0 (lambda_r 0.5), epoch 1, end of epoch: Adam's second "
+            f"moment became non-finite; last finished epoch: total {last.total!r}, "
+            f"recon {last.recon!r}, ident {last.ident!r}")
+        last_good = exc_info.value.last_good
+        assert last_good[3] == finished[3]
+        for a, b in zip(network_arrays(*last_good[:3]), network_arrays(*finished[:3])):
+            assert same_bits(a, b)
+
+    def test_phase1_names_the_epoch(self, default_dataset, monkeypatch):
+        net = init_encoder(1024, 20, 8, hidden=(16,), seed=2)
+        self.poison(monkeypatch, 0)
+        with pytest.raises(NumericalFailureError, match="^phase I epoch 0, end of epoch: "
+                           "Adam's second moment became non-finite$"):
+            train_phase1(net, default_dataset, TrainConfig(batch_size=64, epochs=2, seed=3))
 
 
 class TestPhase1FailureContext:
