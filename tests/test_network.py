@@ -1307,6 +1307,33 @@ class TestPhase3FailureContext:
                 assert same_bits(a, b)
 
 
+class TestSingleSnapshotVector:
+    """The epoch's loss runs before the copy into the trainer's one snapshot
+    vector, so a loss that fails leaves the epoch before intact."""
+
+    def test_failed_epoch_loss_keeps_the_epoch_before(self, phase3_inputs,
+                                                      default_dataset, monkeypatch):
+        config = TrainConfig(learning_rate=2e-4, batch_size=64, seed=0)
+        finished = train_phase3(*phase3_inputs, default_dataset, config,
+                                stages=((0.5, 1),))
+        real_loss, calls = network.batch_loss, []
+
+        def failing_loss(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericalFailureError("joint loss became non-finite")
+            return real_loss(*args)
+
+        monkeypatch.setattr(network, "batch_loss", failing_loss)
+        with pytest.raises(NumericalFailureError) as exc_info:
+            train_phase3(*phase3_inputs, default_dataset, config, stages=((0.5, 3),))
+        assert "epoch 1, end of epoch: joint loss became non-finite" in str(exc_info.value)
+        last_good = exc_info.value.last_good
+        assert last_good[3] == finished[3]
+        for a, b in zip(network_arrays(*last_good[:3]), network_arrays(*finished[:3])):
+            assert same_bits(a, b)
+
+
 class TestSecondMomentOverflow:
     """An Adam second moment that overflowed while the parameters stayed
     finite fails the epoch's end, silently: Adam steps raise no warning."""
