@@ -293,8 +293,9 @@ _COMMANDS = {
 def cli(argv: list[str] | None = None) -> int:
     """Run one subcommand; returns the process exit code.
 
-    Usage problems exit 2 (argparse convention); any pipeline error is
-    reported as a single `error: Kind: message` line on stderr with exit 1.
+    Usage problems exit 2 (argparse convention); any pipeline error, file
+    error or refused allocation is reported as a single `error: Kind:
+    message` line on stderr with exit 1.
     """
     parser = build_parser()
     try:
@@ -303,10 +304,7 @@ def cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except MorphfitError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MorphfitError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

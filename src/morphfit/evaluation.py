@@ -12,48 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, require
-from .geometry import MIN_POINTS, MorphableModel, _align_centred, _centred, _fail, _readonly
+from .geometry import MIN_POINTS, MorphableModel, _align_centred, _centred, _fail
 from .synthetic import render_depths
-
-
-@dataclass(frozen=True)
-class RocCurve:
-    """Operating points (threshold, TAR, FAR), thresholds strictly increasing.
-
-    TAR and FAR are non-increasing along the list because raising the
-    threshold can only shrink the accepted set. The last point is a sentinel
-    threshold above every score, pinning the (TAR, FAR) = (0, 0) end.
-    """
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = _readonly(self.points)
-        object.__setattr__(self, "points", pts)
-        require(pts.ndim == 2 and pts.shape[1] == 3,
-                f"curve points must be (n, 3), got {pts.shape}")
-        require(pts.shape[0] >= 2, "curve needs at least two operating points")
-        require(bool(np.all(np.isfinite(pts))), "curve entries must be finite")
-        rates = pts[:, 1:]
-        require(bool(np.all(rates >= 0.0)) and bool(np.all(rates <= 1.0)),
-                "TAR and FAR must lie in [0, 1]")
-        require(bool(np.all(np.diff(pts[:, 0]) > 0)),
-                "thresholds must be strictly increasing")
-        require(bool(np.all(np.diff(pts[:, 1]) <= 0)) and
-                bool(np.all(np.diff(pts[:, 2]) <= 0)),
-                "TAR and FAR must be non-increasing in the threshold")
-
-    @property
-    def thresholds(self) -> np.ndarray:
-        return self.points[:, 0]
-
-    @property
-    def tar(self) -> np.ndarray:
-        return self.points[:, 1]
-
-    @property
-    def far(self) -> np.ndarray:
-        return self.points[:, 2]
 
 
 @dataclass(frozen=True)
@@ -159,71 +119,121 @@ def _split_scores(pairs: np.recarray) -> tuple[np.ndarray, np.ndarray]:
     return scores, genuine
 
 
-def _sweep(scores: np.ndarray, genuine: np.ndarray) -> tuple:
-    """Over sorted scores, (below, genuine_below, sentinel): below[j] pairs, of
-    them genuine_below[j] genuine, score below threshold j, which is the j-th
-    distinct score, scores[below[j]], or for the last j the sentinel above all
-    (max + 1.0 rounds back to max once |max| >= 2**53, hence nextafter there)."""
+def _sentinel(top: float) -> float:
+    """A threshold above top (top + 1.0 rounds back to top once |top| >= 2**53)."""
+    return max(top + 1.0, np.nextafter(top, np.inf))
+
+
+def _sweep(scores: np.ndarray, genuine: np.ndarray, *columns: np.ndarray) -> tuple:
+    """Sort the pairs by score with one argsort. Returns the thresholds (the
+    distinct scores in increasing order, then a sentinel above them all), below
+    (below[j] pairs score under threshold j: its run starts there), and the
+    genuine flags and further columns in sorted order."""
+    order = np.argsort(scores)
+    ranked = scores[order]
     new = np.empty(scores.size + 1, dtype=bool)
     new[0] = new[-1] = True
-    np.not_equal(scores[1:], scores[:-1], out=new[1:-1])
-    below, top = np.flatnonzero(new), scores[-1]
-    sentinel = max(top + 1.0, np.nextafter(top, np.inf))
-    return below, np.r_[0, np.cumsum(genuine)][below], sentinel
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:-1])
+    below = np.flatnonzero(new)
+    thresholds = np.append(ranked[below[:-1]], _sentinel(ranked[-1]))
+    return (thresholds, below, *(column[order] for column in (genuine, *columns)))
 
 
-def roc_curve(pairs: np.recarray) -> RocCurve:
-    """Sweep accept-iff-score>=threshold over every distinct score.
-
-    Thresholds are the distinct scores in increasing order plus one sentinel
-    above the maximum, so the curve always reaches both (1, 1) (accept all)
-    and (0, 0) (reject all). Ties share an operating point by construction.
-    """
-    scores, genuine = _split_scores(pairs)
-    order = np.argsort(scores)
-    below, genuine_below, sentinel = _sweep(scores[order], genuine[order])
-    thresholds = np.append(scores[order[below[:-1]]], sentinel)
-    n_genuine, n_impostor = genuine_below[-1], scores.size - genuine_below[-1]
+def _roc(below: np.ndarray, genuine: np.ndarray) -> tuple:
+    """TAR and FAR at each of `_sweep`'s thresholds."""
+    genuine_below = np.r_[0, np.cumsum(genuine)][below]
+    n_genuine, n_impostor = genuine_below[-1], genuine.size - genuine_below[-1]
     tar = (n_genuine - genuine_below) / n_genuine
     far = (n_impostor - (below - genuine_below)) / n_impostor
-    return RocCurve(np.column_stack([thresholds, tar, far]))
+    return tar, far
 
 
-def auc(curve: RocCurve) -> float:
-    """Trapezoidal area under TAR(FAR).
+def roc_curve(pairs: np.recarray) -> tuple:
+    """Sweep accept-iff-score>=threshold over every distinct score.
+
+    Returns (thresholds, TAR, FAR): the thresholds are the distinct scores in
+    increasing order plus one sentinel above the maximum, so the curve always
+    reaches both (1, 1) (accept all) and (0, 0) (reject all), and TAR and FAR
+    are non-increasing. Ties share an operating point by construction.
+    """
+    thresholds, below, genuine = _sweep(*_split_scores(pairs))
+    return (thresholds, *_roc(below, genuine))
+
+
+def auc(curve: tuple) -> float:
+    """Trapezoidal area under TAR(FAR) of a `roc_curve`.
 
     Equals the Mann-Whitney statistic with ties counted one half, because a
     tie block appears as a single diagonal segment of the polyline. The
     polyline is walked in decreasing-threshold order; re-sorting by FAR would
     scramble the neighbors of vertical (tied-FAR) runs.
     """
-    return float(np.trapezoid(curve.tar[::-1], curve.far[::-1]))
+    _, tar, far = curve
+    return float(np.trapezoid(tar[::-1], far[::-1]))
 
 
-def eer(curve: RocCurve) -> float:
+def eer(curve: tuple) -> float:
     """Rate where FAR crosses 1 - TAR, linearly interpolated on the polyline."""
+    _, tar, far = curve
     # f = FAR - (1 - TAR) runs from +1 at accept-all to -1 at reject-all, so
     # a sign change always exists along decreasing threshold.
-    f = curve.far + curve.tar - 1.0
+    f = far + tar - 1.0
     lo, hi = f[:-1], f[1:]
     crossings = np.flatnonzero((lo == 0.0) | ((lo > 0.0) & (hi <= 0.0)))
     if crossings.size == 0:
-        return float(curve.far[-1])
+        return float(far[-1])
     i = int(crossings[0])
     if f[i] == 0.0:
-        return float(curve.far[i])
+        return float(far[i])
     u = f[i] / (f[i] - f[i + 1])
-    return float(curve.far[i] + u * (curve.far[i + 1] - curve.far[i]))
+    return float(far[i] + u * (far[i + 1] - far[i]))
 
 
-def tar_at_far(curve: RocCurve, far_target: float) -> float:
+def tar_at_far(curve: tuple, far_target: float) -> float:
     """TAR linearly interpolated at the requested FAR (upper envelope)."""
     require(np.isfinite(far_target) and 0.0 < far_target <= 1.0,
             f"far_target must lie in (0, 1], got {far_target}")
+    _, tar, far = curve
     # collapse vertical runs (same FAR, several TARs) to the best TAR: both
     # rates are non-increasing in the threshold, so a FAR's first point has it
-    fars, first = np.unique(curve.far, return_index=True)
-    return float(np.interp(far_target, fars, curve.tar[first]))
+    first = np.flatnonzero(np.r_[True, far[1:] != far[:-1]])[::-1]
+    return float(np.interp(far_target, far[first], tar[first]))
+
+
+def _fold_accuracy(thresholds: np.ndarray, below: np.ndarray, genuine: np.ndarray,
+                   fold: np.ndarray, n_folds: int) -> tuple[float, float]:
+    """Mean and population std over folds of each fold's accuracy at the
+    threshold that scores best on the other folds (fold -1: in no fold), from
+    `_sweep`'s order. The candidates are the distinct training scores, then a
+    sentinel above them; the first with the most accepted genuine plus rejected
+    impostor training pairs wins, so a tie goes to the smallest threshold."""
+    n, in_folds = genuine.size, fold >= 0
+    # passing a training pair, a threshold rejects one more impostor (+1) or genuine (-1)
+    step = 1 - 2 * genuine.view(np.int8)
+    train, steps = np.empty(n, dtype=bool), np.empty(n, dtype=np.int8)
+    prefix, accuracies = np.zeros(n + 1, dtype=np.int64), np.empty(n_folds)
+    for k in range(n_folds):
+        np.not_equal(fold, k, out=train)
+        train &= in_folds
+        np.multiply(step, train, out=steps)
+        np.cumsum(steps, out=prefix[1:])
+        # training accuracy at each threshold, up to a constant; a threshold that
+        # no training pair holds ties the next one that does, which is the pick
+        best = below[int(np.argmax(prefix[below]))]
+        if train[best:].any():
+            first = best + int(np.argmax(train[best:]))
+            cut = below[np.searchsorted(below, first, "right") - 1]
+        else:  # the sentinel above the largest training score
+            last = n - 1 - int(np.argmax(train[::-1]))
+            top = thresholds[np.searchsorted(below, last, "right") - 1]
+            cut = below[np.searchsorted(thresholds[:-1], _sentinel(top))]
+        # the held-out pairs before the threshold's sorted position score under it
+        np.equal(fold, k, out=train)
+        held, rejected = np.count_nonzero(train), np.count_nonzero(train[:cut])
+        train &= genuine
+        held_genuine, rejected_genuine = np.count_nonzero(train), np.count_nonzero(train[:cut])
+        accuracies[k] = (held_genuine - 2 * rejected_genuine + rejected) / held
+    return float(accuracies.mean()), float(accuracies.std())
 
 
 def verification_accuracy_folds(pairs: np.recarray,
@@ -247,22 +257,8 @@ def verification_accuracy_folds(pairs: np.recarray,
         for count, total, what in ((held_genuine[k], size, "held-out"),
                                    (train_genuine[k], scores.size - size, "training")):
             require(0 < count < total, f"{what} fold {k} contains a single class")
-    order = np.argsort(scores)
-    s_sorted, g_sorted, fold_sorted = scores[order], genuine[order], order // size
-    accuracies = np.empty(n_folds)
-    for k in range(n_folds):
-        train = np.flatnonzero(fold_sorted != k)
-        s_train = s_sorted[train]
-        below, genuine_below, sentinel = _sweep(s_train, g_sorted[train])
-        # the first threshold with the most accepted genuine plus rejected
-        # impostor pairs; the sentinel, rejecting all, is the last
-        j = int(np.argmax(train_genuine[k] - 2 * genuine_below + below))
-        threshold = s_train[below[j]] if j + 1 < below.size else sentinel
-        s_held, g_held = scores[k * size:(k + 1) * size], genuine[k * size:(k + 1) * size]
-        hits = (np.count_nonzero(g_held & (s_held >= threshold))
-                + np.count_nonzero(~g_held & (s_held < threshold)))
-        accuracies[k] = hits / size
-    return float(accuracies.mean()), float(accuracies.std())
+    fold = np.repeat(np.arange(n_folds, dtype=np.min_scalar_type(-n_folds)), size)
+    return _fold_accuracy(*_sweep(scores, genuine, fold), n_folds)
 
 
 def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
@@ -441,32 +437,34 @@ def verification_pairs(codes: np.ndarray, labels: np.ndarray) -> np.recarray:
     labels = np.asarray(labels).ravel()
     require(codes.ndim == 2 and codes.shape[0] == labels.size,
             "codes must be (n, q) row-aligned with labels")
-    require(codes.shape[0] >= 2, "need at least two codes")
-    rows, cols = np.triu_indices(codes.shape[0], k=1)
-    scores = _cosine_matrix(codes, codes)[rows, cols]
-    return np.rec.fromarrays([scores, labels[rows] == labels[cols]],
-                             names="score,is_genuine")
+    n = codes.shape[0]
+    require(n >= 2, "need at least two codes")
+    sims = _cosine_matrix(codes, codes)
+    pairs = np.recarray(n * (n - 1) // 2, dtype=[("score", np.float64), ("is_genuine", bool)])
+    scores, genuine, start = pairs["score"], pairs["is_genuine"], 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        scores[start:stop] = sims[i, i + 1:]
+        np.equal(labels[i + 1:], labels[i], out=genuine[start:stop])
+        start = stop
+    return pairs
 
 
-def stratified_folds(pairs: np.recarray, n_folds: int) -> np.recarray:
-    """Rearrange pairs into equal contiguous folds, each with both classes.
-
-    Genuine and impostor pairs are each cut, in incoming order, into n_folds
-    equal runs (the remainder trimmed); fold k is the k-th genuine run then
-    the k-th impostor run, so the contiguous fold protocol sees the same
-    class balance everywhere. Needs at least n_folds pairs of each class.
-    """
+def _stratified_folds(genuine: np.ndarray, n_folds: int) -> np.ndarray:
+    """Each pair's fold, so that all folds have one class balance: each class
+    is cut, in index order, into n_folds equal runs, so the pair of rank r in
+    its class is in fold r // (run length), and its remainder is in no fold (-1)."""
     require(int(n_folds) >= 2, "need at least two folds")
     n_folds = int(n_folds)
-    flags = np.asarray(pairs["is_genuine"], dtype=bool)
-    genuine, impostor = np.flatnonzero(flags), np.flatnonzero(~flags)
-    require(genuine.size >= n_folds and impostor.size >= n_folds,
+    classes = np.flatnonzero(genuine), np.flatnonzero(~genuine)
+    require(min(members.size for members in classes) >= n_folds,
             f"need at least {n_folds} pairs of each class, got "
-            f"{genuine.size} genuine / {impostor.size} impostor")
-    g_per, i_per = genuine.size // n_folds, impostor.size // n_folds
-    order = np.hstack([genuine[:n_folds * g_per].reshape(n_folds, g_per),
-                       impostor[:n_folds * i_per].reshape(n_folds, i_per)])
-    return pairs[order.ravel()]
+            f"{classes[0].size} genuine / {classes[1].size} impostor")
+    fold = np.full(genuine.size, -1, dtype=np.min_scalar_type(-n_folds))
+    for members in classes:
+        per = members.size // n_folds
+        fold[members[:n_folds * per]] = np.repeat(np.arange(n_folds, dtype=fold.dtype), per)
+    return fold
 
 
 def verification_report(pairs: np.recarray, n_folds: int = 10,
@@ -475,11 +473,15 @@ def verification_report(pairs: np.recarray, n_folds: int = 10,
     """Assemble the standard report from one scored pair array.
 
     The threshold-free metrics use every pair; the fold accuracy runs on the
-    stratified rearrangement (a few pairs may be trimmed to equalize folds).
+    stratified folds (a few pairs may be in no fold, to equalize them). Both
+    come from one sort of the scores.
     """
-    curve = roc_curve(pairs)
-    mean, std = verification_accuracy_folds(stratified_folds(pairs, n_folds),
-                                            n_folds)
+    scores, genuine = _split_scores(pairs)
+    fold = _stratified_folds(genuine, n_folds)
+    thresholds, below, genuine, fold = _sweep(scores, genuine, fold)
+    del scores  # the sorted order holds all that is needed from here on
+    curve = (thresholds, *_roc(below, genuine))
+    mean, std = _fold_accuracy(thresholds, below, genuine, fold, int(n_folds))
     return VerificationReport(accuracy_mean=mean, accuracy_std=std,
                               eer=eer(curve), auc=auc(curve),
                               tar_at_far_10pct=tar_at_far(curve, 0.10),

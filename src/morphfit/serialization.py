@@ -62,8 +62,7 @@ def write_obj(coords: np.ndarray, path: str) -> None:
     require(coords.ndim == 1 and coords.size % 3 == 0,
             f"coordinates must be a flat (3n,) array, got shape {coords.shape}")
     require(bool(np.all(np.isfinite(coords))), "shape coordinates must be finite")
-    text = ("v %.9g %.9g %.9g\n" * (coords.size // 3)) % tuple(coords.tolist())
-    _atomic_write(path, text.encode("ascii"))
+    _atomic_write(path, (b"v %.9g %.9g %.9g\n" * (coords.size // 3)) % tuple(coords.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ pair in one stacked alignment and crops them all with one mask. The
 per-item value classes (`Shape`, `LandmarkSet2D`, `CoeffPair`,
 `PoseParams`), the one-item functions the stacks replaced (`crop_indices`
 among them), the per-fold threshold search that one sweep of sorted
-scores replaced, the reconstruction error that computed its ground-truth
+scores replaced, the validated `RocCurve` that the ROC's three plain
+arrays replaced, the stratified rearranged copy of the pairs that a fold
+column per pair replaced, the report that sorted the scores once for the
+ROC and again for the folds, the pair builder that gathered through
+`np.triu_indices`, the reconstruction error that computed its ground-truth
 side anew for every prediction stack, the decode that summed into fresh
 arrays, the disentangling report that encoded the evaluated images
 itself, and the OBJ reader only tests use keep their bodies here,
@@ -23,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from morphfit.errors import InvalidArgumentError, ParseError, require
-from morphfit.evaluation import (DisentanglingReport, ReconstructionReport, RocCurve,
-                                 _cosine_distance_matrix, _split_scores)
+from morphfit.evaluation import (DisentanglingReport, ReconstructionReport, VerificationReport,
+                                 _cosine_distance_matrix, _cosine_matrix, _split_scores, auc,
+                                 eer)
 from morphfit.fitting import (_data_terms, _estimate_poses, _landmark_components,
                               _landmark_points, _solve_block)
 from morphfit.geometry import (MIN_POINTS, ROTATION_TOL, MorphableModel, _align_centred,
@@ -443,6 +448,103 @@ def build_dataset_columns(model: MorphableModel, spec) -> dict:
             samples.append((label, alpha_id, alpha_exp, pose.scale, pose.rotation,
                             pose.translation, landmarks.coords, depth))
     return {name: np.array(column) for name, column in zip(COLUMNS, zip(*samples))}
+
+
+@dataclass(frozen=True)
+class RocCurve:
+    """Operating points (threshold, TAR, FAR), thresholds strictly increasing.
+
+    TAR and FAR are non-increasing along the list because raising the
+    threshold can only shrink the accepted set. The last point is a sentinel
+    threshold above every score, pinning the (TAR, FAR) = (0, 0) end.
+    """
+
+    points: np.ndarray
+
+    def __post_init__(self):
+        pts = _readonly(self.points)
+        object.__setattr__(self, "points", pts)
+        require(pts.ndim == 2 and pts.shape[1] == 3,
+                f"curve points must be (n, 3), got {pts.shape}")
+        require(pts.shape[0] >= 2, "curve needs at least two operating points")
+        require(bool(np.all(np.isfinite(pts))), "curve entries must be finite")
+        rates = pts[:, 1:]
+        require(bool(np.all(rates >= 0.0)) and bool(np.all(rates <= 1.0)),
+                "TAR and FAR must lie in [0, 1]")
+        require(bool(np.all(np.diff(pts[:, 0]) > 0)),
+                "thresholds must be strictly increasing")
+        require(bool(np.all(np.diff(pts[:, 1]) <= 0)) and
+                bool(np.all(np.diff(pts[:, 2]) <= 0)),
+                "TAR and FAR must be non-increasing in the threshold")
+
+    @property
+    def thresholds(self) -> np.ndarray:
+        return self.points[:, 0]
+
+    @property
+    def tar(self) -> np.ndarray:
+        return self.points[:, 1]
+
+    @property
+    def far(self) -> np.ndarray:
+        return self.points[:, 2]
+
+
+def stratified_folds(pairs: np.recarray, n_folds: int) -> np.recarray:
+    """Rearrange pairs into equal contiguous folds, each with both classes.
+
+    Genuine and impostor pairs are each cut, in incoming order, into n_folds
+    equal runs (the remainder trimmed); fold k is the k-th genuine run then
+    the k-th impostor run, so the contiguous fold protocol sees the same
+    class balance everywhere. Needs at least n_folds pairs of each class.
+    """
+    require(int(n_folds) >= 2, "need at least two folds")
+    n_folds = int(n_folds)
+    flags = np.asarray(pairs["is_genuine"], dtype=bool)
+    genuine, impostor = np.flatnonzero(flags), np.flatnonzero(~flags)
+    require(genuine.size >= n_folds and impostor.size >= n_folds,
+            f"need at least {n_folds} pairs of each class, got "
+            f"{genuine.size} genuine / {impostor.size} impostor")
+    g_per, i_per = genuine.size // n_folds, impostor.size // n_folds
+    order = np.hstack([genuine[:n_folds * g_per].reshape(n_folds, g_per),
+                       impostor[:n_folds * i_per].reshape(n_folds, i_per)])
+    return pairs[order.ravel()]
+
+
+def triu_verification_pairs(codes: np.ndarray, labels: np.ndarray) -> np.recarray:
+    """`verification_pairs` as it gathered the scores through `np.triu_indices`."""
+    codes = np.asarray(codes, dtype=np.float64)
+    labels = np.asarray(labels).ravel()
+    require(codes.ndim == 2 and codes.shape[0] == labels.size,
+            "codes must be (n, q) row-aligned with labels")
+    require(codes.shape[0] >= 2, "need at least two codes")
+    rows, cols = np.triu_indices(codes.shape[0], k=1)
+    scores = _cosine_matrix(codes, codes)[rows, cols]
+    return np.rec.fromarrays([scores, labels[rows] == labels[cols]],
+                             names="score,is_genuine")
+
+
+def unique_tar_at_far(curve: RocCurve, far_target: float) -> float:
+    """`tar_at_far` as it took the distinct FARs from `np.unique`."""
+    require(np.isfinite(far_target) and 0.0 < far_target <= 1.0,
+            f"far_target must lie in (0, 1], got {far_target}")
+    fars, first = np.unique(curve.far, return_index=True)
+    return float(np.interp(far_target, fars, curve.tar[first]))
+
+
+def searched_verification_report(pairs: np.recarray, n_folds: int = 10,
+                                 rank1: float | None = None,
+                                 rank5: float | None = None) -> VerificationReport:
+    """`verification_report` as it built the ROC, then rearranged the pairs
+    into stratified folds and sorted them again for the fold search."""
+    curve = searched_roc_curve(pairs)
+    mean, std = searched_accuracy_folds(stratified_folds(pairs, n_folds), n_folds)
+    arrays = (curve.thresholds, curve.tar, curve.far)
+    return VerificationReport(accuracy_mean=mean, accuracy_std=std,
+                              eer=eer(arrays), auc=auc(arrays),
+                              tar_at_far_10pct=unique_tar_at_far(curve, 0.10),
+                              tar_at_far_1pct=unique_tar_at_far(curve, 0.01),
+                              rank1=rank1, rank5=rank5)
 
 
 def _thresholds(scores: np.ndarray) -> np.ndarray:

@@ -302,7 +302,7 @@ def test_criterion_08_metric_oracles():
 
     # ROC points vs exhaustive pair counting, exact
     curve = roc_curve(pairs_from(genuine, impostor))
-    for threshold, tar, far in curve.points:
+    for threshold, tar, far in zip(*curve):
         assert tar == np.count_nonzero(genuine >= threshold) / 60
         assert far == np.count_nonzero(impostor >= threshold) / 40
 

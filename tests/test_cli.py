@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from morphfit import cli as cli_module
 from morphfit import network as nw
 from morphfit.cli import build_parser, cli
 from morphfit.config import RunConfig, load_config
@@ -441,6 +442,20 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("error: InvariantViolationError: nose_tip_index:")
         assert err.count("\n") == 1
+
+    def test_refused_allocation_is_single_error_line(self, tmp_path, monkeypatch):
+        # numpy's message for an array it cannot allocate; raised, not allocated
+        message = ("Unable to allocate 7.28 TiB for an array with shape "
+                   "(1000000, 1000000) and data type float64")
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli_module, "build_dataset", refuse)
+        code, out, err = run_cli(["gen-data", *TINY_OVERRIDES,
+                                  "--out", str(tmp_path / "data")])
+        assert (code, out, err) == (1, "", f"error: MemoryError: {message}\n")
+        assert not (tmp_path / "data").exists()
 
     def test_help_exits_zero(self):
         code, out, _ = run_cli(["--help"])

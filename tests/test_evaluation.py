@@ -1,5 +1,7 @@
 """Tests for verification metrics, reconstruction scoring, and code diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,8 +11,8 @@ from morphfit.errors import DegenerateGeometryError, InvalidArgumentError, requi
 from morphfit.evaluation import (
     DisentanglingReport,
     ReconstructionReport,
-    RocCurve,
     VerificationReport,
+    _stratified_folds,
     auc,
     disentangling_report,
     eer,
@@ -18,7 +20,6 @@ from morphfit.evaluation import (
     rank_n_identification,
     reconstruction_truth,
     roc_curve,
-    stratified_folds,
     tar_at_far,
     verification_accuracy_folds,
     verification_pairs,
@@ -32,12 +33,13 @@ from morphfit.synthetic import (
     build_dataset,
 )
 
-from oracles import (CoeffPair, PoseParams, Shape, SimilarityTransform,
+from oracles import (CoeffPair, PoseParams, RocCurve, Shape, SimilarityTransform,
                      apply_transform, crop_indices, dilate_max, procrustes_align,
                      procrustes_align_stack,
                      rasterize_depth, searched_accuracy_folds, searched_roc_curve,
-                     select_landmarks, self_encoding_disentangling_report,
-                     unshared_reconstruction)
+                     searched_verification_report, select_landmarks,
+                     self_encoding_disentangling_report, stratified_folds,
+                     triu_verification_pairs, unshared_reconstruction)
 from conftest import disentangle, reconstruct, rmse, row_pose, take_rows
 
 
@@ -99,14 +101,20 @@ class TestCosineSimilarity:
 # ROC curve and derived metrics
 
 
+def checked_curve(pairs) -> RocCurve:
+    """roc_curve's three arrays, through the invariants of the curve class
+    they replaced."""
+    return RocCurve(np.column_stack(roc_curve(pairs)))
+
+
 class TestRocCurve:
     def test_perfect_separation_hits_corner(self):
-        curve = roc_curve(pairs_from([2.0, 3.0], [0.0, 1.0]))
+        curve = checked_curve(pairs_from([2.0, 3.0], [0.0, 1.0]))
         corner = (curve.tar == 1.0) & (curve.far == 0.0)
         assert np.any(corner)
 
     def test_all_equal_scores_degenerate_line(self):
-        curve = roc_curve(pairs_from([0.5, 0.5], [0.5, 0.5, 0.5]))
+        curve = checked_curve(pairs_from([0.5, 0.5], [0.5, 0.5, 0.5]))
         assert np.array_equal(curve.tar, [1.0, 0.0])
         assert np.array_equal(curve.far, [1.0, 0.0])
 
@@ -114,15 +122,16 @@ class TestRocCurve:
         rng = np.random.default_rng(1)
         genuine = rng.integers(0, 10, size=60) / 10.0
         impostor = rng.integers(0, 10, size=40) / 10.0
-        curve = roc_curve(pairs_from(genuine, impostor))
+        curve = checked_curve(pairs_from(genuine, impostor))
         for threshold, tar, far in curve.points:
             assert tar == np.count_nonzero(genuine >= threshold) / 60
             assert far == np.count_nonzero(impostor >= threshold) / 40
 
     def test_sentinel_above_scores_past_two_to_the_53(self):
         curve = roc_curve(pairs_from([1e17], [0.0]))  # 1e17 + 1.0 == 1e17
-        assert curve.thresholds[-1] > 1e17
-        assert curve.tar[-1] == 0.0 and curve.far[-1] == 0.0
+        thresholds, tar, far = curve
+        assert thresholds[-1] > 1e17
+        assert tar[-1] == 0.0 and far[-1] == 0.0
         assert auc(curve) == 1.0
 
     def test_single_class_rejected(self):
@@ -188,7 +197,8 @@ class TestEer:
         value = eer(curve)
         assert 0.0 <= value <= 1.0
         found = False
-        far, frr = curve.far, 1.0 - curve.tar
+        _, tar, far = curve
+        frr = 1.0 - tar
         for i in range(len(far) - 1):
             lo, hi = far[i] - frr[i], far[i + 1] - frr[i + 1]
             if lo >= 0.0 >= hi and lo != hi:
@@ -278,21 +288,35 @@ class TestVerificationAccuracyFolds:
         mean, std = verification_accuracy_folds(stratified_folds(pairs, 10), 10)
         assert 0.5 < mean <= 1.0
         assert std >= 0.0
+        report = verification_report(pairs, 10)
+        assert (report.accuracy_mean, report.accuracy_std) == (mean, std)
+
+
+def rearranged(pairs, fold) -> np.recarray:
+    """The pairs of each fold of a fold column, genuine then impostor, fold
+    after fold: the copy that the stratified_folds oracle builds."""
+    genuine = pairs["is_genuine"]
+    return pairs[np.concatenate([np.flatnonzero((fold == k) & flags)
+                                 for k in range(fold.max() + 1) for flags in (genuine, ~genuine)])]
 
 
 class TestStratifiedFolds:
     def test_round_robin_layout(self):
-        folds = stratified_folds(pairs_from(np.arange(5.0),
-                                            10.0 + np.arange(6.0)), 2)
-        assert folds.score.tolist() == [0.0, 1.0, 10.0, 11.0, 12.0,
-                                        2.0, 3.0, 13.0, 14.0, 15.0]
+        pairs = pairs_from(np.arange(5.0), 10.0 + np.arange(6.0))
+        fold = _stratified_folds(pairs["is_genuine"], 2)
+        assert fold.tolist() == [0, 0, 1, 1, -1, 0, 0, 0, 1, 1, 1]
+        assert rearranged(pairs, fold).score.tolist() == [0.0, 1.0, 10.0, 11.0, 12.0,
+                                                          2.0, 3.0, 13.0, 14.0, 15.0]
+        assert rearranged(pairs, fold).tobytes() == stratified_folds(pairs, 2).tobytes()
 
     def test_every_fold_mixed(self):
         rng = np.random.default_rng(8)
         pairs = scored_pairs(rng.normal(size=97), rng.integers(0, 2, size=97))
         if not pairs.is_genuine.any():
             pairs[0] = (0.0, True)
-        folds = stratified_folds(pairs, 5)
+        fold = _stratified_folds(pairs["is_genuine"], 5)
+        folds = rearranged(pairs, fold)
+        assert folds.tobytes() == stratified_folds(pairs, 5).tobytes()
         fold_size = len(folds) // 5
         assert len(folds) % 5 == 0
         for k in range(5):
@@ -300,8 +324,11 @@ class TestStratifiedFolds:
             assert flags.any() and not flags.all()
 
     def test_too_few_of_one_class_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            stratified_folds(pairs_from([1.0], [0.0, 0.1, 0.2]), 2)
+        pairs = pairs_from([1.0], [0.0, 0.1, 0.2])
+        with pytest.raises(InvalidArgumentError) as caught:
+            _stratified_folds(pairs["is_genuine"], 2)
+        assert str(caught.value) == "need at least 2 pairs of each class, got 1 genuine / 3 impostor"
+        assert outcome(stratified_folds, pairs, 2) == (InvalidArgumentError, str(caught.value))
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +774,15 @@ class TestVerificationPairs:
         with pytest.raises(InvalidArgumentError):
             verification_pairs(np.ones((1, 2)), np.array([0]))
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(lambda q: code_rows(q, 2)), st.integers(1, 4))
+    def test_row_fill_matches_triu_oracle(self, codes, n_labels):
+        labels = np.arange(len(codes)) % n_labels
+        got = verification_pairs(codes, labels)
+        want = triu_verification_pairs(codes, labels)
+        assert type(got) is type(want) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
 
 class TestVerificationReport:
     def test_separated_codes_score_perfectly(self):
@@ -765,6 +801,25 @@ class TestVerificationReport:
         report = verification_report(pairs, n_folds=2, rank1=0.8, rank5=0.95)
         assert report.rank1 == 0.8
         assert report.rank5 == 0.95
+
+    def test_peak_memory_per_pair(self):
+        """The report holds a few sorted columns and reused per-fold buffers,
+        not the pairs twice over: at most 80 bytes per pair above its entry
+        (119 when it sorted twice and copied the pairs into stratified folds).
+        Codes on a 0.1 grid, so that some scores tie; most stay distinct, which
+        keeps the per-threshold arrays as long as they get."""
+        rng = np.random.default_rng(16)
+        codes = np.round(rng.normal(size=(633, 8)), 1)
+        codes[~codes.any(axis=1), 0] = 0.1
+        pairs = verification_pairs(codes, np.arange(633) // 3)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            verification_report(pairs)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * len(pairs), f"{peak / len(pairs):.1f} B/pair"
 
     def test_report_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -802,20 +857,22 @@ def counting_folds_oracle(pairs, n_folds):
 
 
 def eer_loop_oracle(curve):
-    f = curve.far + curve.tar - 1.0
+    _, tar, far = curve
+    f = far + tar - 1.0
     for i in range(len(f) - 1):
         lo, hi = f[i], f[i + 1]
         if lo == 0.0:
-            return float(curve.far[i])
+            return float(far[i])
         if lo > 0.0 >= hi:
             u = lo / (lo - hi)
-            return float(curve.far[i] + u * (curve.far[i + 1] - curve.far[i]))
-    return float(curve.far[-1])
+            return float(far[i] + u * (far[i + 1] - far[i]))
+    return float(far[-1])
 
 
 def tar_at_far_dict_oracle(curve, far_target):
+    _, tar, far = curve
     best = {}
-    for fa, ta in zip(curve.far, curve.tar):
+    for fa, ta in zip(far, tar):
         best[float(fa)] = max(best.get(float(fa), 0.0), float(ta))
     xs = np.array(sorted(best))
     ys = np.array([best[x] for x in xs])
@@ -880,6 +937,16 @@ def folded_pairs(draw):
     return scored_pairs(scores, flags), n_folds
 
 
+@st.composite
+def report_pairs(draw):
+    """Any number of pairs for 2-4 stratified folds with free class flags, so
+    single-class inputs and trimmed remainders occur among the draws."""
+    n_folds, n = draw(st.integers(2, 4)), draw(st.integers(0, 40))
+    scores = draw(st.lists(draw(score_pools), min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return scored_pairs(scores, flags), n_folds
+
+
 def outcome(fn, *args):
     """The call's result, or the type and message of its InvalidArgumentError."""
     try:
@@ -892,6 +959,10 @@ def outcome(fn, *args):
 # scores above every genuine pair, and impostors are the majority
 SENTINEL_FOLDS = (scored_pairs([0.0, 1.0, 2.0, 0.1, 1.1, 2.1],
                                [True, False, False, True, False, False]), 2)
+# the same, but fold 0 holds the largest score, 9.0, above fold 1's sentinel
+# 6.0: the sentinel comes from the training scores, so fold 0 accepts it
+HELD_OUT_ABOVE_SENTINEL = (scored_pairs([0.0, 1.0, 9.0, 0.1, 1.1, 5.0],
+                                        [True, False, False, True, False, False]), 2)
 
 
 class TestSortedSweepMatchesSearchOracle:
@@ -901,6 +972,7 @@ class TestSortedSweepMatchesSearchOracle:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(folded_pairs())
     @example(SENTINEL_FOLDS)
+    @example(HELD_OUT_ABOVE_SENTINEL)
     @example((scored_pairs([1e17, 0.0, 1e17, 0.0], [True, False] * 2), 2))
     def test_fold_accuracy(self, case):
         pairs, n_folds = case
@@ -916,10 +988,26 @@ class TestSortedSweepMatchesSearchOracle:
         if not isinstance(want, RocCurve):
             assert got == want
             return
+        thresholds, tar, far = got
+        RocCurve(np.column_stack(got))  # the invariants hold
         # a +-0.0 tie may come out of either sort as either zero
-        assert np.array_equal(got.thresholds, want.thresholds)
-        assert got.tar.tobytes() == want.tar.tobytes()
-        assert got.far.tobytes() == want.far.tobytes()
+        assert np.array_equal(thresholds, want.thresholds)
+        assert tar.tobytes() == want.tar.tobytes()
+        assert far.tobytes() == want.far.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(report_pairs())
+    @example(SENTINEL_FOLDS)
+    @example(HELD_OUT_ABOVE_SENTINEL)
+    @example((scored_pairs([1e17, 0.0, 1e17, 0.0, 1e17], [True, False] * 2 + [True]), 2))
+    @example((scored_pairs([0.0, -0.0, 0.0, -0.0, 1.0, -0.0], [True, False] * 3), 3))
+    def test_report(self, case):
+        """One sort for the ROC and the stratified folds against the ROC
+        oracle plus the fold search oracle over the rearranged copy: every
+        field bit for bit, and every error message in the same order."""
+        got = outcome(verification_report, *case)
+        want = outcome(searched_verification_report, *case)
+        assert type(got) is type(want) and repr(got) == repr(want)
 
     def test_sentinel_wins_the_inverted_folds(self):
         pairs, n_folds = SENTINEL_FOLDS

@@ -157,13 +157,17 @@ class TestObjFiles:
                   st.integers(10 ** 8, 10 ** 9 - 1), st.integers(-30, 20))),
         min_size=12, max_size=90).filter(lambda values: len(values) % 3 == 0))
     def test_matches_the_per_line_writer(self, tmp_path, values):
-        # the writer as it was: one f-string per vertex line
+        # the writers as they were: one f-string per vertex line, and one str
+        # %-format of the whole file, then encoded
         coords = np.array(values)
         lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in coords.reshape(-1, 3)]
+        text = ("v %.9g %.9g %.9g\n" * (len(values) // 3)) % tuple(values)
         path = str(tmp_path / "cloud.obj")
         write_obj(coords, path)
         with open(path, "rb") as handle:
-            assert handle.read() == ("\n".join(lines) + "\n").encode("ascii")
+            written = handle.read()
+        assert written == ("\n".join(lines) + "\n").encode("ascii")
+        assert written == text.encode("ascii")
 
     def test_creates_missing_directories(self, tmp_path):
         path = str(tmp_path / "a" / "b" / "cloud.obj")
