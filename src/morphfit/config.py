@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import InvalidArgumentError, ParseError
+from .errors import ParseError
 from .fitting import FitConfig
 from .network import TrainConfig
 from .synthetic import POSE_PARAMS, DatasetSpec, PoseRanges, SyntheticModelSpec
@@ -149,12 +149,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ParseError(f"repeated config key '{key}'", line_no)
         seen.add(key)
         values[key] = _parse_value(key, value, types[key], line_no)
-    try:
-        return RunConfig(**values)
-    except InvalidArgumentError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(str(exc)) from exc
+    return RunConfig(**values)
 
 
 def format_config(config: RunConfig) -> str:

@@ -236,31 +236,6 @@ def _fold_accuracy(thresholds: np.ndarray, below: np.ndarray, genuine: np.ndarra
     return float(accuracies.mean()), float(accuracies.std())
 
 
-def verification_accuracy_folds(pairs: np.recarray,
-                                n_folds: int = 10) -> tuple[float, float]:
-    """Cross-fold accuracy with the threshold tuned on the other folds.
-
-    Pairs are split into contiguous folds; for each, the accept threshold
-    maximizing accuracy on the remaining folds (ties toward the smallest
-    threshold) is applied to the held-out fold. Returns the mean and
-    population standard deviation across folds.
-    """
-    require(int(n_folds) >= 2, "need at least two folds")
-    n_folds = int(n_folds)
-    scores, genuine = _split_scores(pairs)
-    require(scores.size % n_folds == 0,
-            f"{scores.size} pairs do not divide into {n_folds} folds")
-    size = scores.size // n_folds
-    held_genuine = np.bincount(np.flatnonzero(genuine) // size, minlength=n_folds)
-    train_genuine = held_genuine.sum() - held_genuine
-    for k in range(n_folds):
-        for count, total, what in ((held_genuine[k], size, "held-out"),
-                                   (train_genuine[k], scores.size - size, "training")):
-            require(0 < count < total, f"{what} fold {k} contains a single class")
-    fold = np.repeat(np.arange(n_folds, dtype=np.min_scalar_type(-n_folds)), size)
-    return _fold_accuracy(*_sweep(scores, genuine, fold), n_folds)
-
-
 def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
                           probe_codes: np.ndarray, probe_labels: np.ndarray,
                           n: int) -> float:

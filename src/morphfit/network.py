@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericalFailureError, UnderdeterminedError, require
-from .geometry import MorphableModel, _readonly
+from .geometry import MorphableModel
 
 # Latent outputs are clamped strictly inside (-1, 1): tanh rounds to 1.0 in
 # doubles for arguments above ~19, which would break the open-interval
@@ -165,9 +166,9 @@ class TrainConfig:
         require(int(self.epochs) >= 1, "epochs must be at least 1")
 
 
-@dataclass(frozen=True)
-class LossReport:
-    """Joint loss breakdown for one batch or epoch."""
+class LossReport(NamedTuple):
+    """Joint loss breakdown for one batch or epoch, every field a Python float;
+    total is lambda_r * recon + ident."""
 
     total: float
     recon: float
@@ -175,41 +176,15 @@ class LossReport:
     accuracy: float
     lambda_r: float
 
-    def __post_init__(self):
-        for name in ("total", "recon", "ident", "accuracy", "lambda_r"):
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            require(np.isfinite(value), f"LossReport.{name} must be finite")
-        require(abs(self.total - (self.lambda_r * self.recon + self.ident)) <= 1e-10,
-                "total must equal lambda_r * recon + ident")
-        require(0.0 <= self.accuracy <= 1.0, "accuracy must lie in [0, 1]")
 
-
-@dataclass(frozen=True)
-class TrainingBatch:
-    """Raster images, subject labels and target shape deltas, row-aligned."""
+class TrainingBatch(NamedTuple):
+    """Raster images (B, D), int64 subject labels (B,) and target shape deltas
+    (B, 3n), row-aligned. `training_batch` checks a batch built from data;
+    the joint loss checks its widths, labels and row alignment."""
 
     images: np.ndarray
     labels: np.ndarray
     target_delta: np.ndarray
-
-    def __post_init__(self):
-        images = _readonly(np.atleast_2d(self.images))
-        labels = _readonly(np.ravel(self.labels), np.int64)
-        target = _readonly(np.atleast_2d(self.target_delta))
-        require(images.ndim == 2 and images.shape[0] >= 1, "images must be (B, D)")
-        require(labels.size == images.shape[0], "one label per image required")
-        require(target.shape[0] == images.shape[0], "one target row per image")
-        require(bool(np.all(np.isfinite(images))), "images must be finite")
-        require(bool(np.all(np.isfinite(target))), "targets must be finite")
-        require(bool(np.all(labels >= 0)), "labels must be non-negative")
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "target_delta", target)
-
-    @property
-    def size(self) -> int:
-        return self.images.shape[0]
 
 
 def init_encoder(input_dim: int, q_id: int, q_res: int,
@@ -403,21 +378,26 @@ def _joint_forward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     softmax probabilities of the identification head. The report's total is
     lambda_r * recon + ident.
     """
+    images, labels, target = batch
+    lambda_r = float(lambda_r)
     require(np.isfinite(lambda_r) and lambda_r >= 0,
             "lambda_r must be finite and non-negative")
-    require(bool(np.all(batch.labels < head.n_classes)),
-            "labels must be within the head's class count")
-    require(batch.images.shape[1] == net.input_dim,
+    require(images.ndim == 2 and images.shape[0] >= 1, "images must be (B, D)")
+    require(labels.shape == images.shape[:1], "one label per image required")
+    require(target.shape[:1] == images.shape[:1], "one target row per image")
+    require(bool(np.all((labels >= 0) & (labels < head.n_classes))),
+            f"labels must lie in [0, {head.n_classes})")
+    require(images.shape[1] == net.input_dim,
             "batch image width must match the encoder")
-    require(batch.target_delta.shape[1] == dec.out_dim,
+    require(target.shape[1:] == (dec.out_dim,),
             "batch target width must match the decoder")
     require((dec.q_id, dec.q_res, head.q_id) == (net.q_id, net.q_res, net.q_id),
             "decoder and head widths must match the encoder heads")
 
-    codes, activations = _forward_trace(net, batch.images)
+    codes, activations = _forward_trace(net, images)
     c_id = codes[:, :net.q_id]
     c_res = codes[:, net.q_id:]
-    diff = decode(dec, c_id, c_res) - batch.target_delta
+    diff = decode(dec, c_id, c_res) - target
     recon = float(np.mean(np.sum(diff * diff, axis=1))) / dec.out_dim
 
     logits = c_id @ head.weight.T + head.bias
@@ -425,12 +405,13 @@ def _joint_forward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     exp_shifted = np.exp(shifted)
     z = exp_shifted.sum(axis=1)
     prob = exp_shifted / z[:, None]
-    rows = np.arange(batch.size)
-    ident = float(np.mean(np.log(z) - shifted[rows, batch.labels]))
-    accuracy = float(np.mean(np.argmax(logits, axis=1) == batch.labels))
-    if not (np.isfinite(recon) and np.isfinite(ident)):
+    ident = float(np.mean(np.log(z) - shifted[np.arange(labels.size), labels]))
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
+    # a non-finite recon or ident, or an overflowing lambda_r * recon, shows in the total
+    total = lambda_r * recon + ident
+    if not np.isfinite(total):
         raise NumericalFailureError("joint loss became non-finite")
-    report = LossReport(lambda_r * recon + ident, recon, ident, accuracy, lambda_r)
+    report = LossReport(total, recon, ident, accuracy, lambda_r)
     return report, activations, c_id, c_res, diff, prob
 
 
@@ -470,7 +451,7 @@ def backward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     """
     report, activations, c_id, c_res, diff, prob = _joint_forward(
         net, dec, head, batch, lambda_r)
-    b = batch.size
+    b = batch.labels.size
     grads = {} if out is None else out
     # d recon / d delta, already including the batch mean and coordinate mean.
     g_delta = (2.0 / (b * dec.out_dim)) * diff * lambda_r
@@ -506,10 +487,16 @@ def coefficient_targets(model: MorphableModel, alpha_id: np.ndarray,
     return np.clip(out, -TARGET_CLIP, TARGET_CLIP) if clip else out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness check below raises
 def training_batch(dataset, indices) -> TrainingBatch:
-    """Assemble images/labels/shape-delta targets for the given sample rows."""
+    """Images, labels and shape-delta targets of the given sample rows: the one
+    place a batch is built from data, so the one place it is checked. The
+    images and labels are checked dataset columns; the targets are composed
+    here, and a finite but huge coefficient can overflow them."""
     rows = np.asarray(indices, dtype=np.int64)
+    require(rows.size >= 1, "images must be (B, D)")
     target = dataset.ground_truth_shapes(rows) - dataset.model.mean
+    require(bool(np.all(np.isfinite(target))), "targets must be finite")
     return TrainingBatch(dataset.images(rows), dataset.labels[rows], target)
 
 
@@ -672,8 +659,7 @@ def train_phase3(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
                 order = rng.permutation(train_idx.size)
                 for step, start in enumerate(range(0, train_idx.size, config.batch_size)):
                     rows = order[start:start + config.batch_size]
-                    batch = TrainingBatch(full.images[rows], full.labels[rows],
-                                          full.target_delta[rows])
+                    batch = TrainingBatch(*(column[rows] for column in full))
                     backward(*stepping, batch, lam, flat.grads)
                     flat.step(config)
                 step = None

@@ -576,8 +576,8 @@ def searched_roc_curve(pairs: np.recarray) -> RocCurve:
 
 def searched_accuracy_folds(pairs: np.recarray,
                             n_folds: int = 10) -> tuple[float, float]:
-    """`verification_accuracy_folds` as it re-sorted and searched the
-    training scores of every fold."""
+    """Cross-fold accuracy over contiguous folds, such as `stratified_folds`'
+    copy, re-sorting and searching the training scores of every fold."""
     require(int(n_folds) >= 2, "need at least two folds")
     n_folds = int(n_folds)
     scores, genuine = _split_scores(pairs)

@@ -19,8 +19,7 @@ import pytest
 from morphfit.cli import _train_pipeline, cli
 from morphfit.config import RunConfig
 from morphfit.evaluation import (auc, rank_n_identification, roc_curve,
-                                 verification_accuracy_folds,
-                                 verification_pairs)
+                                 verification_pairs, verification_report)
 from morphfit.fitting import FitConfig, multi_image_fit
 from morphfit.geometry import MorphableModel, rotation_zyx
 from morphfit.network import (encode_images, finite_diff_check, init_decoder,
@@ -30,7 +29,7 @@ from conftest import disentangle, reconstruct
 from oracles import (CoeffPair, LandmarkSet2D, PoseParams, Shape,
                      SimilarityTransform, apply_transform, compose_shape,
                      crop_indices, procrustes_align, render_landmarks, solve_expression,
-                     solve_identity_shared)
+                     solve_identity_shared, stratified_folds)
 
 
 def wide_pose(rng: np.random.Generator) -> PoseParams:
@@ -323,16 +322,18 @@ def test_criterion_08_metric_oracles():
         got = rank_n_identification(gallery, g_labels, probes, p_labels, n)
         assert got == brute
 
-    # fold accuracy vs exhaustive threshold search
+    # fold accuracy vs exhaustive threshold search over the stratified folds
     pairs = np.concatenate([
         pairs_from(rng.integers(0, 6, size=5) / 6.0 + 0.15,
                    rng.integers(0, 6, size=5) / 6.0) for _ in range(4)])
-    mean, std = verification_accuracy_folds(pairs, n_folds=4)
-    scores, is_genuine = pairs["score"], pairs["is_genuine"]
-    fold_size = len(pairs) // 4
+    report = verification_report(pairs, n_folds=4)
+    mean, std = report.accuracy_mean, report.accuracy_std
+    folds = stratified_folds(pairs, 4)
+    scores, is_genuine = folds["score"], folds["is_genuine"]
+    fold_size = len(folds) // 4
     accuracies = []
     for k in range(4):
-        held = np.zeros(len(pairs), dtype=bool)
+        held = np.zeros(len(folds), dtype=bool)
         held[k * fold_size:(k + 1) * fold_size] = True
         s_tr, g_tr = scores[~held], is_genuine[~held]
         best_acc, best_t = -1.0, None

@@ -21,7 +21,6 @@ from morphfit.evaluation import (
     reconstruction_truth,
     roc_curve,
     tar_at_far,
-    verification_accuracy_folds,
     verification_pairs,
     verification_report,
 )
@@ -242,19 +241,28 @@ class TestTarAtFar:
 # fold accuracy protocol
 
 
+def report_folds(pairs, n_folds) -> tuple[float, float]:
+    """verification_report's fold mean and std."""
+    report = verification_report(pairs, n_folds)
+    return report.accuracy_mean, report.accuracy_std
+
+
 class TestVerificationAccuracyFolds:
+    """The fold accuracy of verification_report, over its stratified folds."""
+
     def test_perfect_scores(self):
         pairs = np.concatenate([pairs_from([1.0], [0.0])] * 2)  # two folds of [g, i]
-        mean, std = verification_accuracy_folds(pairs, n_folds=2)
-        assert mean == 1.0 and std == 0.0
+        assert report_folds(pairs, 2) == (1.0, 0.0)
 
     def test_matches_threshold_search_oracle(self):
         rng = np.random.default_rng(6)
-        pairs = np.concatenate([  # four folds, each mixed
+        pairs = np.concatenate([  # four blocks of 5 genuine then 5 impostor pairs
             pairs_from(rng.integers(0, 6, size=5) / 6.0 + 0.15,
                        rng.integers(0, 6, size=5) / 6.0) for _ in range(4)])
-        mean, std = verification_accuracy_folds(pairs, n_folds=4)
+        mean, std = report_folds(pairs, 4)
 
+        # stratifying cuts each class into four equal runs: fold k is block k
+        assert stratified_folds(pairs, 4).tobytes() == pairs.tobytes()
         scores, genuine = pairs["score"], pairs["is_genuine"]
         fold_size = len(pairs) // 4
         accuracies = []
@@ -272,24 +280,14 @@ class TestVerificationAccuracyFolds:
         assert abs(mean - np.mean(accuracies)) < 1e-12
         assert abs(std - np.std(accuracies)) < 1e-12
 
-    def test_single_class_fold_rejected(self):
-        pairs = pairs_from([1.0, 0.9], [0.0, 0.1])
-        with pytest.raises(InvalidArgumentError):
-            verification_accuracy_folds(pairs, n_folds=2)
-
-    def test_non_divisible_count_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            verification_accuracy_folds(pairs_from([1.0, 0.9], [0.0]), n_folds=2)
-
     def test_canonical_ten_by_six_hundred(self):
         rng = np.random.default_rng(7)
         pairs = pairs_from(rng.integers(30, 101, size=3000) / 100.0,
                            rng.integers(0, 71, size=3000) / 100.0)
-        mean, std = verification_accuracy_folds(stratified_folds(pairs, 10), 10)
+        mean, std = report_folds(pairs, 10)
         assert 0.5 < mean <= 1.0
         assert std >= 0.0
-        report = verification_report(pairs, 10)
-        assert (report.accuracy_mean, report.accuracy_std) == (mean, std)
+        assert (mean, std) == searched_accuracy_folds(stratified_folds(pairs, 10), 10)
 
 
 def rearranged(pairs, fold) -> np.recarray:
@@ -928,8 +926,8 @@ score_pools = st.sampled_from([
 
 @st.composite
 def folded_pairs(draw):
-    """Pairs in 2-4 contiguous folds with free class flags, so single-class
-    folds and single-class inputs occur among the draws."""
+    """A pair count that divides into 2-4 folds, with free class flags, so
+    single-class inputs and classes too small to stratify occur among the draws."""
     n_folds, size = draw(st.integers(2, 4)), draw(st.integers(1, 10))
     n = n_folds * size
     scores = draw(st.lists(draw(score_pools), min_size=n, max_size=n))
@@ -975,9 +973,16 @@ class TestSortedSweepMatchesSearchOracle:
     @example(HELD_OUT_ABOVE_SENTINEL)
     @example((scored_pairs([1e17, 0.0, 1e17, 0.0], [True, False] * 2), 2))
     def test_fold_accuracy(self, case):
+        """The report's fold mean and std against the search over the oracle's
+        stratified copy; the ROC oracle first, for the input checks' order."""
         pairs, n_folds = case
-        got = outcome(verification_accuracy_folds, pairs, n_folds)
-        want = outcome(searched_accuracy_folds, pairs, n_folds)
+
+        def searched(pairs, n_folds):
+            searched_roc_curve(pairs)
+            return searched_accuracy_folds(stratified_folds(pairs, n_folds), n_folds)
+
+        got = outcome(report_folds, pairs, n_folds)
+        want = outcome(searched, pairs, n_folds)
         assert type(got) is type(want) and repr(got) == repr(want)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1013,7 +1018,7 @@ class TestSortedSweepMatchesSearchOracle:
         pairs, n_folds = SENTINEL_FOLDS
         # the held-out folds, scored with the threshold above every score:
         # each rejects its one genuine pair and both impostors
-        assert verification_accuracy_folds(pairs, n_folds) == (2 / 3, 0.0)
+        assert report_folds(pairs, n_folds) == (2 / 3, 0.0)
 
 
 class TestArrayPathsMatchLoopOracles:
@@ -1021,8 +1026,7 @@ class TestArrayPathsMatchLoopOracles:
     @given(labelled_scores(), st.integers(2, 3))
     def test_sorted_fold_search_matches_counting(self, pairs, n_folds):
         folds = stratified_folds(pairs, n_folds)
-        assert (verification_accuracy_folds(folds, n_folds)
-                == counting_folds_oracle(folds, n_folds))
+        assert report_folds(pairs, n_folds) == counting_folds_oracle(folds, n_folds)
 
     @settings(max_examples=150, deadline=None)
     @given(labelled_scores(), st.floats(0.001, 1.0))

@@ -5,9 +5,10 @@ stdout of `fit --subject 0`, and of `fit` of every subject of the
 `gen_fit_noisy40` dataset (40 subjects, landmark noise 0.01);
 `golden/pipeline.sha256` holds the sha256 of
 every file and the stdout of `gen-data`, `train`, `eval --baseline` and
-`export-bases`, and of the benchmark's datasets: `gen-data` at the
-`gen_fit_noisy40` inputs, `gen-data` at 80 subjects and `eval --baseline` of
-the trained checkpoints on that 80-subject set, the `eval_heldout200` shape.
+`export-bases`, of the stdout of `check-grad`, and of the benchmark's
+datasets: `gen-data` at the `gen_fit_noisy40` inputs, `gen-data` at 80
+subjects and `eval --baseline` of the trained checkpoints on that 80-subject
+set, the `eval_heldout200` shape.
 Both cover seeds 0 and 1, and each records the numpy
 version, the OpenBLAS build and core, the machine and the thread environment
 its hashes were made under. A test reruns the commands in a fresh process
@@ -81,7 +82,8 @@ DESCRIPTIONS = {
                  "# seeds 0 and 1 (see tests/test_golden.py)",
                  "# plus, at the benchmark's inputs, `gen-data` with n_subjects=40",
                  "# and landmark_noise_sigma=0.01, `gen-data` with n_subjects=80 and",
-                 "# `eval --baseline` of the seed's checkpoints on the latter"],
+                 "# `eval --baseline` of the seed's checkpoints on the latter",
+                 "# and the stdout of `check-grad` at the default config"],
 }
 
 # The benchmark-scale datasets of the pipeline manifest: gen_fit_noisy40's
@@ -147,6 +149,7 @@ def emit(name: str, root: str) -> list[str]:
                 out = f"{command}{seed}"
                 files[f"{command}/stdout"] = run([command, *args, *tag, "--out", out])
                 files.update(files_in(out, f"{command}/"))
+            files["check-grad/stdout"] = run(["check-grad", *tag, "--out", f"check-grad{seed}"])
             for key in BENCH_DATASETS:
                 files[f"{key}/stdout"] = gen_bench_data(key, tag)
                 files.update(files_in(f"{key}{seed}", f"{key}/"))

@@ -1,5 +1,6 @@
 """Tests for the encoder/decoder stack, exact gradients, and the trainers."""
 
+import dataclasses
 import os
 import re
 import tempfile
@@ -619,13 +620,27 @@ class TestLosses:
             assert got.total == lambda_r * got.recon + got.ident
 
     def test_loss_report_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            LossReport(total=5.0, recon=1.0, ident=1.0, accuracy=0.0, lambda_r=1.0)
-        with pytest.raises(InvalidArgumentError):
-            LossReport(total=2.0, recon=1.0, ident=1.0, accuracy=1.5, lambda_r=1.0)
-        with pytest.raises(InvalidArgumentError):
-            LossReport(total=float("nan"), recon=float("nan"), ident=0.0,
-                       accuracy=0.0, lambda_r=1.0)
+        """The report's one producer: total is lambda_r * recon + ident bit for
+        bit, accuracy lies in [0, 1], and every field is a Python float, also
+        for an np.float64 weight (the phase III trace CSV reprs each field)."""
+        rng = np.random.default_rng(21)
+        net, dec = small_net(rng), small_decoder(rng)
+        head = head_of(rng.normal(size=(3, 2)), rng.normal(size=3))
+        batch = small_batch(rng, size=6)
+        c_id, _ = encode_images(net, batch.images)
+        predicted = np.argmax(c_id @ head.weight.T + head.bias, axis=1)
+        # half the labels are the head's prediction, half are not
+        labels = np.where(np.arange(6) < 3, predicted, (predicted + 1) % 3)
+        batch = TrainingBatch(batch.images, labels, batch.target_delta)
+        for lambda_r in (0.0, 0.7, np.float64(0.3), np.float64(1e-3)):
+            for report in (batch_loss(net, dec, head, batch, lambda_r),
+                           backward(net, dec, head, batch, lambda_r)[1]):
+                assert [type(value) for value in report] == [float] * 5
+                assert report.lambda_r == lambda_r
+                total = report.lambda_r * report.recon + report.ident
+                assert report.total.hex() == total.hex()
+                assert 0.0 <= report.accuracy <= 1.0
+                assert report.accuracy == 0.5
 
     def test_batch_loss_matches_single_sample_primitives(self):
         rng = np.random.default_rng(11)
@@ -700,6 +715,37 @@ class TestBackward:
                               np.array([0, 3]), np.zeros((2, 9)))
         with pytest.raises(InvalidArgumentError):
             backward(net, dec, head, batch, 0.5)
+
+    @pytest.mark.parametrize("loss", [backward, batch_loss])
+    def test_negative_label_rejected(self, loss):
+        # -1 would index the last class's logit instead of failing
+        rng = np.random.default_rng(25)
+        net, dec = small_net(rng), small_decoder(rng)
+        head = head_of(rng.normal(size=(3, 2)), rng.normal(size=3))
+        batch = TrainingBatch(rng.uniform(-1, 1, size=(2, 6)),
+                              np.array([0, -1]), np.zeros((2, 9)))
+        with pytest.raises(InvalidArgumentError, match=r"^labels must lie in \[0, 3\)$"):
+            loss(net, dec, head, batch, 0.5)
+
+    @pytest.mark.parametrize("loss", [backward, batch_loss])
+    @pytest.mark.parametrize("rows, message", [
+        ((0, 0, 0), r"images must be \(B, D\)"),
+        ((2, 1, 2), "one label per image required"),
+        ((2, 3, 2), "one label per image required"),
+        ((2, 2, 1), "one target row per image"),
+        ((2, 2, 3), "one target row per image"),
+    ])
+    def test_misaligned_rows_rejected(self, loss, rows, message):
+        # one label or target row would broadcast over the batch unnoticed
+        rng = np.random.default_rng(26)
+        net, dec = small_net(rng), small_decoder(rng)
+        head = head_of(rng.normal(size=(3, 2)), rng.normal(size=3))
+        n_images, n_labels, n_targets = rows
+        batch = TrainingBatch(rng.uniform(-1, 1, size=(n_images, 6)),
+                              np.zeros(n_labels, dtype=np.int64),
+                              np.zeros((n_targets, 9)))
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            loss(net, dec, head, batch, 0.5)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_out_views_filled_like_the_dict(self, order):
@@ -945,6 +991,26 @@ class TestDatasetPlumbing:
             for i in range(20)])
         assert np.array_equal(raw, want)
         assert np.array_equal(clipped, np.clip(raw, -0.99, 0.99))
+
+    def test_training_batch_rejects_no_rows(self, default_dataset):
+        with pytest.raises(InvalidArgumentError, match=r"^images must be \(B, D\)$"):
+            training_batch(default_dataset, default_dataset.train_indices[:0])
+
+    def test_training_batch_rejects_overflowing_targets(self, default_dataset):
+        # finite coefficients, which the dataset accepts, whose two GEMVs each
+        # reach ~1.7e308 at one coordinate, so their sum overflows
+        model, row = default_dataset.model, 17
+        v = int(np.argmax(np.abs(model.basis_id).sum(axis=1)))
+        alpha_id, alpha_exp = default_dataset.alpha_id.copy(), default_dataset.alpha_exp.copy()
+        alpha_id[row] = 1.7e308 * np.sign(model.basis_id[v])
+        alpha_exp[row] = 1.7e308 * np.sign(model.basis_exp[v])
+        dataset = dataclasses.replace(default_dataset, alpha_id=alpha_id,
+                                      alpha_exp=alpha_exp)
+        training_batch(dataset, [3, 16])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="^targets must be finite$"):
+                training_batch(dataset, [3, row])
 
     def test_training_batch_rows(self, default_dataset):
         rows = [3, 17, 151]
