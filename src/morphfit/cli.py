@@ -24,7 +24,7 @@ from .evaluation import (disentangling_report, evaluate_reconstruction,
 from .fitting import multi_image_fit
 from .serialization import (_atomic_write, load_checkpoint, load_dataset,
                             save_checkpoint, save_dataset, write_obj,
-                            write_report_csv, write_table_csv)
+                            write_table_csv)
 from .synthetic import _compose_rows, build_dataset, generate_model
 
 
@@ -223,7 +223,8 @@ def _cmd_eval(args) -> int:
                     for n in (1, 5))
     report = verification_report(pairs, n_folds=config.n_folds,
                                  rank1=rank1, rank5=rank5)
-    write_report_csv(report, os.path.join(out, "verification.csv"))
+    # each report's fields, in order, are its CSV columns
+    write_table_csv(report._fields, [report], os.path.join(out, "verification.csv"))
 
     truth = reconstruction_truth(dataset.ground_truth_shapes(rows), model.landmark_indices,
                                  model.nose_tip_index, config.crop_radius)
@@ -234,15 +235,17 @@ def _cmd_eval(args) -> int:
         return evaluate_reconstruction(shapes, truth)
 
     recon = reconstruction((c_id, c_res), decoder)
-    write_report_csv(recon, os.path.join(out, "reconstruction.csv"))
+    write_table_csv(recon._fields, [recon], os.path.join(out, "reconstruction.csv"))
     if args.baseline:
         enc2, dec2, _h2, _c2 = load_checkpoint(args.baseline)
-        write_report_csv(reconstruction(nw.encode_images(enc2, images), dec2),
-                         os.path.join(out, "reconstruction_baseline.csv"))
+        baseline = reconstruction(nw.encode_images(enc2, images), dec2)
+        write_table_csv(baseline._fields, [baseline],
+                        os.path.join(out, "reconstruction_baseline.csv"))
 
     disentangling = disentangling_report(
         lambda images: nw.encode_images(encoder, images), dataset, (c_id, c_res))
-    write_report_csv(disentangling, os.path.join(out, "disentangling.csv"))
+    write_table_csv(disentangling._fields, [disentangling],
+                    os.path.join(out, "disentangling.csv"))
     _echo_config(config)
     print(f"auc {report.auc:.4f} eer {report.eer:.4f} "
           f"rmse {recon.rmse_paper:.6g}")

@@ -7,7 +7,7 @@ pure and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,42 +16,28 @@ from .geometry import MIN_POINTS, MorphableModel, _align_centred, _centred, _fai
 from .synthetic import render_depths
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Fold accuracy, threshold-free rates, and optional identification ranks."""
+class VerificationReport(NamedTuple):
+    """Fold accuracy, threshold-free rates, and optional identification ranks.
+    The field names, in order, are the columns of `verification.csv`."""
 
     accuracy_mean: float
     accuracy_std: float
     eer: float
     auc: float
-    tar_at_far_10pct: float
-    tar_at_far_1pct: float
+    tar_far10: float
+    tar_far1: float
     rank1: float | None = None
     rank5: float | None = None
 
-    def __post_init__(self):
-        for name in ("accuracy_mean", "eer", "auc",
-                     "tar_at_far_10pct", "tar_at_far_1pct", "rank1", "rank5"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            value = float(value)
-            object.__setattr__(self, name, value)
-            require(0.0 <= value <= 1.0, f"{name} must lie in [0, 1]")
-        std = float(self.accuracy_std)
-        object.__setattr__(self, "accuracy_std", std)
-        require(np.isfinite(std) and std >= 0.0,
-                "accuracy_std must be finite and non-negative")
 
-
-@dataclass(frozen=True)
-class ReconstructionReport:
+class ReconstructionReport(NamedTuple):
     """Aggregate shape error over aligned, nose-cropped prediction pairs.
 
     rmse_paper divides each pair's stacked coordinate difference norm by the
     cropped vertex count; mean_vertex_dist is the companion per-vertex mean
     Euclidean distance, reported because the two summaries differ by a factor
-    of roughly sqrt(n_c) and either may be wanted downstream.
+    of roughly sqrt(n_c) and either may be wanted downstream. The field names,
+    in order, are the columns of `reconstruction.csv`.
     """
 
     rmse_paper: float
@@ -59,18 +45,8 @@ class ReconstructionReport:
     n_pairs: int
     crop_radius: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "rmse_paper", float(self.rmse_paper))
-        object.__setattr__(self, "mean_vertex_dist", float(self.mean_vertex_dist))
-        object.__setattr__(self, "n_pairs", int(self.n_pairs))
-        object.__setattr__(self, "crop_radius", float(self.crop_radius))
-        require(self.rmse_paper >= 0 and self.mean_vertex_dist >= 0,
-                "error summaries must be non-negative")
-        require(self.n_pairs >= 1, "need at least one pair")
 
-
-@dataclass(frozen=True)
-class DisentanglingReport:
+class DisentanglingReport(NamedTuple):
     """Identity-code separation diagnostics.
 
     Distances are cosine distances of identity codes; displacement_ratio is
@@ -78,7 +54,8 @@ class DisentanglingReport:
     perturbation pairs (1.0 = perfectly absorbed by the residual head);
     variance_explained is the between-subject share of identity-code
     variance. A constant encoder makes every field 0/0, reported via the
-    degenerate flag with NaN ratios.
+    degenerate flag with NaN ratios. The field names, in order, are the
+    columns of `disentangling.csv`.
     """
 
     intra_distance: float
@@ -86,15 +63,6 @@ class DisentanglingReport:
     displacement_ratio: float
     variance_explained: float
     degenerate: bool
-
-    def __post_init__(self):
-        for name in ("intra_distance", "inter_distance",
-                     "displacement_ratio", "variance_explained"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "degenerate", bool(self.degenerate))
-        if not self.degenerate:
-            require(bool(np.isfinite(self.displacement_ratio)),
-                    "displacement_ratio must be finite unless degenerate")
 
 
 def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,7 +108,8 @@ def _sweep(scores: np.ndarray, genuine: np.ndarray, *columns: np.ndarray) -> tup
 
 
 def _roc(below: np.ndarray, genuine: np.ndarray) -> tuple:
-    """TAR and FAR at each of `_sweep`'s thresholds."""
+    """TAR and FAR at each of `_sweep`'s thresholds: both non-increasing, from
+    (1, 1) at the smallest score to (0, 0) at the sentinel."""
     genuine_below = np.r_[0, np.cumsum(genuine)][below]
     n_genuine, n_impostor = genuine_below[-1], genuine.size - genuine_below[-1]
     tar = (n_genuine - genuine_below) / n_genuine
@@ -148,20 +117,8 @@ def _roc(below: np.ndarray, genuine: np.ndarray) -> tuple:
     return tar, far
 
 
-def roc_curve(pairs: np.recarray) -> tuple:
-    """Sweep accept-iff-score>=threshold over every distinct score.
-
-    Returns (thresholds, TAR, FAR): the thresholds are the distinct scores in
-    increasing order plus one sentinel above the maximum, so the curve always
-    reaches both (1, 1) (accept all) and (0, 0) (reject all), and TAR and FAR
-    are non-increasing. Ties share an operating point by construction.
-    """
-    thresholds, below, genuine = _sweep(*_split_scores(pairs))
-    return (thresholds, *_roc(below, genuine))
-
-
 def auc(curve: tuple) -> float:
-    """Trapezoidal area under TAR(FAR) of a `roc_curve`.
+    """Trapezoidal area under TAR(FAR) of an ROC (thresholds, TAR, FAR).
 
     Equals the Mann-Whitney statistic with ties counted one half, because a
     tie block appears as a single diagonal segment of the polyline. The
@@ -259,7 +216,7 @@ def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
     sims = _cosine_matrix(probes, gallery)
     top = np.argsort(-sims, axis=1, kind="stable")[:, :n]
     hits = np.count_nonzero(np.any(g_labels[top] == p_labels[:, None], axis=1))
-    return hits / probes.shape[0]
+    return float(hits / probes.shape[0])
 
 
 def reconstruction_truth(ground_truth: np.ndarray, landmark_indices: np.ndarray,
@@ -283,12 +240,14 @@ def reconstruction_truth(ground_truth: np.ndarray, landmark_indices: np.ndarray,
     require(indices.size >= MIN_POINTS,
             f"need at least {MIN_POINTS} points, got {indices.size}")
     dist, scratch = np.zeros(points.shape[:2]), np.empty(points.shape[:2])
-    for c in range(3):
-        np.subtract(points[..., c], points[:, nose_tip_index, c, None], out=scratch)
-        dist += np.square(scratch, out=scratch)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow falls outside the crop
+        for c in range(3):
+            np.subtract(points[..., c], points[:, nose_tip_index, c, None], out=scratch)
+            dist += np.square(scratch, out=scratch)
+        landmarks = _centred(points[:, indices])  # the alignment checks what it reads
     crop = np.sqrt(dist, out=dist) <= crop_radius
-    return (points, indices, _centred(points[:, indices]), crop,
-            np.count_nonzero(crop, axis=1), crop_radius)
+    return (points, indices, landmarks, crop, np.count_nonzero(crop, axis=1),
+            float(crop_radius))
 
 
 def evaluate_reconstruction(predicted: np.ndarray, truth: tuple) -> ReconstructionReport:
@@ -303,22 +262,25 @@ def evaluate_reconstruction(predicted: np.ndarray, truth: tuple) -> Reconstructi
     pred_pts = predicted.reshape(points.shape)
     source = pred_pts[:, indices]
     _fail(~np.isfinite(source).all(axis=(1, 2)), "points must be finite", InvalidArgumentError)
-    scale, rotation, translation = _align_centred(_centred(source), landmarks)
-    aligned = pred_pts @ np.swapaxes(scale[:, None, None] * rotation, 1, 2)
-    aligned += translation[:, None]
-    bad = ~np.isfinite(aligned).all(axis=(1, 2))
-    require(not bad.any(), f"aligned shape of pair {int(np.argmax(bad))} is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # each step checks its pairs
+        scale, rotation, translation = _align_centred(_centred(source), landmarks)
+        aligned = pred_pts @ np.swapaxes(scale[:, None, None] * rotation, 1, 2)
+        aligned += translation[:, None]
+        bad = ~np.isfinite(aligned).all(axis=(1, 2))
+        require(not bad.any(), f"aligned shape of pair {int(np.argmax(bad))} is not finite")
 
-    # squared residuals per vertex, summed in `aligned`: no new (N, n) floats
-    aligned -= points
-    aligned *= aligned
-    squared = aligned[..., 0]
-    squared += aligned[..., 1]
-    squared += aligned[..., 2]
-    squared *= crop
+        # squared residuals per vertex, summed in `aligned`: no new (N, n) floats
+        aligned -= points
+        aligned *= aligned
+        squared = aligned[..., 0]
+        squared += aligned[..., 1]
+        squared += aligned[..., 2]
+        squared *= crop
+        paper = np.sqrt(squared.sum(axis=1)) / size
+    _fail(~np.isfinite(paper), "reconstruction error is not finite", InvalidArgumentError)
     n_pairs = points.shape[0]
     return ReconstructionReport(
-        rmse_paper=float(np.sum(np.sqrt(squared.sum(axis=1)) / size)) / n_pairs,
+        rmse_paper=float(np.sum(paper)) / n_pairs,
         mean_vertex_dist=float(np.sum(np.sqrt(squared, out=squared).sum(axis=1) / size))
         / n_pairs, n_pairs=n_pairs, crop_radius=crop_radius)
 
@@ -395,6 +357,8 @@ def disentangling_report(embed, dataset, codes: tuple) -> DisentanglingReport:
     if not np.isfinite(explained):
         degenerate = True
         explained = float("nan")
+    require(degenerate or bool(np.isfinite(ratio)),
+            "displacement_ratio must be finite unless degenerate")
 
     return DisentanglingReport(intra_distance=intra, inter_distance=inter,
                                displacement_ratio=ratio,
@@ -459,6 +423,6 @@ def verification_report(pairs: np.recarray, n_folds: int = 10,
     mean, std = _fold_accuracy(thresholds, below, genuine, fold, int(n_folds))
     return VerificationReport(accuracy_mean=mean, accuracy_std=std,
                               eer=eer(curve), auc=auc(curve),
-                              tar_at_far_10pct=tar_at_far(curve, 0.10),
-                              tar_at_far_1pct=tar_at_far(curve, 0.01),
+                              tar_far10=tar_at_far(curve, 0.10),
+                              tar_far1=tar_at_far(curve, 0.01),
                               rank1=rank1, rank5=rank5)

@@ -19,6 +19,7 @@ aborts loudly instead of being silently accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,13 +51,13 @@ class FitConfig:
                 "reg_exp must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Shared identity coefficients, per-image residual coefficients (m, k_exp)
     and per-image weak-perspective poses: scale (m,), rotation (m, 3, 3) and
     translation (m, 3). objective_trace holds the regularized objective after
-    each full pass (the pure data term when both reg weights are 0) and is
-    non-increasing within slack by construction.
+    each full pass (the pure data term when both reg weights are 0); the fit
+    checks every sub-step, so the trace is finite and non-increasing within
+    slack, and iterations_used is its length.
     """
 
     alpha_id: np.ndarray
@@ -67,16 +68,6 @@ class FitResult:
     objective_trace: list[float]
     iterations_used: int
     converged: bool
-
-    def __post_init__(self):
-        trace = [float(v) for v in self.objective_trace]
-        object.__setattr__(self, "objective_trace", trace)
-        require(all(np.isfinite(v) for v in trace), "objective trace must be finite")
-        for earlier, later in zip(trace, trace[1:]):
-            require(later <= earlier + MONOTONE_SLACK,
-                    "objective trace must be non-increasing")
-        require(self.iterations_used == len(trace),
-                "iterations_used must match the trace length")
 
 
 def _lstsq_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -148,13 +148,18 @@ def _align_centred(source: tuple, target: tuple) -> tuple:
     """Similarity alignment (Umeyama, TPAMI 1991) of each pair of two finite
     (N, L, 3) stacks, L >= MIN_POINTS, given as their `_centred` forms: (scale,
     rotation, translation), pair k's equal bit for bit to aligning it alone.
-    A degenerate pair raises DegenerateGeometryError naming it."""
+    A degenerate pair raises DegenerateGeometryError naming it, and a pair whose
+    cross-covariance overflows InvalidArgumentError."""
     (mu_src, x), (mu_tgt, y) = source, target
     # a mean along a C-ordered stack's last axis sums each row pairwise, as a
     # mean of that row alone does
     var_src = np.ascontiguousarray(np.sum(x * x, axis=2)).mean(axis=1)
     _fail(var_src <= 0.0, "source points are coincident")
-    u, s, vt = np.linalg.svd(np.swapaxes(y, 1, 2) @ x / x.shape[1])
+    covariance = np.swapaxes(y, 1, 2) @ x / x.shape[1]
+    # the SVD of a stack holding an inf does not return
+    _fail(~np.isfinite(covariance).all(axis=(1, 2)), "cross-covariance is not finite",
+          InvalidArgumentError)
+    u, s, vt = np.linalg.svd(covariance)
     _fail((s[:, 0] <= 0.0) | (s[:, 1] <= 1e-12 * s[:, 0]),
           "cross-covariance is rank deficient; points are collinear or coincident")
 

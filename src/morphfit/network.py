@@ -487,7 +487,6 @@ def coefficient_targets(model: MorphableModel, alpha_id: np.ndarray,
     return np.clip(out, -TARGET_CLIP, TARGET_CLIP) if clip else out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the finiteness check below raises
 def training_batch(dataset, indices) -> TrainingBatch:
     """Images, labels and shape-delta targets of the given sample rows: the one
     place a batch is built from data, so the one place it is checked. The

@@ -1,4 +1,4 @@
-"""Deterministic file formats: OBJ point clouds, CSV reports, binary containers.
+"""Deterministic file formats: OBJ point clouds, CSV tables, binary containers.
 
 Every writer is byte-deterministic (no timestamps, no locale, sorted JSON
 keys, repr floats) and atomic (write to a temp file in the target directory,
@@ -21,8 +21,6 @@ from .config import CONFIG_VERSION, RunConfig, parse_config
 from .errors import (CorruptionError, InvalidArgumentError,
                      InvariantViolationError, ParseError, VersionMismatchError,
                      require)
-from .evaluation import (DisentanglingReport, ReconstructionReport,
-                         VerificationReport)
 from .geometry import MorphableModel
 from .network import ClassifierHead, DecoderNet, EncoderNet
 from .synthetic import (COLUMNS, POSE_PARAMS, Dataset, DatasetSpec,
@@ -66,16 +64,7 @@ def write_obj(coords: np.ndarray, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# CSV reports. One header row, one data row, repr floats (exact roundtrip).
-
-VERIFICATION_COLUMNS = ("accuracy_mean", "accuracy_std", "eer", "auc",
-                        "tar_far10", "tar_far1", "rank1", "rank5")
-RECONSTRUCTION_COLUMNS = ("rmse_paper", "mean_vertex_dist", "n_pairs",
-                          "crop_radius")
-DISENTANGLING_COLUMNS = ("intra_distance", "inter_distance",
-                         "displacement_ratio", "variance_explained",
-                         "degenerate")
-
+# CSV tables: one header row, then data rows, repr floats (exact roundtrip).
 
 def _csv_cell(value) -> str:
     if value is None:
@@ -87,25 +76,9 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-# each report's columns name its dataclass fields, in field order
-_REPORT_COLUMNS = {VerificationReport: VERIFICATION_COLUMNS,
-                   ReconstructionReport: RECONSTRUCTION_COLUMNS,
-                   DisentanglingReport: DISENTANGLING_COLUMNS}
-
-
-def write_report_csv(report, path: str) -> None:
-    """Serialize a report to its documented fixed-order column schema."""
-    columns = _REPORT_COLUMNS.get(type(report))
-    if columns is None:
-        raise InvalidArgumentError(
-            f"no CSV schema for report type {type(report).__name__}")
-    values = (getattr(report, field.name) for field in dataclasses.fields(report))
-    text = ",".join(columns) + "\n" + ",".join(_csv_cell(v) for v in values) + "\n"
-    _atomic_write(path, text.encode("ascii"))
-
-
 def write_table_csv(columns: tuple, rows: list, path: str) -> None:
-    """Generic header + rows writer used for loss traces and fit summaries."""
+    """Header + rows writer for loss traces, fit summaries and eval reports
+    (a report's header is its `_fields`, its one row the report itself)."""
     lines = [",".join(columns)]
     for row in rows:
         require(len(row) == len(columns), "row length must match header")

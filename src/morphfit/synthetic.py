@@ -364,13 +364,15 @@ def sample_instance(model: MorphableModel, spec: DatasetSpec,
 _RENDER_CHUNK = 16
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each caller checks the shapes it needs finite
 def _compose_rows(model: MorphableModel, alpha_id: np.ndarray,
                   alpha_exp: np.ndarray) -> np.ndarray:
     """Flat shapes mean + basis_id @ a + basis_exp @ e, one per coefficient row.
 
     Each row is its own pair of GEMVs, so it has the bits of composing that
     row alone: one matrix product over all rows sums in another order and
-    changes the last bits.
+    changes the last bits. Finite but huge coefficients may compose to
+    non-finite shapes, quietly.
     """
     alpha_id = np.ascontiguousarray(alpha_id, dtype=np.float64)
     alpha_exp = np.ascontiguousarray(alpha_exp, dtype=np.float64)

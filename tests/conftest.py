@@ -60,6 +60,14 @@ def take_rows(dataset: Dataset, rows, **splits) -> Dataset:
                       for name in ("train", "val", "test")})
 
 
+def assert_plain_fields(record, names=None) -> None:
+    """Each named field of a record (all by default) is a Python float, int,
+    bool or None, never a numpy scalar: the CSV writer reprs each one."""
+    for name in names or record._fields:
+        value = getattr(record, name)
+        assert type(value) in (float, int, bool, type(None)), (name, type(value))
+
+
 def reconstruct(predicted, ground_truth, landmark_indices, nose_tip_index,
                 crop_radius):
     """`evaluate_reconstruction` of one prediction stack against the

@@ -8,7 +8,8 @@ three arrays and solves each sub-step's systems as one stack,
 pair in one stacked alignment and crops them all with one mask. The
 per-item value classes (`Shape`, `LandmarkSet2D`, `CoeffPair`,
 `PoseParams`), the one-item functions the stacks replaced (`crop_indices`
-among them), the per-fold threshold search that one sweep of sorted
+among them), the public ROC of three arrays (`roc_curve`, which the report
+computes inside itself), the per-fold threshold search that one sweep of sorted
 scores replaced, the validated `RocCurve` that the ROC's three plain
 arrays replaced, the stratified rearranged copy of the pairs that a fold
 column per pair replaced, the report that sorted the scores once for the
@@ -28,8 +29,8 @@ import numpy as np
 
 from morphfit.errors import InvalidArgumentError, ParseError, require
 from morphfit.evaluation import (DisentanglingReport, ReconstructionReport, VerificationReport,
-                                 _cosine_distance_matrix, _cosine_matrix, _split_scores, auc,
-                                 eer)
+                                 _cosine_distance_matrix, _cosine_matrix, _roc, _split_scores,
+                                 _sweep, auc, eer)
 from morphfit.fitting import (_data_terms, _estimate_poses, _landmark_components,
                               _landmark_points, _solve_block)
 from morphfit.geometry import (MIN_POINTS, ROTATION_TOL, MorphableModel, _align_centred,
@@ -542,8 +543,8 @@ def searched_verification_report(pairs: np.recarray, n_folds: int = 10,
     arrays = (curve.thresholds, curve.tar, curve.far)
     return VerificationReport(accuracy_mean=mean, accuracy_std=std,
                               eer=eer(arrays), auc=auc(arrays),
-                              tar_at_far_10pct=unique_tar_at_far(curve, 0.10),
-                              tar_at_far_1pct=unique_tar_at_far(curve, 0.01),
+                              tar_far10=unique_tar_at_far(curve, 0.10),
+                              tar_far1=unique_tar_at_far(curve, 0.01),
                               rank1=rank1, rank5=rank5)
 
 
@@ -561,6 +562,12 @@ def _accepted(sorted_scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """How many of the sorted scores satisfy score >= t, for each threshold t."""
     return sorted_scores.size - np.searchsorted(sorted_scores, thresholds,
                                                 side="left")
+
+
+def roc_curve(pairs: np.recarray) -> tuple:
+    """The ROC of `verification_report` as (thresholds, TAR, FAR) arrays."""
+    thresholds, below, genuine = _sweep(*_split_scores(pairs))
+    return (thresholds, *_roc(below, genuine))
 
 
 def searched_roc_curve(pairs: np.recarray) -> RocCurve:
@@ -655,7 +662,7 @@ def unshared_reconstruction(predicted: np.ndarray, ground_truth: np.ndarray,
     return ReconstructionReport(
         rmse_paper=float(np.sum(np.sqrt(squared.sum(axis=1)) / size)) / n_pairs,
         mean_vertex_dist=float(np.sum(np.sqrt(squared, out=squared).sum(axis=1) / size))
-        / n_pairs, n_pairs=n_pairs, crop_radius=crop_radius)
+        / n_pairs, n_pairs=n_pairs, crop_radius=float(crop_radius))
 
 
 def self_encoding_disentangling_report(embed, dataset) -> DisentanglingReport:
@@ -714,6 +721,8 @@ def self_encoding_disentangling_report(embed, dataset) -> DisentanglingReport:
     if not np.isfinite(explained):
         degenerate = True
         explained = float("nan")
+    require(degenerate or bool(np.isfinite(ratio)),
+            "displacement_ratio must be finite unless degenerate")
 
     return DisentanglingReport(intra_distance=intra, inter_distance=inter,
                                displacement_ratio=ratio,

@@ -18,8 +18,8 @@ import pytest
 
 from morphfit.cli import _train_pipeline, cli
 from morphfit.config import RunConfig
-from morphfit.evaluation import (auc, rank_n_identification, roc_curve,
-                                 verification_pairs, verification_report)
+from morphfit.evaluation import (auc, rank_n_identification, verification_pairs,
+                                 verification_report)
 from morphfit.fitting import FitConfig, multi_image_fit
 from morphfit.geometry import MorphableModel, rotation_zyx
 from morphfit.network import (encode_images, finite_diff_check, init_decoder,
@@ -28,8 +28,8 @@ from morphfit.network import (encode_images, finite_diff_check, init_decoder,
 from conftest import disentangle, reconstruct
 from oracles import (CoeffPair, LandmarkSet2D, PoseParams, Shape,
                      SimilarityTransform, apply_transform, compose_shape,
-                     crop_indices, procrustes_align, render_landmarks, solve_expression,
-                     solve_identity_shared, stratified_folds)
+                     crop_indices, procrustes_align, render_landmarks, roc_curve,
+                     solve_expression, solve_identity_shared, stratified_folds)
 
 
 def wide_pose(rng: np.random.Generator) -> PoseParams:

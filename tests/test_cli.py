@@ -1,6 +1,7 @@
 """End-to-end tests for the command line pipeline."""
 
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -15,8 +16,7 @@ from morphfit import cli as cli_module
 from morphfit import network as nw
 from morphfit.cli import build_parser, cli
 from morphfit.config import RunConfig, load_config
-from morphfit.serialization import (load_checkpoint, load_dataset,
-                                    VERIFICATION_COLUMNS)
+from morphfit.serialization import load_checkpoint, load_dataset, save_dataset
 
 from oracles import read_obj
 
@@ -297,7 +297,8 @@ class TestEval:
     def test_verification_report_in_bounds(self, pipeline):
         header, rows = read_csv(os.path.join(pipeline["eval_dir"],
                                              "verification.csv"))
-        assert tuple(header) == VERIFICATION_COLUMNS
+        assert tuple(header) == ("accuracy_mean", "accuracy_std", "eer", "auc",
+                                 "tar_far10", "tar_far1", "rank1", "rank5")
         values = dict(zip(header, (float(c) for c in rows[0])))
         assert 0.0 <= values["auc"] <= 1.0
         assert 0.0 <= values["eer"] <= 1.0
@@ -348,6 +349,66 @@ class TestEval:
                      "reconstruction_baseline.csv", "disentangling.csv"):
             assert (open(tmp_path / "eval" / name, "rb").read()
                     == open(os.path.join(pipeline["eval_dir"], name), "rb").read())
+
+
+# A held-out row with finite but huge coefficients, which a dataset container
+# accepts, and the one error line `eval` gives for it. At k_id=10 and k_exp=4
+# the row that sums the basis rows' magnitudes composes to an infinite
+# coordinate; one coefficient at 1.7e308 keeps the shape finite (each basis
+# entry is below 1) but overflows its squared error; at the tiny pipeline's
+# k_id=4 and k_exp=3 the first construction stays finite, and the mean of
+# its landmarks overflows.
+HUGE_SETS = [{"k_id=4": "k_id=10", "k_exp=3": "k_exp=4"}.get(item, item)
+             for item in TINY_OVERRIDES]
+HUGE_ROWS = {
+    "composed overflow": (HUGE_SETS, "ground-truth shapes must be finite"),
+    "one huge coefficient": (HUGE_SETS, "pair 0: reconstruction error is not finite"),
+    "landmark mean overflow": (TINY_OVERRIDES, "pair 0: cross-covariance is not finite"),
+}
+
+
+@pytest.fixture(scope="module")
+def wide_pipeline(tmp_path_factory):
+    """(dataset, phase III checkpoint) of gen-data and train at HUGE_SETS."""
+    root = tmp_path_factory.mktemp("wide")
+    dataset = str(root / "data" / "dataset.mfd")
+    for argv in (["gen-data", *HUGE_SETS, "--out", str(root / "data")],
+                 ["train", "--data", dataset, *HUGE_SETS, "--out", str(root / "train")]):
+        code, _, err = run_cli(argv)
+        assert code == 0, err
+    return dataset, str(root / "train" / "phase3.ckpt")
+
+
+def save_with_huge_row(source: str, case: str, path: str) -> None:
+    """`source`'s dataset with its first held-out row's coefficients replaced."""
+    dataset = load_dataset(source)
+    model, row = dataset.model, dataset.test_indices[0]
+    alpha_id, alpha_exp = np.array(dataset.alpha_id), np.array(dataset.alpha_exp)
+    if case == "one huge coefficient":
+        alpha_id[row, 0] = 1.7e308
+    else:
+        v = int(np.argmax(np.abs(model.basis_id).sum(axis=1)))
+        alpha_id[row] = 1.7e308 * np.sign(model.basis_id[v])
+        alpha_exp[row] = 1.7e308 * np.sign(model.basis_exp[v])
+    save_dataset(dataclasses.replace(dataset, alpha_id=alpha_id, alpha_exp=alpha_exp), path)
+
+
+class TestHugeCoefficients:
+    @pytest.mark.parametrize("case", sorted(HUGE_ROWS))
+    def test_eval_is_one_error_line(self, pipeline, wide_pipeline, tmp_path, case):
+        overrides, message = HUGE_ROWS[case]
+        source, checkpoint = (wide_pipeline if overrides is HUGE_SETS else
+                              (pipeline["dataset"],
+                               os.path.join(pipeline["train_dir"], "phase3.ckpt")))
+        dataset = str(tmp_path / "huge.mfd")
+        save_with_huge_row(source, case, dataset)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["eval", "--data", dataset, "--checkpoint", checkpoint,
+                                      *overrides, "--out", str(tmp_path / "eval")])
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (1, "")
+        assert err == f"error: InvalidArgumentError: {message}\n"
 
 
 class TestExportBases:

@@ -1,6 +1,7 @@
 """Tests for verification metrics, reconstruction scoring, and code diagnostics."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from hypothesis import strategies as st
 
 from morphfit.errors import DegenerateGeometryError, InvalidArgumentError, require
 from morphfit.evaluation import (
-    DisentanglingReport,
     ReconstructionReport,
-    VerificationReport,
     _stratified_folds,
     auc,
     disentangling_report,
@@ -19,7 +18,6 @@ from morphfit.evaluation import (
     evaluate_reconstruction,
     rank_n_identification,
     reconstruction_truth,
-    roc_curve,
     tar_at_far,
     verification_pairs,
     verification_report,
@@ -35,11 +33,12 @@ from morphfit.synthetic import (
 from oracles import (CoeffPair, PoseParams, RocCurve, Shape, SimilarityTransform,
                      apply_transform, crop_indices, dilate_max, procrustes_align,
                      procrustes_align_stack,
-                     rasterize_depth, searched_accuracy_folds, searched_roc_curve,
+                     rasterize_depth, roc_curve, searched_accuracy_folds, searched_roc_curve,
                      searched_verification_report, select_landmarks,
                      self_encoding_disentangling_report, stratified_folds,
                      triu_verification_pairs, unshared_reconstruction)
-from conftest import disentangle, reconstruct, rmse, row_pose, take_rows
+from conftest import (assert_plain_fields, disentangle, reconstruct, rmse, row_pose,
+                      take_rows)
 
 
 def scored_pairs(scores, is_genuine) -> np.recarray:
@@ -519,6 +518,47 @@ class TestEvaluateReconstruction:
             with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
                 score()
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(shape_pairs(), st.booleans())
+    def test_report_validation(self, case, integral_radius):
+        """The report's producer hands over Python scalars: non-negative
+        errors, one pair or more, and the crop radius as a float."""
+        predicted, truth, landmarks, nose_tip_index, radius = case
+        radius = int(radius) if integral_radius else radius
+        report = reconstruct(predicted, truth, landmarks, nose_tip_index, radius)
+        assert_plain_fields(report)
+        assert report.rmse_paper >= 0.0 and report.mean_vertex_dist >= 0.0
+        assert report.n_pairs == len(predicted) >= 1
+        assert type(report.crop_radius) is float and report.crop_radius == radius
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_overflowing_error_names_its_pair(self, k):
+        # a finite ground-truth vertex so far out that its squared residual
+        # overflows: outside the crop, inf * 0 is NaN
+        rng = np.random.default_rng(22)
+        truth = random_clouds(rng, 3, n=10)
+        predicted = truth + 0.1 * rng.normal(size=truth.shape)
+        truth[k, 3 * 8] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError,
+                               match=f"^pair {k}: reconstruction error is not finite$"):
+                reconstruct(predicted, truth, np.arange(6), 0, 1.0)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_overflowing_landmarks_name_their_pair(self, k):
+        # two finite landmark coordinates whose mean overflows: the alignment's
+        # cross-covariance is not finite, and its SVD would not return
+        rng = np.random.default_rng(23)
+        truth = random_clouds(rng, 3, n=10)
+        predicted = truth + 0.1 * rng.normal(size=truth.shape)
+        truth[k, [3, 6]] = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError,
+                               match=f"^pair {k}: cross-covariance is not finite$"):
+                reconstruct(predicted, truth, np.arange(6), 0, 1.0)
+
     def test_too_few_landmarks_named_as_unshared(self):
         shapes = random_clouds(np.random.default_rng(19), 2, n=10)
         for score in (reconstruct, unshared_reconstruction):
@@ -745,11 +785,37 @@ class TestDisentanglingReport:
         with pytest.raises(InvalidArgumentError):
             disentangle(embedding(constant_encoder(256)), first_subject)
 
-    def test_report_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            DisentanglingReport(intra_distance=0.1, inter_distance=0.5,
-                                displacement_ratio=float("nan"),
-                                variance_explained=0.5, degenerate=False)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-3, 1.0, 1e3]),
+           st.sampled_from(["rowwise", "net", "constant"]))
+    def test_report_validation(self, flat_split_dataset, seed, scale, encoder):
+        """The report's one producer hands over Python scalars, and a finite
+        displacement ratio unless the report is degenerate."""
+        rng = np.random.default_rng(seed)
+        w_id, w_res = scale * rng.normal(size=(3, 256)), scale * rng.normal(size=(2, 256))
+
+        def rowwise(batch):
+            return np.tanh(batch @ w_id.T), np.tanh(batch @ w_res.T)
+
+        embed = {"rowwise": rowwise,
+                 "net": embedding(init_encoder(256, 3, 2, hidden=(8,), seed=seed % 1000)),
+                 "constant": embedding(constant_encoder(256))}[encoder]
+        report = disentangle(embed, flat_split_dataset)
+        assert_plain_fields(report)
+        assert report.degenerate or np.isfinite(report.displacement_ratio)
+        assert report.degenerate or encoder != "constant"
+
+    def test_non_finite_displacement_rejected(self, flat_split_dataset):
+        embed = rowwise_encoder(256)
+        codes = embed(flat_split_dataset.images(np.arange(6)))
+
+        def moved_to_infinity(batch):
+            moved_id, moved_res = embed(batch)
+            return moved_id, np.full_like(moved_res, np.inf)
+
+        with pytest.raises(InvalidArgumentError,
+                           match="^displacement_ratio must be finite unless degenerate$"):
+            disentangling_report(moved_to_infinity, flat_split_dataset, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -819,13 +885,26 @@ class TestVerificationReport:
             tracemalloc.stop()
         assert peak <= 80 * len(pairs), f"{peak / len(pairs):.1f} B/pair"
 
-    def test_report_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            VerificationReport(accuracy_mean=1.2, accuracy_std=0.0, eer=0.0,
-                               auc=1.0, tar_at_far_10pct=1.0, tar_at_far_1pct=1.0)
-        with pytest.raises(InvalidArgumentError):
-            VerificationReport(accuracy_mean=0.9, accuracy_std=-0.1, eer=0.0,
-                               auc=1.0, tar_at_far_10pct=1.0, tar_at_far_1pct=1.0)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(lambda q: code_rows(q, 5)), st.integers(2, 4),
+           st.integers(2, 3))
+    def test_report_validation(self, codes, n_labels, n_folds):
+        """The report's producers hand over Python scalars: rates and accuracy
+        in [0, 1], a finite non-negative std, and the ranks of
+        `rank_n_identification` as floats."""
+        labels = np.arange(len(codes)) % n_labels
+        pairs = verification_pairs(codes, labels)
+        assume(min(np.count_nonzero(pairs.is_genuine),
+                   np.count_nonzero(~pairs.is_genuine)) >= n_folds)
+        _, gallery = np.unique(labels, return_index=True)
+        probes = np.setdiff1d(np.arange(len(labels)), gallery)
+        ranks = [rank_n_identification(codes[gallery], labels[gallery],
+                                       codes[probes], labels[probes], n) for n in (1, 5)]
+        report = verification_report(pairs, n_folds, *ranks)
+        assert_plain_fields(report)
+        for name in ("accuracy_mean", "eer", "auc", "tar_far10", "tar_far1", "rank1", "rank5"):
+            assert 0.0 <= getattr(report, name) <= 1.0, name
+        assert np.isfinite(report.accuracy_std) and report.accuracy_std >= 0.0
 
 
 # ---------------------------------------------------------------------------

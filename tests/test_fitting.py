@@ -18,6 +18,7 @@ from morphfit.errors import (
 from morphfit.fitting import MONOTONE_SLACK, FitConfig, FitResult, multi_image_fit
 from morphfit.geometry import MorphableModel, coord_rows, rotation_zyx
 
+from conftest import assert_plain_fields
 from oracles import (CoeffPair, LandmarkSet2D, PoseParams, compose_shape,
                      estimate_pose, objective, project_landmarks,
                      render_landmarks, select_landmarks, solve_expression,
@@ -492,21 +493,50 @@ class TestFitConfigValidation:
             FitConfig(reg_exp=float("nan"))
 
 
-class TestFitResultValidation:
-    def test_rejects_increasing_trace(self):
-        with pytest.raises(InvalidArgumentError):
-            FitResult(alpha_id=np.zeros(2), alpha_exp=np.zeros((0, 1)),
-                      scale=np.zeros(0), rotation=np.zeros((0, 3, 3)),
-                      translation=np.zeros((0, 3)),
-                      objective_trace=[1.0, 2.0], iterations_used=2,
-                      converged=False)
+@st.composite
+def fit_inputs(draw):
+    """A random model and (m, 2L) landmarks of one subject, noisy or exact."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k_id, k_exp = 4 * draw(st.integers(2, 20)), draw(st.integers(1, 10)), draw(st.integers(1, 8))
+    model = random_model(rng, n, min(4 * draw(st.integers(1, 6)), n), k_id, k_exp)
+    alpha_id = rng.normal(size=k_id) * model.sigma_id
+    noise = draw(st.sampled_from([0.0, 1e-3, 3e-2]))
+    return model, stack_sets([
+        render_landmarks(model, CoeffPair(alpha_id, rng.normal(size=k_exp) * model.sigma_exp),
+                         wide_pose(rng), noise, rng)
+        for _ in range(draw(st.integers(1, 4)))])
 
-    def test_rejects_mismatched_iteration_count(self):
-        with pytest.raises(InvalidArgumentError):
-            FitResult(alpha_id=np.zeros(2), alpha_exp=np.zeros((0, 1)),
-                      scale=np.zeros(0), rotation=np.zeros((0, 3, 3)),
-                      translation=np.zeros((0, 3)),
-                      objective_trace=[1.0], iterations_used=3, converged=False)
+
+class TestFitRecord:
+    """The fit's record: the fit checks every sub-step, so what it returns
+    needs no check of its own."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fit_inputs(), st.sampled_from([0.0, 1e-3, 0.5]), st.sampled_from([0.0, 1e-3, 0.5]))
+    def test_trace_is_finite_and_non_increasing(self, inputs, reg_id, reg_exp):
+        try:
+            result = multi_image_fit(*inputs, FitConfig(reg_id=reg_id, reg_exp=reg_exp))
+        except MorphfitError:
+            return
+        trace = result.objective_trace
+        assert type(trace) is list and all(type(value) is float for value in trace)
+        assert all(np.isfinite(trace))
+        for earlier, later in zip(trace, trace[1:]):
+            assert later <= earlier + MONOTONE_SLACK
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fit_inputs(), st.integers(1, 5), st.sampled_from([1e-12, 1e-6, 1e-2]))
+    def test_iterations_used_is_the_trace_length(self, inputs, max_iterations, rel_tol):
+        config = FitConfig(max_iterations=max_iterations, rel_tol=rel_tol, reg_id=1e-3,
+                           reg_exp=1e-3)
+        result = multi_image_fit(*inputs, config)
+        assert_plain_fields(result, ("iterations_used", "converged"))
+        assert result.iterations_used == len(result.objective_trace) <= max_iterations
+        # convergence compares two passes; without it the fit ran them all
+        assert (result.iterations_used >= 2 if result.converged
+                else result.iterations_used == max_iterations)
 
 
 # ---------------------------------------------------------------------------
