@@ -292,24 +292,22 @@ def _cosine_distance_matrix(codes: np.ndarray) -> np.ndarray:
 
 
 def disentangling_report(embed, dataset, codes: tuple) -> DisentanglingReport:
-    """Measure identity/residual code separation on the evaluation split.
+    """Measure identity/residual code separation on the held-out rows.
 
-    Uses the held-out subjects when the dataset has them, every row
-    otherwise. Expression-only pairs are built by re-rendering each
-    evaluated sample with a freshly drawn residual coefficient vector at the
-    identical pose, so the displacement ratio isolates the expression factor;
-    the perturbation draws are seeded from the dataset seed.
+    Expression-only pairs are built by re-rendering each held-out sample
+    with a freshly drawn residual coefficient vector at the identical pose,
+    so the displacement ratio isolates the expression factor; the
+    perturbation draws are seeded from the dataset seed.
 
     ``embed`` maps a (B, pixels) image array to an ``(identity_codes,
     residual_codes)`` pair: a trained encoder's ``encode_images``, or a
-    reference embedding. ``codes`` is that pair for the evaluated rows'
+    reference embedding. ``codes`` is that pair for the held-out rows'
     images, in row order; ``embed`` encodes only their re-renders.
     """
     require(callable(embed), "embed must be callable")
 
     model: MorphableModel = dataset.model
-    rows = (dataset.test_indices if len(dataset.test_indices)
-            else np.arange(dataset.labels.size))
+    rows = dataset.test_indices
     labels = dataset.labels[rows]
     require(np.unique(labels).size >= 2, "need at least two subjects")
     require(len(rows) >= np.unique(labels).size * 2,

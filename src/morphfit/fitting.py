@@ -211,17 +211,20 @@ def multi_image_fit(model: MorphableModel, landmarks: np.ndarray,
     require(width == 2 * model.n_landmarks,
             f"{width} landmark coordinates per image given, model has "
             f"{model.n_landmarks} landmarks")
-    finite = np.isfinite(landmarks).all(axis=1)
-    require(finite.all(),
-            f"image {int(np.argmin(finite))}: landmark coordinates must be finite")
+    # each image's landmark energy, whose sum floors the convergence test; a
+    # non-finite one also catches coordinates too large to square
+    with np.errstate(over="ignore"):
+        energies = [float(row @ row) for row in landmarks]
+    finite = np.isfinite(energies)
+    require(finite.all(), f"image {int(np.argmin(finite))}: landmark coordinates "
+            "must be finite, and their squares must sum to a finite energy")
 
     flat = mean, basis_id, basis_exp = _landmark_components(model)
     targets = landmarks.reshape(n_images, -1, 2)
     alpha_id = np.zeros(model.k_id)
     alpha_exps = np.zeros((n_images, model.k_exp))
 
-    energy = sum(float(row @ row) for row in landmarks)
-    floor = np.finfo(float).eps * max(energy, 1.0)
+    floor = np.finfo(float).eps * max(sum(energies), 1.0)
 
     current: float | None = None
 

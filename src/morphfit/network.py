@@ -475,16 +475,12 @@ def backward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
 # Dataset plumbing shared by the trainers.
 
 def coefficient_targets(model: MorphableModel, alpha_id: np.ndarray,
-                        alpha_exp: np.ndarray, clip: bool = True) -> np.ndarray:
-    """Latent regression targets alpha / (3 sigma), one row per sample.
-
-    With clip=True values are clamped to [-0.99, 0.99] so a bounded output
-    head can reach them; phase II leaves them unclipped to keep the
-    code-to-shape relation exactly linear.
-    """
+                        alpha_exp: np.ndarray) -> np.ndarray:
+    """Latent regression targets alpha / (3 sigma), one row per sample,
+    clamped to [-0.99, 0.99] so a bounded output head can reach them."""
     out = np.concatenate([alpha_id / (TARGET_SCALE * model.sigma_id),
                           alpha_exp / (TARGET_SCALE * model.sigma_exp)], axis=1)
-    return np.clip(out, -TARGET_CLIP, TARGET_CLIP) if clip else out
+    return np.clip(out, -TARGET_CLIP, TARGET_CLIP)
 
 
 def training_batch(dataset, indices) -> TrainingBatch:
@@ -540,7 +536,7 @@ def train_phase1(net: EncoderNet, dataset, config: TrainConfig) -> tuple:
 
     def arrays(idx):
         return (dataset.images(idx), coefficient_targets(
-            model, dataset.alpha_id[idx], dataset.alpha_exp[idx], clip=True))
+            model, dataset.alpha_id[idx], dataset.alpha_exp[idx]))
 
     train_images, train_targets = arrays(train_idx)
     val_images, val_targets = arrays(val_idx) if val_idx.size else (None, None)
@@ -577,15 +573,16 @@ def train_phase1(net: EncoderNet, dataset, config: TrainConfig) -> tuple:
 # Phase II: closed-form decoder fit on exact coefficient/component pairs.
 
 def train_phase2(dec: DecoderNet, dataset, n_pairs: int = 96,
-                 seed: int = 0, min_norm: bool = False) -> DecoderNet:
+                 seed: int = 0) -> DecoderNet:
     """Fit both linear decoders by least squares on synthetic exact pairs.
 
     Coefficient draws come fresh from the generating distribution (the
     rendered subjects alone cannot span the identity coefficient space when
     there are fewer training subjects than identity dimensions), and targets
     are the exactly linear shape components, so the fit is exact up to
-    rounding. Raises UnderdeterminedError when n_pairs cannot determine the
-    affine map, unless min_norm=True accepts the minimum-norm solution.
+    rounding, unclipped so that the code-to-shape relation stays exactly
+    linear. Raises UnderdeterminedError when n_pairs cannot determine the
+    affine map.
     """
     model = dataset.model
     require(dec.q_id == model.k_id and dec.q_res == model.k_exp,
@@ -597,20 +594,18 @@ def train_phase2(dec: DecoderNet, dataset, n_pairs: int = 96,
 
     def fit(basis: np.ndarray, sigma: np.ndarray) -> tuple:
         k = sigma.size
-        if n_pairs < k + 1 and not min_norm:
+        if n_pairs < k + 1:
             raise UnderdeterminedError(
-                f"{n_pairs} pairs cannot determine a width-{k} affine decoder; "
-                "pass min_norm=True to accept the minimum-norm fit")
+                f"{n_pairs} pairs cannot determine a width-{k} affine decoder")
         alphas = rng.normal(0.0, 1.0, size=(int(n_pairs), k)) * sigma
         codes = alphas / (TARGET_SCALE * sigma)
         targets = alphas @ basis.T
         design = np.column_stack([codes, np.ones(codes.shape[0])])
-        if not min_norm:
-            rank = np.linalg.matrix_rank(design)
-            if rank < k + 1:
-                raise UnderdeterminedError(
-                    f"design rank {rank} < {k + 1}; the sampled codes do not "
-                    "span the code space")
+        rank = np.linalg.matrix_rank(design)
+        if rank < k + 1:
+            raise UnderdeterminedError(
+                f"design rank {rank} < {k + 1}; the sampled codes do not "
+                "span the code space")
         solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
         return solution[:k].T, solution[k]
 

@@ -23,8 +23,7 @@ from .errors import (CorruptionError, InvalidArgumentError,
                      require)
 from .geometry import MorphableModel
 from .network import ClassifierHead, DecoderNet, EncoderNet
-from .synthetic import (COLUMNS, POSE_PARAMS, Dataset, DatasetSpec,
-                        PoseRanges, split_indices)
+from .synthetic import COLUMNS, POSE_PARAMS, Dataset, DatasetSpec, PoseRanges
 
 MAGIC = b"MORPHFIT"
 FORMAT_VERSION = 1
@@ -249,7 +248,7 @@ def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
 
 
 # ---------------------------------------------------------------------------
-# Datasets: model + spec + the sample columns; splits are re-derived.
+# Datasets: model + spec + the sample columns; the spec gives the split.
 
 # MorphableModel array fields, stored as "model.<field>"
 _MODEL_ARRAYS = ("mean", "basis_id", "basis_exp", "sigma_id", "sigma_exp",
@@ -302,20 +301,7 @@ def load_dataset(path: str) -> Dataset:
         "model")
 
     n = _field(header, "n_samples", int)
-    columns = {column: _field(arrays, name) for column, name in _STORED.items()}
-    for column, values in columns.items():
-        _invariant(values.ndim >= 1 and values.shape[0] == n,
-                   f"{_STORED[column]}: expected leading dimension {n}")
     _invariant(n == spec.n_subjects * spec.images_per_subject,
                f"n_samples: {n} does not equal n_subjects * images_per_subject")
-    train, val, test = split_indices(spec.n_subjects, spec.images_per_subject)
-    dataset = _rebuild(lambda: Dataset(
-        model=model, spec=spec, train_indices=train, val_indices=val,
-        test_indices=test, **columns), "dataset")
-    # the splits above hold only for rows ordered subject-major
-    layout = np.repeat(np.arange(spec.n_subjects), spec.images_per_subject)
-    i = int(np.argmax(dataset.labels != layout))  # first bad row, else 0
-    _invariant(dataset.labels[i] == layout[i],
-               f"labels: sample {i} has label {dataset.labels[i]}, expected "
-               f"{layout[i]} (rows must be ordered subject-major)")
-    return dataset
+    columns = {column: _field(arrays, name) for column, name in _STORED.items()}
+    return _rebuild(lambda: Dataset(model=model, spec=spec, **columns), "dataset")

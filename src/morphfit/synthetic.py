@@ -112,15 +112,16 @@ COLUMNS = ("labels", "alpha_id", "alpha_exp", "pose_scale", "pose_rotation",
 @dataclass(frozen=True)
 class Dataset:
     """Rendered samples as one read-only, C-ordered array per field, plus the
-    generating model and the `split_indices` split, whose index arrays refer
-    to rows. Row i of every column is sample i: its subject label,
+    generating model. Row i of every column is sample i: its subject label,
     ground-truth coefficients and pose, its projected landmarks
-    (u1, v1, ..., uL, vL) and its depth raster.
+    (u1, v1, ..., uL, vL) and its depth raster. Rows are subject-major, so
+    the spec fixes the row count, every row's label and the train,
+    validation and held-out rows (`split_indices`).
     """
 
     model: MorphableModel
     spec: DatasetSpec
-    labels: np.ndarray            # (n,) int64, >= 0
+    labels: np.ndarray            # (n,) int64, row i's is i // images_per_subject
     alpha_id: np.ndarray          # (n, k_id)
     alpha_exp: np.ndarray         # (n, k_exp)
     pose_scale: np.ndarray        # (n,), > 0
@@ -128,14 +129,17 @@ class Dataset:
     pose_translation: np.ndarray  # (n, 3)
     landmarks: np.ndarray         # (n, 2 * n_landmarks)
     depth: np.ndarray             # (n, r, r), values in [-1, 1]
-    train_indices: np.ndarray
-    val_indices: np.ndarray
-    test_indices: np.ndarray
+    train_indices: np.ndarray = field(init=False)
+    val_indices: np.ndarray = field(init=False)
+    test_indices: np.ndarray = field(init=False)
 
     def __post_init__(self):
         require(np.issubdtype(np.asarray(self.labels).dtype, np.integer),
                 "labels must be integers")
-        model, n, r = self.model, np.size(self.labels), self.spec.image_resolution
+        model, spec, r = self.model, self.spec, self.spec.image_resolution
+        n, given = spec.n_subjects * spec.images_per_subject, np.size(self.labels)
+        require(given == n, f"sample {min(given, n)} labels: expected n_subjects * "
+                f"images_per_subject = {n} rows, got {given}")
         for name, tail in zip(COLUMNS, ((), (model.k_id,), (model.k_exp,), (),
                                         (3, 3), (3,), (2 * model.n_landmarks,),
                                         (r, r))):
@@ -146,8 +150,8 @@ class Dataset:
                     f"{name} must be {(n, *tail)}, got {column.shape}")
 
         # Finite values, positive scales, proper rotations, the depth range
-        # and non-negative labels, checked over whole columns; the error names
-        # the first failing row and, within it, the first failing check.
+        # and the subject-major labels, checked over whole columns; the error
+        # names the first failing row and, within it, the first failing check.
         def per_row(passed):
             return passed.all(axis=tuple(range(1, passed.ndim)))
 
@@ -155,6 +159,7 @@ class Dataset:
             np.where(np.isfinite(self.pose_rotation), self.pose_rotation, 0.0))
         # a row's min and max carry its NaN and its infinities: no depth-sized temporaries
         lo, hi = self.depth.min(axis=(1, 2)), self.depth.max(axis=(1, 2))
+        layout = np.arange(n) // spec.images_per_subject
         checks = [(per_row(np.isfinite(getattr(self, name))),
                    f"{name}: values must be finite") for name in COLUMNS[1:-1]]
         checks += [
@@ -165,7 +170,8 @@ class Dataset:
             (det_err <= ROTATION_TOL,
              "pose_rotation: not proper (|det - 1| = {det:.3e})"),
             ((lo >= -1.0) & (hi <= 1.0), "depth: values must lie in [-1, 1]"),
-            (self.labels >= 0, "labels: must be non-negative, got {label}"),
+            (self.labels == layout,
+             "labels: must be {expected} (rows are subject-major), got {label}"),
         ]
         ok = np.column_stack([passed for passed, _ in checks])
         bad = np.flatnonzero(~ok.all(axis=1))
@@ -173,17 +179,15 @@ class Dataset:
             i = int(bad[0])
             message = checks[int(np.argmin(ok[i]))][1].format(
                 scale=self.pose_scale[i], gram=gram_err[i], det=det_err[i],
-                label=self.labels[i])
+                label=self.labels[i], expected=layout[i])
             raise InvalidArgumentError(f"sample {i} {message}")
+        for name, rows in zip(("train_indices", "val_indices", "test_indices"),
+                              split_indices(spec.n_subjects, spec.images_per_subject)):
+            object.__setattr__(self, name, rows)
 
     @property
     def n_train_subjects(self) -> int:
-        return self.spec.n_subjects - len(self.heldout_subjects)
-
-    @property
-    def heldout_subjects(self) -> list[int]:
-        # at one image per subject the test rows are the held-out labels
-        return split_indices(self.spec.n_subjects, 1)[2].tolist()
+        return int(np.unique(self.labels[self.train_indices]).size)
 
     def images(self, rows) -> np.ndarray:
         """Depth rasters of the given rows, one flattened image per row."""
@@ -505,7 +509,7 @@ def build_dataset(model: MorphableModel, spec: DatasetSpec) -> Dataset:
     are max-dilated by one pixel: a few hundred vertices cover a 32x32 grid
     only sparsely, and the dilation closes the sampling holes so downstream
     consumers see a surface rather than speckle. Subject labels run 0..K-1,
-    subject-major, and the split is `split_indices`.
+    subject-major, from which the `Dataset` takes its split.
     """
     root = np.random.SeedSequence(spec.seed)
     draws = []
@@ -535,9 +539,7 @@ def build_dataset(model: MorphableModel, spec: DatasetSpec) -> Dataset:
         landmarks[rows] = clean.reshape(len(posed), -1) + noise[rows]
         depth[rows] = rasters
 
-    train, val, test = split_indices(spec.n_subjects, spec.images_per_subject)
     return Dataset(model=model, spec=spec, labels=labels, alpha_id=alpha_id,
                    alpha_exp=alpha_exp, pose_scale=scale, pose_rotation=rotation,
                    pose_translation=translation, landmarks=landmarks,
-                   depth=depth.reshape(-1, spec.image_resolution, spec.image_resolution),
-                   train_indices=train, val_indices=val, test_indices=test)
+                   depth=depth.reshape(-1, spec.image_resolution, spec.image_resolution))

@@ -7,7 +7,7 @@ from morphfit.errors import require
 from morphfit.evaluation import (disentangling_report, evaluate_reconstruction,
                                  reconstruction_truth)
 from morphfit.geometry import coord_rows
-from morphfit.synthetic import (COLUMNS, Dataset, DatasetSpec, PoseRanges,
+from morphfit.synthetic import (Dataset, DatasetSpec, PoseRanges,
                                 SyntheticModelSpec, build_dataset,
                                 generate_model)
 
@@ -50,16 +50,6 @@ def row_pose(dataset: Dataset, i: int) -> PoseParams:
                       dataset.pose_translation[i])
 
 
-def take_rows(dataset: Dataset, rows, **splits) -> Dataset:
-    """A hand-assembled Dataset of the given rows; `splits` sets the
-    train/val/test index arrays, each empty unless given."""
-    empty = np.array([], dtype=np.int64)
-    return Dataset(model=dataset.model, spec=dataset.spec,
-                   **{name: getattr(dataset, name)[rows] for name in COLUMNS},
-                   **{f"{name}_indices": splits.get(name, empty)
-                      for name in ("train", "val", "test")})
-
-
 def assert_plain_fields(record, names=None) -> None:
     """Each named field of a record (all by default) is a Python float, int,
     bool or None, never a numpy scalar: the CSV writer reprs each one."""
@@ -77,11 +67,10 @@ def reconstruct(predicted, ground_truth, landmark_indices, nose_tip_index,
 
 
 def disentangle(embed, dataset):
-    """`disentangling_report` given the codes `embed` gives the evaluated
-    rows' images: the held-out rows, or every row without them."""
-    rows = (dataset.test_indices if len(dataset.test_indices)
-            else np.arange(dataset.labels.size))
-    return disentangling_report(embed, dataset, embed(dataset.images(rows)))
+    """`disentangling_report` given the codes `embed` gives the held-out
+    rows' images."""
+    return disentangling_report(embed, dataset,
+                                embed(dataset.images(dataset.test_indices)))
 
 
 # The per-pair shape error that evaluate_reconstruction computed through

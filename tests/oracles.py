@@ -666,13 +666,12 @@ def unshared_reconstruction(predicted: np.ndarray, ground_truth: np.ndarray,
 
 
 def self_encoding_disentangling_report(embed, dataset) -> DisentanglingReport:
-    """`disentangling_report` as it encoded the evaluated rows' images itself,
+    """`disentangling_report` as it encoded the held-out rows' images itself,
     then their re-renders."""
     require(callable(embed), "embed must be callable")
 
     model: MorphableModel = dataset.model
-    rows = (dataset.test_indices if len(dataset.test_indices)
-            else np.arange(dataset.labels.size))
+    rows = dataset.test_indices
     labels = dataset.labels[rows]
     require(np.unique(labels).size >= 2, "need at least two subjects")
     require(len(rows) >= np.unique(labels).size * 2,

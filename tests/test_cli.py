@@ -411,6 +411,33 @@ class TestHugeCoefficients:
         assert err == f"error: InvalidArgumentError: {message}\n"
 
 
+# Subject 0's landmark rows scaled up, which a dataset container accepts while
+# they stay finite: from ~2.2e153 the squared norm of a row, the image's
+# landmark energy, overflows, and `fit` rejects the row before any pose
+# estimate could overflow in turn.
+HUGE_LANDMARK_ERROR = ("error: InvalidArgumentError: image 0: landmark coordinates "
+                       "must be finite, and their squares must sum to a finite energy\n")
+
+
+class TestHugeLandmarks:
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e300, 1e308])
+    def test_fit_is_clean_or_one_error_line(self, pipeline, tmp_path, scale):
+        dataset = load_dataset(pipeline["dataset"])
+        landmarks = np.array(dataset.landmarks)
+        landmarks[dataset.labels == 0] *= scale
+        path = str(tmp_path / "huge.mfd")
+        save_dataset(dataclasses.replace(dataset, landmarks=landmarks), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(["fit", "--data", path, "--subject", "0",
+                                    "--out", str(tmp_path / "fit")])
+        assert [str(w.message) for w in caught] == []
+        if scale < 1e153:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (1, HUGE_LANDMARK_ERROR)
+
+
 class TestExportBases:
     def test_writes_one_obj_per_decoder_column(self, pipeline, tmp_path):
         out_dir = str(tmp_path / "bases")

@@ -37,8 +37,7 @@ from oracles import (CoeffPair, PoseParams, RocCurve, Shape, SimilarityTransform
                      searched_verification_report, select_landmarks,
                      self_encoding_disentangling_report, stratified_folds,
                      triu_verification_pairs, unshared_reconstruction)
-from conftest import (assert_plain_fields, disentangle, reconstruct, rmse, row_pose,
-                      take_rows)
+from conftest import assert_plain_fields, disentangle, reconstruct, rmse, row_pose
 
 
 def scored_pairs(scores, is_genuine) -> np.recarray:
@@ -636,12 +635,12 @@ class TestEvaluateReconstruction:
 
 
 @pytest.fixture(scope="module")
-def flat_split_dataset(small_model) -> Dataset:
-    """Six samples over two subjects, whole list used for evaluation."""
-    spec = DatasetSpec(n_subjects=2, images_per_subject=3, image_resolution=16,
+def heldout_dataset(small_model) -> Dataset:
+    """Six subjects of three images; the last two subjects' six samples are
+    held out, and the report scores them."""
+    spec = DatasetSpec(n_subjects=6, images_per_subject=3, image_resolution=16,
                        seed=42)
-    full = build_dataset(small_model, spec)
-    return take_rows(full, np.arange(6), train=np.arange(6, dtype=np.int64))
+    return build_dataset(small_model, spec)
 
 
 def constant_encoder(input_dim: int) -> EncoderNet:
@@ -657,11 +656,10 @@ def embedding(net: EncoderNet):
 
 def displacement_loop_oracle(embed, dataset) -> tuple[float, float]:
     """(displacement_ratio, summed displacement) as disentangling_report
-    computed them one image at a time: each evaluated image encoded alone,
+    computed them one image at a time: each held-out image encoded alone,
     then its perturbed re-render encoded alone."""
     model = dataset.model
-    rows = (dataset.test_indices if len(dataset.test_indices)
-            else np.arange(dataset.labels.size))
+    rows = dataset.test_indices
     rng = np.random.default_rng(np.random.SeedSequence([dataset.spec.seed, 0x1d]))
     den, ratios = 0.0, []
     for i, image in zip(rows, dataset.images(rows)):
@@ -692,56 +690,55 @@ def rowwise_encoder(input_dim: int):
 
 
 class TestDisentanglingReport:
-    def test_batched_codes_match_per_image_loop(self, flat_split_dataset):
+    def test_batched_codes_match_per_image_loop(self, heldout_dataset):
         embed = rowwise_encoder(256)
-        report = disentangle(embed, flat_split_dataset)
-        ratio, den = displacement_loop_oracle(embed, flat_split_dataset)
+        report = disentangle(embed, heldout_dataset)
+        ratio, den = displacement_loop_oracle(embed, heldout_dataset)
         assert den > 0.0 and not report.degenerate
         assert report.displacement_ratio == ratio
 
-    def test_encoder_net_matches_per_image_loop(self, flat_split_dataset):
+    def test_encoder_net_matches_per_image_loop(self, heldout_dataset):
         net = init_encoder(256, 3, 2, hidden=(16,), seed=7)
-        report = disentangle(embedding(net), flat_split_dataset)
+        report = disentangle(embedding(net), heldout_dataset)
         ratio, _ = displacement_loop_oracle(
-            lambda batch: encode_images(net, batch), flat_split_dataset)
+            lambda batch: encode_images(net, batch), heldout_dataset)
         assert abs(report.displacement_ratio - ratio) <= 1e-12 * abs(ratio)
 
-    def test_constant_encoder_is_degenerate(self, flat_split_dataset):
-        report = disentangle(embedding(constant_encoder(256)),
-                                      flat_split_dataset)
+    def test_constant_encoder_is_degenerate(self, heldout_dataset):
+        report = disentangle(embedding(constant_encoder(256)), heldout_dataset)
         assert report.degenerate
         assert report.intra_distance < 1e-12
         assert report.inter_distance < 1e-12
         assert np.isnan(report.displacement_ratio)
         assert np.isnan(report.variance_explained)
 
-    def test_reference_embedding_scores_perfectly(self, flat_split_dataset):
-        dataset = flat_split_dataset
+    def test_reference_embedding_scores_perfectly(self, heldout_dataset):
+        dataset = heldout_dataset
         model = dataset.model
 
         # precompute codes for every image the report will encode, keyed by
         # the raster bytes: identity code = subject one-hot, residual code
         # distinguishes the original from its perturbed re-render
         lookup = {}
-        for i in range(dataset.labels.size):
-            c_id = np.eye(3)[dataset.labels[i]]
+        for i in dataset.test_indices:
+            c_id = np.eye(dataset.spec.n_subjects)[dataset.labels[i]]
             lookup[dataset.depth[i].ravel().tobytes()] = (c_id, np.array([1.0, 0.0]))
         rng = np.random.default_rng(np.random.SeedSequence([dataset.spec.seed, 0x1d]))
-        for i in range(dataset.labels.size):
+        for i in dataset.test_indices:
             perturbation = rng.normal(0.0, 1.0, size=model.k_exp) * model.sigma_exp
             coeffs = CoeffPair(dataset.alpha_id[i],
                                dataset.alpha_exp[i] + perturbation)
             image = dilate_max(rasterize_depth(model, coeffs,
                                                row_pose(dataset, i),
                                                dataset.spec.image_resolution))
-            c_id = np.eye(3)[dataset.labels[i]]
+            c_id = np.eye(dataset.spec.n_subjects)[dataset.labels[i]]
             lookup.setdefault(image.ravel().tobytes(), (c_id, np.array([0.0, 1.0])))
 
         def embed(batch: np.ndarray):
             rows = [lookup[np.ascontiguousarray(row).tobytes()] for row in batch]
             return (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
 
-        report = disentangle(embed, flat_split_dataset)
+        report = disentangle(embed, heldout_dataset)
         assert not report.degenerate
         assert report.intra_distance == 0.0
         assert report.inter_distance == 1.0
@@ -749,46 +746,47 @@ class TestDisentanglingReport:
         assert abs(report.variance_explained - 1.0) < 1e-12
 
     @pytest.mark.parametrize("encoder", ["rowwise", "net", "constant"])
-    def test_passed_codes_match_self_encoding_oracle(self, flat_split_dataset, encoder):
+    def test_passed_codes_match_self_encoding_oracle(self, heldout_dataset, encoder):
         embed = {"rowwise": rowwise_encoder(256),
                  "net": embedding(init_encoder(256, 3, 2, hidden=(16,), seed=7)),
                  "constant": embedding(constant_encoder(256))}[encoder]
-        images = flat_split_dataset.images(np.arange(6))
+        images = heldout_dataset.images(heldout_dataset.test_indices)
         batches = []
 
         def recording(batch):
             batches.append(np.array(batch))
             return embed(batch)
 
-        got = disentangling_report(recording, flat_split_dataset, embed(images))
-        want = self_encoding_disentangling_report(embed, flat_split_dataset)
+        got = disentangling_report(recording, heldout_dataset, embed(images))
+        want = self_encoding_disentangling_report(embed, heldout_dataset)
         assert repr(got) == repr(want)
         # only the re-rendered images are encoded
         assert len(batches) == 1 and batches[0].shape == images.shape
         assert not np.array_equal(batches[0], images)
 
-    def test_codes_must_cover_the_evaluated_rows(self, flat_split_dataset):
+    def test_codes_must_cover_the_evaluated_rows(self, heldout_dataset):
         embed = rowwise_encoder(256)
-        c_id, c_res = embed(flat_split_dataset.images(np.arange(6)))
+        c_id, c_res = embed(heldout_dataset.images(heldout_dataset.test_indices))
         for codes in ((c_id[:5], c_res[:5]), (c_id, c_res[:5])):
             with pytest.raises(InvalidArgumentError, match="need codes of the 6 rows"):
-                disentangling_report(embed, flat_split_dataset, codes)
+                disentangling_report(embed, heldout_dataset, codes)
 
-    def test_rejects_non_callable(self, flat_split_dataset):
+    def test_rejects_non_callable(self, heldout_dataset):
         with pytest.raises(InvalidArgumentError):
-            disentangling_report(object(), flat_split_dataset,
+            disentangling_report(object(), heldout_dataset,
                                  (np.zeros((6, 3)), np.zeros((6, 2))))
 
-    def test_needs_two_subjects(self, flat_split_dataset):
-        first_subject = take_rows(flat_split_dataset, np.arange(3),
-                                  train=np.arange(3, dtype=np.int64))
-        with pytest.raises(InvalidArgumentError):
-            disentangle(embedding(constant_encoder(256)), first_subject)
+    def test_needs_two_subjects(self, small_model):
+        # two subjects hold out one
+        one_heldout = build_dataset(small_model, DatasetSpec(
+            n_subjects=2, images_per_subject=3, image_resolution=16, seed=42))
+        with pytest.raises(InvalidArgumentError, match="^need at least two subjects$"):
+            disentangle(embedding(constant_encoder(256)), one_heldout)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-3, 1.0, 1e3]),
            st.sampled_from(["rowwise", "net", "constant"]))
-    def test_report_validation(self, flat_split_dataset, seed, scale, encoder):
+    def test_report_validation(self, heldout_dataset, seed, scale, encoder):
         """The report's one producer hands over Python scalars, and a finite
         displacement ratio unless the report is degenerate."""
         rng = np.random.default_rng(seed)
@@ -800,14 +798,14 @@ class TestDisentanglingReport:
         embed = {"rowwise": rowwise,
                  "net": embedding(init_encoder(256, 3, 2, hidden=(8,), seed=seed % 1000)),
                  "constant": embedding(constant_encoder(256))}[encoder]
-        report = disentangle(embed, flat_split_dataset)
+        report = disentangle(embed, heldout_dataset)
         assert_plain_fields(report)
         assert report.degenerate or np.isfinite(report.displacement_ratio)
         assert report.degenerate or encoder != "constant"
 
-    def test_non_finite_displacement_rejected(self, flat_split_dataset):
+    def test_non_finite_displacement_rejected(self, heldout_dataset):
         embed = rowwise_encoder(256)
-        codes = embed(flat_split_dataset.images(np.arange(6)))
+        codes = embed(heldout_dataset.images(heldout_dataset.test_indices))
 
         def moved_to_infinity(batch):
             moved_id, moved_res = embed(batch)
@@ -815,7 +813,7 @@ class TestDisentanglingReport:
 
         with pytest.raises(InvalidArgumentError,
                            match="^displacement_ratio must be finite unless degenerate$"):
-            disentangling_report(moved_to_infinity, flat_split_dataset, codes)
+            disentangling_report(moved_to_infinity, heldout_dataset, codes)
 
 
 # ---------------------------------------------------------------------------

@@ -415,7 +415,8 @@ class TestFitInputChecks:
                                  f"model has {small_model.n_landmarks} landmarks"):
             multi_image_fit(small_model, np.zeros((3, width)))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    # +-1e300 is finite, but its square, the image's landmark energy, is not
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -1e300])
     def test_non_finite_rejected_naming_the_image(self, small_model, bad):
         rng = np.random.default_rng(18)
         landmarks = rng.normal(size=(4, 2 * small_model.n_landmarks))

@@ -23,13 +23,13 @@ from morphfit.errors import (CorruptionError, InvalidArgumentError,
 from morphfit.evaluation import (DisentanglingReport, ReconstructionReport,
                                  VerificationReport)
 from morphfit.network import EncoderNet, init_decoder, init_encoder, init_head
-from morphfit.serialization import (FORMAT_VERSION, MAGIC, _unpack,
+from morphfit.serialization import (FORMAT_VERSION, MAGIC, _pack, _unpack,
                                     load_checkpoint, load_dataset,
                                     save_checkpoint, save_dataset, write_obj,
                                     write_table_csv)
 from morphfit.geometry import MorphableModel
 from morphfit.synthetic import (COLUMNS, Dataset, DatasetSpec, PoseRanges,
-                               build_dataset)
+                               build_dataset, split_indices)
 
 from oracles import read_obj
 
@@ -629,8 +629,45 @@ class TestDatasetContainer:
             header["n_samples"] += 1
         tampered = tmp_path / "count.mfd"
         tampered.write_bytes(reencode(open(path, "rb").read(), edit))
-        with pytest.raises(InvariantViolationError, match="leading dimension"):
+        with pytest.raises(InvariantViolationError, match="^n_samples: 7 does not "
+                           r"equal n_subjects \* images_per_subject$"):
             load_dataset(str(tampered))
+
+    def test_one_row_too_few_is_invariant_violation(self, tiny_dataset, tmp_path):
+        # every column a row short, the header's n_samples unchanged
+        path = str(tmp_path / "data.mfd")
+        save_dataset(tiny_dataset, path)
+        with open(path, "rb") as handle:
+            header, arrays = _unpack(handle)
+        meta = {k: v for k, v in header.items() if k not in ("arrays", "format_version")}
+        tampered = tmp_path / "short.mfd"
+        tampered.write_bytes(b"".join(_pack(meta, {
+            name: array if name.startswith("model.") else array[:-1]
+            for name, array in arrays.items()})))
+        with pytest.raises(InvariantViolationError) as info:
+            load_dataset(str(tampered))
+        assert str(info.value) == ("dataset: sample 5 labels: expected n_subjects * "
+                                   "images_per_subject = 6 rows, got 5")
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n_subjects=st.integers(2, 12), images=st.integers(1, 6))
+    def test_split_follows_the_spec(self, small_model, n_subjects, images):
+        dataset = build_dataset(small_model, DatasetSpec(
+            n_subjects=n_subjects, images_per_subject=images, image_resolution=8,
+            seed=n_subjects))
+        splits = (dataset.train_indices, dataset.val_indices, dataset.test_indices)
+        for got, want in zip(splits, split_indices(n_subjects, images)):
+            assert np.array_equal(got, want)
+        train_labels = dataset.labels[dataset.train_indices]
+        assert dataset.n_train_subjects == np.unique(train_labels).size
+        assert dataset.n_train_subjects == n_subjects - dataset.test_indices.size // images
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "data.mfd")
+            save_dataset(dataset, path)
+            back = load_dataset(path)
+        for got, want in zip((back.train_indices, back.val_indices, back.test_indices),
+                             splits):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("field, value", [
         ("nose_tip_index", 1.5),
@@ -729,9 +766,11 @@ class TestDatasetContainer:
             load_dataset(str(tampered))
 
     @pytest.mark.parametrize("labels, message", [
-        ([1, 1, 1, 0, 0, 0], "labels: sample 0 has label 1, expected 0"),
-        ([0, 0, 0, 1, 999, 1], "labels: sample 4 has label 999, expected 1"),
-    ], ids=["reversed", "out-of-range"])
+        ([1, 1, 1, 0, 0, 0], "sample 0 labels: must be 0 (rows are subject-major), got 1"),
+        ([0, 0, 1, 0, 1, 1], "sample 2 labels: must be 0 (rows are subject-major), got 1"),
+        ([0, 0, 0, 1, 999, 1], "sample 4 labels: must be 1 (rows are subject-major), "
+                               "got 999"),
+    ], ids=["reversed", "two-swapped", "out-of-range"])
     def test_labels_must_be_subject_major(self, tiny_dataset, tmp_path,
                                           labels, message):
         # the re-derived splits assume this layout: reversed labels used to
@@ -744,8 +783,9 @@ class TestDatasetContainer:
         tampered = tmp_path / "labels.mfd"
         tampered.write_bytes(data[:offset] + packed
                              + data[offset + len(packed):])
-        with pytest.raises(InvariantViolationError, match=message):
+        with pytest.raises(InvariantViolationError) as info:
             load_dataset(str(tampered))
+        assert str(info.value) == f"dataset: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -897,9 +937,6 @@ class TestOneCopyPerLoad:
             nose_tip_index=model.nose_tip_index,
             **{name: given(a) for name, a in model_sources.items()})
         rebuilt = Dataset(model=rebuilt_model, spec=tiny_dataset.spec,
-                          train_indices=tiny_dataset.train_indices,
-                          val_indices=tiny_dataset.val_indices,
-                          test_indices=tiny_dataset.test_indices,
                           **{name: given(a) for name, a in sources.items()})
         for name, source in [*sources.items(), *model_sources.items()]:
             kept = (getattr(rebuilt_model, name) if name in model_sources

@@ -49,7 +49,7 @@ from morphfit.serialization import load_checkpoint, save_checkpoint
 from morphfit.synthetic import Dataset, DatasetSpec
 
 from oracles import compose_shape, summed_decode
-from conftest import row_coeffs, take_rows
+from conftest import row_coeffs
 
 
 def encoder_of(layers, q_id: int, q_res: int) -> EncoderNet:
@@ -210,7 +210,7 @@ def phase1_oracle(net: EncoderNet, dataset, config: TrainConfig) -> tuple:
     def arrays(idx):
         return (np.array([dataset.depth[int(i)].ravel() for i in idx]),
                 coefficient_targets(dataset.model, dataset.alpha_id[idx],
-                                    dataset.alpha_exp[idx], clip=True))
+                                    dataset.alpha_exp[idx]))
 
     train_images, train_targets = arrays(train_idx)
     val_images, val_targets = arrays(val_idx)
@@ -980,17 +980,18 @@ class TestHeadFromClassMeans:
 class TestDatasetPlumbing:
     def test_coefficient_targets_scale_and_clip(self, default_dataset):
         dataset, model = default_dataset, default_dataset.model
-        raw = coefficient_targets(model, dataset.alpha_id[:20],
-                                  dataset.alpha_exp[:20], clip=False)
-        clipped = coefficient_targets(model, dataset.alpha_id[:20],
-                                      dataset.alpha_exp[:20], clip=True)
-        # the per-sample stack it replaced, bit for bit
+        targets = coefficient_targets(model, dataset.alpha_id[:20],
+                                      dataset.alpha_exp[:20])
+        # the per-sample stack it replaced, bit for bit, then clipped
         want = np.array([np.concatenate([
             row_coeffs(dataset, i).alpha_id / (3.0 * model.sigma_id),
             row_coeffs(dataset, i).alpha_exp / (3.0 * model.sigma_exp)])
             for i in range(20)])
-        assert np.array_equal(raw, want)
-        assert np.array_equal(clipped, np.clip(raw, -0.99, 0.99))
+        assert np.array_equal(targets, np.clip(want, -0.99, 0.99))
+        # beyond three sigma the clip binds
+        beyond = coefficient_targets(model, 4.0 * model.sigma_id[None],
+                                     -4.0 * model.sigma_exp[None])
+        assert beyond.tolist() == [[0.99] * model.k_id + [-0.99] * model.k_exp]
 
     def test_training_batch_rejects_no_rows(self, default_dataset):
         with pytest.raises(InvalidArgumentError, match=r"^images must be \(B, D\)$"):
@@ -1071,13 +1072,14 @@ class TestTrainPhase1:
 
 @pytest.fixture(scope="module")
 def tiny_single_subject(small_model) -> Dataset:
-    """Hand-assembled one-subject split (an overfit sanity target)."""
+    """Two subjects of three images: the training split is the first
+    subject's three images, and there are no validation rows (an overfit
+    sanity target)."""
     from morphfit.synthetic import build_dataset
 
     spec = DatasetSpec(n_subjects=2, images_per_subject=3, image_resolution=16,
                        seed=42)
-    full = build_dataset(small_model, spec)
-    return take_rows(full, np.arange(3), train=np.arange(3, dtype=np.int64))
+    return build_dataset(small_model, spec)
 
 
 class TestTrainPhase2:
@@ -1103,12 +1105,16 @@ class TestTrainPhase2:
         truth = alphas @ model.basis_id.T
         assert float(np.mean((predicted - truth) ** 2)) < 1e-10
 
-    def test_underdetermined_needs_min_norm(self, default_dataset):
+    def test_underdetermined_is_rejected(self, default_dataset):
         model = default_dataset.model
         dec = init_decoder(model.mean.size, 20, 8, seed=1)
-        with pytest.raises(UnderdeterminedError):
+        with pytest.raises(UnderdeterminedError,
+                           match="^5 pairs cannot determine a width-20 affine decoder$"):
             train_phase2(dec, default_dataset, n_pairs=5)
-        fitted = train_phase2(dec, default_dataset, n_pairs=5, min_norm=True)
+        # the width-20 identity decoder needs 21 pairs
+        with pytest.raises(UnderdeterminedError, match="^20 pairs"):
+            train_phase2(dec, default_dataset, n_pairs=20)
+        fitted = train_phase2(dec, default_dataset, n_pairs=21)
         assert np.all(np.isfinite(fitted.weight_id))
 
     def test_deterministic(self, default_dataset):

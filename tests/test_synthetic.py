@@ -569,7 +569,8 @@ class TestBuildDataset:
     def test_default_dataset_layout(self, default_dataset):
         assert default_dataset.labels.size == 200
         assert default_dataset.n_train_subjects == 15
-        assert default_dataset.heldout_subjects == [15, 16, 17, 18, 19]
+        assert np.array_equal(default_dataset.labels[default_dataset.test_indices],
+                              np.repeat(np.arange(15, 20), 10))
         assert np.array_equal(default_dataset.labels,
                               np.repeat(np.arange(20), 10))
         image = default_dataset.depth[0]
@@ -578,11 +579,8 @@ class TestBuildDataset:
 
 
 def rebuilt(dataset: Dataset, **columns) -> Dataset:
-    """`dataset` with some columns replaced, splits kept."""
+    """`dataset` with some columns replaced."""
     return Dataset(model=dataset.model, spec=dataset.spec,
-                   train_indices=dataset.train_indices,
-                   val_indices=dataset.val_indices,
-                   test_indices=dataset.test_indices,
                    **{name: columns.get(name, getattr(dataset, name))
                       for name in COLUMNS})
 
@@ -601,7 +599,7 @@ def row_rejected(model, spec, columns: dict, i: int) -> bool:
         require(depth.shape == (r, r), "depth shape")
         require(bool(np.all(np.isfinite(depth))), "depth finite")
         require(bool(np.all((depth >= -1.0) & (depth <= 1.0))), "depth range")
-        require(columns["labels"][i] >= 0, "label")
+        require(columns["labels"][i] == i // spec.images_per_subject, "label")
     except InvalidArgumentError:
         return True
     return False
@@ -673,6 +671,30 @@ class TestDatasetColumns:
         assert images.shape == (2, 16 * 16)
         assert np.array_equal(images[0], tiny.depth[2].ravel())
         assert np.array_equal(images[1], tiny.depth[0].ravel())
+
+    def test_swapped_labels_name_the_first_sample(self, tiny):
+        # rows 2 and 3 trade subjects: each label is in range, out of place
+        labels = np.array(tiny.labels)
+        labels[[2, 3]] = labels[[3, 2]]
+        with pytest.raises(InvalidArgumentError) as info:
+            rebuilt(tiny, labels=labels)
+        assert str(info.value) == (
+            "sample 2 labels: must be 0 (rows are subject-major), got 1")
+
+    @pytest.mark.parametrize("rows, first_bad", [(np.arange(5), 5),
+                                                 (np.r_[0:6, 0], 6)],
+                             ids=["one-row-too-few", "one-row-too-many"])
+    def test_row_count_follows_the_spec(self, tiny, rows, first_bad):
+        with pytest.raises(InvalidArgumentError) as info:
+            rebuilt(tiny, **{name: getattr(tiny, name)[rows] for name in COLUMNS})
+        assert str(info.value) == (
+            f"sample {first_bad} labels: expected n_subjects * images_per_subject "
+            f"= 6 rows, got {rows.size}")
+
+    def test_split_is_not_an_argument(self, tiny):
+        with pytest.raises(TypeError, match="test_indices"):
+            Dataset(model=tiny.model, spec=tiny.spec, test_indices=np.arange(6),
+                    **{name: getattr(tiny, name) for name in COLUMNS})
 
     def test_error_names_first_failing_row(self, tiny):
         scale = np.array(tiny.pose_scale)
