@@ -210,7 +210,7 @@ def _cmd_eval(args) -> int:
     out = config.output_dir
 
     rows = dataset.test_indices
-    images = dataset.images(rows)
+    images = dataset.images(slice(rows[0], rows[-1] + 1))  # one block of rows: a view
     labels = dataset.labels[rows]
     c_id, c_res = nw.encode_images(encoder, images)
 
@@ -230,15 +230,17 @@ def _cmd_eval(args) -> int:
                                  model.nose_tip_index, config.crop_radius)
 
     def reconstruction(codes, dec):
-        shapes = nw.decode(dec, *codes)
-        shapes += model.mean
-        return evaluate_reconstruction(shapes, truth)
+        def predict(rows, shapes):
+            nw.decode(dec, codes[0][rows], codes[1][rows], out=shapes)
+            shapes += model.mean
+        return evaluate_reconstruction(predict, truth)
 
     recon = reconstruction((c_id, c_res), decoder)
     write_table_csv(recon._fields, [recon], os.path.join(out, "reconstruction.csv"))
     if args.baseline:
-        enc2, dec2, _h2, _c2 = load_checkpoint(args.baseline)
+        enc2, dec2 = load_checkpoint(args.baseline)[:2]
         baseline = reconstruction(nw.encode_images(enc2, images), dec2)
+        del enc2, dec2  # the rest of eval needs the phase III encoder only
         write_table_csv(baseline._fields, [baseline],
                         os.path.join(out, "reconstruction_baseline.csv"))
 

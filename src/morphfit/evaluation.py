@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, require
+from .errors import InvalidArgumentError, MorphfitError, require
 from .geometry import MIN_POINTS, MorphableModel, _align_centred, _centred, _fail
 from .synthetic import render_depths
 
@@ -250,39 +250,61 @@ def reconstruction_truth(ground_truth: np.ndarray, landmark_indices: np.ndarray,
             float(crop_radius))
 
 
-def evaluate_reconstruction(predicted: np.ndarray, truth: tuple) -> ReconstructionReport:
-    """Shape error of (N, 3n) `predicted` rows against the ground-truth rows whose
-    `reconstruction_truth` is `truth`: each prediction similarity-aligned to its ground
-    truth on the landmarks, then both cropped by the ground truth's nose-tip mask.
-    Degenerate alignments propagate, naming the pair."""
-    points, indices, landmarks, crop, size, crop_radius = truth
-    predicted = np.asarray(predicted, dtype=np.float64)
-    require(predicted.shape == (len(points), points[0].size),
-            f"need predictions shaped like the ground truth, got {predicted.shape}")
-    pred_pts = predicted.reshape(points.shape)
-    source = pred_pts[:, indices]
-    _fail(~np.isfinite(source).all(axis=(1, 2)), "points must be finite", InvalidArgumentError)
-    with np.errstate(over="ignore", invalid="ignore"):  # each step checks its pairs
-        scale, rotation, translation = _align_centred(_centred(source), landmarks)
-        aligned = pred_pts @ np.swapaxes(scale[:, None, None] * rotation, 1, 2)
-        aligned += translation[:, None]
-        bad = ~np.isfinite(aligned).all(axis=(1, 2))
-        require(not bad.any(), f"aligned shape of pair {int(np.argmax(bad))} is not finite")
+# Rows per chunk of `evaluate_reconstruction`, at most: about 1.4 MB of buffers
+# at the default model size, a decoder's residual term included.
+_RECONSTRUCTION_CHUNK = 32
 
-        # squared residuals per vertex, summed in `aligned`: no new (N, n) floats
-        aligned -= points
-        aligned *= aligned
-        squared = aligned[..., 0]
-        squared += aligned[..., 1]
-        squared += aligned[..., 2]
-        squared *= crop
-        paper = np.sqrt(squared.sum(axis=1)) / size
-    _fail(~np.isfinite(paper), "reconstruction error is not finite", InvalidArgumentError)
-    n_pairs = points.shape[0]
-    return ReconstructionReport(
-        rmse_paper=float(np.sum(paper)) / n_pairs,
-        mean_vertex_dist=float(np.sum(np.sqrt(squared, out=squared).sum(axis=1) / size))
-        / n_pairs, n_pairs=n_pairs, crop_radius=crop_radius)
+
+def evaluate_reconstruction(predict, truth: tuple,
+                            chunk: int = _RECONSTRUCTION_CHUNK) -> ReconstructionReport:
+    """Shape error of the predictions that ``predict(rows, out)`` writes, for a
+    slice of rows, into the C-ordered (rows, 3n) array `out`, against the
+    ground-truth rows whose `reconstruction_truth` is `truth`: each prediction
+    aligned to its ground truth on the landmarks, then both cropped by the
+    ground truth's nose-tip mask. The rows go in even chunks of at most `chunk`,
+    never one row alone (its matrix-vector product has other bits than its row
+    of a matrix product), through buffers allocated once. A failing pair is named
+    as when the whole stack is scored as one chunk, which scoring then does."""
+    points, indices, (mu, centred), crop, size, crop_radius = truth
+    n_pairs, n_chunks = len(points), -(-len(points) // chunk)
+    bounds = [k * n_pairs // n_chunks for k in range(n_chunks + 1)]
+    predicted, aligned = np.empty((2, -(-n_pairs // n_chunks), *points.shape[1:]))
+    paper, dist = np.empty(n_pairs), np.empty(n_pairs)
+    try:
+        for start, stop in zip(bounds, bounds[1:]):
+            rows, pred_pts = slice(start, stop), predicted[:stop - start]
+            predict(rows, pred_pts.reshape(stop - start, -1))
+            source = pred_pts[:, indices]
+            _fail(~np.isfinite(source).all(axis=(1, 2)), "points must be finite",
+                  InvalidArgumentError)
+            with np.errstate(over="ignore", invalid="ignore"):  # each step checks its pairs
+                scale, rotation, translation = _align_centred(_centred(source),
+                                                              (mu[rows], centred[rows]))
+                out = np.matmul(pred_pts, np.swapaxes(scale[:, None, None] * rotation, 1, 2),
+                                out=aligned[:stop - start])
+                out += translation[:, None]
+                bad = ~np.isfinite(out).all(axis=(1, 2))
+                require(not bad.any(),
+                        f"aligned shape of pair {int(np.argmax(bad))} is not finite")
+
+                # squared residuals per vertex, summed in `out`
+                out -= points[rows]
+                out *= out
+                squared = out[..., 0]
+                squared += out[..., 1]
+                squared += out[..., 2]
+                squared *= crop[rows]
+                paper[rows] = np.sqrt(squared.sum(axis=1)) / size[rows]
+                dist[rows] = np.sqrt(squared, out=squared).sum(axis=1) / size[rows]
+            _fail(~np.isfinite(paper[rows]), "reconstruction error is not finite",
+                  InvalidArgumentError)
+    except MorphfitError:
+        if n_chunks == 1:
+            raise
+        return evaluate_reconstruction(predict, truth, n_pairs)
+    return ReconstructionReport(rmse_paper=float(np.sum(paper)) / n_pairs,
+                                mean_vertex_dist=float(np.sum(dist)) / n_pairs,
+                                n_pairs=n_pairs, crop_radius=crop_radius)
 
 
 def _cosine_distance_matrix(codes: np.ndarray) -> np.ndarray:
@@ -329,10 +351,11 @@ def disentangling_report(embed, dataset, codes: tuple) -> DisentanglingReport:
                                  dataset.pose_translation[rows],
                                  dataset.spec.image_resolution)
     moved_id, moved_res = embed(moved_images)
+    # each difference row's norm from its dot product with itself, as np.linalg.norm takes it
+    norms = [np.sqrt(d[:, None] @ d[..., None])[:, 0, 0].tolist()
+             for d in (moved_res - c_res, moved_id - c_id)]
     den, ratios = 0.0, []
-    for k in range(len(rows)):
-        d_res = float(np.linalg.norm(moved_res[k] - c_res[k]))
-        d_id = float(np.linalg.norm(moved_id[k] - c_id[k]))
+    for d_res, d_id in zip(*norms):
         den = den + d_res + d_id
         if d_res + d_id > 0:
             ratios.append(d_res / (d_res + d_id))

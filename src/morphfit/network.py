@@ -277,9 +277,10 @@ def _forward_trace(net: EncoderNet, images: np.ndarray) -> tuple:
     return codes, activations
 
 
-def decode(dec: DecoderNet, c_id: np.ndarray, c_res: np.ndarray) -> np.ndarray:
-    """Shape deltas of code rows: both linear decoders, summed left to right in place."""
-    out = c_id @ dec.weight_id.T
+def decode(dec: DecoderNet, c_id: np.ndarray, c_res: np.ndarray, out=None) -> np.ndarray:
+    """Shape deltas of code rows: both linear decoders, summed left to right in
+    place, in `out` if given (a C-ordered (rows, out_dim) float64 array)."""
+    out = np.matmul(c_id, dec.weight_id.T, out=out)
     for term in (dec.bias_id, c_res @ dec.weight_res.T, dec.bias_res):
         out += term
     return out

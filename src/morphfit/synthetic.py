@@ -190,8 +190,8 @@ class Dataset:
         return int(np.unique(self.labels[self.train_indices]).size)
 
     def images(self, rows) -> np.ndarray:
-        """Depth rasters of the given rows, one flattened image per row."""
-        return self.depth[rows].reshape(len(rows), self.spec.image_resolution ** 2)
+        """Depth rasters of the given rows (a view for a slice), one flattened per row."""
+        return self.depth[rows].reshape(-1, self.spec.image_resolution ** 2)
 
     def ground_truth_shapes(self, rows) -> np.ndarray:
         """Flat ground-truth shapes of the given rows, one per row."""
@@ -380,9 +380,11 @@ def _compose_rows(model: MorphableModel, alpha_id: np.ndarray,
     """
     alpha_id = np.ascontiguousarray(alpha_id, dtype=np.float64)
     alpha_exp = np.ascontiguousarray(alpha_exp, dtype=np.float64)
-    out = np.empty((len(alpha_id), model.mean.size))
+    out, key = np.empty((len(alpha_id), model.mean.size)), None
     for shape, a, e in zip(out, alpha_id, alpha_exp):
-        shape[:] = model.mean + model.basis_id @ a + model.basis_exp @ e
+        if a.tobytes() != key:  # rows with equal alpha_id bytes share one identity part
+            key, identity = a.tobytes(), model.mean + model.basis_id @ a
+        np.add(identity, model.basis_exp @ e, out=shape)
     return out
 
 
@@ -489,7 +491,7 @@ def split_indices(n_subjects: int, images_per_subject: int
 
     The final ~quarter of subjects (at least one, at most all but one) is
     held out entirely; the last fifth of each remaining subject's images is
-    validation. Samples are assumed ordered subject-major.
+    validation. Samples are subject-major: the held-out rows are the last block.
     """
     require(n_subjects >= 2, "need at least 2 subjects")
     require(images_per_subject >= 1, "need at least 1 image per subject")

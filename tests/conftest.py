@@ -58,11 +58,21 @@ def assert_plain_fields(record, names=None) -> None:
         assert type(value) in (float, int, bool, type(None)), (name, type(value))
 
 
+def copied_rows(predicted):
+    """The `predict` of `evaluate_reconstruction` that copies the asked rows
+    of a prediction stack."""
+    predicted = np.asarray(predicted, dtype=np.float64)
+
+    def predict(rows, out):
+        out[...] = predicted[rows]
+    return predict
+
+
 def reconstruct(predicted, ground_truth, landmark_indices, nose_tip_index,
                 crop_radius):
     """`evaluate_reconstruction` of one prediction stack against the
     `reconstruction_truth` of its ground truth."""
-    return evaluate_reconstruction(predicted, reconstruction_truth(
+    return evaluate_reconstruction(copied_rows(predicted), reconstruction_truth(
         ground_truth, landmark_indices, nose_tip_index, crop_radius))
 
 

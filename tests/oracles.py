@@ -15,7 +15,9 @@ arrays replaced, the stratified rearranged copy of the pairs that a fold
 column per pair replaced, the report that sorted the scores once for the
 ROC and again for the folds, the pair builder that gathered through
 `np.triu_indices`, the reconstruction error that computed its ground-truth
-side anew for every prediction stack, the decode that summed into fresh
+side anew for every prediction stack, the one that scored a whole stack of
+predictions at once where eval now scores a chunk of rows at a time, the
+decode that summed into fresh
 arrays, the disentangling report that encoded the evaluated images
 itself, and the OBJ reader only tests use keep their bodies here,
 changed only where they call the program's current signatures; the tests
@@ -616,6 +618,40 @@ def summed_decode(dec, c_id: np.ndarray, c_res: np.ndarray) -> np.ndarray:
     """`network.decode` as one expression, each sum into a fresh array."""
     return (c_id @ dec.weight_id.T + dec.bias_id
             + c_res @ dec.weight_res.T + dec.bias_res)
+
+
+def whole_stack_reconstruction(predicted: np.ndarray, truth: tuple) -> ReconstructionReport:
+    """`evaluate_reconstruction` as it scored an (N, 3n) stack of predictions
+    all at once against the ground-truth rows whose `reconstruction_truth` is
+    `truth`."""
+    points, indices, landmarks, crop, size, crop_radius = truth
+    predicted = np.asarray(predicted, dtype=np.float64)
+    require(predicted.shape == (len(points), points[0].size),
+            f"need predictions shaped like the ground truth, got {predicted.shape}")
+    pred_pts = predicted.reshape(points.shape)
+    source = pred_pts[:, indices]
+    _fail(~np.isfinite(source).all(axis=(1, 2)), "points must be finite", InvalidArgumentError)
+    with np.errstate(over="ignore", invalid="ignore"):  # each step checks its pairs
+        scale, rotation, translation = _align_centred(_centred(source), landmarks)
+        aligned = pred_pts @ np.swapaxes(scale[:, None, None] * rotation, 1, 2)
+        aligned += translation[:, None]
+        bad = ~np.isfinite(aligned).all(axis=(1, 2))
+        require(not bad.any(), f"aligned shape of pair {int(np.argmax(bad))} is not finite")
+
+        # squared residuals per vertex, summed in `aligned`: no new (N, n) floats
+        aligned -= points
+        aligned *= aligned
+        squared = aligned[..., 0]
+        squared += aligned[..., 1]
+        squared += aligned[..., 2]
+        squared *= crop
+        paper = np.sqrt(squared.sum(axis=1)) / size
+    _fail(~np.isfinite(paper), "reconstruction error is not finite", InvalidArgumentError)
+    n_pairs = points.shape[0]
+    return ReconstructionReport(
+        rmse_paper=float(np.sum(paper)) / n_pairs,
+        mean_vertex_dist=float(np.sum(np.sqrt(squared, out=squared).sum(axis=1) / size))
+        / n_pairs, n_pairs=n_pairs, crop_radius=crop_radius)
 
 
 def unshared_reconstruction(predicted: np.ndarray, ground_truth: np.ndarray,

@@ -12,6 +12,7 @@ import os
 import statistics
 import struct
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,7 +426,7 @@ def test_criterion_10_cli_byte_reproducibility(tmp_path):
         for directory, _subdirs, names in os.walk(root):
             for name in names:
                 path = os.path.join(directory, name)
-                files[os.path.relpath(path, root)] = open(path, "rb").read()
+                files[os.path.relpath(path, root)] = Path(path).read_bytes()
         return files
 
     run_pipeline()

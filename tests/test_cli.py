@@ -6,6 +6,7 @@ import io
 import os
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def run_cli(argv):
 
 
 def read_csv(path):
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
@@ -92,12 +93,12 @@ class TestGenData:
             code, _, err = run_cli(["gen-data", *TINY_OVERRIDES,
                                     "--seed", "3", "--out", out_dir])
             assert code == 0, err
-        bytes_a = open(os.path.join(a, "dataset.mfd"), "rb").read()
-        bytes_b = open(os.path.join(b, "dataset.mfd"), "rb").read()
+        bytes_a = Path(a, "dataset.mfd").read_bytes()
+        bytes_b = Path(b, "dataset.mfd").read_bytes()
         assert bytes_a == bytes_b
         # the echoes differ only in the output_dir line
-        text_a = open(os.path.join(a, "config.txt")).read()
-        text_b = open(os.path.join(b, "config.txt")).read()
+        text_a = Path(a, "config.txt").read_text()
+        text_b = Path(b, "config.txt").read_text()
         assert text_a.replace(a, "X") == text_b.replace(b, "X")
 
     def test_seed_flag_beats_config_file(self, tmp_path):
@@ -347,8 +348,8 @@ class TestEval:
         assert moved[1].shape == heldout.shape and not np.array_equal(moved[1], heldout)
         for name in ("verification.csv", "reconstruction.csv",
                      "reconstruction_baseline.csv", "disentangling.csv"):
-            assert (open(tmp_path / "eval" / name, "rb").read()
-                    == open(os.path.join(pipeline["eval_dir"], name), "rb").read())
+            assert ((tmp_path / "eval" / name).read_bytes()
+                    == Path(pipeline["eval_dir"], name).read_bytes())
 
 
 # A held-out row with finite but huge coefficients, which a dataset container
@@ -522,7 +523,7 @@ class TestUsageErrors:
         def edit(header):
             header["nose_tip_index"] = 1.5
         bad = tmp_path / "typed.mfd"
-        bad.write_bytes(reencode(open(pipeline["dataset"], "rb").read(), edit))
+        bad.write_bytes(reencode(Path(pipeline["dataset"]).read_bytes(), edit))
         code, _, err = run_cli([
             "eval", "--data", str(bad), "--checkpoint",
             os.path.join(pipeline["train_dir"], "phase3.ckpt"),

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from morphfit.errors import DegenerateGeometryError, InvalidArgumentError, require
+from morphfit.errors import (DegenerateGeometryError, InvalidArgumentError, MorphfitError,
+                             require)
 from morphfit.evaluation import (
+    _RECONSTRUCTION_CHUNK,
     ReconstructionReport,
     _stratified_folds,
     auc,
@@ -23,7 +25,7 @@ from morphfit.evaluation import (
     verification_report,
 )
 from morphfit.geometry import rotation_zyx
-from morphfit.network import EncoderNet, encode_images, init_encoder
+from morphfit.network import EncoderNet, decode, encode_images, init_decoder, init_encoder
 from morphfit.synthetic import (
     Dataset,
     DatasetSpec,
@@ -36,8 +38,10 @@ from oracles import (CoeffPair, PoseParams, RocCurve, Shape, SimilarityTransform
                      rasterize_depth, roc_curve, searched_accuracy_folds, searched_roc_curve,
                      searched_verification_report, select_landmarks,
                      self_encoding_disentangling_report, stratified_folds,
-                     triu_verification_pairs, unshared_reconstruction)
-from conftest import assert_plain_fields, disentangle, reconstruct, rmse, row_pose
+                     triu_verification_pairs, unshared_reconstruction,
+                     whole_stack_reconstruction)
+from conftest import (assert_plain_fields, copied_rows, disentangle, reconstruct, rmse,
+                      row_pose)
 
 
 def scored_pairs(scores, is_genuine) -> np.recarray:
@@ -497,7 +501,7 @@ class TestEvaluateReconstruction:
         shared = reconstruction_truth(truth, landmarks, nose_tip_index, radius)
         kept = [np.copy(part) for part in (*shared[:2], *shared[2], *shared[3:5])]
         for stack in (predicted, other, predicted):
-            got = evaluate_reconstruction(stack, shared)
+            got = evaluate_reconstruction(copied_rows(stack), shared)
             want = unshared_reconstruction(stack, truth, landmarks, nose_tip_index, radius)
             assert repr(got) == repr(want)
         now = (*shared[:2], *shared[2], *shared[3:5])
@@ -564,13 +568,6 @@ class TestEvaluateReconstruction:
             with pytest.raises(InvalidArgumentError, match="^need at least 4 points, got 3$"):
                 score(shapes, shapes, np.arange(3), 0, 1.0)
 
-    def test_prediction_must_match_the_truth_shape(self):
-        shapes = random_clouds(np.random.default_rng(20), 2, n=10)
-        shared = reconstruction_truth(shapes, np.arange(6), 0, 1.0)
-        for predicted in (shapes[:1], shapes[:, :27], shapes.ravel()):
-            with pytest.raises(InvalidArgumentError, match="shaped like the ground truth"):
-                evaluate_reconstruction(predicted, shared)
-
     @settings(max_examples=100, deadline=None)
     @given(shape_pairs())
     def test_stacked_transforms_match_procrustes_align(self, case):
@@ -619,15 +616,164 @@ class TestEvaluateReconstruction:
             reconstruct(np.empty((0, 120)), np.empty((0, 120)),
                                     np.arange(4), 0, 1.0)
         with pytest.raises(InvalidArgumentError):
-            reconstruct(shape, random_clouds(rng, 1, n=11),
-                                    np.arange(4), 0, 1.0)
-        with pytest.raises(InvalidArgumentError):
             reconstruct(shape, shape, np.array([0, 1, 2, 40]), 0, 1.0)
         bad = shape.copy()
         bad[0, 5] = np.nan
         for predicted, truth in ((bad, shape), (shape, bad)):
             with pytest.raises(InvalidArgumentError):
                 reconstruct(predicted, truth, np.arange(4), 0, 1.0)
+
+
+CHUNK = _RECONSTRUCTION_CHUNK
+# Held-out row counts around the chunk size: one row, a short and a full chunk,
+# a chunk and one row, and two chunks and a tail.
+CHUNKED_SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+
+
+def decoded_case(n_pairs: int, seed: int, n: int = 30) -> tuple:
+    """A decoder, (c_id, c_res) codes of n_pairs rows, a mean shape and, near
+    the decoded shapes, the ground truth's `reconstruction_truth`."""
+    rng = np.random.default_rng(seed)
+    dec = init_decoder(3 * n, 5, 3, seed=seed)
+    codes = rng.normal(size=(n_pairs, 5)), rng.normal(size=(n_pairs, 3))
+    mean = rng.normal(size=3 * n)
+    truth = mean + 0.1 * rng.normal(size=(n_pairs, 3 * n))
+    return dec, codes, mean, reconstruction_truth(truth, np.arange(0, n, 3), 0, 1.5)
+
+
+def decoded_rows(dec, codes, mean):
+    """eval's `predict`: the asked rows decoded into `out`, plus the mean."""
+    def predict(rows, out):
+        decode(dec, codes[0][rows], codes[1][rows], out=out)
+        out += mean
+    return predict
+
+
+def whole_stack(dec, codes, mean, truth) -> ReconstructionReport:
+    """eval's reconstruction as it decoded and scored all rows at once."""
+    shapes = decode(dec, *codes)
+    shapes += mean
+    return whole_stack_reconstruction(shapes, truth)
+
+
+# Each prediction defect, in the order that scoring a whole stack checks for
+# it, as an edit of pair k's prediction or ground truth (10 vertices, the
+# first 6 of them landmarks, a crop radius of 1 around vertex 0).
+def _non_finite_landmark(predicted, truth, k):
+    predicted[k, 3 * 2] = np.inf
+
+
+def _coincident(predicted, truth, k):
+    predicted[k] = np.tile([0.5, -1.0, 2.0], 10)  # their mean is exact
+
+
+def _collinear(predicted, truth, k):
+    predicted[k] = np.outer(np.linspace(-1.0, 1.0, 10), [1.0, 2.0, 3.0]).ravel()
+
+
+def _non_finite_vertex(predicted, truth, k):
+    predicted[k, 3 * 8 + 2] = np.inf
+
+
+def _overflowing_error(predicted, truth, k):
+    truth[k, 3 * 8] = 1e300
+
+
+DEFECTS = {"points": (_non_finite_landmark, InvalidArgumentError,
+                      "pair {k}: points must be finite"),
+           "coincident": (_coincident, DegenerateGeometryError,
+                          "pair {k}: source points are coincident"),
+           "collinear": (_collinear, DegenerateGeometryError,
+                         "pair {k}: cross-covariance is rank deficient; "
+                         "points are collinear or coincident"),
+           "aligned": (_non_finite_vertex, InvalidArgumentError,
+                       "aligned shape of pair {k} is not finite"),
+           "error": (_overflowing_error, InvalidArgumentError,
+                     "pair {k}: reconstruction error is not finite")}
+
+
+def defective_case(defects: dict) -> tuple:
+    """2 * CHUNK + 3 prediction and ground-truth rows of 10 vertices, pair k
+    with the defect named by defects[k]."""
+    rng = np.random.default_rng(24)
+    truth = random_clouds(rng, 2 * CHUNK + 3, n=10)
+    predicted = truth + 0.1 * rng.normal(size=truth.shape)
+    for k, name in defects.items():
+        DEFECTS[name][0](predicted, truth, k)
+    return predicted, truth, np.arange(6), 0, 1.0
+
+
+def raised(score, case) -> tuple:
+    with pytest.raises(MorphfitError) as info:
+        score(*case)
+    return type(info.value), str(info.value)
+
+
+def whole_stack_of(predicted, ground_truth, landmarks, nose_tip_index, radius):
+    return whole_stack_reconstruction(predicted, reconstruction_truth(
+        ground_truth, landmarks, nose_tip_index, radius))
+
+
+class TestChunkedReconstruction:
+    """`evaluate_reconstruction` scores a chunk of rows at a time; the
+    whole-stack oracle scored every row at once."""
+
+    @pytest.mark.parametrize("n_pairs", CHUNKED_SIZES)
+    def test_decoded_chunks_match_whole_stack(self, n_pairs):
+        dec, codes, mean, truth = decoded_case(n_pairs, seed=n_pairs)
+        got = evaluate_reconstruction(decoded_rows(dec, codes, mean), truth)
+        assert repr(got) == repr(whole_stack(dec, codes, mean, truth))
+        assert got.n_pairs == n_pairs
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 3 * CHUNK + 2), st.integers(0, 2 ** 32 - 1),
+           st.integers(12, 40))
+    def test_decoded_chunks_match_whole_stack_property(self, n_pairs, seed, n):
+        dec, codes, mean, truth = decoded_case(n_pairs, seed, n)
+        got = evaluate_reconstruction(decoded_rows(dec, codes, mean), truth)
+        assert repr(got) == repr(whole_stack(dec, codes, mean, truth))
+
+    @pytest.mark.parametrize("n_pairs", CHUNKED_SIZES)
+    def test_copied_chunks_match_whole_stack(self, n_pairs):
+        rng = np.random.default_rng(n_pairs)
+        truth = random_clouds(rng, n_pairs, n=12)
+        predicted = truth + 0.05 * rng.normal(size=truth.shape)
+        case = predicted, truth, np.arange(8), 3, 1.2
+        assert repr(reconstruct(*case)) == repr(whole_stack_of(*case))
+
+    def test_holds_one_chunk_of_predictions(self):
+        rng = np.random.default_rng(25)
+        truth = random_clouds(rng, 60 * CHUNK)
+        shared = reconstruction_truth(truth, np.arange(10), 0, 1.0)
+        predict = copied_rows(truth + 0.05 * rng.normal(size=truth.shape))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            evaluate_reconstruction(predict, shared)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= truth.nbytes / 8, f"{peak} B against a {truth.nbytes} B stack"
+
+    @pytest.mark.parametrize("name", list(DEFECTS))
+    @pytest.mark.parametrize("k", [0, CHUNK - 1, CHUNK + 5, 2 * CHUNK + 2])
+    def test_failure_names_the_global_pair(self, name, k):
+        case = defective_case({k: name})
+        _, kind, message = DEFECTS[name]
+        assert raised(reconstruct, case) == (kind, message.format(k=k))
+        assert raised(whole_stack_of, case) == (kind, message.format(k=k))
+
+    @pytest.mark.parametrize("early, late", [
+        (early, late) for i, early in enumerate(DEFECTS) for late in list(DEFECTS)[i:]])
+    def test_earlier_check_in_a_later_chunk_wins(self, early, late):
+        """A pair in the third chunk failing a check that a pair in the first
+        chunk passes is named, as when every pair is checked at each step;
+        for one check in both, the first chunk's pair is."""
+        first, last = 3, 2 * CHUNK + 1
+        case = defective_case({first: late, last: early})
+        _, kind, message = DEFECTS[early]
+        want = (kind, message.format(k=first if early == late else last))
+        assert raised(reconstruct, case) == raised(whole_stack_of, case) == want
 
 
 # ---------------------------------------------------------------------------
@@ -677,11 +823,11 @@ def displacement_loop_oracle(embed, dataset) -> tuple[float, float]:
     return float(np.mean(ratios)) if ratios else float("nan"), den
 
 
-def rowwise_encoder(input_dim: int):
+def rowwise_encoder(input_dim: int, q_id: int = 3, q_res: int = 2):
     """A callable encoder that codes each row on its own, so its codes do not
     depend on how the rows are batched."""
     rng = np.random.default_rng(31)
-    w_id, w_res = rng.normal(size=(3, input_dim)), rng.normal(size=(2, input_dim))
+    w_id, w_res = rng.normal(size=(q_id, input_dim)), rng.normal(size=(q_res, input_dim))
 
     def embed(batch: np.ndarray):
         return (np.array([np.tanh(w_id @ row) for row in batch]),
@@ -696,6 +842,17 @@ class TestDisentanglingReport:
         ratio, den = displacement_loop_oracle(embed, heldout_dataset)
         assert den > 0.0 and not report.degenerate
         assert report.displacement_ratio == ratio
+
+    # the report takes each row's norm from a stacked product of the row with
+    # itself, which has np.linalg.norm's bits at every width; a sum of squares
+    # rounds differently, which at (20, 8) shows in the ratio's last bit
+    @pytest.mark.parametrize("q_id, q_res", [(1, 1), (8, 20), (20, 8), (33, 3)])
+    def test_wide_codes_match_per_image_loop(self, small_model, q_id, q_res):
+        dataset = build_dataset(small_model, DatasetSpec(
+            n_subjects=8, images_per_subject=6, image_resolution=16, seed=7))
+        embed = rowwise_encoder(256, q_id, q_res)
+        report = disentangle(embed, dataset)
+        assert report.displacement_ratio == displacement_loop_oracle(embed, dataset)[0]
 
     def test_encoder_net_matches_per_image_loop(self, heldout_dataset):
         net = init_encoder(256, 3, 2, hidden=(16,), seed=7)

@@ -8,6 +8,7 @@ import os
 import re
 import struct
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,7 +258,7 @@ class TestReportCsv:
                                     tar_far1=0.8, rank1=0.75, rank5=1.0)
         path = str(tmp_path / "verification.csv")
         write_report(report, path)
-        header, row = open(path).read().splitlines()
+        header, row = Path(path).read_text().splitlines()
         assert header == "accuracy_mean,accuracy_std,eer,auc,tar_far10,tar_far1,rank1,rank5"
         cells = row.split(",")
         assert [float(c) for c in cells] == [0.9125, 0.03, 0.1, 1 / 3,
@@ -268,7 +269,7 @@ class TestReportCsv:
                                     eer=0.5, auc=0.5, tar_far10=0.5, tar_far1=0.5)
         path = str(tmp_path / "noranks.csv")
         write_report(report, path)
-        row = open(path).read().splitlines()[1].split(",")
+        row = Path(path).read_text().splitlines()[1].split(",")
         assert row[-2:] == ["nan", "nan"]
         assert math.isnan(float(row[-1]))
 
@@ -278,7 +279,7 @@ class TestReportCsv:
                                       n_pairs=40, crop_radius=0.95)
         path = str(tmp_path / "recon.csv")
         write_report(report, path)
-        header, row = open(path).read().splitlines()
+        header, row = Path(path).read_text().splitlines()
         assert header == "rmse_paper,mean_vertex_dist,n_pairs,crop_radius"
         cells = row.split(",")
         assert cells[2] == "40"
@@ -292,7 +293,7 @@ class TestReportCsv:
                                      variance_explained=0.8, degenerate=False)
         path = str(tmp_path / "disent.csv")
         write_report(report, path)
-        header, row = open(path).read().splitlines()
+        header, row = Path(path).read_text().splitlines()
         assert header == ("intra_distance,inter_distance,displacement_ratio,"
                           "variance_explained,degenerate")
         assert row.split(",")[-1] == "False"
@@ -304,7 +305,7 @@ class TestReportCsv:
                                      degenerate=True)
         path = str(tmp_path / "degenerate.csv")
         write_report(report, path)
-        row = open(path).read().splitlines()[1].split(",")
+        row = Path(path).read_text().splitlines()[1].split(",")
         assert row[2] == "nan" and row[3] == "nan" and row[4] == "True"
 
 
@@ -313,7 +314,7 @@ class TestTableCsv:
         rows = [(0, 0.5, 0.25), (1, 1 / 3, 1e-17), (2, float("nan"), -0.125)]
         path = str(tmp_path / "trace.csv")
         write_table_csv(("epoch", "train", "val"), rows, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "epoch,train,val"
         parsed = [tuple(float(c) for c in line.split(",")) for line in lines[1:]]
         assert parsed[0] == (0.0, 0.5, 0.25)
@@ -328,7 +329,7 @@ class TestTableCsv:
     def test_header_only_when_no_rows(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         write_table_csv(("a", "b"), [], path)
-        assert open(path).read() == "a,b\n"
+        assert Path(path).read_text() == "a,b\n"
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +340,7 @@ class TestContainerFormat:
     def checkpoint_bytes(self, stack, tmp_path):
         path = str(tmp_path / "model.mfc")
         save_checkpoint(*stack, path)
-        return open(path, "rb").read()
+        return Path(path).read_bytes()
 
     def test_starts_with_magic(self, checkpoint_bytes):
         assert checkpoint_bytes[:len(MAGIC)] == MAGIC
@@ -431,7 +432,7 @@ class TestCheckpoint:
         a, b = str(tmp_path / "a.mfc"), str(tmp_path / "b.mfc")
         save_checkpoint(*stack, a)
         save_checkpoint(*stack, b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_decoder_identity_width_mismatch(self, stack, tmp_path):
         encoder, _, head, config = stack
@@ -463,7 +464,7 @@ class TestCheckpoint:
         def edit(header):
             header["activations"].append("tanh")
         tampered = tmp_path / "extra.mfc"
-        tampered.write_bytes(reencode(open(path, "rb").read(), edit))
+        tampered.write_bytes(reencode(Path(path).read_bytes(), edit))
         with pytest.raises(InvariantViolationError, match="enc.2.weight"):
             load_checkpoint(str(tampered))
 
@@ -474,7 +475,7 @@ class TestCheckpoint:
         def edit(header):
             header["activations"][0] = "relu"
         tampered = tmp_path / "relu.mfc"
-        tampered.write_bytes(reencode(open(path, "rb").read(), edit))
+        tampered.write_bytes(reencode(Path(path).read_bytes(), edit))
         with pytest.raises(InvariantViolationError, match="enc.0.weight"):
             load_checkpoint(str(tampered))
 
@@ -538,7 +539,7 @@ class TestCheckpoint:
             else:
                 header["config_version"] = version
         tampered = tmp_path / "version.mfc"
-        tampered.write_bytes(reencode(open(path, "rb").read(), edit))
+        tampered.write_bytes(reencode(Path(path).read_bytes(), edit))
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             load_checkpoint(str(tampered))
 
@@ -618,7 +619,7 @@ class TestDatasetContainer:
         a, b = str(tmp_path / "a.mfd"), str(tmp_path / "b.mfd")
         save_dataset(tiny_dataset, a)
         save_dataset(tiny_dataset, b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_wrong_sample_count_is_invariant_violation(self, tiny_dataset,
                                                        tmp_path):
@@ -628,7 +629,7 @@ class TestDatasetContainer:
         def edit(header):
             header["n_samples"] += 1
         tampered = tmp_path / "count.mfd"
-        tampered.write_bytes(reencode(open(path, "rb").read(), edit))
+        tampered.write_bytes(reencode(Path(path).read_bytes(), edit))
         with pytest.raises(InvariantViolationError, match="^n_samples: 7 does not "
                            r"equal n_subjects \* images_per_subject$"):
             load_dataset(str(tampered))
@@ -686,7 +687,7 @@ class TestDatasetContainer:
         def edit(header):
             (header["spec"] if field == "n_subjects" else header)[field] = value
         tampered = tmp_path / "typed.mfd"
-        tampered.write_bytes(reencode(open(path, "rb").read(), edit))
+        tampered.write_bytes(reencode(Path(path).read_bytes(), edit))
         with pytest.raises(InvariantViolationError, match=field):
             load_dataset(str(tampered))
 
@@ -696,14 +697,14 @@ class TestDatasetContainer:
         path = str(tmp_path / "data.mfd")
         save_dataset(tiny_dataset, path)
         tampered = tmp_path / "dropped.mfd"
-        tampered.write_bytes(drop_array(open(path, "rb").read(), name))
+        tampered.write_bytes(drop_array(Path(path).read_bytes(), name))
         with pytest.raises(InvariantViolationError, match=f"{name}: missing"):
             load_dataset(str(tampered))
 
     def test_tampered_pose_scale_names_sample(self, tiny_dataset, tmp_path):
         path = str(tmp_path / "data.mfd")
         save_dataset(tiny_dataset, path)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         offset = payload_offset(data, "pose.scale")
         tampered = tmp_path / "poked.mfd"
         tampered.write_bytes(data[:offset] + struct.pack("<d", -1.0)
@@ -714,7 +715,7 @@ class TestDatasetContainer:
     def test_tampered_label_names_sample(self, tiny_dataset, tmp_path):
         path = str(tmp_path / "data.mfd")
         save_dataset(tiny_dataset, path)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         offset = payload_offset(data, "labels")
         tampered = tmp_path / "label.mfd"
         tampered.write_bytes(data[:offset] + struct.pack("<q", -5)
@@ -735,7 +736,7 @@ class TestDatasetContainer:
         path, again = str(tmp_path / "a.mfd"), str(tmp_path / "b.mfd")
         save_dataset(tiny_dataset, path)
         save_dataset(load_dataset(path), again)
-        assert open(again, "rb").read() == open(path, "rb").read()
+        assert Path(again).read_bytes() == Path(path).read_bytes()
 
     @pytest.mark.parametrize("edit, field", [
         (lambda spec: spec.update(pose_ranges="wide"), "spec.pose_ranges"),
@@ -760,7 +761,7 @@ class TestDatasetContainer:
         path = str(tmp_path / "data.mfd")
         save_dataset(tiny_dataset, path)
         tampered = tmp_path / "spec.mfd"
-        tampered.write_bytes(reencode(open(path, "rb").read(),
+        tampered.write_bytes(reencode(Path(path).read_bytes(),
                                       lambda header: edit(header["spec"])))
         with pytest.raises(InvariantViolationError, match=field):
             load_dataset(str(tampered))
@@ -777,7 +778,7 @@ class TestDatasetContainer:
         # load with training subjects in the held-out rows
         path = str(tmp_path / "data.mfd")
         save_dataset(tiny_dataset, path)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         offset = payload_offset(data, "labels")
         packed = np.array(labels, dtype="<i8").tobytes()
         tampered = tmp_path / "labels.mfd"
@@ -1051,7 +1052,7 @@ class TestDatasetFuzz:
               suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_mutation_loads_or_fails_cleanly(self, container, data):
-        mutated = mutate_container(open(container, "rb").read(), data.draw)
+        mutated = mutate_container(Path(container).read_bytes(), data.draw)
         with tempfile.TemporaryDirectory() as root:
             path = os.path.join(root, "data.mfd")
             with open(path, "wb") as handle:

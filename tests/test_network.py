@@ -6,6 +6,7 @@ import re
 import tempfile
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,7 +345,7 @@ class TestOneConstructor:
             first, second = os.path.join(root, "a.ckpt"), os.path.join(root, "b.ckpt")
             save_checkpoint(*nets, RunConfig(), first)
             save_checkpoint(*load_checkpoint(first)[:3], RunConfig(), second)
-            assert open(first, "rb").read() == open(second, "rb").read()
+            assert Path(first).read_bytes() == Path(second).read_bytes()
 
         # the per-layer loop over standalone C-ordered copies of the arrays
         images = np.linspace(-1.0, 1.0, rows * widths[0]).reshape(rows, widths[0])
@@ -504,6 +505,8 @@ class TestDecoderForward:
         c_id, c_res = codes[:, :q_id], codes[:, q_id:]
         got, want = decode(dec, c_id, c_res), summed_decode(dec, c_id, c_res)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        out = np.full(want.shape, np.nan)
+        assert decode(dec, c_id, c_res, out=out) is out and out.tobytes() == want.tobytes()
 
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(8)

@@ -15,6 +15,7 @@ from morphfit.synthetic import (
     PoseRanges,
     SyntheticModelSpec,
     _RENDER_CHUNK,
+    _compose_rows,
     _dilate_rows,
     build_dataset,
     generate_model,
@@ -471,6 +472,44 @@ class TestRenderDepths:
 
 
 # ---------------------------------------------------------------------------
+# _compose_rows: shared identity parts against the per-row oracle
+
+
+class TestComposeRows:
+    @staticmethod
+    def identities(model, rng):
+        """Two drawn identities, zeros, and negative zeros: equal to zeros
+        as numbers, not as bytes."""
+        zeros = np.zeros(model.k_id)
+        return [sample_subject(model, rng), sample_subject(model, rng), zeros, -zeros]
+
+    @staticmethod
+    def assert_rows_composed_alone(model, alpha_id, alpha_exp):
+        shapes = _compose_rows(model, alpha_id, alpha_exp)
+        assert shapes.shape == (len(alpha_id), model.mean.size)
+        for shape, a, e in zip(shapes, alpha_id, alpha_exp):
+            assert shape.tobytes() == compose_shape(model, CoeffPair(a, e)).coords.tobytes()
+
+    @pytest.mark.parametrize("pattern", [[0, 0, 0, 1, 1], [0, 1, 0, 1, 0],
+                                         [2, 3, 2, 3], [0], [1, 1, 0, 0, 1]])
+    def test_runs_and_alternations(self, small_model, pattern):
+        rng = np.random.default_rng(len(pattern))
+        pool = self.identities(small_model, rng)
+        alpha_exp = rng.normal(size=(len(pattern), small_model.k_exp)) * small_model.sigma_exp
+        self.assert_rows_composed_alone(small_model, np.array([pool[i] for i in pattern]),
+                                        alpha_exp)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=12), st.integers(0, 2 ** 32 - 1))
+    def test_each_row_has_the_bits_of_composing_it_alone(self, small_model, pattern, seed):
+        rng = np.random.default_rng(seed)
+        pool = self.identities(small_model, rng)
+        alpha_exp = rng.normal(size=(len(pattern), small_model.k_exp)) * small_model.sigma_exp
+        self.assert_rows_composed_alone(small_model, np.array([pool[i] for i in pattern]),
+                                        alpha_exp)
+
+
+# ---------------------------------------------------------------------------
 # splits and dataset assembly
 
 
@@ -495,6 +534,8 @@ class TestSplitIndices:
         # held-out subjects contribute no train/val samples
         heldout_start = test.min()
         assert np.all(train < heldout_start) and (len(val) == 0 or np.all(val < heldout_start))
+        # the held-out rows are one block, the last
+        assert np.array_equal(test, np.arange(heldout_start, n_subjects * images))
 
     def test_too_few_subjects_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -671,6 +712,11 @@ class TestDatasetColumns:
         assert images.shape == (2, 16 * 16)
         assert np.array_equal(images[0], tiny.depth[2].ravel())
         assert np.array_equal(images[1], tiny.depth[0].ravel())
+
+    def test_images_of_a_slice_are_a_view(self, tiny):
+        images = tiny.images(slice(3, 6))
+        assert images.shape == (3, 16 * 16) and np.shares_memory(images, tiny.depth)
+        assert images.tobytes() == tiny.images(np.arange(3, 6)).tobytes()
 
     def test_swapped_labels_name_the_first_sample(self, tiny):
         # rows 2 and 3 trade subjects: each label is in range, out of place
