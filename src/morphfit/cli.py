@@ -300,7 +300,8 @@ def cli(argv: list[str] | None = None) -> int:
 
     Usage problems exit 2 (argparse convention); any pipeline error, file
     error or refused allocation is reported as a single `error: Kind:
-    message` line on stderr with exit 1.
+    message` line on stderr with exit 1: a floating-point overflow, invalid
+    operation or division by zero (not underflow) as a NumericalFailureError.
     """
     parser = build_parser()
     try:
@@ -308,7 +309,11 @@ def cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](args)
+    except FloatingPointError as exc:
+        print(f"error: NumericalFailureError: {args.command}: {exc}", file=sys.stderr)
+        return 1
     except (MorphfitError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -78,13 +78,14 @@ def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _split_scores(pairs: np.recarray) -> tuple[np.ndarray, np.ndarray]:
+    """The genuine and the impostor scores, each a new array in index order."""
     require(len(pairs) > 0, "need at least one scored pair")
-    scores = np.ascontiguousarray(pairs["score"], dtype=np.float64)
-    genuine = np.ascontiguousarray(pairs["is_genuine"], dtype=bool)
+    scores = np.asarray(pairs["score"], dtype=np.float64)
+    genuine = np.asarray(pairs["is_genuine"], dtype=bool)
     require(bool(np.all(np.isfinite(scores))), "pair scores must be finite")
     require(bool(genuine.any()) and bool((~genuine).any()),
             "need at least one genuine and one impostor pair")
-    return scores, genuine
+    return scores[genuine], scores[~genuine]
 
 
 def _sentinel(top: float) -> float:
@@ -92,29 +93,19 @@ def _sentinel(top: float) -> float:
     return max(top + 1.0, np.nextafter(top, np.inf))
 
 
-def _sweep(scores: np.ndarray, genuine: np.ndarray, *columns: np.ndarray) -> tuple:
-    """Sort the pairs by score with one argsort. Returns the thresholds (the
-    distinct scores in increasing order, then a sentinel above them all), below
-    (below[j] pairs score under threshold j: its run starts there), and the
-    genuine flags and further columns in sorted order."""
-    order = np.argsort(scores)
-    ranked = scores[order]
-    new = np.empty(scores.size + 1, dtype=bool)
-    new[0] = new[-1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:-1])
-    below = np.flatnonzero(new)
+def _roc(genuine: np.ndarray, impostor: np.ndarray) -> tuple:
+    """The ROC (thresholds, TAR, FAR) of the sorted genuine and impostor scores:
+    the distinct scores, then a sentinel; both rates fall from 1 to 0."""
+    ranked = np.concatenate([genuine, impostor])
+    ranked.sort(kind="stable")  # a merge of two sorted runs
+    # below[j] scores lie under threshold j: its run of equal scores starts there
+    below = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1], True])
     thresholds = np.append(ranked[below[:-1]], _sentinel(ranked[-1]))
-    return (thresholds, below, *(column[order] for column in (genuine, *columns)))
-
-
-def _roc(below: np.ndarray, genuine: np.ndarray) -> tuple:
-    """TAR and FAR at each of `_sweep`'s thresholds: both non-increasing, from
-    (1, 1) at the smallest score to (0, 0) at the sentinel."""
-    genuine_below = np.r_[0, np.cumsum(genuine)][below]
-    n_genuine, n_impostor = genuine_below[-1], genuine.size - genuine_below[-1]
-    tar = (n_genuine - genuine_below) / n_genuine
-    far = (n_impostor - (below - genuine_below)) / n_impostor
-    return tar, far
+    del ranked
+    genuine_below = np.searchsorted(genuine, thresholds)
+    tar = (genuine.size - genuine_below) / genuine.size
+    far = (impostor.size - (below - genuine_below)) / impostor.size
+    return thresholds, tar, far
 
 
 def auc(curve: tuple) -> float:
@@ -132,16 +123,10 @@ def auc(curve: tuple) -> float:
 def eer(curve: tuple) -> float:
     """Rate where FAR crosses 1 - TAR, linearly interpolated on the polyline."""
     _, tar, far = curve
-    # f = FAR - (1 - TAR) runs from +1 at accept-all to -1 at reject-all, so
-    # a sign change always exists along decreasing threshold.
+    # f = FAR - (1 - TAR) runs from +1 at the smallest score to -1 at the
+    # sentinel and never rises: it crosses zero after its last positive point
     f = far + tar - 1.0
-    lo, hi = f[:-1], f[1:]
-    crossings = np.flatnonzero((lo == 0.0) | ((lo > 0.0) & (hi <= 0.0)))
-    if crossings.size == 0:
-        return float(far[-1])
-    i = int(crossings[0])
-    if f[i] == 0.0:
-        return float(far[i])
+    i = int(np.argmax(f <= 0.0)) - 1
     u = f[i] / (f[i] - f[i + 1])
     return float(far[i] + u * (far[i + 1] - far[i]))
 
@@ -157,39 +142,42 @@ def tar_at_far(curve: tuple, far_target: float) -> float:
     return float(np.interp(far_target, far[first], tar[first]))
 
 
-def _fold_accuracy(thresholds: np.ndarray, below: np.ndarray, genuine: np.ndarray,
-                   fold: np.ndarray, n_folds: int) -> tuple[float, float]:
+def _fold_accuracy(genuine: np.ndarray, impostor: np.ndarray,
+                   n_folds: int) -> tuple[float, float]:
     """Mean and population std over folds of each fold's accuracy at the
-    threshold that scores best on the other folds (fold -1: in no fold), from
-    `_sweep`'s order. The candidates are the distinct training scores, then a
-    sentinel above them; the first with the most accepted genuine plus rejected
-    impostor training pairs wins, so a tie goes to the smallest threshold."""
-    n, in_folds = genuine.size, fold >= 0
-    # passing a training pair, a threshold rejects one more impostor (+1) or genuine (-1)
-    step = 1 - 2 * genuine.view(np.int8)
-    train, steps = np.empty(n, dtype=bool), np.empty(n, dtype=np.int8)
-    prefix, accuracies = np.zeros(n + 1, dtype=np.int64), np.empty(n_folds)
+    threshold that scores best on the other folds: fold k is the k-th of n_folds
+    equal runs of each class (a remainder is in no fold), sorted in place. Of the
+    distinct training scores and a sentinel above them, the first with the most
+    accepted genuine plus rejected impostor training pairs wins. That is a
+    training genuine score or the sentinel: from any other score up to the next
+    of those, the accepted genuine pairs stay and the rejected impostors do not fall."""
+    g_runs, i_runs = (scores[:n_folds * (scores.size // n_folds)].reshape(n_folds, -1)
+                      for scores in (genuine, impostor))
+    g_runs.sort(axis=1)
+    i_runs.sort(axis=1)
+    g_per, i_per = g_runs.shape[1], i_runs.shape[1]
+    # per run and genuine score: impostors minus genuine pairs under it (the
+    # run's correct count there, up to a constant), and genuine pairs at it
+    values = np.unique(g_runs)
+    counts = np.empty((n_folds, 2, values.size), dtype=np.int64)
     for k in range(n_folds):
-        np.not_equal(fold, k, out=train)
-        train &= in_folds
-        np.multiply(step, train, out=steps)
-        np.cumsum(steps, out=prefix[1:])
-        # training accuracy at each threshold, up to a constant; a threshold that
-        # no training pair holds ties the next one that does, which is the pick
-        best = below[int(np.argmax(prefix[below]))]
-        if train[best:].any():
-            first = best + int(np.argmax(train[best:]))
-            cut = below[np.searchsorted(below, first, "right") - 1]
-        else:  # the sentinel above the largest training score
-            last = n - 1 - int(np.argmax(train[::-1]))
-            top = thresholds[np.searchsorted(below, last, "right") - 1]
-            cut = below[np.searchsorted(thresholds[:-1], _sentinel(top))]
-        # the held-out pairs before the threshold's sorted position score under it
-        np.equal(fold, k, out=train)
-        held, rejected = np.count_nonzero(train), np.count_nonzero(train[:cut])
-        train &= genuine
-        held_genuine, rejected_genuine = np.count_nonzero(train), np.count_nonzero(train[:cut])
-        accuracies[k] = (held_genuine - 2 * rejected_genuine + rejected) / held
+        under = np.searchsorted(g_runs[k], values)
+        counts[k] = (np.searchsorted(i_runs[k], values) - under,
+                     np.searchsorted(g_runs[k], values, "right") - under)
+    total, tops = counts.sum(axis=0), np.maximum(g_runs[:, -1], i_runs[:, -1])
+    accuracies = np.empty(n_folds)
+    for k in range(n_folds):
+        gain, holds = total - counts[k]
+        # a score that only the held-out fold holds is no training candidate
+        candidates = np.flatnonzero(holds)
+        best = candidates[int(np.argmax(gain[candidates]))]
+        if (n_folds - 1) * g_per + int(gain[best]) >= (n_folds - 1) * i_per:
+            threshold = values[best]
+        else:  # the sentinel above the largest training score rejects them all
+            threshold = _sentinel(np.delete(tops, k).max())
+        hits = (g_per - int(np.searchsorted(g_runs[k], threshold))
+                + int(np.searchsorted(i_runs[k], threshold)))
+        accuracies[k] = hits / (g_per + i_per)
     return float(accuracies.mean()), float(accuracies.std())
 
 
@@ -410,38 +398,24 @@ def verification_pairs(codes: np.ndarray, labels: np.ndarray) -> np.recarray:
     return pairs
 
 
-def _stratified_folds(genuine: np.ndarray, n_folds: int) -> np.ndarray:
-    """Each pair's fold, so that all folds have one class balance: each class
-    is cut, in index order, into n_folds equal runs, so the pair of rank r in
-    its class is in fold r // (run length), and its remainder is in no fold (-1)."""
-    require(int(n_folds) >= 2, "need at least two folds")
-    n_folds = int(n_folds)
-    classes = np.flatnonzero(genuine), np.flatnonzero(~genuine)
-    require(min(members.size for members in classes) >= n_folds,
-            f"need at least {n_folds} pairs of each class, got "
-            f"{classes[0].size} genuine / {classes[1].size} impostor")
-    fold = np.full(genuine.size, -1, dtype=np.min_scalar_type(-n_folds))
-    for members in classes:
-        per = members.size // n_folds
-        fold[members[:n_folds * per]] = np.repeat(np.arange(n_folds, dtype=fold.dtype), per)
-    return fold
-
-
 def verification_report(pairs: np.recarray, n_folds: int = 10,
                         rank1: float | None = None,
                         rank5: float | None = None) -> VerificationReport:
     """Assemble the standard report from one scored pair array.
 
     The threshold-free metrics use every pair; the fold accuracy runs on the
-    stratified folds (a few pairs may be in no fold, to equalize them). Both
-    come from one sort of the scores.
+    stratified folds (a few pairs may be in no fold, to equalize them).
     """
-    scores, genuine = _split_scores(pairs)
-    fold = _stratified_folds(genuine, n_folds)
-    thresholds, below, genuine, fold = _sweep(scores, genuine, fold)
-    del scores  # the sorted order holds all that is needed from here on
-    curve = (thresholds, *_roc(below, genuine))
-    mean, std = _fold_accuracy(thresholds, below, genuine, fold, int(n_folds))
+    genuine, impostor = _split_scores(pairs)
+    require(int(n_folds) >= 2, "need at least two folds")
+    n_folds = int(n_folds)
+    require(min(genuine.size, impostor.size) >= n_folds,
+            f"need at least {n_folds} pairs of each class, got "
+            f"{genuine.size} genuine / {impostor.size} impostor")
+    mean, std = _fold_accuracy(genuine, impostor, n_folds)
+    genuine.sort()
+    impostor.sort()
+    curve = _roc(genuine, impostor)
     return VerificationReport(accuracy_mean=mean, accuracy_std=std,
                               eer=eer(curve), auc=auc(curve),
                               tar_far10=tar_at_far(curve, 0.10),

@@ -9,10 +9,11 @@ pair in one stacked alignment and crops them all with one mask. The
 per-item value classes (`Shape`, `LandmarkSet2D`, `CoeffPair`,
 `PoseParams`), the one-item functions the stacks replaced (`crop_indices`
 among them), the public ROC of three arrays (`roc_curve`, which the report
-computes inside itself), the per-fold threshold search that one sweep of sorted
-scores replaced, the validated `RocCurve` that the ROC's three plain
-arrays replaced, the stratified rearranged copy of the pairs that a fold
-column per pair replaced, the report that sorted the scores once for the
+computes inside itself), the per-fold threshold search that counts over
+each class's sorted runs replaced, the validated `RocCurve` that the ROC's
+three plain arrays replaced, the stratified rearranged copy of the pairs and
+the checked score and flag columns that the genuine and impostor score
+arrays replaced, the report that sorted the scores once for the
 ROC and again for the folds, the pair builder that gathered through
 `np.triu_indices`, the reconstruction error that computed its ground-truth
 side anew for every prediction stack, the one that scored a whole stack of
@@ -32,7 +33,7 @@ import numpy as np
 from morphfit.errors import InvalidArgumentError, ParseError, require
 from morphfit.evaluation import (DisentanglingReport, ReconstructionReport, VerificationReport,
                                  _cosine_distance_matrix, _cosine_matrix, _roc, _split_scores,
-                                 _sweep, auc, eer)
+                                 auc, eer)
 from morphfit.fitting import (_data_terms, _estimate_poses, _landmark_components,
                               _landmark_points, _solve_block)
 from morphfit.geometry import (MIN_POINTS, ROTATION_TOL, MorphableModel, _align_centred,
@@ -568,13 +569,27 @@ def _accepted(sorted_scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 
 def roc_curve(pairs: np.recarray) -> tuple:
     """The ROC of `verification_report` as (thresholds, TAR, FAR) arrays."""
-    thresholds, below, genuine = _sweep(*_split_scores(pairs))
-    return (thresholds, *_roc(below, genuine))
+    genuine, impostor = _split_scores(pairs)
+    genuine.sort()
+    impostor.sort()
+    return _roc(genuine, impostor)
+
+
+def scores_and_flags(pairs: np.recarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs' scores and genuine flags in index order, checked as
+    `verification_report` checks them."""
+    require(len(pairs) > 0, "need at least one scored pair")
+    scores = np.ascontiguousarray(pairs["score"], dtype=np.float64)
+    genuine = np.ascontiguousarray(pairs["is_genuine"], dtype=bool)
+    require(bool(np.all(np.isfinite(scores))), "pair scores must be finite")
+    require(bool(genuine.any()) and bool((~genuine).any()),
+            "need at least one genuine and one impostor pair")
+    return scores, genuine
 
 
 def searched_roc_curve(pairs: np.recarray) -> RocCurve:
     """`roc_curve` as it sorted each class and binary-searched every threshold."""
-    scores, genuine = _split_scores(pairs)
+    scores, genuine = scores_and_flags(pairs)
     g_sorted = np.sort(scores[genuine])
     i_sorted = np.sort(scores[~genuine])
     thresholds = _thresholds(scores)
@@ -589,7 +604,7 @@ def searched_accuracy_folds(pairs: np.recarray,
     copy, re-sorting and searching the training scores of every fold."""
     require(int(n_folds) >= 2, "need at least two folds")
     n_folds = int(n_folds)
-    scores, genuine = _split_scores(pairs)
+    scores, genuine = scores_and_flags(pairs)
     require(scores.size % n_folds == 0,
             f"{scores.size} pairs do not divide into {n_folds} folds")
     fold_of = np.arange(scores.size) // (scores.size // n_folds)

@@ -17,7 +17,8 @@ from morphfit import cli as cli_module
 from morphfit import network as nw
 from morphfit.cli import build_parser, cli
 from morphfit.config import RunConfig, load_config
-from morphfit.serialization import load_checkpoint, load_dataset, save_dataset
+from morphfit.serialization import (load_checkpoint, load_dataset, save_checkpoint,
+                                    save_dataset)
 
 from oracles import read_obj
 
@@ -437,6 +438,52 @@ class TestHugeLandmarks:
             assert (code, err) == (0, "")
         else:
             assert (code, err) == (1, HUGE_LANDMARK_ERROR)
+
+
+@pytest.fixture(scope="module")
+def huge_checkpoint(pipeline, tmp_path_factory):
+    """The tiny pipeline's phase III checkpoint with every weight of its first
+    encoder layer at 1e308: tanh saturates, so the codes would look finite."""
+    encoder, decoder, head, config = load_checkpoint(
+        os.path.join(pipeline["train_dir"], "phase3.ckpt"))
+    weight = np.full_like(encoder.params["enc.0.weight"], 1e308)
+    huge = nw.EncoderNet(*encoder._structure,
+                         params={**encoder.params, "enc.0.weight": weight})
+    path = str(tmp_path_factory.mktemp("huge-ckpt") / "phase3.ckpt")
+    save_checkpoint(huge, decoder, head, config, path)
+    return path
+
+
+class TestFloatingPointBoundary:
+    """Overflow, invalid operations and division by zero raise inside a
+    command and end as one error line."""
+
+    def test_overflow_is_one_error_line(self, pipeline, huge_checkpoint, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["eval", "--data", pipeline["dataset"],
+                                      "--checkpoint", huge_checkpoint, *TINY_OVERRIDES,
+                                      "--out", str(tmp_path / "eval")])
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: NumericalFailureError: eval: overflow encountered in \w+\n",
+                            err), err
+
+    def test_state_is_restored(self, pipeline, huge_checkpoint, tmp_path):
+        """cli leaves numpy's floating-point error state as it found it, after
+        a clean exit, an error line and a usage error."""
+        calls = [["export-bases", "--data", pipeline["dataset"], "--checkpoint",
+                  os.path.join(pipeline["train_dir"], "phase3.ckpt"), *TINY_OVERRIDES],
+                 ["eval", "--data", pipeline["dataset"], "--checkpoint", huge_checkpoint,
+                  *TINY_OVERRIDES],
+                 ["export-bases", "--bogus"]]
+        with np.errstate(divide="ignore", over="print", under="ignore", invalid="ignore"):
+            before = np.geterr()
+            codes = []
+            for argv in calls:
+                codes.append(run_cli([*argv, "--out", str(tmp_path / "out")])[0])
+                assert np.geterr() == before
+        assert codes == [0, 1, 2]
 
 
 class TestExportBases:

@@ -13,7 +13,6 @@ from morphfit.errors import (DegenerateGeometryError, InvalidArgumentError, Morp
 from morphfit.evaluation import (
     _RECONSTRUCTION_CHUNK,
     ReconstructionReport,
-    _stratified_folds,
     auc,
     disentangling_report,
     eer,
@@ -292,43 +291,40 @@ class TestVerificationAccuracyFolds:
         assert (mean, std) == searched_accuracy_folds(stratified_folds(pairs, 10), 10)
 
 
-def rearranged(pairs, fold) -> np.recarray:
-    """The pairs of each fold of a fold column, genuine then impostor, fold
-    after fold: the copy that the stratified_folds oracle builds."""
-    genuine = pairs["is_genuine"]
-    return pairs[np.concatenate([np.flatnonzero((fold == k) & flags)
-                                 for k in range(fold.max() + 1) for flags in (genuine, ~genuine)])]
-
-
 class TestStratifiedFolds:
+    """The report's folds against the oracle's stratified copy of the pairs."""
+
     def test_round_robin_layout(self):
+        """Fold k is the k-th run of each class in index order; the genuine
+        remainder 4.0 is in no fold. Every impostor outscores every genuine
+        pair, so each fold's threshold is the sentinel above its training
+        scores: fold 0 rejects its five held-out pairs (3 right), while fold 1
+        accepts its impostors, which lie above fold 0's sentinel 13.0, and
+        rejects its genuine pairs (none right)."""
         pairs = pairs_from(np.arange(5.0), 10.0 + np.arange(6.0))
-        fold = _stratified_folds(pairs["is_genuine"], 2)
-        assert fold.tolist() == [0, 0, 1, 1, -1, 0, 0, 0, 1, 1, 1]
-        assert rearranged(pairs, fold).score.tolist() == [0.0, 1.0, 10.0, 11.0, 12.0,
-                                                          2.0, 3.0, 13.0, 14.0, 15.0]
-        assert rearranged(pairs, fold).tobytes() == stratified_folds(pairs, 2).tobytes()
+        folds = stratified_folds(pairs, 2)
+        assert folds.score.tolist() == [0.0, 1.0, 10.0, 11.0, 12.0,
+                                        2.0, 3.0, 13.0, 14.0, 15.0]
+        assert report_folds(pairs, 2) == searched_accuracy_folds(folds, 2) == (0.3, 0.3)
 
     def test_every_fold_mixed(self):
         rng = np.random.default_rng(8)
         pairs = scored_pairs(rng.normal(size=97), rng.integers(0, 2, size=97))
         if not pairs.is_genuine.any():
             pairs[0] = (0.0, True)
-        fold = _stratified_folds(pairs["is_genuine"], 5)
-        folds = rearranged(pairs, fold)
-        assert folds.tobytes() == stratified_folds(pairs, 5).tobytes()
+        folds = stratified_folds(pairs, 5)
         fold_size = len(folds) // 5
         assert len(folds) % 5 == 0
         for k in range(5):
             flags = folds.is_genuine[k * fold_size:(k + 1) * fold_size]
             assert flags.any() and not flags.all()
+        assert report_folds(pairs, 5) == searched_accuracy_folds(folds, 5)
 
     def test_too_few_of_one_class_rejected(self):
         pairs = pairs_from([1.0], [0.0, 0.1, 0.2])
-        with pytest.raises(InvalidArgumentError) as caught:
-            _stratified_folds(pairs["is_genuine"], 2)
-        assert str(caught.value) == "need at least 2 pairs of each class, got 1 genuine / 3 impostor"
-        assert outcome(stratified_folds, pairs, 2) == (InvalidArgumentError, str(caught.value))
+        message = "need at least 2 pairs of each class, got 1 genuine / 3 impostor"
+        assert outcome(verification_report, pairs, 2) == (InvalidArgumentError, message)
+        assert outcome(stratified_folds, pairs, 2) == (InvalidArgumentError, message)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,9 +1018,9 @@ class TestVerificationReport:
         assert report.rank5 == 0.95
 
     def test_peak_memory_per_pair(self):
-        """The report holds a few sorted columns and reused per-fold buffers,
-        not the pairs twice over: at most 80 bytes per pair above its entry
-        (119 when it sorted twice and copied the pairs into stratified folds).
+        """The report holds each class's scores, sorted in place, and the ROC's
+        arrays, not the pairs twice over: at most 80 bytes per pair above its
+        entry (119 when it sorted twice and copied the pairs into stratified folds).
         Codes on a 0.1 grid, so that some scores tie; most stay distinct, which
         keeps the per-threshold arrays as long as they get."""
         rng = np.random.default_rng(16)
@@ -1195,17 +1191,29 @@ SENTINEL_FOLDS = (scored_pairs([0.0, 1.0, 2.0, 0.1, 1.1, 2.1],
 # 6.0: the sentinel comes from the training scores, so fold 0 accepts it
 HELD_OUT_ABOVE_SENTINEL = (scored_pairs([0.0, 1.0, 9.0, 0.1, 1.1, 5.0],
                                         [True, False, False, True, False, False]), 2)
+# 0.0 is a genuine score of fold 0 only. Holding fold 0 out, the training
+# candidates are 2.0 and the sentinel: 2.0 wins and scores 0 of 2 held-out
+# pairs; holding fold 1 out, 0.0 wins and scores 1 of 2, so (0.25, 0.25). As a
+# candidate for fold 0 as well, 0.0 would tie 2.0 and come first: (0.5, 0.0)
+HELD_OUT_GENUINE_ONLY = (scored_pairs([0.0, 4.0, 2.0, 2.0], [True, False, True, False]), 2)
+# three genuine and five impostor pairs in two folds: one of each class, 0.7
+# and 9.0, is in no fold
+BOTH_REMAINDERS = (scored_pairs([0.5, 0.1, 0.9, 0.3, 0.7, 0.2, 0.4, 9.0],
+                                [True, False, True, False, True, False, False, False]), 2)
 
 
 class TestSortedSweepMatchesSearchOracle:
-    """One sort per sweep against the per-fold sort-and-search it replaced:
-    the same integer counts, so the same bits."""
+    """Each class's sorted fold runs and the ROC of the sorted classes against
+    the per-fold sort-and-search they replaced: the same integer counts, so
+    the same bits."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(folded_pairs())
     @example(SENTINEL_FOLDS)
     @example(HELD_OUT_ABOVE_SENTINEL)
     @example((scored_pairs([1e17, 0.0, 1e17, 0.0], [True, False] * 2), 2))
+    @example(HELD_OUT_GENUINE_ONLY)
+    @example(BOTH_REMAINDERS)
     def test_fold_accuracy(self, case):
         """The report's fold mean and std against the search over the oracle's
         stratified copy; the ROC oracle first, for the input checks' order."""
@@ -1240,10 +1248,12 @@ class TestSortedSweepMatchesSearchOracle:
     @example(HELD_OUT_ABOVE_SENTINEL)
     @example((scored_pairs([1e17, 0.0, 1e17, 0.0, 1e17], [True, False] * 2 + [True]), 2))
     @example((scored_pairs([0.0, -0.0, 0.0, -0.0, 1.0, -0.0], [True, False] * 3), 3))
+    @example(HELD_OUT_GENUINE_ONLY)
+    @example(BOTH_REMAINDERS)
     def test_report(self, case):
-        """One sort for the ROC and the stratified folds against the ROC
-        oracle plus the fold search oracle over the rearranged copy: every
-        field bit for bit, and every error message in the same order."""
+        """The report against the ROC oracle plus the fold search oracle over
+        the rearranged copy: every field bit for bit, and every error message
+        in the same order."""
         got = outcome(verification_report, *case)
         want = outcome(searched_verification_report, *case)
         assert type(got) is type(want) and repr(got) == repr(want)

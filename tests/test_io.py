@@ -1011,6 +1011,7 @@ def mutate_container(data: bytes, draw,
     entries = header["arrays"]
     entry = draw(st.sampled_from(
         [e for e in entries if e["name"] == "labels"] if kind == "permute"
+        else [e for e in entries if e["dtype"] == "f8"] if kind == "huge"
         else entries))
     if kind == "retag":
         return flip_tag(data, entry["name"])
@@ -1035,10 +1036,47 @@ def mutate_container(data: bytes, draw,
         return reencode(data, reshape)
     if kind == "nan":
         payload = np.full(count, np.nan).tobytes()
+    elif kind == "huge":  # finite, but overflowing the arithmetic that reads it
+        values = np.frombuffer(data, "<f8", count, offset).copy()
+        values[draw(st.one_of(st.just(slice(None)), st.integers(0, count - 1)))] = draw(
+            st.sampled_from([1e308, -1e308, 1e154, -1e154]))
+        payload = values.tobytes()
     else:
         labels = np.frombuffer(data, "<i8", count, offset)
         payload = labels[draw(st.permutations(range(count)))].tobytes()
     return data[:offset] + payload + data[offset + len(payload):]
+
+
+def one_error_line_or_clean(outcome: tuple[int, list[str]]) -> bool:
+    code, lines = outcome
+    return (code, lines) == (0, []) or (
+        code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(small_model, tmp_path_factory):
+    """A dataset and a checkpoint that fits it; eight subjects give eval two
+    held-out ones, enough for two folds."""
+    root = tmp_path_factory.mktemp("fuzz-files")
+    spec = DatasetSpec(n_subjects=8, images_per_subject=3,
+                       image_resolution=16, seed=42)
+    save_dataset(build_dataset(small_model, spec), str(root / "data.mfd"))
+    save_checkpoint(init_encoder(256, 6, 4, hidden=(4,), seed=1),
+                    init_decoder(450, 6, 4, seed=2), init_head(8, 6, seed=3),
+                    RunConfig(), str(root / "model.ckpt"))
+    return root
+
+
+DATASET_STAGES = ("fit", "train", "eval", "export-bases")
+
+
+def run_stages(data: str, checkpoint: str, out: str, stages) -> list:
+    """The exit code and stderr lines of each stage that reads the containers."""
+    argv = {"fit": ["fit", "--data", data, "--subject", "0"],
+            "train": ["train", "--data", data, "--set", "epochs=1"],
+            "eval": ["eval", "--data", data, "--checkpoint", checkpoint, "--set", "n_folds=2"],
+            "export-bases": ["export-bases", "--data", data, "--checkpoint", checkpoint]}
+    return [run_quietly([*argv[stage], "--out", os.path.join(out, stage)]) for stage in stages]
 
 
 class TestDatasetFuzz:
@@ -1065,9 +1103,27 @@ class TestDatasetFuzz:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli(["fit", "--data", path, "--subject", "0",
                             "--out", os.path.join(root, "fit")])
-        lines = err.getvalue().splitlines()
-        assert (code, lines) == (0, []) or (
-            code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
+        assert one_error_line_or_clean((code, err.getvalue().splitlines()))
+
+    def test_valid_dataset_runs_every_stage(self, fuzz_files, tmp_path):
+        assert run_stages(str(fuzz_files / "data.mfd"), str(fuzz_files / "model.ckpt"),
+                          str(tmp_path), DATASET_STAGES) == [(0, [])] * len(DATASET_STAGES)
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_huge_values_fail_cleanly(self, fuzz_files, data):
+        """A finite but huge value anywhere in a float array: every stage that
+        reads the dataset exits 0, or 1 with one error line (a warning fails
+        the suite)."""
+        mutated = mutate_container((fuzz_files / "data.mfd").read_bytes(), data.draw,
+                                   ("huge",))
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "data.mfd")
+            Path(path).write_bytes(mutated)
+            outcomes = run_stages(path, str(fuzz_files / "model.ckpt"), root,
+                                  DATASET_STAGES)
+        assert all(map(one_error_line_or_clean, outcomes)), outcomes
 
 
 def missing_config_keys(data: bytes) -> list[str]:
@@ -1082,32 +1138,20 @@ def missing_config_keys(data: bytes) -> list[str]:
 
 
 class TestCheckpointFuzz:
-    @pytest.fixture(scope="class")
-    def files(self, small_model, tmp_path_factory):
-        # eight subjects give eval two held-out ones, enough for two folds
-        root = tmp_path_factory.mktemp("ckpt-fuzz")
-        spec = DatasetSpec(n_subjects=8, images_per_subject=3,
-                           image_resolution=16, seed=42)
-        save_dataset(build_dataset(small_model, spec), str(root / "data.mfd"))
-        save_checkpoint(init_encoder(256, 6, 4, hidden=(4,), seed=1),
-                        init_decoder(450, 6, 4, seed=2), init_head(8, 6, seed=3),
-                        RunConfig(), str(root / "model.ckpt"))
-        return root
-
-    def run_eval(self, files, root: str) -> tuple[int, list[str]]:
-        return run_quietly(["eval", "--data", str(files / "data.mfd"),
+    def run_eval(self, fuzz_files, root: str) -> tuple[int, list[str]]:
+        return run_quietly(["eval", "--data", str(fuzz_files / "data.mfd"),
                             "--checkpoint", os.path.join(root, "model.ckpt"),
                             "--set", "n_folds=2", "--out", os.path.join(root, "eval")])
 
-    def test_valid_checkpoint_evaluates(self, files, tmp_path):
-        (tmp_path / "model.ckpt").write_bytes((files / "model.ckpt").read_bytes())
-        assert self.run_eval(files, str(tmp_path)) == (0, [])
+    def test_valid_checkpoint_evaluates(self, fuzz_files, tmp_path):
+        (tmp_path / "model.ckpt").write_bytes((fuzz_files / "model.ckpt").read_bytes())
+        assert self.run_eval(fuzz_files, str(tmp_path)) == (0, [])
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
-    def test_mutation_loads_or_fails_cleanly(self, files, data):
-        mutated = mutate_container((files / "model.ckpt").read_bytes(), data.draw,
+    def test_mutation_loads_or_fails_cleanly(self, fuzz_files, data):
+        mutated = mutate_container((fuzz_files / "model.ckpt").read_bytes(), data.draw,
                                    ("drop", "retype", "truncate", "nan", "reshape",
                                     "retag"))
         with tempfile.TemporaryDirectory() as root:
@@ -1125,9 +1169,22 @@ class TestCheckpointFuzz:
                     load_checkpoint(path)
                 except MorphfitError:
                     pass
-            code, lines = self.run_eval(files, root)
-        assert (code, lines) == (0, []) or (
-            code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
+            code, lines = self.run_eval(fuzz_files, root)
+        assert one_error_line_or_clean((code, lines))
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_huge_values_fail_cleanly(self, fuzz_files, data):
+        """A finite but huge weight: eval and export-bases exit 0, or 1 with
+        one error line (a warning fails the suite)."""
+        mutated = mutate_container((fuzz_files / "model.ckpt").read_bytes(), data.draw, ("huge",))
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "model.ckpt")
+            Path(path).write_bytes(mutated)
+            outcomes = run_stages(str(fuzz_files / "data.mfd"), path, root,
+                                  ("eval", "export-bases"))
+        assert all(map(one_error_line_or_clean, outcomes)), outcomes
 
 
 # ---------------------------------------------------------------------------
