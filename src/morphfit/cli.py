@@ -19,8 +19,8 @@ from . import network as nw
 from .config import RunConfig, format_config, load_config, parse_config
 from .errors import MorphfitError, require
 from .evaluation import (disentangling_report, evaluate_reconstruction,
-                         rank_n_identification, reconstruction_truth,
-                         verification_pairs, verification_report)
+                         pair_scores, rank_n_identification, reconstruction_truth,
+                         verification_report)
 from .fitting import multi_image_fit
 from .serialization import (_atomic_write, load_checkpoint, load_dataset,
                             save_checkpoint, save_dataset, write_obj,
@@ -215,14 +215,13 @@ def _cmd_eval(args) -> int:
     c_id, c_res = nw.encode_images(encoder, images)
 
     # verification over all held-out pairs; gallery = first image per subject
-    pairs = verification_pairs(c_id, labels)
+    genuine, impostor = pair_scores(c_id, labels)
     _, gallery_rows = np.unique(labels, return_index=True)
     probe_rows = np.setdiff1d(np.arange(labels.size), gallery_rows)
     rank1, rank5 = (rank_n_identification(c_id[gallery_rows], labels[gallery_rows],
                                           c_id[probe_rows], labels[probe_rows], n)
                     for n in (1, 5))
-    report = verification_report(pairs, n_folds=config.n_folds,
-                                 rank1=rank1, rank5=rank5)
+    report = verification_report(genuine, impostor, config.n_folds, rank1, rank5)
     # each report's fields, in order, are its CSV columns
     write_table_csv(report._fields, [report], os.path.join(out, "verification.csv"))
 

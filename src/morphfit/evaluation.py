@@ -65,27 +65,40 @@ class DisentanglingReport(NamedTuple):
     degenerate: bool
 
 
-def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine similarity of every row of a with every row of b, guarding norms."""
+def _cosine_rows(a: np.ndarray, b: np.ndarray):
+    """The function from a slice of a's rows to their cosine similarity with every row
+    of b, guarding norms; a @ b.T is taken whole (a block's product has other bits)."""
     require(bool(np.all(np.isfinite(a))) and bool(np.all(np.isfinite(b))),
             "codes must be finite")
     norms_a, norms_b = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
     require(bool(np.all(norms_a > 0)) and bool(np.all(norms_b > 0)),
             "cosine similarity needs non-zero vectors")
-    sims = np.clip(a @ b.T / np.outer(norms_a, norms_b), -1.0, 1.0)
-    require(bool(np.all(np.isfinite(sims))), "pair scores must be finite")
-    return sims
+    dots = a @ b.T
+    def rows(s: slice) -> np.ndarray:
+        sims = np.clip(dots[s] / np.outer(norms_a[s], norms_b), -1.0, 1.0)
+        require(bool(np.all(np.isfinite(sims))), "pair scores must be finite")
+        return sims
+    return rows
 
 
-def _split_scores(pairs: np.recarray) -> tuple[np.ndarray, np.ndarray]:
-    """The genuine and the impostor scores, each a new array in index order."""
-    require(len(pairs) > 0, "need at least one scored pair")
-    scores = np.asarray(pairs["score"], dtype=np.float64)
-    genuine = np.asarray(pairs["is_genuine"], dtype=bool)
-    require(bool(np.all(np.isfinite(scores))), "pair scores must be finite")
-    require(bool(genuine.any()) and bool((~genuine).any()),
-            "need at least one genuine and one impostor pair")
-    return scores[genuine], scores[~genuine]
+_PAIR_BLOCK = 32  # rows per block of `_split_pairs`, not all N x N pairs at once
+
+
+def _split_pairs(labels: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The entries (i, j), i < j, of the square matrix whose rows ``rows(s)`` returns
+    by slices s of `_PAIR_BLOCK` rows: the equal-label and the other pairs, each row-major."""
+    n, counts = labels.size, np.unique(labels, return_counts=True)[1]
+    n_same = int(np.sum(counts * (counts - 1) // 2))
+    classes, filled = (np.empty(n_same), np.empty(n * (n - 1) // 2 - n_same)), [0, 0]
+    for start in range(0, n, _PAIR_BLOCK):
+        s = slice(start, start + _PAIR_BLOCK)
+        values, same = rows(s), labels[s, None] == labels
+        upper = np.arange(n) > np.arange(n)[s, None]
+        for k, mask in enumerate((upper & same, upper & ~same)):
+            picked = values[mask]
+            classes[k][filled[k]:filled[k] + picked.size] = picked
+            filled[k] += picked.size
+    return classes
 
 
 def _sentinel(top: float) -> float:
@@ -201,7 +214,7 @@ def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
     require(not missing, f"probe subjects missing from gallery: {sorted(missing)}")
     require(int(n) >= 1, "n must be at least 1")
     n = int(n)
-    sims = _cosine_matrix(probes, gallery)
+    sims = _cosine_rows(probes, gallery)(slice(None))
     top = np.argsort(-sims, axis=1, kind="stable")[:, :n]
     hits = np.count_nonzero(np.any(g_labels[top] == p_labels[:, None], axis=1))
     return float(hits / probes.shape[0])
@@ -295,10 +308,11 @@ def evaluate_reconstruction(predict, truth: tuple,
                                 n_pairs=n_pairs, crop_radius=crop_radius)
 
 
-def _cosine_distance_matrix(codes: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(codes, axis=1, keepdims=True)
-    unit = codes / np.maximum(norms, 1e-300)
-    return 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
+def _cosine_distances(codes: np.ndarray, labels: np.ndarray) -> tuple:
+    """The cosine distances of the code pairs i < j, split as `_split_pairs` splits them."""
+    unit = codes / np.maximum(np.linalg.norm(codes, axis=1, keepdims=True), 1e-300)
+    cosines = unit @ unit.T
+    return _split_pairs(labels, lambda s: 1.0 - np.clip(cosines[s], -1.0, 1.0))
 
 
 def disentangling_report(embed, dataset, codes: tuple) -> DisentanglingReport:
@@ -325,11 +339,8 @@ def disentangling_report(embed, dataset, codes: tuple) -> DisentanglingReport:
     c_id, c_res = codes
     require(len(c_id) == len(c_res) == len(rows), f"need codes of the {len(rows)} rows")
 
-    dist = _cosine_distance_matrix(c_id)
-    same = labels[:, None] == labels[None, :]
-    upper = np.triu(np.ones_like(same, dtype=bool), k=1)
-    intra = float(dist[same & upper].mean())
-    inter = float(dist[~same & upper].mean())
+    same, other = _cosine_distances(c_id, labels)
+    intra, inter = float(same.mean()), float(other.mean())
 
     rng = np.random.default_rng(np.random.SeedSequence([dataset.spec.seed, 0x1d]))
     perturbation = rng.normal(0.0, 1.0, size=(len(rows), model.k_exp)) * model.sigma_exp
@@ -349,7 +360,7 @@ def disentangling_report(embed, dataset, codes: tuple) -> DisentanglingReport:
             ratios.append(d_res / (d_res + d_id))
 
     # constant encoder: no pair moved, no identity spread to attribute
-    degenerate = den <= 0.0 or not np.any(dist[upper] > 0)
+    degenerate = den <= 0.0 or not (np.any(same > 0) or np.any(other > 0))
     ratio = float(np.mean(ratios)) if ratios else float("nan")
 
     grand = c_id.mean(axis=0)
@@ -375,38 +386,27 @@ def disentangling_report(embed, dataset, codes: tuple) -> DisentanglingReport:
                                degenerate=degenerate)
 
 
-def verification_pairs(codes: np.ndarray, labels: np.ndarray) -> np.recarray:
-    """All unordered code pairs scored by cosine similarity, in index order.
-
-    Returns a record array with fields ``score`` (float64) and ``is_genuine``
-    (bool), one row per pair i < j in row-major order.
-    """
-    codes = np.asarray(codes, dtype=np.float64)
-    labels = np.asarray(labels).ravel()
+def pair_scores(codes: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine similarity of every code pair i < j: the genuine (same label)
+    and the impostor scores, each in row-major pair order."""
+    codes, labels = np.asarray(codes, dtype=np.float64), np.asarray(labels).ravel()
     require(codes.ndim == 2 and codes.shape[0] == labels.size,
             "codes must be (n, q) row-aligned with labels")
-    n = codes.shape[0]
-    require(n >= 2, "need at least two codes")
-    sims = _cosine_matrix(codes, codes)
-    pairs = np.recarray(n * (n - 1) // 2, dtype=[("score", np.float64), ("is_genuine", bool)])
-    scores, genuine, start = pairs["score"], pairs["is_genuine"], 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
-        scores[start:stop] = sims[i, i + 1:]
-        np.equal(labels[i + 1:], labels[i], out=genuine[start:stop])
-        start = stop
-    return pairs
+    require(codes.shape[0] >= 2, "need at least two codes")
+    return _split_pairs(labels, _cosine_rows(codes, codes))
 
 
-def verification_report(pairs: np.recarray, n_folds: int = 10,
+def verification_report(genuine: np.ndarray, impostor: np.ndarray, n_folds: int = 10,
                         rank1: float | None = None,
                         rank5: float | None = None) -> VerificationReport:
-    """Assemble the standard report from one scored pair array.
-
-    The threshold-free metrics use every pair; the fold accuracy runs on the
-    stratified folds (a few pairs may be in no fold, to equalize them).
-    """
-    genuine, impostor = _split_scores(pairs)
+    """Assemble the standard report from the genuine and the impostor scores in
+    index order, such as `pair_scores` returns, which it sorts in place. The
+    threshold-free metrics use every pair; the fold accuracy runs on the stratified
+    folds (a few pairs may be in no fold, to equalize them)."""
+    require(genuine.size + impostor.size > 0, "need at least one scored pair")
+    require(bool(np.all(np.isfinite(genuine))) and bool(np.all(np.isfinite(impostor))),
+            "pair scores must be finite")
+    require(genuine.size and impostor.size, "need at least one genuine and one impostor pair")
     require(int(n_folds) >= 2, "need at least two folds")
     n_folds = int(n_folds)
     require(min(genuine.size, impostor.size) >= n_folds,

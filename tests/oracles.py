@@ -14,8 +14,10 @@ each class's sorted runs replaced, the validated `RocCurve` that the ROC's
 three plain arrays replaced, the stratified rearranged copy of the pairs and
 the checked score and flag columns that the genuine and impostor score
 arrays replaced, the report that sorted the scores once for the
-ROC and again for the folds, the pair builder that gathered through
-`np.triu_indices`, the reconstruction error that computed its ground-truth
+ROC and again for the folds, the pair record array that the class split
+by row block replaced (gathered from the whole score matrix through
+`np.triu_indices`), the cosine distances that N x N masks picked from the
+whole distance matrix, the reconstruction error that computed its ground-truth
 side anew for every prediction stack, the one that scored a whole stack of
 predictions at once where eval now scores a chunk of rows at a time, the
 decode that summed into fresh
@@ -32,8 +34,7 @@ import numpy as np
 
 from morphfit.errors import InvalidArgumentError, ParseError, require
 from morphfit.evaluation import (DisentanglingReport, ReconstructionReport, VerificationReport,
-                                 _cosine_distance_matrix, _cosine_matrix, _roc, _split_scores,
-                                 auc, eer)
+                                 _roc, auc, eer)
 from morphfit.fitting import (_data_terms, _estimate_poses, _landmark_components,
                               _landmark_points, _solve_block)
 from morphfit.geometry import (MIN_POINTS, ROTATION_TOL, MorphableModel, _align_centred,
@@ -494,38 +495,64 @@ class RocCurve:
         return self.points[:, 2]
 
 
-def stratified_folds(pairs: np.recarray, n_folds: int) -> np.recarray:
-    """Rearrange pairs into equal contiguous folds, each with both classes.
+def stratified_folds(genuine, impostor, n_folds: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two classes rearranged into equal contiguous folds, each with both
+    classes, as the scores and genuine flags of the folds in order.
 
-    Genuine and impostor pairs are each cut, in incoming order, into n_folds
+    Genuine and impostor scores are each cut, in incoming order, into n_folds
     equal runs (the remainder trimmed); fold k is the k-th genuine run then
     the k-th impostor run, so the contiguous fold protocol sees the same
     class balance everywhere. Needs at least n_folds pairs of each class.
     """
     require(int(n_folds) >= 2, "need at least two folds")
     n_folds = int(n_folds)
-    flags = np.asarray(pairs["is_genuine"], dtype=bool)
-    genuine, impostor = np.flatnonzero(flags), np.flatnonzero(~flags)
+    genuine, impostor = (np.asarray(c, dtype=np.float64) for c in (genuine, impostor))
     require(genuine.size >= n_folds and impostor.size >= n_folds,
             f"need at least {n_folds} pairs of each class, got "
             f"{genuine.size} genuine / {impostor.size} impostor")
     g_per, i_per = genuine.size // n_folds, impostor.size // n_folds
-    order = np.hstack([genuine[:n_folds * g_per].reshape(n_folds, g_per),
-                       impostor[:n_folds * i_per].reshape(n_folds, i_per)])
-    return pairs[order.ravel()]
+    scores = np.hstack([genuine[:n_folds * g_per].reshape(n_folds, g_per),
+                        impostor[:n_folds * i_per].reshape(n_folds, i_per)])
+    flags = np.tile(np.arange(g_per + i_per) < g_per, n_folds)
+    return scores.ravel(), flags
 
 
-def triu_verification_pairs(codes: np.ndarray, labels: np.ndarray) -> np.recarray:
-    """`verification_pairs` as it gathered the scores through `np.triu_indices`."""
+def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_cosine_rows` as it divided and clipped the whole product at once."""
+    require(bool(np.all(np.isfinite(a))) and bool(np.all(np.isfinite(b))),
+            "codes must be finite")
+    norms_a, norms_b = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    require(bool(np.all(norms_a > 0)) and bool(np.all(norms_b > 0)),
+            "cosine similarity needs non-zero vectors")
+    sims = np.clip(a @ b.T / np.outer(norms_a, norms_b), -1.0, 1.0)
+    require(bool(np.all(np.isfinite(sims))), "pair scores must be finite")
+    return sims
+
+
+def verification_pairs(codes: np.ndarray, labels: np.ndarray) -> np.recarray:
+    """`pair_scores` as the record array of every pair i < j in row-major
+    order, with fields ``score`` (float64) and ``is_genuine`` (bool), gathered
+    from the whole score matrix through `np.triu_indices`."""
     codes = np.asarray(codes, dtype=np.float64)
     labels = np.asarray(labels).ravel()
     require(codes.ndim == 2 and codes.shape[0] == labels.size,
             "codes must be (n, q) row-aligned with labels")
     require(codes.shape[0] >= 2, "need at least two codes")
     rows, cols = np.triu_indices(codes.shape[0], k=1)
-    scores = _cosine_matrix(codes, codes)[rows, cols]
+    scores = cosine_matrix(codes, codes)[rows, cols]
     return np.rec.fromarrays([scores, labels[rows] == labels[cols]],
                              names="score,is_genuine")
+
+
+def masked_cosine_distances(codes: np.ndarray, labels: np.ndarray) -> tuple:
+    """`_cosine_distances` as `disentangling_report` took them from the whole
+    N x N distance matrix through N x N label and upper-triangle masks."""
+    norms = np.linalg.norm(codes, axis=1, keepdims=True)
+    unit = codes / np.maximum(norms, 1e-300)
+    dist = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
+    same = labels[:, None] == labels[None, :]
+    upper = np.triu(np.ones_like(same, dtype=bool), k=1)
+    return dist[same & upper], dist[~same & upper]
 
 
 def unique_tar_at_far(curve: RocCurve, far_target: float) -> float:
@@ -536,13 +563,14 @@ def unique_tar_at_far(curve: RocCurve, far_target: float) -> float:
     return float(np.interp(far_target, fars, curve.tar[first]))
 
 
-def searched_verification_report(pairs: np.recarray, n_folds: int = 10,
+def searched_verification_report(genuine, impostor, n_folds: int = 10,
                                  rank1: float | None = None,
                                  rank5: float | None = None) -> VerificationReport:
     """`verification_report` as it built the ROC, then rearranged the pairs
     into stratified folds and sorted them again for the fold search."""
-    curve = searched_roc_curve(pairs)
-    mean, std = searched_accuracy_folds(stratified_folds(pairs, n_folds), n_folds)
+    curve = searched_roc_curve(genuine, impostor)
+    mean, std = searched_accuracy_folds(stratified_folds(genuine, impostor, n_folds),
+                                        n_folds)
     arrays = (curve.thresholds, curve.tar, curve.far)
     return VerificationReport(accuracy_mean=mean, accuracy_std=std,
                               eer=eer(arrays), auc=auc(arrays),
@@ -567,29 +595,28 @@ def _accepted(sorted_scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
                                                 side="left")
 
 
-def roc_curve(pairs: np.recarray) -> tuple:
-    """The ROC of `verification_report` as (thresholds, TAR, FAR) arrays."""
-    genuine, impostor = _split_scores(pairs)
-    genuine.sort()
-    impostor.sort()
-    return _roc(genuine, impostor)
+def roc_curve(genuine, impostor) -> tuple:
+    """The ROC of `verification_report` as (thresholds, TAR, FAR) arrays, from
+    sorted copies of the genuine and the impostor scores."""
+    scores, flags = scores_and_flags(genuine, impostor)
+    return _roc(np.sort(scores[flags]), np.sort(scores[~flags]))
 
 
-def scores_and_flags(pairs: np.recarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs' scores and genuine flags in index order, checked as
-    `verification_report` checks them."""
-    require(len(pairs) > 0, "need at least one scored pair")
-    scores = np.ascontiguousarray(pairs["score"], dtype=np.float64)
-    genuine = np.ascontiguousarray(pairs["is_genuine"], dtype=bool)
+def scores_and_flags(genuine, impostor) -> tuple[np.ndarray, np.ndarray]:
+    """The genuine then the impostor scores as one array, with their genuine
+    flags, checked as `verification_report` checks them."""
+    genuine, impostor = (np.asarray(c, dtype=np.float64) for c in (genuine, impostor))
+    require(genuine.size + impostor.size > 0, "need at least one scored pair")
+    scores = np.concatenate([genuine, impostor])
     require(bool(np.all(np.isfinite(scores))), "pair scores must be finite")
-    require(bool(genuine.any()) and bool((~genuine).any()),
+    require(genuine.size > 0 and impostor.size > 0,
             "need at least one genuine and one impostor pair")
-    return scores, genuine
+    return scores, np.arange(scores.size) < genuine.size
 
 
-def searched_roc_curve(pairs: np.recarray) -> RocCurve:
+def searched_roc_curve(genuine, impostor) -> RocCurve:
     """`roc_curve` as it sorted each class and binary-searched every threshold."""
-    scores, genuine = scores_and_flags(pairs)
+    scores, genuine = scores_and_flags(genuine, impostor)
     g_sorted = np.sort(scores[genuine])
     i_sorted = np.sort(scores[~genuine])
     thresholds = _thresholds(scores)
@@ -598,13 +625,13 @@ def searched_roc_curve(pairs: np.recarray) -> RocCurve:
     return RocCurve(np.column_stack([thresholds, tar, far]))
 
 
-def searched_accuracy_folds(pairs: np.recarray,
-                            n_folds: int = 10) -> tuple[float, float]:
-    """Cross-fold accuracy over contiguous folds, such as `stratified_folds`'
-    copy, re-sorting and searching the training scores of every fold."""
+def searched_accuracy_folds(folds: tuple, n_folds: int = 10) -> tuple[float, float]:
+    """Cross-fold accuracy over the contiguous folds of `stratified_folds`'
+    (scores, genuine flags), re-sorting and searching the training scores of
+    every fold."""
     require(int(n_folds) >= 2, "need at least two folds")
     n_folds = int(n_folds)
-    scores, genuine = scores_and_flags(pairs)
+    scores, genuine = folds
     require(scores.size % n_folds == 0,
             f"{scores.size} pairs do not divide into {n_folds} folds")
     fold_of = np.arange(scores.size) // (scores.size // n_folds)
@@ -731,11 +758,8 @@ def self_encoding_disentangling_report(embed, dataset) -> DisentanglingReport:
     images = dataset.images(rows)
     c_id, c_res = embed(images)
 
-    dist = _cosine_distance_matrix(c_id)
-    same = labels[:, None] == labels[None, :]
-    upper = np.triu(np.ones_like(same, dtype=bool), k=1)
-    intra = float(dist[same & upper].mean())
-    inter = float(dist[~same & upper].mean())
+    same, other = masked_cosine_distances(c_id, labels)
+    intra, inter = float(same.mean()), float(other.mean())
 
     rng = np.random.default_rng(np.random.SeedSequence([dataset.spec.seed, 0x1d]))
     perturbation = rng.normal(0.0, 1.0, size=(len(rows), model.k_exp)) * model.sigma_exp
@@ -754,7 +778,7 @@ def self_encoding_disentangling_report(embed, dataset) -> DisentanglingReport:
             ratios.append(d_res / (d_res + d_id))
 
     # constant encoder: no pair moved, no identity spread to attribute
-    degenerate = den <= 0.0 or not np.any(dist[upper] > 0)
+    degenerate = den <= 0.0 or not (np.any(same > 0) or np.any(other > 0))
     ratio = float(np.mean(ratios)) if ratios else float("nan")
 
     grand = c_id.mean(axis=0)

@@ -19,8 +19,7 @@ import pytest
 
 from morphfit.cli import _train_pipeline, cli
 from morphfit.config import RunConfig
-from morphfit.evaluation import (auc, rank_n_identification, verification_pairs,
-                                 verification_report)
+from morphfit.evaluation import auc, pair_scores, rank_n_identification, verification_report
 from morphfit.fitting import FitConfig, multi_image_fit
 from morphfit.geometry import MorphableModel, rotation_zyx
 from morphfit.network import (encode_images, finite_diff_check, init_decoder,
@@ -52,12 +51,6 @@ def exact_landmarks(model, coeffs, pose) -> LandmarkSet2D:
 def identity_vertex_errors(model, alpha_true, alpha_hat) -> np.ndarray:
     diff = (model.basis_id @ (alpha_hat - alpha_true)).reshape(-1, 3)
     return np.linalg.norm(diff, axis=1)
-
-
-def pairs_from(genuine, impostor) -> np.recarray:
-    scores = np.concatenate([genuine, impostor]).astype(np.float64)
-    return np.rec.fromarrays([scores, np.arange(scores.size) < len(genuine)],
-                             names="score,is_genuine")
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +246,7 @@ def test_criterion_06_joint_training_preserves_recognition_and_recon(
 
     def held_out_auc(encoder):
         c_id, _ = encode_images(encoder, images)
-        return auc(roc_curve(verification_pairs(c_id, labels)))
+        return auc(roc_curve(*pair_scores(c_id, labels)))
 
     def recon_rmse(encoder, decoder):
         c_id, c_res = encode_images(encoder, images)
@@ -294,14 +287,14 @@ def test_criterion_08_metric_oracles():
     # AUC vs Mann-Whitney with half ties, 100 scores
     genuine = rng.integers(0, 8, size=60) / 8.0 + 0.1
     impostor = rng.integers(0, 8, size=40) / 8.0
-    value = auc(roc_curve(pairs_from(genuine, impostor)))
+    value = auc(roc_curve(genuine, impostor))
     wins = sum(1.0 if g > i else (0.5 if g == i else 0.0)
                for g in genuine for i in impostor)
     mw = wins / (60 * 40)
     assert abs(value - mw) < 1e-10
 
     # ROC points vs exhaustive pair counting, exact
-    curve = roc_curve(pairs_from(genuine, impostor))
+    curve = roc_curve(genuine, impostor)
     for threshold, tar, far in zip(*curve):
         assert tar == np.count_nonzero(genuine >= threshold) / 60
         assert far == np.count_nonzero(impostor >= threshold) / 40
@@ -324,17 +317,16 @@ def test_criterion_08_metric_oracles():
         assert got == brute
 
     # fold accuracy vs exhaustive threshold search over the stratified folds
-    pairs = np.concatenate([
-        pairs_from(rng.integers(0, 6, size=5) / 6.0 + 0.15,
-                   rng.integers(0, 6, size=5) / 6.0) for _ in range(4)])
-    report = verification_report(pairs, n_folds=4)
+    blocks = [(rng.integers(0, 6, size=5) / 6.0 + 0.15,
+               rng.integers(0, 6, size=5) / 6.0) for _ in range(4)]
+    genuine, impostor = (np.concatenate(c) for c in zip(*blocks))
+    scores, is_genuine = stratified_folds(genuine, impostor, 4)
+    report = verification_report(genuine, impostor, n_folds=4)
     mean, std = report.accuracy_mean, report.accuracy_std
-    folds = stratified_folds(pairs, 4)
-    scores, is_genuine = folds["score"], folds["is_genuine"]
-    fold_size = len(folds) // 4
+    fold_size = scores.size // 4
     accuracies = []
     for k in range(4):
-        held = np.zeros(len(folds), dtype=bool)
+        held = np.zeros(scores.size, dtype=bool)
         held[k * fold_size:(k + 1) * fold_size] = True
         s_tr, g_tr = scores[~held], is_genuine[~held]
         best_acc, best_t = -1.0, None

@@ -353,6 +353,31 @@ class TestEval:
                     == Path(pipeline["eval_dir"], name).read_bytes())
 
 
+# Held-out sets that `eval` cannot verify on, and the one error line each gives:
+# one image per subject leaves rank-N identification no probe, and a single
+# held-out subject leaves the report no impostor pair. The pairs are scored
+# first, then rank-N is checked, then the report.
+HELDOUT_EDGES = {
+    "images_per_subject=1": "no probes given",
+    "n_subjects=4": "need at least one genuine and one impostor pair",
+}
+
+
+class TestEvalHeldOutEdges:
+    @pytest.mark.parametrize("setting", HELDOUT_EDGES)
+    def test_is_a_single_error_line(self, pipeline, tmp_path, setting):
+        data = str(tmp_path / "data")
+        code, _, err = run_cli(["gen-data", *tiny_with(setting), "--seed", "0",
+                                "--out", data])
+        assert code == 0, err
+        code, out, err = run_cli([
+            "eval", "--data", os.path.join(data, "dataset.mfd"), "--checkpoint",
+            os.path.join(pipeline["train_dir"], "phase3.ckpt"), *tiny_with(setting),
+            "--seed", "0", "--out", str(tmp_path / "out")])
+        assert (code, out) == (1, "")
+        assert err == f"error: InvalidArgumentError: {HELDOUT_EDGES[setting]}\n"
+
+
 # A held-out row with finite but huge coefficients, which a dataset container
 # accepts, and the one error line `eval` gives for it. At k_id=10 and k_exp=4
 # the row that sums the basis rows' magnitudes composes to an infinite

@@ -11,16 +11,19 @@ from hypothesis import strategies as st
 from morphfit.errors import (DegenerateGeometryError, InvalidArgumentError, MorphfitError,
                              require)
 from morphfit.evaluation import (
+    _PAIR_BLOCK,
     _RECONSTRUCTION_CHUNK,
     ReconstructionReport,
+    VerificationReport,
+    _cosine_distances,
     auc,
     disentangling_report,
     eer,
     evaluate_reconstruction,
+    pair_scores,
     rank_n_identification,
     reconstruction_truth,
     tar_at_far,
-    verification_pairs,
     verification_report,
 )
 from morphfit.geometry import rotation_zyx
@@ -34,26 +37,29 @@ from morphfit.synthetic import (
 from oracles import (CoeffPair, PoseParams, RocCurve, Shape, SimilarityTransform,
                      apply_transform, crop_indices, dilate_max, procrustes_align,
                      procrustes_align_stack,
-                     rasterize_depth, roc_curve, searched_accuracy_folds, searched_roc_curve,
+                     masked_cosine_distances, rasterize_depth, roc_curve,
+                     searched_accuracy_folds, searched_roc_curve,
                      searched_verification_report, select_landmarks,
                      self_encoding_disentangling_report, stratified_folds,
-                     triu_verification_pairs, unshared_reconstruction,
+                     unshared_reconstruction, verification_pairs,
                      whole_stack_reconstruction)
 from conftest import (assert_plain_fields, copied_rows, disentangle, reconstruct, rmse,
                       row_pose)
 
 
-def scored_pairs(scores, is_genuine) -> np.recarray:
-    """The pair record array that verification_pairs returns."""
-    return np.rec.fromarrays([np.asarray(scores, dtype=np.float64),
-                              np.asarray(is_genuine, dtype=bool)],
-                             names="score,is_genuine")
+def by_class(scores, is_genuine) -> tuple[np.ndarray, np.ndarray]:
+    """The genuine and the impostor scores of pairs in index order, each in
+    that order, as `pair_scores` returns them."""
+    scores = np.asarray(scores, dtype=np.float64)
+    is_genuine = np.asarray(is_genuine, dtype=bool)
+    return scores[is_genuine], scores[~is_genuine]
 
 
-def pairs_from(genuine_scores, impostor_scores) -> np.recarray:
-    return scored_pairs(np.concatenate([genuine_scores, impostor_scores]),
-                        [True] * len(genuine_scores)
-                        + [False] * len(impostor_scores))
+def copied_report(genuine, impostor, *args) -> VerificationReport:
+    """`verification_report` of float64 copies of the two classes, which it
+    sorts in place."""
+    return verification_report(np.array(genuine, dtype=np.float64),
+                               np.array(impostor, dtype=np.float64), *args)
 
 
 # ---------------------------------------------------------------------------
@@ -101,20 +107,20 @@ class TestCosineSimilarity:
 # ROC curve and derived metrics
 
 
-def checked_curve(pairs) -> RocCurve:
+def checked_curve(genuine, impostor) -> RocCurve:
     """roc_curve's three arrays, through the invariants of the curve class
     they replaced."""
-    return RocCurve(np.column_stack(roc_curve(pairs)))
+    return RocCurve(np.column_stack(roc_curve(genuine, impostor)))
 
 
 class TestRocCurve:
     def test_perfect_separation_hits_corner(self):
-        curve = checked_curve(pairs_from([2.0, 3.0], [0.0, 1.0]))
+        curve = checked_curve([2.0, 3.0], [0.0, 1.0])
         corner = (curve.tar == 1.0) & (curve.far == 0.0)
         assert np.any(corner)
 
     def test_all_equal_scores_degenerate_line(self):
-        curve = checked_curve(pairs_from([0.5, 0.5], [0.5, 0.5, 0.5]))
+        curve = checked_curve([0.5, 0.5], [0.5, 0.5, 0.5])
         assert np.array_equal(curve.tar, [1.0, 0.0])
         assert np.array_equal(curve.far, [1.0, 0.0])
 
@@ -122,13 +128,13 @@ class TestRocCurve:
         rng = np.random.default_rng(1)
         genuine = rng.integers(0, 10, size=60) / 10.0
         impostor = rng.integers(0, 10, size=40) / 10.0
-        curve = checked_curve(pairs_from(genuine, impostor))
+        curve = checked_curve(genuine, impostor)
         for threshold, tar, far in curve.points:
             assert tar == np.count_nonzero(genuine >= threshold) / 60
             assert far == np.count_nonzero(impostor >= threshold) / 40
 
     def test_sentinel_above_scores_past_two_to_the_53(self):
-        curve = roc_curve(pairs_from([1e17], [0.0]))  # 1e17 + 1.0 == 1e17
+        curve = roc_curve([1e17], [0.0])  # 1e17 + 1.0 == 1e17
         thresholds, tar, far = curve
         assert thresholds[-1] > 1e17
         assert tar[-1] == 0.0 and far[-1] == 0.0
@@ -136,9 +142,9 @@ class TestRocCurve:
 
     def test_single_class_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            roc_curve(pairs_from([1.0, 0.5], []))
+            roc_curve([1.0, 0.5], [])
         with pytest.raises(InvalidArgumentError):
-            roc_curve(pairs_from([], []))
+            roc_curve([], [])
 
     def test_curve_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -151,20 +157,20 @@ class TestRocCurve:
 
 class TestAuc:
     def test_perfect_is_one(self):
-        assert auc(roc_curve(pairs_from([2.0, 3.0], [0.0, 1.0]))) == 1.0
+        assert auc(roc_curve([2.0, 3.0], [0.0, 1.0])) == 1.0
 
     def test_inverted_is_zero(self):
-        assert auc(roc_curve(pairs_from([0.0, 1.0], [2.0, 3.0]))) == 0.0
+        assert auc(roc_curve([0.0, 1.0], [2.0, 3.0])) == 0.0
 
     def test_hand_case(self):
-        value = auc(roc_curve(pairs_from([0.8, 0.6], [0.7, 0.1])))
+        value = auc(roc_curve([0.8, 0.6], [0.7, 0.1]))
         assert abs(value - 0.75) < 1e-12
 
     def test_matches_mann_whitney_with_half_ties(self):
         rng = np.random.default_rng(2)
         genuine = rng.integers(0, 8, size=50) / 8.0 + 0.1
         impostor = rng.integers(0, 8, size=70) / 8.0
-        value = auc(roc_curve(pairs_from(genuine, impostor)))
+        value = auc(roc_curve(genuine, impostor))
         wins = sum(1.0 if g > i else (0.5 if g == i else 0.0)
                    for g in genuine for i in impostor)
         assert abs(value - wins / (50 * 70)) < 1e-10
@@ -173,27 +179,27 @@ class TestAuc:
         rng = np.random.default_rng(3)
         genuine = rng.normal(0.5, 0.3, size=40)
         impostor = rng.normal(0.0, 0.3, size=40)
-        raw = auc(roc_curve(pairs_from(genuine, impostor)))
-        warped = auc(roc_curve(pairs_from(np.exp(genuine), np.exp(impostor))))
+        raw = auc(roc_curve(genuine, impostor))
+        warped = auc(roc_curve(np.exp(genuine), np.exp(impostor)))
         assert abs(raw - warped) < 1e-12
 
 
 class TestEer:
     def test_perfect_is_zero(self):
-        assert eer(roc_curve(pairs_from([2.0, 3.0], [0.0, 1.0]))) == 0.0
+        assert eer(roc_curve([2.0, 3.0], [0.0, 1.0])) == 0.0
 
     def test_inverted_is_one(self):
-        assert eer(roc_curve(pairs_from([0.0, 1.0], [2.0, 3.0]))) == 1.0
+        assert eer(roc_curve([0.0, 1.0], [2.0, 3.0])) == 1.0
 
     def test_hand_crossing(self):
-        assert eer(roc_curve(pairs_from([0.8, 0.6], [0.7, 0.1]))) == 0.5
+        assert eer(roc_curve([0.8, 0.6], [0.7, 0.1])) == 0.5
 
     def test_crossing_point_property(self):
         # the returned value must sit where the FAR and FRR polylines meet
         rng = np.random.default_rng(4)
         genuine = rng.integers(0, 12, size=45) / 12.0 + 0.2
         impostor = rng.integers(0, 12, size=55) / 12.0
-        curve = roc_curve(pairs_from(genuine, impostor))
+        curve = roc_curve(genuine, impostor)
         value = eer(curve)
         assert 0.0 <= value <= 1.0
         found = False
@@ -212,26 +218,25 @@ class TestEer:
         rng = np.random.default_rng(5)
         genuine = rng.normal(0.6, 0.4, size=30)
         impostor = rng.normal(0.0, 0.4, size=30)
-        raw = eer(roc_curve(pairs_from(genuine, impostor)))
-        warped = eer(roc_curve(pairs_from(3.0 * genuine + 2.0,
-                                          3.0 * impostor + 2.0)))
+        raw = eer(roc_curve(genuine, impostor))
+        warped = eer(roc_curve(3.0 * genuine + 2.0, 3.0 * impostor + 2.0))
         assert abs(raw - warped) < 1e-12
 
 
 class TestTarAtFar:
     def test_perfect_is_one_everywhere(self):
-        curve = roc_curve(pairs_from([2.0, 3.0], [0.0, 1.0]))
+        curve = roc_curve([2.0, 3.0], [0.0, 1.0])
         assert tar_at_far(curve, 0.10) == 1.0
         assert tar_at_far(curve, 0.01) == 1.0
 
     def test_interpolated_hand_case(self):
-        curve = roc_curve(pairs_from([1.0, 3.0], [0.0, 2.0]))
+        curve = roc_curve([1.0, 3.0], [0.0, 2.0])
         # envelope points: (FAR 0, TAR 0.5), (0.5, 1), (1, 1)
         assert abs(tar_at_far(curve, 0.25) - 0.75) < 1e-12
         assert tar_at_far(curve, 0.5) == 1.0
 
     def test_target_validation(self):
-        curve = roc_curve(pairs_from([1.0], [0.0]))
+        curve = roc_curve([1.0], [0.0])
         with pytest.raises(InvalidArgumentError):
             tar_at_far(curve, 0.0)
         with pytest.raises(InvalidArgumentError):
@@ -242,9 +247,9 @@ class TestTarAtFar:
 # fold accuracy protocol
 
 
-def report_folds(pairs, n_folds) -> tuple[float, float]:
+def report_folds(genuine, impostor, n_folds) -> tuple[float, float]:
     """verification_report's fold mean and std."""
-    report = verification_report(pairs, n_folds)
+    report = copied_report(genuine, impostor, n_folds)
     return report.accuracy_mean, report.accuracy_std
 
 
@@ -252,23 +257,24 @@ class TestVerificationAccuracyFolds:
     """The fold accuracy of verification_report, over its stratified folds."""
 
     def test_perfect_scores(self):
-        pairs = np.concatenate([pairs_from([1.0], [0.0])] * 2)  # two folds of [g, i]
-        assert report_folds(pairs, 2) == (1.0, 0.0)
+        # two folds of one genuine and one impostor pair
+        assert report_folds([1.0, 1.0], [0.0, 0.0], 2) == (1.0, 0.0)
 
     def test_matches_threshold_search_oracle(self):
         rng = np.random.default_rng(6)
-        pairs = np.concatenate([  # four blocks of 5 genuine then 5 impostor pairs
-            pairs_from(rng.integers(0, 6, size=5) / 6.0 + 0.15,
-                       rng.integers(0, 6, size=5) / 6.0) for _ in range(4)])
-        mean, std = report_folds(pairs, 4)
+        # four blocks of 5 genuine then 5 impostor pairs
+        blocks = [(rng.integers(0, 6, size=5) / 6.0 + 0.15,
+                   rng.integers(0, 6, size=5) / 6.0) for _ in range(4)]
+        classes = [np.concatenate(c) for c in zip(*blocks)]
+        mean, std = report_folds(*classes, 4)
 
         # stratifying cuts each class into four equal runs: fold k is block k
-        assert stratified_folds(pairs, 4).tobytes() == pairs.tobytes()
-        scores, genuine = pairs["score"], pairs["is_genuine"]
-        fold_size = len(pairs) // 4
+        scores, genuine = stratified_folds(*classes, 4)
+        assert scores.tobytes() == np.concatenate([np.r_[g, i] for g, i in blocks]).tobytes()
+        fold_size = scores.size // 4
         accuracies = []
         for k in range(4):
-            held = np.zeros(len(pairs), dtype=bool)
+            held = np.zeros(scores.size, dtype=bool)
             held[k * fold_size:(k + 1) * fold_size] = True
             s_tr, g_tr = scores[~held], genuine[~held]
             best_acc, best_t = -1.0, None
@@ -283,12 +289,12 @@ class TestVerificationAccuracyFolds:
 
     def test_canonical_ten_by_six_hundred(self):
         rng = np.random.default_rng(7)
-        pairs = pairs_from(rng.integers(30, 101, size=3000) / 100.0,
-                           rng.integers(0, 71, size=3000) / 100.0)
-        mean, std = report_folds(pairs, 10)
+        classes = (rng.integers(30, 101, size=3000) / 100.0,
+                   rng.integers(0, 71, size=3000) / 100.0)
+        mean, std = report_folds(*classes, 10)
         assert 0.5 < mean <= 1.0
         assert std >= 0.0
-        assert (mean, std) == searched_accuracy_folds(stratified_folds(pairs, 10), 10)
+        assert (mean, std) == searched_accuracy_folds(stratified_folds(*classes, 10), 10)
 
 
 class TestStratifiedFolds:
@@ -301,30 +307,28 @@ class TestStratifiedFolds:
         scores: fold 0 rejects its five held-out pairs (3 right), while fold 1
         accepts its impostors, which lie above fold 0's sentinel 13.0, and
         rejects its genuine pairs (none right)."""
-        pairs = pairs_from(np.arange(5.0), 10.0 + np.arange(6.0))
-        folds = stratified_folds(pairs, 2)
-        assert folds.score.tolist() == [0.0, 1.0, 10.0, 11.0, 12.0,
-                                        2.0, 3.0, 13.0, 14.0, 15.0]
-        assert report_folds(pairs, 2) == searched_accuracy_folds(folds, 2) == (0.3, 0.3)
+        classes = np.arange(5.0), 10.0 + np.arange(6.0)
+        folds = stratified_folds(*classes, 2)
+        assert folds[0].tolist() == [0.0, 1.0, 10.0, 11.0, 12.0,
+                                     2.0, 3.0, 13.0, 14.0, 15.0]
+        assert report_folds(*classes, 2) == searched_accuracy_folds(folds, 2) == (0.3, 0.3)
 
     def test_every_fold_mixed(self):
         rng = np.random.default_rng(8)
-        pairs = scored_pairs(rng.normal(size=97), rng.integers(0, 2, size=97))
-        if not pairs.is_genuine.any():
-            pairs[0] = (0.0, True)
-        folds = stratified_folds(pairs, 5)
-        fold_size = len(folds) // 5
-        assert len(folds) % 5 == 0
+        classes = by_class(rng.normal(size=97), rng.integers(0, 2, size=97))
+        folds = stratified_folds(*classes, 5)
+        fold_size = folds[0].size // 5
+        assert folds[0].size % 5 == 0
         for k in range(5):
-            flags = folds.is_genuine[k * fold_size:(k + 1) * fold_size]
+            flags = folds[1][k * fold_size:(k + 1) * fold_size]
             assert flags.any() and not flags.all()
-        assert report_folds(pairs, 5) == searched_accuracy_folds(folds, 5)
+        assert report_folds(*classes, 5) == searched_accuracy_folds(folds, 5)
 
     def test_too_few_of_one_class_rejected(self):
-        pairs = pairs_from([1.0], [0.0, 0.1, 0.2])
+        classes = [1.0], [0.0, 0.1, 0.2]
         message = "need at least 2 pairs of each class, got 1 genuine / 3 impostor"
-        assert outcome(verification_report, pairs, 2) == (InvalidArgumentError, message)
-        assert outcome(stratified_folds, pairs, 2) == (InvalidArgumentError, message)
+        assert outcome(copied_report, *classes, 2) == (InvalidArgumentError, message)
+        assert outcome(stratified_folds, *classes, 2) == (InvalidArgumentError, message)
 
 
 # ---------------------------------------------------------------------------
@@ -973,38 +977,88 @@ class TestDisentanglingReport:
 # pair building and the aggregate report
 
 
+def record_classes(codes, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The genuine and the impostor scores of the oracle's pair record array."""
+    pairs = verification_pairs(codes, labels)
+    return pairs.score[pairs.is_genuine], pairs.score[~pairs.is_genuine]
+
+
+@st.composite
+def split_inputs(draw):
+    """Codes and labels for the class split by row block: 2 to about 200 rows,
+    the block edges among them; continuous codes, so that a product's bits hang
+    on how it is blocked, with repeated and zero rows among the draws; labels
+    in any order, subject-major, or all one label."""
+    n = draw(st.one_of(st.sampled_from([_PAIR_BLOCK, _PAIR_BLOCK + 1, 2 * _PAIR_BLOCK + 1]),
+                       st.integers(2, 3 * _PAIR_BLOCK + 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    codes = rng.normal(size=(n, draw(st.integers(1, 12)))) * draw(st.sampled_from([1.0, 1e-3]))
+    for _ in range(draw(st.integers(0, 3))):
+        codes[rng.integers(n)] = codes[rng.integers(n)]
+    if draw(st.integers(0, 3)) == 0:
+        codes[rng.integers(n)] = 0.0
+    labels = rng.integers(0, draw(st.one_of(st.just(1), st.integers(1, n))), size=n)
+    if draw(st.booleans()):
+        labels.sort()
+    return codes, labels
+
+
 class TestVerificationPairs:
     def test_index_order_and_scores(self):
         codes = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         labels = np.array([0, 1, 0])
-        pairs = verification_pairs(codes, labels)
-        assert len(pairs) == 3
-        assert pairs.is_genuine.tolist() == [False, True, False]
-        expected = [cosine_similarity(codes[0], codes[1]),
-                    cosine_similarity(codes[0], codes[2]),
-                    cosine_similarity(codes[1], codes[2])]
-        assert pairs.score.tolist() == expected
+        genuine, impostor = pair_scores(codes, labels)
+        # of the pairs (0, 1), (0, 2) and (1, 2), only (0, 2) shares a label
+        assert genuine.tolist() == [cosine_similarity(codes[0], codes[2])]
+        assert impostor.tolist() == [cosine_similarity(codes[0], codes[1]),
+                                     cosine_similarity(codes[1], codes[2])]
 
     def test_needs_two_codes(self):
         with pytest.raises(InvalidArgumentError):
-            verification_pairs(np.ones((1, 2)), np.array([0]))
+            pair_scores(np.ones((1, 2)), np.array([0]))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.integers(1, 6).flatmap(lambda q: code_rows(q, 2)), st.integers(1, 4))
-    def test_row_fill_matches_triu_oracle(self, codes, n_labels):
-        labels = np.arange(len(codes)) % n_labels
-        got = verification_pairs(codes, labels)
-        want = triu_verification_pairs(codes, labels)
-        assert type(got) is type(want) and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+    @given(split_inputs())
+    def test_class_split_matches_record_oracle(self, case):
+        """The pair scores and the disentangling report's cosine distances,
+        split by row block, against the record array and the N x N masks over
+        the whole matrices: the same bytes and means, or the same error."""
+        codes, labels = case
+        got, want = outcome(pair_scores, codes, labels), outcome(record_classes, codes, labels)
+        if isinstance(want[0], np.ndarray):
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+        else:
+            assert got == want
+        got, want = _cosine_distances(codes, labels), masked_cosine_distances(codes, labels)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+        assert ([repr(float(c.mean())) for c in got if c.size]
+                == [repr(float(c.mean())) for c in want if c.size])
+
+    def test_peak_memory_per_pair(self):
+        """Scoring the pairs, then taking the cosine distances of the same codes,
+        holds one whole product (16 bytes per pair), the classes of both (8 each)
+        and one block of rows: at most 36 bytes per pair above entry, where the
+        record array and the N x N masks and copies took more."""
+        rng = np.random.default_rng(22)
+        codes, labels = rng.normal(size=(1000, 8)), np.arange(1000) // 5
+        n_pairs = 1000 * 999 // 2
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            scores = pair_scores(codes, labels)
+            means = [float(c.mean()) for c in _cosine_distances(codes, labels)]
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert sum(c.size for c in scores) == n_pairs and len(means) == 2
+        assert peak <= 36 * n_pairs, f"{peak / n_pairs:.1f} B/pair"
 
 
 class TestVerificationReport:
     def test_separated_codes_score_perfectly(self):
         codes = np.vstack([np.eye(3), np.eye(3)])  # two samples per axis
         labels = np.array([0, 1, 2, 0, 1, 2])
-        pairs = verification_pairs(codes, labels)
-        report = verification_report(pairs, n_folds=3)
+        report = verification_report(*pair_scores(codes, labels), n_folds=3)
         assert report.auc == 1.0
         assert report.eer == 0.0
         assert report.accuracy_mean == 1.0
@@ -1012,10 +1066,17 @@ class TestVerificationReport:
         assert report.rank1 is None and report.rank5 is None
 
     def test_rank_fields_pass_through(self):
-        pairs = pairs_from([1.0, 0.9], [0.0, 0.1])
-        report = verification_report(pairs, n_folds=2, rank1=0.8, rank5=0.95)
+        report = verification_report(np.array([1.0, 0.9]), np.array([0.0, 0.1]),
+                                     n_folds=2, rank1=0.8, rank5=0.95)
         assert report.rank1 == 0.8
         assert report.rank5 == 0.95
+
+    def test_sorts_its_arguments_in_place(self):
+        genuine, impostor = np.array([0.9, 0.7, 0.8]), np.array([0.3, 0.1, 0.2])
+        report = verification_report(genuine, impostor, n_folds=3)
+        assert genuine.tolist() == [0.7, 0.8, 0.9]
+        assert impostor.tolist() == [0.1, 0.2, 0.3]
+        assert report == copied_report([0.9, 0.7, 0.8], [0.3, 0.1, 0.2], 3)
 
     def test_peak_memory_per_pair(self):
         """The report holds each class's scores, sorted in place, and the ROC's
@@ -1026,15 +1087,16 @@ class TestVerificationReport:
         rng = np.random.default_rng(16)
         codes = np.round(rng.normal(size=(633, 8)), 1)
         codes[~codes.any(axis=1), 0] = 0.1
-        pairs = verification_pairs(codes, np.arange(633) // 3)
+        genuine, impostor = pair_scores(codes, np.arange(633) // 3)
+        n_pairs = genuine.size + impostor.size
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            verification_report(pairs)
+            verification_report(genuine, impostor)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert peak <= 80 * len(pairs), f"{peak / len(pairs):.1f} B/pair"
+        assert peak <= 80 * n_pairs, f"{peak / n_pairs:.1f} B/pair"
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(1, 4).flatmap(lambda q: code_rows(q, 5)), st.integers(2, 4),
@@ -1044,14 +1106,13 @@ class TestVerificationReport:
         in [0, 1], a finite non-negative std, and the ranks of
         `rank_n_identification` as floats."""
         labels = np.arange(len(codes)) % n_labels
-        pairs = verification_pairs(codes, labels)
-        assume(min(np.count_nonzero(pairs.is_genuine),
-                   np.count_nonzero(~pairs.is_genuine)) >= n_folds)
+        genuine, impostor = pair_scores(codes, labels)
+        assume(min(genuine.size, impostor.size) >= n_folds)
         _, gallery = np.unique(labels, return_index=True)
         probes = np.setdiff1d(np.arange(len(labels)), gallery)
         ranks = [rank_n_identification(codes[gallery], labels[gallery],
                                        codes[probes], labels[probes], n) for n in (1, 5)]
-        report = verification_report(pairs, n_folds, *ranks)
+        report = verification_report(genuine, impostor, n_folds, *ranks)
         assert_plain_fields(report)
         for name in ("accuracy_mean", "eer", "auc", "tar_far10", "tar_far1", "rank1", "rank5"):
             assert 0.0 <= getattr(report, name) <= 1.0, name
@@ -1062,9 +1123,10 @@ class TestVerificationReport:
 # the array paths against the loops they replaced
 
 
-def counting_folds_oracle(pairs, n_folds):
-    """Fold accuracy by counting matches once per candidate threshold."""
-    scores, genuine = pairs["score"], pairs["is_genuine"]
+def counting_folds_oracle(folds, n_folds):
+    """Fold accuracy by counting matches once per candidate threshold, over the
+    contiguous folds of `stratified_folds`' (scores, genuine flags)."""
+    scores, genuine = folds
     fold_size = scores.size // n_folds
     accuracies = []
     for k in range(n_folds):
@@ -1130,7 +1192,7 @@ def labelled_scores(draw):
     flags = draw(st.lists(st.booleans(), min_size=len(scores),
                           max_size=len(scores)))
     flags[:6] = [True, False] * 3
-    return scored_pairs(scores, flags)
+    return by_class(scores, flags)
 
 
 @st.composite
@@ -1162,7 +1224,7 @@ def folded_pairs(draw):
     n = n_folds * size
     scores = draw(st.lists(draw(score_pools), min_size=n, max_size=n))
     flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return scored_pairs(scores, flags), n_folds
+    return (*by_class(scores, flags), n_folds)
 
 
 @st.composite
@@ -1172,7 +1234,7 @@ def report_pairs(draw):
     n_folds, n = draw(st.integers(2, 4)), draw(st.integers(0, 40))
     scores = draw(st.lists(draw(score_pools), min_size=n, max_size=n))
     flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return scored_pairs(scores, flags), n_folds
+    return (*by_class(scores, flags), n_folds)
 
 
 def outcome(fn, *args):
@@ -1185,21 +1247,21 @@ def outcome(fn, *args):
 
 # the best training threshold of both folds is the sentinel: every impostor
 # scores above every genuine pair, and impostors are the majority
-SENTINEL_FOLDS = (scored_pairs([0.0, 1.0, 2.0, 0.1, 1.1, 2.1],
-                               [True, False, False, True, False, False]), 2)
+SENTINEL_FOLDS = (*by_class([0.0, 1.0, 2.0, 0.1, 1.1, 2.1],
+                            [True, False, False, True, False, False]), 2)
 # the same, but fold 0 holds the largest score, 9.0, above fold 1's sentinel
 # 6.0: the sentinel comes from the training scores, so fold 0 accepts it
-HELD_OUT_ABOVE_SENTINEL = (scored_pairs([0.0, 1.0, 9.0, 0.1, 1.1, 5.0],
-                                        [True, False, False, True, False, False]), 2)
+HELD_OUT_ABOVE_SENTINEL = (*by_class([0.0, 1.0, 9.0, 0.1, 1.1, 5.0],
+                                     [True, False, False, True, False, False]), 2)
 # 0.0 is a genuine score of fold 0 only. Holding fold 0 out, the training
 # candidates are 2.0 and the sentinel: 2.0 wins and scores 0 of 2 held-out
 # pairs; holding fold 1 out, 0.0 wins and scores 1 of 2, so (0.25, 0.25). As a
 # candidate for fold 0 as well, 0.0 would tie 2.0 and come first: (0.5, 0.0)
-HELD_OUT_GENUINE_ONLY = (scored_pairs([0.0, 4.0, 2.0, 2.0], [True, False, True, False]), 2)
+HELD_OUT_GENUINE_ONLY = (*by_class([0.0, 4.0, 2.0, 2.0], [True, False, True, False]), 2)
 # three genuine and five impostor pairs in two folds: one of each class, 0.7
 # and 9.0, is in no fold
-BOTH_REMAINDERS = (scored_pairs([0.5, 0.1, 0.9, 0.3, 0.7, 0.2, 0.4, 9.0],
-                                [True, False, True, False, True, False, False, False]), 2)
+BOTH_REMAINDERS = (*by_class([0.5, 0.1, 0.9, 0.3, 0.7, 0.2, 0.4, 9.0],
+                             [True, False, True, False, True, False, False, False]), 2)
 
 
 class TestSortedSweepMatchesSearchOracle:
@@ -1211,27 +1273,26 @@ class TestSortedSweepMatchesSearchOracle:
     @given(folded_pairs())
     @example(SENTINEL_FOLDS)
     @example(HELD_OUT_ABOVE_SENTINEL)
-    @example((scored_pairs([1e17, 0.0, 1e17, 0.0], [True, False] * 2), 2))
+    @example((*by_class([1e17, 0.0, 1e17, 0.0], [True, False] * 2), 2))
     @example(HELD_OUT_GENUINE_ONLY)
     @example(BOTH_REMAINDERS)
     def test_fold_accuracy(self, case):
         """The report's fold mean and std against the search over the oracle's
         stratified copy; the ROC oracle first, for the input checks' order."""
-        pairs, n_folds = case
+        def searched(genuine, impostor, n_folds):
+            searched_roc_curve(genuine, impostor)
+            return searched_accuracy_folds(stratified_folds(genuine, impostor, n_folds),
+                                           n_folds)
 
-        def searched(pairs, n_folds):
-            searched_roc_curve(pairs)
-            return searched_accuracy_folds(stratified_folds(pairs, n_folds), n_folds)
-
-        got = outcome(report_folds, pairs, n_folds)
-        want = outcome(searched, pairs, n_folds)
+        got = outcome(report_folds, *case)
+        want = outcome(searched, *case)
         assert type(got) is type(want) and repr(got) == repr(want)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(folded_pairs())
     @example(SENTINEL_FOLDS)
     def test_roc_curve(self, case):
-        got, want = outcome(roc_curve, case[0]), outcome(searched_roc_curve, case[0])
+        got, want = outcome(roc_curve, *case[:2]), outcome(searched_roc_curve, *case[:2])
         if not isinstance(want, RocCurve):
             assert got == want
             return
@@ -1246,36 +1307,35 @@ class TestSortedSweepMatchesSearchOracle:
     @given(report_pairs())
     @example(SENTINEL_FOLDS)
     @example(HELD_OUT_ABOVE_SENTINEL)
-    @example((scored_pairs([1e17, 0.0, 1e17, 0.0, 1e17], [True, False] * 2 + [True]), 2))
-    @example((scored_pairs([0.0, -0.0, 0.0, -0.0, 1.0, -0.0], [True, False] * 3), 3))
+    @example((*by_class([1e17, 0.0, 1e17, 0.0, 1e17], [True, False] * 2 + [True]), 2))
+    @example((*by_class([0.0, -0.0, 0.0, -0.0, 1.0, -0.0], [True, False] * 3), 3))
     @example(HELD_OUT_GENUINE_ONLY)
     @example(BOTH_REMAINDERS)
     def test_report(self, case):
         """The report against the ROC oracle plus the fold search oracle over
         the rearranged copy: every field bit for bit, and every error message
         in the same order."""
-        got = outcome(verification_report, *case)
+        got = outcome(copied_report, *case)
         want = outcome(searched_verification_report, *case)
         assert type(got) is type(want) and repr(got) == repr(want)
 
     def test_sentinel_wins_the_inverted_folds(self):
-        pairs, n_folds = SENTINEL_FOLDS
         # the held-out folds, scored with the threshold above every score:
         # each rejects its one genuine pair and both impostors
-        assert report_folds(pairs, n_folds) == (2 / 3, 0.0)
+        assert report_folds(*SENTINEL_FOLDS) == (2 / 3, 0.0)
 
 
 class TestArrayPathsMatchLoopOracles:
     @settings(max_examples=150, deadline=None)
     @given(labelled_scores(), st.integers(2, 3))
-    def test_sorted_fold_search_matches_counting(self, pairs, n_folds):
-        folds = stratified_folds(pairs, n_folds)
-        assert report_folds(pairs, n_folds) == counting_folds_oracle(folds, n_folds)
+    def test_sorted_fold_search_matches_counting(self, classes, n_folds):
+        folds = stratified_folds(*classes, n_folds)
+        assert report_folds(*classes, n_folds) == counting_folds_oracle(folds, n_folds)
 
     @settings(max_examples=150, deadline=None)
     @given(labelled_scores(), st.floats(0.001, 1.0))
-    def test_eer_and_tar_match_loops(self, pairs, far_target):
-        curve = roc_curve(pairs)
+    def test_eer_and_tar_match_loops(self, classes, far_target):
+        curve = roc_curve(*classes)
         assert eer(curve) == eer_loop_oracle(curve)
         assert tar_at_far(curve, far_target) == tar_at_far_dict_oracle(
             curve, far_target)
@@ -1285,13 +1345,12 @@ class TestArrayPathsMatchLoopOracles:
     def test_matrix_pair_scores_match_cosine(self, codes):
         n = len(codes)
         labels = np.arange(n) % 3
-        pairs = verification_pairs(codes, labels)
         upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        assert pairs.is_genuine.tolist() == [bool(labels[i] == labels[j])
-                                             for i, j in upper]
-        expected = np.array([cosine_similarity(codes[i], codes[j])
-                             for i, j in upper])
-        assert np.all(np.abs(pairs.score - expected) <= 4 * np.spacing(1.0))
+        expected = by_class([cosine_similarity(codes[i], codes[j]) for i, j in upper],
+                            [labels[i] == labels[j] for i, j in upper])
+        for got, want in zip(pair_scores(codes, labels), expected):
+            assert got.size == want.size
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(1.0))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 6).flatmap(
