@@ -111,9 +111,10 @@ def _cmd_gen_data(args) -> int:
 def _cmd_fit(args) -> int:
     config = _effective_config(args)
     dataset = load_dataset(args.data)
-    rows = dataset.labels == args.subject
-    if not rows.any():
+    if not 0 <= args.subject < dataset.spec.n_subjects:
         raise MorphfitError(f"subject {args.subject} not present in dataset")
+    ips = dataset.spec.images_per_subject  # rows are subject-major
+    rows = slice(args.subject * ips, (args.subject + 1) * ips)
     result = multi_image_fit(dataset.model, dataset.landmarks[rows],
                              config.fit_config())
 

@@ -27,6 +27,9 @@ class RunConfig:
     Field names are the config file keys. Stage seeds all derive from the one
     master seed (they equal it; the stages already decorrelate their streams
     internally), so changing `seed` reseeds the whole pipeline coherently.
+    `epochs` is phase I's epoch count; phase III always runs
+    `DEFAULT_PHASE3_STAGES` (lambda_r 0.5 for 10 epochs, then 1.0 for 20), and
+    `lambda_r` is only the reconstruction weight of `check-grad`.
     """
 
     # synthetic model

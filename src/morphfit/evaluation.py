@@ -98,6 +98,7 @@ def _split_pairs(labels: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
             picked = values[mask]
             classes[k][filled[k]:filled[k] + picked.size] = picked
             filled[k] += picked.size
+        del values, same, upper, mask, picked  # before `rows` builds the next block
     return classes
 
 

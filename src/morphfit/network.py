@@ -236,7 +236,7 @@ def head_from_class_means(codes: np.ndarray, labels: np.ndarray,
     codes = np.asarray(codes, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).ravel()
     require(codes.ndim == 2 and codes.shape[0] == labels.size,
-            "codes must be (n_samples, q_id) row-aligned with labels")
+            "codes must be (n, q_id) row-aligned with labels")
     require(int(n_classes) >= 2, "need at least two classes")
     require(np.isfinite(scale) and scale > 0, "scale must be finite and positive")
     means = np.empty((n_classes, codes.shape[1]))
@@ -486,9 +486,9 @@ def coefficient_targets(model: MorphableModel, alpha_id: np.ndarray,
 
 def training_batch(dataset, indices) -> TrainingBatch:
     """Images, labels and shape-delta targets of the given sample rows: the one
-    place a batch is built from data, so the one place it is checked. The
-    images and labels are checked dataset columns; the targets are composed
-    here, and a finite but huge coefficient can overflow them."""
+    place a batch is built from data, so the one place it is checked. Its
+    images are a checked dataset column and its labels follow from the spec;
+    the targets are composed here; a finite but huge coefficient can overflow them."""
     rows = np.asarray(indices, dtype=np.int64)
     require(rows.size >= 1, "images must be (B, D)")
     target = dataset.ground_truth_shapes(rows) - dataset.model.mean
@@ -602,12 +602,11 @@ def train_phase2(dec: DecoderNet, dataset, n_pairs: int = 96,
         codes = alphas / (TARGET_SCALE * sigma)
         targets = alphas @ basis.T
         design = np.column_stack([codes, np.ones(codes.shape[0])])
-        rank = np.linalg.matrix_rank(design)
+        solution, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
         if rank < k + 1:
             raise UnderdeterminedError(
                 f"design rank {rank} < {k + 1}; the sampled codes do not "
                 "span the code space")
-        solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
         return solution[:k].T, solution[k]
 
     weight_id, bias_id = fit(model.basis_id, model.sigma_id)

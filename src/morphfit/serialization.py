@@ -26,7 +26,7 @@ from .network import ClassifierHead, DecoderNet, EncoderNet
 from .synthetic import COLUMNS, POSE_PARAMS, Dataset, DatasetSpec, PoseRanges
 
 MAGIC = b"MORPHFIT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _atomic_write(path: str, *chunks) -> None:
@@ -90,7 +90,7 @@ def write_table_csv(columns: tuple, rows: list, path: str) -> None:
 # raw C-order little-endian array payloads in header order.
 
 _DTYPES = {"f8": "<f8", "i8": "<i8"}
-_INT_ARRAYS = ("labels", "model.landmark_indices")  # every other array is f8
+_INT_ARRAYS = ("model.landmark_indices",)  # every other array is f8
 
 
 def _pack(meta: dict, arrays: dict[str, np.ndarray]) -> list:
@@ -248,7 +248,7 @@ def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
 
 
 # ---------------------------------------------------------------------------
-# Datasets: model + spec + the sample columns; the spec gives the split.
+# Datasets: model + spec + the sample columns; the spec gives the labels and split.
 
 # MorphableModel array fields, stored as "model.<field>"
 _MODEL_ARRAYS = ("mean", "basis_id", "basis_exp", "sigma_id", "sigma_exp",
@@ -261,8 +261,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     model = dataset.model
     arrays = {**{f"model.{name}": getattr(model, name) for name in _MODEL_ARRAYS},
               **{_STORED[c]: getattr(dataset, c) for c in COLUMNS}}
-    meta = {"kind": "dataset", "n_samples": dataset.labels.size,
-            "nose_tip_index": model.nose_tip_index,
+    meta = {"kind": "dataset", "nose_tip_index": model.nose_tip_index,
             "spec": dataclasses.asdict(dataset.spec)}
     _atomic_write(path, *_pack(meta, arrays))
 
@@ -299,9 +298,5 @@ def load_dataset(path: str) -> Dataset:
         nose_tip_index=_field(header, "nose_tip_index", int),
         **{name: _field(arrays, f"model.{name}") for name in _MODEL_ARRAYS}),
         "model")
-
-    n = _field(header, "n_samples", int)
-    _invariant(n == spec.n_subjects * spec.images_per_subject,
-               f"n_samples: {n} does not equal n_subjects * images_per_subject")
     columns = {column: _field(arrays, name) for column, name in _STORED.items()}
     return _rebuild(lambda: Dataset(model=model, spec=spec, **columns), "dataset")

@@ -105,23 +105,22 @@ class DatasetSpec:
 
 # Dataset columns, row i of each being sample i; the container stores them
 # under these names, with "pose_" written "pose.".
-COLUMNS = ("labels", "alpha_id", "alpha_exp", "pose_scale", "pose_rotation",
+COLUMNS = ("alpha_id", "alpha_exp", "pose_scale", "pose_rotation",
            "pose_translation", "landmarks", "depth")
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Rendered samples as one read-only, C-ordered array per field, plus the
-    generating model. Row i of every column is sample i: its subject label,
-    ground-truth coefficients and pose, its projected landmarks
-    (u1, v1, ..., uL, vL) and its depth raster. Rows are subject-major, so
-    the spec fixes the row count, every row's label and the train,
+    generating model. Row i of every column is sample i: its ground-truth
+    coefficients and pose, its projected landmarks (u1, v1, ..., uL, vL) and
+    its depth raster. Rows are subject-major, so the spec fixes the row
+    count and derives every row's subject label (`labels`) and the train,
     validation and held-out rows (`split_indices`).
     """
 
     model: MorphableModel
     spec: DatasetSpec
-    labels: np.ndarray            # (n,) int64, row i's is i // images_per_subject
     alpha_id: np.ndarray          # (n, k_id)
     alpha_exp: np.ndarray         # (n, k_exp)
     pose_scale: np.ndarray        # (n,), > 0
@@ -129,29 +128,24 @@ class Dataset:
     pose_translation: np.ndarray  # (n, 3)
     landmarks: np.ndarray         # (n, 2 * n_landmarks)
     depth: np.ndarray             # (n, r, r), values in [-1, 1]
+    labels: np.ndarray = field(init=False)  # (n,) int64, row i's is i // images_per_subject
     train_indices: np.ndarray = field(init=False)
     val_indices: np.ndarray = field(init=False)
     test_indices: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        require(np.issubdtype(np.asarray(self.labels).dtype, np.integer),
-                "labels must be integers")
         model, spec, r = self.model, self.spec, self.spec.image_resolution
-        n, given = spec.n_subjects * spec.images_per_subject, np.size(self.labels)
-        require(given == n, f"sample {min(given, n)} labels: expected n_subjects * "
-                f"images_per_subject = {n} rows, got {given}")
-        for name, tail in zip(COLUMNS, ((), (model.k_id,), (model.k_exp,), (),
-                                        (3, 3), (3,), (2 * model.n_landmarks,),
-                                        (r, r))):
-            column = _readonly(getattr(self, name),
-                               np.int64 if name == "labels" else np.float64)
+        n = spec.n_subjects * spec.images_per_subject
+        for name, tail in zip(COLUMNS, ((model.k_id,), (model.k_exp,), (), (3, 3),
+                                        (3,), (2 * model.n_landmarks,), (r, r))):
+            column = _readonly(getattr(self, name))
             object.__setattr__(self, name, column)
             require(column.shape == (n, *tail),
                     f"{name} must be {(n, *tail)}, got {column.shape}")
 
-        # Finite values, positive scales, proper rotations, the depth range
-        # and the subject-major labels, checked over whole columns; the error
-        # names the first failing row and, within it, the first failing check.
+        # Finite values, positive scales, proper rotations and the depth
+        # range, checked over whole columns; the error names the first
+        # failing row and, within it, the first failing check.
         def per_row(passed):
             return passed.all(axis=tuple(range(1, passed.ndim)))
 
@@ -159,9 +153,8 @@ class Dataset:
             np.where(np.isfinite(self.pose_rotation), self.pose_rotation, 0.0))
         # a row's min and max carry its NaN and its infinities: no depth-sized temporaries
         lo, hi = self.depth.min(axis=(1, 2)), self.depth.max(axis=(1, 2))
-        layout = np.arange(n) // spec.images_per_subject
         checks = [(per_row(np.isfinite(getattr(self, name))),
-                   f"{name}: values must be finite") for name in COLUMNS[1:-1]]
+                   f"{name}: values must be finite") for name in COLUMNS[:-1]]
         checks += [
             (np.isfinite(lo) & np.isfinite(hi), "depth: values must be finite"),
             (self.pose_scale > 0.0, "pose_scale: must be positive, got {scale}"),
@@ -170,17 +163,16 @@ class Dataset:
             (det_err <= ROTATION_TOL,
              "pose_rotation: not proper (|det - 1| = {det:.3e})"),
             ((lo >= -1.0) & (hi <= 1.0), "depth: values must lie in [-1, 1]"),
-            (self.labels == layout,
-             "labels: must be {expected} (rows are subject-major), got {label}"),
         ]
         ok = np.column_stack([passed for passed, _ in checks])
         bad = np.flatnonzero(~ok.all(axis=1))
         if bad.size:
             i = int(bad[0])
             message = checks[int(np.argmin(ok[i]))][1].format(
-                scale=self.pose_scale[i], gram=gram_err[i], det=det_err[i],
-                label=self.labels[i], expected=layout[i])
+                scale=self.pose_scale[i], gram=gram_err[i], det=det_err[i])
             raise InvalidArgumentError(f"sample {i} {message}")
+        object.__setattr__(self, "labels", _readonly(
+            np.arange(n, dtype=np.int64) // spec.images_per_subject, np.int64))
         for name, rows in zip(("train_indices", "val_indices", "test_indices"),
                               split_indices(spec.n_subjects, spec.images_per_subject)):
             object.__setattr__(self, name, rows)
@@ -510,12 +502,12 @@ def build_dataset(model: MorphableModel, spec: DatasetSpec) -> Dataset:
     the same spec always yields bit-identical samples. Stored depth rasters
     are max-dilated by one pixel: a few hundred vertices cover a 32x32 grid
     only sparsely, and the dilation closes the sampling holes so downstream
-    consumers see a surface rather than speckle. Subject labels run 0..K-1,
-    subject-major, from which the `Dataset` takes its split.
+    consumers see a surface rather than speckle. Rows are subject-major,
+    from which the `Dataset` takes its labels and split.
     """
     root = np.random.SeedSequence(spec.seed)
     draws = []
-    for label, subject_seed in enumerate(root.spawn(spec.n_subjects)):
+    for subject_seed in root.spawn(spec.n_subjects):
         alpha_id = sample_subject(model, np.random.default_rng(subject_seed))
         for image_seed in subject_seed.spawn(spec.images_per_subject):
             image_rng = np.random.default_rng(image_seed)
@@ -525,13 +517,11 @@ def build_dataset(model: MorphableModel, spec: DatasetSpec) -> Dataset:
             # it do not depend on the noise level
             noise = (image_rng.normal(0.0, 1.0, size=2 * model.n_landmarks)
                      * spec.landmark_noise_sigma)
-            draws.append((label, alpha_id, alpha_exp, scale, rotation,
-                          translation, noise))
-    labels, alpha_id, alpha_exp, scale, rotation, translation, noise = map(
-        np.array, zip(*draws))
+            draws.append((alpha_id, alpha_exp, scale, rotation, translation, noise))
+    alpha_id, alpha_exp, scale, rotation, translation, noise = map(np.array, zip(*draws))
 
     landmarks = np.empty_like(noise)
-    depth = np.empty((len(labels), spec.image_resolution ** 2))
+    depth = np.empty((len(scale), spec.image_resolution ** 2))
     for rows, points, rasters in _render_chunks(model, alpha_id, alpha_exp, scale,
                                                 rotation, translation,
                                                 spec.image_resolution):
@@ -541,7 +531,7 @@ def build_dataset(model: MorphableModel, spec: DatasetSpec) -> Dataset:
         landmarks[rows] = clean.reshape(len(posed), -1) + noise[rows]
         depth[rows] = rasters
 
-    return Dataset(model=model, spec=spec, labels=labels, alpha_id=alpha_id,
-                   alpha_exp=alpha_exp, pose_scale=scale, pose_rotation=rotation,
+    return Dataset(model=model, spec=spec, alpha_id=alpha_id, alpha_exp=alpha_exp,
+                   pose_scale=scale, pose_rotation=rotation,
                    pose_translation=translation, landmarks=landmarks,
                    depth=depth.reshape(-1, spec.image_resolution, spec.image_resolution))

@@ -432,8 +432,9 @@ def dilate_max(image: np.ndarray) -> np.ndarray:
 
 
 def build_dataset_columns(model: MorphableModel, spec) -> dict:
-    """The columns of `build_dataset`, rendered one sample at a time with
-    `render_landmarks`, `rasterize_depth` and `dilate_max` as it once did."""
+    """The columns of `build_dataset` plus each sample's subject label,
+    rendered one sample at a time with `render_landmarks`, `rasterize_depth`
+    and `dilate_max` as it once did."""
     root = np.random.SeedSequence(spec.seed)
     subject_seeds = root.spawn(spec.n_subjects)
     samples = []
@@ -452,7 +453,8 @@ def build_dataset_columns(model: MorphableModel, spec) -> dict:
                 rasterize_depth(model, coeffs, pose, spec.image_resolution))
             samples.append((label, alpha_id, alpha_exp, pose.scale, pose.rotation,
                             pose.translation, landmarks.coords, depth))
-    return {name: np.array(column) for name, column in zip(COLUMNS, zip(*samples))}
+    return {name: np.array(column)
+            for name, column in zip(("labels", *COLUMNS), zip(*samples))}
 
 
 @dataclass(frozen=True)

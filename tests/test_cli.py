@@ -148,11 +148,14 @@ class TestFit:
         assert float(rows[0][3]) < 1e-10  # noiseless landmarks
 
     def test_unknown_subject_is_a_single_error_line(self, pipeline, tmp_path):
-        code, _, err = run_cli(["fit", "--data", pipeline["dataset"],
-                                "--subject", "99",
-                                "--out", str(tmp_path / "fit")])
-        assert code == 1
-        assert err == "error: MorphfitError: subject 99 not present in dataset\n"
+        # either side of the 8 subjects' range 0..7 of the tiny dataset
+        for subject in ("99", "8", "-1"):
+            out_dir = tmp_path / f"fit{subject}"
+            code, out, err = run_cli(["fit", "--data", pipeline["dataset"],
+                                      "--subject", subject, "--out", str(out_dir)])
+            assert (code, out, err) == (
+                1, "", f"error: MorphfitError: subject {subject} not present in dataset\n")
+            assert not out_dir.exists()
 
 
 class TestTrain:
@@ -603,6 +606,27 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("error: InvariantViolationError: nose_tip_index:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("stage, container", [("fit", "dataset"), ("eval", "dataset"),
+                                                  ("eval", "checkpoint")])
+    def test_version_1_container_is_single_error_line(self, pipeline, tmp_path,
+                                                      stage, container):
+        # version 1 stored a labels column and n_samples; nothing of it is read
+        from test_io import reencode
+
+        inputs = {"dataset": pipeline["dataset"],
+                  "checkpoint": os.path.join(pipeline["train_dir"], "phase3.ckpt")}
+        old = tmp_path / os.path.basename(inputs[container])
+        old.write_bytes(reencode(Path(inputs[container]).read_bytes(),
+                                 lambda header: header.update(format_version=1)))
+        inputs[container] = str(old)
+        argv = (["fit", "--data", inputs["dataset"]] if stage == "fit" else
+                ["eval", "--data", inputs["dataset"], "--checkpoint", inputs["checkpoint"],
+                 *TINY_OVERRIDES])
+        code, out, err = run_cli([*argv, "--out", str(tmp_path / "out")])
+        assert (code, out, err) == (
+            1, "", "error: VersionMismatchError: container format version 1, expected 2\n")
+        assert not (tmp_path / "out").exists()
 
     def test_refused_allocation_is_single_error_line(self, tmp_path, monkeypatch):
         # numpy's message for an array it cannot allocate; raised, not allocated

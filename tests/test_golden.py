@@ -20,6 +20,8 @@ differs the test skips and names the difference.
 After a deliberate re-baseline, rewrite the manifests and review their diff:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+A failing comparison names the entries that changed, appeared or vanished.
 """
 
 import contextlib
@@ -174,6 +176,17 @@ def run_emit(name: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
+def manifest_diff(want: list[str], got: list[str]) -> str:
+    """The entries of two lists of `hash  entry` lines that changed, appeared
+    or vanished, by name."""
+    old, new = ({entry: digest for digest, entry in (line.split("  ", 1) for line in lines)}
+                for lines in (want, got))
+    changed = sorted(entry for entry in old.keys() & new.keys() if old[entry] != new[entry])
+    return "; ".join(f"{what} ({len(entries)}): {', '.join(entries)}" for what, entries in (
+        ("changed", changed), ("appeared", sorted(new.keys() - old.keys())),
+        ("vanished", sorted(old.keys() - new.keys()))) if entries) or "entries reordered"
+
+
 def check_manifest(name: str) -> None:
     with open(manifest_path(name), encoding="ascii") as handle:
         lines = handle.read().splitlines()
@@ -184,7 +197,19 @@ def check_manifest(name: str) -> None:
         pytest.skip(f"golden hashes were made under {recorded}; this machine "
                     f"has {here}")
     assert env_line() in lines
-    assert run_emit(name) == [line for line in lines if not line.startswith("#")]
+    want, got = [line for line in lines if not line.startswith("#")], run_emit(name)
+    assert got == want, manifest_diff(want, got)
+
+
+def test_manifest_diff_names_entries():
+    want = ["aa  seed0/gen-data/dataset.mfd", "bb  seed0/train/phase1.ckpt",
+            "cc  seed0/fit.csv"]
+    got = ["ab  seed0/gen-data/dataset.mfd", "bb  seed0/train/phase1.ckpt",
+           "dd  seed0/full_00.obj"]
+    assert manifest_diff(want, got) == ("changed (1): seed0/gen-data/dataset.mfd; "
+                                        "appeared (1): seed0/full_00.obj; "
+                                        "vanished (1): seed0/fit.csv")
+    assert manifest_diff(want, want[::-1]) == "entries reordered"
 
 
 def test_fit_matches_golden_manifest():

@@ -623,19 +623,21 @@ class TestDatasetContainer:
 
     def test_wrong_sample_count_is_invariant_violation(self, tiny_dataset,
                                                        tmp_path):
+        # the spec claims a third subject: 9 rows, where the columns hold 6
         path = str(tmp_path / "data.mfd")
         save_dataset(tiny_dataset, path)
 
         def edit(header):
-            header["n_samples"] += 1
+            header["spec"]["n_subjects"] += 1
         tampered = tmp_path / "count.mfd"
         tampered.write_bytes(reencode(Path(path).read_bytes(), edit))
-        with pytest.raises(InvariantViolationError, match="^n_samples: 7 does not "
-                           r"equal n_subjects \* images_per_subject$"):
+        k_id = tiny_dataset.model.k_id
+        with pytest.raises(InvariantViolationError) as info:
             load_dataset(str(tampered))
+        assert str(info.value) == f"dataset: alpha_id must be (9, {k_id}), got (6, {k_id})"
 
     def test_one_row_too_few_is_invariant_violation(self, tiny_dataset, tmp_path):
-        # every column a row short, the header's n_samples unchanged
+        # every column a row short, the spec unchanged
         path = str(tmp_path / "data.mfd")
         save_dataset(tiny_dataset, path)
         with open(path, "rb") as handle:
@@ -647,12 +649,14 @@ class TestDatasetContainer:
             for name, array in arrays.items()})))
         with pytest.raises(InvariantViolationError) as info:
             load_dataset(str(tampered))
-        assert str(info.value) == ("dataset: sample 5 labels: expected n_subjects * "
-                                   "images_per_subject = 6 rows, got 5")
+        k_id = tiny_dataset.model.k_id
+        assert str(info.value) == f"dataset: alpha_id must be (6, {k_id}), got (5, {k_id})"
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(n_subjects=st.integers(2, 12), images=st.integers(1, 6))
     def test_split_follows_the_spec(self, small_model, n_subjects, images):
+        # and so do the labels, which no container stores: row i is subject
+        # i // images_per_subject, int64 and read-only, before and after a load
         dataset = build_dataset(small_model, DatasetSpec(
             n_subjects=n_subjects, images_per_subject=images, image_resolution=8,
             seed=n_subjects))
@@ -665,22 +669,24 @@ class TestDatasetContainer:
         with tempfile.TemporaryDirectory() as root:
             path = os.path.join(root, "data.mfd")
             save_dataset(dataset, path)
+            assert "labels" not in [e["name"] for e in array_entries(Path(path).read_bytes())]
             back = load_dataset(path)
         for got, want in zip((back.train_indices, back.val_indices, back.test_indices),
                              splits):
             assert np.array_equal(got, want)
+        labels = np.arange(n_subjects * images, dtype=np.int64) // images
+        for got in (dataset.labels, back.labels):
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tobytes() == labels.tobytes()
 
     @pytest.mark.parametrize("field, value", [
         ("nose_tip_index", 1.5),
         ("nose_tip_index", True),
-        ("n_samples", "6"),
-        ("n_samples", None),
         ("n_subjects", 2.0),
     ])
     def test_ill_typed_meta_field_is_invariant_violation(self, tiny_dataset,
                                                         tmp_path, field, value):
-        # no silent coercion: 1.5 used to load as 1 and "6" as 6, and None
-        # escaped as a raw TypeError
+        # no silent coercion: 1.5 used to load as 1
         path = str(tmp_path / "data.mfd")
         save_dataset(tiny_dataset, path)
 
@@ -710,17 +716,6 @@ class TestDatasetContainer:
         tampered.write_bytes(data[:offset] + struct.pack("<d", -1.0)
                              + data[offset + 8:])
         with pytest.raises(InvariantViolationError, match="sample 0 pose"):
-            load_dataset(str(tampered))
-
-    def test_tampered_label_names_sample(self, tiny_dataset, tmp_path):
-        path = str(tmp_path / "data.mfd")
-        save_dataset(tiny_dataset, path)
-        data = Path(path).read_bytes()
-        offset = payload_offset(data, "labels")
-        tampered = tmp_path / "label.mfd"
-        tampered.write_bytes(data[:offset] + struct.pack("<q", -5)
-                             + data[offset + 8:])
-        with pytest.raises(InvariantViolationError, match="sample 0"):
             load_dataset(str(tampered))
 
     def test_spec_built_from_ints_roundtrips(self, small_model, tmp_path):
@@ -766,28 +761,6 @@ class TestDatasetContainer:
         with pytest.raises(InvariantViolationError, match=field):
             load_dataset(str(tampered))
 
-    @pytest.mark.parametrize("labels, message", [
-        ([1, 1, 1, 0, 0, 0], "sample 0 labels: must be 0 (rows are subject-major), got 1"),
-        ([0, 0, 1, 0, 1, 1], "sample 2 labels: must be 0 (rows are subject-major), got 1"),
-        ([0, 0, 0, 1, 999, 1], "sample 4 labels: must be 1 (rows are subject-major), "
-                               "got 999"),
-    ], ids=["reversed", "two-swapped", "out-of-range"])
-    def test_labels_must_be_subject_major(self, tiny_dataset, tmp_path,
-                                          labels, message):
-        # the re-derived splits assume this layout: reversed labels used to
-        # load with training subjects in the held-out rows
-        path = str(tmp_path / "data.mfd")
-        save_dataset(tiny_dataset, path)
-        data = Path(path).read_bytes()
-        offset = payload_offset(data, "labels")
-        packed = np.array(labels, dtype="<i8").tobytes()
-        tampered = tmp_path / "labels.mfd"
-        tampered.write_bytes(data[:offset] + packed
-                             + data[offset + len(packed):])
-        with pytest.raises(InvariantViolationError) as info:
-            load_dataset(str(tampered))
-        assert str(info.value) == f"dataset: {message}"
-
 
 # ---------------------------------------------------------------------------
 # Fuzzed dataset containers: every mutation loads or raises a MorphfitError,
@@ -815,8 +788,8 @@ def run_quietly(argv: list[str]) -> tuple[int, list[str]]:
 
 
 class TestArrayDtypeTags:
-    """labels and model.landmark_indices are stored as i8 and every other
-    array as f8; a flipped tag would reinterpret the payload bits."""
+    """model.landmark_indices is stored as i8 and every other array as f8;
+    a flipped tag would reinterpret the payload bits."""
 
     @pytest.fixture(scope="class")
     def files(self, tiny_dataset, stack, tmp_path_factory):
@@ -828,8 +801,8 @@ class TestArrayDtypeTags:
     def test_written_tags(self, files):
         for name in ("data.mfd", "model.ckpt"):
             for entry in array_entries((files / name).read_bytes()):
-                assert entry["dtype"] == ("i8" if entry["name"] in (
-                    "labels", "model.landmark_indices") else "f8"), entry
+                assert entry["dtype"] == ("i8" if entry["name"]
+                                          == "model.landmark_indices" else "f8"), entry
 
     @pytest.mark.parametrize("name, load", [("data.mfd", load_dataset),
                                             ("model.ckpt", load_checkpoint)])
@@ -954,7 +927,7 @@ class TestOneCopyPerLoad:
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("shape, message", [
-        ([2 ** 40, 2 ** 40], "truncated payload for array 'labels'"),
+        ([2 ** 40, 2 ** 40], "truncated payload for array 'alpha_id'"),
         ([-1, 6], "malformed array entry"),
     ])
     def test_corrupt_shape_fails_before_reading(self, tiny_dataset, tmp_path,
@@ -963,7 +936,7 @@ class TestOneCopyPerLoad:
         save_dataset(tiny_dataset, str(path))
 
         def edit(header):
-            next(e for e in header["arrays"] if e["name"] == "labels")["shape"] = shape
+            next(e for e in header["arrays"] if e["name"] == "alpha_id")["shape"] = shape
         path.write_bytes(reencode(path.read_bytes(), edit))
         with pytest.raises(CorruptionError, match=re.escape(message)):
             load_dataset(str(path))
@@ -1010,7 +983,7 @@ def mutate_container(data: bytes, draw,
 
     entries = header["arrays"]
     entry = draw(st.sampled_from(
-        [e for e in entries if e["name"] == "labels"] if kind == "permute"
+        [e for e in entries if e["dtype"] == "i8"] if kind == "permute"
         else [e for e in entries if e["dtype"] == "f8"] if kind == "huge"
         else entries))
     if kind == "retag":
@@ -1042,8 +1015,8 @@ def mutate_container(data: bytes, draw,
             st.sampled_from([1e308, -1e308, 1e154, -1e154]))
         payload = values.tobytes()
     else:
-        labels = np.frombuffer(data, "<i8", count, offset)
-        payload = labels[draw(st.permutations(range(count)))].tobytes()
+        indices = np.frombuffer(data, "<i8", count, offset)
+        payload = indices[draw(st.permutations(range(count)))].tobytes()
     return data[:offset] + payload + data[offset + len(payload):]
 
 

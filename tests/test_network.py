@@ -1120,6 +1120,25 @@ class TestTrainPhase2:
         fitted = train_phase2(dec, default_dataset, n_pairs=21)
         assert np.all(np.isfinite(fitted.weight_id))
 
+    @pytest.mark.parametrize("draws, rank", [
+        (lambda size: np.ones(size), 1),
+        (lambda size: np.eye(*size) * np.r_[np.ones(size[1] - 1), 0.0], 20),
+        (lambda size: np.eye(*size) * np.r_[np.ones(size[1] - 1), 1e-20], 20),
+    ], ids=["every-row-repeats", "a-zero-column", "a-column-at-1e-20"])
+    def test_rank_deficient_design_is_rejected(self, default_dataset, monkeypatch,
+                                               draws, rank):
+        # 96 pairs, but codes that span fewer than the identity code's 20
+        # dimensions plus the bias: lstsq's rank (matrix_rank's cutoff) says so
+        class Draws:
+            def normal(self, loc, scale, size):
+                return draws(size)
+        monkeypatch.setattr(network.np.random, "default_rng", lambda seed: Draws())
+        model = default_dataset.model
+        with pytest.raises(UnderdeterminedError) as info:
+            train_phase2(init_decoder(model.mean.size, 20, 8, seed=1), default_dataset)
+        assert str(info.value) == (f"design rank {rank} < 21; the sampled codes do "
+                                   "not span the code space")
+
     def test_deterministic(self, default_dataset):
         model = default_dataset.model
         dec = init_decoder(model.mean.size, 20, 8, seed=1)

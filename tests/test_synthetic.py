@@ -601,7 +601,7 @@ class TestBuildDataset:
                            image_resolution=resolution, seed=3)
         dataset = build_dataset(desk_model, spec)
         expected = build_dataset_columns(desk_model, spec)
-        for name in COLUMNS:
+        for name in ("labels", *COLUMNS):
             column = getattr(dataset, name)
             assert column.dtype == expected[name].dtype, name
             assert column.shape == expected[name].shape, name
@@ -640,7 +640,6 @@ def row_rejected(model, spec, columns: dict, i: int) -> bool:
         require(depth.shape == (r, r), "depth shape")
         require(bool(np.all(np.isfinite(depth))), "depth finite")
         require(bool(np.all((depth >= -1.0) & (depth <= 1.0))), "depth range")
-        require(columns["labels"][i] == i // spec.images_per_subject, "label")
     except InvalidArgumentError:
         return True
     return False
@@ -650,9 +649,9 @@ def poison(columns: dict, row: int, data) -> str | None:
     """Apply one drawn defect to row `row` (or, for a width defect, to a
     whole column, whose name is returned)."""
     kind = data.draw(st.sampled_from(
-        ["nan", "depth", "scale", "rotation", "label", "width"]))
+        ["nan", "depth", "scale", "rotation", "width"]))
     if kind == "nan":
-        name = data.draw(st.sampled_from(COLUMNS[1:]))
+        name = data.draw(st.sampled_from(COLUMNS))
         flat = columns[name].reshape(columns[name].shape[0], -1)
         flat[row, data.draw(st.integers(0, flat.shape[1] - 1))] = np.nan
     elif kind == "depth":
@@ -661,8 +660,6 @@ def poison(columns: dict, row: int, data) -> str | None:
             st.floats(-3.0, 3.0))
     elif kind == "scale":
         columns["pose_scale"][row] = data.draw(st.floats(-2.0, 2.0))
-    elif kind == "label":
-        columns["labels"][row] = data.draw(st.integers(-3, 3))
     elif kind == "rotation":
         # every defect moves the Gram matrix or det by >= 1e-6, far beyond
         # ROTATION_TOL, so rounding cannot decide the outcome
@@ -693,12 +690,8 @@ class TestDatasetColumns:
         for name in COLUMNS:
             column = getattr(again, name)
             assert column.flags.c_contiguous and not column.flags.writeable
-        assert again.labels.dtype == np.int64
+        assert again.labels.dtype == np.int64 and not again.labels.flags.writeable
         assert again.depth is not depth and depth.flags.writeable
-
-    def test_labels_must_be_integers(self, tiny):
-        with pytest.raises(InvalidArgumentError, match="labels"):
-            rebuilt(tiny, labels=tiny.labels.astype(np.float64))
 
     def test_ground_truth_shapes_only_rows_asked(self, tiny, small_model):
         shapes = tiny.ground_truth_shapes([4, 1])
@@ -718,36 +711,33 @@ class TestDatasetColumns:
         assert images.shape == (3, 16 * 16) and np.shares_memory(images, tiny.depth)
         assert images.tobytes() == tiny.images(np.arange(3, 6)).tobytes()
 
-    def test_swapped_labels_name_the_first_sample(self, tiny):
-        # rows 2 and 3 trade subjects: each label is in range, out of place
-        labels = np.array(tiny.labels)
-        labels[[2, 3]] = labels[[3, 2]]
-        with pytest.raises(InvalidArgumentError) as info:
-            rebuilt(tiny, labels=labels)
-        assert str(info.value) == (
-            "sample 2 labels: must be 0 (rows are subject-major), got 1")
-
-    @pytest.mark.parametrize("rows, first_bad", [(np.arange(5), 5),
-                                                 (np.r_[0:6, 0], 6)],
+    @pytest.mark.parametrize("rows", [np.arange(5), np.r_[0:6, 0]],
                              ids=["one-row-too-few", "one-row-too-many"])
-    def test_row_count_follows_the_spec(self, tiny, rows, first_bad):
+    def test_row_count_follows_the_spec(self, tiny, rows):
+        # the first column, alpha_id, names the count
         with pytest.raises(InvalidArgumentError) as info:
             rebuilt(tiny, **{name: getattr(tiny, name)[rows] for name in COLUMNS})
+        k_id = tiny.model.k_id
         assert str(info.value) == (
-            f"sample {first_bad} labels: expected n_subjects * images_per_subject "
-            f"= 6 rows, got {rows.size}")
+            f"alpha_id must be (6, {k_id}), got ({rows.size}, {k_id})")
 
     def test_split_is_not_an_argument(self, tiny):
         with pytest.raises(TypeError, match="test_indices"):
             Dataset(model=tiny.model, spec=tiny.spec, test_indices=np.arange(6),
                     **{name: getattr(tiny, name) for name in COLUMNS})
 
+    def test_labels_are_not_an_argument(self, tiny):
+        # the spec gives every row's subject, so no second copy is taken
+        with pytest.raises(TypeError, match="labels"):
+            Dataset(model=tiny.model, spec=tiny.spec, labels=tiny.labels,
+                    **{name: getattr(tiny, name) for name in COLUMNS})
+
     def test_error_names_first_failing_row(self, tiny):
         scale = np.array(tiny.pose_scale)
-        labels = np.array(tiny.labels)
-        scale[4], labels[2] = -1.0, -1
-        with pytest.raises(InvalidArgumentError, match="^sample 2 label"):
-            rebuilt(tiny, pose_scale=scale, labels=labels)
+        landmarks = np.array(tiny.landmarks)
+        scale[4], landmarks[2, 7] = -1.0, np.nan
+        with pytest.raises(InvalidArgumentError, match="^sample 2 landmarks"):
+            rebuilt(tiny, pose_scale=scale, landmarks=landmarks)
 
     @pytest.mark.parametrize("values, message", [
         ([np.nan], "values must be finite"),
