@@ -761,6 +761,27 @@ class TestDatasetContainer:
         with pytest.raises(InvariantViolationError, match=field):
             load_dataset(str(tampered))
 
+    @pytest.mark.parametrize("labels", [
+        [1, 1, 1, 0, 0, 0],
+        [0, 0, 1, 0, 1, 1],
+        [0, 0, 0, 1, 999, 1],
+    ], ids=["reversed", "two-swapped", "out-of-range"])
+    def test_labels_must_be_subject_major(self, tiny_dataset, tmp_path, labels):
+        # the re-derived splits assume this layout, so a labels array in the
+        # file is never read: the loaded labels and splits follow the spec
+        path = str(tmp_path / "data.mfd")
+        save_dataset(tiny_dataset, path)
+        stale = np.array(labels, dtype="<f8")
+        tampered = tmp_path / "labels.mfd"
+        entry = {"name": "labels", "dtype": "f8", "shape": [stale.size]}
+        tampered.write_bytes(rearrange(Path(path).read_bytes(),
+                                       lambda items: items.append((entry, stale.tobytes()))))
+        assert "labels" in [e["name"] for e in array_entries(tampered.read_bytes())]
+        back = load_dataset(str(tampered))
+        assert back.labels.tolist() == [0, 0, 0, 1, 1, 1]
+        for name in ("train_indices", "val_indices", "test_indices"):
+            assert np.array_equal(getattr(back, name), getattr(tiny_dataset, name))
+
 
 # ---------------------------------------------------------------------------
 # Fuzzed dataset containers: every mutation loads or raises a MorphfitError,
