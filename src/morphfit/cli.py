@@ -25,7 +25,7 @@ from .fitting import multi_image_fit
 from .serialization import (_atomic_write, load_checkpoint, load_dataset,
                             save_checkpoint, save_dataset, write_obj,
                             write_table_csv)
-from .synthetic import _compose_rows, build_dataset, generate_model
+from .synthetic import _compose_rows, build_dataset, generate_model, split_indices
 
 
 @functools.cache
@@ -110,13 +110,14 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_fit(args) -> int:
     config = _effective_config(args)
-    dataset = load_dataset(args.data)
-    if not 0 <= args.subject < dataset.spec.n_subjects:
-        raise MorphfitError(f"subject {args.subject} not present in dataset")
-    ips = dataset.spec.images_per_subject  # rows are subject-major
-    rows = slice(args.subject * ips, (args.subject + 1) * ips)
-    result = multi_image_fit(dataset.model, dataset.landmarks[rows],
-                             config.fit_config())
+
+    def subject_rows(spec):  # rows are subject-major
+        if not 0 <= args.subject < spec.n_subjects:
+            raise MorphfitError(f"subject {args.subject} not present in dataset")
+        return range(args.subject * spec.images_per_subject,
+                     (args.subject + 1) * spec.images_per_subject)
+    dataset = load_dataset(args.data, rows=subject_rows)
+    result = multi_image_fit(dataset.model, dataset.landmarks, config.fit_config())
 
     # the identity shape (zero residual) first, then one shape per image
     alpha_exp = np.vstack([np.zeros(dataset.model.k_exp), result.alpha_exp])
@@ -204,7 +205,8 @@ def _check_checkpoint_fits(dataset, encoder, decoder) -> None:
 
 def _cmd_eval(args) -> int:
     config = _effective_config(args)
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, rows=lambda spec: spec.window()[  # the held-out rows
+        split_indices(spec.n_subjects, spec.images_per_subject)[2][0]:])
     encoder, decoder, _head, _cfg = load_checkpoint(args.checkpoint)
     _check_checkpoint_fits(dataset, encoder, decoder)
     model = dataset.model
@@ -256,7 +258,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_export_bases(args) -> int:
     config = _effective_config(args)
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, rows=lambda spec: range(0))  # no rows
     encoder, decoder, _head, _cfg = load_checkpoint(args.checkpoint)
     _check_checkpoint_fits(dataset, encoder, decoder)
     mean = dataset.model.mean
@@ -275,10 +277,12 @@ def _cmd_export_bases(args) -> int:
 def _cmd_check_grad(args) -> int:
     config = _effective_config(args)
     model = generate_model(config.model_spec())
-    dataset = build_dataset(model, config.dataset_spec())
+    spec = config.dataset_spec()
+    rows = split_indices(spec.n_subjects, spec.images_per_subject)[0][:config.batch_size]
+    # render the subjects up to the batch's last (at least one), a window from row 0
+    dataset = build_dataset(model, spec, rows.max(initial=0) // spec.images_per_subject + 1)
     encoder, decoder, head = _init_networks(config, dataset)
-    batch = nw.training_batch(dataset,
-                              dataset.train_indices[:config.batch_size])
+    batch = nw.training_batch(dataset, rows)
     error = nw.finite_diff_check(encoder, decoder, head, batch,
                                  lambda_r=config.lambda_r)
     print(f"max relative gradient error: {error:.3e}")

@@ -66,19 +66,15 @@ class MorphableModel:
     nose_tip_index: int
 
     def __post_init__(self):
-        mean = _readonly(np.ravel(self.mean))
-        basis_id = _readonly(self.basis_id)
-        basis_exp = _readonly(self.basis_exp)
-        sigma_id = _readonly(np.ravel(self.sigma_id))
-        sigma_exp = _readonly(np.ravel(self.sigma_exp))
-        landmarks = _readonly(np.ravel(self.landmark_indices), dtype=np.int64)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "basis_id", basis_id)
-        object.__setattr__(self, "basis_exp", basis_exp)
-        object.__setattr__(self, "sigma_id", sigma_id)
-        object.__setattr__(self, "sigma_exp", sigma_exp)
-        object.__setattr__(self, "landmark_indices", landmarks)
+        for name in ("mean", "basis_id", "basis_exp", "sigma_id", "sigma_exp",
+                     "landmark_indices"):  # each read-only, the vectors flat
+            value = getattr(self, name)
+            object.__setattr__(self, name, _readonly(
+                value if name.startswith("basis") else np.ravel(value),
+                np.int64 if name == "landmark_indices" else np.float64))
         object.__setattr__(self, "nose_tip_index", int(self.nose_tip_index))
+        mean, basis_id, basis_exp = self.mean, self.basis_id, self.basis_exp
+        sigma_id, sigma_exp, landmarks = self.sigma_id, self.sigma_exp, self.landmark_indices
 
         dim = mean.size
         require(dim % 3 == 0, f"mean length {dim} is not a multiple of 3")

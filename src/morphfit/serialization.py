@@ -112,8 +112,8 @@ def _pack(meta: dict, arrays: dict[str, np.ndarray]) -> list:
     return [MAGIC, struct.pack("<Q", len(blob)), blob, *payload]
 
 
-def _index(handle) -> tuple[dict, list]:
-    """Header and checked (name, dtype, shape, nbytes) list of `handle`'s container."""
+def _index(handle, kind: str | None = None) -> tuple[dict, list]:
+    """Header and checked (name, dtype, shape, offset, nbytes) list of a `kind` container."""
     size = os.fstat(handle.fileno()).st_size
     start = len(MAGIC) + 8
     prefix = handle.read(start)
@@ -135,32 +135,43 @@ def _index(handle) -> tuple[dict, list]:
     layout, offset = [], start + header_len
     for entry in header.get("arrays", []):
         try:
-            name, kind = entry["name"], entry["dtype"]
+            name, tag = entry["name"], entry["dtype"]
             shape = tuple(int(s) for s in entry["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptionError(f"malformed array entry: {entry}") from exc
         if any(s < 0 for s in shape):
             raise CorruptionError(f"malformed array entry: {entry}")
-        if kind not in _DTYPES:
-            raise CorruptionError(f"unknown dtype tag '{kind}'")
+        if tag not in _DTYPES:
+            raise CorruptionError(f"unknown dtype tag '{tag}'")
         expected = "i8" if name in _INT_ARRAYS else "f8"
-        _invariant(kind == expected,
-                   f"{name}: dtype tag '{kind}', expected '{expected}'")
+        _invariant(tag == expected,
+                   f"{name}: dtype tag '{tag}', expected '{expected}'")
         nbytes = 8 * math.prod(shape)
         if offset + nbytes > size:
             raise CorruptionError(f"truncated payload for array '{name}'")
-        layout.append((name, _DTYPES[kind], shape, nbytes))
+        layout.append((name, _DTYPES[tag], shape, offset, nbytes))
         offset += nbytes
     if offset != size:
         raise CorruptionError(f"{size - offset} trailing bytes")
+    if kind is not None and header.get("kind") != kind:
+        raise CorruptionError(f"container kind '{header.get('kind')}' is not a {kind}")
     return header, layout
+
+
+def _read(handle, entry: tuple, rows: range | None = None) -> np.ndarray:
+    """An `_index` entry's array, or only its `rows`, as a view of its own `bytes`."""
+    _, dtype, shape, offset, nbytes = entry
+    if rows is not None:  # C order: a row range is one byte range
+        step, shape = nbytes // shape[0], (len(rows), *shape[1:])
+        offset, nbytes = offset + rows.start * step, len(rows) * step
+    handle.seek(offset)
+    return np.frombuffer(handle.read(nbytes), dtype=dtype).reshape(shape)
 
 
 def _unpack(handle) -> tuple[dict, dict[str, np.ndarray]]:
     """Header and arrays of `handle`'s container, each a read-only view of its own `bytes`."""
     header, layout = _index(handle)
-    return header, {name: np.frombuffer(handle.read(nbytes), dtype=dtype).reshape(shape)
-                    for name, dtype, shape, nbytes in layout}
+    return header, {entry[0]: _read(handle, entry) for entry in layout}
 
 
 def _invariant(cond: bool, message: str) -> None:
@@ -205,11 +216,8 @@ def save_checkpoint(encoder: EncoderNet, decoder: DecoderNet,
 def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
                                         ClassifierHead, RunConfig]:
     with open(path, "rb") as handle:
-        header, layout = _index(handle)
+        header, layout = _index(handle, "checkpoint")
         payload = handle.read(sum(nbytes for *_, nbytes in layout))
-    if header.get("kind") != "checkpoint":
-        raise CorruptionError(f"container kind '{header.get('kind')}' "
-                              "is not a checkpoint")
     version = (_field(header, "config_version", int)
                if "config_version" in header else "missing")
     if version != CONFIG_VERSION:
@@ -219,7 +227,7 @@ def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
     _invariant(len(activations) >= 1, "activations: no encoder layers")
     q_id, q_res = _field(header, "q_id", int), _field(header, "q_res", int)
 
-    entries = [(name, shape) for name, _, shape, _ in layout]
+    entries = [(name, shape) for name, _, shape, *_ in layout]
 
     def shape(name: str) -> tuple:
         # the stored matrices give the widths, and so the layout that every
@@ -258,6 +266,7 @@ _STORED = {column: column.replace("pose_", "pose.") for column in COLUMNS}
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
+    require(dataset.rows == dataset.spec.window(), "cannot save a window of rows")
     model = dataset.model
     arrays = {**{f"model.{name}": getattr(model, name) for name in _MODEL_ARRAYS},
               **{_STORED[c]: getattr(dataset, c) for c in COLUMNS}}
@@ -286,17 +295,22 @@ def _load_spec(stored: dict) -> DatasetSpec:
         seed=_field(stored, "seed", int)), "spec")
 
 
-def load_dataset(path: str) -> Dataset:
+def load_dataset(path: str, rows=None) -> Dataset:
+    """The dataset at `path`, or only the whole subjects' rows `rows(spec)` of its spec;
+    of the other rows only the header's claims are checked: dtype tags, size, shapes."""
     with open(path, "rb") as handle:
-        header, arrays = _unpack(handle)
-    if header.get("kind") != "dataset":
-        raise CorruptionError(f"container kind '{header.get('kind')}' "
-                              "is not a dataset")
-    spec = _load_spec(_field(header, "spec", dict))
-
-    model = _rebuild(lambda: MorphableModel(
-        nose_tip_index=_field(header, "nose_tip_index", int),
-        **{name: _field(arrays, f"model.{name}") for name in _MODEL_ARRAYS}),
-        "model")
-    columns = {column: _field(arrays, name) for column, name in _STORED.items()}
-    return _rebuild(lambda: Dataset(model=model, spec=spec, **columns), "dataset")
+        header, layout = _index(handle, "dataset")
+        spec = _load_spec(_field(header, "spec", dict))
+        entries = {entry[0]: entry for entry in layout}
+        model = _rebuild(lambda: MorphableModel(
+            nose_tip_index=_field(header, "nose_tip_index", int),
+            **{name: _read(handle, _field(entries, f"model.{name}", tuple))
+               for name in _MODEL_ARRAYS}), "model")
+        stored = {column: _field(entries, name, tuple) for column, name in _STORED.items()}
+        n = spec.n_subjects * spec.images_per_subject
+        for column, (_, _, shape, *_) in stored.items():  # every column's rows
+            _invariant(shape[:1] == (n,),
+                       f"dataset: {column} must be {(n, *shape[1:])}, got {shape}")
+        window = spec.window(rows(spec) if rows else None)
+        columns = {column: _read(handle, entry, window) for column, entry in stored.items()}
+    return _rebuild(lambda: Dataset(model=model, spec=spec, rows=window, **columns), "dataset")

@@ -102,6 +102,15 @@ class DatasetSpec:
         require(self.image_resolution >= 8, "image_resolution must be >= 8")
         require(self.seed >= 0, "seed must be non-negative")
 
+    def window(self, rows: range | None = None) -> range:
+        """`rows`, by default all, checked to be a range of whole subjects' rows."""
+        ips, n = self.images_per_subject, self.n_subjects * self.images_per_subject
+        rows, bounds = range(n) if rows is None else rows, range(0, n + 1, ips)
+        require(isinstance(rows, range) and rows.step == 1 and rows.start in bounds
+                and rows.stop in bounds and rows.start <= rows.stop,
+                f"rows must be a range of whole subjects' rows in 0..{n}, got {rows!r}")
+        return rows
+
 
 # Dataset columns, row i of each being sample i; the container stores them
 # under these names, with "pose_" written "pose.".
@@ -112,12 +121,13 @@ COLUMNS = ("alpha_id", "alpha_exp", "pose_scale", "pose_rotation",
 @dataclass(frozen=True)
 class Dataset:
     """Rendered samples as one read-only, C-ordered array per field, plus the
-    generating model. Row i of every column is sample i: its ground-truth
-    coefficients and pose, its projected landmarks (u1, v1, ..., uL, vL) and
-    its depth raster. Rows are subject-major, so the spec fixes the row
-    count and derives every row's subject label (`labels`) and the train,
-    validation and held-out rows (`split_indices`).
-    """
+    generating model. Rows are subject-major, so the spec fixes the row count
+    and derives every row's subject label (`labels`) and the train,
+    validation and held-out rows (`split_indices`). The dataset holds the
+    spec's rows `rows` (whole subjects, by default all): row k of every column
+    is sample `rows.start + k`, its coefficients, pose, projected landmarks
+    (u1, v1, ..., uL, vL) and depth raster. The split lists hold such k; `labels`
+    and the sample an error names are absolute."""
 
     model: MorphableModel
     spec: DatasetSpec
@@ -128,20 +138,21 @@ class Dataset:
     pose_translation: np.ndarray  # (n, 3)
     landmarks: np.ndarray         # (n, 2 * n_landmarks)
     depth: np.ndarray             # (n, r, r), values in [-1, 1]
-    labels: np.ndarray = field(init=False)  # (n,) int64, row i's is i // images_per_subject
+    rows: range | None = None     # the window held; None for every row
+    labels: np.ndarray = field(init=False)  # (n,) int64, sample i's is i // images_per_subject
     train_indices: np.ndarray = field(init=False)
     val_indices: np.ndarray = field(init=False)
     test_indices: np.ndarray = field(init=False)
 
     def __post_init__(self):
         model, spec, r = self.model, self.spec, self.spec.image_resolution
-        n = spec.n_subjects * spec.images_per_subject
+        object.__setattr__(self, "rows", rows := spec.window(self.rows))
         for name, tail in zip(COLUMNS, ((model.k_id,), (model.k_exp,), (), (3, 3),
                                         (3,), (2 * model.n_landmarks,), (r, r))):
             column = _readonly(getattr(self, name))
             object.__setattr__(self, name, column)
-            require(column.shape == (n, *tail),
-                    f"{name} must be {(n, *tail)}, got {column.shape}")
+            require(column.shape == (len(rows), *tail),
+                    f"{name} must be {(len(rows), *tail)}, got {column.shape}")
 
         # Finite values, positive scales, proper rotations and the depth
         # range, checked over whole columns; the error names the first
@@ -170,16 +181,18 @@ class Dataset:
             i = int(bad[0])
             message = checks[int(np.argmin(ok[i]))][1].format(
                 scale=self.pose_scale[i], gram=gram_err[i], det=det_err[i])
-            raise InvalidArgumentError(f"sample {i} {message}")
-        object.__setattr__(self, "labels", _readonly(
-            np.arange(n, dtype=np.int64) // spec.images_per_subject, np.int64))
-        for name, rows in zip(("train_indices", "val_indices", "test_indices"),
-                              split_indices(spec.n_subjects, spec.images_per_subject)):
-            object.__setattr__(self, name, rows)
+            raise InvalidArgumentError(f"sample {rows.start + i} {message}")
+        object.__setattr__(self, "labels", _readonly(np.arange(
+            rows.start, rows.stop, dtype=np.int64) // spec.images_per_subject, np.int64))
+        for name, idx in zip(("train_indices", "val_indices", "test_indices"),
+                             split_indices(spec.n_subjects, spec.images_per_subject)):
+            idx = idx[(idx >= rows.start) & (idx < rows.stop)]  # positions in the window
+            object.__setattr__(self, name, idx - rows.start)
 
     @property
-    def n_train_subjects(self) -> int:
-        return int(np.unique(self.labels[self.train_indices]).size)
+    def n_train_subjects(self) -> int:  # the spec's, whatever rows the dataset holds
+        ips = self.spec.images_per_subject
+        return int(split_indices(self.spec.n_subjects, ips)[2][0] // ips)
 
     def images(self, rows) -> np.ndarray:
         """Depth rasters of the given rows (a view for a slice), one flattened per row."""
@@ -495,7 +508,8 @@ def split_indices(n_subjects: int, images_per_subject: int
             rows[n_train:].ravel())
 
 
-def build_dataset(model: MorphableModel, spec: DatasetSpec) -> Dataset:
+def build_dataset(model: MorphableModel, spec: DatasetSpec,
+                  subjects: int | None = None) -> Dataset:
     """Render n_subjects x images_per_subject samples with a deterministic split.
 
     Per-subject and per-image generators are spawned from the dataset seed, so
@@ -503,11 +517,13 @@ def build_dataset(model: MorphableModel, spec: DatasetSpec) -> Dataset:
     are max-dilated by one pixel: a few hundred vertices cover a 32x32 grid
     only sparsely, and the dilation closes the sampling holes so downstream
     consumers see a surface rather than speckle. Rows are subject-major,
-    from which the `Dataset` takes its labels and split.
+    from which the `Dataset` takes its labels and split. Given `subjects`, it
+    renders only the first that many: a window from row 0, bits unchanged.
     """
+    require(subjects is None or subjects >= 1, "subjects must be at least 1")
     root = np.random.SeedSequence(spec.seed)
     draws = []
-    for subject_seed in root.spawn(spec.n_subjects):
+    for subject_seed in root.spawn(spec.n_subjects)[:subjects]:
         alpha_id = sample_subject(model, np.random.default_rng(subject_seed))
         for image_seed in subject_seed.spawn(spec.images_per_subject):
             image_rng = np.random.default_rng(image_seed)
@@ -532,6 +548,6 @@ def build_dataset(model: MorphableModel, spec: DatasetSpec) -> Dataset:
         depth[rows] = rasters
 
     return Dataset(model=model, spec=spec, alpha_id=alpha_id, alpha_exp=alpha_exp,
-                   pose_scale=scale, pose_rotation=rotation,
-                   pose_translation=translation, landmarks=landmarks,
+                   pose_scale=scale, pose_rotation=rotation, pose_translation=translation,
+                   landmarks=landmarks, rows=range(len(scale)),
                    depth=depth.reshape(-1, spec.image_resolution, spec.image_resolution))

@@ -457,6 +457,17 @@ def build_dataset_columns(model: MorphableModel, spec) -> dict:
             for name, column in zip(("labels", *COLUMNS), zip(*samples))}
 
 
+def window_of(dataset, rows: range) -> dict:
+    """What a load of the rows `rows` alone must give, cut from a whole load:
+    each column's and the labels' rows `rows`, and each split's rows in the
+    window as positions from `rows.start`, found one row at a time."""
+    out = {name: getattr(dataset, name)[rows.start:rows.stop] for name in ("labels", *COLUMNS)}
+    for name in ("train_indices", "val_indices", "test_indices"):
+        out[name] = np.array([i - rows.start for i in getattr(dataset, name).tolist()
+                              if i in rows], dtype=np.int64)
+    return out
+
+
 @dataclass(frozen=True)
 class RocCurve:
     """Operating points (threshold, TAR, FAR), thresholds strictly increasing.

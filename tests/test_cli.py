@@ -17,8 +17,10 @@ from morphfit import cli as cli_module
 from morphfit import network as nw
 from morphfit.cli import build_parser, cli
 from morphfit.config import RunConfig, load_config
+from morphfit.errors import MorphfitError
 from morphfit.serialization import (load_checkpoint, load_dataset, save_checkpoint,
                                     save_dataset)
+from morphfit.synthetic import build_dataset, generate_model
 
 from oracles import read_obj
 
@@ -540,6 +542,34 @@ class TestCheckGrad:
                              out)
         assert match is not None
         assert float(match.group(1)) < 1e-5
+
+    @pytest.mark.parametrize("batch, subjects", [
+        ("1", 1), ("4", 1), ("5", 2), ("16", 4), ("1000", 6), ("-1", 6), ("0", 1)])
+    def test_renders_only_the_subjects_of_its_batch(self, tmp_path, monkeypatch,
+                                                    batch, subjects):
+        # eight subjects of five images, four of each of the first six for
+        # training: the batch's rows run to subject `subjects - 1`
+        rendered = []
+
+        def build(model, spec, subjects=None):
+            rendered.append(subjects)
+            return build_dataset(model, spec, subjects)
+
+        monkeypatch.setattr(cli_module, "build_dataset", build)
+        argv = ["check-grad", *TINY_OVERRIDES, "--set", f"batch_size={batch}"]
+        got = run_cli([*argv, "--out", str(tmp_path / "out")])
+        assert rendered == [subjects]
+        # the audit of the same batch drawn from the whole dataset
+        config = cli_module._effective_config(build_parser().parse_args(argv))
+        dataset = build_dataset(generate_model(config.model_spec()), config.dataset_spec())
+        encoder, decoder, head = cli_module._init_networks(config, dataset)
+        try:
+            error = nw.finite_diff_check(encoder, decoder, head, nw.training_batch(
+                dataset, dataset.train_indices[:config.batch_size]), lambda_r=config.lambda_r)
+        except MorphfitError as exc:
+            assert got == (1, "", f"error: {type(exc).__name__}: {exc}\n")
+        else:
+            assert got == (0, f"max relative gradient error: {error:.3e}\n", "")
 
 
 class TestParserReuse:

@@ -8,6 +8,7 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from morphfit.geometry import MorphableModel
 from morphfit.synthetic import (COLUMNS, Dataset, DatasetSpec, PoseRanges,
                                build_dataset, split_indices)
 
-from oracles import read_obj
+from oracles import read_obj, window_of
 
 
 # ---------------------------------------------------------------------------
@@ -1064,13 +1065,19 @@ def fuzz_files(small_model, tmp_path_factory):
 DATASET_STAGES = ("fit", "train", "eval", "export-bases")
 
 
+def stage_argv(stage: str, data: str, checkpoint: str, out: str) -> list[str]:
+    """The argv of a stage that reads the containers; a subject number
+    stands for `fit --subject` of that subject."""
+    argv = {"train": ["train", "--set", "epochs=1"],
+            "eval": ["eval", "--checkpoint", checkpoint, "--set", "n_folds=2"],
+            "export-bases": ["export-bases", "--checkpoint", checkpoint]}
+    return [*argv.get(stage, ["fit", "--subject", stage]), "--data", data, "--out", out]
+
+
 def run_stages(data: str, checkpoint: str, out: str, stages) -> list:
     """The exit code and stderr lines of each stage that reads the containers."""
-    argv = {"fit": ["fit", "--data", data, "--subject", "0"],
-            "train": ["train", "--data", data, "--set", "epochs=1"],
-            "eval": ["eval", "--data", data, "--checkpoint", checkpoint, "--set", "n_folds=2"],
-            "export-bases": ["export-bases", "--data", data, "--checkpoint", checkpoint]}
-    return [run_quietly([*argv[stage], "--out", os.path.join(out, stage)]) for stage in stages]
+    return [run_quietly(stage_argv("0" if stage == "fit" else stage, data, checkpoint,
+                                   os.path.join(out, stage))) for stage in stages]
 
 
 class TestDatasetFuzz:
@@ -1118,6 +1125,149 @@ class TestDatasetFuzz:
             outcomes = run_stages(path, str(fuzz_files / "model.ckpt"), root,
                                   DATASET_STAGES)
         assert all(map(one_error_line_or_clean, outcomes)), outcomes
+
+
+# ---------------------------------------------------------------------------
+# Row windows: a load can read the model and one range of whole subjects'
+# rows, and a command answers for the rows it reads. `eval` reads the
+# held-out block, `fit --subject S` its subject and `export-bases` no rows.
+
+def heldout_rows(spec: DatasetSpec) -> range:
+    """The rows `eval` reads: the last block of whole subjects."""
+    start = split_indices(spec.n_subjects, spec.images_per_subject)[2][0]
+    return range(start, spec.n_subjects * spec.images_per_subject)
+
+
+def poison_depth(source: Path, row: int, path: Path) -> None:
+    """`source` with one NaN in the depth raster of file row `row`."""
+    data = source.read_bytes()
+    side = load_dataset(str(source), rows=lambda spec: range(0)).spec.image_resolution
+    offset = payload_offset(data, "depth") + 8 * side * side * row
+    path.write_bytes(data[:offset] + struct.pack("<d", math.nan) + data[offset + 8:])
+
+
+def run_stage(stage: str, data: Path, fuzz_files: Path, out: Path) -> tuple[int, list[str]]:
+    return run_quietly(stage_argv(stage, str(data), str(fuzz_files / "model.ckpt"), str(out)))
+
+
+class TestRowWindows:
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(n_subjects=st.integers(2, 9), images=st.integers(1, 4), data=st.data())
+    def test_window_matches_the_rows_of_a_whole_load(self, small_model, n_subjects,
+                                                      images, data):
+        first = data.draw(st.integers(0, n_subjects), label="first subject")
+        stop = data.draw(st.integers(first, n_subjects), label="subject stop")
+        spec = DatasetSpec(n_subjects=n_subjects, images_per_subject=images,
+                           image_resolution=8, seed=n_subjects * 5 + images)
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "data.mfd")
+            save_dataset(build_dataset(small_model, spec), path)
+            whole = load_dataset(path)
+            for rows in (range(first * images, stop * images), heldout_rows(spec)):
+                seen = []
+                got = load_dataset(path, rows=lambda stored: seen.append(stored) or rows)
+                assert seen == [spec] and got.rows == rows and got.spec == spec
+                want = window_of(whole, rows)
+                for name in COLUMNS:
+                    column = getattr(got, name)
+                    assert column.tobytes() == want[name].tobytes(), name
+                    assert column.shape == want[name].shape, name
+                    assert bytes_backed(column) and not column.flags.writeable, name
+                for name in ("labels", "train_indices", "val_indices", "test_indices"):
+                    assert getattr(got, name).dtype == np.int64, name
+                    assert getattr(got, name).tobytes() == want[name].tobytes(), name
+                for name in ("mean", "basis_id", "basis_exp", "sigma_id", "sigma_exp",
+                             "landmark_indices"):
+                    assert getattr(got.model, name).tobytes() == getattr(
+                        whole.model, name).tobytes(), name
+                assert got.n_train_subjects == whole.n_train_subjects
+
+    def test_a_bad_row_outside_the_window_is_not_read(self, fuzz_files, tmp_path):
+        # 8 subjects of 3 images: subject 0 is rows 0-2, the held-out block rows 18-23
+        path = tmp_path / "data.mfd"
+        poison_depth(fuzz_files / "data.mfd", 1, path)
+        error = ("error: InvariantViolationError: dataset: "
+                 "sample 1 depth: values must be finite")
+        for stage, outcome in (("1", (0, [])), ("eval", (0, [])), ("export-bases", (0, [])),
+                               ("0", (1, [error])), ("train", (1, [error]))):
+            assert run_stage(stage, path, fuzz_files, tmp_path / stage) == outcome, stage
+
+    @pytest.mark.parametrize("row", [18, 20, 23])
+    def test_a_bad_held_out_row_is_named_by_its_file_row(self, fuzz_files, tmp_path, row):
+        path = tmp_path / "data.mfd"
+        poison_depth(fuzz_files / "data.mfd", row, path)
+        error = (f"error: InvariantViolationError: dataset: "
+                 f"sample {row} depth: values must be finite")
+        for stage in ("eval", str(row // 3)):
+            assert run_stage(stage, path, fuzz_files, tmp_path / stage) == (1, [error]), stage
+        assert run_stage("0", path, fuzz_files, tmp_path / "0") == (0, [])
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda header: header["spec"].update(n_subjects=9),
+         "dataset: alpha_id must be (27, 6), got (24, 6)"),
+        (lambda header: next(e for e in header["arrays"] if e["name"] == "depth")
+         .update(dtype="i8"), "depth: dtype tag 'i8', expected 'f8'"),
+    ], ids=["row-count", "dtype-tag"])
+    def test_whole_file_claims_are_checked_by_every_window(self, fuzz_files, tmp_path,
+                                                           edit, message):
+        path = tmp_path / "data.mfd"
+        path.write_bytes(reencode((fuzz_files / "data.mfd").read_bytes(), edit))
+        for stage in ("eval", "export-bases", "0", "7"):
+            assert run_stage(stage, path, fuzz_files, tmp_path / stage) == (
+                1, [f"error: InvariantViolationError: {message}"]), stage
+
+    def test_a_column_short_of_rows_fails_outside_the_window(self, fuzz_files, tmp_path):
+        # the landmarks column one row short, header and payload consistent
+        with open(fuzz_files / "data.mfd", "rb") as handle:
+            header, arrays = _unpack(handle)
+        meta = {k: v for k, v in header.items() if k not in ("arrays", "format_version")}
+        path = tmp_path / "data.mfd"
+        path.write_bytes(b"".join(_pack(meta, {
+            name: array[:-1] if name == "landmarks" else array
+            for name, array in arrays.items()})))
+        for rows in (range(0, 3), range(18, 24), range(0)):
+            with pytest.raises(InvariantViolationError,
+                               match=re.escape("landmarks must be (24, 136), got (23, 136)")):
+                load_dataset(str(path), rows=lambda spec: rows)
+
+    def test_save_refuses_a_window(self, fuzz_files, tmp_path):
+        source = str(fuzz_files / "data.mfd")
+        for rows in (range(0, 3), range(18, 24), range(0)):
+            window = load_dataset(source, rows=lambda spec: rows)
+            with pytest.raises(InvalidArgumentError, match="cannot save a window"):
+                save_dataset(window, str(tmp_path / "window.mfd"))
+        assert not (tmp_path / "window.mfd").exists()
+        whole = load_dataset(source, rows=lambda spec: range(24))
+        save_dataset(whole, str(tmp_path / "all.mfd"))
+        assert (tmp_path / "all.mfd").read_bytes() == Path(source).read_bytes()
+
+    @pytest.mark.parametrize("rows", [range(1, 3), range(0, 4), range(0, 27), range(-3, 3),
+                                      range(3, 0), range(0, 6, 2), slice(0, 3)],
+                             ids=str)
+    def test_window_must_be_whole_subjects(self, fuzz_files, rows):
+        with pytest.raises(InvalidArgumentError,
+                           match="rows must be a range of whole subjects"):
+            load_dataset(str(fuzz_files / "data.mfd"), rows=lambda spec: rows)
+
+    def test_held_out_load_holds_its_rows_and_the_model(self, small_model, tmp_path):
+        # 80 subjects of 10 32x32 images; the held-out block is 200 of 800 rows
+        path = str(tmp_path / "data.mfd")
+        save_dataset(build_dataset(small_model, DatasetSpec(n_subjects=80, seed=3)), path)
+        tracemalloc.start()
+        try:
+            dataset = load_dataset(path, rows=heldout_rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        model = dataset.model
+        held = (sum(getattr(dataset, name).nbytes for name in COLUMNS)
+                + sum(getattr(model, name).nbytes for name in (
+                    "mean", "basis_id", "basis_exp", "sigma_id", "sigma_exp",
+                    "landmark_indices")))
+        assert dataset.rows == range(600, 800)
+        assert held < os.path.getsize(path) / 3
+        assert peak <= held + 2 ** 18, (peak, held)
 
 
 def missing_config_keys(data: bytes) -> list[str]:

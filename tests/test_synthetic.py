@@ -592,6 +592,26 @@ class TestBuildDataset:
         assert len(tiny.val_indices) == 0
         assert np.array_equal(tiny.test_indices, np.arange(3, 6))
 
+    @pytest.mark.parametrize("subjects", [1, 2, 4, 5, 9])
+    def test_first_subjects_are_a_window_of_the_whole(self, desk_model, subjects):
+        # 5 subjects of 7 images: windows that end inside and at the end of a
+        # 16-row render chunk; every subject's seed is spawned as for all
+        spec = DatasetSpec(n_subjects=5, images_per_subject=7, pose_ranges=WIDE_RANGES,
+                           landmark_noise_sigma=0.01, seed=8)
+        whole = build_dataset(desk_model, spec)
+        window = build_dataset(desk_model, spec, subjects)
+        rows = range(7 * min(subjects, 5))
+        assert window.rows == rows and window.spec == spec
+        for name in ("labels", *COLUMNS):
+            want = getattr(whole, name)[:len(rows)]
+            assert getattr(window, name).tobytes() == want.tobytes(), name
+        assert window.n_train_subjects == whole.n_train_subjects == 4
+
+    @pytest.mark.parametrize("subjects", [0, -1])
+    def test_no_subjects_is_refused(self, small_model, subjects):
+        with pytest.raises(InvalidArgumentError, match="subjects must be at least 1"):
+            build_dataset(small_model, DatasetSpec(), subjects)
+
     @pytest.mark.parametrize("sigma", [0.0, 0.01])
     @pytest.mark.parametrize("resolution", [8, 16, 32])
     def test_matches_per_sample_loop(self, desk_model, sigma, resolution):
