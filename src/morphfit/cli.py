@@ -225,6 +225,7 @@ def _cmd_eval(args) -> int:
                                           c_id[probe_rows], labels[probe_rows], n)
                     for n in (1, 5))
     report = verification_report(genuine, impostor, config.n_folds, rank1, rank5)
+    del genuine, impostor  # no later section reads the pair scores
     # each report's fields, in order, are its CSV columns
     write_table_csv(report._fields, [report], os.path.join(out, "verification.csv"))
 
@@ -245,6 +246,7 @@ def _cmd_eval(args) -> int:
         del enc2, dec2  # the rest of eval needs the phase III encoder only
         write_table_csv(baseline._fields, [baseline],
                         os.path.join(out, "reconstruction_baseline.csv"))
+    del truth  # before the disentangling re-renders: no later section reads it
 
     disentangling = disentangling_report(
         lambda images: nw.encode_images(encoder, images), dataset, (c_id, c_res))

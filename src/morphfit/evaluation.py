@@ -7,6 +7,7 @@ pure and deterministic.
 
 from __future__ import annotations
 
+import bisect
 from typing import NamedTuple
 
 import numpy as np
@@ -102,58 +103,58 @@ def _split_pairs(labels: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     return classes
 
 
-def _sentinel(top: float) -> float:
-    """A threshold above top (top + 1.0 rounds back to top once |top| >= 2**53)."""
-    return max(top + 1.0, np.nextafter(top, np.inf))
+def _rates(genuine: np.ndarray, impostor: np.ndarray, threshold) -> tuple[float, float]:
+    """TAR and FAR at a threshold: the shares of the sorted classes at or above it."""
+    g, i = genuine.size, impostor.size
+    return ((g - int(np.searchsorted(genuine, threshold))) / g,
+            (i - int(np.searchsorted(impostor, threshold))) / i)
 
 
-def _roc(genuine: np.ndarray, impostor: np.ndarray) -> tuple:
-    """The ROC (thresholds, TAR, FAR) of the sorted genuine and impostor scores:
-    the distinct scores, then a sentinel; both rates fall from 1 to 0."""
-    ranked = np.concatenate([genuine, impostor])
-    ranked.sort(kind="stable")  # a merge of two sorted runs
-    # below[j] scores lie under threshold j: its run of equal scores starts there
-    below = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1], True])
-    thresholds = np.append(ranked[below[:-1]], _sentinel(ranked[-1]))
-    del ranked
-    genuine_below = np.searchsorted(genuine, thresholds)
-    tar = (genuine.size - genuine_below) / genuine.size
-    far = (impostor.size - (below - genuine_below)) / impostor.size
-    return thresholds, tar, far
+def _crossing(genuine: np.ndarray, impostor: np.ndarray, holds) -> tuple:
+    """(TAR, FAR) at the first ROC vertex (a distinct score, or inf above all) where
+    ``holds(tar, far)``, which must stay true as the threshold rises, found by bisecting
+    each class; and at the vertex before it, None if there is none."""
+    def key(threshold) -> bool:
+        return holds(*_rates(genuine, impostor, threshold))
+    classes = (genuine, impostor)
+    top = min((s[k] for s in classes if (k := bisect.bisect_left(s, True, key=key)) < s.size),
+              default=np.inf)
+    below = [s[k - 1] for s in classes if (k := int(np.searchsorted(s, top)))]
+    return (_rates(genuine, impostor, top),
+            _rates(genuine, impostor, max(below)) if below else None)
 
 
-def auc(curve: tuple) -> float:
-    """Trapezoidal area under TAR(FAR) of an ROC (thresholds, TAR, FAR).
-
-    Equals the Mann-Whitney statistic with ties counted one half, because a
-    tie block appears as a single diagonal segment of the polyline. The
-    polyline is walked in decreasing-threshold order; re-sorting by FAR would
-    scramble the neighbors of vertical (tied-FAR) runs.
-    """
-    _, tar, far = curve
-    return float(np.trapezoid(tar[::-1], far[::-1]))
+def auc(genuine: np.ndarray, impostor: np.ndarray) -> float:
+    """Area under the ROC of the sorted, non-empty genuine and impostor scores:
+    the exact Mann-Whitney statistic 2U / (2 G I), ties counted one half, with
+    2U summed as integers and divided once (correctly rounded)."""
+    twice_u = sum(int(np.searchsorted(impostor, genuine, side).sum())
+                  for side in ("left", "right"))
+    return twice_u / (2 * genuine.size * impostor.size)
 
 
-def eer(curve: tuple) -> float:
-    """Rate where FAR crosses 1 - TAR, linearly interpolated on the polyline."""
-    _, tar, far = curve
-    # f = FAR - (1 - TAR) runs from +1 at the smallest score to -1 at the
-    # sentinel and never rises: it crosses zero after its last positive point
-    f = far + tar - 1.0
-    i = int(np.argmax(f <= 0.0)) - 1
-    u = f[i] / (f[i] - f[i + 1])
-    return float(far[i] + u * (far[i + 1] - far[i]))
+def eer(genuine: np.ndarray, impostor: np.ndarray) -> float:
+    """Rate where FAR crosses 1 - TAR, linearly interpolated on the ROC polyline
+    of the sorted, non-empty genuine and impostor scores."""
+    # f = FAR - (1 - TAR) never rises, from +1 at the smallest score to -1 above all
+    (tar_hi, far_hi), (tar_lo, far_lo) = _crossing(
+        genuine, impostor, lambda tar, far: far + tar - 1.0 <= 0.0)
+    f_lo, f_hi = far_lo + tar_lo - 1.0, far_hi + tar_hi - 1.0
+    return far_lo + f_lo / (f_lo - f_hi) * (far_hi - far_lo)
 
 
-def tar_at_far(curve: tuple, far_target: float) -> float:
-    """TAR linearly interpolated at the requested FAR (upper envelope)."""
+def tar_at_far(genuine: np.ndarray, impostor: np.ndarray, far_target: float) -> float:
+    """TAR linearly interpolated at the requested FAR on the upper envelope of
+    the ROC of the sorted, non-empty genuine and impostor scores: of the vertices
+    with one FAR, the first (lowest threshold) has the largest TAR."""
     require(np.isfinite(far_target) and 0.0 < far_target <= 1.0,
             f"far_target must lie in (0, 1], got {far_target}")
-    _, tar, far = curve
-    # collapse vertical runs (same FAR, several TARs) to the best TAR: both
-    # rates are non-increasing in the threshold, so a FAR's first point has it
-    first = np.flatnonzero(np.r_[True, far[1:] != far[:-1]])[::-1]
-    return float(np.interp(far_target, far[first], tar[first]))
+    top, below = _crossing(genuine, impostor, lambda tar, far: far <= far_target)
+    # the envelope point at the next larger FAR is the first vertex of its run
+    points = [top] if below is None else [
+        top, _crossing(genuine, impostor, lambda tar, far: far <= below[1])[0]]
+    tars, fars = zip(*points)
+    return float(np.interp(far_target, fars, tars))
 
 
 def _fold_accuracy(genuine: np.ndarray, impostor: np.ndarray,
@@ -187,8 +188,9 @@ def _fold_accuracy(genuine: np.ndarray, impostor: np.ndarray,
         best = candidates[int(np.argmax(gain[candidates]))]
         if (n_folds - 1) * g_per + int(gain[best]) >= (n_folds - 1) * i_per:
             threshold = values[best]
-        else:  # the sentinel above the largest training score rejects them all
-            threshold = _sentinel(np.delete(tops, k).max())
+        else:  # a sentinel above the largest training score rejects them all
+            top = np.delete(tops, k).max()  # top + 1.0 is top once |top| >= 2**53
+            threshold = max(top + 1.0, np.nextafter(top, np.inf))
         hits = (g_per - int(np.searchsorted(g_runs[k], threshold))
                 + int(np.searchsorted(i_runs[k], threshold)))
         accuracies[k] = hits / (g_per + i_per)
@@ -402,8 +404,8 @@ def verification_report(genuine: np.ndarray, impostor: np.ndarray, n_folds: int 
                         rank5: float | None = None) -> VerificationReport:
     """Assemble the standard report from the genuine and the impostor scores in
     index order, such as `pair_scores` returns, which it sorts in place. The
-    threshold-free metrics use every pair; the fold accuracy runs on the stratified
-    folds (a few pairs may be in no fold, to equalize them)."""
+    threshold-free metrics count every pair on the sorted classes (no ROC arrays);
+    the fold accuracy runs on the stratified folds (a few pairs may be in no fold)."""
     require(genuine.size + impostor.size > 0, "need at least one scored pair")
     require(bool(np.all(np.isfinite(genuine))) and bool(np.all(np.isfinite(impostor))),
             "pair scores must be finite")
@@ -416,9 +418,8 @@ def verification_report(genuine: np.ndarray, impostor: np.ndarray, n_folds: int 
     mean, std = _fold_accuracy(genuine, impostor, n_folds)
     genuine.sort()
     impostor.sort()
-    curve = _roc(genuine, impostor)
     return VerificationReport(accuracy_mean=mean, accuracy_std=std,
-                              eer=eer(curve), auc=auc(curve),
-                              tar_far10=tar_at_far(curve, 0.10),
-                              tar_far1=tar_at_far(curve, 0.01),
+                              eer=eer(genuine, impostor), auc=auc(genuine, impostor),
+                              tar_far10=tar_at_far(genuine, impostor, 0.10),
+                              tar_far1=tar_at_far(genuine, impostor, 0.01),
                               rank1=rank1, rank5=rank5)

@@ -168,12 +168,6 @@ def _read(handle, entry: tuple, rows: range | None = None) -> np.ndarray:
     return np.frombuffer(handle.read(nbytes), dtype=dtype).reshape(shape)
 
 
-def _unpack(handle) -> tuple[dict, dict[str, np.ndarray]]:
-    """Header and arrays of `handle`'s container, each a read-only view of its own `bytes`."""
-    header, layout = _index(handle)
-    return header, {entry[0]: _read(handle, entry) for entry in layout}
-
-
 def _invariant(cond: bool, message: str) -> None:
     if not cond:
         raise InvariantViolationError(message)

@@ -9,8 +9,10 @@ pair in one stacked alignment and crops them all with one mask. The
 per-item value classes (`Shape`, `LandmarkSet2D`, `CoeffPair`,
 `PoseParams`), the one-item functions the stacks replaced (`crop_indices`
 among them), the public ROC of three arrays (`roc_curve`, which the report
-computes inside itself), the per-fold threshold search that counts over
-each class's sorted runs replaced, the validated `RocCurve` that the ROC's
+computed inside itself) with the EER, trapezoid AUC and TAR@FAR read from
+those arrays (the report now counts them on the two sorted classes), the
+per-fold threshold search that counts over each class's sorted runs
+replaced, the validated `RocCurve` that the ROC's
 three plain arrays replaced, the stratified rearranged copy of the pairs and
 the checked score and flag columns that the genuine and impostor score
 arrays replaced, the report that sorted the scores once for the
@@ -29,12 +31,12 @@ same and within a stated tolerance where it is not.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from morphfit.errors import InvalidArgumentError, ParseError, require
-from morphfit.evaluation import (DisentanglingReport, ReconstructionReport, VerificationReport,
-                                 _roc, auc, eer)
+from morphfit.evaluation import DisentanglingReport, ReconstructionReport, VerificationReport
 from morphfit.fitting import (_data_terms, _estimate_poses, _landmark_components,
                               _landmark_points, _solve_block)
 from morphfit.geometry import (MIN_POINTS, ROTATION_TOL, MorphableModel, _align_centred,
@@ -580,16 +582,77 @@ def searched_verification_report(genuine, impostor, n_folds: int = 10,
                                  rank1: float | None = None,
                                  rank5: float | None = None) -> VerificationReport:
     """`verification_report` as it built the ROC, then rearranged the pairs
-    into stratified folds and sorted them again for the fold search."""
+    into stratified folds and sorted them again for the fold search; the AUC
+    as the exact rational `mann_whitney_auc`."""
     curve = searched_roc_curve(genuine, impostor)
     mean, std = searched_accuracy_folds(stratified_folds(genuine, impostor, n_folds),
                                         n_folds)
-    arrays = (curve.thresholds, curve.tar, curve.far)
     return VerificationReport(accuracy_mean=mean, accuracy_std=std,
-                              eer=eer(arrays), auc=auc(arrays),
+                              eer=curve_eer((curve.thresholds, curve.tar, curve.far)),
+                              auc=mann_whitney_auc(genuine, impostor),
                               tar_far10=unique_tar_at_far(curve, 0.10),
                               tar_far1=unique_tar_at_far(curve, 0.01),
                               rank1=rank1, rank5=rank5)
+
+
+def mann_whitney_auc(genuine, impostor) -> float:
+    """The AUC as the exact rational 2U / (2 G I), correctly rounded: U counts,
+    pair by pair, each genuine score above an impostor score once and each tie
+    one half."""
+    g, i = (np.asarray(c, dtype=np.float64).reshape(-1, 1) for c in (genuine, impostor))
+    twice_u = 2 * np.count_nonzero(g > i.T) + np.count_nonzero(g == i.T)
+    return float(Fraction(int(twice_u), 2 * g.size * i.size))
+
+
+def sorted_roc(genuine: np.ndarray, impostor: np.ndarray) -> tuple:
+    """The ROC (thresholds, TAR, FAR) of the sorted genuine and impostor scores:
+    the distinct scores, then a sentinel; both rates fall from 1 to 0."""
+    ranked = np.concatenate([genuine, impostor])
+    ranked.sort(kind="stable")  # a merge of two sorted runs
+    # below[j] scores lie under threshold j: its run of equal scores starts there
+    below = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1], True])
+    top = ranked[-1]  # top + 1.0 is top once |top| >= 2**53
+    thresholds = np.append(ranked[below[:-1]], max(top + 1.0, np.nextafter(top, np.inf)))
+    del ranked
+    genuine_below = np.searchsorted(genuine, thresholds)
+    tar = (genuine.size - genuine_below) / genuine.size
+    far = (impostor.size - (below - genuine_below)) / impostor.size
+    return thresholds, tar, far
+
+
+def trapezoid_auc(curve: tuple) -> float:
+    """Trapezoidal area under TAR(FAR) of an ROC (thresholds, TAR, FAR).
+
+    Equals the Mann-Whitney statistic with ties counted one half, up to the
+    rounding of the trapezoid sum, because a tie block appears as a single
+    diagonal segment of the polyline. The polyline is walked in
+    decreasing-threshold order; re-sorting by FAR would scramble the
+    neighbors of vertical (tied-FAR) runs.
+    """
+    _, tar, far = curve
+    return float(np.trapezoid(tar[::-1], far[::-1]))
+
+
+def curve_eer(curve: tuple) -> float:
+    """Rate where FAR crosses 1 - TAR, linearly interpolated on the polyline."""
+    _, tar, far = curve
+    # f = FAR - (1 - TAR) runs from +1 at the smallest score to -1 at the
+    # sentinel and never rises: it crosses zero after its last positive point
+    f = far + tar - 1.0
+    i = int(np.argmax(f <= 0.0)) - 1
+    u = f[i] / (f[i] - f[i + 1])
+    return float(far[i] + u * (far[i + 1] - far[i]))
+
+
+def curve_tar_at_far(curve: tuple, far_target: float) -> float:
+    """TAR linearly interpolated at the requested FAR (upper envelope)."""
+    require(np.isfinite(far_target) and 0.0 < far_target <= 1.0,
+            f"far_target must lie in (0, 1], got {far_target}")
+    _, tar, far = curve
+    # collapse vertical runs (same FAR, several TARs) to the best TAR: both
+    # rates are non-increasing in the threshold, so a FAR's first point has it
+    first = np.flatnonzero(np.r_[True, far[1:] != far[:-1]])[::-1]
+    return float(np.interp(far_target, far[first], tar[first]))
 
 
 def _thresholds(scores: np.ndarray) -> np.ndarray:
@@ -612,7 +675,7 @@ def roc_curve(genuine, impostor) -> tuple:
     """The ROC of `verification_report` as (thresholds, TAR, FAR) arrays, from
     sorted copies of the genuine and the impostor scores."""
     scores, flags = scores_and_flags(genuine, impostor)
-    return _roc(np.sort(scores[flags]), np.sort(scores[~flags]))
+    return sorted_roc(np.sort(scores[flags]), np.sort(scores[~flags]))
 
 
 def scores_and_flags(genuine, impostor) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ from morphfit.evaluation import (
     ReconstructionReport,
     VerificationReport,
     _cosine_distances,
+    _rates,
     auc,
     disentangling_report,
     eer,
@@ -35,13 +36,14 @@ from morphfit.synthetic import (
 )
 
 from oracles import (CoeffPair, PoseParams, RocCurve, Shape, SimilarityTransform,
-                     apply_transform, crop_indices, dilate_max, procrustes_align,
+                     apply_transform, crop_indices, curve_eer, curve_tar_at_far,
+                     dilate_max, mann_whitney_auc, procrustes_align,
                      procrustes_align_stack,
                      masked_cosine_distances, rasterize_depth, roc_curve,
                      searched_accuracy_folds, searched_roc_curve,
                      searched_verification_report, select_landmarks,
-                     self_encoding_disentangling_report, stratified_folds,
-                     unshared_reconstruction, verification_pairs,
+                     self_encoding_disentangling_report, sorted_roc, stratified_folds,
+                     trapezoid_auc, unshared_reconstruction, verification_pairs,
                      whole_stack_reconstruction)
 from conftest import (assert_plain_fields, copied_rows, disentangle, reconstruct, rmse,
                       row_pose)
@@ -113,38 +115,58 @@ def checked_curve(genuine, impostor) -> RocCurve:
     return RocCurve(np.column_stack(roc_curve(genuine, impostor)))
 
 
+def ranked(genuine, impostor) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted float64 copies of the two classes, as `verification_report` hands
+    them to `eer`, `auc` and `tar_at_far`."""
+    return np.sort(np.asarray(genuine, dtype=np.float64)), np.sort(
+        np.asarray(impostor, dtype=np.float64))
+
+
 class TestRocCurve:
+    """The rates that `eer` and `tar_at_far` count at a threshold, against the
+    ROC oracle's vertices and against counting."""
+
     def test_perfect_separation_hits_corner(self):
         curve = checked_curve([2.0, 3.0], [0.0, 1.0])
         corner = (curve.tar == 1.0) & (curve.far == 0.0)
         assert np.any(corner)
+        assert _rates(*ranked([2.0, 3.0], [0.0, 1.0]), curve.thresholds[corner][0]) == (1.0, 0.0)
 
     def test_all_equal_scores_degenerate_line(self):
         curve = checked_curve([0.5, 0.5], [0.5, 0.5, 0.5])
         assert np.array_equal(curve.tar, [1.0, 0.0])
         assert np.array_equal(curve.far, [1.0, 0.0])
+        classes = ranked([0.5, 0.5], [0.5, 0.5, 0.5])
+        assert [_rates(*classes, t) for t in curve.thresholds] == [(1.0, 1.0), (0.0, 0.0)]
 
     def test_matches_counting_oracle_with_ties(self):
         rng = np.random.default_rng(1)
         genuine = rng.integers(0, 10, size=60) / 10.0
         impostor = rng.integers(0, 10, size=40) / 10.0
         curve = checked_curve(genuine, impostor)
+        classes = ranked(genuine, impostor)
         for threshold, tar, far in curve.points:
             assert tar == np.count_nonzero(genuine >= threshold) / 60
             assert far == np.count_nonzero(impostor >= threshold) / 40
+            assert _rates(*classes, threshold) == (tar, far)
 
     def test_sentinel_above_scores_past_two_to_the_53(self):
         curve = roc_curve([1e17], [0.0])  # 1e17 + 1.0 == 1e17
         thresholds, tar, far = curve
         assert thresholds[-1] > 1e17
         assert tar[-1] == 0.0 and far[-1] == 0.0
-        assert auc(curve) == 1.0
+        assert _rates(*ranked([1e17], [0.0]), thresholds[-1]) == (0.0, 0.0)
+        assert auc(*ranked([1e17], [0.0])) == 1.0
 
     def test_single_class_rejected(self):
         with pytest.raises(InvalidArgumentError):
             roc_curve([1.0, 0.5], [])
         with pytest.raises(InvalidArgumentError):
             roc_curve([], [])
+        with pytest.raises(InvalidArgumentError):
+            copied_report([1.0, 0.5], [], 2)
+        with pytest.raises(InvalidArgumentError):
+            copied_report([], [], 2)
 
     def test_curve_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -157,20 +179,20 @@ class TestRocCurve:
 
 class TestAuc:
     def test_perfect_is_one(self):
-        assert auc(roc_curve([2.0, 3.0], [0.0, 1.0])) == 1.0
+        assert auc(*ranked([2.0, 3.0], [0.0, 1.0])) == 1.0
 
     def test_inverted_is_zero(self):
-        assert auc(roc_curve([0.0, 1.0], [2.0, 3.0])) == 0.0
+        assert auc(*ranked([0.0, 1.0], [2.0, 3.0])) == 0.0
 
     def test_hand_case(self):
-        value = auc(roc_curve([0.8, 0.6], [0.7, 0.1]))
+        value = auc(*ranked([0.8, 0.6], [0.7, 0.1]))
         assert abs(value - 0.75) < 1e-12
 
     def test_matches_mann_whitney_with_half_ties(self):
         rng = np.random.default_rng(2)
         genuine = rng.integers(0, 8, size=50) / 8.0 + 0.1
         impostor = rng.integers(0, 8, size=70) / 8.0
-        value = auc(roc_curve(genuine, impostor))
+        value = auc(*ranked(genuine, impostor))
         wins = sum(1.0 if g > i else (0.5 if g == i else 0.0)
                    for g in genuine for i in impostor)
         assert abs(value - wins / (50 * 70)) < 1e-10
@@ -179,20 +201,20 @@ class TestAuc:
         rng = np.random.default_rng(3)
         genuine = rng.normal(0.5, 0.3, size=40)
         impostor = rng.normal(0.0, 0.3, size=40)
-        raw = auc(roc_curve(genuine, impostor))
-        warped = auc(roc_curve(np.exp(genuine), np.exp(impostor)))
+        raw = auc(*ranked(genuine, impostor))
+        warped = auc(*ranked(np.exp(genuine), np.exp(impostor)))
         assert abs(raw - warped) < 1e-12
 
 
 class TestEer:
     def test_perfect_is_zero(self):
-        assert eer(roc_curve([2.0, 3.0], [0.0, 1.0])) == 0.0
+        assert eer(*ranked([2.0, 3.0], [0.0, 1.0])) == 0.0
 
     def test_inverted_is_one(self):
-        assert eer(roc_curve([0.0, 1.0], [2.0, 3.0])) == 1.0
+        assert eer(*ranked([0.0, 1.0], [2.0, 3.0])) == 1.0
 
     def test_hand_crossing(self):
-        assert eer(roc_curve([0.8, 0.6], [0.7, 0.1])) == 0.5
+        assert eer(*ranked([0.8, 0.6], [0.7, 0.1])) == 0.5
 
     def test_crossing_point_property(self):
         # the returned value must sit where the FAR and FRR polylines meet
@@ -200,7 +222,7 @@ class TestEer:
         genuine = rng.integers(0, 12, size=45) / 12.0 + 0.2
         impostor = rng.integers(0, 12, size=55) / 12.0
         curve = roc_curve(genuine, impostor)
-        value = eer(curve)
+        value = eer(*ranked(genuine, impostor))
         assert 0.0 <= value <= 1.0
         found = False
         _, tar, far = curve
@@ -218,29 +240,29 @@ class TestEer:
         rng = np.random.default_rng(5)
         genuine = rng.normal(0.6, 0.4, size=30)
         impostor = rng.normal(0.0, 0.4, size=30)
-        raw = eer(roc_curve(genuine, impostor))
-        warped = eer(roc_curve(3.0 * genuine + 2.0, 3.0 * impostor + 2.0))
+        raw = eer(*ranked(genuine, impostor))
+        warped = eer(*ranked(3.0 * genuine + 2.0, 3.0 * impostor + 2.0))
         assert abs(raw - warped) < 1e-12
 
 
 class TestTarAtFar:
     def test_perfect_is_one_everywhere(self):
-        curve = roc_curve([2.0, 3.0], [0.0, 1.0])
-        assert tar_at_far(curve, 0.10) == 1.0
-        assert tar_at_far(curve, 0.01) == 1.0
+        classes = ranked([2.0, 3.0], [0.0, 1.0])
+        assert tar_at_far(*classes, 0.10) == 1.0
+        assert tar_at_far(*classes, 0.01) == 1.0
 
     def test_interpolated_hand_case(self):
-        curve = roc_curve([1.0, 3.0], [0.0, 2.0])
+        classes = ranked([1.0, 3.0], [0.0, 2.0])
         # envelope points: (FAR 0, TAR 0.5), (0.5, 1), (1, 1)
-        assert abs(tar_at_far(curve, 0.25) - 0.75) < 1e-12
-        assert tar_at_far(curve, 0.5) == 1.0
+        assert abs(tar_at_far(*classes, 0.25) - 0.75) < 1e-12
+        assert tar_at_far(*classes, 0.5) == 1.0
 
     def test_target_validation(self):
-        curve = roc_curve([1.0], [0.0])
+        classes = ranked([1.0], [0.0])
         with pytest.raises(InvalidArgumentError):
-            tar_at_far(curve, 0.0)
+            tar_at_far(*classes, 0.0)
         with pytest.raises(InvalidArgumentError):
-            tar_at_far(curve, 1.5)
+            tar_at_far(*classes, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,11 +1103,12 @@ class TestVerificationReport:
         assert report == copied_report([0.9, 0.7, 0.8], [0.3, 0.1, 0.2], 3)
 
     def test_peak_memory_per_pair(self):
-        """The report holds each class's scores, sorted in place, and the ROC's
-        arrays, not the pairs twice over: at most 80 bytes per pair above its
-        entry (119 when it sorted twice and copied the pairs into stratified folds).
-        Codes on a 0.1 grid, so that some scores tie; most stay distinct, which
-        keeps the per-threshold arrays as long as they get."""
+        """The report sorts each class in place and counts its rates on them, with
+        no ROC arrays: at most 8 bytes per pair above its entry (6.3 read; 53.9
+        when it built the ROC's arrays, 119 when it sorted twice and copied the
+        pairs into stratified folds). Codes on a 0.1 grid, so that some scores
+        tie; most stay distinct, which kept the per-threshold arrays as long as
+        they got."""
         rng = np.random.default_rng(16)
         codes = np.round(rng.normal(size=(633, 8)), 1)
         codes[~codes.any(axis=1), 0] = 0.1
@@ -1098,7 +1121,7 @@ class TestVerificationReport:
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert peak <= 80 * n_pairs, f"{peak / n_pairs:.1f} B/pair"
+        assert peak <= 8 * n_pairs, f"{peak / n_pairs:.1f} B/pair"
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(1, 4).flatmap(lambda q: code_rows(q, 5)), st.integers(2, 4),
@@ -1327,6 +1350,37 @@ class TestSortedSweepMatchesSearchOracle:
         assert report_folds(*SENTINEL_FOLDS) == (2 / 3, 0.0)
 
 
+@st.composite
+def ranked_pairs(draw):
+    """Two sorted classes of 1-20 scores from one pool of `score_pools` (so
+    one-element classes, all-equal scores and scores past 2**53 occur), and a
+    vertex FAR k/I of the impostor class."""
+    scores = draw(score_pools)
+    genuine, impostor = (np.sort(np.array(draw(st.lists(scores, min_size=1, max_size=20))))
+                         for _ in range(2))
+    return genuine, impostor, draw(st.integers(1, impostor.size)) / impostor.size
+
+
+class TestCountsMatchCurveOracle:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(ranked_pairs())
+    @example((np.array([1e17]), np.array([0.0]), 1.0))
+    @example((np.array([2.0 ** 53]), np.array([2.0 ** 53, 2.0 ** 53]), 0.5))
+    def test_eer_tar_at_far_and_auc(self, case):
+        """EER and TAR@FAR (at FAR 1, a vertex FAR and 0.01) bit for bit against
+        the ROC arrays; the AUC as the exact rational 2U / (2 G I), within 4 ulp
+        of the trapezoid over the same arrays."""
+        genuine, impostor, vertex_far = case
+        curve = sorted_roc(genuine, impostor)
+        assert repr(eer(genuine, impostor)) == repr(curve_eer(curve))
+        for target in (1.0, vertex_far, 0.01):
+            assert (repr(tar_at_far(genuine, impostor, target))
+                    == repr(curve_tar_at_far(curve, target))), target
+        value, trapezoid = auc(genuine, impostor), trapezoid_auc(curve)
+        assert value == mann_whitney_auc(genuine, impostor)
+        assert abs(value - trapezoid) <= 4 * np.spacing(max(value, trapezoid))
+
+
 class TestArrayPathsMatchLoopOracles:
     @settings(max_examples=150, deadline=None)
     @given(labelled_scores(), st.integers(2, 3))
@@ -1338,8 +1392,8 @@ class TestArrayPathsMatchLoopOracles:
     @given(labelled_scores(), st.floats(0.001, 1.0))
     def test_eer_and_tar_match_loops(self, classes, far_target):
         curve = roc_curve(*classes)
-        assert eer(curve) == eer_loop_oracle(curve)
-        assert tar_at_far(curve, far_target) == tar_at_far_dict_oracle(
+        assert eer(*ranked(*classes)) == eer_loop_oracle(curve)
+        assert tar_at_far(*ranked(*classes), far_target) == tar_at_far_dict_oracle(
             curve, far_target)
 
     @settings(max_examples=150, deadline=None)

@@ -25,7 +25,7 @@ from morphfit.errors import (CorruptionError, InvalidArgumentError,
 from morphfit.evaluation import (DisentanglingReport, ReconstructionReport,
                                  VerificationReport)
 from morphfit.network import EncoderNet, init_decoder, init_encoder, init_head
-from morphfit.serialization import (FORMAT_VERSION, MAGIC, _pack, _unpack,
+from morphfit.serialization import (FORMAT_VERSION, MAGIC, _index, _pack, _read,
                                     load_checkpoint, load_dataset,
                                     save_checkpoint, save_dataset, write_obj,
                                     write_table_csv)
@@ -39,6 +39,13 @@ from oracles import read_obj, window_of
 # ---------------------------------------------------------------------------
 # Container-tampering helpers: parse the header, edit it (or the payload),
 # and re-encode, so corruption tests hit real byte layouts.
+
+def unpack(handle) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and arrays of `handle`'s container, each read by `_read` as a
+    read-only view of its own `bytes`."""
+    header, layout = _index(handle)
+    return header, {entry[0]: _read(handle, entry) for entry in layout}
+
 
 def reencode(data: bytes, edit) -> bytes:
     (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
@@ -642,7 +649,7 @@ class TestDatasetContainer:
         path = str(tmp_path / "data.mfd")
         save_dataset(tiny_dataset, path)
         with open(path, "rb") as handle:
-            header, arrays = _unpack(handle)
+            header, arrays = unpack(handle)
         meta = {k: v for k, v in header.items() if k not in ("arrays", "format_version")}
         tampered = tmp_path / "short.mfd"
         tampered.write_bytes(b"".join(_pack(meta, {
@@ -877,7 +884,7 @@ class TestOneCopyPerLoad:
         path = tmp_path / "data.mfd"
         save_dataset(tiny_dataset, str(path))
         with open(path, "rb") as handle:
-            _, arrays = _unpack(handle)
+            _, arrays = unpack(handle)
         for name, array in arrays.items():
             assert not array.flags.owndata and not array.flags.writeable, name
             assert type(array.base.base) is bytes, name
@@ -1220,7 +1227,7 @@ class TestRowWindows:
     def test_a_column_short_of_rows_fails_outside_the_window(self, fuzz_files, tmp_path):
         # the landmarks column one row short, header and payload consistent
         with open(fuzz_files / "data.mfd", "rb") as handle:
-            header, arrays = _unpack(handle)
+            header, arrays = unpack(handle)
         meta = {k: v for k, v in header.items() if k not in ("arrays", "format_version")}
         path = tmp_path / "data.mfd"
         path.write_bytes(b"".join(_pack(meta, {
