@@ -19,8 +19,7 @@ from . import network as nw
 from .config import RunConfig, format_config, load_config, parse_config
 from .errors import MorphfitError, require
 from .evaluation import (disentangling_report, evaluate_reconstruction,
-                         pair_scores, rank_n_identification, reconstruction_truth,
-                         verification_report)
+                         pair_scores, rank_n_identification, verification_report)
 from .fitting import multi_image_fit
 from .serialization import (_atomic_write, load_checkpoint, load_dataset,
                             save_checkpoint, save_dataset, write_obj,
@@ -188,8 +187,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _check_checkpoint_fits(dataset, encoder, decoder) -> None:
-    """InvalidArgumentError naming both values unless the checkpoint's
+def _check_checkpoint_fits(dataset, encoder, decoder, name: str = "checkpoint") -> None:
+    """InvalidArgumentError naming the checkpoint and both values unless its
     networks have the widths that the dataset's model and images call for."""
     model, side = dataset.model, dataset.spec.image_resolution
     for what, got, want, why in (
@@ -200,7 +199,7 @@ def _check_checkpoint_fits(dataset, encoder, decoder) -> None:
             ("encoder input length", encoder.input_dim, side ** 2,
              f"{side}x{side} images")):
         require(got == want,
-                f"checkpoint {what} is {got}, but the dataset needs {want} ({why})")
+                f"{name} {what} is {got}, but the dataset needs {want} ({why})")
 
 
 def _cmd_eval(args) -> int:
@@ -209,6 +208,9 @@ def _cmd_eval(args) -> int:
         split_indices(spec.n_subjects, spec.images_per_subject)[2][0]:])
     encoder, decoder, _head, _cfg = load_checkpoint(args.checkpoint)
     _check_checkpoint_fits(dataset, encoder, decoder)
+    if args.baseline:  # checked before any file is written
+        enc2, dec2 = load_checkpoint(args.baseline)[:2]
+        _check_checkpoint_fits(dataset, enc2, dec2, "baseline checkpoint")
     model = dataset.model
     out = config.output_dir
 
@@ -229,24 +231,20 @@ def _cmd_eval(args) -> int:
     # each report's fields, in order, are its CSV columns
     write_table_csv(report._fields, [report], os.path.join(out, "verification.csv"))
 
-    truth = reconstruction_truth(dataset.ground_truth_shapes(rows), model.landmark_indices,
-                                 model.nose_tip_index, config.crop_radius)
+    def predict(codes, dec, rows, shapes):
+        nw.decode(dec, codes[0][rows], codes[1][rows], out=shapes)
+        shapes += model.mean
 
-    def reconstruction(codes, dec):
-        def predict(rows, shapes):
-            nw.decode(dec, codes[0][rows], codes[1][rows], out=shapes)
-            shapes += model.mean
-        return evaluate_reconstruction(predict, truth)
-
-    recon = reconstruction((c_id, c_res), decoder)
-    write_table_csv(recon._fields, [recon], os.path.join(out, "reconstruction.csv"))
+    predictors = [functools.partial(predict, (c_id, c_res), decoder)]
     if args.baseline:
-        enc2, dec2 = load_checkpoint(args.baseline)[:2]
-        baseline = reconstruction(nw.encode_images(enc2, images), dec2)
-        del enc2, dec2  # the rest of eval needs the phase III encoder only
-        write_table_csv(baseline._fields, [baseline],
-                        os.path.join(out, "reconstruction_baseline.csv"))
-    del truth  # before the disentangling re-renders: no later section reads it
+        predictors.append(functools.partial(predict, nw.encode_images(enc2, images), dec2))
+        del enc2, dec2  # the predictor holds the decoder until the pass is done
+    reports = evaluate_reconstruction(
+        predictors, lambda s: dataset.ground_truth_shapes(rows[s]), rows.size,
+        model.landmark_indices, model.nose_tip_index, config.crop_radius)
+    del predictors  # before the disentangling re-renders: no later section reads them
+    for name, recon in zip(("reconstruction.csv", "reconstruction_baseline.csv"), reports):
+        write_table_csv(recon._fields, [recon], os.path.join(out, name))
 
     disentangling = disentangling_report(
         lambda images: nw.encode_images(encoder, images), dataset, (c_id, c_res))
@@ -254,7 +252,7 @@ def _cmd_eval(args) -> int:
                     os.path.join(out, "disentangling.csv"))
     _echo_config(config)
     print(f"auc {report.auc:.4f} eer {report.eer:.4f} "
-          f"rmse {recon.rmse_paper:.6g}")
+          f"rmse {reports[0].rmse_paper:.6g}")
     return 0
 
 

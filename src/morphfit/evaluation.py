@@ -124,7 +124,7 @@ def _crossing(genuine: np.ndarray, impostor: np.ndarray, holds) -> tuple:
             _rates(genuine, impostor, max(below)) if below else None)
 
 
-def auc(genuine: np.ndarray, impostor: np.ndarray) -> float:
+def _auc(genuine: np.ndarray, impostor: np.ndarray) -> float:
     """Area under the ROC of the sorted, non-empty genuine and impostor scores:
     the exact Mann-Whitney statistic 2U / (2 G I), ties counted one half, with
     2U summed as integers and divided once (correctly rounded)."""
@@ -133,7 +133,7 @@ def auc(genuine: np.ndarray, impostor: np.ndarray) -> float:
     return twice_u / (2 * genuine.size * impostor.size)
 
 
-def eer(genuine: np.ndarray, impostor: np.ndarray) -> float:
+def _eer(genuine: np.ndarray, impostor: np.ndarray) -> float:
     """Rate where FAR crosses 1 - TAR, linearly interpolated on the ROC polyline
     of the sorted, non-empty genuine and impostor scores."""
     # f = FAR - (1 - TAR) never rises, from +1 at the smallest score to -1 above all
@@ -143,7 +143,7 @@ def eer(genuine: np.ndarray, impostor: np.ndarray) -> float:
     return far_lo + f_lo / (f_lo - f_hi) * (far_hi - far_lo)
 
 
-def tar_at_far(genuine: np.ndarray, impostor: np.ndarray, far_target: float) -> float:
+def _tar_at_far(genuine: np.ndarray, impostor: np.ndarray, far_target: float) -> float:
     """TAR linearly interpolated at the requested FAR on the upper envelope of
     the ROC of the sorted, non-empty genuine and impostor scores: of the vertices
     with one FAR, the first (lowest threshold) has the largest TAR."""
@@ -223,92 +223,91 @@ def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
     return float(hits / probes.shape[0])
 
 
-def reconstruction_truth(ground_truth: np.ndarray, landmark_indices: np.ndarray,
-                         nose_tip_index: int, crop_radius: float) -> tuple:
-    """evaluate_reconstruction's checked ground-truth side of (N, 3n) shape rows,
-    once for any number of prediction stacks: the (N, n, 3) points, landmark
-    indices, the landmarks' `_centred` form, the (N, n) mask of the vertices
-    within crop_radius of each nose tip (boundary included), its row counts and crop_radius."""
-    ground_truth = np.asarray(ground_truth, dtype=np.float64)
-    require(ground_truth.ndim == 2 and ground_truth.shape[0] >= 1
-            and ground_truth.shape[1] % 3 == 0,
-            f"need a non-empty (N, 3n) ground-truth array, got {ground_truth.shape}")
-    require(bool(np.all(np.isfinite(ground_truth))), "ground-truth shapes must be finite")
-    points = ground_truth.reshape(ground_truth.shape[0], -1, 3)
-    indices, n = np.asarray(landmark_indices, dtype=np.int64).ravel(), points.shape[1]
-    require(bool(np.all((indices >= 0) & (indices < n))),
-            f"landmark indices must lie in [0, {n})")
-    require(0 <= nose_tip_index < n, f"nose_tip_index {nose_tip_index} out of range [0, {n})")
-    require(np.isfinite(crop_radius) and crop_radius >= 0.0,
-            f"crop_radius must be finite and non-negative, got {crop_radius}")
-    require(indices.size >= MIN_POINTS,
-            f"need at least {MIN_POINTS} points, got {indices.size}")
-    dist, scratch = np.zeros(points.shape[:2]), np.empty(points.shape[:2])
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow falls outside the crop
-        for c in range(3):
-            np.subtract(points[..., c], points[:, nose_tip_index, c, None], out=scratch)
-            dist += np.square(scratch, out=scratch)
-        landmarks = _centred(points[:, indices])  # the alignment checks what it reads
-    crop = np.sqrt(dist, out=dist) <= crop_radius
-    return (points, indices, landmarks, crop, np.count_nonzero(crop, axis=1),
-            float(crop_radius))
-
-
 # Rows per chunk of `evaluate_reconstruction`, at most: about 1.4 MB of buffers
 # at the default model size, a decoder's residual term included.
 _RECONSTRUCTION_CHUNK = 32
 
 
-def evaluate_reconstruction(predict, truth: tuple,
-                            chunk: int = _RECONSTRUCTION_CHUNK) -> ReconstructionReport:
-    """Shape error of the predictions that ``predict(rows, out)`` writes, for a
-    slice of rows, into the C-ordered (rows, 3n) array `out`, against the
-    ground-truth rows whose `reconstruction_truth` is `truth`: each prediction
-    aligned to its ground truth on the landmarks, then both cropped by the
-    ground truth's nose-tip mask. The rows go in even chunks of at most `chunk`,
-    never one row alone (its matrix-vector product has other bits than its row
-    of a matrix product), through buffers allocated once. A failing pair is named
-    as when the whole stack is scored as one chunk, which scoring then does."""
-    points, indices, (mu, centred), crop, size, crop_radius = truth
-    n_pairs, n_chunks = len(points), -(-len(points) // chunk)
+def evaluate_reconstruction(predictors: list, truth, n_pairs: int,
+                            landmark_indices: np.ndarray, nose_tip_index: int,
+                            crop_radius: float,
+                            chunk: int = _RECONSTRUCTION_CHUNK) -> list[ReconstructionReport]:
+    """One report per predictor, in order: the shape error of the predictions that
+    ``predict(rows, out)`` writes, for a slice of rows, into the C-ordered (rows, 3n)
+    array `out`, each aligned on the landmarks to the ground-truth rows that
+    ``truth(rows)`` returns, then both cropped to the vertices within crop_radius of
+    the ground-truth nose tip. The rows go in even chunks of at most `chunk`, never
+    one row alone (a matrix-vector product has other bits than a matrix product's
+    row); a chunk's ground truth is checked and cropped once for all predictors. A
+    failing pair is named as when all rows are scored as one chunk, which scoring then does."""
+    indices = np.asarray(landmark_indices, dtype=np.int64).ravel()
+    n_chunks = -(-n_pairs // chunk) or 1
     bounds = [k * n_pairs // n_chunks for k in range(n_chunks + 1)]
-    predicted, aligned = np.empty((2, -(-n_pairs // n_chunks), *points.shape[1:]))
-    paper, dist = np.empty(n_pairs), np.empty(n_pairs)
+    paper, dist = np.empty((2, len(predictors), n_pairs))  # each pair's two error terms
     try:
         for start, stop in zip(bounds, bounds[1:]):
-            rows, pred_pts = slice(start, stop), predicted[:stop - start]
-            predict(rows, pred_pts.reshape(stop - start, -1))
-            source = pred_pts[:, indices]
-            _fail(~np.isfinite(source).all(axis=(1, 2)), "points must be finite",
-                  InvalidArgumentError)
-            with np.errstate(over="ignore", invalid="ignore"):  # each step checks its pairs
-                scale, rotation, translation = _align_centred(_centred(source),
-                                                              (mu[rows], centred[rows]))
-                out = np.matmul(pred_pts, np.swapaxes(scale[:, None, None] * rotation, 1, 2),
-                                out=aligned[:stop - start])
-                out += translation[:, None]
-                bad = ~np.isfinite(out).all(axis=(1, 2))
-                require(not bad.any(),
-                        f"aligned shape of pair {int(np.argmax(bad))} is not finite")
+            rows = slice(start, stop)
+            ground_truth = np.asarray(truth(rows), dtype=np.float64)
+            require(ground_truth.ndim == 2 and ground_truth.shape[0] >= 1
+                    and ground_truth.shape[1] % 3 == 0,
+                    f"need a non-empty (N, 3n) ground-truth array, got {ground_truth.shape}")
+            require(bool(np.all(np.isfinite(ground_truth))),
+                    "ground-truth shapes must be finite")
+            points = ground_truth.reshape(stop - start, -1, 3)
+            if start == 0:  # the first chunk gives the vertex count and the buffers' size
+                n = points.shape[1]
+                require(bool(np.all((indices >= 0) & (indices < n))),
+                        f"landmark indices must lie in [0, {n})")
+                require(0 <= nose_tip_index < n,
+                        f"nose_tip_index {nose_tip_index} out of range [0, {n})")
+                require(np.isfinite(crop_radius) and crop_radius >= 0.0,
+                        f"crop_radius must be finite and non-negative, got {crop_radius}")
+                require(indices.size >= MIN_POINTS,
+                        f"need at least {MIN_POINTS} points, got {indices.size}")
+                predicted, aligned = np.empty((2, -(-n_pairs // n_chunks), n, 3))
+            tip_dist = np.zeros(points.shape[:2])
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is outside the crop
+                for c in range(3):
+                    tip_dist += np.square(points[..., c] - points[:, nose_tip_index, c, None])
+                landmarks = _centred(points[:, indices])  # the alignment checks what it reads
+            crop = np.sqrt(tip_dist, out=tip_dist) <= crop_radius
+            size = np.count_nonzero(crop, axis=1)
 
-                # squared residuals per vertex, summed in `out`
-                out -= points[rows]
-                out *= out
-                squared = out[..., 0]
-                squared += out[..., 1]
-                squared += out[..., 2]
-                squared *= crop[rows]
-                paper[rows] = np.sqrt(squared.sum(axis=1)) / size[rows]
-                dist[rows] = np.sqrt(squared, out=squared).sum(axis=1) / size[rows]
-            _fail(~np.isfinite(paper[rows]), "reconstruction error is not finite",
-                  InvalidArgumentError)
-    except MorphfitError:
+            for p, predict in enumerate(predictors):
+                pred_pts = predicted[:stop - start]
+                predict(rows, pred_pts.reshape(stop - start, -1))
+                source = pred_pts[:, indices]
+                _fail(~np.isfinite(source).all(axis=(1, 2)), "points must be finite",
+                      InvalidArgumentError)
+                with np.errstate(over="ignore", invalid="ignore"):  # each step checks its pairs
+                    scale, rotation, translation = _align_centred(_centred(source), landmarks)
+                    out = np.matmul(pred_pts, np.swapaxes(scale[:, None, None] * rotation, 1, 2),
+                                    out=aligned[:stop - start])
+                    out += translation[:, None]
+                    bad = ~np.isfinite(out).all(axis=(1, 2))
+                    require(not bad.any(),
+                            f"aligned shape of pair {int(np.argmax(bad))} is not finite")
+
+                    # squared residuals per vertex, summed in `out`
+                    out -= points
+                    out *= out
+                    squared = out[..., 0]
+                    squared += out[..., 1]
+                    squared += out[..., 2]
+                    squared *= crop
+                    paper[p, rows] = np.sqrt(squared.sum(axis=1)) / size
+                    dist[p, rows] = np.sqrt(squared, out=squared).sum(axis=1) / size
+                _fail(~np.isfinite(paper[p, rows]), "reconstruction error is not finite",
+                      InvalidArgumentError)
+    except (MorphfitError, FloatingPointError):
         if n_chunks == 1:
             raise
-        return evaluate_reconstruction(predict, truth, n_pairs)
-    return ReconstructionReport(rmse_paper=float(np.sum(paper)) / n_pairs,
-                                mean_vertex_dist=float(np.sum(dist)) / n_pairs,
-                                n_pairs=n_pairs, crop_radius=crop_radius)
+        return evaluate_reconstruction(predictors, truth, n_pairs, indices, nose_tip_index,
+                                       crop_radius, n_pairs)
+    return [ReconstructionReport(rmse_paper=float(np.sum(paper[p])) / n_pairs,
+                                 mean_vertex_dist=float(np.sum(dist[p])) / n_pairs,
+                                 n_pairs=n_pairs, crop_radius=float(crop_radius))
+            for p in range(len(predictors))]
 
 
 def _cosine_distances(codes: np.ndarray, labels: np.ndarray) -> tuple:
@@ -419,7 +418,7 @@ def verification_report(genuine: np.ndarray, impostor: np.ndarray, n_folds: int 
     genuine.sort()
     impostor.sort()
     return VerificationReport(accuracy_mean=mean, accuracy_std=std,
-                              eer=eer(genuine, impostor), auc=auc(genuine, impostor),
-                              tar_far10=tar_at_far(genuine, impostor, 0.10),
-                              tar_far1=tar_at_far(genuine, impostor, 0.01),
+                              eer=_eer(genuine, impostor), auc=_auc(genuine, impostor),
+                              tar_far10=_tar_at_far(genuine, impostor, 0.10),
+                              tar_far1=_tar_at_far(genuine, impostor, 0.01),
                               rank1=rank1, rank5=rank5)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from morphfit.errors import require
-from morphfit.evaluation import (disentangling_report, evaluate_reconstruction,
-                                 reconstruction_truth)
+from morphfit.evaluation import disentangling_report, evaluate_reconstruction
 from morphfit.geometry import coord_rows
 from morphfit.synthetic import (Dataset, DatasetSpec, PoseRanges,
                                 SyntheticModelSpec, build_dataset,
@@ -68,12 +67,19 @@ def copied_rows(predicted):
     return predict
 
 
+def truth_rows(ground_truth):
+    """The `truth` of `evaluate_reconstruction` that returns copies of the asked
+    rows of a ground-truth stack."""
+    ground_truth = np.asarray(ground_truth, dtype=np.float64)
+    return lambda rows: ground_truth[rows].copy()
+
+
 def reconstruct(predicted, ground_truth, landmark_indices, nose_tip_index,
                 crop_radius):
-    """`evaluate_reconstruction` of one prediction stack against the
-    `reconstruction_truth` of its ground truth."""
-    return evaluate_reconstruction(copied_rows(predicted), reconstruction_truth(
-        ground_truth, landmark_indices, nose_tip_index, crop_radius))
+    """`evaluate_reconstruction` of one prediction stack against its ground truth."""
+    return evaluate_reconstruction([copied_rows(predicted)], truth_rows(ground_truth),
+                                   len(ground_truth), landmark_indices, nose_tip_index,
+                                   crop_radius)[0]
 
 
 def disentangle(embed, dataset):

@@ -21,8 +21,9 @@ by row block replaced (gathered from the whole score matrix through
 `np.triu_indices`), the cosine distances that N x N masks picked from the
 whole distance matrix, the reconstruction error that computed its ground-truth
 side anew for every prediction stack, the one that scored a whole stack of
-predictions at once where eval now scores a chunk of rows at a time, the
-decode that summed into fresh
+predictions at once against a whole ground-truth side computed beforehand
+(`reconstruction_truth`) where eval now composes and scores a chunk of rows
+at a time, for every prediction stack in one pass, the decode that summed into fresh
 arrays, the disentangling report that encoded the evaluated images
 itself, and the OBJ reader only tests use keep their bodies here,
 changed only where they call the program's current signatures; the tests
@@ -571,7 +572,7 @@ def masked_cosine_distances(codes: np.ndarray, labels: np.ndarray) -> tuple:
 
 
 def unique_tar_at_far(curve: RocCurve, far_target: float) -> float:
-    """`tar_at_far` as it took the distinct FARs from `np.unique`."""
+    """`_tar_at_far` as it took the distinct FARs from `np.unique`."""
     require(np.isfinite(far_target) and 0.0 < far_target <= 1.0,
             f"far_target must lie in (0, 1], got {far_target}")
     fars, first = np.unique(curve.far, return_index=True)
@@ -736,6 +737,37 @@ def summed_decode(dec, c_id: np.ndarray, c_res: np.ndarray) -> np.ndarray:
     """`network.decode` as one expression, each sum into a fresh array."""
     return (c_id @ dec.weight_id.T + dec.bias_id
             + c_res @ dec.weight_res.T + dec.bias_res)
+
+
+def reconstruction_truth(ground_truth: np.ndarray, landmark_indices: np.ndarray,
+                         nose_tip_index: int, crop_radius: float) -> tuple:
+    """`whole_stack_reconstruction`'s checked ground-truth side of (N, 3n) shape rows:
+    the (N, n, 3) points, landmark indices, the landmarks' `_centred` form, the
+    (N, n) mask of the vertices within crop_radius of each nose tip (boundary
+    included), its row counts and crop_radius."""
+    ground_truth = np.asarray(ground_truth, dtype=np.float64)
+    require(ground_truth.ndim == 2 and ground_truth.shape[0] >= 1
+            and ground_truth.shape[1] % 3 == 0,
+            f"need a non-empty (N, 3n) ground-truth array, got {ground_truth.shape}")
+    require(bool(np.all(np.isfinite(ground_truth))), "ground-truth shapes must be finite")
+    points = ground_truth.reshape(ground_truth.shape[0], -1, 3)
+    indices, n = np.asarray(landmark_indices, dtype=np.int64).ravel(), points.shape[1]
+    require(bool(np.all((indices >= 0) & (indices < n))),
+            f"landmark indices must lie in [0, {n})")
+    require(0 <= nose_tip_index < n, f"nose_tip_index {nose_tip_index} out of range [0, {n})")
+    require(np.isfinite(crop_radius) and crop_radius >= 0.0,
+            f"crop_radius must be finite and non-negative, got {crop_radius}")
+    require(indices.size >= MIN_POINTS,
+            f"need at least {MIN_POINTS} points, got {indices.size}")
+    dist, scratch = np.zeros(points.shape[:2]), np.empty(points.shape[:2])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow falls outside the crop
+        for c in range(3):
+            np.subtract(points[..., c], points[:, nose_tip_index, c, None], out=scratch)
+            dist += np.square(scratch, out=scratch)
+        landmarks = _centred(points[:, indices])  # the alignment checks what it reads
+    crop = np.sqrt(dist, out=dist) <= crop_radius
+    return (points, indices, landmarks, crop, np.count_nonzero(crop, axis=1),
+            float(crop_radius))
 
 
 def whole_stack_reconstruction(predicted: np.ndarray, truth: tuple) -> ReconstructionReport:

@@ -19,7 +19,7 @@ import pytest
 
 from morphfit.cli import _train_pipeline, cli
 from morphfit.config import RunConfig
-from morphfit.evaluation import auc, pair_scores, rank_n_identification, verification_report
+from morphfit.evaluation import _auc, pair_scores, rank_n_identification, verification_report
 from morphfit.fitting import FitConfig, multi_image_fit
 from morphfit.geometry import MorphableModel, rotation_zyx
 from morphfit.network import (encode_images, finite_diff_check, init_decoder,
@@ -246,7 +246,7 @@ def test_criterion_06_joint_training_preserves_recognition_and_recon(
 
     def held_out_auc(encoder):
         c_id, _ = encode_images(encoder, images)
-        return auc(*map(np.sort, pair_scores(c_id, labels)))
+        return _auc(*map(np.sort, pair_scores(c_id, labels)))
 
     def recon_rmse(encoder, decoder):
         c_id, c_res = encode_images(encoder, images)
@@ -287,7 +287,7 @@ def test_criterion_08_metric_oracles():
     # AUC vs Mann-Whitney with half ties, 100 scores
     genuine = rng.integers(0, 8, size=60) / 8.0 + 0.1
     impostor = rng.integers(0, 8, size=40) / 8.0
-    value = auc(np.sort(genuine), np.sort(impostor))
+    value = _auc(np.sort(genuine), np.sort(impostor))
     wins = sum(1.0 if g > i else (0.5 if g == i else 0.0)
                for g in genuine for i in impostor)
     mw = wins / (60 * 40)

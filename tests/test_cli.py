@@ -281,6 +281,17 @@ def foreign_datasets(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def unfit_checkpoint(tmp_path_factory):
+    """Untrained networks for 300-vertex shapes and the tiny pipeline's code
+    widths and 12x12 images: a decoder output length (900) that none of the
+    datasets here has."""
+    path = str(tmp_path_factory.mktemp("unfit") / "unfit.ckpt")
+    save_checkpoint(nw.init_encoder(144, 4, 3), nw.init_decoder(900, 4, 3),
+                    nw.init_head(6, 4), RunConfig(), path)
+    return path
+
+
 class TestCheckpointDatasetMismatch:
     @pytest.mark.parametrize("setting", MISMATCHES)
     @pytest.mark.parametrize("command", ["eval", "export-bases"])
@@ -293,6 +304,17 @@ class TestCheckpointDatasetMismatch:
         assert (code, out) == (1, "")
         assert err == f"error: InvalidArgumentError: {MISMATCHES[setting]}\n"
         assert not (tmp_path / "out").exists()  # not even the config echo
+
+    def test_unfit_baseline_is_an_error_line_before_any_file(
+            self, pipeline, unfit_checkpoint, tmp_path):
+        code, out, err = run_cli([
+            "eval", "--data", pipeline["dataset"], "--checkpoint",
+            os.path.join(pipeline["train_dir"], "phase3.ckpt"),
+            "--baseline", unfit_checkpoint, *TINY_OVERRIDES, "--out", str(tmp_path / "out")])
+        assert (code, out) == (1, "")
+        assert err == ("error: InvalidArgumentError: baseline checkpoint decoder output "
+                       "length is 900, but the dataset needs 240 (3 * 80 vertices)\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEval:
@@ -717,8 +739,9 @@ def contract_calls(draw):
     if stage in ("eval", "export-bases"):
         phases = st.sampled_from(["phase1", "phase2", "phase3"])
         extra += ["--checkpoint", draw(phases)]
-        if stage == "eval" and draw(st.booleans()):
-            extra += ["--baseline", draw(phases)]
+        if stage == "eval" and draw(st.booleans()):  # or one that fits no dataset
+            extra += ["--baseline", draw(st.sampled_from(["phase1", "phase2", "phase3",
+                                                          "unfit"]))]
     # one call in five is a usage error
     extra += draw(st.sampled_from([[]] * 8 + [["--bogus"], ["--seed", "x"]]))
     return stage, settings, draw(st.sampled_from(INPUTS)), extra
@@ -740,20 +763,24 @@ class TestCliContract:
     # escapes the property found: a numpy ValueError from a negative seed and
     # from an empty check-grad batch, an overflow warning ahead of the error
     # line of a diverging phase III, and a phase III whose Adam second moment
-    # overflowed, which exited 0 with overflow warnings
+    # overflowed, which exited 0 with overflow warnings; and a numpy ValueError
+    # from a baseline checkpoint whose decoder did not fit the dataset
     @example(call=("train", {**TINY_SETTINGS, "seed": "-1"}, "own", []))
     @example(call=("check-grad", {**TINY_SETTINGS, "batch_size": "0"}, "own", []))
     @example(call=("train", {**TINY_SETTINGS, "phase3_learning_rate": "1e300"}, "own", []))
     @example(call=("train", {**TINY_SETTINGS, "head_scale": "1e300"}, "own", []))
+    @example(call=("eval", TINY_SETTINGS, "own",
+                   ["--checkpoint", "phase3", "--baseline", "unfit"]))
     def test_exit_0_or_1_with_one_error_line_or_2(self, pipeline, contract_inputs,
-                                                  tmp_path_factory, call):
+                                                  unfit_checkpoint, tmp_path_factory, call):
         stage, settings, data, extra = call
         argv = [stage, *(f"--set={key}={value}" for key, value in settings.items()),
                 "--out", str(tmp_path_factory.mktemp("contract"))]
         if stage in ("fit", "train", "eval", "export-bases"):
             argv += ["--data", contract_inputs[data]]
         argv += [os.path.join(pipeline["train_dir"], f"{item}.ckpt")
-                 if item.startswith("phase") else item for item in extra]
+                 if item.startswith("phase") else
+                 unfit_checkpoint if item == "unfit" else item for item in extra]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, _, err = run_cli(argv)

@@ -16,15 +16,14 @@ from morphfit.evaluation import (
     ReconstructionReport,
     VerificationReport,
     _cosine_distances,
+    _auc,
+    _eer,
     _rates,
-    auc,
+    _tar_at_far,
     disentangling_report,
-    eer,
     evaluate_reconstruction,
     pair_scores,
     rank_n_identification,
-    reconstruction_truth,
-    tar_at_far,
     verification_report,
 )
 from morphfit.geometry import rotation_zyx
@@ -39,14 +38,14 @@ from oracles import (CoeffPair, PoseParams, RocCurve, Shape, SimilarityTransform
                      apply_transform, crop_indices, curve_eer, curve_tar_at_far,
                      dilate_max, mann_whitney_auc, procrustes_align,
                      procrustes_align_stack,
-                     masked_cosine_distances, rasterize_depth, roc_curve,
+                     masked_cosine_distances, rasterize_depth, reconstruction_truth, roc_curve,
                      searched_accuracy_folds, searched_roc_curve,
                      searched_verification_report, select_landmarks,
                      self_encoding_disentangling_report, sorted_roc, stratified_folds,
                      trapezoid_auc, unshared_reconstruction, verification_pairs,
                      whole_stack_reconstruction)
 from conftest import (assert_plain_fields, copied_rows, disentangle, reconstruct, rmse,
-                      row_pose)
+                      row_pose, truth_rows)
 
 
 def by_class(scores, is_genuine) -> tuple[np.ndarray, np.ndarray]:
@@ -117,13 +116,13 @@ def checked_curve(genuine, impostor) -> RocCurve:
 
 def ranked(genuine, impostor) -> tuple[np.ndarray, np.ndarray]:
     """Sorted float64 copies of the two classes, as `verification_report` hands
-    them to `eer`, `auc` and `tar_at_far`."""
+    them to `_eer`, `_auc` and `_tar_at_far`."""
     return np.sort(np.asarray(genuine, dtype=np.float64)), np.sort(
         np.asarray(impostor, dtype=np.float64))
 
 
 class TestRocCurve:
-    """The rates that `eer` and `tar_at_far` count at a threshold, against the
+    """The rates that `_eer` and `_tar_at_far` count at a threshold, against the
     ROC oracle's vertices and against counting."""
 
     def test_perfect_separation_hits_corner(self):
@@ -156,7 +155,7 @@ class TestRocCurve:
         assert thresholds[-1] > 1e17
         assert tar[-1] == 0.0 and far[-1] == 0.0
         assert _rates(*ranked([1e17], [0.0]), thresholds[-1]) == (0.0, 0.0)
-        assert auc(*ranked([1e17], [0.0])) == 1.0
+        assert _auc(*ranked([1e17], [0.0])) == 1.0
 
     def test_single_class_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -179,20 +178,20 @@ class TestRocCurve:
 
 class TestAuc:
     def test_perfect_is_one(self):
-        assert auc(*ranked([2.0, 3.0], [0.0, 1.0])) == 1.0
+        assert _auc(*ranked([2.0, 3.0], [0.0, 1.0])) == 1.0
 
     def test_inverted_is_zero(self):
-        assert auc(*ranked([0.0, 1.0], [2.0, 3.0])) == 0.0
+        assert _auc(*ranked([0.0, 1.0], [2.0, 3.0])) == 0.0
 
     def test_hand_case(self):
-        value = auc(*ranked([0.8, 0.6], [0.7, 0.1]))
+        value = _auc(*ranked([0.8, 0.6], [0.7, 0.1]))
         assert abs(value - 0.75) < 1e-12
 
     def test_matches_mann_whitney_with_half_ties(self):
         rng = np.random.default_rng(2)
         genuine = rng.integers(0, 8, size=50) / 8.0 + 0.1
         impostor = rng.integers(0, 8, size=70) / 8.0
-        value = auc(*ranked(genuine, impostor))
+        value = _auc(*ranked(genuine, impostor))
         wins = sum(1.0 if g > i else (0.5 if g == i else 0.0)
                    for g in genuine for i in impostor)
         assert abs(value - wins / (50 * 70)) < 1e-10
@@ -201,20 +200,20 @@ class TestAuc:
         rng = np.random.default_rng(3)
         genuine = rng.normal(0.5, 0.3, size=40)
         impostor = rng.normal(0.0, 0.3, size=40)
-        raw = auc(*ranked(genuine, impostor))
-        warped = auc(*ranked(np.exp(genuine), np.exp(impostor)))
+        raw = _auc(*ranked(genuine, impostor))
+        warped = _auc(*ranked(np.exp(genuine), np.exp(impostor)))
         assert abs(raw - warped) < 1e-12
 
 
 class TestEer:
     def test_perfect_is_zero(self):
-        assert eer(*ranked([2.0, 3.0], [0.0, 1.0])) == 0.0
+        assert _eer(*ranked([2.0, 3.0], [0.0, 1.0])) == 0.0
 
     def test_inverted_is_one(self):
-        assert eer(*ranked([0.0, 1.0], [2.0, 3.0])) == 1.0
+        assert _eer(*ranked([0.0, 1.0], [2.0, 3.0])) == 1.0
 
     def test_hand_crossing(self):
-        assert eer(*ranked([0.8, 0.6], [0.7, 0.1])) == 0.5
+        assert _eer(*ranked([0.8, 0.6], [0.7, 0.1])) == 0.5
 
     def test_crossing_point_property(self):
         # the returned value must sit where the FAR and FRR polylines meet
@@ -222,7 +221,7 @@ class TestEer:
         genuine = rng.integers(0, 12, size=45) / 12.0 + 0.2
         impostor = rng.integers(0, 12, size=55) / 12.0
         curve = roc_curve(genuine, impostor)
-        value = eer(*ranked(genuine, impostor))
+        value = _eer(*ranked(genuine, impostor))
         assert 0.0 <= value <= 1.0
         found = False
         _, tar, far = curve
@@ -240,29 +239,29 @@ class TestEer:
         rng = np.random.default_rng(5)
         genuine = rng.normal(0.6, 0.4, size=30)
         impostor = rng.normal(0.0, 0.4, size=30)
-        raw = eer(*ranked(genuine, impostor))
-        warped = eer(*ranked(3.0 * genuine + 2.0, 3.0 * impostor + 2.0))
+        raw = _eer(*ranked(genuine, impostor))
+        warped = _eer(*ranked(3.0 * genuine + 2.0, 3.0 * impostor + 2.0))
         assert abs(raw - warped) < 1e-12
 
 
 class TestTarAtFar:
     def test_perfect_is_one_everywhere(self):
         classes = ranked([2.0, 3.0], [0.0, 1.0])
-        assert tar_at_far(*classes, 0.10) == 1.0
-        assert tar_at_far(*classes, 0.01) == 1.0
+        assert _tar_at_far(*classes, 0.10) == 1.0
+        assert _tar_at_far(*classes, 0.01) == 1.0
 
     def test_interpolated_hand_case(self):
         classes = ranked([1.0, 3.0], [0.0, 2.0])
         # envelope points: (FAR 0, TAR 0.5), (0.5, 1), (1, 1)
-        assert abs(tar_at_far(*classes, 0.25) - 0.75) < 1e-12
-        assert tar_at_far(*classes, 0.5) == 1.0
+        assert abs(_tar_at_far(*classes, 0.25) - 0.75) < 1e-12
+        assert _tar_at_far(*classes, 0.5) == 1.0
 
     def test_target_validation(self):
         classes = ranked([1.0], [0.0])
         with pytest.raises(InvalidArgumentError):
-            tar_at_far(*classes, 0.0)
+            _tar_at_far(*classes, 0.0)
         with pytest.raises(InvalidArgumentError):
-            tar_at_far(*classes, 1.5)
+            _tar_at_far(*classes, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -513,21 +512,22 @@ class TestEvaluateReconstruction:
         assert got.mean_vertex_dist == pytest.approx(want.mean_vertex_dist, rel=1e-12,
                                                      abs=0.0)
 
-    # One ground-truth side serves every prediction stack scored against it,
-    # with the bits of computing it afresh for each, and stays unchanged.
+    # One pass scores every prediction stack against one ground-truth side,
+    # with the bits of computing that side afresh for each, and leaves the
+    # ground-truth rows it reads unchanged.
     @settings(max_examples=150, deadline=None)
-    @given(shape_pairs(), st.integers(0, 2 ** 32 - 1))
-    def test_shared_truth_matches_unshared_oracle(self, case, seed):
+    @given(shape_pairs(), st.integers(0, 2 ** 32 - 1), st.integers(2, 3))
+    def test_shared_truth_matches_unshared_oracle(self, case, seed, n_stacks):
         predicted, truth, landmarks, nose_tip_index, radius = case
         other = predicted + np.random.default_rng(seed).normal(size=predicted.shape)
-        shared = reconstruction_truth(truth, landmarks, nose_tip_index, radius)
-        kept = [np.copy(part) for part in (*shared[:2], *shared[2], *shared[3:5])]
-        for stack in (predicted, other, predicted):
-            got = evaluate_reconstruction(copied_rows(stack), shared)
-            want = unshared_reconstruction(stack, truth, landmarks, nose_tip_index, radius)
-            assert repr(got) == repr(want)
-        now = (*shared[:2], *shared[2], *shared[3:5])
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, now))
+        stacks, kept = (predicted, other, predicted)[:n_stacks], truth.copy()
+        got = evaluate_reconstruction([copied_rows(stack) for stack in stacks],
+                                      lambda rows: truth[rows], len(truth), landmarks,
+                                      nose_tip_index, radius)
+        want = [unshared_reconstruction(stack, truth, landmarks, nose_tip_index, radius)
+                for stack in stacks]
+        assert repr(got) == repr(want)
+        assert truth.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("vertex, coord, message", [
         (2, 0, "pair 1: points must be finite"),
@@ -652,15 +652,23 @@ CHUNK = _RECONSTRUCTION_CHUNK
 CHUNKED_SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
 
 
+def scored(predictors, ground_truth, landmark_indices, nose_tip_index, crop_radius):
+    """`evaluate_reconstruction` of the predictors against a ground-truth stack."""
+    return evaluate_reconstruction(predictors, truth_rows(ground_truth), len(ground_truth),
+                                   landmark_indices, nose_tip_index, crop_radius)
+
+
 def decoded_case(n_pairs: int, seed: int, n: int = 30) -> tuple:
-    """A decoder, (c_id, c_res) codes of n_pairs rows, a mean shape and, near
-    the decoded shapes, the ground truth's `reconstruction_truth`."""
+    """Two (decoder, (c_id, c_res) codes of n_pairs rows) pairs, a mean shape
+    and, near the first decoder's shapes, a ground truth with its landmarks,
+    nose tip and crop radius."""
     rng = np.random.default_rng(seed)
-    dec = init_decoder(3 * n, 5, 3, seed=seed)
-    codes = rng.normal(size=(n_pairs, 5)), rng.normal(size=(n_pairs, 3))
+    decoders = [(init_decoder(3 * n, 5, 3, seed=seed + k),
+                 (rng.normal(size=(n_pairs, 5)), rng.normal(size=(n_pairs, 3))))
+                for k in range(2)]
     mean = rng.normal(size=3 * n)
     truth = mean + 0.1 * rng.normal(size=(n_pairs, 3 * n))
-    return dec, codes, mean, reconstruction_truth(truth, np.arange(0, n, 3), 0, 1.5)
+    return decoders, mean, (truth, np.arange(0, n, 3), 0, 1.5)
 
 
 def decoded_rows(dec, codes, mean):
@@ -671,16 +679,21 @@ def decoded_rows(dec, codes, mean):
     return predict
 
 
-def whole_stack(dec, codes, mean, truth) -> ReconstructionReport:
+def whole_stack(dec, codes, mean, case) -> ReconstructionReport:
     """eval's reconstruction as it decoded and scored all rows at once."""
     shapes = decode(dec, *codes)
     shapes += mean
-    return whole_stack_reconstruction(shapes, truth)
+    return whole_stack_reconstruction(shapes, reconstruction_truth(*case))
 
 
-# Each prediction defect, in the order that scoring a whole stack checks for
-# it, as an edit of pair k's prediction or ground truth (10 vertices, the
-# first 6 of them landmarks, a crop radius of 1 around vertex 0).
+# Each defect, in the order that scoring the whole ground truth, then a whole
+# prediction stack, checks for it, as an edit of pair k's prediction or ground
+# truth (10 vertices, the first 6 of them landmarks, a crop radius of 1 around
+# vertex 0).
+def _non_finite_truth(predicted, truth, k):
+    truth[k, 3 * 7 + 1] = np.nan
+
+
 def _non_finite_landmark(predicted, truth, k):
     predicted[k, 3 * 2] = np.inf
 
@@ -701,7 +714,9 @@ def _overflowing_error(predicted, truth, k):
     truth[k, 3 * 8] = 1e300
 
 
-DEFECTS = {"points": (_non_finite_landmark, InvalidArgumentError,
+DEFECTS = {"truth": (_non_finite_truth, InvalidArgumentError,
+                     "ground-truth shapes must be finite"),
+           "points": (_non_finite_landmark, InvalidArgumentError,
                       "pair {k}: points must be finite"),
            "coincident": (_coincident, DegenerateGeometryError,
                           "pair {k}: source points are coincident"),
@@ -737,23 +752,26 @@ def whole_stack_of(predicted, ground_truth, landmarks, nose_tip_index, radius):
 
 
 class TestChunkedReconstruction:
-    """`evaluate_reconstruction` scores a chunk of rows at a time; the
-    whole-stack oracle scored every row at once."""
+    """`evaluate_reconstruction` composes the ground truth and scores every
+    prediction stack a chunk of rows at a time; the whole-stack oracle scored
+    each stack's rows at once against the whole ground truth."""
 
     @pytest.mark.parametrize("n_pairs", CHUNKED_SIZES)
     def test_decoded_chunks_match_whole_stack(self, n_pairs):
-        dec, codes, mean, truth = decoded_case(n_pairs, seed=n_pairs)
-        got = evaluate_reconstruction(decoded_rows(dec, codes, mean), truth)
-        assert repr(got) == repr(whole_stack(dec, codes, mean, truth))
-        assert got.n_pairs == n_pairs
+        decoders, mean, case = decoded_case(n_pairs, seed=n_pairs)
+        got = scored([decoded_rows(dec, codes, mean) for dec, codes in decoders], *case)
+        assert repr(got) == repr([whole_stack(dec, codes, mean, case)
+                                  for dec, codes in decoders])
+        assert [report.n_pairs for report in got] == [n_pairs, n_pairs]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(1, 3 * CHUNK + 2), st.integers(0, 2 ** 32 - 1),
            st.integers(12, 40))
     def test_decoded_chunks_match_whole_stack_property(self, n_pairs, seed, n):
-        dec, codes, mean, truth = decoded_case(n_pairs, seed, n)
-        got = evaluate_reconstruction(decoded_rows(dec, codes, mean), truth)
-        assert repr(got) == repr(whole_stack(dec, codes, mean, truth))
+        decoders, mean, case = decoded_case(n_pairs, seed, n)
+        got = scored([decoded_rows(dec, codes, mean) for dec, codes in decoders], *case)
+        assert repr(got) == repr([whole_stack(dec, codes, mean, case)
+                                  for dec, codes in decoders])
 
     @pytest.mark.parametrize("n_pairs", CHUNKED_SIZES)
     def test_copied_chunks_match_whole_stack(self, n_pairs):
@@ -764,18 +782,36 @@ class TestChunkedReconstruction:
         assert repr(reconstruct(*case)) == repr(whole_stack_of(*case))
 
     def test_holds_one_chunk_of_predictions(self):
+        """Two prediction stacks and the ground truth, each from a function
+        of the rows, cost a chunk of rows at a time."""
         rng = np.random.default_rng(25)
         truth = random_clouds(rng, 60 * CHUNK)
-        shared = reconstruction_truth(truth, np.arange(10), 0, 1.0)
-        predict = copied_rows(truth + 0.05 * rng.normal(size=truth.shape))
+        predictors = [copied_rows(truth + 0.05 * rng.normal(size=truth.shape))
+                      for _ in range(2)]
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            evaluate_reconstruction(predict, shared)
+            scored(predictors, truth, np.arange(10), 0, 1.0)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
         assert peak <= truth.nbytes / 8, f"{peak} B against a {truth.nbytes} B stack"
+
+    def test_numerical_error_in_a_chunk_defers_to_the_whole_stack(self):
+        """Under np.errstate(over="raise"), as `cli` runs, a prediction that
+        overflows in the first chunk does not hide a ground truth that is not
+        finite in the third: checking the whole ground truth first meets that."""
+        predicted, truth, *args = defective_case({2 * CHUNK + 1: "truth"})
+        predicted[0, 0] = 1e300
+
+        def predict(rows, out):
+            np.multiply(predicted[rows], 1e10, out=out)
+        with np.errstate(over="raise"):
+            with pytest.raises(InvalidArgumentError,
+                               match="^ground-truth shapes must be finite$"):
+                scored([predict], truth, *args)
+            with pytest.raises(FloatingPointError):  # what the whole ground truth passes
+                scored([predict], truth[:CHUNK], *args)
 
     @pytest.mark.parametrize("name", list(DEFECTS))
     @pytest.mark.parametrize("k", [0, CHUNK - 1, CHUNK + 5, 2 * CHUNK + 2])
@@ -790,12 +826,21 @@ class TestChunkedReconstruction:
     def test_earlier_check_in_a_later_chunk_wins(self, early, late):
         """A pair in the third chunk failing a check that a pair in the first
         chunk passes is named, as when every pair is checked at each step;
-        for one check in both, the first chunk's pair is."""
+        for one check in both, the first chunk's pair is. A ground truth that
+        is not finite in the third chunk wins over any prediction, and the
+        first stack's error over a second stack's that fails in pair 1."""
         first, last = 3, 2 * CHUNK + 1
         case = defective_case({first: late, last: early})
         _, kind, message = DEFECTS[early]
         want = (kind, message.format(k=first if early == late else last))
         assert raised(reconstruct, case) == raised(whole_stack_of, case) == want
+        predicted, truth = case[:2]
+        second = predicted.copy()
+        _non_finite_landmark(second, truth, 1)
+
+        def both(*case):
+            return scored([copied_rows(predicted), copied_rows(second)], *case[1:])
+        assert raised(both, case) == want
 
 
 # ---------------------------------------------------------------------------
@@ -1372,11 +1417,11 @@ class TestCountsMatchCurveOracle:
         of the trapezoid over the same arrays."""
         genuine, impostor, vertex_far = case
         curve = sorted_roc(genuine, impostor)
-        assert repr(eer(genuine, impostor)) == repr(curve_eer(curve))
+        assert repr(_eer(genuine, impostor)) == repr(curve_eer(curve))
         for target in (1.0, vertex_far, 0.01):
-            assert (repr(tar_at_far(genuine, impostor, target))
+            assert (repr(_tar_at_far(genuine, impostor, target))
                     == repr(curve_tar_at_far(curve, target))), target
-        value, trapezoid = auc(genuine, impostor), trapezoid_auc(curve)
+        value, trapezoid = _auc(genuine, impostor), trapezoid_auc(curve)
         assert value == mann_whitney_auc(genuine, impostor)
         assert abs(value - trapezoid) <= 4 * np.spacing(max(value, trapezoid))
 
@@ -1392,8 +1437,8 @@ class TestArrayPathsMatchLoopOracles:
     @given(labelled_scores(), st.floats(0.001, 1.0))
     def test_eer_and_tar_match_loops(self, classes, far_target):
         curve = roc_curve(*classes)
-        assert eer(*ranked(*classes)) == eer_loop_oracle(curve)
-        assert tar_at_far(*ranked(*classes), far_target) == tar_at_far_dict_oracle(
+        assert _eer(*ranked(*classes)) == eer_loop_oracle(curve)
+        assert _tar_at_far(*ranked(*classes), far_target) == tar_at_far_dict_oracle(
             curve, far_target)
 
     @settings(max_examples=150, deadline=None)
