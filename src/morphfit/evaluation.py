@@ -66,41 +66,43 @@ class DisentanglingReport(NamedTuple):
     degenerate: bool
 
 
+_PAIR_BLOCK = 32  # rows per block of a pair pass, at most: never all N x N pairs at once
+_EMBED_CHUNK = 64  # rows per chunk of the disentangling re-render (32 moved its ratio's last bit)
+
+
+def _blocks(n: int, most: int = _PAIR_BLOCK) -> list[slice]:
+    """n rows as even slices of at most `most` rows, never one row alone unless n
+    is 1: one row's product is a matrix-vector product, which has other bits."""
+    k = -(-n // most) or 1
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
 def _cosine_rows(a: np.ndarray, b: np.ndarray):
     """The function from a slice of a's rows to their cosine similarity with every row
-    of b, guarding norms; a @ b.T is taken whole (a block's product has other bits)."""
+    of b, guarding norms; each slice takes its own product a[s] @ b.T, so a slice's
+    bits can differ from the same rows of the whole product (README, Determinism).
+    Every score a slice returns is checked, the diagonal of a @ a.T included."""
     require(bool(np.all(np.isfinite(a))) and bool(np.all(np.isfinite(b))),
             "codes must be finite")
     norms_a, norms_b = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
     require(bool(np.all(norms_a > 0)) and bool(np.all(norms_b > 0)),
             "cosine similarity needs non-zero vectors")
-    dots = a @ b.T
     def rows(s: slice) -> np.ndarray:
-        sims = np.clip(dots[s] / np.outer(norms_a[s], norms_b), -1.0, 1.0)
+        sims = np.clip(a[s] @ b.T / np.outer(norms_a[s], norms_b), -1.0, 1.0)
         require(bool(np.all(np.isfinite(sims))), "pair scores must be finite")
         return sims
     return rows
 
 
-_PAIR_BLOCK = 32  # rows per block of `_split_pairs`, not all N x N pairs at once
-
-
-def _split_pairs(labels: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The entries (i, j), i < j, of the square matrix whose rows ``rows(s)`` returns
-    by slices s of `_PAIR_BLOCK` rows: the equal-label and the other pairs, each row-major."""
-    n, counts = labels.size, np.unique(labels, return_counts=True)[1]
-    n_same = int(np.sum(counts * (counts - 1) // 2))
-    classes, filled = (np.empty(n_same), np.empty(n * (n - 1) // 2 - n_same)), [0, 0]
-    for start in range(0, n, _PAIR_BLOCK):
-        s = slice(start, start + _PAIR_BLOCK)
+def _pair_blocks(labels: np.ndarray, rows):
+    """For each block s of `_blocks`, the entries (i, j), i < j, of the square matrix
+    whose rows ``rows(s)`` returns: the equal-label and the other ones, each row-major."""
+    n = labels.size
+    for s in _blocks(n):
         values, same = rows(s), labels[s, None] == labels
         upper = np.arange(n) > np.arange(n)[s, None]
-        for k, mask in enumerate((upper & same, upper & ~same)):
-            picked = values[mask]
-            classes[k][filled[k]:filled[k] + picked.size] = picked
-            filled[k] += picked.size
-        del values, same, upper, mask, picked  # before `rows` builds the next block
-    return classes
+        yield values[upper & same], values[upper & ~same]
+        del values, same, upper  # before `rows` builds the next block
 
 
 def _rates(genuine: np.ndarray, impostor: np.ndarray, threshold) -> tuple[float, float]:
@@ -202,7 +204,9 @@ def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
                           n: int) -> float:
     """Fraction of probes whose subject is among the n nearest gallery codes.
 
-    Similarity is cosine; ties keep gallery index order (stable sort).
+    Similarity is cosine; ties keep gallery index order (stable sort): a probe's rank
+    counts the entries above its best same-subject one, by higher score or by lower
+    index at an equal score, a block of probes at a time.
     """
     gallery = np.asarray(gallery_codes, dtype=np.float64)
     probes = np.asarray(probe_codes, dtype=np.float64)
@@ -217,9 +221,14 @@ def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
     require(not missing, f"probe subjects missing from gallery: {sorted(missing)}")
     require(int(n) >= 1, "n must be at least 1")
     n = int(n)
-    sims = _cosine_rows(probes, gallery)(slice(None))
-    top = np.argsort(-sims, axis=1, kind="stable")[:, :n]
-    hits = np.count_nonzero(np.any(g_labels[top] == p_labels[:, None], axis=1))
+    scores, before, hits = _cosine_rows(probes, gallery), np.arange(g_labels.size), 0
+    for s in _blocks(probes.shape[0]):
+        sims, same = scores(s), g_labels == p_labels[s, None]
+        best = np.max(sims, axis=1, where=same, initial=-np.inf)[:, None]
+        ties = sims == best
+        first = np.argmax(same & ties, axis=1)[:, None]
+        ranks = np.count_nonzero((sims > best) | ties & (before < first), axis=1)
+        hits += np.count_nonzero(ranks < n)
     return float(hits / probes.shape[0])
 
 
@@ -311,10 +320,15 @@ def evaluate_reconstruction(predictors: list, truth, n_pairs: int,
 
 
 def _cosine_distances(codes: np.ndarray, labels: np.ndarray) -> tuple:
-    """The cosine distances of the code pairs i < j, split as `_split_pairs` splits them."""
+    """The mean cosine distance of the code pairs i < j of equal and of other labels,
+    summed by the blocks of `_pair_blocks`, and whether any distance is above 0."""
     unit = codes / np.maximum(np.linalg.norm(codes, axis=1, keepdims=True), 1e-300)
-    cosines = unit @ unit.T
-    return _split_pairs(labels, lambda s: 1.0 - np.clip(cosines[s], -1.0, 1.0))
+    sums, sizes, spread = [0.0, 0.0], [0, 0], False
+    for picked_pair in _pair_blocks(labels, lambda s: 1.0 - np.clip(unit[s] @ unit.T, -1.0, 1.0)):
+        for k, picked in enumerate(picked_pair):
+            sums[k], sizes[k] = sums[k] + float(picked.sum()), sizes[k] + picked.size
+            spread = spread or bool(np.any(picked > 0))
+    return sums[0] / sizes[0], sums[1] / sizes[1], spread
 
 
 def disentangling_report(embed, dataset, codes: tuple) -> DisentanglingReport:
@@ -341,28 +355,27 @@ def disentangling_report(embed, dataset, codes: tuple) -> DisentanglingReport:
     c_id, c_res = codes
     require(len(c_id) == len(c_res) == len(rows), f"need codes of the {len(rows)} rows")
 
-    same, other = _cosine_distances(c_id, labels)
-    intra, inter = float(same.mean()), float(other.mean())
+    intra, inter, spread = _cosine_distances(c_id, labels)
 
     rng = np.random.default_rng(np.random.SeedSequence([dataset.spec.seed, 0x1d]))
     perturbation = rng.normal(0.0, 1.0, size=(len(rows), model.k_exp)) * model.sigma_exp
-    moved_images = render_depths(model, dataset.alpha_id[rows],
-                                 dataset.alpha_exp[rows] + perturbation,
-                                 dataset.pose_scale[rows], dataset.pose_rotation[rows],
-                                 dataset.pose_translation[rows],
-                                 dataset.spec.image_resolution)
-    moved_id, moved_res = embed(moved_images)
-    # each difference row's norm from its dot product with itself, as np.linalg.norm takes it
-    norms = [np.sqrt(d[:, None] @ d[..., None])[:, 0, 0].tolist()
-             for d in (moved_res - c_res, moved_id - c_id)]
     den, ratios = 0.0, []
-    for d_res, d_id in zip(*norms):
-        den = den + d_res + d_id
-        if d_res + d_id > 0:
-            ratios.append(d_res / (d_res + d_id))
+    for s in _blocks(len(rows), _EMBED_CHUNK):
+        r = rows[s]
+        moved_id, moved_res = embed(render_depths(
+            model, dataset.alpha_id[r], dataset.alpha_exp[r] + perturbation[s],
+            dataset.pose_scale[r], dataset.pose_rotation[r], dataset.pose_translation[r],
+            dataset.spec.image_resolution))
+        # each difference row's norm from its dot product with itself, as np.linalg.norm takes it
+        norms = [np.sqrt(d[:, None] @ d[..., None])[:, 0, 0].tolist()
+                 for d in (moved_res - c_res[s], moved_id - c_id[s])]
+        for d_res, d_id in zip(*norms):
+            den = den + d_res + d_id
+            if d_res + d_id > 0:
+                ratios.append(d_res / (d_res + d_id))
 
     # constant encoder: no pair moved, no identity spread to attribute
-    degenerate = den <= 0.0 or not (np.any(same > 0) or np.any(other > 0))
+    degenerate = den <= 0.0 or not spread
     ratio = float(np.mean(ratios)) if ratios else float("nan")
 
     grand = c_id.mean(axis=0)
@@ -395,7 +408,14 @@ def pair_scores(codes: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.n
     require(codes.ndim == 2 and codes.shape[0] == labels.size,
             "codes must be (n, q) row-aligned with labels")
     require(codes.shape[0] >= 2, "need at least two codes")
-    return _split_pairs(labels, _cosine_rows(codes, codes))
+    counts, n = np.unique(labels, return_counts=True)[1], labels.size
+    n_same = int(np.sum(counts * (counts - 1) // 2))
+    classes, filled = (np.empty(n_same), np.empty(n * (n - 1) // 2 - n_same)), [0, 0]
+    for picked_pair in _pair_blocks(labels, _cosine_rows(codes, codes)):
+        for k, picked in enumerate(picked_pair):
+            classes[k][filled[k]:filled[k] + picked.size] = picked
+            filled[k] += picked.size
+    return classes
 
 
 def verification_report(genuine: np.ndarray, impostor: np.ndarray, n_folds: int = 10,

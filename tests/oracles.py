@@ -560,9 +560,21 @@ def verification_pairs(codes: np.ndarray, labels: np.ndarray) -> np.recarray:
                              names="score,is_genuine")
 
 
+def argsorted_rank_n(gallery: np.ndarray, g_labels: np.ndarray, probes: np.ndarray,
+                     p_labels: np.ndarray, n: int) -> float:
+    """`rank_n_identification` as it ranked every probe's whole row of the whole
+    score matrix by a stable argsort, given checked inputs."""
+    sims = cosine_matrix(probes, gallery)
+    top = np.argsort(-sims, axis=1, kind="stable")[:, :n]
+    hits = np.count_nonzero(np.any(g_labels[top] == p_labels[:, None], axis=1))
+    return float(hits / probes.shape[0])
+
+
 def masked_cosine_distances(codes: np.ndarray, labels: np.ndarray) -> tuple:
-    """`_cosine_distances` as `disentangling_report` took them from the whole
-    N x N distance matrix through N x N label and upper-triangle masks."""
+    """The cosine distances of the code pairs i < j of equal and of other labels,
+    as `disentangling_report` took them from the whole N x N distance matrix
+    through N x N label and upper-triangle masks (`_cosine_distances` now sums
+    them by blocks of rows)."""
     norms = np.linalg.norm(codes, axis=1, keepdims=True)
     unit = codes / np.maximum(norms, 1e-300)
     dist = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
