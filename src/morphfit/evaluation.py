@@ -77,32 +77,30 @@ def _blocks(n: int, most: int = _PAIR_BLOCK) -> list[slice]:
     return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
-def _cosine_rows(a: np.ndarray, b: np.ndarray):
-    """The function from a slice of a's rows to their cosine similarity with every row
-    of b, guarding norms; each slice takes its own product a[s] @ b.T, so a slice's
-    bits can differ from the same rows of the whole product (README, Determinism).
-    Every score a slice returns is checked, the diagonal of a @ a.T included."""
-    require(bool(np.all(np.isfinite(a))) and bool(np.all(np.isfinite(b))),
-            "codes must be finite")
-    norms_a, norms_b = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
-    require(bool(np.all(norms_a > 0)) and bool(np.all(norms_b > 0)),
+def _unit_rows(*codes: np.ndarray) -> list[np.ndarray]:
+    """Each code array's rows divided by their norms, after the checks of every cosine
+    score, in order: finite codes, non-zero norms, finite norms (a row of 1e160
+    squares past the float range). A product of unit rows is bounded, so no score
+    needs a check after it."""
+    require(all(bool(np.all(np.isfinite(c))) for c in codes), "codes must be finite")
+    norms = [np.linalg.norm(c, axis=1, keepdims=True) for c in codes]
+    require(all(bool(np.all(n > 0)) for n in norms),
             "cosine similarity needs non-zero vectors")
-    def rows(s: slice) -> np.ndarray:
-        sims = np.clip(a[s] @ b.T / np.outer(norms_a[s], norms_b), -1.0, 1.0)
-        require(bool(np.all(np.isfinite(sims))), "pair scores must be finite")
-        return sims
-    return rows
+    require(all(bool(np.all(np.isfinite(n))) for n in norms), "pair scores must be finite")
+    return [c / n for c, n in zip(codes, norms)]
 
 
-def _pair_blocks(labels: np.ndarray, rows):
-    """For each block s of `_blocks`, the entries (i, j), i < j, of the square matrix
-    whose rows ``rows(s)`` returns: the equal-label and the other ones, each row-major."""
+def _pair_blocks(unit: np.ndarray, labels: np.ndarray):
+    """For each block s of `_blocks`, the cosine scores of the unit rows' pairs (i, j),
+    i < j, i in s (``unit[s] @ unit.T``, clipped to [-1, 1]): the equal-label and the
+    other ones, each row-major. A block's product can differ in its last bits from the
+    same rows of the whole product (README, Determinism)."""
     n = labels.size
     for s in _blocks(n):
-        values, same = rows(s), labels[s, None] == labels
+        scores, same = np.clip(unit[s] @ unit.T, -1.0, 1.0), labels[s, None] == labels
         upper = np.arange(n) > np.arange(n)[s, None]
-        yield values[upper & same], values[upper & ~same]
-        del values, same, upper  # before `rows` builds the next block
+        yield scores[upper & same], scores[upper & ~same]
+        del scores, same, upper  # before the next block is built
 
 
 def _rates(genuine: np.ndarray, impostor: np.ndarray, threshold) -> tuple[float, float]:
@@ -221,9 +219,10 @@ def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
     require(not missing, f"probe subjects missing from gallery: {sorted(missing)}")
     require(int(n) >= 1, "n must be at least 1")
     n = int(n)
-    scores, before, hits = _cosine_rows(probes, gallery), np.arange(g_labels.size), 0
+    probes, gallery = _unit_rows(probes, gallery)
+    before, hits = np.arange(g_labels.size), 0
     for s in _blocks(probes.shape[0]):
-        sims, same = scores(s), g_labels == p_labels[s, None]
+        sims, same = np.clip(probes[s] @ gallery.T, -1.0, 1.0), g_labels == p_labels[s, None]
         best = np.max(sims, axis=1, where=same, initial=-np.inf)[:, None]
         ties = sims == best
         first = np.argmax(same & ties, axis=1)[:, None]
@@ -250,20 +249,17 @@ def evaluate_reconstruction(predictors: list, truth, n_pairs: int,
     row); a chunk's ground truth is checked and cropped once for all predictors. A
     failing pair is named as when all rows are scored as one chunk, which scoring then does."""
     indices = np.asarray(landmark_indices, dtype=np.int64).ravel()
-    n_chunks = -(-n_pairs // chunk) or 1
-    bounds = [k * n_pairs // n_chunks for k in range(n_chunks + 1)]
+    chunks = _blocks(n_pairs, chunk)
     paper, dist = np.empty((2, len(predictors), n_pairs))  # each pair's two error terms
     try:
-        for start, stop in zip(bounds, bounds[1:]):
-            rows = slice(start, stop)
-            ground_truth = np.asarray(truth(rows), dtype=np.float64)
-            require(ground_truth.ndim == 2 and ground_truth.shape[0] >= 1
-                    and ground_truth.shape[1] % 3 == 0,
-                    f"need a non-empty (N, 3n) ground-truth array, got {ground_truth.shape}")
-            require(bool(np.all(np.isfinite(ground_truth))),
-                    "ground-truth shapes must be finite")
-            points = ground_truth.reshape(stop - start, -1, 3)
-            if start == 0:  # the first chunk gives the vertex count and the buffers' size
+        for rows in chunks:
+            m = rows.stop - rows.start
+            points = np.asarray(truth(rows), dtype=np.float64)  # frees the last chunk's
+            require(points.ndim == 2 and points.shape[0] >= 1 and points.shape[1] % 3 == 0,
+                    f"need a non-empty (N, 3n) ground-truth array, got {points.shape}")
+            require(bool(np.all(np.isfinite(points))), "ground-truth shapes must be finite")
+            points = points.reshape(m, -1, 3)
+            if rows.start == 0:  # the vertex count; the buffers hold the last, largest chunk
                 n = points.shape[1]
                 require(bool(np.all((indices >= 0) & (indices < n))),
                         f"landmark indices must lie in [0, {n})")
@@ -273,25 +269,23 @@ def evaluate_reconstruction(predictors: list, truth, n_pairs: int,
                         f"crop_radius must be finite and non-negative, got {crop_radius}")
                 require(indices.size >= MIN_POINTS,
                         f"need at least {MIN_POINTS} points, got {indices.size}")
-                predicted, aligned = np.empty((2, -(-n_pairs // n_chunks), n, 3))
-            tip_dist = np.zeros(points.shape[:2])
+                predicted, aligned = np.empty((2, n_pairs - chunks[-1].start, n, 3))
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is outside the crop
-                for c in range(3):
-                    tip_dist += np.square(points[..., c] - points[:, nose_tip_index, c, None])
+                crop = np.sqrt(sum(np.square(points[..., c] - points[:, nose_tip_index, c, None])
+                                   for c in range(3))) <= crop_radius
                 landmarks = _centred(points[:, indices])  # the alignment checks what it reads
-            crop = np.sqrt(tip_dist, out=tip_dist) <= crop_radius
             size = np.count_nonzero(crop, axis=1)
 
             for p, predict in enumerate(predictors):
-                pred_pts = predicted[:stop - start]
-                predict(rows, pred_pts.reshape(stop - start, -1))
+                pred_pts = predicted[:m]
+                predict(rows, pred_pts.reshape(m, -1))
                 source = pred_pts[:, indices]
                 _fail(~np.isfinite(source).all(axis=(1, 2)), "points must be finite",
                       InvalidArgumentError)
                 with np.errstate(over="ignore", invalid="ignore"):  # each step checks its pairs
                     scale, rotation, translation = _align_centred(_centred(source), landmarks)
                     out = np.matmul(pred_pts, np.swapaxes(scale[:, None, None] * rotation, 1, 2),
-                                    out=aligned[:stop - start])
+                                    out=aligned[:m])
                     out += translation[:, None]
                     bad = ~np.isfinite(out).all(axis=(1, 2))
                     require(not bad.any(),
@@ -309,7 +303,7 @@ def evaluate_reconstruction(predictors: list, truth, n_pairs: int,
                 _fail(~np.isfinite(paper[p, rows]), "reconstruction error is not finite",
                       InvalidArgumentError)
     except (MorphfitError, FloatingPointError):
-        if n_chunks == 1:
+        if len(chunks) == 1:
             raise
         return evaluate_reconstruction(predictors, truth, n_pairs, indices, nose_tip_index,
                                        crop_radius, n_pairs)
@@ -322,10 +316,10 @@ def evaluate_reconstruction(predictors: list, truth, n_pairs: int,
 def _cosine_distances(codes: np.ndarray, labels: np.ndarray) -> tuple:
     """The mean cosine distance of the code pairs i < j of equal and of other labels,
     summed by the blocks of `_pair_blocks`, and whether any distance is above 0."""
-    unit = codes / np.maximum(np.linalg.norm(codes, axis=1, keepdims=True), 1e-300)
     sums, sizes, spread = [0.0, 0.0], [0, 0], False
-    for picked_pair in _pair_blocks(labels, lambda s: 1.0 - np.clip(unit[s] @ unit.T, -1.0, 1.0)):
+    for picked_pair in _pair_blocks(*_unit_rows(codes), labels):
         for k, picked in enumerate(picked_pair):
+            np.subtract(1.0, picked, out=picked)  # scores to distances, with no new array
             sums[k], sizes[k] = sums[k] + float(picked.sum()), sizes[k] + picked.size
             spread = spread or bool(np.any(picked > 0))
     return sums[0] / sizes[0], sums[1] / sizes[1], spread
@@ -411,7 +405,7 @@ def pair_scores(codes: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.n
     counts, n = np.unique(labels, return_counts=True)[1], labels.size
     n_same = int(np.sum(counts * (counts - 1) // 2))
     classes, filled = (np.empty(n_same), np.empty(n * (n - 1) // 2 - n_same)), [0, 0]
-    for picked_pair in _pair_blocks(labels, _cosine_rows(codes, codes)):
+    for picked_pair in _pair_blocks(*_unit_rows(codes), labels):
         for k, picked in enumerate(picked_pair):
             classes[k][filled[k]:filled[k] + picked.size] = picked
             filled[k] += picked.size

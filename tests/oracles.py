@@ -534,15 +534,21 @@ def stratified_folds(genuine, impostor, n_folds: int) -> tuple[np.ndarray, np.nd
 
 
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`_cosine_rows` as it divided and clipped the whole product at once."""
+    """The cosine scores of a's rows against b's as one whole product of unit rows,
+    clipped to [-1, 1], where the program takes a block of rows at a time. A
+    self-product (b is a) multiplies one unit array by its own transpose, as the
+    program's one block does when N <= 32: numpy sends that product through another
+    BLAS routine than a product of two equal arrays, which has other bits."""
     require(bool(np.all(np.isfinite(a))) and bool(np.all(np.isfinite(b))),
             "codes must be finite")
-    norms_a, norms_b = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    norms_a, norms_b = (np.linalg.norm(c, axis=1, keepdims=True) for c in (a, b))
     require(bool(np.all(norms_a > 0)) and bool(np.all(norms_b > 0)),
             "cosine similarity needs non-zero vectors")
-    sims = np.clip(a @ b.T / np.outer(norms_a, norms_b), -1.0, 1.0)
-    require(bool(np.all(np.isfinite(sims))), "pair scores must be finite")
-    return sims
+    require(bool(np.all(np.isfinite(norms_a))) and bool(np.all(np.isfinite(norms_b))),
+            "pair scores must be finite")
+    unit_a = a / norms_a
+    unit_b = unit_a if b is a else b / norms_b
+    return np.clip(unit_a @ unit_b.T, -1.0, 1.0)
 
 
 def verification_pairs(codes: np.ndarray, labels: np.ndarray) -> np.recarray:

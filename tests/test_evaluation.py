@@ -418,6 +418,17 @@ class TestRankNIdentification:
             rank_n_identification(np.zeros((0, 2)), np.array([]),
                                   np.eye(2), np.array([0, 1]), 1)
 
+    @pytest.mark.parametrize("side", ["gallery", "probes"])
+    def test_infinite_norm_rejected_on_either_side(self, side):
+        """A finite row of 1e160 has an infinite norm, which no cosine score can
+        divide by, whether or not the row is ever scored against itself."""
+        codes = {"gallery": np.eye(3), "probes": np.eye(3)}
+        codes[side][1] = 1e160
+        with (np.errstate(over="ignore"),
+              pytest.raises(InvalidArgumentError, match="^pair scores must be finite$")):
+            rank_n_identification(codes["gallery"], np.arange(3),
+                                  codes["probes"], np.arange(3), 1)
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(rank_inputs())
     @example((np.array([[1.0, 0.0], [0.0, 1.0], [-0.0, 1.0]]), np.array([4, 9, 4]),
@@ -1226,14 +1237,25 @@ class TestVerificationPairs:
 
     @pytest.mark.parametrize("n, row", [(8, 7), (33, 0), (33, 32), (65, 40), (65, 64)])
     def test_huge_row_fails_on_its_diagonal(self, n, row):
-        """A code row of 1e160 has an infinite norm, so its scores against the
-        other rows are 0 and only its own, inf / inf, is not finite: each block
-        checks its rows' diagonal entries, the last row's included."""
+        """A code row of 1e160 is finite, but its squares are not, so its norm is
+        infinite: the norms are checked once, before any block is scored,
+        whichever block the row falls in, the last row's included."""
         codes, labels = gaussian_codes(n)
         codes[row] = 1e160
         with (np.errstate(over="ignore", invalid="ignore"),
               pytest.raises(InvalidArgumentError, match="^pair scores must be finite$")):
             pair_scores(codes, labels)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_distance_means_are_one_minus_the_scores(self, seed):
+        """Up to 32 codes are one block: the disentangling report's distance means
+        are one minus the scores that `pair_scores` returns, summed and divided
+        once, bit for bit, as both take the same product of the same unit rows."""
+        rng = np.random.default_rng(seed)
+        codes, labels = rng.normal(size=(30, 20)), np.arange(30) // 3
+        scores = pair_scores(codes, labels)
+        means = _cosine_distances(codes, labels)[:2]
+        assert means == tuple(float((1.0 - c).sum()) / c.size for c in scores)
 
     def test_peak_memory_per_pair(self):
         """Scoring the pairs, then taking the cosine distance means of the same
