@@ -18,8 +18,8 @@ import numpy as np
 from . import network as nw
 from .config import RunConfig, format_config, load_config, parse_config
 from .errors import MorphfitError, require
-from .evaluation import (disentangling_report, evaluate_reconstruction,
-                         pair_scores, rank_n_identification, verification_report)
+from .evaluation import (_pair_rows, disentangling_report, evaluate_reconstruction,
+                         rank_n_identification, verification_report)
 from .fitting import multi_image_fit
 from .serialization import (_atomic_write, load_checkpoint, load_dataset,
                             save_checkpoint, save_dataset, write_obj,
@@ -206,7 +206,7 @@ def _cmd_eval(args) -> int:
     config = _effective_config(args)
     dataset = load_dataset(args.data, rows=lambda spec: spec.window()[  # the held-out rows
         split_indices(spec.n_subjects, spec.images_per_subject)[2][0]:])
-    encoder, decoder, _head, _cfg = load_checkpoint(args.checkpoint)
+    encoder, decoder = load_checkpoint(args.checkpoint)[:2]
     _check_checkpoint_fits(dataset, encoder, decoder)
     if args.baseline:  # checked before any file is written
         enc2, dec2 = load_checkpoint(args.baseline)[:2]
@@ -220,14 +220,13 @@ def _cmd_eval(args) -> int:
     c_id, c_res = nw.encode_images(encoder, images)
 
     # verification over all held-out pairs; gallery = first image per subject
-    genuine, impostor = pair_scores(c_id, labels)
+    _pair_rows(c_id, labels)  # the pair checks come before rank-N's
     _, gallery_rows = np.unique(labels, return_index=True)
     probe_rows = np.setdiff1d(np.arange(labels.size), gallery_rows)
     rank1, rank5 = (rank_n_identification(c_id[gallery_rows], labels[gallery_rows],
                                           c_id[probe_rows], labels[probe_rows], n)
                     for n in (1, 5))
-    report = verification_report(genuine, impostor, config.n_folds, rank1, rank5)
-    del genuine, impostor  # no later section reads the pair scores
+    report = verification_report(c_id, labels, config.n_folds, rank1, rank5)
     # each report's fields, in order, are its CSV columns
     write_table_csv(report._fields, [report], os.path.join(out, "verification.csv"))
 
@@ -242,7 +241,7 @@ def _cmd_eval(args) -> int:
     reports = evaluate_reconstruction(
         predictors, lambda s: dataset.ground_truth_shapes(rows[s]), rows.size,
         model.landmark_indices, model.nose_tip_index, config.crop_radius)
-    del predictors  # before the disentangling re-renders: no later section reads them
+    del predictors, decoder  # before the disentangling re-renders: no later section reads them
     for name, recon in zip(("reconstruction.csv", "reconstruction_baseline.csv"), reports):
         write_table_csv(recon._fields, [recon], os.path.join(out, name))
 

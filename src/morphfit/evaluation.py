@@ -7,7 +7,6 @@ pure and deterministic.
 
 from __future__ import annotations
 
-import bisect
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +67,7 @@ class DisentanglingReport(NamedTuple):
 
 _PAIR_BLOCK = 32  # rows per block of a pair pass, at most: never all N x N pairs at once
 _EMBED_CHUNK = 64  # rows per chunk of the disentangling re-render (32 moved its ratio's last bit)
+_IMPOSTOR_PIECE = 1 << 19  # least impostor scores per counted piece: one search per genuine score
 
 
 def _blocks(n: int, most: int = _PAIR_BLOCK) -> list[slice]:
@@ -90,111 +90,106 @@ def _unit_rows(*codes: np.ndarray) -> list[np.ndarray]:
     return [c / n for c, n in zip(codes, norms)]
 
 
-def _pair_blocks(unit: np.ndarray, labels: np.ndarray):
+def _pair_blocks(unit: np.ndarray, labels: np.ndarray, *classes: bool):
     """For each block s of `_blocks`, the cosine scores of the unit rows' pairs (i, j),
-    i < j, i in s (``unit[s] @ unit.T``, clipped to [-1, 1]): the equal-label and the
-    other ones, each row-major. A block's product can differ in its last bits from the
-    same rows of the whole product (README, Determinism)."""
-    n = labels.size
+    i < j, i in s (``unit[s] @ unit.T``, clipped to [-1, 1]), row-major: for each of
+    `classes`, those of equal labels (True) or of other labels (False). A block's
+    product can differ in its last bits from the same rows of the whole product
+    (README, Determinism)."""
+    n, index = labels.size, np.arange(labels.size)
     for s in _blocks(n):
-        scores, same = np.clip(unit[s] @ unit.T, -1.0, 1.0), labels[s, None] == labels
-        upper = np.arange(n) > np.arange(n)[s, None]
-        yield scores[upper & same], scores[upper & ~same]
-        del scores, same, upper  # before the next block is built
+        scores, upper, same = unit[s] @ unit.T, index > index[s, None], labels[s, None] == labels
+        yield [np.clip(p, -1, 1, out=p) for p in (scores[upper & (same == c)] for c in classes)]
+        del scores, upper, same  # before the next block is built
 
 
-def _rates(genuine: np.ndarray, impostor: np.ndarray, threshold) -> tuple[float, float]:
-    """TAR and FAR at a threshold: the shares of the sorted classes at or above it."""
-    g, i = genuine.size, impostor.size
-    return ((g - int(np.searchsorted(genuine, threshold))) / g,
-            (i - int(np.searchsorted(impostor, threshold))) / i)
+def _impostor_runs(unit: np.ndarray, labels: np.ndarray, edges: list):
+    """The impostor scores of `_pair_blocks` in pair order, as (k, scores) for pieces of
+    run k, which ends before impostor edges[k] (the last at the end): consecutive blocks'
+    scores, at least `_IMPOSTOR_PIECE` of them but in a run's last piece."""
+    ends, done, k, held = [*edges, np.inf], 0, 0, []
+    for impostor, in _pair_blocks(unit, labels, False):
+        while impostor.size:
+            cut = int(min(ends[k] - done, impostor.size))
+            held.append(impostor[:cut])
+            done, impostor = done + cut, impostor[cut:]
+            if done == ends[k] or sum(map(len, held)) >= _IMPOSTOR_PIECE:
+                yield k, np.concatenate(held)
+                held, k = [], k + (done == ends[k])
+    if held:
+        yield k, np.concatenate(held)
 
 
-def _crossing(genuine: np.ndarray, impostor: np.ndarray, holds) -> tuple:
-    """(TAR, FAR) at the first ROC vertex (a distinct score, or inf above all) where
-    ``holds(tar, far)``, which must stay true as the threshold rises, found by bisecting
-    each class; and at the vertex before it, None if there is none."""
-    def key(threshold) -> bool:
-        return holds(*_rates(genuine, impostor, threshold))
-    classes = (genuine, impostor)
-    top = min((s[k] for s in classes if (k := bisect.bisect_left(s, True, key=key)) < s.size),
-              default=np.inf)
-    below = [s[k - 1] for s in classes if (k := int(np.searchsorted(s, top)))]
-    return (_rates(genuine, impostor, top),
-            _rates(genuine, impostor, max(below)) if below else None)
+def _crossing(roc: tuple, holds) -> tuple:
+    """(TAR, FAR) at the first ROC point where ``holds(tar, far)``, which must stay true
+    as the threshold rises, and at the point before it (None if none). A gap's point has
+    the rates of the gap's first impostor, so an unrefined ROC records in its `gaps` each
+    gap of more than one impostor just below a crossing, whose impostors become points."""
+    tar, far, below, gaps = roc
+    m = int(np.argmax(holds(tar, far)))
+    if gaps is not None and m % 2 and below[m] - below[m - 1] > 1:
+        gaps.add(m - 1)
+    return (float(tar[m]), float(far[m])), (float(tar[m - 1]), float(far[m - 1])) if m else None
 
 
-def _auc(genuine: np.ndarray, impostor: np.ndarray) -> float:
-    """Area under the ROC of the sorted, non-empty genuine and impostor scores:
-    the exact Mann-Whitney statistic 2U / (2 G I), ties counted one half, with
-    2U summed as integers and divided once (correctly rounded)."""
-    twice_u = sum(int(np.searchsorted(impostor, genuine, side).sum())
-                  for side in ("left", "right"))
-    return twice_u / (2 * genuine.size * impostor.size)
+def _auc(ties: np.ndarray, under: np.ndarray, at: np.ndarray, i: int) -> float:
+    """The exact Mann-Whitney statistic 2U / (2 G I), ties counted one half, from the
+    impostors under and at each distinct genuine score of multiplicity `ties`."""
+    return int(ties @ (2 * under + at)) / (2 * int(ties.sum()) * i)
 
 
-def _eer(genuine: np.ndarray, impostor: np.ndarray) -> float:
-    """Rate where FAR crosses 1 - TAR, linearly interpolated on the ROC polyline
-    of the sorted, non-empty genuine and impostor scores."""
+def _eer(roc: tuple) -> float:
+    """Rate where FAR crosses 1 - TAR, linearly interpolated on the ROC polyline."""
     # f = FAR - (1 - TAR) never rises, from +1 at the smallest score to -1 above all
     (tar_hi, far_hi), (tar_lo, far_lo) = _crossing(
-        genuine, impostor, lambda tar, far: far + tar - 1.0 <= 0.0)
+        roc, lambda tar, far: far + tar - 1.0 <= 0.0)
     f_lo, f_hi = far_lo + tar_lo - 1.0, far_hi + tar_hi - 1.0
     return far_lo + f_lo / (f_lo - f_hi) * (far_hi - far_lo)
 
 
-def _tar_at_far(genuine: np.ndarray, impostor: np.ndarray, far_target: float) -> float:
-    """TAR linearly interpolated at the requested FAR on the upper envelope of
-    the ROC of the sorted, non-empty genuine and impostor scores: of the vertices
-    with one FAR, the first (lowest threshold) has the largest TAR."""
+def _tar_at_far(roc: tuple, far_target: float) -> float:
+    """TAR linearly interpolated at the requested FAR on the upper envelope of the
+    ROC: of the points with one FAR, the first (lowest threshold) has the largest TAR."""
     require(np.isfinite(far_target) and 0.0 < far_target <= 1.0,
             f"far_target must lie in (0, 1], got {far_target}")
-    top, below = _crossing(genuine, impostor, lambda tar, far: far <= far_target)
-    # the envelope point at the next larger FAR is the first vertex of its run
+    top, below = _crossing(roc, lambda tar, far: far <= far_target)
+    # the envelope point at the next larger FAR: the first of its run, in no gap of its own
     points = [top] if below is None else [
-        top, _crossing(genuine, impostor, lambda tar, far: far <= below[1])[0]]
+        top, _crossing((*roc[:3], None), lambda tar, far: far <= below[1])[0]]
     tars, fars = zip(*points)
     return float(np.interp(far_target, fars, tars))
 
 
-def _fold_accuracy(genuine: np.ndarray, impostor: np.ndarray,
-                   n_folds: int) -> tuple[float, float]:
-    """Mean and population std over folds of each fold's accuracy at the
-    threshold that scores best on the other folds: fold k is the k-th of n_folds
-    equal runs of each class (a remainder is in no fold), sorted in place. Of the
-    distinct training scores and a sentinel above them, the first with the most
-    accepted genuine plus rejected impostor training pairs wins. That is a
-    training genuine score or the sentinel: from any other score up to the next
-    of those, the accepted genuine pairs stay and the rejected impostors do not fall."""
-    g_runs, i_runs = (scores[:n_folds * (scores.size // n_folds)].reshape(n_folds, -1)
-                      for scores in (genuine, impostor))
-    g_runs.sort(axis=1)
-    i_runs.sort(axis=1)
-    g_per, i_per = g_runs.shape[1], i_runs.shape[1]
+def _fold_thresholds(genuine: np.ndarray, values: np.ndarray, counts: np.ndarray,
+                     tops: np.ndarray, i_per: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each fold's sorted genuine run and the threshold that scores best on the other
+    folds; fold k is the k-th equal run of each class in pair order, counts[k] its impostors
+    under each distinct genuine score, tops[k] its largest. Of the distinct training scores
+    and a sentinel above them, the first with the most accepted genuine plus rejected
+    impostor training pairs wins: a training genuine score or the sentinel, as from any
+    other score up to the next, the accepted genuine pairs stay and no rejected one falls."""
+    n_folds = len(counts)
+    g_runs = np.sort(genuine[:n_folds * (genuine.size // n_folds)].reshape(n_folds, -1), axis=1)
+    g_per = g_runs.shape[1]
     # per run and genuine score: impostors minus genuine pairs under it (the
     # run's correct count there, up to a constant), and genuine pairs at it
-    values = np.unique(g_runs)
-    counts = np.empty((n_folds, 2, values.size), dtype=np.int64)
+    fold = np.empty((n_folds, 2, values.size), dtype=np.int64)
     for k in range(n_folds):
         under = np.searchsorted(g_runs[k], values)
-        counts[k] = (np.searchsorted(i_runs[k], values) - under,
-                     np.searchsorted(g_runs[k], values, "right") - under)
-    total, tops = counts.sum(axis=0), np.maximum(g_runs[:, -1], i_runs[:, -1])
-    accuracies = np.empty(n_folds)
+        fold[k] = (counts[k] - under, np.searchsorted(g_runs[k], values, "right") - under)
+    total, tops = fold.sum(axis=0), np.maximum(g_runs[:, -1], tops)
+    thresholds = np.full(n_folds + 1, -np.inf)  # the last, the rest, counts nothing
     for k in range(n_folds):
-        gain, holds = total - counts[k]
+        gain, holds = total - fold[k]
         # a score that only the held-out fold holds is no training candidate
         candidates = np.flatnonzero(holds)
         best = candidates[int(np.argmax(gain[candidates]))]
         if (n_folds - 1) * g_per + int(gain[best]) >= (n_folds - 1) * i_per:
-            threshold = values[best]
+            thresholds[k] = values[best]
         else:  # a sentinel above the largest training score rejects them all
             top = np.delete(tops, k).max()  # top + 1.0 is top once |top| >= 2**53
-            threshold = max(top + 1.0, np.nextafter(top, np.inf))
-        hits = (g_per - int(np.searchsorted(g_runs[k], threshold))
-                + int(np.searchsorted(i_runs[k], threshold)))
-        accuracies[k] = hits / (g_per + i_per)
-    return float(accuracies.mean()), float(accuracies.std())
+            thresholds[k] = max(top + 1.0, np.nextafter(top, np.inf))
+    return g_runs, thresholds
 
 
 def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
@@ -317,7 +312,7 @@ def _cosine_distances(codes: np.ndarray, labels: np.ndarray) -> tuple:
     """The mean cosine distance of the code pairs i < j of equal and of other labels,
     summed by the blocks of `_pair_blocks`, and whether any distance is above 0."""
     sums, sizes, spread = [0.0, 0.0], [0, 0], False
-    for picked_pair in _pair_blocks(*_unit_rows(codes), labels):
+    for picked_pair in _pair_blocks(*_unit_rows(codes), labels, True, False):
         for k, picked in enumerate(picked_pair):
             np.subtract(1.0, picked, out=picked)  # scores to distances, with no new array
             sums[k], sizes[k] = sums[k] + float(picked.sum()), sizes[k] + picked.size
@@ -395,44 +390,79 @@ def disentangling_report(embed, dataset, codes: tuple) -> DisentanglingReport:
                                degenerate=degenerate)
 
 
-def pair_scores(codes: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cosine similarity of every code pair i < j: the genuine (same label)
-    and the impostor scores, each in row-major pair order."""
+def _pair_rows(codes: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit code rows and the labels of a pair pass, after its checks, in order."""
     codes, labels = np.asarray(codes, dtype=np.float64), np.asarray(labels).ravel()
     require(codes.ndim == 2 and codes.shape[0] == labels.size,
             "codes must be (n, q) row-aligned with labels")
     require(codes.shape[0] >= 2, "need at least two codes")
-    counts, n = np.unique(labels, return_counts=True)[1], labels.size
-    n_same = int(np.sum(counts * (counts - 1) // 2))
-    classes, filled = (np.empty(n_same), np.empty(n * (n - 1) // 2 - n_same)), [0, 0]
-    for picked_pair in _pair_blocks(*_unit_rows(codes), labels):
-        for k, picked in enumerate(picked_pair):
-            classes[k][filled[k]:filled[k] + picked.size] = picked
-            filled[k] += picked.size
-    return classes
+    return _unit_rows(codes)[0], labels
 
 
-def verification_report(genuine: np.ndarray, impostor: np.ndarray, n_folds: int = 10,
+def verification_report(codes: np.ndarray, labels: np.ndarray, n_folds: int = 10,
                         rank1: float | None = None,
                         rank5: float | None = None) -> VerificationReport:
-    """Assemble the standard report from the genuine and the impostor scores in
-    index order, such as `pair_scores` returns, which it sorts in place. The
-    threshold-free metrics count every pair on the sorted classes (no ROC arrays);
-    the fold accuracy runs on the stratified folds (a few pairs may be in no fold)."""
-    require(genuine.size + impostor.size > 0, "need at least one scored pair")
-    require(bool(np.all(np.isfinite(genuine))) and bool(np.all(np.isfinite(impostor))),
-            "pair scores must be finite")
-    require(genuine.size and impostor.size, "need at least one genuine and one impostor pair")
+    """The standard report on the cosine scores of the code pairs i < j, genuine (same
+    label) and impostor, each in row-major pair order, keeping only the genuine scores:
+    the walks over the pair blocks count each fold's impostors at the distinct genuine
+    scores, then at each fold's threshold, keeping those in the gaps where the ROC
+    crossings fall. Every field is the counts and divisions of the two sorted classes."""
+    unit, labels = _pair_rows(codes, labels)
+    sizes, n = np.unique(labels, return_counts=True)[1], labels.size
+    g = int(np.sum(sizes * (sizes - 1) // 2))
+    i = n * (n - 1) // 2 - g
+    require(g and i, "need at least one genuine and one impostor pair")
     require(int(n_folds) >= 2, "need at least two folds")
     n_folds = int(n_folds)
-    require(min(genuine.size, impostor.size) >= n_folds,
-            f"need at least {n_folds} pairs of each class, got "
-            f"{genuine.size} genuine / {impostor.size} impostor")
-    mean, std = _fold_accuracy(genuine, impostor, n_folds)
+    require(min(g, i) >= n_folds, f"need at least {n_folds} pairs of each class, got "
+                                  f"{g} genuine / {i} impostor")
+    genuine = np.concatenate([genuine for genuine, in _pair_blocks(unit, labels, True)])
+    (values, ties), i_per = np.unique(genuine, return_counts=True), i // n_folds
+    edges = [k * i_per for k in range(1, n_folds + 1)]  # run n_folds, the rest, is in no fold
+    under = np.zeros((n_folds + 1, values.size), dtype=np.int64)
+    at, tops = np.zeros(values.size, dtype=np.int64), np.full(n_folds + 1, -np.inf)
+    for k, run in _impostor_runs(unit, labels, edges):
+        run.sort()
+        ranks = run.searchsorted(values)
+        under[k] += ranks
+        # the few genuine scores that an impostor ties, counted on their own
+        tied = np.flatnonzero(run[np.minimum(ranks, run.size - 1)] == values)
+        at[tied] += run.searchsorted(values[tied], "right") - ranks[tied]
+        tops[k] = max(tops[k], run[-1])
+    g_runs, thresholds = _fold_thresholds(genuine, values, under[:-1], tops[:-1], i_per)
+    under = under.sum(axis=0)
+    # -inf, then each distinct genuine score and a point just above it: the even points
+    # stand for the impostors of the gap up to the next score; inf above all
+    points = np.concatenate(([-np.inf], np.column_stack(
+        (values, np.nextafter(values, np.inf))).ravel(), [np.inf]))
+    below = np.concatenate(([0], np.column_stack((under, under + at)).ravel(), [i]))
     genuine.sort()
-    impostor.sort()
-    return VerificationReport(accuracy_mean=mean, accuracy_std=std,
-                              eer=_eer(genuine, impostor), auc=_auc(genuine, impostor),
-                              tar_far10=_tar_at_far(genuine, impostor, 0.10),
-                              tar_far1=_tar_at_far(genuine, impostor, 0.01),
+
+    def roc(gaps=None) -> tuple:  # TAR and FAR at each point, and the impostors below it
+        return (g - genuine.searchsorted(points)) / g, (i - below) / i, below, gaps
+
+    unrefined = roc(set())
+    _eer(unrefined), _tar_at_far(unrefined, 0.10), _tar_at_far(unrefined, 0.01)  # record gaps
+    gaps = sorted(unrefined[3], reverse=True)
+    bounds = [(points[max(e - 1, 0)], points[e + 1]) for e in gaps]
+    kept, hits = [np.empty(0)], np.zeros(n_folds + 1, dtype=np.int64)
+    for k, run in _impostor_runs(unit, labels, edges):
+        hits[k] += np.count_nonzero(run < thresholds[k])
+        inside = np.zeros(run.size, dtype=bool)
+        for lo, hi in bounds:
+            inside |= (lo < run) & (run < hi)
+        kept.append(run[inside])
+    kept = np.sort(np.concatenate(kept))
+    for e, (lo, hi) in zip(gaps, bounds):  # from the last gap, so the indices before hold
+        inside, first = np.unique(kept[(lo < kept) & (kept < hi)], return_index=True)
+        points = np.concatenate((points[:e], inside, points[e + 1:]))
+        below = np.concatenate((below[:e], below[e] + first, below[e + 1:]))
+    g_per, refined = g_runs.shape[1], roc()
+    accuracies = np.array([(g_per - int(np.searchsorted(g_runs[k], thresholds[k]))
+                            + int(hits[k])) / (g_per + i_per) for k in range(n_folds)])
+    return VerificationReport(accuracy_mean=float(accuracies.mean()),
+                              accuracy_std=float(accuracies.std()),
+                              eer=_eer(refined), auc=_auc(ties, under, at, i),
+                              tar_far10=_tar_at_far(refined, 0.10),
+                              tar_far1=_tar_at_far(refined, 0.01),
                               rank1=rank1, rank5=rank5)

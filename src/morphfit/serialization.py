@@ -211,35 +211,35 @@ def load_checkpoint(path: str) -> tuple[EncoderNet, DecoderNet,
                                         ClassifierHead, RunConfig]:
     with open(path, "rb") as handle:
         header, layout = _index(handle, "checkpoint")
-        payload = handle.read(sum(nbytes for *_, nbytes in layout))
-    version = (_field(header, "config_version", int)
-               if "config_version" in header else "missing")
-    if version != CONFIG_VERSION:
-        raise VersionMismatchError(
-            f"checkpoint config_version {version}, expected {CONFIG_VERSION}")
-    activations = _field(header, "activations", list)
-    _invariant(len(activations) >= 1, "activations: no encoder layers")
-    q_id, q_res = _field(header, "q_id", int), _field(header, "q_res", int)
+        version = (_field(header, "config_version", int)
+                   if "config_version" in header else "missing")
+        if version != CONFIG_VERSION:
+            raise VersionMismatchError(
+                f"checkpoint config_version {version}, expected {CONFIG_VERSION}")
+        activations = _field(header, "activations", list)
+        _invariant(len(activations) >= 1, "activations: no encoder layers")
+        q_id, q_res = _field(header, "q_id", int), _field(header, "q_res", int)
 
-    entries = [(name, shape) for name, _, shape, *_ in layout]
+        entries = [(name, shape) for name, _, shape, *_ in layout]
 
-    def shape(name: str) -> tuple:
-        # the stored matrices give the widths, and so the layout that every
-        # stored array is then checked against, in order
-        dims = _field(dict(entries), name, tuple)
-        _invariant(len(dims) == 2, f"{name}: shape {dims}, expected a matrix")
-        return dims
+        def shape(name: str) -> tuple:
+            # the stored matrices give the widths, and so the layout that every
+            # stored array is then checked against, in order
+            dims = _field(dict(entries), name, tuple)
+            _invariant(len(dims) == 2, f"{name}: shape {dims}, expected a matrix")
+            return dims
 
-    shapes = [shape(f"enc.{i}.weight") for i in range(len(activations))]
-    widths = [shapes[0][1], *(rows for rows, _ in shapes)]
-    nets = (("encoder", EncoderNet, (widths, activations, q_id, q_res)),
-            ("decoder", DecoderNet, (shape("dec.weight_id")[0], q_id, q_res)),
-            ("head", ClassifierHead, (shape("head.weight")[0], q_id)))
-    layouts = [kind._layout(*structure) for _, kind, structure in nets]
-    for i, (got, want) in enumerate(itertools.zip_longest(entries, sum(layouts, []))):
-        _invariant(got == want, f"array {i}: stored {got}, expected {want}")
-    ends = np.cumsum([sum(math.prod(dims) for _, dims in layout) for layout in layouts])
-    vectors = np.split(np.frombuffer(payload, dtype="<f8"), ends[:-1])
+        shapes = [shape(f"enc.{i}.weight") for i in range(len(activations))]
+        widths = [shapes[0][1], *(rows for rows, _ in shapes)]
+        nets = (("encoder", EncoderNet, (widths, activations, q_id, q_res)),
+                ("decoder", DecoderNet, (shape("dec.weight_id")[0], q_id, q_res)),
+                ("head", ClassifierHead, (shape("head.weight")[0], q_id)))
+        layouts = [kind._layout(*structure) for _, kind, structure in nets]
+        for i, (got, want) in enumerate(itertools.zip_longest(entries, sum(layouts, []))):
+            _invariant(got == want, f"array {i}: stored {got}, expected {want}")
+        # each network's arrays, in checkpoint order, read into their own `bytes`
+        vectors = [np.frombuffer(handle.read(8 * sum(math.prod(dims) for _, dims in layout)),
+                                 dtype="<f8") for layout in layouts]
     encoder, decoder, head = (_rebuild(lambda: kind(*structure, vector), what)
                               for (what, kind, structure), vector in zip(nets, vectors))
     stored = _field(header, "config", dict)  # text fields, resolved by parse_config

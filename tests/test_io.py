@@ -905,20 +905,19 @@ class TestOneCopyPerLoad:
             assert bytes_backed(array), name
             with pytest.raises(ValueError):
                 array.setflags(write=True)
-        # each network's read-only vector is its slice of one `bytes`, the
-        # checkpoint's payload, in encoder, decoder, head order; its weights
-        # view the vector
-        payload = root_buffer(encoder.vector)
-        assert type(payload) is bytes
-        start = 0
-        for net in (encoder, decoder, head):
-            assert root_buffer(net.vector) is payload and not net.vector.flags.writeable
-            assert np.shares_memory(net.vector, np.frombuffer(payload, "<f8"))
-            assert net.vector.tobytes() == payload[start:start + net.vector.nbytes]
-            start += net.vector.nbytes
+        # each network's read-only vector is the whole of its own `bytes`, read
+        # from the checkpoint's payload in encoder, decoder, head order; its
+        # weights view the vector, and no network shares another's buffer
+        nets = (encoder, decoder, head)
+        buffers = [root_buffer(net.vector) for net in nets]
+        for net, buffer in zip(nets, buffers):
+            assert type(buffer) is bytes and not net.vector.flags.writeable
+            assert net.vector.nbytes == len(buffer) and net.vector.tobytes() == buffer
             for name, array in net.params.items():
                 assert np.shares_memory(array, net.vector) and not array.flags.writeable, name
-        assert start == len(payload)
+        assert len({id(buffer) for buffer in buffers}) == 3
+        payload = b"".join(buffers)
+        assert (tmp_path / "model.ckpt").read_bytes()[-len(payload):] == payload
 
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_arrays_with_a_writable_alias_are_copied(self, tiny_dataset,
