@@ -166,9 +166,14 @@ def _train_pipeline(config: RunConfig, dataset):
     return (decoder, head), (enc1, dec2, warm_head), (enc3, dec3, head3), history, trace
 
 
+def _held_out(spec) -> int:
+    """The first held-out row: the held-out rows are the spec's last block."""
+    return split_indices(spec.n_subjects, spec.images_per_subject)[2][0]
+
+
 def _cmd_train(args) -> int:
     config = _effective_config(args)
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, rows=lambda spec: spec.window()[:_held_out(spec)])
     init, after2, after3, history, trace = _train_pipeline(config, dataset)
     out = config.output_dir
     for phase, nets in enumerate(((after2[0], *init), after2, after3), start=1):
@@ -204,8 +209,7 @@ def _check_checkpoint_fits(dataset, encoder, decoder, name: str = "checkpoint") 
 
 def _cmd_eval(args) -> int:
     config = _effective_config(args)
-    dataset = load_dataset(args.data, rows=lambda spec: spec.window()[  # the held-out rows
-        split_indices(spec.n_subjects, spec.images_per_subject)[2][0]:])
+    dataset = load_dataset(args.data, rows=lambda spec: spec.window()[_held_out(spec):])
     encoder, decoder = load_checkpoint(args.checkpoint)[:2]
     _check_checkpoint_fits(dataset, encoder, decoder)
     if args.baseline:  # checked before any file is written

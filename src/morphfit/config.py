@@ -169,5 +169,9 @@ def format_config(config: RunConfig) -> str:
 
 
 def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read(), base)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_config(text, base)

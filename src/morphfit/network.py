@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalFailureError, UnderdeterminedError, require
+from .evaluation import _blocks
 from .geometry import MorphableModel
 
 # Latent outputs are clamped strictly inside (-1, 1): tanh rounds to 1.0 in
@@ -371,13 +372,14 @@ def _snapshot(stepping: tuple, flat: _FlatParams, vector: np.ndarray, loss) -> t
 
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness check below raises
 def _joint_forward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
-                   batch: TrainingBatch, lambda_r: float) -> tuple:
+                   batch: TrainingBatch, lambda_r: float, keep_diff: bool = False) -> tuple:
     """Batch-mean joint loss plus the intermediates backward() consumes.
 
     Returns (report, activations, c_id, c_res, diff, prob): the encoder
-    activations, both code blocks, the decoded-minus-target residual and the
-    softmax probabilities of the identification head. The report's total is
-    lambda_r * recon + ident.
+    activations, both code blocks, the decoded-minus-target residual (None unless
+    `keep_diff`: rows decode by the blocks of `_blocks`, which keep their bits, so
+    the loss alone holds one block) and the softmax probabilities of the
+    identification head. The report's total is lambda_r * recon + ident.
     """
     images, labels, target = batch
     lambda_r = float(lambda_r)
@@ -398,8 +400,12 @@ def _joint_forward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     codes, activations = _forward_trace(net, images)
     c_id = codes[:, :net.q_id]
     c_res = codes[:, net.q_id:]
-    diff = decode(dec, c_id, c_res) - target
-    recon = float(np.mean(np.sum(diff * diff, axis=1))) / dec.out_dim
+    diff, squares = np.empty(target.shape) if keep_diff else None, np.empty(labels.size)
+    for s in _blocks(labels.size):
+        d = decode(dec, c_id[s], c_res[s], None if diff is None else diff[s])
+        d -= target[s]
+        squares[s] = np.sum(d * d, axis=1)
+    recon = float(np.mean(squares)) / dec.out_dim
 
     logits = c_id @ head.weight.T + head.bias
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -451,7 +457,7 @@ def backward(net: EncoderNet, dec: DecoderNet, head: ClassifierHead,
     repeated calls are bit-identical.
     """
     report, activations, c_id, c_res, diff, prob = _joint_forward(
-        net, dec, head, batch, lambda_r)
+        net, dec, head, batch, lambda_r, keep_diff=True)
     b = batch.labels.size
     grads = {} if out is None else out
     # d recon / d delta, already including the batch mean and coordinate mean.

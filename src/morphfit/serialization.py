@@ -13,7 +13,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -30,18 +29,16 @@ FORMAT_VERSION = 2
 
 
 def _atomic_write(path: str, *chunks) -> None:
-    """Write the bytes-like `chunks` in order to `path` via a renamed temp file."""
+    """Write the bytes-like `chunks` in order to `path` via a renamed temp file,
+    created exclusively (a 64-bit random name) with mode 0o666, so that the
+    umask applies as for a plain open()."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    # mkstemp creates mode 0600 whatever the umask; give the file the mode a
-    # plain open() would
-    umask = os.umask(0)
-    os.umask(umask)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

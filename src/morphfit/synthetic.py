@@ -25,6 +25,10 @@ _N_FEATURES = 24
 # Geometric decay ratio of the per-dimension sampling stds.
 _SIGMA_DECAY = 0.9
 
+# The largest size or count numpy takes (np.intp): a spec's sizes are checked
+# against it before any array or generator is asked for one.
+_MAX_SIZE = int(np.iinfo(np.intp).max)
+
 
 @dataclass(frozen=True)
 class SyntheticModelSpec:
@@ -37,6 +41,8 @@ class SyntheticModelSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("n_vertices", "k_id", "k_exp"):
+            require(getattr(self, key) <= _MAX_SIZE, f"{key} must be at most {_MAX_SIZE}")
         require(self.k_id >= 1, "k_id must be >= 1")
         require(self.k_exp >= 1, "k_exp must be >= 1")
         minimum = max(self.k_id + self.k_exp + 1, N_LANDMARKS)
@@ -94,6 +100,8 @@ class DatasetSpec:
     def __post_init__(self):
         object.__setattr__(self, "landmark_noise_sigma",
                            float(self.landmark_noise_sigma))
+        for key in ("n_subjects", "images_per_subject", "image_resolution"):
+            require(getattr(self, key) <= _MAX_SIZE, f"{key} must be at most {_MAX_SIZE}")
         require(self.n_subjects >= 2, "need at least 2 subjects")
         require(self.images_per_subject >= 1, "need at least 1 image per subject")
         require(np.isfinite(self.landmark_noise_sigma)

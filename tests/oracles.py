@@ -27,7 +27,8 @@ side anew for every prediction stack, the one that scored a whole stack of
 predictions at once against a whole ground-truth side computed beforehand
 (`reconstruction_truth`) where eval now composes and scores a chunk of rows
 at a time, for every prediction stack in one pass, the decode that summed into fresh
-arrays, the disentangling report that encoded the evaluated images
+arrays, the joint loss and gradients that decoded a whole batch in one product
+(`whole_joint_backward`, where the program decodes by row blocks), the disentangling report that encoded the evaluated images
 itself, and the OBJ reader only tests use keep their bodies here,
 changed only where they call the program's current signatures; the tests
 check the program against them, bit for bit where the arithmetic is the
@@ -47,6 +48,8 @@ from morphfit.fitting import (_data_terms, _estimate_poses, _landmark_components
                               _landmark_points, _solve_block)
 from morphfit.geometry import (MIN_POINTS, ROTATION_TOL, MorphableModel, _align_centred,
                                _centred, _fail, _readonly, _rotation_errors)
+from morphfit.network import (LossReport, _affine_grads, _encoder_backprop, _forward_trace,
+                              decode)
 from morphfit.synthetic import COLUMNS, render_depths, sample_instance, sample_subject
 
 
@@ -894,6 +897,39 @@ def summed_decode(dec, c_id: np.ndarray, c_res: np.ndarray) -> np.ndarray:
     """`network.decode` as one expression, each sum into a fresh array."""
     return (c_id @ dec.weight_id.T + dec.bias_id
             + c_res @ dec.weight_res.T + dec.bias_res)
+
+
+def whole_joint_backward(net, dec, head, batch, lambda_r: float) -> tuple:
+    """`network.backward`'s (grads, report) of a finite, checked batch, every row
+    decoded in one product and the difference and its square taken over the whole
+    batch at once."""
+    images, labels, target = batch
+    lambda_r = float(lambda_r)
+    codes, activations = _forward_trace(net, images)
+    c_id, c_res = codes[:, :net.q_id], codes[:, net.q_id:]
+    diff = decode(dec, c_id, c_res) - target
+    recon = float(np.mean(np.sum(diff * diff, axis=1))) / dec.out_dim
+    logits = c_id @ head.weight.T + head.bias
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp_shifted = np.exp(shifted)
+    z = exp_shifted.sum(axis=1)
+    prob = exp_shifted / z[:, None]
+    ident = float(np.mean(np.log(z) - shifted[np.arange(labels.size), labels]))
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
+    report = LossReport(lambda_r * recon + ident, recon, ident, accuracy, lambda_r)
+
+    b, grads = labels.size, {}
+    g_delta = (2.0 / (b * dec.out_dim)) * diff * lambda_r
+    _affine_grads(grads, "dec.weight_id", "dec.bias_id", g_delta, c_id)
+    _affine_grads(grads, "dec.weight_res", "dec.bias_res", g_delta, c_res)
+    g_logits = prob
+    g_logits[np.arange(b), labels] -= 1.0
+    g_logits /= b
+    _affine_grads(grads, "head.weight", "head.bias", g_logits, c_id)
+    grad_codes = np.concatenate([g_delta @ dec.weight_id + g_logits @ head.weight,
+                                 g_delta @ dec.weight_res], axis=1)
+    _encoder_backprop(net, activations, grad_codes, grads)
+    return grads, report
 
 
 def reconstruction_truth(ground_truth: np.ndarray, landmark_indices: np.ndarray,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from morphfit import cli as cli_module
 from morphfit import network as nw
+from morphfit import serialization
 from morphfit.cli import build_parser, cli
 from morphfit.config import RunConfig, load_config
 from morphfit.errors import MorphfitError
@@ -130,6 +131,27 @@ class TestGenData:
         assert code == 1
         assert err.startswith("error: ParseError:")
 
+    def test_config_file_not_utf8_is_one_parse_error_line(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(["gen-data", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+        assert (code, out) == (1, "")
+        assert err == f"error: ParseError: {cfg}: not UTF-8 text (invalid start byte)\n"
+        assert not (tmp_path / "out").exists()
+
+    # sizes beyond int64, which no array or generator can be asked for: each
+    # fails before any allocation (a size that still allocates is never tried)
+    @pytest.mark.parametrize("key", ["n_subjects", "images_per_subject", "image_resolution",
+                                     "n_vertices", "k_id", "k_exp"])
+    def test_size_beyond_intp_is_one_error_line(self, tmp_path, key):
+        code, out, err = run_cli(["gen-data", "--set", f"{key}={10 ** 22}",
+                                  "--out", str(tmp_path / "out")])
+        assert (code, out) == (1, "")
+        assert err == (f"error: InvalidArgumentError: {key} must be at most "
+                       f"{np.iinfo(np.intp).max}\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestFit:
     def test_converges_and_writes_objs(self, pipeline, tmp_path):
@@ -210,6 +232,26 @@ class TestTrain:
         lambdas = [float(row[1]) for row in rows]
         assert lambdas == [0.5] * 10 + [1.0] * 20
 
+
+    def test_reads_no_held_out_row(self, pipeline, tmp_path, monkeypatch):
+        # 8 subjects of 5 images, the last 2 held out: the columns are read
+        # over rows 0..30 only, and the run writes the pipeline's checkpoints
+        real_read, windows = serialization._read, []
+
+        def read(handle, entry, rows=None):
+            windows.append(rows)
+            return real_read(handle, entry, rows)
+        monkeypatch.setattr(serialization, "_read", read)
+        train = str(tmp_path / "train")
+        code, _, err = run_cli(["train", "--data", pipeline["dataset"], *TINY_OVERRIDES,
+                                "--seed", "0", "--out", train])
+        assert code == 0, err
+        assert [rows for rows in windows if rows is not None] == [range(0, 30)] * 7
+        for name in ("phase1.ckpt", "phase2.ckpt", "phase3.ckpt"):
+            got = load_checkpoint(os.path.join(train, name))
+            want = load_checkpoint(os.path.join(pipeline["train_dir"], name))
+            for got_part, want_part in zip(got[:3], want[:3]):
+                assert got_part.vector.tobytes() == want_part.vector.tobytes()
 
     @pytest.mark.parametrize("epochs", ["0", "-1"])
     def test_fewer_than_one_epoch_is_a_single_error_line(self, pipeline, tmp_path,

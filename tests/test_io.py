@@ -1354,6 +1354,28 @@ class TestFileModes:
         for name in ("cloud.obj", "model.ckpt", "config.txt"):
             assert os.stat(tmp_path / name).st_mode & 0o777 == 0o644, name
 
+    def test_writers_leave_the_umask_alone(self, stack, tiny_dataset, tmp_path,
+                                           monkeypatch):
+        # a umask round trip would let another thread's file take an unmasked mode
+        encoder, decoder, head, config = stack
+        previous = os.umask(0o022)
+        try:
+            def umask(mask):
+                raise AssertionError("a writer changed the umask")
+            monkeypatch.setattr(os, "umask", umask)
+            write_obj(np.arange(12, dtype=np.float64), str(tmp_path / "cloud.obj"))
+            write_table_csv(("a", "b"), [(1, 0.5)], str(tmp_path / "table.csv"))
+            save_checkpoint(encoder, decoder, head, config, str(tmp_path / "model.ckpt"))
+            save_dataset(tiny_dataset, str(tmp_path / "data.mfd"))
+            _echo_config(RunConfig(output_dir=str(tmp_path)))
+        finally:
+            monkeypatch.undo()
+            os.umask(previous)
+        names = ("cloud.obj", "table.csv", "model.ckpt", "data.mfd", "config.txt")
+        assert sorted(os.listdir(tmp_path)) == sorted(names)  # no temp file left
+        for name in names:
+            assert os.stat(tmp_path / name).st_mode & 0o777 == 0o644, name
+
 
 # ---------------------------------------------------------------------------
 # Run configuration.

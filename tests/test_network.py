@@ -4,13 +4,14 @@ import dataclasses
 import os
 import re
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -49,7 +50,7 @@ from morphfit.network import (
 from morphfit.serialization import load_checkpoint, save_checkpoint
 from morphfit.synthetic import Dataset, DatasetSpec
 
-from oracles import compose_shape, summed_decode
+from oracles import compose_shape, summed_decode, whole_joint_backward
 from conftest import row_coeffs
 
 
@@ -780,6 +781,66 @@ class TestBackward:
             assert same_bits(got[key], value), key
         assert np.all(np.isnan(buffer[guards]))
         assert all(same_bits(a, b) for a, b in zip(network_arrays(*parts), inputs))
+
+
+# The joint loss decodes by the row blocks of `evaluation._blocks` (README,
+# Determinism): at the default widths a block of two or more rows keeps the
+# bits of the whole product, and a block is never one row alone.
+def default_width_parts(seed: int) -> tuple:
+    """(encoder, decoder, head) at the default config's widths, biases non-zero."""
+    config, rng = RunConfig(), np.random.default_rng(seed)
+    q_id, q_res, out_dim = config.k_id, config.k_exp, 3 * config.n_vertices
+    net = init_encoder(config.image_resolution ** 2, q_id, q_res, seed=seed)
+    dec = decoder_of(rng.normal(0.0, 0.05, size=(out_dim, q_id)), rng.normal(0.0, 0.01, out_dim),
+                     rng.normal(0.0, 0.05, size=(out_dim, q_res)), rng.normal(0.0, 0.01, out_dim))
+    n_classes = config.n_subjects - round(config.n_subjects / 4)
+    return net, dec, head_of(rng.normal(0.0, 1.0, size=(n_classes, q_id)),
+                             rng.normal(0.0, 0.1, n_classes))
+
+
+def default_width_batch(rng: np.random.Generator, rows: int, parts: tuple) -> TrainingBatch:
+    net, dec, head = parts
+    return TrainingBatch(rng.uniform(0.0, 1.0, size=(rows, net.input_dim)),
+                         rng.integers(0, head.n_classes, size=rows),
+                         rng.normal(0.0, 0.05, size=(rows, dec.out_dim)))
+
+
+class TestBlockedJointLoss:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 80), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.0, 0.5, 1.0, 1.7]))
+    @example(1, 0, 0.5).via("one row")
+    @example(2, 1, 0.5).via("the least block")
+    @example(32, 2, 1.0).via("one whole block")
+    @example(33, 3, 1.0).via("two blocks of 16 and 17")
+    @example(65, 4, 0.5).via("three blocks of 21, 22 and 22")
+    @example(80, 5, 1.0).via("three blocks of 26, 27 and 27")
+    def test_matches_whole_product_oracle(self, rows, seed, lambda_r):
+        parts = default_width_parts(seed % 1000)
+        batch = default_width_batch(np.random.default_rng(seed), rows, parts)
+        want_grads, want = whole_joint_backward(*parts, batch, lambda_r)
+        grads, report = backward(*parts, batch, lambda_r)
+        assert repr(report) == repr(want)
+        assert repr(batch_loss(*parts, batch, lambda_r)) == repr(want)
+        assert set(grads) == set(want_grads)
+        for key, value in want_grads.items():
+            assert np.array_equal(grads[key], value), key
+
+    def test_peak_grows_by_less_than_one_target_array(self):
+        # the whole split's loss holds one block of decoded rows: from n rows to
+        # 2n its peak grows by the encoder forward's rows, not by (n, 3n) arrays
+        parts, n, peaks = default_width_parts(6), 120, []
+        rng = np.random.default_rng(7)
+        for rows in (n, 2 * n):
+            batch = default_width_batch(rng, rows, parts)
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                batch_loss(*parts, batch, 0.5)
+                peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < n * parts[1].out_dim * 8
 
 
 class TestOptimizerStep:
