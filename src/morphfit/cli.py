@@ -227,10 +227,9 @@ def _cmd_eval(args) -> int:
     _pair_rows(c_id, labels)  # the pair checks come before rank-N's
     _, gallery_rows = np.unique(labels, return_index=True)
     probe_rows = np.setdiff1d(np.arange(labels.size), gallery_rows)
-    rank1, rank5 = (rank_n_identification(c_id[gallery_rows], labels[gallery_rows],
-                                          c_id[probe_rows], labels[probe_rows], n)
-                    for n in (1, 5))
-    report = verification_report(c_id, labels, config.n_folds, rank1, rank5)
+    rank1, rank5 = rank_n_identification(c_id[gallery_rows], labels[gallery_rows],
+                                         c_id[probe_rows], labels[probe_rows], (1, 5))
+    report, distances = verification_report(c_id, labels, config.n_folds, rank1, rank5)
     # each report's fields, in order, are its CSV columns
     write_table_csv(report._fields, [report], os.path.join(out, "verification.csv"))
 
@@ -250,7 +249,7 @@ def _cmd_eval(args) -> int:
         write_table_csv(recon._fields, [recon], os.path.join(out, name))
 
     disentangling = disentangling_report(
-        lambda images: nw.encode_images(encoder, images), dataset, (c_id, c_res))
+        lambda images: nw.encode_images(encoder, images), dataset, (c_id, c_res), distances)
     write_table_csv(disentangling._fields, [disentangling],
                     os.path.join(out, "disentangling.csv"))
     _echo_config(config)

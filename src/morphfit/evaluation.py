@@ -194,12 +194,13 @@ def _fold_thresholds(genuine: np.ndarray, values: np.ndarray, counts: np.ndarray
 
 def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
                           probe_codes: np.ndarray, probe_labels: np.ndarray,
-                          n: int) -> float:
-    """Fraction of probes whose subject is among the n nearest gallery codes.
+                          ns: tuple) -> list[float]:
+    """For each n of `ns`, the fraction of probes whose subject is among the n nearest
+    gallery codes.
 
     Similarity is cosine; ties keep gallery index order (stable sort): a probe's rank
     counts the entries above its best same-subject one, by higher score or by lower
-    index at an equal score, a block of probes at a time.
+    index at an equal score, a block of probes at a time, once for every n.
     """
     gallery = np.asarray(gallery_codes, dtype=np.float64)
     probes = np.asarray(probe_codes, dtype=np.float64)
@@ -212,18 +213,18 @@ def rank_n_identification(gallery_codes: np.ndarray, gallery_labels: np.ndarray,
             "labels must be row-aligned with codes")
     missing = set(p_labels.tolist()) - set(g_labels.tolist())
     require(not missing, f"probe subjects missing from gallery: {sorted(missing)}")
-    require(int(n) >= 1, "n must be at least 1")
-    n = int(n)
+    ns = [int(n) for n in ns]
+    require(all(n >= 1 for n in ns), "n must be at least 1")
     probes, gallery = _unit_rows(probes, gallery)
-    before, hits = np.arange(g_labels.size), 0
+    before, hits = np.arange(g_labels.size), [0] * len(ns)
     for s in _blocks(probes.shape[0]):
         sims, same = np.clip(probes[s] @ gallery.T, -1.0, 1.0), g_labels == p_labels[s, None]
         best = np.max(sims, axis=1, where=same, initial=-np.inf)[:, None]
         ties = sims == best
         first = np.argmax(same & ties, axis=1)[:, None]
         ranks = np.count_nonzero((sims > best) | ties & (before < first), axis=1)
-        hits += np.count_nonzero(ranks < n)
-    return float(hits / probes.shape[0])
+        hits = [h + np.count_nonzero(ranks < n) for h, n in zip(hits, ns)]
+    return [float(h / probes.shape[0]) for h in hits]
 
 
 # Rows per chunk of `evaluate_reconstruction`, at most: about 1.4 MB of buffers
@@ -308,19 +309,7 @@ def evaluate_reconstruction(predictors: list, truth, n_pairs: int,
             for p in range(len(predictors))]
 
 
-def _cosine_distances(codes: np.ndarray, labels: np.ndarray) -> tuple:
-    """The mean cosine distance of the code pairs i < j of equal and of other labels,
-    summed by the blocks of `_pair_blocks`, and whether any distance is above 0."""
-    sums, sizes, spread = [0.0, 0.0], [0, 0], False
-    for picked_pair in _pair_blocks(*_unit_rows(codes), labels, True, False):
-        for k, picked in enumerate(picked_pair):
-            np.subtract(1.0, picked, out=picked)  # scores to distances, with no new array
-            sums[k], sizes[k] = sums[k] + float(picked.sum()), sizes[k] + picked.size
-            spread = spread or bool(np.any(picked > 0))
-    return sums[0] / sizes[0], sums[1] / sizes[1], spread
-
-
-def disentangling_report(embed, dataset, codes: tuple) -> DisentanglingReport:
+def disentangling_report(embed, dataset, codes: tuple, distances: tuple) -> DisentanglingReport:
     """Measure identity/residual code separation on the held-out rows.
 
     Expression-only pairs are built by re-rendering each held-out sample
@@ -332,6 +321,8 @@ def disentangling_report(embed, dataset, codes: tuple) -> DisentanglingReport:
     residual_codes)`` pair: a trained encoder's ``encode_images``, or a
     reference embedding. ``codes`` is that pair for the held-out rows'
     images, in row order; ``embed`` encodes only their re-renders.
+    ``distances`` is ``(intra, inter, spread)`` of those identity codes, as
+    `verification_report` returns them.
     """
     require(callable(embed), "embed must be callable")
 
@@ -344,7 +335,7 @@ def disentangling_report(embed, dataset, codes: tuple) -> DisentanglingReport:
     c_id, c_res = codes
     require(len(c_id) == len(c_res) == len(rows), f"need codes of the {len(rows)} rows")
 
-    intra, inter, spread = _cosine_distances(c_id, labels)
+    intra, inter, spread = distances
 
     rng = np.random.default_rng(np.random.SeedSequence([dataset.spec.seed, 0x1d]))
     perturbation = rng.normal(0.0, 1.0, size=(len(rows), model.k_exp)) * model.sigma_exp
@@ -401,12 +392,14 @@ def _pair_rows(codes: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def verification_report(codes: np.ndarray, labels: np.ndarray, n_folds: int = 10,
                         rank1: float | None = None,
-                        rank5: float | None = None) -> VerificationReport:
+                        rank5: float | None = None) -> tuple[VerificationReport, tuple]:
     """The standard report on the cosine scores of the code pairs i < j, genuine (same
     label) and impostor, each in row-major pair order, keeping only the genuine scores:
     the walks over the pair blocks count each fold's impostors at the distinct genuine
     scores, then at each fold's threshold, keeping those in the gaps where the ROC
-    crossings fall. Every field is the counts and divisions of the two sorted classes."""
+    crossings fall. Every field is the counts and divisions of the two sorted classes.
+    Returned with the disentangling distances that the first walk sums: the mean cosine
+    distance of the genuine and of the impostor pairs, and whether any is above 0."""
     unit, labels = _pair_rows(codes, labels)
     sizes, n = np.unique(labels, return_counts=True)[1], labels.size
     g = int(np.sum(sizes * (sizes - 1) // 2))
@@ -416,7 +409,14 @@ def verification_report(codes: np.ndarray, labels: np.ndarray, n_folds: int = 10
     n_folds = int(n_folds)
     require(min(g, i) >= n_folds, f"need at least {n_folds} pairs of each class, got "
                                   f"{g} genuine / {i} impostor")
-    genuine = np.concatenate([genuine for genuine, in _pair_blocks(unit, labels, True)])
+    genuine, sums, sizes, spread = [], [0.0, 0.0], [0, 0], False
+    for picked_pair in _pair_blocks(unit, labels, True, False):
+        genuine.append(picked_pair[0])
+        for k, picked in enumerate(picked_pair):  # each class summed block by block
+            dist = 1.0 - picked
+            sums[k], sizes[k] = sums[k] + float(dist.sum()), sizes[k] + picked.size
+            spread = spread or bool(np.any(dist > 0))
+    genuine, distances = np.concatenate(genuine), (sums[0] / sizes[0], sums[1] / sizes[1], spread)
     (values, ties), i_per = np.unique(genuine, return_counts=True), i // n_folds
     edges = [k * i_per for k in range(1, n_folds + 1)]  # run n_folds, the rest, is in no fold
     under = np.zeros((n_folds + 1, values.size), dtype=np.int64)
@@ -465,4 +465,4 @@ def verification_report(codes: np.ndarray, labels: np.ndarray, n_folds: int = 10
                               eer=_eer(refined), auc=_auc(ties, under, at, i),
                               tar_far10=_tar_at_far(refined, 0.10),
                               tar_far1=_tar_at_far(refined, 0.01),
-                              rank1=rank1, rank5=rank5)
+                              rank1=rank1, rank5=rank5), distances

@@ -121,12 +121,12 @@ def _index(handle, kind: str | None = None) -> tuple[dict, list]:
         raise CorruptionError("truncated header")
     try:
         header = json.loads(handle.read(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or digits; deep nesting
         raise CorruptionError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict) or not isinstance(header.get("arrays", []), list):
         raise CorruptionError("header is not a JSON object with an 'arrays' list")
     version = header.get("format_version")
-    if version != FORMAT_VERSION or isinstance(version, bool):  # True == 1
+    if type(version) is not int or version != FORMAT_VERSION:  # True == 1, 2.0 == 2
         raise VersionMismatchError(
             f"container format version {version}, expected {FORMAT_VERSION}")
     layout, offset = [], start + header_len
@@ -134,7 +134,7 @@ def _index(handle, kind: str | None = None) -> tuple[dict, list]:
         try:
             name, tag = entry["name"], entry["dtype"]
             shape = tuple(int(s) for s in entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e400)
             raise CorruptionError(f"malformed array entry: {entry}") from exc
         if any(s < 0 for s in shape):
             raise CorruptionError(f"malformed array entry: {entry}")

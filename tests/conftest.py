@@ -10,7 +10,7 @@ from morphfit.synthetic import (Dataset, DatasetSpec, PoseRanges,
                                 SyntheticModelSpec, build_dataset,
                                 generate_model)
 
-from oracles import CoeffPair, PoseParams, Shape
+from oracles import CoeffPair, PoseParams, Shape, masked_distance_means
 
 # Pose ranges wide enough to exercise real rotation/scale variation in the
 # fitting tests; the near-frontal defaults are deliberately much tighter.
@@ -84,9 +84,10 @@ def reconstruct(predicted, ground_truth, landmark_indices, nose_tip_index,
 
 def disentangle(embed, dataset):
     """`disentangling_report` given the codes `embed` gives the held-out
-    rows' images."""
-    return disentangling_report(embed, dataset,
-                                embed(dataset.images(dataset.test_indices)))
+    rows' images and the oracle's distances of their identity codes."""
+    codes = embed(dataset.images(dataset.test_indices))
+    return disentangling_report(embed, dataset, codes, masked_distance_means(
+        codes[0], dataset.labels[dataset.test_indices]))
 
 
 # The per-pair shape error that evaluate_reconstruction computed through

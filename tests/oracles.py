@@ -587,14 +587,23 @@ def argsorted_rank_n(gallery: np.ndarray, g_labels: np.ndarray, probes: np.ndarr
 def masked_cosine_distances(codes: np.ndarray, labels: np.ndarray) -> tuple:
     """The cosine distances of the code pairs i < j of equal and of other labels,
     as `disentangling_report` took them from the whole N x N distance matrix
-    through N x N label and upper-triangle masks (`_cosine_distances` now sums
-    them by blocks of rows)."""
+    through N x N label and upper-triangle masks (`verification_report`'s genuine
+    walk now sums them by blocks of rows)."""
     norms = np.linalg.norm(codes, axis=1, keepdims=True)
     unit = codes / np.maximum(norms, 1e-300)
     dist = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
     same = labels[:, None] == labels[None, :]
     upper = np.triu(np.ones_like(same, dtype=bool), k=1)
     return dist[same & upper], dist[~same & upper]
+
+
+def masked_distance_means(codes: np.ndarray, labels: np.ndarray) -> tuple:
+    """The (intra, inter, spread) that `disentangling_report` takes, from
+    `masked_cosine_distances`: each class's mean, NaN for an empty class, and
+    whether any distance is above 0."""
+    classes = masked_cosine_distances(codes, labels)
+    return (*(float(c.mean()) if c.size else float("nan") for c in classes),
+            any(bool(np.any(c > 0)) for c in classes))
 
 
 def pair_scores(codes: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1059,8 +1068,7 @@ def self_encoding_disentangling_report(embed, dataset) -> DisentanglingReport:
     images = dataset.images(rows)
     c_id, c_res = embed(images)
 
-    same, other = masked_cosine_distances(c_id, labels)
-    intra, inter = float(same.mean()), float(other.mean())
+    intra, inter, spread = masked_distance_means(c_id, labels)
 
     rng = np.random.default_rng(np.random.SeedSequence([dataset.spec.seed, 0x1d]))
     perturbation = rng.normal(0.0, 1.0, size=(len(rows), model.k_exp)) * model.sigma_exp
@@ -1079,7 +1087,7 @@ def self_encoding_disentangling_report(embed, dataset) -> DisentanglingReport:
             ratios.append(d_res / (d_res + d_id))
 
     # constant encoder: no pair moved, no identity spread to attribute
-    degenerate = den <= 0.0 or not (np.any(same > 0) or np.any(other > 0))
+    degenerate = den <= 0.0 or not spread
     ratio = float(np.mean(ratios)) if ratios else float("nan")
 
     grand = c_id.mean(axis=0)

@@ -247,7 +247,7 @@ def test_criterion_06_joint_training_preserves_recognition_and_recon(
 
     def held_out_auc(encoder):
         c_id, _ = encode_images(encoder, images)
-        return verification_report(c_id, labels).auc
+        return verification_report(c_id, labels)[0].auc
 
     def recon_rmse(encoder, decoder):
         c_id, c_res = encode_images(encoder, images)
@@ -314,7 +314,7 @@ def test_criterion_08_metric_oracles():
         brute = np.mean([p_labels[i] in
                          g_labels[np.argsort(-sims[i], kind="stable")[:n]]
                          for i in range(20)])
-        got = rank_n_identification(gallery, g_labels, probes, p_labels, n)
+        got, = rank_n_identification(gallery, g_labels, probes, p_labels, (n,))
         assert got == brute
 
     # fold accuracy vs exhaustive threshold search over the stratified folds

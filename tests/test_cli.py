@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from morphfit import cli as cli_module
+from morphfit import evaluation
 from morphfit import network as nw
 from morphfit import serialization
 from morphfit.cli import build_parser, cli
@@ -459,6 +460,29 @@ class TestEval:
         assert alive["evaluate_reconstruction"] == [[True, True, False], [False, True, False]]
         assert alive["disentangling_report"] == [[True, False, False], [False, False, False]]
 
+    def test_one_eval_walks_the_pairs_three_times_and_ranks_once(self, pipeline, tmp_path,
+                                                                 monkeypatch):
+        """Verification's genuine walk also sums the disentangling distances, and one
+        rank-N pass counts both n: each block product of the identity codes is taken
+        by three walks (genuine, counting, gap), and the probes are ranked once."""
+        calls = {"_pair_blocks": 0, "rank_n_identification": 0}
+
+        def counting(module, name):
+            call = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return call(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(evaluation, "_pair_blocks")
+        counting(cli_module, "rank_n_identification")
+        code, _, err = run_cli(["eval", "--data", pipeline["dataset"], "--checkpoint",
+                                os.path.join(pipeline["train_dir"], "phase3.ckpt"),
+                                *TINY_OVERRIDES, "--out", str(tmp_path / "eval")])
+        assert code == 0, err
+        assert calls == {"_pair_blocks": 3, "rank_n_identification": 1}
+
 
 # Held-out sets that `eval` cannot verify on, and the one error line each gives:
 # one image per subject leaves rank-N identification no probe, and a single
@@ -715,13 +739,23 @@ class TestUsageErrors:
         assert err.count("\n") == 1
 
     def test_corrupt_dataset_is_single_error_line(self, tmp_path):
+        """No container, and headers that overflow an int, pass Python's 4,300-digit
+        limit or nest past the recursion limit: one error line each, in `fit` and
+        in `eval`."""
         bad = tmp_path / "bad.mfd"
-        bad.write_bytes(b"not a container at all")
-        code, _, err = run_cli(["fit", "--data", str(bad),
-                                "--out", str(tmp_path / "out")])
-        assert code == 1
-        assert err.startswith("error: CorruptionError:")
-        assert err.count("\n") == 1
+        headers = (b'{"format_version":2,"arrays":[{"name":"alpha_id","dtype":"f8",'
+                   b'"shape":[1e400,6]}]}', b'{"n_subjects":' + b"9" * 5000 + b"}",
+                   b"[" * 100_000)
+        for data in (b"not a container at all",
+                     *(serialization.MAGIC + len(h).to_bytes(8, "little") + h
+                       for h in headers)):
+            bad.write_bytes(data)
+            for stage in (["fit"], ["eval", "--checkpoint", str(bad)]):
+                code, _, err = run_cli([*stage, "--data", str(bad),
+                                        "--out", str(tmp_path / "out")])
+                assert code == 1
+                assert err.startswith("error: CorruptionError:")
+                assert err.count("\n") == 1
 
     def test_ill_typed_dataset_field_is_single_error_line(self, pipeline,
                                                            tmp_path):

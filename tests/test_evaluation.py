@@ -17,7 +17,6 @@ from morphfit.evaluation import (
     _RECONSTRUCTION_CHUNK,
     ReconstructionReport,
     VerificationReport,
-    _cosine_distances,
     disentangling_report,
     evaluate_reconstruction,
     rank_n_identification,
@@ -35,7 +34,8 @@ from oracles import (CoeffPair, PoseParams, RocCurve, Shape, SimilarityTransform
                      apply_transform, argsorted_rank_n, crop_indices, curve_eer, curve_tar_at_far,
                      dilate_max, mann_whitney_auc, procrustes_align,
                      procrustes_align_stack,
-                     masked_cosine_distances, pair_scores, rasterize_depth,
+                     masked_cosine_distances, masked_distance_means, pair_scores,
+                     rasterize_depth,
                      reconstruction_truth, roc_curve, searched_accuracy_folds,
                      searched_roc_curve, searched_verification_report, select_landmarks,
                      self_encoding_disentangling_report, sorted_auc, sorted_class_report,
@@ -379,7 +379,7 @@ class TestRankNIdentification:
     def test_identical_codes_rank1(self):
         codes = np.eye(4)
         labels = np.arange(4)
-        assert rank_n_identification(codes, labels, codes, labels, 1) == 1.0
+        assert rank_n_identification(codes, labels, codes, labels, (1,)) == [1.0]
 
     def test_rank_covering_gallery_is_one(self):
         rng = np.random.default_rng(10)
@@ -387,7 +387,7 @@ class TestRankNIdentification:
         probes = rng.normal(size=(7, 3))
         g_labels = np.arange(5)
         p_labels = rng.integers(0, 5, size=7)
-        assert rank_n_identification(gallery, g_labels, probes, p_labels, 5) == 1.0
+        assert rank_n_identification(gallery, g_labels, probes, p_labels, (5,)) == [1.0]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -395,27 +395,30 @@ class TestRankNIdentification:
         probes = rng.normal(size=(9, 4))
         g_labels = np.array([0, 1, 2, 0, 1, 2])
         p_labels = rng.integers(0, 3, size=9)
-        for n in (1, 2, 4):
-            got = rank_n_identification(gallery, g_labels, probes, p_labels, n)
-            assert got == rank_n_loop_oracle(gallery, g_labels, probes,
-                                             p_labels, n)
+        got = rank_n_identification(gallery, g_labels, probes, p_labels, (1, 2, 4))
+        assert got == [rank_n_loop_oracle(gallery, g_labels, probes, p_labels, n)
+                       for n in (1, 2, 4)]
 
     def test_ties_resolved_by_gallery_order(self):
         same = np.array([[1.0, 0.0]])
         gallery = np.vstack([same, same])
-        value = rank_n_identification(gallery, np.array([5, 7]),
-                                      same, np.array([7]), 1)
+        value, = rank_n_identification(gallery, np.array([5, 7]),
+                                       same, np.array([7]), (1,))
         assert value == 0.0  # the earlier gallery row (label 5) wins the tie
 
     def test_missing_probe_subject_rejected(self):
         with pytest.raises(InvalidArgumentError):
             rank_n_identification(np.eye(2), np.array([0, 1]),
-                                  np.eye(2), np.array([0, 3]), 1)
+                                  np.eye(2), np.array([0, 3]), (1,))
 
     def test_empty_gallery_rejected(self):
         with pytest.raises(InvalidArgumentError):
             rank_n_identification(np.zeros((0, 2)), np.array([]),
-                                  np.eye(2), np.array([0, 1]), 1)
+                                  np.eye(2), np.array([0, 1]), (1,))
+
+    def test_each_n_is_checked(self):
+        with pytest.raises(InvalidArgumentError, match="^n must be at least 1$"):
+            rank_n_identification(np.eye(2), np.arange(2), np.eye(2), np.arange(2), (1, 0))
 
     @pytest.mark.parametrize("side", ["gallery", "probes"])
     def test_infinite_norm_rejected_on_either_side(self, side):
@@ -426,7 +429,7 @@ class TestRankNIdentification:
         with (np.errstate(over="ignore"),
               pytest.raises(InvalidArgumentError, match="^pair scores must be finite$")):
             rank_n_identification(codes["gallery"], np.arange(3),
-                                  codes["probes"], np.arange(3), 1)
+                                  codes["probes"], np.arange(3), (1,))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(rank_inputs())
@@ -435,8 +438,10 @@ class TestRankNIdentification:
     def test_counts_match_argsort_oracle(self, case):
         """Each probe's count of gallery entries ranked above its best same-subject
         entry, by blocks of probes, against the stable argsort of the whole score
-        matrix: the same fraction, by repr."""
-        assert repr(rank_n_identification(*case)) == repr(argsorted_rank_n(*case))
+        matrix: the same fraction for each n of one call, by repr."""
+        *inputs, n = case
+        assert (repr(rank_n_identification(*inputs, (n, 1)))
+                == repr([argsorted_rank_n(*inputs, n), argsorted_rank_n(*inputs, 1)]))
 
     def test_peak_memory_per_block(self):
         """2,000 probes against 500 gallery codes hold the scores, the masks and the
@@ -450,7 +455,7 @@ class TestRankNIdentification:
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            rank_n_identification(gallery, g_labels, probes, p_labels, 5)
+            rank_n_identification(gallery, g_labels, probes, p_labels, (1, 5))
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
@@ -1053,7 +1058,10 @@ class TestDisentanglingReport:
             batches.append(np.array(batch))
             return embed(batch)
 
-        got = disentangling_report(recording, heldout_dataset, embed(images))
+        codes = embed(images)
+        labels = heldout_dataset.labels[heldout_dataset.test_indices]
+        got = disentangling_report(recording, heldout_dataset, codes,
+                                   walked_distances(codes[0], labels))
         assert_matches_self_encoding_oracle(got, embed, heldout_dataset)
         # only the re-rendered images are encoded
         assert len(batches) == 1 and batches[0].shape == images.shape
@@ -1074,17 +1082,17 @@ class TestDisentanglingReport:
             sizes.append(len(batch))
             return embed(batch)
 
-        got = disentangling_report(recording, dataset,
-                                   embed(dataset.images(dataset.test_indices)))
+        codes = embed(dataset.images(dataset.test_indices))
+        got = disentangling_report(recording, dataset, codes, walked_distances(
+            codes[0], dataset.labels[dataset.test_indices]))
         assert_matches_self_encoding_oracle(got, embed, dataset)
         rows = 2 * images_per_subject
         assert sum(sizes) == rows and max(sizes) - min(sizes) <= 1
         assert max(sizes) <= 64 and (min(sizes) > 32 or rows < 64)
 
     def test_peak_memory_per_row(self, small_model):
-        """1,000 held-out rows hold one block of 32 rows of the pair distances
-        (its product, clip and masks), one chunk of 64 re-rendered images and a few
-        numbers per row: at most 1,024 bytes per held-out row above entry (868
+        """1,000 held-out rows hold one chunk of 64 re-rendered images and a few
+        numbers per row: at most 1,024 bytes per held-out row above entry (648
         read), where the two whole N x N arrays, the distance classes and all the
         re-renders took 12,668."""
         dataset = build_dataset(small_model, DatasetSpec(
@@ -1092,10 +1100,11 @@ class TestDisentanglingReport:
         embed = rowwise_encoder(256)
         rows = dataset.test_indices.size
         codes = embed(dataset.images(dataset.test_indices))
+        distances = masked_distance_means(codes[0], dataset.labels[dataset.test_indices])
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            disentangling_report(embed, dataset, codes)
+            disentangling_report(embed, dataset, codes, distances)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
@@ -1106,12 +1115,12 @@ class TestDisentanglingReport:
         c_id, c_res = embed(heldout_dataset.images(heldout_dataset.test_indices))
         for codes in ((c_id[:5], c_res[:5]), (c_id, c_res[:5])):
             with pytest.raises(InvalidArgumentError, match="need codes of the 6 rows"):
-                disentangling_report(embed, heldout_dataset, codes)
+                disentangling_report(embed, heldout_dataset, codes, (0.5, 1.0, True))
 
     def test_rejects_non_callable(self, heldout_dataset):
         with pytest.raises(InvalidArgumentError):
             disentangling_report(object(), heldout_dataset,
-                                 (np.zeros((6, 3)), np.zeros((6, 2))))
+                                 (np.zeros((6, 3)), np.zeros((6, 2))), (0.5, 1.0, True))
 
     def test_needs_two_subjects(self, small_model):
         # two subjects hold out one
@@ -1150,7 +1159,8 @@ class TestDisentanglingReport:
 
         with pytest.raises(InvalidArgumentError,
                            match="^displacement_ratio must be finite unless degenerate$"):
-            disentangling_report(moved_to_infinity, heldout_dataset, codes)
+            disentangling_report(moved_to_infinity, heldout_dataset, codes, masked_distance_means(
+                codes[0], heldout_dataset.labels[heldout_dataset.test_indices]))
 
 
 # ---------------------------------------------------------------------------
@@ -1161,6 +1171,12 @@ def record_classes(codes, labels) -> tuple[np.ndarray, np.ndarray]:
     """The genuine and the impostor scores of the oracle's pair record array."""
     pairs = verification_pairs(codes, labels)
     return pairs.score[pairs.is_genuine], pairs.score[~pairs.is_genuine]
+
+
+def walked_distances(codes, labels) -> tuple:
+    """The disentangling distances that `verification_report` sums in its genuine
+    walk, with the fewest folds it takes."""
+    return verification_report(codes, labels, n_folds=2)[1]
 
 
 def gaussian_codes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1207,7 +1223,8 @@ class TestVerificationPairs:
     @example(gaussian_codes(33))
     @example(gaussian_codes(65))
     def test_class_split_matches_record_oracle(self, case):
-        """The pair scores and the disentangling report's distance means, by
+        """The pair scores, and the distance means that the report sums in its
+        genuine walk where each class has the two pairs its two folds need, by
         blocks of rows, against the record array and the N x N masks over the
         whole products, or the same error. Each block takes its own product, which
         has the whole product's bits where N <= 32 or N % 8 == 0 (OpenBLAS 0.3.31,
@@ -1226,8 +1243,8 @@ class TestVerificationPairs:
             assert score.size == oracle.size
             assert np.all(np.abs(score - oracle) <= 4 * np.spacing(1.0))
         same, other = masked_cosine_distances(codes, labels)
-        if same.size and other.size:  # as the report requires
-            *means, spread = _cosine_distances(codes, labels)
+        if min(same.size, other.size) >= 2:  # as the report of two folds requires
+            *means, spread = walked_distances(codes, labels)
             slack = 0.0 if exact else 4 * np.spacing(1.0)
             for mean, oracle in zip(means, (same, other)):
                 assert abs(mean - oracle.mean()) <= 1e-13 * oracle.mean() + slack
@@ -1247,30 +1264,31 @@ class TestVerificationPairs:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_distance_means_are_one_minus_the_scores(self, seed):
-        """Up to 32 codes are one block: the disentangling report's distance means
-        are one minus the scores that `pair_scores` returns, summed and divided
-        once, bit for bit, as both take the same product of the same unit rows."""
+        """Up to 32 codes are one block: the genuine walk's distance means are one
+        minus the scores that `pair_scores` returns, summed and divided once, bit
+        for bit, as both take the same product of the same unit rows."""
         rng = np.random.default_rng(seed)
         codes, labels = rng.normal(size=(30, 20)), np.arange(30) // 3
         scores = pair_scores(codes, labels)
-        means = _cosine_distances(codes, labels)[:2]
+        means = walked_distances(codes, labels)[:2]
         assert means == tuple(float((1.0 - c).sum()) / c.size for c in scores)
 
     def test_peak_memory_per_pair(self):
-        """Scoring the pairs through the program's blocks, then taking the cosine
-        distance means of the same codes, holds the two classes of scores (8 bytes
-        per pair) and one block of rows at a time, the previous block freed before
-        the next is built: at most 12 bytes per pair above entry (9.8 read), where
-        the two whole products took 33.4, and the record array and the N x N masks
-        and copies more."""
+        """The report, whose genuine walk sums the cosine distance means (it alone
+        peaks at 4.4 bytes per pair), then scoring the pairs of the same codes
+        through the program's blocks, holds the two classes of scores (8 bytes per
+        pair) and one block of rows at a time, the previous block freed before the
+        next is built: at most 12 bytes
+        per pair above entry (9.8 read), where the two whole products took 33.4,
+        and the record array and the N x N masks and copies more."""
         rng = np.random.default_rng(22)
         codes, labels = rng.normal(size=(1000, 8)), np.arange(1000) // 5
         n_pairs = 1000 * 999 // 2
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
+            means = verification_report(codes, labels)[1][:2]
             scores = pair_scores(codes, labels)
-            means = _cosine_distances(codes, labels)[:2]
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
@@ -1317,7 +1335,7 @@ class TestVerificationReport:
     def test_separated_codes_score_perfectly(self):
         codes = np.vstack([np.eye(3), np.eye(3)])  # two samples per axis
         labels = np.array([0, 1, 2, 0, 1, 2])
-        report = verification_report(codes, labels, n_folds=3)
+        report = verification_report(codes, labels, n_folds=3)[0]
         assert report.auc == 1.0
         assert report.eer == 0.0
         assert report.accuracy_mean == 1.0
@@ -1326,7 +1344,7 @@ class TestVerificationReport:
 
     def test_rank_fields_pass_through(self):
         codes, labels = np.vstack([np.eye(2), np.eye(2)]), np.array([0, 1, 0, 1])
-        report = verification_report(codes, labels, n_folds=2, rank1=0.8, rank5=0.95)
+        report = verification_report(codes, labels, n_folds=2, rank1=0.8, rank5=0.95)[0]
         assert report.rank1 == 0.8
         assert report.rank5 == 0.95
 
@@ -1365,7 +1383,7 @@ class TestVerificationReport:
         want = outcome(oracle_report, *case)
         for piece in (1, 7, evaluation._IMPOSTOR_PIECE):
             with mock.patch.object(evaluation, "_IMPOSTOR_PIECE", piece):
-                got = outcome(verification_report, *case)
+                got = outcome(lambda *args: verification_report(*args)[0], *case)
             assert type(got) is type(want) and repr(got) == repr(want), piece
 
     def test_peak_memory_per_pair(self):
@@ -1399,9 +1417,9 @@ class TestVerificationReport:
         assume(min(genuine, len(codes) * (len(codes) - 1) // 2 - genuine) >= n_folds)
         _, gallery = np.unique(labels, return_index=True)
         probes = np.setdiff1d(np.arange(len(labels)), gallery)
-        ranks = [rank_n_identification(codes[gallery], labels[gallery],
-                                       codes[probes], labels[probes], n) for n in (1, 5)]
-        report = verification_report(codes, labels, n_folds, *ranks)
+        ranks = rank_n_identification(codes[gallery], labels[gallery],
+                                      codes[probes], labels[probes], (1, 5))
+        report = verification_report(codes, labels, n_folds, *ranks)[0]
         assert_plain_fields(report)
         for name in ("accuracy_mean", "eer", "auc", "tar_far10", "tar_far1", "rank1", "rank5"):
             assert 0.0 <= getattr(report, name) <= 1.0, name
@@ -1696,5 +1714,5 @@ class TestArrayPathsMatchLoopOracles:
         p_labels = np.array(data.draw(st.lists(
             st.sampled_from(g_labels.tolist()), min_size=len(probes),
             max_size=len(probes))))
-        assert (rank_n_identification(gallery, g_labels, probes, p_labels, n)
-                == rank_n_loop_oracle(gallery, g_labels, probes, p_labels, n))
+        assert (rank_n_identification(gallery, g_labels, probes, p_labels, (n,))
+                == [rank_n_loop_oracle(gallery, g_labels, probes, p_labels, n)])

@@ -366,18 +366,23 @@ class TestContainerFormat:
             load_checkpoint(str(path))
 
     def test_header_must_be_json(self, tmp_path):
+        """Text that is no JSON, an integer past Python's 4,300-digit limit and
+        nesting past the recursion limit are all one unreadable header."""
         path = tmp_path / "notjson.mfc"
-        blob = b"definitely not json"
-        path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
-        with pytest.raises(CorruptionError, match="unreadable header"):
-            load_checkpoint(str(path))
+        for blob in (b"definitely not json", b'{"format_version":' + b"1" * 5000 + b"}",
+                     b"[" * 100_000):
+            path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
+            with pytest.raises(CorruptionError, match="unreadable header"):
+                load_checkpoint(str(path))
 
     def test_version_mismatch_is_distinct_error(self, tmp_path):
+        # a float that equals the version is no version either
         path = tmp_path / "future.mfc"
-        path.write_bytes(craft({"format_version": FORMAT_VERSION + 1,
-                                "kind": "checkpoint", "arrays": []}))
-        with pytest.raises(VersionMismatchError, match="version"):
-            load_checkpoint(str(path))
+        for version in (FORMAT_VERSION + 1, float(FORMAT_VERSION)):
+            path.write_bytes(craft({"format_version": version,
+                                    "kind": "checkpoint", "arrays": []}))
+            with pytest.raises(VersionMismatchError, match=f"version {version},"):
+                load_checkpoint(str(path))
 
     def test_bool_format_version_is_no_version(self, checkpoint_bytes, tmp_path):
         # JSON true equals 1 in Python, but is no format version
@@ -957,6 +962,7 @@ class TestOneCopyPerLoad:
     @pytest.mark.parametrize("shape, message", [
         ([2 ** 40, 2 ** 40], "truncated payload for array 'alpha_id'"),
         ([-1, 6], "malformed array entry"),
+        ([1e400, 6], "malformed array entry"),  # JSON's Infinity, which no int holds
     ])
     def test_corrupt_shape_fails_before_reading(self, tiny_dataset, tmp_path,
                                                 shape, message):
