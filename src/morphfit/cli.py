@@ -18,13 +18,12 @@ import numpy as np
 from . import network as nw
 from .config import RunConfig, format_config, load_config, parse_config
 from .errors import MorphfitError, require
-from .evaluation import (_pair_rows, disentangling_report, evaluate_reconstruction,
-                         rank_n_identification, verification_report)
+from .evaluation import (_blocks, _pair_rows, disentangling_report,
+                         evaluate_reconstruction, rank_n_identification, verification_report)
 from .fitting import multi_image_fit
-from .serialization import (_atomic_write, load_checkpoint, load_dataset,
-                            save_checkpoint, save_dataset, write_obj,
-                            write_table_csv)
-from .synthetic import _compose_rows, build_dataset, generate_model, split_indices
+from .serialization import (_atomic_write, _depth_chunks, load_checkpoint, load_dataset,
+                            save_checkpoint, save_dataset, write_obj, write_table_csv)
+from .synthetic import COLUMNS, _compose_rows, build_dataset, generate_model, split_indices
 
 
 @functools.cache
@@ -115,7 +114,7 @@ def _cmd_fit(args) -> int:
             raise MorphfitError(f"subject {args.subject} not present in dataset")
         return range(args.subject * spec.images_per_subject,
                      (args.subject + 1) * spec.images_per_subject)
-    dataset = load_dataset(args.data, rows=subject_rows)
+    dataset = load_dataset(args.data, rows=subject_rows, columns=("landmarks",))
     result = multi_image_fit(dataset.model, dataset.landmarks, config.fit_config())
 
     # the identity shape (zero residual) first, then one shape per image
@@ -173,7 +172,8 @@ def _held_out(spec) -> int:
 
 def _cmd_train(args) -> int:
     config = _effective_config(args)
-    dataset = load_dataset(args.data, rows=lambda spec: spec.window()[:_held_out(spec)])
+    dataset = load_dataset(args.data, rows=lambda spec: spec.window()[:_held_out(spec)],
+                           columns=[c for c in COLUMNS if c != "landmarks"])
     init, after2, after3, history, trace = _train_pipeline(config, dataset)
     out = config.output_dir
     for phase, nets in enumerate(((after2[0], *init), after2, after3), start=1):
@@ -207,21 +207,30 @@ def _check_checkpoint_fits(dataset, encoder, decoder, name: str = "checkpoint") 
                 f"{name} {what} is {got}, but the dataset needs {want} ({why})")
 
 
+def _encode(encoders: list, read, n: int) -> list[tuple]:
+    """Each encoder's codes of n images, as `encode_images` gives them, from one pass over
+    the chunks that ``read(blocks)`` yields for even `blocks` of at most 128 rows."""
+    blocks, codes = _blocks(n, 128), [np.empty((n, e.q_id + e.q_res)) for e in encoders]
+    for images, s in zip(read(blocks), blocks):
+        for net, out in zip(encoders, codes):
+            out[s, :net.q_id], out[s, net.q_id:] = nw.encode_images(net, images)
+    return [(out[:, :net.q_id], out[:, net.q_id:]) for net, out in zip(encoders, codes)]
+
+
 def _cmd_eval(args) -> int:
     config = _effective_config(args)
-    dataset = load_dataset(args.data, rows=lambda spec: spec.window()[_held_out(spec):])
+    dataset = load_dataset(args.data, rows=lambda spec: spec.window()[_held_out(spec):],
+                           columns=COLUMNS[:5])  # the depth is read by chunk, below
     encoder, decoder = load_checkpoint(args.checkpoint)[:2]
     _check_checkpoint_fits(dataset, encoder, decoder)
+    nets = [(encoder, decoder)]
     if args.baseline:  # checked before any file is written
-        enc2, dec2 = load_checkpoint(args.baseline)[:2]
-        _check_checkpoint_fits(dataset, enc2, dec2, "baseline checkpoint")
-    model = dataset.model
-    out = config.output_dir
-
-    rows = dataset.test_indices
-    images = dataset.images(slice(rows[0], rows[-1] + 1))  # one block of rows: a view
-    labels = dataset.labels[rows]
-    c_id, c_res = nw.encode_images(encoder, images)
+        nets.append(load_checkpoint(args.baseline)[:2])
+        _check_checkpoint_fits(dataset, *nets[1], "baseline checkpoint")
+    model, rows, labels = dataset.model, dataset.test_indices, dataset.labels  # all held out
+    codes = _encode([enc for enc, _ in nets], lambda blocks: _depth_chunks(
+        args.data, dataset, blocks), rows.size)
+    c_id, c_res = codes[0]
 
     # verification over all held-out pairs; gallery = first image per subject
     _pair_rows(c_id, labels)  # the pair checks come before rank-N's
@@ -230,28 +239,23 @@ def _cmd_eval(args) -> int:
     rank1, rank5 = rank_n_identification(c_id[gallery_rows], labels[gallery_rows],
                                          c_id[probe_rows], labels[probe_rows], (1, 5))
     report, distances = verification_report(c_id, labels, config.n_folds, rank1, rank5)
-    # each report's fields, in order, are its CSV columns
-    write_table_csv(report._fields, [report], os.path.join(out, "verification.csv"))
 
     def predict(codes, dec, rows, shapes):
         nw.decode(dec, codes[0][rows], codes[1][rows], out=shapes)
         shapes += model.mean
 
-    predictors = [functools.partial(predict, (c_id, c_res), decoder)]
-    if args.baseline:
-        predictors.append(functools.partial(predict, nw.encode_images(enc2, images), dec2))
-        del enc2, dec2  # the predictor holds the decoder until the pass is done
+    predictors = [functools.partial(predict, c, d) for c, (_, d) in zip(codes, nets)]
+    del codes[1:], nets  # the predictors hold the decoders until the pass is done
     reports = evaluate_reconstruction(
         predictors, lambda s: dataset.ground_truth_shapes(rows[s]), rows.size,
         model.landmark_indices, model.nose_tip_index, config.crop_radius)
     del predictors, decoder  # before the disentangling re-renders: no later section reads them
-    for name, recon in zip(("reconstruction.csv", "reconstruction_baseline.csv"), reports):
-        write_table_csv(recon._fields, [recon], os.path.join(out, name))
-
     disentangling = disentangling_report(
         lambda images: nw.encode_images(encoder, images), dataset, (c_id, c_res), distances)
-    write_table_csv(disentangling._fields, [disentangling],
-                    os.path.join(out, "disentangling.csv"))
+    # no file before every report; each report's fields, in order, are its CSV columns
+    names = ("verification", "disentangling", "reconstruction", "reconstruction_baseline")
+    for name, r in zip(names, (report, disentangling, *reports)):
+        write_table_csv(r._fields, [r], os.path.join(config.output_dir, f"{name}.csv"))
     _echo_config(config)
     print(f"auc {report.auc:.4f} eer {report.eer:.4f} "
           f"rmse {reports[0].rmse_paper:.6g}")
@@ -260,7 +264,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_export_bases(args) -> int:
     config = _effective_config(args)
-    dataset = load_dataset(args.data, rows=lambda spec: range(0))  # no rows
+    dataset = load_dataset(args.data, columns=())
     encoder, decoder, _head, _cfg = load_checkpoint(args.checkpoint)
     _check_checkpoint_fits(dataset, encoder, decoder)
     mean = dataset.model.mean

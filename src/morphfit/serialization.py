@@ -22,7 +22,8 @@ from .errors import (CorruptionError, InvalidArgumentError,
                      require)
 from .geometry import MorphableModel
 from .network import ClassifierHead, DecoderNet, EncoderNet
-from .synthetic import COLUMNS, POSE_PARAMS, Dataset, DatasetSpec, PoseRanges
+from .synthetic import (COLUMNS, POSE_PARAMS, Dataset, DatasetSpec, PoseRanges, _check_rows,
+                        _column_shapes, _depth_checks)
 
 MAGIC = b"MORPHFIT"
 FORMAT_VERSION = 2
@@ -258,6 +259,7 @@ _STORED = {column: column.replace("pose_", "pose.") for column in COLUMNS}
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     require(dataset.rows == dataset.spec.window(), "cannot save a window of rows")
+    require(all(getattr(dataset, c) is not None for c in COLUMNS), "cannot save unread columns")
     model = dataset.model
     arrays = {**{f"model.{name}": getattr(model, name) for name in _MODEL_ARRAYS},
               **{_STORED[c]: getattr(dataset, c) for c in COLUMNS}}
@@ -286,9 +288,11 @@ def _load_spec(stored: dict) -> DatasetSpec:
         seed=_field(stored, "seed", int)), "spec")
 
 
-def load_dataset(path: str, rows=None) -> Dataset:
-    """The dataset at `path`, or only the whole subjects' rows `rows(spec)` of its spec;
-    of the other rows only the header's claims are checked: dtype tags, size, shapes."""
+def load_dataset(path: str, rows=None, columns=COLUMNS) -> Dataset:
+    """The dataset at `path`, or only the whole subjects' rows `rows(spec)` of its spec, and
+    of the sample columns only `columns` (None for each other one); of what is not read
+    only the header's claims are checked: dtype tags, size, shapes."""
+    require(set(columns) <= set(COLUMNS), f"columns must be among {COLUMNS}, got {columns}")
     with open(path, "rb") as handle:
         header, layout = _index(handle, "dataset")
         spec = _load_spec(_field(header, "spec", dict))
@@ -298,10 +302,27 @@ def load_dataset(path: str, rows=None) -> Dataset:
             **{name: _read(handle, _field(entries, f"model.{name}", tuple))
                for name in _MODEL_ARRAYS}), "model")
         stored = {column: _field(entries, name, tuple) for column, name in _STORED.items()}
-        n = spec.n_subjects * spec.images_per_subject
-        for column, (_, _, shape, *_) in stored.items():  # every column's rows
-            _invariant(shape[:1] == (n,),
-                       f"dataset: {column} must be {(n, *shape[1:])}, got {shape}")
+        want = _column_shapes(model, spec.image_resolution, len(spec.window()))
+        for column, (_, _, shape, *_) in stored.items():  # every column, read or not
+            _invariant(shape == want[column],
+                       f"dataset: {column} must be {want[column]}, got {shape}")
         window = spec.window(rows(spec) if rows else None)
-        columns = {column: _read(handle, entry, window) for column, entry in stored.items()}
-    return _rebuild(lambda: Dataset(model=model, spec=spec, rows=window, **columns), "dataset")
+        arrays = {column: _read(handle, entry, window) if column in columns else None
+                  for column, entry in stored.items()}
+    return _rebuild(lambda: Dataset(model=model, spec=spec, rows=window, **arrays), "dataset")
+
+
+def _depth_chunks(path: str, dataset: Dataset, blocks: list):
+    """Depth rows `dataset.rows[s]` of the dataset at `path` for each slice s of `blocks`, in
+    turn, from one open file that must still hold `dataset`'s spec and depth shape, checked
+    as `Dataset` checks them, one flattened image per row."""
+    with open(path, "rb") as handle:
+        header, layout = _index(handle, "dataset")
+        entry, spec = _field({e[0]: e for e in layout}, "depth", tuple), dataset.spec
+        r, n = spec.image_resolution, len(spec.window())
+        _invariant(_load_spec(_field(header, "spec", dict)) == spec and entry[2] == (n, r, r),
+                   "dataset: changed since it was loaded")
+        for rows in (dataset.rows[s] for s in blocks):
+            depth = _read(handle, entry, rows)
+            _rebuild(lambda: _check_rows(_depth_checks(depth), rows.start), "dataset")
+            yield depth.reshape(len(depth), -1)

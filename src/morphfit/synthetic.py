@@ -126,6 +126,29 @@ COLUMNS = ("alpha_id", "alpha_exp", "pose_scale", "pose_rotation",
            "pose_translation", "landmarks", "depth")
 
 
+def _column_shapes(model: MorphableModel, r: int, n: int) -> dict:
+    """Each sample column's shape over n rows of r x r images, in COLUMNS order."""
+    return dict(zip(COLUMNS, ((n, model.k_id), (n, model.k_exp), (n,), (n, 3, 3), (n, 3),
+                              (n, 2 * model.n_landmarks), (n, r, r))))
+
+
+def _check_rows(checks: list, start: int) -> None:
+    """InvalidArgumentError naming the first row failing a check, as sample `start` + its
+    index, and its first failing check: (passed per row, message, values it formats or ())."""
+    ok = np.column_stack([passed for passed, *_ in checks])
+    if (bad := np.flatnonzero(~ok.all(axis=1))).size:
+        _, message, values = checks[int(np.argmin(ok[i := int(bad[0])]))]
+        raise InvalidArgumentError(f"sample {start + i} {message.format(*values[i:i + 1])}")
+
+
+def _depth_checks(depth: np.ndarray) -> list:
+    """The checks of depth rows, finite then within [-1, 1], from each row's min and max,
+    which carry its NaN and its infinities: no depth-sized temporaries."""
+    lo, hi = depth.min(axis=(1, 2)), depth.max(axis=(1, 2))
+    return [(np.isfinite(lo) & np.isfinite(hi), "depth: values must be finite", ()),
+            ((lo >= -1.0) & (hi <= 1.0), "depth: values must lie in [-1, 1]", ())]
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Rendered samples as one read-only, C-ordered array per field, plus the
@@ -134,8 +157,8 @@ class Dataset:
     validation and held-out rows (`split_indices`). The dataset holds the
     spec's rows `rows` (whole subjects, by default all): row k of every column
     is sample `rows.start + k`, its coefficients, pose, projected landmarks
-    (u1, v1, ..., uL, vL) and depth raster. The split lists hold such k; `labels`
-    and the sample an error names are absolute."""
+    (u1, v1, ..., uL, vL) and depth raster, or None if not read (and unchecked). The
+    split lists hold such k; `labels` and the sample an error names are absolute."""
 
     model: MorphableModel
     spec: DatasetSpec
@@ -153,43 +176,33 @@ class Dataset:
     test_indices: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        model, spec, r = self.model, self.spec, self.spec.image_resolution
+        spec = self.spec
         object.__setattr__(self, "rows", rows := spec.window(self.rows))
-        for name, tail in zip(COLUMNS, ((model.k_id,), (model.k_exp,), (), (3, 3),
-                                        (3,), (2 * model.n_landmarks,), (r, r))):
-            column = _readonly(getattr(self, name))
-            object.__setattr__(self, name, column)
-            require(column.shape == (len(rows), *tail),
-                    f"{name} must be {(len(rows), *tail)}, got {column.shape}")
+        held = {}  # the columns read, in order: None stands for a column not read
+        for name, shape in _column_shapes(self.model, spec.image_resolution, len(rows)).items():
+            if getattr(self, name) is not None:
+                held[name] = column = _readonly(getattr(self, name))
+                object.__setattr__(self, name, column)
+                require(column.shape == shape, f"{name} must be {shape}, got {column.shape}")
 
         # Finite values, positive scales, proper rotations and the depth
         # range, checked over whole columns; the error names the first
         # failing row and, within it, the first failing check.
-        def per_row(passed):
-            return passed.all(axis=tuple(range(1, passed.ndim)))
-
-        gram_err, det_err = _rotation_errors(
-            np.where(np.isfinite(self.pose_rotation), self.pose_rotation, 0.0))
-        # a row's min and max carry its NaN and its infinities: no depth-sized temporaries
-        lo, hi = self.depth.min(axis=(1, 2)), self.depth.max(axis=(1, 2))
-        checks = [(per_row(np.isfinite(getattr(self, name))),
-                   f"{name}: values must be finite") for name in COLUMNS[:-1]]
-        checks += [
-            (np.isfinite(lo) & np.isfinite(hi), "depth: values must be finite"),
-            (self.pose_scale > 0.0, "pose_scale: must be positive, got {scale}"),
-            (gram_err <= ROTATION_TOL,
-             "pose_rotation: not orthonormal (max deviation {gram:.3e})"),
-            (det_err <= ROTATION_TOL,
-             "pose_rotation: not proper (|det - 1| = {det:.3e})"),
-            ((lo >= -1.0) & (hi <= 1.0), "depth: values must lie in [-1, 1]"),
-        ]
-        ok = np.column_stack([passed for passed, _ in checks])
-        bad = np.flatnonzero(~ok.all(axis=1))
-        if bad.size:
-            i = int(bad[0])
-            message = checks[int(np.argmin(ok[i]))][1].format(
-                scale=self.pose_scale[i], gram=gram_err[i], det=det_err[i])
-            raise InvalidArgumentError(f"sample {rows.start + i} {message}")
+        depth = _depth_checks(held.pop("depth")) if "depth" in held else []
+        checks = [(np.isfinite(c).all(axis=tuple(range(1, c.ndim))),
+                   f"{k}: values must be finite", ()) for k, c in held.items()] + depth[:1]
+        if "pose_scale" in held:
+            checks.append((self.pose_scale > 0.0, "pose_scale: must be positive, got {}",
+                           self.pose_scale))
+        if "pose_rotation" in held:
+            gram, det = _rotation_errors(
+                np.where(np.isfinite(self.pose_rotation), self.pose_rotation, 0.0))
+            checks += [(gram <= ROTATION_TOL,
+                        "pose_rotation: not orthonormal (max deviation {:.3e})", gram),
+                       (det <= ROTATION_TOL,
+                        "pose_rotation: not proper (|det - 1| = {:.3e})", det)]
+        if checks := checks + depth[1:]:
+            _check_rows(checks, rows.start)
         object.__setattr__(self, "labels", _readonly(np.arange(
             rows.start, rows.stop, dtype=np.int64) // spec.images_per_subject, np.int64))
         for name, idx in zip(("train_indices", "val_indices", "test_indices"),
@@ -204,6 +217,7 @@ class Dataset:
 
     def images(self, rows) -> np.ndarray:
         """Depth rasters of the given rows (a view for a slice), one flattened per row."""
+        require(self.depth is not None, "depth: column not read")
         return self.depth[rows].reshape(-1, self.spec.image_resolution ** 2)
 
     def ground_truth_shapes(self, rows) -> np.ndarray:

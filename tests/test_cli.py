@@ -5,6 +5,7 @@ import dataclasses
 import io
 import os
 import re
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -26,6 +27,8 @@ from morphfit.serialization import (load_checkpoint, load_dataset, save_checkpoi
 from morphfit.synthetic import build_dataset, generate_model
 
 from oracles import read_obj
+from test_golden import skip_off_record
+from test_io import reencode
 
 # Small enough to run the whole pipeline in seconds; n_vertices must still
 # cover the landmark set, and two held-out subjects keep eval non-degenerate.
@@ -235,19 +238,22 @@ class TestTrain:
 
 
     def test_reads_no_held_out_row(self, pipeline, tmp_path, monkeypatch):
-        # 8 subjects of 5 images, the last 2 held out: the columns are read
-        # over rows 0..30 only, and the run writes the pipeline's checkpoints
+        # 8 subjects of 5 images, the last 2 held out: every column but the
+        # landmarks is read over rows 0..30 only, and the run writes the
+        # pipeline's checkpoints
         real_read, windows = serialization._read, []
 
         def read(handle, entry, rows=None):
-            windows.append(rows)
+            windows.append((entry[0], rows))
             return real_read(handle, entry, rows)
         monkeypatch.setattr(serialization, "_read", read)
         train = str(tmp_path / "train")
         code, _, err = run_cli(["train", "--data", pipeline["dataset"], *TINY_OVERRIDES,
                                 "--seed", "0", "--out", train])
         assert code == 0, err
-        assert [rows for rows in windows if rows is not None] == [range(0, 30)] * 7
+        assert [window for window in windows if window[1] is not None] == [
+            (name, range(0, 30)) for name in ("alpha_id", "alpha_exp", "pose.scale",
+                                              "pose.rotation", "pose.translation", "depth")]
         for name in ("phase1.ckpt", "phase2.ckpt", "phase3.ckpt"):
             got = load_checkpoint(os.path.join(train, name))
             want = load_checkpoint(os.path.join(pipeline["train_dir"], name))
@@ -482,6 +488,137 @@ class TestEval:
                                 *TINY_OVERRIDES, "--out", str(tmp_path / "eval")])
         assert code == 0, err
         assert calls == {"_pair_blocks": 3, "rank_n_identification": 1}
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 85, 86, 128, 129, 200, 257])
+def test_chunked_codes_have_the_whole_stack_bits(n):
+    """`eval` encodes the held-out images in even chunks of at most 128 rows, each chunk
+    of 64 rows or more unless n is smaller: at the default widths (1024 -> 256 -> 256 ->
+    28) every code has the bits of one product over the whole stack. The shapes pick the
+    BLAS kernel, so a seeded encoder does; chunks of 32-42 rows move the bits."""
+    skip_off_record()
+    encoder = nw.init_encoder(1024, 20, 8)
+    images = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 1024))
+    sizes = []
+
+    def read(blocks):
+        for s in blocks:
+            sizes.append(s.stop - s.start)
+            yield images[s]
+
+    [got] = cli_module._encode([encoder], read, n)
+    want = nw.encode_images(encoder, images)
+    assert [g.tobytes() == w.tobytes() for g, w in zip(got, want)] == [True, True]
+    assert sum(sizes) == n and max(sizes) <= 128
+
+
+@pytest.fixture(scope="module")
+def scaled_eval(tmp_path_factory):
+    """(overrides, {held-out rows: dataset}, checkpoint): datasets of 160 and 320 subjects
+    of 5 32x32 images, whose held-out blocks are 200 and 400 rows from 600 and 1,200,
+    and a seeded checkpoint that fits them."""
+    root = tmp_path_factory.mktemp("scaled-eval")
+    overrides = ["--set", "n_vertices=80", "--set", "k_id=4", "--set", "k_exp=3",
+                 "--set", "images_per_subject=5"]
+    datasets = {}
+    for n_subjects, held_out in ((160, 200), (320, 400)):
+        out = str(root / str(n_subjects))
+        code, _, err = run_cli(["gen-data", *overrides, "--set", f"n_subjects={n_subjects}",
+                                "--out", out])
+        assert code == 0, err
+        datasets[held_out] = os.path.join(out, "dataset.mfd")
+    checkpoint = str(root / "model.ckpt")
+    save_checkpoint(nw.init_encoder(1024, 4, 3), nw.init_decoder(240, 4, 3),
+                    nw.init_head(6, 4), RunConfig(), checkpoint)
+    return overrides, datasets, checkpoint
+
+
+class TestEvalByChunk:
+    def eval(self, scaled_eval, held_out, out, checkpoint=None, baseline=None):
+        overrides, datasets, model = scaled_eval
+        return run_cli(["eval", "--data", datasets[held_out], "--checkpoint",
+                        checkpoint or model, "--baseline", baseline or model,
+                        *overrides, "--out", str(out)])
+
+    def test_reads_the_depth_by_chunk_and_no_landmarks(self, scaled_eval, tmp_path,
+                                                       monkeypatch):
+        real_read, reads = serialization._read, []
+
+        def read(handle, entry, rows=None):
+            reads.append((entry[0], rows))
+            return real_read(handle, entry, rows)
+        monkeypatch.setattr(serialization, "_read", read)
+        code, _, err = self.eval(scaled_eval, 400, tmp_path / "eval")
+        assert code == 0, err
+        names = [name for name, _ in reads]
+        assert "landmarks" not in names and names.count("depth") == 4
+        depth = [rows for name, rows in reads if name == "depth"]
+        assert all(len(rows) <= 128 for rows in depth)
+        assert [row for rows in depth for row in rows] == list(range(1200, 1600))
+
+    def test_peak_grows_by_less_than_the_depth_column(self, scaled_eval, tmp_path):
+        """From 200 to 400 held-out rows, the tracemalloc peak of `eval` above its entry
+        grows by less than the 200 rows' depth column (1.6 MB): no depth row is held
+        after the encode pass, and no call holds the whole column."""
+        code, _, err = self.eval(scaled_eval, 200, tmp_path / "warm-up")
+        assert code == 0, err
+        peaks = []
+        for held_out in (200, 400):
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                code, _, err = self.eval(scaled_eval, held_out, tmp_path / str(held_out))
+                peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+        assert peaks[1] - peaks[0] < 200 * 32 * 32 * 8, peaks
+
+    def test_a_bad_depth_row_fails_after_the_checkpoint_checks(
+            self, scaled_eval, pipeline, unfit_checkpoint, tmp_path):
+        # row 750 is in the second chunk of the held-out rows 600..800
+        _, datasets, _ = scaled_eval
+        with open(datasets[200], "rb") as handle:
+            offset = {name: at for name, _, _, at, _ in serialization._index(handle)[1]}
+        data, at = bytearray(Path(datasets[200]).read_bytes()), offset["depth"] + 8 * 750 * 1024
+        data[at:at + 8] = np.float64(np.nan).tobytes()
+        bad = tmp_path / "bad.mfd"
+        bad.write_bytes(data)
+        scaled_eval = (scaled_eval[0], {200: str(bad)}, scaled_eval[2])
+        phase3 = os.path.join(pipeline["train_dir"], "phase3.ckpt")
+        for checkpoint, baseline, message in (
+                (phase3, None, "InvalidArgumentError: checkpoint encoder input length is "
+                               "144, but the dataset needs 1024 (32x32 images)"),
+                (None, unfit_checkpoint, "InvalidArgumentError: baseline checkpoint decoder "
+                                         "output length is 900, but the dataset needs 240 "
+                                         "(3 * 80 vertices)"),
+                (None, None, "InvariantViolationError: dataset: sample 750 depth: "
+                             "values must be finite")):
+            out = tmp_path / "out"
+            assert self.eval(scaled_eval, 200, out, checkpoint, baseline) == (
+                1, "", f"error: {message}\n")
+            assert not out.exists()
+
+    def test_a_file_changed_after_the_load_fails(self, scaled_eval, tmp_path, monkeypatch):
+        # `eval` reads the depth from a second open, which must find the spec and the depth
+        # shape of the first: here the file is replaced by another dataset, or by its own
+        # bytes with the depth stored as flat rows, between the two
+        _, datasets, _ = scaled_eval
+        source, path = Path(datasets[200]).read_bytes(), tmp_path / "data.mfd"
+        flat = reencode(source, lambda header: next(
+            e for e in header["arrays"] if e["name"] == "depth").update(shape=[800, 1024]))
+        real_load = cli_module.load_dataset
+        for replacement in (Path(datasets[400]).read_bytes(), flat):
+            def load(*args, **kwargs):
+                dataset = real_load(*args, **kwargs)
+                path.write_bytes(replacement)
+                return dataset
+            path.write_bytes(source)
+            monkeypatch.setattr(cli_module, "load_dataset", load)
+            out = tmp_path / "out"
+            assert self.eval((scaled_eval[0], {200: str(path)}, scaled_eval[2]), 200, out) == (
+                1, "", "error: InvariantViolationError: dataset: changed since it was loaded\n")
+            assert not out.exists()
 
 
 # Held-out sets that `eval` cannot verify on, and the one error line each gives:
@@ -841,12 +978,12 @@ INPUTS = ("own", *MISMATCHES, "n_subjects=3")
 
 
 @st.composite
-def contract_calls(draw):
-    """(stage, settings, input, extra argv) for one CLI call."""
+def contract_calls(draw, stages=STAGES):
+    """(stage, settings, input, extra argv) for one CLI call of one of `stages`."""
     settings = dict(TINY_SETTINGS)
     for key in draw(st.lists(st.sampled_from(sorted(EDGE_VALUES)), max_size=3, unique=True)):
         settings[key] = draw(st.sampled_from(EDGE_VALUES[key]))
-    stage = draw(st.sampled_from(STAGES))
+    stage = draw(st.sampled_from(stages))
     extra = []
     if stage == "fit":
         extra += ["--subject", draw(st.sampled_from(["0", "1", "-1", "99"]))]
@@ -870,6 +1007,17 @@ def contract_inputs(pipeline, foreign_datasets, tmp_path_factory):
             "n_subjects=3": os.path.join(out, "dataset.mfd")}
 
 
+def contract_argv(call, pipeline, contract_inputs, unfit_checkpoint, out: str) -> list[str]:
+    """The argv of a `contract_calls` call that writes to `out`."""
+    stage, settings, data, extra = call
+    argv = [stage, *(f"--set={key}={value}" for key, value in settings.items()), "--out", out]
+    if stage in ("fit", "train", "eval", "export-bases"):
+        argv += ["--data", contract_inputs[data]]
+    return argv + [os.path.join(pipeline["train_dir"], f"{item}.ckpt")
+                   if item.startswith("phase") else
+                   unfit_checkpoint if item == "unfit" else item for item in extra]
+
+
 class TestCliContract:
     @settings(max_examples=150, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -887,14 +1035,8 @@ class TestCliContract:
                    ["--checkpoint", "phase3", "--baseline", "unfit"]))
     def test_exit_0_or_1_with_one_error_line_or_2(self, pipeline, contract_inputs,
                                                   unfit_checkpoint, tmp_path_factory, call):
-        stage, settings, data, extra = call
-        argv = [stage, *(f"--set={key}={value}" for key, value in settings.items()),
-                "--out", str(tmp_path_factory.mktemp("contract"))]
-        if stage in ("fit", "train", "eval", "export-bases"):
-            argv += ["--data", contract_inputs[data]]
-        argv += [os.path.join(pipeline["train_dir"], f"{item}.ckpt")
-                 if item.startswith("phase") else
-                 unfit_checkpoint if item == "unfit" else item for item in extra]
+        argv = contract_argv(call, pipeline, contract_inputs, unfit_checkpoint,
+                             str(tmp_path_factory.mktemp("contract")))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, _, err = run_cli(argv)
@@ -903,3 +1045,19 @@ class TestCliContract:
             assert re.fullmatch(r"error: \w+: [^\n]*\n", err), (argv, err)
         if code in (0, 1):
             assert caught == [], (argv, [str(w.message) for w in caught])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(call=contract_calls(("eval",)))
+    # a crop radius that reconstruction refuses, after verification has run
+    @example(call=("eval", {**TINY_SETTINGS, "crop_radius": "-1"}, "own",
+                   ["--checkpoint", "phase3"]))
+    @example(call=("eval", {**TINY_SETTINGS, "crop_radius": "nan"}, "own",
+                   ["--checkpoint", "phase3", "--baseline", "phase2"]))
+    def test_a_failed_eval_writes_no_file(self, pipeline, contract_inputs, unfit_checkpoint,
+                                          tmp_path_factory, call):
+        out = tmp_path_factory.mktemp("failed-eval")
+        code, _, err = run_cli(contract_argv(call, pipeline, contract_inputs,
+                                             unfit_checkpoint, str(out)))
+        if code != 0:
+            assert list(out.iterdir()) == [], (call, err)

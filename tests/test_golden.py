@@ -9,7 +9,11 @@ every file and the stdout of `gen-data`, `train`, `eval --baseline` and
 datasets: `gen-data` at the `gen_fit_noisy40` inputs, `gen-data` at 80
 subjects and `eval --baseline` of the trained checkpoints on that 80-subject
 set, the `eval_heldout200` shape.
-Both cover seeds 0 and 1, and each records the numpy
+Both cover seeds 0 and 1. `golden/scale.sha256` holds the sha256 of the
+`dataset.mfd` of `gen-data --seed 1` at 800 subjects, and of every file and
+the stdout of `eval --baseline` of the seed-1 `train` checkpoints on its
+2,000 held-out images, where the blocked products' bit rules bite. Each
+manifest records the numpy
 version, the OpenBLAS build and core, the machine and the thread environment
 its hashes were made under. A test reruns the commands in a fresh process
 under that thread environment, with paths relative to a temporary directory
@@ -86,6 +90,10 @@ DESCRIPTIONS = {
                  "# and landmark_noise_sigma=0.01, `gen-data` with n_subjects=80 and",
                  "# `eval --baseline` of the seed's checkpoints on the latter",
                  "# and the stdout of `check-grad` at the default config"],
+    "scale": ["# sha256 of the dataset.mfd of `morphfit gen-data --seed 1` with",
+              "# n_subjects=800, and of every file and the stdout of `eval --baseline`",
+              "# of the seed-1 `train` checkpoints on its 2,000 held-out images",
+              "# (see tests/test_golden.py)"],
 }
 
 # The benchmark-scale datasets of the pipeline manifest: gen_fit_noisy40's
@@ -123,6 +131,19 @@ def emit(name: str, root: str) -> list[str]:
         overrides = [arg for item in BENCH_DATASETS[key] for arg in ("--set", item)]
         return run(["gen-data", *overrides, *tag, "--out", f"{key}{tag[-1]}"])
 
+    if name == "scale":
+        tag = ["--seed", "1"]
+        run(["gen-data", *tag, "--out", "gen-data"])
+        run(["train", "--data", "gen-data/dataset.mfd", *tag, "--out", "train"])
+        run(["gen-data", *tag, "--set", "n_subjects=800", "--out", "gen-data-800"])
+        files = {"gen-data-800/dataset.mfd": files_in("gen-data-800")["dataset.mfd"],
+                 "eval-800/stdout": run([
+                     "eval", "--data", "gen-data-800/dataset.mfd", "--checkpoint",
+                     "train/phase3.ckpt", "--baseline", "train/phase2.ckpt", *tag,
+                     "--out", "eval-800"])}
+        files.update(files_in("eval-800", "eval-800/"))
+        return [f"{hashlib.sha256(files[key]).hexdigest()}  seed1/{key}"
+                for key in sorted(files)]
     lines = []
     for seed in SEEDS:
         tag = ["--seed", str(seed)]
@@ -187,7 +208,9 @@ def manifest_diff(want: list[str], got: list[str]) -> str:
         ("vanished", sorted(old.keys() - new.keys()))) if entries) or "entries reordered"
 
 
-def check_manifest(name: str) -> None:
+def skip_off_record(name: str = "pipeline") -> list[str]:
+    """The lines of manifest `name`, after a skip naming the difference unless this
+    machine has the numpy, OpenBLAS build and core, and architecture it records."""
     with open(manifest_path(name), encoding="ascii") as handle:
         lines = handle.read().splitlines()
     recorded = [line for line in lines if line.startswith("# ")
@@ -196,6 +219,11 @@ def check_manifest(name: str) -> None:
     if recorded != here:
         pytest.skip(f"golden hashes were made under {recorded}; this machine "
                     f"has {here}")
+    return lines
+
+
+def check_manifest(name: str) -> None:
+    lines = skip_off_record(name)
     assert env_line() in lines
     want, got = [line for line in lines if not line.startswith("#")], run_emit(name)
     assert got == want, manifest_diff(want, got)
@@ -218,6 +246,10 @@ def test_fit_matches_golden_manifest():
 
 def test_pipeline_matches_golden_manifest():
     check_manifest("pipeline")
+
+
+def test_scale_matches_golden_manifest():
+    check_manifest("scale")
 
 
 if __name__ == "__main__":

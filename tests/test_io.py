@@ -1150,11 +1150,12 @@ def heldout_rows(spec: DatasetSpec) -> range:
     return range(start, spec.n_subjects * spec.images_per_subject)
 
 
-def poison_depth(source: Path, row: int, path: Path) -> None:
-    """`source` with one NaN in the depth raster of file row `row`."""
+def poison_depth(source: Path, row: int, path: Path, column: str = "depth") -> None:
+    """`source` with one NaN in file row `row` of the depth raster, or of `column`."""
     data = source.read_bytes()
-    side = load_dataset(str(source), rows=lambda spec: range(0)).spec.image_resolution
-    offset = payload_offset(data, "depth") + 8 * side * side * row
+    width = math.prod(getattr(load_dataset(str(source), rows=lambda spec: range(0)),
+                              column).shape[1:])
+    offset = payload_offset(data, column) + 8 * width * row
     path.write_bytes(data[:offset] + struct.pack("<d", math.nan) + data[offset + 8:])
 
 
@@ -1196,31 +1197,76 @@ class TestRowWindows:
                 assert got.n_train_subjects == whole.n_train_subjects
 
     def test_a_bad_row_outside_the_window_is_not_read(self, fuzz_files, tmp_path):
-        # 8 subjects of 3 images: subject 0 is rows 0-2, the held-out block rows 18-23
+        # 8 subjects of 3 images: subject 0 is rows 0-2, the held-out block rows 18-23;
+        # row 1 has a NaN in its depth, which `fit` does not read, and in its landmarks,
+        # which `train` does not read
         path = tmp_path / "data.mfd"
         poison_depth(fuzz_files / "data.mfd", 1, path)
-        error = ("error: InvariantViolationError: dataset: "
-                 "sample 1 depth: values must be finite")
+        poison_depth(path, 1, path, "landmarks")
+        error = "error: InvariantViolationError: dataset: sample 1 {}: values must be finite"
         for stage, outcome in (("1", (0, [])), ("eval", (0, [])), ("export-bases", (0, [])),
-                               ("0", (1, [error])), ("train", (1, [error]))):
+                               ("0", (1, [error.format("landmarks")])),
+                               ("train", (1, [error.format("depth")]))):
             assert run_stage(stage, path, fuzz_files, tmp_path / stage) == outcome, stage
 
     @pytest.mark.parametrize("row", [18, 20, 23])
     def test_a_bad_held_out_row_is_named_by_its_file_row(self, fuzz_files, tmp_path, row):
+        # `eval` finds it in the chunk that holds it; `fit` reads no depth
         path = tmp_path / "data.mfd"
         poison_depth(fuzz_files / "data.mfd", row, path)
         error = (f"error: InvariantViolationError: dataset: "
                  f"sample {row} depth: values must be finite")
-        for stage in ("eval", str(row // 3)):
-            assert run_stage(stage, path, fuzz_files, tmp_path / stage) == (1, [error]), stage
-        assert run_stage("0", path, fuzz_files, tmp_path / "0") == (0, [])
+        assert run_stage("eval", path, fuzz_files, tmp_path / "eval") == (1, [error])
+        for stage in (str(row // 3), "0"):
+            assert run_stage(stage, path, fuzz_files, tmp_path / stage) == (0, []), stage
+
+    def test_a_bad_depth_row_does_not_fail_fit(self, fuzz_files, tmp_path):
+        # `fit` reads the landmarks only: but for the echoed output directory, its
+        # files are those of the clean dataset
+        path = tmp_path / "data.mfd"
+        poison_depth(fuzz_files / "data.mfd", 4, path)
+        outputs = []
+        for data, out in ((fuzz_files / "data.mfd", tmp_path / "clean"), (path, tmp_path / "bad")):
+            assert run_stage("1", data, fuzz_files, out) == (0, [])
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "config.txt"})
+        assert outputs[0] == outputs[1] and "fit.csv" in outputs[0]
+
+    def test_columns_reads_only_those_columns(self, fuzz_files, tmp_path):
+        # a NaN in row 1's depth is not read, so not checked, unless the depth is
+        whole = load_dataset(str(fuzz_files / "data.mfd"))
+        path = tmp_path / "data.mfd"
+        poison_depth(fuzz_files / "data.mfd", 1, path)
+        for columns in ((), ("landmarks",), COLUMNS[:5]):
+            got = load_dataset(str(path), columns=columns)
+            for name in COLUMNS:
+                column, want = getattr(got, name), getattr(whole, name)
+                assert (column is None if name not in columns else
+                        column.tobytes() == want.tobytes() and not column.flags.writeable)
+            assert got.labels.tobytes() == whole.labels.tobytes()
+            with pytest.raises(InvalidArgumentError, match="depth: column not read"):
+                got.images(slice(0, 2))
+            with pytest.raises(InvalidArgumentError, match="cannot save unread columns"):
+                save_dataset(got, str(tmp_path / "saved.mfd"))
+        with pytest.raises(InvariantViolationError, match="sample 1 depth: values must be"):
+            load_dataset(str(path), columns=("depth",))
+        with pytest.raises(InvalidArgumentError, match="columns must be among"):
+            load_dataset(str(path), columns=("labels",))
+        assert not (tmp_path / "saved.mfd").exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda header: header["spec"].update(n_subjects=9),
          "dataset: alpha_id must be (27, 6), got (24, 6)"),
         (lambda header: next(e for e in header["arrays"] if e["name"] == "depth")
          .update(dtype="i8"), "depth: dtype tag 'i8', expected 'f8'"),
-    ], ids=["row-count", "dtype-tag"])
+        # the byte length of each array as stored, its shape not the spec's
+        (lambda header: next(e for e in header["arrays"] if e["name"] == "depth")
+         .update(shape=[24, 256]), "dataset: depth must be (24, 16, 16), got (24, 256)"),
+        (lambda header: next(e for e in header["arrays"] if e["name"] == "depth")
+         .update(shape=[24, 32, 8]), "dataset: depth must be (24, 16, 16), got (24, 32, 8)"),
+        (lambda header: next(e for e in header["arrays"] if e["name"] == "landmarks")
+         .update(shape=[24, 68, 2]), "dataset: landmarks must be (24, 136), got (24, 68, 2)"),
+    ], ids=["row-count", "dtype-tag", "flat-depth", "wide-depth", "landmark-pairs"])
     def test_whole_file_claims_are_checked_by_every_window(self, fuzz_files, tmp_path,
                                                            edit, message):
         path = tmp_path / "data.mfd"
